@@ -59,6 +59,72 @@ func BenchmarkSegmentSeal(b *testing.B) {
 	b.SetBytes(int64(n * core.RecordSize))
 }
 
+// BenchmarkTableAppend measures DB.Insert, the store's write path, per
+// batch: "head" is the bulk copy into an unsealed head alone (1024-record
+// runs; a fresh table is swapped in off the clock before a run would tip
+// the default segment), "steady" the same path at 2048-record runs with
+// the seals it causes (every third batch) included. Both should allocate
+// per segment, not per record.
+func BenchmarkTableAppend(b *testing.B) {
+	recs := segmentBenchRecords(2048)
+	b.Run("head", func(b *testing.B) {
+		const perBatch = 1024
+		fits := tracedb.DefaultSegmentBytes / core.RecordSize / perBatch // batches an unsealed head holds
+		db := tracedb.New()
+		b.ReportAllocs()
+		b.SetBytes(perBatch * core.RecordSize)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%fits == 0 {
+				b.StopTimer()
+				db = tracedb.New()
+				b.StartTimer()
+			}
+			db.Insert(recs[:perBatch])
+		}
+	})
+	b.Run("steady", func(b *testing.B) {
+		db := tracedb.New()
+		b.ReportAllocs()
+		b.SetBytes(int64(len(recs)) * core.RecordSize)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			db.Insert(recs)
+		}
+	})
+}
+
+// BenchmarkTableLookup prices the two halves of a trace-ID lookup on one
+// default-sized segment of records: "head" scans them as an unsealed,
+// index-free head (worst case: the head is one record short of sealing
+// and the ID is absent, so every record is compared), "extent" decodes
+// them as the one sealed extent whose Bloom filter admits the ID. The
+// head carries no index because the first costs less than the second.
+func BenchmarkTableLookup(b *testing.B) {
+	n := tracedb.DefaultSegmentBytes / core.RecordSize // the next record would seal
+	recs := segmentBenchRecords(n)
+	lookup := func(b *testing.B, sealed bool, id uint32, want int) {
+		db := tracedb.New()
+		db.Insert(recs)
+		if sealed {
+			db.SealAll()
+		}
+		tbl, _ := db.Table(1)
+		if st := tbl.Storage(); (st.Extents == 1) != sealed || st.Records() != uint64(n) {
+			b.Fatalf("fixture: %d extents, %d records", st.Extents, st.Records())
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if got := tbl.ByTraceID(id); len(got) != want {
+				b.Fatalf("ByTraceID(%d) = %d records, want %d", id, len(got), want)
+			}
+		}
+	}
+	b.Run("head", func(b *testing.B) { lookup(b, false, uint32(n+1), 0) })
+	b.Run("extent", func(b *testing.B) { lookup(b, true, uint32(n/2), 1) })
+}
+
 // BenchmarkSegmentScan measures streaming decode throughput over sealed
 // in-memory extents and the per-scan allocation count.
 func BenchmarkSegmentScan(b *testing.B) {
@@ -85,9 +151,9 @@ func BenchmarkSegmentScan(b *testing.B) {
 }
 
 // BenchmarkSegmentResidency pins the acceptance criterion: resident bytes
-// per record in the segment store vs the flat-slice baseline's 48 (plus
-// index overhead). The store's own accounting is the measure, so the
-// ratio lands in BENCH_pr6.json.
+// per record in the segment store (compressed extents plus their Bloom
+// filters and bounds) vs the flat-slice baseline's 48. The store's own
+// accounting is the measure, so the ratio lands in BENCH_pr6.json.
 func BenchmarkSegmentResidency(b *testing.B) {
 	const n = 100_000
 	recs := segmentBenchRecords(n)

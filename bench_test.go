@@ -295,7 +295,14 @@ func benchRecordSetup(b *testing.B) (*ebpf.Program, []byte) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pc := &kernel.ProbeCtx{
+	return c.Prog, core.BuildCtx(nil, benchProbeCtx())
+}
+
+// benchProbeCtx is one firing of udp_recvmsg on a packet the record
+// script's filter matches.
+func benchProbeCtx() *kernel.ProbeCtx {
+	return &kernel.ProbeCtx{
+		Site: kernel.SiteUDPRecvmsg,
 		Pkt: &vnet.Packet{
 			IP:      vnet.IPv4Header{Protocol: vnet.ProtoUDP, Src: 1, Dst: 2},
 			UDP:     &vnet.UDPHeader{SrcPort: 1, DstPort: 9000},
@@ -303,7 +310,6 @@ func benchRecordSetup(b *testing.B) (*ebpf.Program, []byte) {
 		},
 		TimeNs: 1,
 	}
-	return c.Prog, core.BuildCtx(nil, pc)
 }
 
 // BenchmarkEBPFInterpRecordScript measures interpreting the record script
@@ -351,6 +357,55 @@ func BenchmarkEBPFCompiledRecordScript(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkProbeFire measures what a probe site costs the traced path
+// around the program itself: ProbeRegistry.Fire on a site nobody attached
+// to (the "no tracing, no overhead" case: one table lookup), with one
+// no-op handler attached (lookup + fire count + dispatch), and with the
+// compiled record script attached through core.Machine (context build,
+// program, ring emit) — compare the last with
+// BenchmarkEBPFCompiledRecordScript for the dispatch share.
+func BenchmarkProbeFire(b *testing.B) {
+	pc := benchProbeCtx()
+	fire := func(b *testing.B, r *kernel.ProbeRegistry) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.Fire(pc)
+		}
+	}
+	b.Run("unattached", func(b *testing.B) {
+		r := kernel.NewProbeRegistry()
+		r.Attach(kernel.SiteNetRxAction, func(*kernel.ProbeCtx) int64 { return 0 })
+		fire(b, r)
+	})
+	b.Run("attached", func(b *testing.B) {
+		r := kernel.NewProbeRegistry()
+		r.Attach(pc.Site, func(*kernel.ProbeCtx) int64 { return 0 })
+		fire(b, r)
+	})
+	b.Run("record-script", func(b *testing.B) {
+		prog, _ := benchRecordSetup(b)
+		node := kernel.NewNode(sim.NewEngine(1), kernel.NodeConfig{Name: "bench", NumCPU: 1})
+		m, err := core.NewMachine(node, 64<<10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		at := core.AttachPoint{Kind: core.AttachKProbe, Site: pc.Site}
+		if _, err := m.Attach(prog, at, core.DefaultCostModel()); err != nil {
+			b.Fatal(err)
+		}
+		var drained []byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			node.Probes.Fire(pc)
+			if i%1024 == 1023 {
+				drained = m.Ring.DrainInto(drained[:0])
+			}
+		}
+	})
 }
 
 func BenchmarkEBPFInterpFilterMiss(b *testing.B) {

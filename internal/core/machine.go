@@ -182,6 +182,12 @@ func (e *machineEnv) TracePrintk(msg string) { e.m.printk = append(e.m.printk, m
 // the context, interprets the program, routes its perf output to the ring
 // buffer, and charges the interpreter cost (per the cost model) to the
 // packet's processing path.
+//
+// One attachment owns one context buffer, one helper environment and one
+// stats block, reused by every firing, so firings of the same attachment
+// must not overlap: the simulated kernel fires a node's probes from one
+// goroutine at a time. kernel.ProbeRegistry.Fire itself is safe from any
+// number of goroutines; it is this handler that is not.
 func (m *Machine) Attach(prog *ebpf.Program, at AttachPoint, cm CostModel) (*AttachHandle, error) {
 	if prog == nil {
 		return nil, fmt.Errorf("core: machine %s: nil program", m.Node.Name)

@@ -2,8 +2,10 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"vnettracer/internal/vnet"
 )
@@ -59,83 +61,106 @@ type ProbeHandler func(ctx *ProbeCtx) (costNs int64)
 // ProbeRegistry holds handlers attached to kernel probe sites. It is safe
 // for concurrent use: the control-plane agent attaches and detaches while
 // the simulated kernel fires probes.
+//
+// Firing is the traced path, attaching is rare, so the registry is
+// copy-on-write: Fire reads an immutable site table through one atomic
+// load and never locks, allocates or sorts; Attach and detach rebuild the
+// table under mu and publish the copy. A Fire already past its load keeps
+// dispatching from the table it saw, so a handler may still be started by
+// firings that began before its detach returned — never by one that began
+// after.
 type ProbeRegistry struct {
-	mu     sync.Mutex
+	mu     sync.Mutex // serializes the writers: Attach and detach
 	nextID int
-	sites  map[string]map[int]ProbeHandler
-	fires  map[string]uint64
+	table  atomic.Pointer[map[string]*probeSite]
+}
+
+// probeSite is one site's immutable dispatch entry. A site that was ever
+// attached keeps its entry (with no handlers) so its fire count survives.
+type probeSite struct {
+	handlers []attachedHandler // ascending id, i.e. attach order
+	fires    *atomic.Uint64    // shared by every rebuild of this site
+}
+
+type attachedHandler struct {
+	id int
+	h  ProbeHandler
 }
 
 // NewProbeRegistry returns an empty registry.
 func NewProbeRegistry() *ProbeRegistry {
-	return &ProbeRegistry{
-		sites: make(map[string]map[int]ProbeHandler),
-		fires: make(map[string]uint64),
-	}
+	r := &ProbeRegistry{}
+	r.table.Store(&map[string]*probeSite{})
+	return r
 }
 
 // Attach registers a handler at a site and returns a detach function.
+// Handlers at one site run in attach order.
 func (r *ProbeRegistry) Attach(site string, h ProbeHandler) (detach func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	id := r.nextID
 	r.nextID++
-	m, ok := r.sites[site]
-	if !ok {
-		m = make(map[int]ProbeHandler)
-		r.sites[site] = m
-	}
-	m[id] = h
+	r.rebuild(site, func(old []attachedHandler) []attachedHandler {
+		// ids only grow, so appending keeps attach order.
+		return append(slices.Clip(old), attachedHandler{id, h})
+	})
 	return func() {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		delete(m, id)
+		r.rebuild(site, func(old []attachedHandler) []attachedHandler {
+			return slices.DeleteFunc(slices.Clone(old), func(a attachedHandler) bool { return a.id == id })
+		})
 	}
 }
 
-// Fire invokes every handler attached at ctx.Site and returns the summed
-// CPU cost. Sites with no handlers cost nothing, preserving the paper's
-// "no tracing, no overhead" property.
+// rebuild publishes a copy of the site table in which site's handlers are
+// edit(current handlers). edit must not modify its argument: firings in
+// flight still read it. Callers hold r.mu.
+func (r *ProbeRegistry) rebuild(site string, edit func([]attachedHandler) []attachedHandler) {
+	next := maps.Clone(*r.table.Load())
+	s := next[site]
+	if s == nil {
+		s = &probeSite{fires: new(atomic.Uint64)}
+	}
+	next[site] = &probeSite{handlers: edit(s.handlers), fires: s.fires}
+	r.table.Store(&next)
+}
+
+// site looks a site up in the current table; nil if it never had a handler.
+func (r *ProbeRegistry) site(name string) *probeSite { return (*r.table.Load())[name] }
+
+// Fire invokes every handler attached at ctx.Site, in attach order, and
+// returns the summed CPU cost. Sites with no handlers cost one table
+// lookup and nothing else, preserving the paper's "no tracing, no
+// overhead" property.
 func (r *ProbeRegistry) Fire(ctx *ProbeCtx) int64 {
-	r.mu.Lock()
-	m := r.sites[ctx.Site]
-	if len(m) == 0 {
-		r.mu.Unlock()
+	s := r.site(ctx.Site)
+	if s == nil || len(s.handlers) == 0 {
 		return 0
 	}
-	r.fires[ctx.Site]++
-	// Copy handlers out so they run without holding the lock and in a
-	// deterministic order.
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	handlers := make([]ProbeHandler, len(ids))
-	for i, id := range ids {
-		handlers[i] = m[id]
-	}
-	r.mu.Unlock()
-
+	s.fires.Add(1)
 	var cost int64
-	for _, h := range handlers {
-		cost += h(ctx)
+	for _, a := range s.handlers {
+		cost += a.h(ctx)
 	}
 	return cost
 }
 
 // Fires reports how many times a site fired with at least one handler.
 func (r *ProbeRegistry) Fires(site string) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.fires[site]
+	if s := r.site(site); s != nil {
+		return s.fires.Load()
+	}
+	return 0
 }
 
 // Attached reports the number of handlers at a site.
 func (r *ProbeRegistry) Attached(site string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.sites[site])
+	if s := r.site(site); s != nil {
+		return len(s.handlers)
+	}
+	return 0
 }
 
 func (c *ProbeCtx) String() string {

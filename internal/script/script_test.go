@@ -99,6 +99,41 @@ func TestRecordActionEmitsParsableRecords(t *testing.T) {
 	}
 }
 
+// A kprobe firing of the compiled record script — registry dispatch,
+// context build, program, ring emit — allocates nothing.
+func TestRecordScriptFiringDoesNotAllocate(t *testing.T) {
+	_, m := testRig(t)
+	c, err := Compile(Spec{
+		Name:    "rec",
+		TPID:    9,
+		Filter:  Filter{Proto: vnet.ProtoUDP, DstPort: 9000},
+		Actions: []Action{ActionRecord},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := m.Attach(c.Prog, core.AttachPoint{Kind: core.AttachKProbe, Site: kernel.SiteUDPRecvmsg}, core.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := &kernel.ProbeCtx{
+		Site: kernel.SiteUDPRecvmsg,
+		Pkt:  udpPkt(vnet.MustParseIPv4("10.0.0.1"), vnet.MustParseIPv4("10.0.0.2"), 4000, 9000, 0xfeed, 56),
+	}
+	const firings = 500
+	allocs := testing.AllocsPerRun(firings, func() { m.Node.Probes.Fire(pc) })
+	if allocs != 0 {
+		t.Fatalf("firing the record script: %v allocs/op, want 0", allocs)
+	}
+	// AllocsPerRun fires once more to warm up.
+	if st := h.Stats(); st.Invocations != firings+1 || st.Errors != 0 || m.Ring.Drops() != 0 {
+		t.Fatalf("after %d firings: %+v, %d ring drops", firings+1, st, m.Ring.Drops())
+	}
+	if got := m.Ring.Used(); got != (firings+1)*core.RecordSize {
+		t.Fatalf("ring holds %d bytes, want %d records", got, firings+1)
+	}
+}
+
 func TestFilterMatchesOnlyTargetFlow(t *testing.T) {
 	_, m := testRig(t)
 	c, err := Compile(Spec{

@@ -1,0 +1,207 @@
+package tracedb
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"vnettracer/internal/core"
+)
+
+// Steady-state insertion allocates per segment (one head array, one
+// sealed extent), never per record: the head is raw records and nothing
+// else.
+func TestInsertAllocatesPerBatchNotPerRecord(t *testing.T) {
+	const perBatch = 2048
+	db := New()
+	recs := make([]core.Record, perBatch)
+	for i := range recs {
+		recs[i] = core.Record{TPID: 1, TraceID: uint32(i + 1), TimeNs: uint64(i) * 1000, Len: 100, Seq: uint64(i)}
+	}
+	for i := 0; i < 8; i++ { // warm: table exists, several seals behind it
+		db.Insert(recs)
+	}
+	// Every third batch tips the default 256 KiB segment and seals.
+	allocs := testing.AllocsPerRun(60, func() { db.Insert(recs) })
+	if allocs > 16 {
+		t.Fatalf("Insert of %d records: %v allocs per batch, want a handful (head array + seal)", perBatch, allocs)
+	}
+	tbl, _ := db.Table(1)
+	if tbl.Extents() < 20 {
+		t.Fatalf("only %d extents sealed: the measured inserts did not cover seals", tbl.Extents())
+	}
+}
+
+// lookupFixture is a table whose special trace IDs sit at known places
+// relative to the seal boundaries, in a stream of filler records with
+// unique IDs. Every record has a unique Seq, so record equality is exact.
+type lookupFixture struct {
+	db       *DB
+	tbl      *Table
+	batchLen int
+	nextSeq  uint64
+}
+
+const (
+	idStraddler  = 7  // one record in every batch ever inserted
+	idSealedOnly = 8  // two records, both in the first batch
+	idHeadOnly   = 9  // two records, both in the last batch before the checks
+	idNowhere    = 10 // never inserted
+	fixtureSkew  = 500
+)
+
+// batch builds one insert run: fillers, one straddler record in the
+// middle, and two records of extra (0 for none) around it.
+func (f *lookupFixture) batch(extra uint32) []core.Record {
+	recs := make([]core.Record, f.batchLen)
+	for i := range recs {
+		seq := f.nextSeq
+		f.nextSeq++
+		id := uint32(1000 + seq)
+		switch {
+		case i == f.batchLen/2:
+			id = idStraddler
+		case extra != 0 && (i == 1 || i == f.batchLen-2):
+			id = extra
+		}
+		recs[i] = core.Record{TPID: 1, TraceID: id, TimeNs: seq*10 + 5, Len: 100, Seq: seq}
+	}
+	return recs
+}
+
+// scanFor is the brute-force reference: every record of id, in insertion
+// order, from a full scan.
+func (f *lookupFixture) scanFor(id uint32) []core.Record {
+	var out []core.Record
+	f.tbl.Scan(func(r core.Record) bool {
+		if r.TraceID == id {
+			out = append(out, r)
+		}
+		return true
+	})
+	return out
+}
+
+// checkLookup holds ByTraceID and FirstByTraceID of id against want.
+func (f *lookupFixture) checkLookup(t *testing.T, id uint32, want []core.Record) {
+	t.Helper()
+	if got := f.tbl.ByTraceID(id); !slices.Equal(got, want) {
+		t.Errorf("ByTraceID(%d) = %d records %v, want %d records %v", id, len(got), got, len(want), want)
+	}
+	first, ok := f.tbl.FirstByTraceID(id)
+	if len(want) == 0 {
+		if ok {
+			t.Errorf("FirstByTraceID(%d) = %+v, want none", id, first)
+		}
+		return
+	}
+	wantFirst := want[0]
+	wantFirst.TimeNs = alignNs(wantFirst.TimeNs, fixtureSkew)
+	if !ok || first != wantFirst {
+		t.Errorf("FirstByTraceID(%d) = %+v, %v; want %+v", id, first, ok, wantFirst)
+	}
+}
+
+// TestLookupMatchesScan checks trace-ID lookups, which scan the head and
+// decode Bloom-admitted extents, against a brute-force Scan: for an ID
+// whose records straddle two sealed extents and the live head, one only
+// in the head, one only sealed, and one absent — first on a quiet table,
+// then while inserts keep moving the head/extent boundary under the
+// lookups. Run it under -race.
+func TestLookupMatchesScan(t *testing.T) {
+	for _, segBytes := range []int{4 << 10, DefaultSegmentBytes} {
+		t.Run(fmt.Sprintf("segment=%d", segBytes), func(t *testing.T) {
+			db := NewWith(Config{SegmentBytes: segBytes})
+			tbl, err := db.CreateTable(1, "t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.SetSkew(1, fixtureSkew)
+			// A little over a quarter segment per batch: a seal every
+			// fourth batch, and a batch after a seal stays in the head.
+			f := &lookupFixture{db: db, tbl: tbl, batchLen: segBytes/core.RecordSize/4 + 1}
+
+			db.Insert(f.batch(idSealedOnly))
+			for tbl.Extents() < 2 {
+				db.Insert(f.batch(0))
+			}
+			db.Insert(f.batch(idHeadOnly))
+			batches := int(f.nextSeq) / f.batchLen
+			if st := tbl.Storage(); st.Extents != 2 || st.HeadRecords != uint64(f.batchLen) {
+				t.Fatalf("fixture has %d extents and %d head records, want 2 and %d", st.Extents, st.HeadRecords, f.batchLen)
+			}
+
+			straddler := f.scanFor(idStraddler)
+			sealedOnly := f.scanFor(idSealedOnly)
+			headOnly := f.scanFor(idHeadOnly)
+			if len(straddler) != batches || len(sealedOnly) != 2 || len(headOnly) != 2 {
+				t.Fatalf("fixture holds %d/%d/%d records of the straddling/sealed/head IDs, want %d/2/2",
+					len(straddler), len(sealedOnly), len(headOnly), batches)
+			}
+			if lastSealed := uint64(tbl.Len() - f.batchLen); sealedOnly[1].Seq >= lastSealed || headOnly[0].Seq < lastSealed {
+				t.Fatalf("fixture misplaced: sealed-only ends at seq %d, head-only starts at %d, head starts at %d",
+					sealedOnly[1].Seq, headOnly[0].Seq, lastSealed)
+			}
+			f.checkLookup(t, idStraddler, straddler)
+			f.checkLookup(t, idSealedOnly, sealedOnly)
+			f.checkLookup(t, idHeadOnly, headOnly)
+			f.checkLookup(t, idNowhere, nil)
+
+			// Concurrent phase: every further batch carries one more
+			// straddler record, so a lookup must return a prefix of the
+			// final answer no shorter than what was inserted before it
+			// began and no longer than what had begun when it ended. The
+			// other IDs' answers must not move as their records migrate
+			// from the head into extents.
+			const moreBatches = 14
+			var begun, landed atomic.Int64
+			begun.Store(int64(batches))
+			landed.Store(int64(batches))
+			prepared := make([][]core.Record, moreBatches)
+			for i := range prepared {
+				prepared[i] = f.batch(0)
+			}
+			var inserting sync.WaitGroup
+			inserting.Add(1)
+			go func() {
+				defer inserting.Done()
+				for _, recs := range prepared {
+					begun.Add(1)
+					db.Insert(recs)
+					landed.Add(1)
+				}
+			}()
+			for done := false; !done && !t.Failed(); {
+				done = landed.Load() == int64(batches+moreBatches)
+				lo := landed.Load()
+				got := tbl.ByTraceID(idStraddler)
+				hi := begun.Load()
+				if n := int64(len(got)); n < lo || n > hi {
+					t.Errorf("ByTraceID(straddler) returned %d records; %d were in before it began, %d when it ended", n, lo, hi)
+				}
+				for i, r := range got {
+					if want := uint64(i*f.batchLen + f.batchLen/2); r.Seq != want {
+						t.Errorf("ByTraceID(straddler)[%d] has seq %d, want %d: not insertion order", i, r.Seq, want)
+						break
+					}
+				}
+				f.checkLookup(t, idSealedOnly, sealedOnly)
+				f.checkLookup(t, idHeadOnly, headOnly)
+				f.checkLookup(t, idNowhere, nil)
+			}
+			inserting.Wait()
+
+			if tbl.Extents() < 5 {
+				t.Fatalf("only %d extents after the concurrent phase: the head/extent boundary did not move", tbl.Extents())
+			}
+			straddler = f.scanFor(idStraddler)
+			if len(straddler) != batches+moreBatches {
+				t.Fatalf("scan finds %d straddler records, want %d", len(straddler), batches+moreBatches)
+			}
+			f.checkLookup(t, idStraddler, straddler)
+			f.checkLookup(t, idHeadOnly, f.scanFor(idHeadOnly))
+		})
+	}
+}

@@ -10,8 +10,8 @@ import (
 
 // Table holds all records from one tracepoint, stored as an append-only,
 // time-partitioned sequence of segments: a mutable in-memory head (raw
-// records plus an exact trace-ID index) and a list of sealed, immutable,
-// compressed extents — oldest first, in insertion order. Seals happen at
+// records, nothing else) and a list of sealed, immutable, compressed
+// extents — oldest first, in insertion order. Seals happen at
 // batch boundaries (Insert appends whole per-tracepoint runs and only
 // then checks the head's size), so every extent covers whole delivered
 // batches and the collector's ledger state at any extent boundary is
@@ -30,10 +30,11 @@ type Table struct {
 	// time.
 	skewNs int64
 
-	// head is the mutable segment; headIndex maps trace IDs to head
-	// positions for exact lookups before sealing.
-	head      []core.Record
-	headIndex map[uint32][]int32
+	// head is the mutable segment: raw records in insertion order, in an
+	// array allocated once per segment. It carries no index; trace-ID
+	// lookups scan it, which its size bound keeps cheaper than decoding
+	// one sealed extent.
+	head []core.Record
 
 	// sealed lists immutable extents oldest-first. sealedRecords and
 	// sealedBytes are running totals so Len and retention are O(1).
@@ -59,7 +60,7 @@ type Table struct {
 }
 
 func newTable(db *DB, tpid uint32, name string) *Table {
-	return &Table{TPID: tpid, Name: name, db: db, headIndex: make(map[uint32][]int32)}
+	return &Table{TPID: tpid, Name: name, db: db}
 }
 
 // append adds a run of records (all with this table's TPID) under the
@@ -68,10 +69,15 @@ func newTable(db *DB, tpid uint32, name string) *Table {
 // extents always break at batch-run boundaries.
 func (t *Table) append(recs []core.Record) {
 	t.mu.Lock()
-	for i := range recs {
-		t.headIndex[recs[i].TraceID] = append(t.headIndex[recs[i].TraceID], int32(len(t.head)))
-		t.head = append(t.head, recs[i])
+	if t.head == nil {
+		// Room for a whole segment plus the run that tips it over, so a
+		// segment of runs no longer than its first never regrows. Segment
+		// sizes above the default start at the default and grow on demand:
+		// a store configured never to seal must not reserve its limit per
+		// table.
+		t.head = make([]core.Record, 0, min(t.db.cfg.SegmentBytes, DefaultSegmentBytes)/core.RecordSize+len(recs))
 	}
+	t.head = append(t.head, recs...)
 	if len(t.head)*core.RecordSize >= t.db.cfg.SegmentBytes {
 		t.sealLocked()
 	}
@@ -103,7 +109,6 @@ func (t *Table) sealLocked() {
 	// The old head backing array may still be referenced by concurrent
 	// scan snapshots, so start a fresh one rather than reusing it.
 	t.head = nil
-	t.headIndex = make(map[uint32][]int32)
 	t.enforceRetentionLocked()
 }
 
@@ -230,20 +235,10 @@ func (t *Table) Scan(fn func(core.Record) bool) { t.scanSegments(false, fn) }
 func (t *Table) ScanAligned(fn func(core.Record) bool) { t.scanSegments(true, fn) }
 
 // ByTraceID returns all records for one packet ID in insertion order.
-// Sealed extents are consulted only when their Bloom filter admits the
-// ID; the head uses its exact index.
+// Sealed extents are decoded only when their Bloom filter admits the ID;
+// the head snapshot is scanned linearly, outside the lock.
 func (t *Table) ByTraceID(id uint32) []core.Record {
-	t.mu.RLock()
-	exts := t.sealed
-	var headOut []core.Record
-	if idxs := t.headIndex[id]; len(idxs) > 0 {
-		headOut = make([]core.Record, len(idxs))
-		for i, idx := range idxs {
-			headOut[i] = t.head[idx]
-		}
-	}
-	t.mu.RUnlock()
-
+	exts, head, _ := t.snapshot()
 	var out []core.Record
 	for _, e := range exts {
 		if !e.mayContain(id) {
@@ -258,23 +253,18 @@ func (t *Table) ByTraceID(id uint32) []core.Record {
 			t.readErrors.Add(1)
 		}
 	}
-	return append(out, headOut...)
+	for i := range head {
+		if head[i].TraceID == id {
+			out = append(out, head[i])
+		}
+	}
+	return out
 }
 
 // FirstByTraceID returns the first record for a packet ID in insertion
 // order, with timestamp alignment applied.
 func (t *Table) FirstByTraceID(id uint32) (core.Record, bool) {
-	t.mu.RLock()
-	exts := t.sealed
-	skew := t.skewNs
-	var headFirst core.Record
-	headOK := false
-	if idxs := t.headIndex[id]; len(idxs) > 0 {
-		headFirst = t.head[idxs[0]]
-		headOK = true
-	}
-	t.mu.RUnlock()
-
+	exts, head, skew := t.snapshot()
 	for _, e := range exts {
 		if !e.mayContain(id) {
 			continue
@@ -296,9 +286,12 @@ func (t *Table) FirstByTraceID(id uint32) (core.Record, bool) {
 			return found, true
 		}
 	}
-	if headOK {
-		headFirst.TimeNs = alignNs(headFirst.TimeNs, skew)
-		return headFirst, true
+	for i := range head {
+		if head[i].TraceID == id {
+			found := head[i]
+			found.TimeNs = alignNs(found.TimeNs, skew)
+			return found, true
+		}
 	}
 	return core.Record{}, false
 }

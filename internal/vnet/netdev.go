@@ -2,6 +2,7 @@ package vnet
 
 import (
 	"fmt"
+	"slices"
 
 	"vnettracer/internal/sim"
 )
@@ -82,14 +83,22 @@ type NetDevConfig struct {
 // service time, so attaching expensive tracing slows the device exactly as
 // in a real kernel.
 type NetDev struct {
-	cfg     NetDevConfig
-	eng     *sim.Engine
-	queue   []queued
-	busy    bool
-	rxHooks map[int]Hook
-	txHooks map[int]Hook
+	cfg   NetDevConfig
+	eng   *sim.Engine
+	queue []queued
+	busy  bool
+	// rxHooks/txHooks are in attach order and replaced, never modified in
+	// place, by attach and detach: a dispatch in progress keeps ranging
+	// over the slice it started with.
+	rxHooks []attachedHook
+	txHooks []attachedHook
 	nextID  int
 	stats   DevStats
+}
+
+type attachedHook struct {
+	id int
+	h  Hook
 }
 
 type queued struct {
@@ -99,12 +108,7 @@ type queued struct {
 
 // NewNetDev constructs a device bound to the engine.
 func NewNetDev(eng *sim.Engine, cfg NetDevConfig) *NetDev {
-	return &NetDev{
-		cfg:     cfg,
-		eng:     eng,
-		rxHooks: make(map[int]Hook),
-		txHooks: make(map[int]Hook),
-	}
+	return &NetDev{cfg: cfg, eng: eng}
 }
 
 // Name returns the interface name.
@@ -129,16 +133,29 @@ func (d *NetDev) SetTransform(f func(p *Packet) *Packet) { d.cfg.Transform = f }
 
 // AttachHook registers a hook at the given direction and returns a detach
 // function. Hooks may be attached and detached at runtime, which is the
-// mechanism behind vNetTracer's reconfigurability.
+// mechanism behind vNetTracer's reconfigurability. Hooks of one direction
+// run in attach order; one attached or detached while a packet is being
+// dispatched takes effect from the next packet.
 func (d *NetDev) AttachHook(dir Direction, h Hook) (detach func()) {
 	id := d.nextID
 	d.nextID++
-	m := d.rxHooks
+	hooks := &d.rxHooks
 	if dir == Egress {
-		m = d.txHooks
+		hooks = &d.txHooks
 	}
-	m[id] = h
-	return func() { delete(m, id) }
+	*hooks = append(slices.Clip(*hooks), attachedHook{id, h})
+	return func() {
+		*hooks = slices.DeleteFunc(slices.Clone(*hooks), func(a attachedHook) bool { return a.id == id })
+	}
+}
+
+// runHooks dispatches one packet to a direction's hooks and sums their
+// CPU cost.
+func runHooks(hooks []attachedHook, p *Packet, dir Direction) (costNs int64) {
+	for _, a := range hooks {
+		costNs += a.h(p, dir)
+	}
+	return costNs
 }
 
 // Receive accepts a packet at the current simulated time.
@@ -146,10 +163,7 @@ func (d *NetDev) Receive(p *Packet) {
 	d.stats.Received++
 	d.stats.BytesIn += uint64(p.WireLen())
 
-	var extra int64
-	for _, h := range d.rxHooks {
-		extra += h(p, Ingress)
-	}
+	extra := runHooks(d.rxHooks, p, Ingress)
 
 	if d.cfg.Policer != nil && !d.cfg.Policer.Allow(int64(p.WireLen())*8, d.eng.Now()) {
 		d.stats.DroppedPolice++
@@ -216,10 +230,7 @@ func (d *NetDev) finish(p *Packet) {
 	if out == nil {
 		d.stats.DroppedXform++
 	} else {
-		var extra int64
-		for _, h := range d.txHooks {
-			extra += h(out, Egress)
-		}
+		extra := runHooks(d.txHooks, out, Egress)
 		d.stats.Delivered++
 		d.stats.BytesOut += uint64(out.WireLen())
 		if extra > 0 {

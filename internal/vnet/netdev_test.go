@@ -1,6 +1,7 @@
 package vnet
 
 import (
+	"fmt"
 	"testing"
 
 	"vnettracer/internal/sim"
@@ -180,6 +181,69 @@ func TestNetDevEgressHookObservesTransformedPacket(t *testing.T) {
 	eng.RunUntilIdle()
 	if sawTTL != 7 {
 		t.Fatalf("egress hook saw TTL %d, want 7", sawTTL)
+	}
+}
+
+// Hooks of one device and direction run in attach order on every packet:
+// their records land in the trace ring in that order, so anything else
+// makes conformance digests irreproducible.
+func TestNetDevHooksRunInAttachOrder(t *testing.T) {
+	for _, dir := range []Direction{Ingress, Egress} {
+		eng := sim.NewEngine(1)
+		dev := NewNetDev(eng, NetDevConfig{Out: func(*Packet) {}})
+		var order []int
+		for id := 0; id < 3; id++ {
+			id := id
+			dev.AttachHook(dir, func(*Packet, Direction) int64 {
+				order = append(order, id)
+				return 0
+			})
+		}
+		for pkt := 0; pkt < 100; pkt++ {
+			order = order[:0]
+			dev.Receive(makeUDP(10))
+			eng.RunUntilIdle()
+			if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+				t.Fatalf("%v packet %d: hooks ran in order %v, want [0 1 2]", dir, pkt, order)
+			}
+		}
+	}
+}
+
+// A hook that detaches itself while the device is dispatching a packet
+// must not disturb its siblings on that packet (none skipped, none run
+// twice) and must be gone from the next one.
+func TestNetDevHookDetachesItselfMidDispatch(t *testing.T) {
+	for _, dir := range []Direction{Ingress, Egress} {
+		eng := sim.NewEngine(1)
+		dev := NewNetDev(eng, NetDevConfig{Out: func(*Packet) {}})
+		var order []string
+		note := func(name string) Hook {
+			return func(*Packet, Direction) int64 {
+				order = append(order, name)
+				return 0
+			}
+		}
+		dev.AttachHook(dir, note("first"))
+		var detachSelf func()
+		detachSelf = dev.AttachHook(dir, func(*Packet, Direction) int64 {
+			order = append(order, "self")
+			detachSelf()
+			return 0
+		})
+		dev.AttachHook(dir, note("last"))
+
+		dev.Receive(makeUDP(10))
+		eng.RunUntilIdle()
+		if got := fmt.Sprint(order); got != "[first self last]" {
+			t.Fatalf("%v: dispatch with self-detach ran %s, want [first self last]", dir, got)
+		}
+		order = order[:0]
+		dev.Receive(makeUDP(10))
+		eng.RunUntilIdle()
+		if got := fmt.Sprint(order); got != "[first last]" {
+			t.Fatalf("%v: after self-detach ran %s, want [first last]", dir, got)
+		}
 	}
 }
 
