@@ -1,9 +1,12 @@
 package conformance
 
 import (
+	"bufio"
+	"flag"
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"vnettracer/internal/sim"
@@ -23,10 +26,42 @@ func report(t *testing.T, res *Result) {
 		res.Scenario.Name, res.Scenario.Seed, res.Digest)
 }
 
+// goldenPath pins the corpus digests: a refactor that claims "behaviour
+// unchanged" proves it by leaving this file untouched.
+const goldenPath = "testdata/digests.golden"
+
+var update = flag.Bool("update", false, "rewrite "+goldenPath+" from this run's corpus digests")
+
+// readGolden parses goldenPath: one "<scenario> <digest>" line per
+// corpus scenario.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/conformance -run TestScenarioCorpus -update` to create it)", err)
+	}
+	defer f.Close()
+	golden := make(map[string]string)
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		name, dig, ok := strings.Cut(sc.Text(), " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", goldenPath, sc.Text())
+		}
+		golden[name] = dig
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return golden
+}
+
 // TestScenarioCorpus runs every corpus scenario twice: all invariants
-// must hold, and the second run must replay to the identical digest —
-// any nondeterminism anywhere in the pipeline (map iteration, unseeded
-// randomness, wall-clock reads) shows up here as a digest mismatch.
+// must hold, the second run must replay to the identical digest — any
+// nondeterminism anywhere in the pipeline (map iteration, unseeded
+// randomness, wall-clock reads) shows up here as a digest mismatch — and
+// the digest must match the one pinned in goldenPath, so a change to
+// what the pipeline does to a trace cannot land unnoticed.
 func TestScenarioCorpus(t *testing.T) {
 	// engagement lists, per scenario, the fault symptom that must be
 	// visibly nonzero in the result — a scenario whose fault silently
@@ -138,6 +173,13 @@ func TestScenarioCorpus(t *testing.T) {
 			return "recoveries", sumAgents(r, func(a AgentReport) uint64 { return a.Recoveries })
 		},
 	}
+	var golden map[string]string
+	if !*update {
+		golden = readGolden(t)
+	}
+	// fresh collects this run's digests; under a -run filter only the
+	// selected scenarios land here.
+	fresh := make(map[string]string)
 	for _, sc := range Corpus() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
@@ -146,6 +188,10 @@ func TestScenarioCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			report(t, first)
+			fresh[sc.Name] = first.Digest
+			if want := golden[sc.Name]; !*update && first.Digest != want {
+				t.Errorf("digest %s, %s pins %q", first.Digest, goldenPath, want)
+			}
 			if probe, ok := engagement[sc.Name]; ok {
 				if what, n := probe(first); n == 0 {
 					t.Errorf("fault never engaged: %s is 0", what)
@@ -161,6 +207,23 @@ func TestScenarioCorpus(t *testing.T) {
 					first.Digest, second.Digest)
 			}
 		})
+	}
+	if *update {
+		var out strings.Builder
+		for _, sc := range Corpus() {
+			dig, ran := fresh[sc.Name]
+			if !ran {
+				t.Fatalf("-update needs the whole corpus, but %q did not run", sc.Name)
+			}
+			fmt.Fprintf(&out, "%s %s\n", sc.Name, dig)
+		}
+		if err := os.WriteFile(goldenPath, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if len(golden) != len(Corpus()) {
+		t.Errorf("%s pins %d scenarios, the corpus has %d", goldenPath, len(golden), len(Corpus()))
 	}
 }
 
@@ -348,6 +411,8 @@ func TestSeedSweep(t *testing.T) {
 					t.Fatal(err)
 				}
 				report(t, res)
+				// Shown by -v: diff two checkouts' sweeps on these lines.
+				t.Logf("digest %s %s", sc.Name, res.Digest)
 			})
 		}
 	}
