@@ -75,33 +75,26 @@ bench-build:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
+# Everything here leaves `git status` clean: what it writes (cover.out,
+# .bench_build/) is ignored.
 .PHONY: check
-check: tier1 vet staticcheck race faults crash fuzz cover bench-json bench-build
+check: tier1 vet staticcheck race faults crash fuzz cover bench-build
+
+# Opt-in regression gate (not part of check: a 10-pair set takes ~35 min
+# and needs an otherwise idle machine). Builds PARENT in a git worktree
+# under .bench_build/, alternates parent/change runs of the pipeline
+# benchmark per workload, prints median [q1..q3] per end-to-end metric and
+# fails when a change median is worse than the parent's by more than the
+# metric's bound in BENCHMARK.json, or more operations fail.
+PAIRS ?= 10
+.PHONY: bench-gate
+bench-gate:
+	@test -n "$(PARENT)" || { echo "usage: make bench-gate PARENT=<ref> [PAIRS=10]"; exit 2; }
+	bash scripts/bench-gate.sh "$(PARENT)" $(PAIRS)
 
 .PHONY: bench-wire
 bench-wire:
 	$(GO) test -run NONE -bench 'BenchmarkBatchWireEncoding|BenchmarkCollectorIngest' .
-
-# Short benchmark smoke run archived as JSON: the emit hot path
-# (reserve/commit, contended per-CPU vs shared ring), the interpreter
-# record script, and batch wire encoding. -benchtime 1000x keeps it
-# fast enough to ride in `make check`; allocs are recorded so a
-# regression on the zero-allocation paths shows up in the diff.
-.PHONY: bench-json
-bench-json:
-	$(GO) test -run NONE -bench 'BenchmarkRingBuffer|BenchmarkEBPFInterpRecordScript|BenchmarkBatchWireEncoding' \
-		-benchmem -benchtime 1000x . | $(GO) run ./cmd/benchjson -o BENCH_pr3.json
-	$(GO) test -run NONE -bench 'BenchmarkSegment' \
-		-benchmem -benchtime 100x . | $(GO) run ./cmd/benchjson -o BENCH_pr6.json
-	$(GO) test -run NONE -bench 'BenchmarkEBPF(Interp|Threaded|Compiled)RecordScript' \
-		-benchmem -benchtime 100000x . | $(GO) run ./cmd/benchjson -o BENCH_pr7.json
-	$(GO) test -run NONE -bench 'BenchmarkAggregationAblation' \
-		-benchmem -benchtime 1000x . | $(GO) run ./cmd/benchjson -o BENCH_pr8.json
-	$(GO) test -run NONE -bench 'BenchmarkClusterIngest' \
-		-benchmem -benchtime 20000x . | $(GO) run ./cmd/benchjson -o BENCH_pr9.json
-	( $(GO) test -run NONE -bench 'BenchmarkWALIngest' -benchmem -benchtime 1000x . && \
-	  $(GO) test -run NONE -bench 'BenchmarkWALRecovery' -benchmem -benchtime 10x . ) \
-		| $(GO) run ./cmd/benchjson -o BENCH_pr10.json
 
 # Crash-recovery conformance: the kill -9 collector scenarios (recover
 # mid-traffic from WAL + checkpoint; recovery racing the ring's agent

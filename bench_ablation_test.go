@@ -14,7 +14,6 @@ import (
 
 	"vnettracer/internal/control"
 	"vnettracer/internal/core"
-	"vnettracer/internal/ebpf"
 	"vnettracer/internal/hyper"
 	"vnettracer/internal/kernel"
 	"vnettracer/internal/script"
@@ -37,37 +36,25 @@ func benchBatch(n int, tables uint32) control.RecordBatch {
 	return control.RecordBatch{Agent: "agent0", AgentTimeNs: 123456789, Records: recs, RingDrops: 3}
 }
 
-// BenchmarkBatchWireEncoding compares the legacy v1 JSON batch framing
-// with the v2 binary framing — encode+decode cost and bytes per record on
-// the wire. The binary frame is the fixed 48-byte record layout behind a
-// 24-byte header, so it must land at or under 52 bytes/record amortized.
+// BenchmarkBatchWireEncoding measures the v4 binary batch frame: encode
+// plus decode cost and bytes per record on the wire. The frame is the
+// fixed 48-byte record layout behind a 41-byte header, so it must land at
+// or under 52 bytes/record amortized.
 func BenchmarkBatchWireEncoding(b *testing.B) {
 	const recordsPerBatch = 256
 	batch := benchBatch(recordsPerBatch, 4)
-	codecs := []struct {
-		name   string
-		encode func(*control.RecordBatch) ([]byte, error)
-	}{
-		{"json-v1", control.EncodeBatchFrameJSON},
-		{"binary-v2", control.EncodeBatchFrame},
+	var wire int
+	for i := 0; i < b.N; i++ {
+		body, err := control.EncodeBatchFrame(&batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := control.DecodeBatchFrame(body); err != nil {
+			b.Fatal(err)
+		}
+		wire = 4 + len(body) // transport length prefix + body
 	}
-	for _, tc := range codecs {
-		b.Run(tc.name, func(b *testing.B) {
-			var wire int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				body, err := tc.encode(&batch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := control.DecodeBatchFrame(body); err != nil {
-					b.Fatal(err)
-				}
-				wire = 4 + len(body) // transport length prefix + body
-			}
-			b.ReportMetric(float64(wire)/recordsPerBatch, "wire-bytes/record")
-		})
-	}
+	b.ReportMetric(float64(wire)/recordsPerBatch, "wire-bytes/record")
 }
 
 // BenchmarkCollectorIngest measures the sharded store's ingest path over
@@ -384,155 +371,4 @@ func BenchmarkAblationScriptCount(b *testing.B) {
 			b.ReportMetric(overhead, "latency-overhead-%")
 		})
 	}
-}
-
-// benchAggBatch builds the aggregate frame a drain of pkts packets over
-// flows five-tuples produces: two event counters, a per-CPU spread, a
-// populated log2 latency histogram, and one flow row per tuple.
-func benchAggBatch(pkts, flows, cpus int) control.AggBatch {
-	sa := tracedb.ScriptAgg{
-		Script:   "agg",
-		Counters: []uint64{uint64(pkts), uint64(pkts) * 100},
-		CPUHits:  make([]uint64, cpus),
-		Hist:     make([]uint64, script.HistBuckets),
-	}
-	for i := 0; i < cpus; i++ {
-		sa.CPUHits[i] = uint64(pkts / cpus)
-	}
-	// Latency mass between ~256ns and ~128us, heaviest in the middle.
-	for b := 8; b <= 17; b++ {
-		sa.Hist[b] = uint64(pkts / 10)
-	}
-	for i := 0; i < flows; i++ {
-		per := uint64(pkts / flows)
-		sa.Flows = append(sa.Flows, tracedb.FlowAgg{
-			SrcIP: 0x0a000001 + uint32(i), DstIP: 0x0a000101 + uint32(i),
-			SrcPort: uint16(5000 + i), DstPort: uint16(9000 + i), Proto: 17,
-			Packets: per, Bytes: per * 100,
-		})
-	}
-	return control.AggBatch{Agent: "agent0", AgentTimeNs: 123456789, Seq: 1, Scripts: []tracedb.ScriptAgg{sa}}
-}
-
-// BenchmarkAggregationAblation quantifies the in-probe aggregation
-// trade: the same 10240-packet workload shipped as per-packet v4 record
-// batches versus one v5 aggregate frame — wire bytes per
-// record-equivalent on both paths, collector ingest CPU on both paths,
-// and the aggregating probe program itself on the optimized tier (which
-// must not allocate). The fidelity cost is the log2 histogram bucket;
-// the volume win is the reduction-x metric.
-func BenchmarkAggregationAblation(b *testing.B) {
-	const (
-		pkts    = 10240
-		flows   = 16
-		perWire = 256 // records per v4 batch on the record path
-	)
-	fullWire := func() int {
-		batch := benchBatch(perWire, 4)
-		body, err := control.EncodeBatchFrame(&batch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return (4 + len(body)) * (pkts / perWire)
-	}
-
-	b.Run("wire-full-records", func(b *testing.B) {
-		batch := benchBatch(perWire, 4)
-		var wire int
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			wire = 0
-			for sent := 0; sent < pkts; sent += perWire {
-				body, err := control.EncodeBatchFrame(&batch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := control.DecodeBatchFrame(body); err != nil {
-					b.Fatal(err)
-				}
-				wire += 4 + len(body)
-			}
-		}
-		b.ReportMetric(float64(wire)/pkts, "wire-bytes/recequiv")
-	})
-
-	b.Run("wire-aggregate", func(b *testing.B) {
-		frame := benchAggBatch(pkts, flows, 4)
-		var wire int
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			body, err := control.EncodeAggFrame(&frame)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := control.DecodeAggFrame(body); err != nil {
-				b.Fatal(err)
-			}
-			wire = 4 + len(body)
-		}
-		b.ReportMetric(float64(wire)/pkts, "wire-bytes/recequiv")
-		b.ReportMetric(float64(fullWire())/float64(wire), "reduction-x")
-	})
-
-	b.Run("ingest-full-records", func(b *testing.B) {
-		col := control.NewCollector(tracedb.New())
-		batch := benchBatch(perWire, 4)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := col.HandleBatch(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(perWire, "recequiv/op")
-	})
-
-	b.Run("ingest-aggregate", func(b *testing.B) {
-		col := control.NewCollector(tracedb.New())
-		frame := benchAggBatch(perWire, flows, 4)
-		frame.Seq = 0 // unsequenced: every merge ingests (dedup would absorb retries)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := col.HandleAgg(frame); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(perWire, "recequiv/op")
-	})
-
-	// The aggregating probe itself: counters, per-CPU hits, histogram
-	// observe, and a flow-map update per packet, on the optimized tier.
-	// This path runs once per traced packet, so it must not allocate.
-	b.Run("probe-optimized", func(b *testing.B) {
-		c, err := script.Compile(script.Spec{
-			Name: "agg", TPID: 1,
-			Actions: []script.Action{
-				script.ActionCount, script.ActionCPUHist,
-				script.ActionHist, script.ActionFlowCount,
-			},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if c.Prog.Tier() != ebpf.TierOptimized {
-			b.Fatalf("aggregation script did not lower: tier %v", c.Prog.Tier())
-		}
-		pc := &kernel.ProbeCtx{
-			Pkt: &vnet.Packet{
-				IP:  vnet.IPv4Header{Protocol: vnet.ProtoUDP, Src: 1, Dst: 2},
-				UDP: &vnet.UDPHeader{SrcPort: 1, DstPort: 9000},
-			},
-			TimeNs: 1,
-		}
-		ctx := core.BuildCtx(nil, pc)
-		env := benchEnv{}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := c.Prog.Run(ctx, env); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

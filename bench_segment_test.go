@@ -1,10 +1,10 @@
 package vnettracer
 
-// Benchmarks for the segment store (PR 6): compressed bytes per record
-// and resident bytes per record against the 48-byte flat-slice baseline,
-// seal and scan throughput, and ByTraceID lookup cost across sealed
-// extents. `make bench-json` archives these as BENCH_pr6.json, so the
-// >=4x residency-reduction acceptance bar is pinned in the repo.
+// Benchmarks for the segment store: compressed bytes per record and
+// resident bytes per record against the 48-byte flat-slice baseline, seal
+// throughput, and head-append and lookup cost. Scan and sealed-lookup
+// throughput are the pipeline benchmark's tracedb.scan_ns_per_rec and
+// tracedb.lookup_sealed_us (bench/).
 
 import (
 	"math/rand"
@@ -125,35 +125,10 @@ func BenchmarkTableLookup(b *testing.B) {
 	b.Run("extent", func(b *testing.B) { lookup(b, true, uint32(n/2), 1) })
 }
 
-// BenchmarkSegmentScan measures streaming decode throughput over sealed
-// in-memory extents and the per-scan allocation count.
-func BenchmarkSegmentScan(b *testing.B) {
-	const n = 65536
-	db := tracedb.NewWith(tracedb.Config{SegmentBytes: 64 * 1024}) // ~1365 records/extent
-	recs := segmentBenchRecords(n)
-	for i := 0; i < n; i += 512 {
-		db.Insert(recs[i : i+512])
-	}
-	tbl, _ := db.Table(1)
-	if tbl.Extents() == 0 {
-		b.Fatal("no sealed extents")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		count := 0
-		tbl.Scan(func(core.Record) bool { count++; return true })
-		if count != n {
-			b.Fatalf("scan saw %d", count)
-		}
-	}
-	b.SetBytes(int64(n * core.RecordSize))
-}
-
 // BenchmarkSegmentResidency pins the acceptance criterion: resident bytes
 // per record in the segment store (compressed extents plus their Bloom
-// filters and bounds) vs the flat-slice baseline's 48. The store's own
-// accounting is the measure, so the ratio lands in BENCH_pr6.json.
+// filters and bounds) vs the flat-slice baseline's 48, by the store's own
+// accounting.
 func BenchmarkSegmentResidency(b *testing.B) {
 	const n = 100_000
 	recs := segmentBenchRecords(n)
@@ -171,25 +146,4 @@ func BenchmarkSegmentResidency(b *testing.B) {
 	b.ReportMetric(perRecord, "resident-bytes/record")
 	b.ReportMetric(ratio, "residency-reduction-x")
 	b.ReportMetric(48, "flat-baseline-bytes/record")
-}
-
-// BenchmarkSegmentByTraceID measures point lookups across many sealed
-// extents — the bloom filter's pruning is what keeps this from decoding
-// the whole table.
-func BenchmarkSegmentByTraceID(b *testing.B) {
-	const n = 65536
-	db := tracedb.NewWith(tracedb.Config{SegmentBytes: 64 * 1024})
-	recs := segmentBenchRecords(n)
-	for i := 0; i < n; i += 512 {
-		db.Insert(recs[i : i+512])
-	}
-	tbl, _ := db.Table(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := uint32(i%n + 1)
-		if got := tbl.ByTraceID(id); len(got) != 1 {
-			b.Fatalf("ByTraceID(%d) = %d records", id, len(got))
-		}
-	}
 }

@@ -282,8 +282,8 @@ func (benchEnv) PerfEventOutput([]byte) bool  { return true }
 func (benchEnv) TracePrintk(string)           {}
 
 // benchRecordSetup compiles the canonical record script (filter + 48-byte
-// record emission) and a matching packet context for the tier ablation
-// benchmarks below.
+// record emission) and a matching packet context for the interpreter vs
+// compiled benchmarks below.
 func benchRecordSetup(b *testing.B) (*ebpf.Program, []byte) {
 	b.Helper()
 	c, err := script.Compile(script.Spec{
@@ -313,7 +313,7 @@ func benchProbeCtx() *kernel.ProbeCtx {
 }
 
 // BenchmarkEBPFInterpRecordScript measures interpreting the record script
-// once per packet — the ablation baseline for the compiled tiers.
+// once per packet — the baseline for what compilation buys.
 func BenchmarkEBPFInterpRecordScript(b *testing.B) {
 	prog, ctx := benchRecordSetup(b)
 	env := benchEnv{}
@@ -326,29 +326,12 @@ func BenchmarkEBPFInterpRecordScript(b *testing.B) {
 	}
 }
 
-// BenchmarkEBPFThreadedRecordScript measures the same script on the
-// threaded-code tier (per-instruction closures).
-func BenchmarkEBPFThreadedRecordScript(b *testing.B) {
-	prog, ctx := benchRecordSetup(b)
-	env := benchEnv{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := prog.RunThreaded(ctx, env); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEBPFCompiledRecordScript measures the optimized tier: basic
+// BenchmarkEBPFCompiledRecordScript measures the compiled engine: basic
 // blocks compiled to specialized closure chains with verifier-fact bounds
-// elision and inlined helpers. This is what Program.Run dispatches to on
-// the data path.
+// elision and inlined helpers. This is what Program.Run executes on the
+// data path.
 func BenchmarkEBPFCompiledRecordScript(b *testing.B) {
 	prog, ctx := benchRecordSetup(b)
-	if prog.Tier() != ebpf.TierOptimized {
-		b.Fatalf("record script did not lower: tier %v", prog.Tier())
-	}
 	env := benchEnv{}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -124,8 +124,8 @@ func runCollector(args []string) error {
 			_, dropped := col.IngestStats()
 			dupB, dupR, missing := col.DeliveryStats()
 			fencedB, fencedR := col.FencedStats()
-			fmt.Printf("\nshutting down: %d batches, %d records, %d ring drops, %d dropped batches, %d dup batches (%d records), %d missing batches, %d fenced batches (%d records), %d tables\n",
-				batches, records, drops, dropped, dupB, dupR, missing, fencedB, fencedR, len(db.Tables()))
+			fmt.Printf("\nshutting down: %d batches, %d records, %d ring drops, %d dropped batches, %d dup batches (%d records), %d missing batches, %d fenced batches (%d records), %d rejected frames, %d tables\n",
+				batches, records, drops, dropped, dupB, dupR, missing, fencedB, fencedR, srv.RejectedFrames(), len(db.Tables()))
 			if at := col.Aggregates().Totals(); at.FramesMerged+at.FramesDup+at.FramesFenced > 0 {
 				fmt.Printf("aggregates: %d frames merged (%d dup, %d fenced, %d unsupported), %d rows over %d scripts / %d flows\n",
 					at.FramesMerged, at.FramesDup, at.FramesFenced, srv.UnsupportedAggFrames(),

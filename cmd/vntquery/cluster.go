@@ -7,14 +7,11 @@ package main
 // sketches.
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
 	"vnettracer"
-	"vnettracer/internal/control"
 	"vnettracer/internal/metrics"
 	"vnettracer/internal/tracedb"
 )
@@ -49,7 +46,8 @@ func runClusterCmd(args []string) error {
 
 	q := vnettracer.NewClusterQuery()
 	for _, path := range ins {
-		db, batches, err := loadRecordDump(path)
+		db := tracedb.New()
+		batches, err := loadRecordDump(path, db)
 		if err != nil {
 			return err
 		}
@@ -144,55 +142,4 @@ func printClusterAgg(q *vnettracer.ClusterQuery, script string, stores int) erro
 		fmt.Printf("  %-40s %8d pkts %12d bytes\n", key, fl.Packets, fl.Bytes)
 	}
 	return nil
-}
-
-// loadRecordDump reads one collector's records.jsonl into a fresh DB.
-func loadRecordDump(path string) (*tracedb.DB, int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	db := tracedb.New()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	lines := 0
-	for sc.Scan() {
-		var batch control.RecordBatch
-		if err := json.Unmarshal(sc.Bytes(), &batch); err != nil {
-			return nil, 0, fmt.Errorf("%s line %d: %w", path, lines+1, err)
-		}
-		db.Insert(batch.Records)
-		lines++
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, err
-	}
-	return db, lines, nil
-}
-
-// loadAggDump replays one collector's agg.jsonl through a fresh
-// exactly-once aggregate store.
-func loadAggDump(path string) (*tracedb.AggStore, int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	st := tracedb.NewAggStore()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	lines := 0
-	for sc.Scan() {
-		var frame control.AggBatch
-		if err := json.Unmarshal(sc.Bytes(), &frame); err != nil {
-			return nil, 0, fmt.Errorf("%s line %d: %w", path, lines+1, err)
-		}
-		st.Admit(frame.Agent, frame.Epoch, frame.Seq, frame.Scripts, frame.AgentTimeNs, frame.Degraded)
-		lines++
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, err
-	}
-	return st, lines, nil
 }

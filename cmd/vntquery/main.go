@@ -137,37 +137,66 @@ func main() {
 	}
 }
 
-// runAgents replays a trace dump through the epoch-aware delivery ledger
-// (the same AdmitBatch path the live collector runs) and prints each
-// agent's supervision state.
-func runAgents(path string, staleNs int64) error {
+// loadJSONL decodes each line of a collector dump into a T and hands it
+// to admit, returning the number of lines read.
+func loadJSONL[T any](path string, admit func(*T)) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer f.Close()
-
-	db := tracedb.New()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	lines := 0
-	var newest int64
 	for sc.Scan() {
-		var batch control.RecordBatch
-		if err := json.Unmarshal(sc.Bytes(), &batch); err != nil {
-			return fmt.Errorf("line %d: %w", lines+1, err)
+		var v T
+		if err := json.Unmarshal(sc.Bytes(), &v); err != nil {
+			return lines, fmt.Errorf("%s line %d: %w", path, lines+1, err)
 		}
-		db.AdmitBatch(batch.Agent, batch.Epoch, batch.Seq, len(batch.Records), batch.AgentTimeNs, batch.Degraded)
-		if batch.AgentTimeNs > newest {
-			newest = batch.AgentTimeNs
-		}
+		admit(&v)
 		lines++
 	}
-	if err := sc.Err(); err != nil {
+	return lines, sc.Err()
+}
+
+// loadRecordDump replays a records.jsonl dump into db through the
+// admission front door the live collector runs: a batch the dump holds
+// twice (a transport retry) or under a stale epoch lands once or not at
+// all, exactly as it did in the collector that wrote the dump.
+func loadRecordDump(path string, db *tracedb.DB) (int, error) {
+	door := tracedb.Unlogged(db, tracedb.NewAggStore())
+	return loadJSONL(path, func(b *control.RecordBatch) {
+		door.AdmitRecordBatch(b.Agent, b.Epoch, b.Seq, b.Records, nil, b.AgentTimeNs, b.Degraded)
+	})
+}
+
+// loadAggDump replays an agg.jsonl dump through a fresh exactly-once
+// aggregate store, by the same front door.
+func loadAggDump(path string) (*tracedb.AggStore, int, error) {
+	st := tracedb.NewAggStore()
+	door := tracedb.Unlogged(tracedb.New(), st)
+	frames, err := loadJSONL(path, func(f *control.AggBatch) {
+		door.AdmitAggFrame(f.Agent, f.Epoch, f.Seq, f.Scripts, f.AgentTimeNs, f.Degraded)
+	})
+	return st, frames, err
+}
+
+// runAgents replays a trace dump through the epoch-aware delivery ledger
+// and prints each agent's supervision state.
+func runAgents(path string, staleNs int64) error {
+	db := tracedb.New()
+	lines, err := loadRecordDump(path, db)
+	if err != nil {
 		return err
 	}
 	fmt.Printf("replayed %d batches\n", lines)
 
+	var newest int64
+	for _, name := range db.Agents() {
+		if l, _ := db.Ledger(name); l.LastSeenNs > newest {
+			newest = l.LastSeenNs
+		}
+	}
 	levels := []string{"full", "stretched-flush", "sampling"}
 	for _, name := range db.Agents() {
 		l, ok := db.Ledger(name)
@@ -197,25 +226,8 @@ func runAgents(path string, staleNs int64) error {
 // runAgg replays an aggregate-frame dump through the collector's
 // exactly-once aggregate store and prints the merged per-script metrics.
 func runAgg(path, only string, topFlows int) error {
-	f, err := os.Open(path)
+	store, lines, err := loadAggDump(path)
 	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	store := tracedb.NewAggStore()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	lines := 0
-	for sc.Scan() {
-		var frame control.AggBatch
-		if err := json.Unmarshal(sc.Bytes(), &frame); err != nil {
-			return fmt.Errorf("line %d: %w", lines+1, err)
-		}
-		store.Admit(frame.Agent, frame.Epoch, frame.Seq, frame.Scripts, frame.AgentTimeNs, frame.Degraded)
-		lines++
-	}
-	if err := sc.Err(); err != nil {
 		return err
 	}
 	tot := store.Totals()
@@ -295,24 +307,8 @@ func runStorage(path, walDir string, cfg tracedb.Config) error {
 		fmt.Printf("  WAL: %d entries replayed (%d records, %d agg frames, %d dup), %d torn tails truncated, %d tmp files swept\n",
 			rec.ReplayedEntries, rec.ReplayedRecords, rec.ReplayedFrames, rec.ReplayedDup, rec.TornTails, rec.SweptTmp)
 	} else {
-		f, err := os.Open(path)
+		lines, err := loadRecordDump(path, db)
 		if err != nil {
-			return err
-		}
-		defer f.Close()
-
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 1<<20), 1<<24)
-		lines := 0
-		for sc.Scan() {
-			var batch control.RecordBatch
-			if err := json.Unmarshal(sc.Bytes(), &batch); err != nil {
-				return fmt.Errorf("line %d: %w", lines+1, err)
-			}
-			db.Insert(batch.Records)
-			lines++
-		}
-		if err := sc.Err(); err != nil {
 			return err
 		}
 		db.SealAll()
@@ -341,25 +337,9 @@ func runStorage(path, walDir string, cfg tracedb.Config) error {
 }
 
 func run(path string, tp, from, to uint32, skew int64, flows bool) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
 	db := tracedb.New()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	lines := 0
-	for sc.Scan() {
-		var batch control.RecordBatch
-		if err := json.Unmarshal(sc.Bytes(), &batch); err != nil {
-			return fmt.Errorf("line %d: %w", lines+1, err)
-		}
-		db.Insert(batch.Records)
-		lines++
-	}
-	if err := sc.Err(); err != nil {
+	lines, err := loadRecordDump(path, db)
+	if err != nil {
 		return err
 	}
 	fmt.Printf("loaded %d batches\n", lines)

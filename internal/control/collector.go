@@ -21,9 +21,8 @@ type Collector struct {
 	db   *tracedb.DB
 	aggs *tracedb.AggStore
 
-	// dur, when set, fronts ingest with the write-ahead log: fresh
-	// batches and frames are logged before they apply, so a crash can
-	// replay them. Nil keeps the original in-memory-only behavior.
+	// dur is the store's admission front door (classify, log, apply).
+	// Until SetDurability installs a recovered one, nothing is logged.
 	dur *tracedb.Durability
 
 	mu             sync.Mutex
@@ -51,24 +50,23 @@ func NewCollector(db *tracedb.DB) *Collector {
 // rebuilt both from disk and the collector must serve them rather than
 // start empty.
 func NewCollectorWith(db *tracedb.DB, aggs *tracedb.AggStore) *Collector {
-	c := &Collector{db: db, aggs: aggs}
+	c := &Collector{db: db, aggs: aggs, dur: tracedb.Unlogged(db, aggs)}
 	c.ingestFn = c.ingest
 	return c
 }
 
 // SetDurability routes ingest through a durability layer: fresh record
-// batches and aggregate frames append to its write-ahead log before they
-// apply. Set it before traffic starts (typically right after
-// tracedb.Recover); nil disables durable ingest.
+// batches and aggregate frames append to its write-ahead log as they
+// apply. d must front this collector's database and aggregate store —
+// what tracedb.Recover returns for them; set it before traffic starts.
 func (c *Collector) SetDurability(d *tracedb.Durability) {
 	c.mu.Lock()
 	c.dur = d
 	c.mu.Unlock()
 }
 
-// Durability returns the durability layer, nil when ingest is
-// in-memory only.
-func (c *Collector) Durability() *tracedb.Durability {
+// frontDoor returns the current admission front door.
+func (c *Collector) frontDoor() *tracedb.Durability {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dur
@@ -88,15 +86,7 @@ func (c *Collector) Aggregates() *tracedb.AggStore { return c.aggs }
 // synchronous; there is no queue to backpressure on. Non-fenced frames
 // advance the agent's liveness clock like record batches do.
 func (c *Collector) HandleAgg(b AggBatch) error {
-	c.mu.Lock()
-	d := c.dur
-	c.mu.Unlock()
-	var st tracedb.BatchStatus
-	if d != nil {
-		st = d.AdmitAggFrame(b.Agent, b.Epoch, b.Seq, b.Scripts, b.AgentTimeNs, b.Degraded)
-	} else {
-		st = c.aggs.Admit(b.Agent, b.Epoch, b.Seq, b.Scripts, b.AgentTimeNs, b.Degraded)
-	}
+	st := c.frontDoor().AdmitAggFrame(b.Agent, b.Epoch, b.Seq, b.Scripts, b.AgentTimeNs, b.Degraded)
 	if st != tracedb.BatchFenced {
 		// Epoch-aware liveness: a frame that cleared the aggregate fence
 		// can still be stale relative to the record ledger (the agent was
@@ -198,18 +188,9 @@ func (c *Collector) HandleBatchAck(b RecordBatch) (BatchAck, error) {
 // agent is demonstrably alive — but fenced batches do not: the zombie
 // must not keep its successor's identity looking healthy.
 func (c *Collector) ingest(b RecordBatch) {
-	c.mu.Lock()
-	d := c.dur
-	c.mu.Unlock()
-	var st tracedb.BatchStatus
-	if d != nil {
-		// Durable path: admit, WAL-append, insert as one barrier-shared
-		// unit so a checkpoint never cuts between them.
-		st = d.AdmitRecordBatchRaw(b.Agent, b.Epoch, b.Seq, b.Records, b.RawRecords, b.AgentTimeNs, b.Degraded)
-	} else {
-		st = c.db.AdmitBatch(b.Agent, b.Epoch, b.Seq, len(b.Records), b.AgentTimeNs, b.Degraded)
-	}
-	switch st {
+	// Admit, WAL-append and insert are one barrier-shared unit inside the
+	// front door, so a checkpoint never cuts between them.
+	switch c.frontDoor().AdmitRecordBatch(b.Agent, b.Epoch, b.Seq, b.Records, b.RawRecords, b.AgentTimeNs, b.Degraded) {
 	case tracedb.BatchFenced:
 		return
 	case tracedb.BatchDuplicate:
@@ -218,9 +199,6 @@ func (c *Collector) ingest(b RecordBatch) {
 		c.dupRecords += uint64(len(b.Records))
 		c.mu.Unlock()
 		return
-	}
-	if d == nil {
-		c.db.Insert(b.Records)
 	}
 	c.mu.Lock()
 	c.batches++

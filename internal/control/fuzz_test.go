@@ -9,7 +9,7 @@ import (
 )
 
 // fuzzBatch is a representative sequenced batch used to seed the fuzzer
-// with valid frames in every wire format.
+// with a valid v4 frame and with the retired layouts of the same batch.
 func fuzzBatch() RecordBatch {
 	b := RecordBatch{Agent: "agent-1", AgentTimeNs: 987654321, RingDrops: 3, Seq: 12, Epoch: 4, Degraded: 1}
 	for i := 0; i < 3; i++ {
@@ -32,21 +32,22 @@ func fuzzBatch() RecordBatch {
 }
 
 // FuzzDecodeBatchFrame feeds the collector's frame decoder arbitrary
-// bytes plus mutations of valid v1 (JSON), v2, v3, and v4 frames. The
-// decoder must either return an error or a well-formed batch — never
-// panic, and never allocate a record slice larger than the frame could
-// possibly carry (the count field is attacker-controlled). Whatever
-// decodes must survive a re-encode/re-decode round trip unchanged.
+// bytes plus mutations of a valid v4 frame and of the retired v1 (JSON),
+// v2 and v3 layouts (committed as seed-v1-json, seed-v2, seed-v3: what an
+// agent that was never upgraded still sends). The decoder must either
+// return an error or a well-formed batch — never panic, never decode
+// anything but a v4 body (a retired version is refused, not mis-parsed
+// under the v4 header layout), and never allocate a record slice larger
+// than the frame could possibly carry (the count field is
+// attacker-controlled). Whatever decodes must survive a
+// re-encode/re-decode round trip unchanged.
 func FuzzDecodeBatchFrame(f *testing.F) {
 	b := fuzzBatch()
 	v4, err := EncodeBatchFrame(&b)
 	if err != nil {
 		f.Fatal(err)
 	}
-	v1, err := EncodeBatchFrameJSON(&b)
-	if err != nil {
-		f.Fatal(err)
-	}
+	v1 := []byte(`{"type":"batch","batch":{"agent":"agent-1","agent_time_ns":987654321,"records":null,"seq":12}}`)
 	empty, err := EncodeBatchFrame(&RecordBatch{Agent: "hb", AgentTimeNs: 5})
 	if err != nil {
 		f.Fatal(err)
@@ -60,7 +61,7 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 	f.Add(encodeBatchFrameV3(&b))
 	f.Add(v4[:len(v4)-1]) // truncated record tail
 	f.Add(v4[:40])        // truncated v4 header
-	f.Add(v4[:31])        // truncated v3-length prefix of a v4 frame
+	f.Add(v4[:31])        // cut inside the epoch field
 	// Mutations the decoder must reject cleanly: bad version, a count
 	// field claiming far more records than the body holds.
 	bad := append([]byte(nil), v4...)
@@ -75,22 +76,18 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(body) > 0 && body[0] == batchMagic {
-			// A binary frame carries exactly count*48 record bytes; a
-			// decoded slice longer than the body proves the decoder
-			// trusted the count field over the data.
-			if want := len(got.Records) * core.RecordSize; want > len(body) {
-				t.Fatalf("decoded %d records (%d bytes) from a %d-byte frame", len(got.Records), want, len(body))
-			}
+		if body[0] != batchMagic || body[1] != batchWireV4 {
+			t.Fatalf("decoded a body that is not a v4 frame: % x...", body[:2])
+		}
+		// A binary frame carries exactly count*48 record bytes; a decoded
+		// slice longer than the body proves the decoder trusted the count
+		// field over the data.
+		if want := len(got.Records) * core.RecordSize; want > len(body) {
+			t.Fatalf("decoded %d records (%d bytes) from a %d-byte frame", len(got.Records), want, len(body))
 		}
 		reenc, err := AppendBatchFrame(nil, &got)
 		if err != nil {
-			// Legal only for batches a binary frame cannot represent —
-			// e.g. a JSON envelope with an oversized agent name.
-			if len(got.Agent) <= 1<<16-1 {
-				t.Fatalf("re-encode of decodable batch failed: %v", err)
-			}
-			return
+			t.Fatalf("re-encode of decodable batch failed: %v", err)
 		}
 		rt, err := DecodeBatchFrame(reenc)
 		if err != nil {

@@ -18,20 +18,18 @@ const maxFrameBytes = 16 << 20
 // frame types.
 const (
 	frameControl = "control"
-	frameBatch   = "batch"
 	frameOK      = "ok"
 	frameError   = "error"
 )
 
 // envelope is the JSON wire message: a 4-byte big-endian length prefix
-// followed by this structure. Control packages, replies, and legacy (v1)
-// record batches travel as envelopes; v2 record batches travel as binary
-// bodies under the same length prefix (wire.go), distinguished by their
-// first byte.
+// followed by this structure. Control packages and replies travel as
+// envelopes; record batches and aggregate frames travel as binary bodies
+// under the same length prefix (wire.go, wire_agg.go), distinguished by
+// their first byte.
 type envelope struct {
 	Type    string          `json:"type"`
 	Control *ControlPackage `json:"control,omitempty"`
-	Batch   *RecordBatch    `json:"batch,omitempty"`
 	// Ack rides on the "ok" reply to a batch frame: the collector's
 	// backpressure report. Absent from old collectors' replies, which
 	// agents read as "no pressure signal".
@@ -111,11 +109,22 @@ type Server struct {
 	// refused with an error (the agent keeps or drops it by its own
 	// policy), never half-ingested into the record ledger.
 	unsupportedAggFrames atomic.Uint64
+
+	// rejectedFrames counts frames refused because the server could not
+	// decode them into anything it dispatches: a record or aggregate body
+	// that fails its decoder (truncated, corrupt, a retired wire version)
+	// or a JSON envelope that does not parse or names no known frame type
+	// (the retired v1 JSON batch lands here). The sender gets an error
+	// reply; nothing reaches the sink.
+	rejectedFrames atomic.Uint64
 }
 
 // UnsupportedAggFrames reports how many aggregate frames were refused
 // because the sink cannot ingest them.
 func (s *Server) UnsupportedAggFrames() uint64 { return s.unsupportedAggFrames.Load() }
+
+// RejectedFrames reports how many frames were refused as undecodable.
+func (s *Server) RejectedFrames() uint64 { return s.rejectedFrames.Load() }
 
 // Serve starts accepting connections on ln. Close the server to stop.
 func Serve(ln net.Listener, agent ControlClient, sink RecordSink) *Server {
@@ -204,7 +213,7 @@ func (s *Server) sinkHandle(b RecordBatch) (*BatchAck, error) {
 
 // dispatch routes one frame body. Binary batch bodies (first byte
 // batchMagic) and aggregate bodies (aggMagic) go straight to the sink;
-// everything else is a JSON envelope.
+// everything else must be a JSON control envelope.
 func (s *Server) dispatch(body []byte) envelope {
 	if len(body) > 0 && body[0] == aggMagic {
 		agg, ok := s.sink.(AggSink)
@@ -214,6 +223,7 @@ func (s *Server) dispatch(body []byte) envelope {
 		}
 		batch, err := DecodeAggFrame(body)
 		if err != nil {
+			s.rejectedFrames.Add(1)
 			return envelope{Type: frameError, Error: err.Error()}
 		}
 		if err := agg.HandleAgg(batch); err != nil {
@@ -227,6 +237,7 @@ func (s *Server) dispatch(body []byte) envelope {
 		}
 		batch, err := DecodeBatchFrame(body)
 		if err != nil {
+			s.rejectedFrames.Add(1)
 			return envelope{Type: frameError, Error: err.Error()}
 		}
 		ack, err := s.sinkHandle(batch)
@@ -237,27 +248,18 @@ func (s *Server) dispatch(body []byte) envelope {
 	}
 	var env envelope
 	if err := json.Unmarshal(body, &env); err != nil {
+		s.rejectedFrames.Add(1)
 		return envelope{Type: frameError, Error: fmt.Sprintf("decode frame: %v", err)}
 	}
-	switch {
-	case env.Type == frameControl && env.Control != nil:
-		if s.agent == nil {
-			return envelope{Type: frameError, Error: "not an agent endpoint"}
-		}
-		if err := s.agent.Apply(*env.Control); err != nil {
-			return envelope{Type: frameError, Error: err.Error()}
-		}
-	case env.Type == frameBatch && env.Batch != nil:
-		if s.sink == nil {
-			return envelope{Type: frameError, Error: "not a collector endpoint"}
-		}
-		ack, err := s.sinkHandle(*env.Batch)
-		if err != nil {
-			return envelope{Type: frameError, Error: err.Error()}
-		}
-		return envelope{Type: frameOK, Ack: ack}
-	default:
+	if env.Type != frameControl || env.Control == nil {
+		s.rejectedFrames.Add(1)
 		return envelope{Type: frameError, Error: fmt.Sprintf("unknown frame %q", env.Type)}
+	}
+	if s.agent == nil {
+		return envelope{Type: frameError, Error: "not an agent endpoint"}
+	}
+	if err := s.agent.Apply(*env.Control); err != nil {
+		return envelope{Type: frameError, Error: err.Error()}
 	}
 	return envelope{Type: frameOK}
 }
@@ -354,13 +356,10 @@ func (c *TCPControlClient) Apply(pkg ControlPackage) error {
 	return err
 }
 
-// TCPSink ships record batches to a remote collector endpoint using the v2
-// binary batch frame. Set LegacyJSON to emit v1 JSON envelopes instead
-// (e.g. against a pre-v2 collector).
+// TCPSink ships record batches to a remote collector endpoint using the v4
+// binary batch frame, and aggregate frames using the v5 one.
 type TCPSink struct {
 	client
-	// LegacyJSON forces v1 JSON batch envelopes. Set before first use.
-	LegacyJSON bool
 }
 
 var _ AckingRecordSink = (*TCPSink)(nil)
@@ -392,29 +391,15 @@ func (s *TCPSink) HandleBatch(b RecordBatch) error {
 // from old collectors carry no ack, which comes back as the zero
 // BatchAck — "no pressure signal".
 func (s *TCPSink) HandleBatchAck(b RecordBatch) (BatchAck, error) {
-	var (
-		reply envelope
-		err   error
-	)
-	if s.LegacyJSON {
-		var body []byte
-		body, err = EncodeBatchFrameJSON(&b)
-		if err != nil {
-			return BatchAck{}, err
-		}
-		reply, err = s.roundTrip(body)
-	} else {
-		bufp := encodeBufPool.Get().(*[]byte)
-		var body []byte
-		body, err = AppendBatchFrame((*bufp)[:0], &b)
-		if err != nil {
-			encodeBufPool.Put(bufp)
-			return BatchAck{}, err
-		}
-		reply, err = s.roundTrip(body)
-		*bufp = body[:0]
+	bufp := encodeBufPool.Get().(*[]byte)
+	body, err := AppendBatchFrame((*bufp)[:0], &b)
+	if err != nil {
 		encodeBufPool.Put(bufp)
+		return BatchAck{}, err
 	}
+	reply, err := s.roundTrip(body)
+	*bufp = body[:0]
+	encodeBufPool.Put(bufp)
 	if err != nil {
 		return BatchAck{}, err
 	}

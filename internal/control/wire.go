@@ -2,21 +2,20 @@ package control
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 
 	"vnettracer/internal/core"
 )
 
-// Binary batch framing (protocol v2/v3/v4). Record batches dominate the
-// wire traffic of a deployment, and JSON inflates the fixed 48-byte record
+// Binary batch framing (protocol v4). Record batches dominate the wire
+// traffic of a deployment, and JSON inflates the fixed 48-byte record
 // roughly 5-8x plus reflection cost on both ends; control packages stay
-// JSON (rare, structured, debuggable). A v4 batch frame body is:
+// JSON (rare, structured, debuggable). A batch frame body is:
 //
 //	[0]     magic, batchMagic (0xB2 — can never collide with '{' (0x7B),
 //	        the first byte of every JSON envelope, so frames are
-//	        self-describing and v1 JSON peers need no negotiation)
+//	        self-describing)
 //	[1]     wire version (batchWireV4)
 //	[2:4]   agent-name length, uint16 LE
 //	[4:12]  agent time, int64 LE (heartbeat timestamp)
@@ -28,21 +27,16 @@ import (
 //	[41:..] agent name bytes
 //	[..:..] count * core.RecordSize record bytes (core.Record.Marshal)
 //
-// v3 is the same layout without the epoch/degradation fields (32-byte
-// header) and v2 additionally lacks the sequence number (24-byte header);
-// the decoder accepts both, reading the missing fields as 0, so pre-lease
-// agents keep working against a new collector — an epoch-0 batch is never
-// fenced. The body is carried inside the usual 4-byte big-endian length
-// prefix, like every other frame. For a batch of n records the wire cost
-// is 4 + 41 + len(agent) + 48n bytes — about 52 bytes/record once a batch
-// carries a handful of records.
+// The body is carried inside the usual 4-byte big-endian length prefix,
+// like every other frame. For a batch of n records the wire cost is
+// 4 + 41 + len(agent) + 48n bytes — about 52 bytes/record once a batch
+// carries a handful of records. v4 is the only version: the decoder
+// refuses any other version byte (the retired v2/v3 layouts had shorter
+// headers, so guessing would mis-parse them) and the retired v1 JSON
+// batch envelope, with an error.
 const (
 	batchMagic        = 0xB2
-	batchWireV2       = 2
-	batchWireV3       = 3
 	batchWireV4       = 4
-	batchHeaderSizeV2 = 24
-	batchHeaderSizeV3 = 32
 	batchHeaderSizeV4 = 41
 )
 
@@ -92,72 +86,37 @@ func AppendBatchFrame(dst []byte, b *RecordBatch) ([]byte, error) {
 	return out, nil
 }
 
-// EncodeBatchFrameJSON encodes a record batch as a legacy v1 JSON envelope
-// body — what pre-v2 agents put on the wire.
-func EncodeBatchFrameJSON(b *RecordBatch) ([]byte, error) {
-	return json.Marshal(envelope{Type: frameBatch, Batch: b})
-}
-
-// DecodeBatchFrame decodes a batch frame body in either wire format: the
-// v2 binary layout above, or a legacy v1 JSON envelope of type "batch".
-// This is the collector's compatibility path — old agents keep working
-// against a new collector without negotiation.
+// DecodeBatchFrame decodes a v4 batch frame body. Anything else — a
+// retired wire version, a JSON envelope, a truncated or overlong body —
+// is an error: the frame came off the network, so nothing about it is
+// trusted until the header and the declared lengths agree.
 func DecodeBatchFrame(body []byte) (RecordBatch, error) {
-	if len(body) == 0 {
-		return RecordBatch{}, fmt.Errorf("control: empty batch frame")
+	if len(body) < 2 || body[0] != batchMagic {
+		return RecordBatch{}, fmt.Errorf("control: %d-byte body is not a binary batch frame", len(body))
 	}
-	if body[0] != batchMagic {
-		var env envelope
-		if err := json.Unmarshal(body, &env); err != nil {
-			return RecordBatch{}, fmt.Errorf("control: decode batch frame: %w", err)
-		}
-		if env.Type != frameBatch || env.Batch == nil {
-			return RecordBatch{}, fmt.Errorf("control: frame %q is not a batch", env.Type)
-		}
-		return *env.Batch, nil
+	if v := body[1]; v != batchWireV4 {
+		return RecordBatch{}, fmt.Errorf("control: unsupported batch wire version %d (want %d)", v, batchWireV4)
 	}
-	return decodeBatchBinary(body)
-}
-
-func decodeBatchBinary(body []byte) (RecordBatch, error) {
-	if len(body) < batchHeaderSizeV2 {
-		return RecordBatch{}, fmt.Errorf("control: binary batch header truncated: %d bytes", len(body))
-	}
-	headerSize := 0
-	switch v := body[1]; v {
-	case batchWireV2:
-		headerSize = batchHeaderSizeV2
-	case batchWireV3:
-		headerSize = batchHeaderSizeV3
-	case batchWireV4:
-		headerSize = batchHeaderSizeV4
-	default:
-		return RecordBatch{}, fmt.Errorf("control: unsupported batch wire version %d (want %d..%d)", v, batchWireV2, batchWireV4)
-	}
-	if len(body) < headerSize {
+	if len(body) < batchHeaderSizeV4 {
 		return RecordBatch{}, fmt.Errorf("control: binary batch header truncated: %d bytes", len(body))
 	}
 	le := binary.LittleEndian
 	nameLen := int(le.Uint16(body[2:]))
 	count := int(le.Uint32(body[20:]))
-	want := headerSize + nameLen + count*core.RecordSize
+	want := batchHeaderSizeV4 + nameLen + count*core.RecordSize
 	if len(body) != want {
 		return RecordBatch{}, fmt.Errorf("control: binary batch of %d bytes, header declares %d", len(body), want)
 	}
 	b := RecordBatch{
-		Agent:       string(body[headerSize : headerSize+nameLen]),
+		Agent:       string(body[batchHeaderSizeV4 : batchHeaderSizeV4+nameLen]),
 		AgentTimeNs: int64(le.Uint64(body[4:])),
 		RingDrops:   le.Uint64(body[12:]),
-	}
-	if body[1] >= batchWireV3 {
-		b.Seq = le.Uint64(body[24:])
-	}
-	if body[1] >= batchWireV4 {
-		b.Epoch = le.Uint64(body[32:])
-		b.Degraded = body[40]
+		Seq:         le.Uint64(body[24:]),
+		Epoch:       le.Uint64(body[32:]),
+		Degraded:    body[40],
 	}
 	if count > 0 {
-		raw := body[headerSize+nameLen:]
+		raw := body[batchHeaderSizeV4+nameLen:]
 		recs, err := core.UnmarshalRecords(raw)
 		if err != nil {
 			return RecordBatch{}, fmt.Errorf("control: binary batch records: %w", err)

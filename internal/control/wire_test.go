@@ -3,6 +3,7 @@ package control
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"net"
 	"reflect"
 	"sync"
@@ -28,8 +29,8 @@ func wireBatch(n int) RecordBatch {
 	return RecordBatch{Agent: "agent0", AgentTimeNs: 123456789, Records: recs, RingDrops: 7}
 }
 
-// TestBatchFrameRoundTrip proves binary and JSON batch frames decode to
-// identical RecordBatch values through the collector's single decode path.
+// TestBatchFrameRoundTrip proves a batch survives encode and decode
+// unchanged, with the record section exposed verbatim.
 func TestBatchFrameRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 64} {
 		want := wireBatch(n)
@@ -57,21 +58,6 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(gotBin, want) {
 			t.Fatalf("n=%d: binary round trip = %+v, want %+v", n, gotBin, want)
 		}
-
-		jsonBody, err := EncodeBatchFrameJSON(&want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotJSON, err := DecodeBatchFrame(jsonBody)
-		if err != nil {
-			t.Fatalf("n=%d: decode JSON: %v", n, err)
-		}
-		if gotJSON.RawRecords != nil {
-			t.Fatalf("n=%d: JSON decode set RawRecords", n)
-		}
-		if !reflect.DeepEqual(gotJSON, gotBin) {
-			t.Fatalf("n=%d: JSON and binary decode differ: %+v vs %+v", n, gotJSON, gotBin)
-		}
 	}
 }
 
@@ -89,147 +75,81 @@ func TestBatchFrameBytesPerRecord(t *testing.T) {
 	if perRec := float64(wire) / n; perRec > 52 {
 		t.Fatalf("binary frame = %.1f bytes/record, want <= 52", perRec)
 	}
-	jsonBody, _ := EncodeBatchFrameJSON(&b)
-	if len(jsonBody) < 3*len(body) {
-		t.Fatalf("expected JSON framing to inflate records >= 3x (binary %d B, JSON %d B)", len(body), len(jsonBody))
-	}
 }
 
-// TestBatchFrameVersionNegotiation covers the version-handling paths: a
-// future binary version is rejected, truncated/corrupt binary frames are
-// rejected, and the legacy JSON envelope is still accepted.
+// encodeRetiredBatchFrame reproduces the retired binary layouts — v2
+// (24-byte header, no sequence field) and v3 (32-byte header: Seq but no
+// Epoch/Degraded) — what an agent that was never upgraded still puts on
+// the wire.
+func encodeRetiredBatchFrame(version byte, b *RecordBatch) []byte {
+	headerSize := map[byte]int{2: 24, 3: 32}[version]
+	out := make([]byte, headerSize)
+	out[0] = batchMagic
+	out[1] = version
+	le := binary.LittleEndian
+	le.PutUint16(out[2:], uint16(len(b.Agent)))
+	le.PutUint64(out[4:], uint64(b.AgentTimeNs))
+	le.PutUint64(out[12:], b.RingDrops)
+	le.PutUint32(out[20:], uint32(len(b.Records)))
+	if version == 3 {
+		le.PutUint64(out[24:], b.Seq)
+	}
+	out = append(out, b.Agent...)
+	for i := range b.Records {
+		out = append(out, b.Records[i].Marshal(nil)...)
+	}
+	return out
+}
+
+func encodeBatchFrameV2(b *RecordBatch) []byte { return encodeRetiredBatchFrame(2, b) }
+func encodeBatchFrameV3(b *RecordBatch) []byte { return encodeRetiredBatchFrame(3, b) }
+
+// retiredV1JSON is a v1 batch as pre-binary agents framed it: a JSON
+// envelope of type "batch".
+const retiredV1JSON = `{"type":"batch","batch":{"agent":"old","agent_time_ns":5,"records":[{"TraceID":1,"TPID":1}],"seq":1}}`
+
+// TestBatchFrameVersionNegotiation pins what negotiation is now: v4 or
+// nothing. Every retired version, a future one, and every malformed body
+// is refused with an error — never decoded under the v4 header layout,
+// which would read a v2/v3 agent name as sequence and epoch fields.
 func TestBatchFrameVersionNegotiation(t *testing.T) {
 	b := wireBatch(2)
+	b.Seq = 42
 	body, err := EncodeBatchFrame(&b)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	future := append([]byte(nil), body...)
 	future[1] = batchWireV4 + 1
-	if _, err := DecodeBatchFrame(future); err == nil {
-		t.Fatal("future wire version accepted")
+	// A v3 frame padded to the length its header would declare under the
+	// v4 layout must still be refused on the version byte alone.
+	v3 := encodeBatchFrameV3(&b)
+	for name, frame := range map[string][]byte{
+		"v1-json":       []byte(retiredV1JSON),
+		"v2":            encodeBatchFrameV2(&b),
+		"v3":            v3,
+		"v3-padded":     append(append([]byte(nil), v3...), make([]byte, batchHeaderSizeV4-32)...),
+		"future":        future,
+		"truncated":     body[:len(body)-1],
+		"header-only":   {batchMagic, batchWireV4},
+		"magic-only":    {batchMagic},
+		"empty":         nil,
+		"control-json":  []byte(`{"type":"control"}`),
+		"trailing-byte": append(append([]byte(nil), body...), 0),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if got, err := DecodeBatchFrame(frame); err == nil {
+				t.Fatalf("accepted: decoded %+v", got)
+			}
+		})
 	}
-
-	if _, err := DecodeBatchFrame(body[:len(body)-1]); err == nil {
-		t.Fatal("truncated binary frame accepted")
-	}
-	if _, err := DecodeBatchFrame([]byte{batchMagic, batchWireV2}); err == nil {
-		t.Fatal("header-only binary frame accepted")
-	}
-	if _, err := DecodeBatchFrame(nil); err == nil {
-		t.Fatal("empty frame accepted")
-	}
-	if _, err := DecodeBatchFrame([]byte(`{"type":"control"}`)); err == nil {
-		t.Fatal("non-batch JSON envelope accepted as batch")
-	}
-
-	legacy, err := EncodeBatchFrameJSON(&b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBatchFrame(legacy)
-	if err != nil {
-		t.Fatalf("legacy JSON rejected: %v", err)
-	}
-	if got.Agent != b.Agent || len(got.Records) != len(b.Records) {
-		t.Fatalf("legacy decode = %+v", got)
+	if _, err := DecodeBatchFrame(body); err != nil {
+		t.Fatalf("v4 frame rejected: %v", err)
 	}
 }
 
-// encodeBatchFrameV2 reproduces the pre-Seq v2 binary layout (24-byte
-// header, no sequence field) — what pre-Seq agents put on the wire.
-func encodeBatchFrameV2(b *RecordBatch) []byte {
-	out := make([]byte, batchHeaderSizeV2)
-	out[0] = batchMagic
-	out[1] = batchWireV2
-	le := binary.LittleEndian
-	le.PutUint16(out[2:], uint16(len(b.Agent)))
-	le.PutUint64(out[4:], uint64(b.AgentTimeNs))
-	le.PutUint64(out[12:], b.RingDrops)
-	le.PutUint32(out[20:], uint32(len(b.Records)))
-	out = append(out, b.Agent...)
-	for i := range b.Records {
-		out = append(out, b.Records[i].Marshal(nil)...)
-	}
-	return out
-}
-
-// encodeBatchFrameV3 reproduces the pre-epoch v3 binary layout (32-byte
-// header: Seq but no Epoch/Degraded) — what pre-lease agents put on the
-// wire.
-func encodeBatchFrameV3(b *RecordBatch) []byte {
-	out := make([]byte, batchHeaderSizeV3)
-	out[0] = batchMagic
-	out[1] = batchWireV3
-	le := binary.LittleEndian
-	le.PutUint16(out[2:], uint16(len(b.Agent)))
-	le.PutUint64(out[4:], uint64(b.AgentTimeNs))
-	le.PutUint64(out[12:], b.RingDrops)
-	le.PutUint32(out[20:], uint32(len(b.Records)))
-	le.PutUint64(out[24:], b.Seq)
-	out = append(out, b.Agent...)
-	for i := range b.Records {
-		out = append(out, b.Records[i].Marshal(nil)...)
-	}
-	return out
-}
-
-// TestBatchFrameV2Compat pins backward compatibility: a v2 binary frame
-// from a pre-Seq agent still decodes, with Seq = 0 (unsequenced) and
-// Epoch = 0 (unleased), so old agents keep working against a new
-// collector without negotiation.
-func TestBatchFrameV2Compat(t *testing.T) {
-	want := wireBatch(8)
-	got, err := DecodeBatchFrame(encodeBatchFrameV2(&want))
-	if err != nil {
-		t.Fatalf("v2 binary frame rejected: %v", err)
-	}
-	if got.Seq != 0 {
-		t.Fatalf("v2 frame decoded Seq = %d, want 0", got.Seq)
-	}
-	if got.Epoch != 0 || got.Degraded != 0 {
-		t.Fatalf("v2 frame decoded Epoch/Degraded = %d/%d, want 0/0", got.Epoch, got.Degraded)
-	}
-	got.RawRecords = nil // decoder-only alias, absent from the literal
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("v2 round trip = %+v, want %+v", got, want)
-	}
-	// Truncated v2 header is rejected, not sliced into records.
-	if _, err := DecodeBatchFrame(encodeBatchFrameV2(&want)[:batchHeaderSizeV2-1]); err == nil {
-		t.Fatal("truncated v2 frame accepted")
-	}
-}
-
-// TestBatchFrameV3Compat pins backward compatibility for the pre-epoch
-// layout: a v3 frame keeps its Seq but decodes Epoch = 0 (unleased) —
-// the value the collector's fence treats as never-stale, so a pre-lease
-// agent can never have its batches fenced.
-func TestBatchFrameV3Compat(t *testing.T) {
-	want := wireBatch(8)
-	want.Seq = 42
-	got, err := DecodeBatchFrame(encodeBatchFrameV3(&want))
-	if err != nil {
-		t.Fatalf("v3 binary frame rejected: %v", err)
-	}
-	if got.Seq != 42 {
-		t.Fatalf("v3 frame decoded Seq = %d, want 42", got.Seq)
-	}
-	if got.Epoch != 0 || got.Degraded != 0 {
-		t.Fatalf("v3 frame decoded Epoch/Degraded = %d/%d, want 0/0", got.Epoch, got.Degraded)
-	}
-	got.RawRecords = nil // decoder-only alias, absent from the literal
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("v3 round trip = %+v, want %+v", got, want)
-	}
-	if _, err := DecodeBatchFrame(encodeBatchFrameV3(&want)[:batchHeaderSizeV3-1]); err == nil {
-		t.Fatal("truncated v3 frame accepted")
-	}
-}
-
-// TestBatchFrameV4CarriesEpoch pins the v4 additions: the encoder emits
-// v4 and Epoch/Degraded round-trip; and the legacy v1 JSON envelope
-// decodes as epoch 0 when the fields are absent.
+// TestBatchFrameV4CarriesEpoch pins the v4 header: the encoder emits v4
+// and Seq/Epoch/Degraded round-trip.
 func TestBatchFrameV4CarriesEpoch(t *testing.T) {
 	want := wireBatch(4)
 	want.Seq, want.Epoch, want.Degraded = 9, 3, 2
@@ -248,49 +168,76 @@ func TestBatchFrameV4CarriesEpoch(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("v4 round trip = %+v, want %+v", got, want)
 	}
-	// A v1 JSON batch without epoch/degraded fields decodes as unleased.
-	legacy := []byte(`{"type":"batch","batch":{"agent":"old","agent_time_ns":5,"records":null,"seq":1}}`)
-	gotJSON, err := DecodeBatchFrame(legacy)
+}
+
+// TestServerCountsRejectedFrames sends the collector every retired batch
+// layout plus a corrupt aggregate frame over TCP: each must be answered
+// with an error, bump RejectedFrames, and leave the collector's totals
+// and the delivery ledger untouched — a rejection is counted, never
+// silent and never half-ingested.
+func TestServerCountsRejectedFrames(t *testing.T) {
+	db := tracedb.New()
+	col := NewCollector(db)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotJSON.Epoch != 0 || gotJSON.Degraded != 0 {
-		t.Fatalf("legacy JSON decoded Epoch/Degraded = %d/%d, want 0/0", gotJSON.Epoch, gotJSON.Degraded)
-	}
-}
+	srv := Serve(ln, nil, col)
+	defer srv.Close()
+	c := &client{addr: srv.Addr().String()}
+	defer c.Close()
 
-// TestTCPBinaryAndLegacySinksAgree ships the same batch over TCP with the
-// v2 binary framing and the v1 JSON framing and checks the collector sees
-// identical data either way.
-func TestTCPBinaryAndLegacySinksAgree(t *testing.T) {
-	run := func(legacy bool) (uint64, uint64, uint64, []core.Record) {
-		db := tracedb.New()
-		col := NewCollector(db)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := Serve(ln, nil, col)
-		defer srv.Close()
-		sink := NewTCPSink(srv.Addr().String())
-		sink.LegacyJSON = legacy
-		defer sink.Close()
-		if err := sink.HandleBatch(wireBatch(16)); err != nil {
-			t.Fatal(err)
-		}
-		batches, records, drops := col.Stats()
-		tbl, ok := db.Table(1)
-		if !ok {
-			t.Fatal("table 1 missing")
-		}
-		var recs []core.Record
-		tbl.Scan(func(r core.Record) bool { recs = append(recs, r); return true })
-		return batches, records, drops, recs
+	b := wireBatch(4)
+	b.Seq = 7
+	agg := wireAgg()
+	aggBody, err := EncodeAggFrame(&agg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	b1, r1, d1, recs1 := run(false)
-	b2, r2, d2, recs2 := run(true)
-	if b1 != b2 || r1 != r2 || d1 != d2 || !reflect.DeepEqual(recs1, recs2) {
-		t.Fatalf("binary (%d,%d,%d) and legacy (%d,%d,%d) transports diverge", b1, r1, d1, b2, r2, d2)
+	rejected := uint64(0)
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"v2", encodeBatchFrameV2(&b)},
+		{"v3", encodeBatchFrameV3(&b)},
+		{"v1-json", []byte(retiredV1JSON)},
+		{"agg-truncated", aggBody[:len(aggBody)-1]},
+		{"not-json", []byte("junk")},
+	} {
+		_, err := c.roundTrip(tc.body)
+		var remote *RemoteError
+		if !errors.As(err, &remote) {
+			t.Fatalf("%s: err = %v, want a RemoteError refusal", tc.name, err)
+		}
+		rejected++
+		if got := srv.RejectedFrames(); got != rejected {
+			t.Fatalf("%s: RejectedFrames = %d, want %d", tc.name, got, rejected)
+		}
+	}
+	if batches, records, drops := col.Stats(); batches+records+drops != 0 {
+		t.Fatalf("rejected frames reached the collector: %d batches, %d records, %d drops", batches, records, drops)
+	}
+	if agents := db.Agents(); len(agents) != 0 {
+		t.Fatalf("rejected frames touched the record ledger: %v", agents)
+	}
+	if tot := col.Aggregates().Totals(); tot.FramesMerged+tot.FramesDup+tot.FramesFenced != 0 {
+		t.Fatalf("rejected frames reached the aggregate store: %+v", tot)
+	}
+	if _, ok := col.Aggregates().Ledger(agg.Agent); ok {
+		t.Fatal("rejected aggregate frame touched the aggregate ledger")
+	}
+
+	// A good v4 frame on the same connection still lands, uncounted.
+	good, err := EncodeBatchFrame(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.roundTrip(good); err != nil {
+		t.Fatalf("v4 frame after rejections: %v", err)
+	}
+	if _, records, _ := col.Stats(); records != 4 || srv.RejectedFrames() != rejected {
+		t.Fatalf("after a good frame: %d records, %d rejected (want 4, %d)", records, srv.RejectedFrames(), rejected)
 	}
 }
 

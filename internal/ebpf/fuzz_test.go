@@ -148,9 +148,9 @@ func dumpMaps(maps []ebpf.Map) []string {
 }
 
 // runTier loads the program against fresh maps and executes it on one
-// engine with a fresh deterministic env, so no state leaks between
-// engines.
-func runTier(t *testing.T, insns []ebpf.Insn, tier ebpf.Tier) tierResult {
+// engine — the interpreter, or the compiled code Run executes — with a
+// fresh deterministic env, so no state leaks between engines.
+func runTier(t *testing.T, insns []ebpf.Insn, interpreted bool) tierResult {
 	t.Helper()
 	maps := fuzzMaps(t)
 	prog, err := ebpf.Load(ebpf.ProgramSpec{
@@ -161,24 +161,18 @@ func runTier(t *testing.T, insns []ebpf.Insn, tier ebpf.Tier) tierResult {
 		CtxSize: core.CtxSize,
 	})
 	if err != nil {
-		t.Fatalf("Verify accepted but Load rejected: %v", err)
-	}
-	if prog.Tier() != ebpf.TierOptimized {
 		// Every verifier-accepted program must lower: the conditions that
 		// abort lowering (back edges, bad targets, unknown opcodes) are
 		// all verifier rejections too.
-		t.Fatalf("verifier accepted but optimized lowering declined (tier %v)", prog.Tier())
+		t.Fatalf("Verify accepted but Load rejected: %v", err)
 	}
 	env := &fuzzEnv{}
 	ctx := make([]byte, core.CtxSize)
 	var res tierResult
-	switch tier {
-	case ebpf.TierInterpreter:
+	if interpreted {
 		res.r0, res.stats, res.err = prog.RunInterpreted(ctx, env)
-	case ebpf.TierThreaded:
-		res.r0, res.stats, res.err = prog.RunThreaded(ctx, env)
-	case ebpf.TierOptimized:
-		res.r0, res.stats, res.err = prog.RunOptimized(ctx, env)
+	} else {
+		res.r0, res.stats, res.err = prog.Run(ctx, env)
 	}
 	res.maps = dumpMaps(maps)
 	res.perf = env.perf
@@ -201,12 +195,11 @@ func seedScript(f *testing.F, spec script.Spec) []byte {
 // verifier. The verifier must reject malformed programs with an error —
 // never panic, regardless of opcode garbage, out-of-range registers, or
 // wild jump offsets. Programs it accepts are its soundness claim, so
-// they then execute as a three-way differential oracle across all
-// execution tiers (interpreter, threaded code, optimized closures):
-// every tier must produce the same R0, the same execution statistics,
-// the same error identity under errors.Is, and identical side effects
-// (final map contents, perf event stream, printk log). Any divergence
-// is a miscompile in one of the tiers.
+// they then execute as a differential oracle across both engines
+// (interpreter, optimized closures): both must produce the same R0, the
+// same execution statistics, the same error identity under errors.Is,
+// and identical side effects (final map contents, perf event stream,
+// printk log). Any divergence is a miscompile.
 func FuzzVerifyProgram(f *testing.F) {
 	// Seed with real accepted programs: the trivial return, compiled
 	// scripts (the production codepath, covering the record fast path and
@@ -332,37 +325,28 @@ func FuzzVerifyProgram(f *testing.F) {
 		if err := ebpf.Verify(insns, fuzzMaps(t), core.CtxSize); err != nil {
 			return // rejected cleanly — exactly what the verifier is for
 		}
-		interp := runTier(t, insns, ebpf.TierInterpreter)
-		threaded := runTier(t, insns, ebpf.TierThreaded)
-		opt := runTier(t, insns, ebpf.TierOptimized)
-		for _, other := range []struct {
-			name string
-			res  tierResult
-		}{{"threaded", threaded}, {"optimized", opt}} {
-			if got, want := errIdentity(other.res.err), errIdentity(interp.err); got != want {
-				t.Fatalf("%s disagrees on error identity: %s err=%v (%s), interp err=%v (%s)",
-					other.name, other.name, other.res.err, got, interp.err, want)
+		interp := runTier(t, insns, true)
+		opt := runTier(t, insns, false)
+		if got, want := errIdentity(opt.err), errIdentity(interp.err); got != want {
+			t.Fatalf("optimized disagrees on error identity: err=%v (%s), interp err=%v (%s)",
+				opt.err, got, interp.err, want)
+		}
+		if interp.err == nil {
+			if opt.r0 != interp.r0 {
+				t.Fatalf("optimized disagrees on r0: %#x, interp %#x", opt.r0, interp.r0)
 			}
-			if interp.err == nil {
-				if other.res.r0 != interp.r0 {
-					t.Fatalf("%s disagrees on r0: %#x, interp %#x", other.name, other.res.r0, interp.r0)
-				}
-				if other.res.stats != interp.stats {
-					t.Fatalf("%s disagrees on stats: %+v, interp %+v", other.name, other.res.stats, interp.stats)
-				}
+			if opt.stats != interp.stats {
+				t.Fatalf("optimized disagrees on stats: %+v, interp %+v", opt.stats, interp.stats)
 			}
-			if !reflect.DeepEqual(other.res.maps, interp.maps) {
-				t.Fatalf("%s disagrees on final map state:\n%s: %v\ninterp: %v",
-					other.name, other.name, other.res.maps, interp.maps)
-			}
-			if !reflect.DeepEqual(other.res.perf, interp.perf) {
-				t.Fatalf("%s disagrees on perf stream:\n%s: %q\ninterp: %q",
-					other.name, other.name, other.res.perf, interp.perf)
-			}
-			if !reflect.DeepEqual(other.res.printk, interp.printk) {
-				t.Fatalf("%s disagrees on printk log:\n%s: %q\ninterp: %q",
-					other.name, other.name, other.res.printk, interp.printk)
-			}
+		}
+		if !reflect.DeepEqual(opt.maps, interp.maps) {
+			t.Fatalf("optimized disagrees on final map state:\noptimized: %v\ninterp: %v", opt.maps, interp.maps)
+		}
+		if !reflect.DeepEqual(opt.perf, interp.perf) {
+			t.Fatalf("optimized disagrees on perf stream:\noptimized: %q\ninterp: %q", opt.perf, interp.perf)
+		}
+		if !reflect.DeepEqual(opt.printk, interp.printk) {
+			t.Fatalf("optimized disagrees on printk log:\noptimized: %q\ninterp: %q", opt.printk, interp.printk)
 		}
 	})
 }

@@ -500,8 +500,8 @@ func (m *vm) call(id HelperID) error {
 
 // histBucket maps a sample to its log2 bucket: bucket 0 holds zero,
 // bucket b >= 1 holds [2^(b-1), 2^b), and the map's last slot absorbs
-// everything beyond it. Every execution tier routes through this one
-// function so the tiers cannot disagree on bucket boundaries.
+// everything beyond it. Both engines route through this one function so
+// they cannot disagree on bucket boundaries.
 func histBucket(v uint64, maxEntries int) int {
 	b := bits.Len64(v)
 	if b >= maxEntries {

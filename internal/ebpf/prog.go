@@ -1,9 +1,6 @@
 package ebpf
 
-import (
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // ProgType declares where a program may attach; it mirrors the paper's
 // Section III-B attach surface (kprobes, kretprobes, kernel tracepoints,
@@ -43,57 +40,26 @@ type ProgramSpec struct {
 	CtxSize int
 }
 
-// Tier identifies an execution engine for a loaded program.
-type Tier uint8
-
-// Execution tiers, from slowest to fastest. Every loaded program can run
-// on the interpreter and the threaded tier; the optimized tier exists only
-// when lowering through the IR succeeded (it does for all verifier-accepted
-// programs, but Load degrades gracefully rather than failing).
-const (
-	TierInterpreter Tier = iota
-	TierThreaded
-	TierOptimized
-)
-
-func (t Tier) String() string {
-	switch t {
-	case TierInterpreter:
-		return "interpreter"
-	case TierThreaded:
-		return "threaded"
-	case TierOptimized:
-		return "optimized"
-	}
-	return fmt.Sprintf("tier(%d)", uint8(t))
-}
-
-// tierEnvVar forces Program.Run onto a specific tier for debugging and
-// ablation: "interp", "threaded", or "opt". Unknown values are ignored;
-// forcing "opt" on a program whose lowering failed keeps the threaded
-// tier.
-const tierEnvVar = "VNT_EBPF_TIER"
-
 // Program is a verified, executable program. Obtain one via Load. Run
-// dispatches to the fastest available tier (see Tier); RunInterpreted,
-// RunThreaded, and RunOptimized pin a specific engine for differential
-// testing and ablation.
+// executes the optimized closures Load compiled from the verifier's
+// facts; RunInterpreted executes the same instructions on the plain
+// interpreter, the reference every differential test and fuzz target
+// compares Run against.
 type Program struct {
 	name    string
 	typ     ProgType
 	insns   []Insn
 	maps    []Map
 	ctxSize int
-	steps   []step
 	opt     *optProg
-	tier    Tier
 }
 
 // Load verifies the spec and returns an executable program. Instruction
 // and map slices are copied, so later mutation of the spec does not affect
-// the loaded program. Alongside the threaded code, Load lowers the program
-// through the optimizing IR using the facts the verifier proved; if any
-// stage declines, the program silently keeps the threaded tier.
+// the loaded program. Load lowers the program through the optimizing IR
+// using the facts the verifier proved; lowering is total over
+// verifier-accepted programs, so a stage that declines is a bug in it and
+// fails the load rather than leaving a slower program behind.
 func Load(spec ProgramSpec) (*Program, error) {
 	if spec.CtxSize <= 0 {
 		return nil, fmt.Errorf("ebpf: load %q: context size must be positive, got %d", spec.Name, spec.CtxSize)
@@ -106,37 +72,23 @@ func Load(spec ProgramSpec) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ebpf: load %q: %w", spec.Name, err)
 	}
-	steps, err := compile(insns)
+	ir, err := lowerProgram(insns, maps, facts)
 	if err != nil {
-		return nil, fmt.Errorf("ebpf: load %q: jit: %w", spec.Name, err)
+		return nil, fmt.Errorf("ebpf: load %q: lower: %w", spec.Name, err)
 	}
-	p := &Program{
+	optimize(ir)
+	opt, err := emitProgram(ir)
+	if err != nil {
+		return nil, fmt.Errorf("ebpf: load %q: emit: %w", spec.Name, err)
+	}
+	return &Program{
 		name:    spec.Name,
 		typ:     spec.Type,
 		insns:   insns,
 		maps:    maps,
 		ctxSize: spec.CtxSize,
-		steps:   steps,
-		tier:    TierThreaded,
-	}
-	if ir, err := lowerProgram(insns, maps, facts); err == nil {
-		optimize(ir)
-		if opt, err := emitProgram(ir); err == nil {
-			p.opt = opt
-			p.tier = TierOptimized
-		}
-	}
-	switch os.Getenv(tierEnvVar) {
-	case "interp", "interpreter":
-		p.tier = TierInterpreter
-	case "threaded", "jit":
-		p.tier = TierThreaded
-	case "opt", "optimized":
-		if p.opt != nil {
-			p.tier = TierOptimized
-		}
-	}
-	return p, nil
+		opt:     opt,
+	}, nil
 }
 
 // Name returns the program name.
@@ -159,14 +111,6 @@ func (p *Program) Maps() []Map {
 // CtxSize returns the expected context size in bytes.
 func (p *Program) CtxSize() int { return p.ctxSize }
 
-// Tier reports the engine Run dispatches to.
-func (p *Program) Tier() Tier {
-	if p == nil {
-		return TierInterpreter
-	}
-	return p.tier
-}
-
 func (p *Program) checkRun(ctx []byte) error {
 	if p == nil || len(p.insns) == 0 {
 		return ErrNotLoaded
@@ -177,28 +121,14 @@ func (p *Program) checkRun(ctx []byte) error {
 	return nil
 }
 
-// Run executes the program on its selected tier over ctx with env
-// supplying helpers. It returns the program's R0 and execution
-// statistics. ctx must be exactly CtxSize bytes. All tiers produce
-// bit-identical results (enforced by differential property and fuzz
-// tests); the tier only changes execution cost.
+// Run executes the program over ctx with env supplying helpers. It
+// returns the program's R0 and execution statistics. ctx must be exactly
+// CtxSize bytes.
 func (p *Program) Run(ctx []byte, env Env) (uint64, ExecStats, error) {
 	if err := p.checkRun(ctx); err != nil {
 		return 0, ExecStats{}, err
 	}
-	var (
-		r0    uint64
-		stats ExecStats
-		err   error
-	)
-	switch {
-	case p.tier == TierOptimized && p.opt != nil:
-		r0, stats, err = runOptimized(p.opt, p.maps, ctx, env)
-	case p.tier == TierInterpreter:
-		r0, stats, err = run(p.insns, p.maps, ctx, env)
-	default:
-		r0, stats, err = runCompiled(p.steps, p.maps, ctx, env)
-	}
+	r0, stats, err := runOptimized(p.opt, p.maps, ctx, env)
 	if err != nil {
 		return 0, stats, fmt.Errorf("ebpf: run %q: %w", p.name, err)
 	}
@@ -206,43 +136,14 @@ func (p *Program) Run(ctx []byte, env Env) (uint64, ExecStats, error) {
 }
 
 // RunInterpreted executes the program through the plain instruction
-// interpreter. Results are identical to Run; this exists for differential
-// testing and for benchmarking the compiled tiers' benefit.
+// interpreter. Results are bit-identical to Run (enforced by differential
+// property and fuzz tests); this is the oracle those tests compare
+// against, and the baseline for measuring what compilation buys.
 func (p *Program) RunInterpreted(ctx []byte, env Env) (uint64, ExecStats, error) {
 	if err := p.checkRun(ctx); err != nil {
 		return 0, ExecStats{}, err
 	}
 	r0, stats, err := run(p.insns, p.maps, ctx, env)
-	if err != nil {
-		return 0, stats, fmt.Errorf("ebpf: run %q: %w", p.name, err)
-	}
-	return r0, stats, nil
-}
-
-// RunThreaded executes the program through the threaded-code tier
-// regardless of the selected tier.
-func (p *Program) RunThreaded(ctx []byte, env Env) (uint64, ExecStats, error) {
-	if err := p.checkRun(ctx); err != nil {
-		return 0, ExecStats{}, err
-	}
-	r0, stats, err := runCompiled(p.steps, p.maps, ctx, env)
-	if err != nil {
-		return 0, stats, fmt.Errorf("ebpf: run %q: %w", p.name, err)
-	}
-	return r0, stats, nil
-}
-
-// RunOptimized executes the program through the optimized tier. It fails
-// with ErrNotLoaded if lowering was declined at load time; callers doing
-// differential testing should check Tier first.
-func (p *Program) RunOptimized(ctx []byte, env Env) (uint64, ExecStats, error) {
-	if err := p.checkRun(ctx); err != nil {
-		return 0, ExecStats{}, err
-	}
-	if p.opt == nil {
-		return 0, ExecStats{}, fmt.Errorf("%w: no optimized tier for %q", ErrNotLoaded, p.name)
-	}
-	r0, stats, err := runOptimized(p.opt, p.maps, ctx, env)
 	if err != nil {
 		return 0, stats, fmt.Errorf("ebpf: run %q: %w", p.name, err)
 	}

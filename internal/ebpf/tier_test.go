@@ -2,10 +2,11 @@ package ebpf
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 )
 
-// --- Tier selection -------------------------------------------------------
+// --- Load compiles ---------------------------------------------------------
 
 func mustLoad(t *testing.T, insns []Insn, maps []Map) *Program {
 	t.Helper()
@@ -22,43 +23,18 @@ func trivialInsns() []Insn {
 
 func TestTierDefaultsToOptimized(t *testing.T) {
 	p := mustLoad(t, trivialInsns(), nil)
-	if p.Tier() != TierOptimized {
-		t.Fatalf("default tier = %v, want %v", p.Tier(), TierOptimized)
+	if p.opt == nil {
+		t.Fatal("Load returned a program without optimized code")
 	}
-}
-
-func TestTierEnvForcing(t *testing.T) {
-	cases := []struct {
-		val  string
-		want Tier
-	}{
-		{"interp", TierInterpreter},
-		{"interpreter", TierInterpreter},
-		{"threaded", TierThreaded},
-		{"jit", TierThreaded},
-		{"opt", TierOptimized},
-		{"optimized", TierOptimized},
-		{"bogus", TierOptimized}, // unknown values are ignored
-		{"", TierOptimized},
-	}
-	for _, tc := range cases {
-		t.Run(tc.val, func(t *testing.T) {
-			t.Setenv(tierEnvVar, tc.val)
-			p := mustLoad(t, trivialInsns(), nil)
-			if p.Tier() != tc.want {
-				t.Fatalf("%s=%q: tier = %v, want %v", tierEnvVar, tc.val, p.Tier(), tc.want)
-			}
-			r0, _, err := p.Run(make([]byte, 64), &testEnv{})
-			if err != nil || r0 != 42 {
-				t.Fatalf("forced run: r0=%d err=%v", r0, err)
-			}
-		})
+	r0, _, err := p.Run(make([]byte, 64), &testEnv{})
+	if err != nil || r0 != 42 {
+		t.Fatalf("run: r0=%d err=%v", r0, err)
 	}
 }
 
 // TestUnreachableTailStillLowers pins the fuzz-found case where the
 // verifier accepts dead code after exit (it proves nothing about it) and
-// lowering must skip it rather than decline the optimized tier.
+// lowering must skip it rather than decline, which would fail the load.
 func TestUnreachableTailStillLowers(t *testing.T) {
 	insns := []Insn{
 		Mov64Imm(R0, 7),
@@ -66,9 +42,6 @@ func TestUnreachableTailStillLowers(t *testing.T) {
 		LoadMem(R3, R4, 100, SizeB), // unreachable garbage: uninit regs, wild offset
 	}
 	p := mustLoad(t, insns, nil)
-	if p.Tier() != TierOptimized {
-		t.Fatalf("tier = %v, want %v", p.Tier(), TierOptimized)
-	}
 	r0, _, err := p.Run(make([]byte, 64), &testEnv{})
 	if err != nil || r0 != 7 {
 		t.Fatalf("run: r0=%d err=%v", r0, err)
@@ -86,11 +59,8 @@ func TestJumpGapStillLowers(t *testing.T) {
 		Exit(),
 	}
 	p := mustLoad(t, insns, nil)
-	if p.Tier() != TierOptimized {
-		t.Fatalf("tier = %v, want %v", p.Tier(), TierOptimized)
-	}
 	for name, run := range map[string]func([]byte, Env) (uint64, ExecStats, error){
-		"interp": p.RunInterpreted, "threaded": p.RunThreaded, "optimized": p.RunOptimized,
+		"interp": p.RunInterpreted, "optimized": p.Run,
 	} {
 		r0, _, err := run(make([]byte, 64), &testEnv{})
 		if err != nil || r0 != 3 {
@@ -107,9 +77,9 @@ func TestJumpGapStillLowers(t *testing.T) {
 // sentinel identity must survive each engine's "at insn" context wrapping
 // so callers can dispatch on errors.Is.
 
-// faultingEngines runs unverified insns through all three engines'
-// internals (the optimized tier via nil-facts lowering, which keeps every
-// access fully checked) and returns the per-engine errors.
+// faultingEngines runs unverified insns through both engines' internals
+// (the optimized one via nil-facts lowering, which keeps every access
+// fully checked) and returns the per-engine errors.
 func faultingEngines(t *testing.T, insns []Insn, wantOptimized bool) map[string]error {
 	t.Helper()
 	errs := map[string]error{}
@@ -117,13 +87,6 @@ func faultingEngines(t *testing.T, insns []Insn, wantOptimized bool) map[string]
 
 	_, _, err := run(insns, nil, ctx, &testEnv{})
 	errs["interp"] = err
-
-	steps, cerr := compile(insns)
-	if cerr != nil {
-		t.Fatalf("compile: %v", cerr)
-	}
-	_, _, err = runCompiled(steps, nil, ctx, &testEnv{})
-	errs["threaded"] = err
 
 	ir, lerr := lowerProgram(insns, nil, nil)
 	if lerr != nil {
@@ -158,20 +121,18 @@ func TestErrorChainMemFault(t *testing.T) {
 
 func TestErrorChainStepBudget(t *testing.T) {
 	// A self-loop exhausts the instruction budget. Lowering rejects back
-	// edges, so only the looping engines reach the budget error.
+	// edges, so only the interpreter reaches the budget error.
 	insns := []Insn{
 		Mov64Imm(R0, 0),
 		Ja(-1),
 		Exit(),
 	}
 	errs := faultingEngines(t, insns, false)
-	for _, name := range []string{"interp", "threaded"} {
-		if !errors.Is(errs[name], ErrRuntimeSteps) {
-			t.Errorf("%s: err %v does not wrap ErrRuntimeSteps", name, errs[name])
-		}
+	if !errors.Is(errs["interp"], ErrRuntimeSteps) {
+		t.Errorf("interp: err %v does not wrap ErrRuntimeSteps", errs["interp"])
 	}
 	if _, ok := errs["optimized"]; ok {
-		t.Error("optimized tier lowered a back edge")
+		t.Error("lowering accepted a back edge")
 	}
 }
 
@@ -205,10 +166,136 @@ func TestErrorChainBadMapRef(t *testing.T) {
 	}
 }
 
+// --- Compiled engine vs interpreter ---------------------------------------
+//
+// The compiled closures Run executes are this repo's analogue of the
+// in-kernel eBPF JIT (paper Section II); the interpreter is their oracle.
+
+// TestJITMatchesInterpreter is the differential property: for every
+// verified random program and random context, Run and the interpreter
+// must produce the same R0, the same instruction count, and the same
+// side effects.
+func TestJITMatchesInterpreter(t *testing.T) {
+	const ctxSize = 64
+	rng := rand.New(rand.NewSource(9))
+	m, err := NewHashMap(4, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maps := []Map{m}
+
+	accepted := 0
+	for tried := 0; tried < 20000 && accepted < 400; tried++ {
+		insns := randomProgram(rng)
+		if Verify(insns, maps, ctxSize) != nil {
+			continue
+		}
+		accepted++
+		prog, err := Load(ProgramSpec{
+			Name: "diff", Type: ProgTypeKprobe, Insns: insns, Maps: maps, CtxSize: ctxSize,
+		})
+		if err != nil {
+			t.Fatalf("load verified program: %v", err)
+		}
+		ctx := make([]byte, ctxSize)
+		rng.Read(ctx)
+		envA := &testEnv{time: 42}
+		envB := &testEnv{time: 42}
+		r0a, statsA, errA := prog.Run(ctx, envA)
+		r0b, statsB, errB := prog.RunInterpreted(ctx, envB)
+		if (errA == nil) != (errB == nil) {
+			t.Fatalf("error divergence: jit=%v interp=%v\n%s", errA, errB, dump(insns))
+		}
+		if r0a != r0b {
+			t.Fatalf("r0 divergence: jit=%#x interp=%#x\n%s", r0a, r0b, dump(insns))
+		}
+		if statsA.Insns != statsB.Insns || statsA.HelperCalls != statsB.HelperCalls {
+			t.Fatalf("stats divergence: jit=%+v interp=%+v\n%s", statsA, statsB, dump(insns))
+		}
+	}
+	if accepted < 50 {
+		t.Fatalf("only %d programs verified", accepted)
+	}
+}
+
+// TestJITSideEffectsMatch runs a stateful program (map updates + perf
+// output) through both engines and compares observable state.
+func TestJITSideEffectsMatch(t *testing.T) {
+	run := func(exec func(p *Program, ctx []byte, env Env) (uint64, ExecStats, error)) ([][]byte, uint64) {
+		m, err := NewHashMap(4, 8, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := `
+			mov r6, r1
+			ldxw r2, [r6+0]
+			stxw [r10-4], r2
+			ld_map_fd r1, counts
+			mov r2, r10
+			add r2, -4
+			call map_lookup_elem
+			jne r0, 0, found
+			stdw [r10-16], 1
+			ld_map_fd r1, counts
+			mov r2, r10
+			add r2, -4
+			mov r3, r10
+			add r3, -16
+			mov r4, 0
+			call map_update_elem
+			ja emit
+		found:
+			ldxdw r3, [r0+0]
+			add r3, 1
+			stxdw [r0+0], r3
+		emit:
+			stdw [r10-8], 7
+			mov r1, r6
+			mov r2, 0
+			mov r3, r10
+			add r3, -8
+			mov r4, 8
+			call perf_event_output
+			mov r0, 0
+			exit
+		`
+		insns, table := MustAssemble(src, map[string]Map{"counts": m})
+		p, err := Load(ProgramSpec{Name: "fx", Type: ProgTypeKprobe, Insns: insns, Maps: table, CtxSize: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := &testEnv{}
+		ctx := []byte{9, 0, 0, 0, 0, 0, 0, 0}
+		for i := 0; i < 5; i++ {
+			if _, _, err := exec(p, ctx, env); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v, _ := m.Lookup([]byte{9, 0, 0, 0})
+		var count uint64
+		for i := 7; i >= 0; i-- {
+			count = count<<8 | uint64(v[i])
+		}
+		return env.perf, count
+	}
+	perfJ, countJ := run(func(p *Program, ctx []byte, env Env) (uint64, ExecStats, error) {
+		return p.Run(ctx, env)
+	})
+	perfI, countI := run(func(p *Program, ctx []byte, env Env) (uint64, ExecStats, error) {
+		return p.RunInterpreted(ctx, env)
+	})
+	if countJ != 5 || countI != 5 {
+		t.Fatalf("counts: jit=%d interp=%d", countJ, countI)
+	}
+	if len(perfJ) != len(perfI) || len(perfJ) != 5 {
+		t.Fatalf("perf records: jit=%d interp=%d", len(perfJ), len(perfI))
+	}
+}
+
 // --- ExecStats parity -----------------------------------------------------
 
 // runAllTiers executes a loaded program on each engine with its own
-// deterministic env and returns the results keyed by tier name.
+// deterministic env and returns the results keyed by engine name.
 type tierRun struct {
 	r0    uint64
 	stats ExecStats
@@ -217,12 +304,9 @@ type tierRun struct {
 
 func runAllTiers(t *testing.T, p *Program, ctx []byte) map[string]tierRun {
 	t.Helper()
-	if p.Tier() != TierOptimized {
-		t.Fatalf("program did not lower: tier %v", p.Tier())
-	}
 	out := map[string]tierRun{}
 	for name, run := range map[string]func([]byte, Env) (uint64, ExecStats, error){
-		"interp": p.RunInterpreted, "threaded": p.RunThreaded, "optimized": p.RunOptimized,
+		"interp": p.RunInterpreted, "optimized": p.Run,
 	} {
 		env := &testEnv{time: 99, cpu: 1, perfCap: 0}
 		r0, stats, err := run(ctx, env)
@@ -236,18 +320,15 @@ func runAllTiers(t *testing.T, p *Program, ctx []byte) map[string]tierRun {
 
 func assertTierParity(t *testing.T, runs map[string]tierRun) {
 	t.Helper()
-	ref := runs["interp"]
-	for _, name := range []string{"threaded", "optimized"} {
-		got := runs[name]
-		if got.r0 != ref.r0 {
-			t.Errorf("%s: r0 = %#x, interp %#x", name, got.r0, ref.r0)
-		}
-		if got.stats != ref.stats {
-			t.Errorf("%s: stats = %+v, interp %+v", name, got.stats, ref.stats)
-		}
-		if len(got.env.perf) != len(ref.env.perf) {
-			t.Errorf("%s: %d perf events, interp %d", name, len(got.env.perf), len(ref.env.perf))
-		}
+	ref, got := runs["interp"], runs["optimized"]
+	if got.r0 != ref.r0 {
+		t.Errorf("optimized: r0 = %#x, interp %#x", got.r0, ref.r0)
+	}
+	if got.stats != ref.stats {
+		t.Errorf("optimized: stats = %+v, interp %+v", got.stats, ref.stats)
+	}
+	if len(got.env.perf) != len(ref.env.perf) {
+		t.Errorf("optimized: %d perf events, interp %d", len(got.env.perf), len(ref.env.perf))
 	}
 }
 
@@ -261,7 +342,7 @@ func TestStatsParityWideInsns(t *testing.T) {
 	p := mustLoad(t, insns, nil)
 	runs := runAllTiers(t, p, make([]byte, 64))
 	assertTierParity(t, runs)
-	// A wide instruction counts once, like the other tiers' dispatch.
+	// A wide instruction counts once, like the interpreter's dispatch.
 	if want := 5 + 2; runs["optimized"].stats.Insns != want {
 		t.Errorf("Insns = %d, want %d", runs["optimized"].stats.Insns, want)
 	}
@@ -310,7 +391,7 @@ func TestStatsParityPerfEmit(t *testing.T) {
 
 func TestStatsParityStepLimitEdge(t *testing.T) {
 	// A straight line of exactly MaxInsns instructions: the largest
-	// program the verifier accepts must complete on every tier with an
+	// program the verifier accepts must complete on both engines with an
 	// identical count.
 	insns := make([]Insn, 0, MaxInsns)
 	for i := 0; i < MaxInsns-2; i++ {

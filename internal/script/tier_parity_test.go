@@ -13,7 +13,7 @@ import (
 )
 
 // parityEnv is a deterministic Env capturing the perf stream so compiled
-// script programs can be compared across execution tiers.
+// script programs can be compared across the two execution engines.
 type parityEnv struct {
 	time uint64
 	perf []string
@@ -29,10 +29,10 @@ func (e *parityEnv) PerfEventOutput(data []byte) bool {
 func (e *parityEnv) TracePrintk(msg string) {}
 
 // TestCompiledScriptsTierParity runs every action combination the script
-// compiler supports on all three execution tiers and requires identical
-// results: R0, execution statistics, perf output, and final map state.
-// Each tier gets a freshly compiled program (fresh maps) and a fresh env,
-// so nothing leaks between engines.
+// compiler supports on the interpreter and on the compiled code Run
+// executes, and requires identical results: R0, execution statistics,
+// perf output, and final map state. Each engine gets a freshly compiled
+// program (fresh maps) and a fresh env, so nothing leaks between them.
 func TestCompiledScriptsTierParity(t *testing.T) {
 	combos := [][]Action{
 		{ActionRecord},
@@ -80,7 +80,7 @@ func TestCompiledScriptsTierParity(t *testing.T) {
 		}
 		for ctxName, ctx := range ctxs {
 			t.Run(fmt.Sprintf("%v/%s", combo, ctxName), func(t *testing.T) {
-				runTier := func(tier ebpf.Tier) result {
+				runTier := func(interpreted bool) result {
 					insns, maps, err := CompileToInsns(spec)
 					if err != nil {
 						t.Fatalf("compile: %v", err)
@@ -92,22 +92,16 @@ func TestCompiledScriptsTierParity(t *testing.T) {
 					if err != nil {
 						t.Fatalf("load: %v", err)
 					}
-					if prog.Tier() != ebpf.TierOptimized {
-						t.Fatalf("script program did not lower: tier %v", prog.Tier())
-					}
 					env := &parityEnv{}
 					var res result
 					var rerr error
-					switch tier {
-					case ebpf.TierInterpreter:
+					if interpreted {
 						res.r0, res.stats, rerr = prog.RunInterpreted(ctx, env)
-					case ebpf.TierThreaded:
-						res.r0, res.stats, rerr = prog.RunThreaded(ctx, env)
-					case ebpf.TierOptimized:
-						res.r0, res.stats, rerr = prog.RunOptimized(ctx, env)
+					} else {
+						res.r0, res.stats, rerr = prog.Run(ctx, env)
 					}
 					if rerr != nil {
-						t.Fatalf("run tier %v: %v", tier, rerr)
+						t.Fatalf("run (interpreted=%v): %v", interpreted, rerr)
 					}
 					res.perf = env.perf
 					for i, m := range maps {
@@ -118,12 +112,9 @@ func TestCompiledScriptsTierParity(t *testing.T) {
 					sort.Strings(res.maps)
 					return res
 				}
-				ref := runTier(ebpf.TierInterpreter)
-				for _, tier := range []ebpf.Tier{ebpf.TierThreaded, ebpf.TierOptimized} {
-					got := runTier(tier)
-					if !reflect.DeepEqual(got, ref) {
-						t.Errorf("%v diverges from interpreter:\n%v: %+v\ninterp: %+v", tier, tier, got, ref)
-					}
+				ref, got := runTier(true), runTier(false)
+				if !reflect.DeepEqual(got, ref) {
+					t.Errorf("optimized diverges from interpreter:\noptimized: %+v\ninterp: %+v", got, ref)
 				}
 			})
 		}

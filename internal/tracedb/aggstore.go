@@ -9,7 +9,7 @@ import (
 // compact per-script metric frames drained from agent maps instead of
 // per-packet records. Frames are sequence-numbered and epoch-fenced in a
 // sequence space of their own but with the exact semantics of record
-// batches (shared via agentLedger.admit), so exactly-once merge and
+// batches (the embedded deliveryLedger), so exactly-once merge and
 // zombie fencing extend to aggregates. Merging is additive: counters,
 // per-CPU hits and histogram buckets sum slot-wise; flows sum per
 // 5-tuple. Additivity is what makes at-most-once admission sufficient —
@@ -81,8 +81,13 @@ type AggTotals struct {
 // a dedicated sequence space (agents number record batches and aggregate
 // frames independently).
 type AggStore struct {
+	// The aggregate-frame ledger. Frames come in through Admit, never
+	// the ledger's own AdmitBatch: Admit classifies through it while
+	// holding mu, so a frame's classification and its merge are one
+	// atomic step.
+	deliveryLedger
+
 	mu      sync.Mutex
-	ledger  map[string]*agentLedger
 	scripts map[string]*scriptAgg
 
 	framesMerged uint64
@@ -93,10 +98,7 @@ type AggStore struct {
 
 // NewAggStore returns an empty aggregate store.
 func NewAggStore() *AggStore {
-	return &AggStore{
-		ledger:  make(map[string]*agentLedger),
-		scripts: make(map[string]*scriptAgg),
-	}
+	return &AggStore{scripts: make(map[string]*scriptAgg)}
 }
 
 // Admit classifies an aggregate frame exactly like DB.AdmitBatch
@@ -112,12 +114,7 @@ func (s *AggStore) Admit(agent string, epoch, seq uint64, scripts []ScriptAgg, n
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l, ok := s.ledger[agent]
-	if !ok {
-		l = &agentLedger{pending: make(map[uint64]struct{})}
-		s.ledger[agent] = l
-	}
-	st := l.admit(epoch, seq, rows, nowNs, degraded)
+	st := s.AdmitBatch(agent, epoch, seq, rows, nowNs, degraded)
 	switch st {
 	case BatchFresh:
 		for i := range scripts {
@@ -187,6 +184,12 @@ func (s *AggStore) Get(script string) (ScriptAgg, bool) {
 	if !ok {
 		return ScriptAgg{}, false
 	}
+	return sa.snapshot(script), true
+}
+
+// snapshot deep-copies the merged state under the given script name,
+// flows sorted by 5-tuple. Callers hold the store's mutex.
+func (sa *scriptAgg) snapshot(script string) ScriptAgg {
 	out := ScriptAgg{
 		Script:   script,
 		Counters: append([]uint64(nil), sa.counters...),
@@ -201,7 +204,7 @@ func (s *AggStore) Get(script string) (ScriptAgg, bool) {
 		})
 	}
 	sort.Slice(out.Flows, func(i, j int) bool { return flowLess(&out.Flows[i], &out.Flows[j]) })
-	return out, true
+	return out
 }
 
 // flowLess orders flows by 5-tuple for deterministic output.
@@ -219,18 +222,6 @@ func flowLess(a, b *FlowAgg) bool {
 		return a.DstPort < b.DstPort
 	}
 	return a.Proto < b.Proto
-}
-
-// Ledger returns the delivery-ledger snapshot for one agent's aggregate
-// frame stream.
-func (s *AggStore) Ledger(agent string) (AgentLedger, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l, ok := s.ledger[agent]
-	if !ok {
-		return AgentLedger{}, false
-	}
-	return l.snapshot(), true
 }
 
 // Totals summarizes ingest history and current store size.

@@ -54,8 +54,8 @@ type ledgerState struct {
 	Degraded      uint8    `json:"degraded,omitempty"`
 }
 
-// exportState snapshots the complete ledger. Callers hold the mutex
-// guarding l.
+// exportState snapshots the complete ledger. Callers hold the ledger
+// mutex.
 func (l *agentLedger) exportState() ledgerState {
 	return ledgerState{
 		LastSeenNs:    l.lastSeenNs,
@@ -76,7 +76,7 @@ func (l *agentLedger) exportState() ledgerState {
 }
 
 // restoreState overwrites the ledger with a checkpointed snapshot.
-// Callers hold the mutex guarding l.
+// Callers hold the ledger mutex.
 func (l *agentLedger) restoreState(s ledgerState) {
 	l.lastSeenNs = s.LastSeenNs
 	l.hwm = s.HighWater
@@ -110,26 +110,6 @@ func sortedSeqs(m map[uint64]struct{}) []uint64 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// exportLedgerStates snapshots every agent's record ledger.
-func (db *DB) exportLedgerStates() map[string]ledgerState {
-	db.hbMu.Lock()
-	defer db.hbMu.Unlock()
-	out := make(map[string]ledgerState, len(db.ledger))
-	for agent, l := range db.ledger {
-		out[agent] = l.exportState()
-	}
-	return out
-}
-
-// restoreLedgerStates overwrites the record ledgers with a checkpoint.
-func (db *DB) restoreLedgerStates(states map[string]ledgerState) {
-	db.hbMu.Lock()
-	defer db.hbMu.Unlock()
-	for agent, s := range states {
-		db.ledgerEntry(agent).restoreState(s)
-	}
 }
 
 // tableState is the per-table durable accounting: the seal sequence
@@ -183,14 +163,11 @@ func (s *AggStore) exportState() aggState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := aggState{
-		Ledgers:      make(map[string]ledgerState, len(s.ledger)),
+		Ledgers:      s.exportStates(),
 		FramesMerged: s.framesMerged,
 		FramesDup:    s.framesDup,
 		FramesFenced: s.framesFenced,
 		RowsMerged:   s.rowsMerged,
-	}
-	for agent, l := range s.ledger {
-		st.Ledgers[agent] = l.exportState()
 	}
 	names := make([]string, 0, len(s.scripts))
 	for name := range s.scripts {
@@ -198,22 +175,7 @@ func (s *AggStore) exportState() aggState {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		sa := s.scripts[name]
-		out := ScriptAgg{
-			Script:   name,
-			Counters: append([]uint64(nil), sa.counters...),
-			CPUHits:  append([]uint64(nil), sa.cpuHits...),
-			Hist:     append([]uint64(nil), sa.hist...),
-		}
-		for k, v := range sa.flows {
-			out.Flows = append(out.Flows, FlowAgg{
-				SrcIP: k.srcIP, DstIP: k.dstIP,
-				SrcPort: k.srcPort, DstPort: k.dstPort, Proto: k.proto,
-				Packets: v.packets, Bytes: v.bytes,
-			})
-		}
-		sort.Slice(out.Flows, func(i, j int) bool { return flowLess(&out.Flows[i], &out.Flows[j]) })
-		st.Scripts = append(st.Scripts, out)
+		st.Scripts = append(st.Scripts, s.scripts[name].snapshot(name))
 	}
 	return st
 }
@@ -222,14 +184,7 @@ func (s *AggStore) exportState() aggState {
 func (s *AggStore) restoreState(st aggState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for agent, ls := range st.Ledgers {
-		l, ok := s.ledger[agent]
-		if !ok {
-			l = &agentLedger{pending: make(map[uint64]struct{})}
-			s.ledger[agent] = l
-		}
-		l.restoreState(ls)
-	}
+	s.restoreStates(st.Ledgers)
 	for i := range st.Scripts {
 		s.merge(&st.Scripts[i])
 	}
@@ -337,16 +292,15 @@ func readCheckpoint(path string) (*checkpointPayload, error) {
 	return &p, nil
 }
 
-// loadLatestCheckpoint scans dir for the newest checkpoint that parses
-// and CRC-validates, skipping corrupt ones. ok is false when no valid
-// checkpoint exists (first boot, or all candidates corrupt).
-func loadLatestCheckpoint(dir string) (*checkpointPayload, bool, error) {
+// listCheckpoints returns the checkpoint files in dir, newest LSN first.
+// A missing directory holds none.
+func listCheckpoints(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, false, nil
+			return nil, nil
 		}
-		return nil, false, err
+		return nil, err
 	}
 	type cand struct {
 		name string
@@ -354,16 +308,28 @@ func loadLatestCheckpoint(dir string) (*checkpointPayload, bool, error) {
 	}
 	var cands []cand
 	for _, ent := range ents {
-		if ent.IsDir() {
-			continue
-		}
-		if lsn, ok := parseCheckpointFileName(ent.Name()); ok {
+		if lsn, ok := parseCheckpointFileName(ent.Name()); ok && !ent.IsDir() {
 			cands = append(cands, cand{ent.Name(), lsn})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].lsn > cands[j].lsn })
-	for _, c := range cands {
-		p, err := readCheckpoint(filepath.Join(dir, c.name))
+	names := make([]string, len(cands))
+	for i, c := range cands {
+		names[i] = c.name
+	}
+	return names, nil
+}
+
+// loadLatestCheckpoint scans dir for the newest checkpoint that parses
+// and CRC-validates, skipping corrupt ones. ok is false when no valid
+// checkpoint exists (first boot, or all candidates corrupt).
+func loadLatestCheckpoint(dir string) (*checkpointPayload, bool, error) {
+	names, err := listCheckpoints(dir)
+	if err != nil {
+		return nil, false, err
+	}
+	for _, name := range names {
+		p, err := readCheckpoint(filepath.Join(dir, name))
 		if err == nil {
 			return p, true, nil
 		}

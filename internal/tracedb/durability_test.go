@@ -87,7 +87,17 @@ func TestDurabilityRecoverRoundTrip(t *testing.T) {
 	// Admit sequenced batches across two agents and two tracepoints, a
 	// checkpoint in the middle, aggregate frames, and a duplicate.
 	for seq := uint64(1); seq <= 6; seq++ {
-		if st := d.AdmitRecordBatch("a1", 1, seq, batchRecs(1, seq, 3), int64(seq), 0); st != BatchFresh {
+		// Even seqs arrive as the transport delivers them, with the
+		// records' wire bytes alongside, so the log's verbatim and
+		// re-marshalled encodings both replay below.
+		recs := batchRecs(1, seq, 3)
+		var raw []byte
+		for i := range recs {
+			if seq%2 == 0 {
+				raw = recs[i].Marshal(raw)
+			}
+		}
+		if st := d.AdmitRecordBatch("a1", 1, seq, recs, raw, int64(seq), 0); st != BatchFresh {
 			t.Fatalf("a1 seq %d: %v", seq, st)
 		}
 		if st := d.AdmitAggFrame("a1", 1, seq, testScripts(seq), int64(seq), 0); st != BatchFresh {
@@ -99,7 +109,7 @@ func TestDurabilityRecoverRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if st := d.AdmitRecordBatch("a2", 5, 1, batchRecs(2, 1, 4), 10, 1); st != BatchFresh {
+	if st := d.AdmitRecordBatch("a2", 5, 1, batchRecs(2, 1, 4), nil, 10, 1); st != BatchFresh {
 		t.Fatalf("a2: %v", st)
 	}
 	want := dbFingerprint(db, aggs)
@@ -107,7 +117,7 @@ func TestDurabilityRecoverRoundTrip(t *testing.T) {
 	// so a duplicate's bookkeeping (dup count, heartbeat bump) is
 	// deliberately transient — the recovered state must match the
 	// fingerprint from before it.
-	if st := d.AdmitRecordBatch("a1", 1, 2, batchRecs(1, 2, 3), 99, 0); st != BatchDuplicate {
+	if st := d.AdmitRecordBatch("a1", 1, 2, batchRecs(1, 2, 3), nil, 99, 0); st != BatchDuplicate {
 		t.Fatalf("expected duplicate, got %v", st)
 	}
 	if err := d.Close(); err != nil {
@@ -137,14 +147,14 @@ func TestDurabilityRecoverRoundTrip(t *testing.T) {
 
 	// Re-shipped (already-ingested) batches must dedup after recovery —
 	// the exactly-once property the WAL + checkpoint exist to preserve.
-	if st := d2.AdmitRecordBatch("a1", 1, 5, batchRecs(1, 5, 3), 100, 0); st != BatchDuplicate {
+	if st := d2.AdmitRecordBatch("a1", 1, 5, batchRecs(1, 5, 3), nil, 100, 0); st != BatchDuplicate {
 		t.Fatalf("re-ship after recovery: got %v, want duplicate", st)
 	}
 	if st := d2.AdmitAggFrame("a1", 1, 4, testScripts(4), 100, 0); st != BatchDuplicate {
 		t.Fatalf("agg re-ship after recovery: got %v, want duplicate", st)
 	}
 	// And genuinely new traffic continues the sequence space.
-	if st := d2.AdmitRecordBatch("a1", 1, 7, batchRecs(1, 7, 2), 101, 0); st != BatchFresh {
+	if st := d2.AdmitRecordBatch("a1", 1, 7, batchRecs(1, 7, 2), nil, 101, 0); st != BatchFresh {
 		t.Fatalf("new batch after recovery: got %v, want fresh", st)
 	}
 }
@@ -155,7 +165,7 @@ func TestDurabilityRecoverRoundTrip(t *testing.T) {
 func TestRecoverReplayIdempotent(t *testing.T) {
 	db, _, d, dcfg := durTestEnv(t, Config{})
 	for seq := uint64(1); seq <= 5; seq++ {
-		d.AdmitRecordBatch("a1", 1, seq, batchRecs(1, seq, 3), int64(seq), 0)
+		d.AdmitRecordBatch("a1", 1, seq, batchRecs(1, seq, 3), nil, int64(seq), 0)
 		if seq == 2 {
 			if err := d.Checkpoint(); err != nil {
 				t.Fatal(err)
@@ -187,7 +197,7 @@ func TestWALTornTailEveryOffset(t *testing.T) {
 	db, _, d, dcfg := durTestEnv(t, Config{SegmentBytes: 1 << 20}) // no seals: all state in WAL
 	const batches = 4
 	for seq := uint64(1); seq <= batches; seq++ {
-		d.AdmitRecordBatch("a1", 1, seq, batchRecs(1, seq, 2), int64(seq), 0)
+		d.AdmitRecordBatch("a1", 1, seq, batchRecs(1, seq, 2), nil, int64(seq), 0)
 	}
 	d.Close()
 
@@ -279,7 +289,7 @@ func TestConcurrentCheckpointIngest(t *testing.T) {
 			defer wg.Done()
 			name := fmt.Sprintf("agent-%d", a)
 			for seq := uint64(1); seq <= perAgent; seq++ {
-				d.AdmitRecordBatch(name, 1, seq, batchRecs(uint32(a+1), seq, 2), int64(seq), 0)
+				d.AdmitRecordBatch(name, 1, seq, batchRecs(uint32(a+1), seq, 2), nil, int64(seq), 0)
 				d.AdmitAggFrame(name, 1, seq, testScripts(seq), int64(seq), 0)
 			}
 		}(a)
@@ -329,7 +339,7 @@ func TestConcurrentCheckpointIngest(t *testing.T) {
 func TestCheckpointRetiresWAL(t *testing.T) {
 	_, _, d, dcfg := durTestEnv(t, Config{})
 	for i := 0; i < 4; i++ {
-		d.AdmitRecordBatch("a1", 1, uint64(i+1), batchRecs(1, uint64(i+1), 2), int64(i), 0)
+		d.AdmitRecordBatch("a1", 1, uint64(i+1), batchRecs(1, uint64(i+1), 2), nil, int64(i), 0)
 		if err := d.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}

@@ -39,22 +39,18 @@ type LedgerHandoff struct {
 	Degraded uint8
 }
 
-// export snapshots the handoff state. Callers hold the mutex guarding l.
+// export snapshots the handoff state. Callers hold the ledger mutex.
 func (l *agentLedger) export() LedgerHandoff {
-	h := LedgerHandoff{
+	return LedgerHandoff{
 		Epoch:        l.epoch,
 		HighWater:    l.hwm,
 		MaxSeq:       l.maxSeq,
+		Pending:      sortedSeqs(l.pending),
 		MissingPrior: l.missingPrior,
 		Dups:         l.dups,
 		LastSeenNs:   l.lastSeenNs,
 		Degraded:     l.degraded,
 	}
-	for seq := range l.pending {
-		h.Pending = append(h.Pending, seq)
-	}
-	sort.Slice(h.Pending, func(i, j int) bool { return h.Pending[i] < h.Pending[j] })
-	return h
 }
 
 // importHandoff installs exported state at the given (newer) epoch,
@@ -65,7 +61,7 @@ func (l *agentLedger) export() LedgerHandoff {
 // previous-epoch view (so batches still carrying the pre-handoff epoch
 // dedup-aware fence instead of double-counting). At an equal epoch the
 // import merges monotonically — repeated handoffs cannot move the
-// high-water mark backwards. Callers hold the mutex guarding l.
+// high-water mark backwards. Callers hold the ledger mutex.
 func (l *agentLedger) importHandoff(epoch uint64, h LedgerHandoff) {
 	if epoch < l.epoch {
 		return // stale import: this ledger has already moved on
@@ -73,18 +69,13 @@ func (l *agentLedger) importHandoff(epoch uint64, h LedgerHandoff) {
 	if epoch > l.epoch {
 		// Close out whatever this ledger held (normally nothing: the
 		// importer never owned the agent, or closed it on a prior move).
-		l.missingPrior += l.maxSeq - l.hwm - uint64(len(l.pending))
-		l.prevMaxSeq = h.MaxSeq
-		l.prevHwm = h.HighWater
-		l.prevPending = seqSet(h.Pending)
-		l.prevFenced = make(map[uint64]struct{})
+		l.missingPrior += l.gap() + h.MissingPrior
+		l.startEpoch(epoch, h.MaxSeq, h.HighWater, seqSet(h.Pending))
 		l.hwm = h.HighWater
 		l.maxSeq = h.MaxSeq
 		l.pending = seqSet(h.Pending)
-		l.missingPrior += h.MissingPrior
 		l.dups += h.Dups
 		l.degraded = h.Degraded
-		l.epoch = epoch
 	} else {
 		// Same epoch (a repeated handoff): merge without regressing.
 		if h.HighWater > l.hwm {
@@ -103,13 +94,7 @@ func (l *agentLedger) importHandoff(epoch uint64, h LedgerHandoff) {
 				delete(l.pending, seq)
 			}
 		}
-		for {
-			if _, ok := l.pending[l.hwm+1]; !ok {
-				break
-			}
-			delete(l.pending, l.hwm+1)
-			l.hwm++
-		}
+		l.advance()
 	}
 	if h.LastSeenNs > l.lastSeenNs {
 		l.lastSeenNs = h.LastSeenNs
@@ -121,19 +106,15 @@ func (l *agentLedger) importHandoff(epoch uint64, h LedgerHandoff) {
 // dedup-aware fencing and resets the live counters, but it does NOT fold
 // the outstanding gap into missingPrior — that accounting traveled with
 // the export, and counting it on both collectors would double every
-// missing batch in cluster-wide sums. Callers hold the mutex guarding l.
+// missing batch in cluster-wide sums. Callers hold the ledger mutex.
 func (l *agentLedger) closeEpoch(epoch uint64) {
 	if epoch <= l.epoch {
 		return
 	}
-	l.prevMaxSeq = l.maxSeq
-	l.prevHwm = l.hwm
-	l.prevPending = l.pending
-	l.prevFenced = make(map[uint64]struct{})
+	l.startEpoch(epoch, l.maxSeq, l.hwm, l.pending)
 	l.hwm, l.maxSeq = 0, 0
 	l.pending = make(map[uint64]struct{})
 	l.missingPrior = 0
-	l.epoch = epoch
 }
 
 func seqSet(seqs []uint64) map[uint64]struct{} {
@@ -142,85 +123,6 @@ func seqSet(seqs []uint64) map[uint64]struct{} {
 		m[s] = struct{}{}
 	}
 	return m
-}
-
-// ExportLedger snapshots an agent's record-batch ledger for handoff.
-func (db *DB) ExportLedger(agent string) (LedgerHandoff, bool) {
-	db.hbMu.Lock()
-	defer db.hbMu.Unlock()
-	l, ok := db.ledger[agent]
-	if !ok {
-		return LedgerHandoff{}, false
-	}
-	return l.export(), true
-}
-
-// ImportLedger installs handoff state for an agent at the given epoch
-// (the lease granted by the re-homing). Imports never regress: a stale
-// epoch is ignored, and an equal-epoch import merges monotonically.
-func (db *DB) ImportLedger(agent string, epoch uint64, h LedgerHandoff) {
-	db.hbMu.Lock()
-	defer db.hbMu.Unlock()
-	db.ledgerEntry(agent).importHandoff(epoch, h)
-}
-
-// CloseAgentEpoch is the old home's side of a handoff: it advances the
-// agent's ledger to the new epoch with no live state, so any straggler
-// still routed here — a record batch, an aggregate frame's heartbeat, a
-// bare heartbeat — is fenced instead of resurrecting the assignment. Gap
-// accounting is zeroed here because it traveled with the export.
-func (db *DB) CloseAgentEpoch(agent string, epoch uint64) {
-	db.hbMu.Lock()
-	defer db.hbMu.Unlock()
-	db.ledgerEntry(agent).closeEpoch(epoch)
-}
-
-// HeartbeatEpoch is the epoch-aware liveness update: it behaves exactly
-// like admitting an unsequenced batch — a current lease advances the
-// agent's last-seen clock, a newer lease closes the old epoch first, and
-// a stale lease is fenced without touching liveness or any counter. The
-// aggregate-frame path uses it so a frame routed to an agent's OLD
-// collector after a re-homing cannot resurrect the stale assignment.
-// Epoch 0 (unleased) is never fenced.
-func (db *DB) HeartbeatEpoch(agent string, epoch uint64, nowNs int64, degraded uint8) BatchStatus {
-	return db.AdmitBatch(agent, epoch, 0, 0, nowNs, degraded)
-}
-
-// ExportLedger snapshots an agent's aggregate-frame ledger for handoff.
-func (s *AggStore) ExportLedger(agent string) (LedgerHandoff, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l, ok := s.ledger[agent]
-	if !ok {
-		return LedgerHandoff{}, false
-	}
-	return l.export(), true
-}
-
-// ImportLedger installs aggregate-ledger handoff state at the given
-// epoch, with the same never-regress semantics as DB.ImportLedger.
-func (s *AggStore) ImportLedger(agent string, epoch uint64, h LedgerHandoff) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l, ok := s.ledger[agent]
-	if !ok {
-		l = &agentLedger{pending: make(map[uint64]struct{})}
-		s.ledger[agent] = l
-	}
-	l.importHandoff(epoch, h)
-}
-
-// CloseAgentEpoch fences an agent's aggregate stream on the old home
-// after a handoff; see DB.CloseAgentEpoch.
-func (s *AggStore) CloseAgentEpoch(agent string, epoch uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l, ok := s.ledger[agent]
-	if !ok {
-		l = &agentLedger{pending: make(map[uint64]struct{})}
-		s.ledger[agent] = l
-	}
-	l.closeEpoch(epoch)
 }
 
 // MergeAggs folds script-aggregate snapshots of the same script into one:

@@ -1,6 +1,9 @@
 package tracedb
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
 
 // agentLedger is the collector's per-agent delivery bookkeeping: the
 // heartbeat timestamp plus the batch-sequence state that turns the
@@ -45,7 +48,9 @@ type agentLedger struct {
 }
 
 // markSeq records a nonzero batch seq for the current epoch and reports
-// whether it is fresh. Callers hold db.hbMu.
+// whether it is fresh. The ledger tolerates out-of-order arrival: seqs
+// above the contiguous high-water mark park in the pending set until the
+// gap below them fills. Callers hold the ledger mutex.
 func (l *agentLedger) markSeq(seq uint64) bool {
 	if seq <= l.hwm {
 		l.dups++
@@ -59,14 +64,35 @@ func (l *agentLedger) markSeq(seq uint64) bool {
 	if seq > l.maxSeq {
 		l.maxSeq = seq
 	}
+	l.advance()
+	return true
+}
+
+// advance moves the high-water mark over every pending seq contiguous
+// with it.
+func (l *agentLedger) advance() {
 	for {
 		if _, ok := l.pending[l.hwm+1]; !ok {
-			break
+			return
 		}
 		delete(l.pending, l.hwm+1)
 		l.hwm++
 	}
-	return true
+}
+
+// gap counts the current epoch's outstanding sequence gap: seqs at or
+// below maxSeq that were never ingested.
+func (l *agentLedger) gap() uint64 {
+	return l.maxSeq - l.hwm - uint64(len(l.pending))
+}
+
+// startEpoch begins epoch with the given sequence state frozen as the
+// previous epoch's view — what stale stragglers are classified against —
+// and no fenced seq counted yet. The caller sets the live sequence state.
+func (l *agentLedger) startEpoch(epoch, prevMaxSeq, prevHwm uint64, prevPending map[uint64]struct{}) {
+	l.prevMaxSeq, l.prevHwm, l.prevPending = prevMaxSeq, prevHwm, prevPending
+	l.prevFenced = make(map[uint64]struct{})
+	l.epoch = epoch
 }
 
 // AgentLedger is a snapshot of one agent's delivery ledger.
@@ -105,45 +131,29 @@ type AgentLedger struct {
 	Degraded uint8
 }
 
-// ledgerEntry returns (creating if needed) the ledger for an agent.
-// Callers must hold db.hbMu.
-func (db *DB) ledgerEntry(agent string) *agentLedger {
-	l, ok := db.ledger[agent]
+// deliveryLedger is the delivery ledger of one sequence space: every
+// agent's agentLedger behind one mutex. DB embeds one for record batches
+// and AggStore one for aggregate frames (agents number the two
+// independently), so both expose the same exactly-once, epoch-fenced
+// admission and the same snapshot, handoff and checkpoint surface. The
+// zero value is an empty ledger.
+type deliveryLedger struct {
+	mu     sync.Mutex
+	agents map[string]*agentLedger
+}
+
+// entry returns (creating if needed) the ledger for an agent. Callers
+// hold l.mu.
+func (l *deliveryLedger) entry(agent string) *agentLedger {
+	a, ok := l.agents[agent]
 	if !ok {
-		l = &agentLedger{pending: make(map[uint64]struct{})}
-		db.ledger[agent] = l
+		if l.agents == nil {
+			l.agents = make(map[string]*agentLedger)
+		}
+		a = &agentLedger{pending: make(map[uint64]struct{})}
+		l.agents[agent] = a
 	}
-	return l
-}
-
-// Heartbeat records that an agent reported in at time nowNs. The collector
-// doubles as the health monitor (paper Section III-C: "it also acts as a
-// heartbeat monitor"). The ledger keeps the maximum: with concurrent
-// ingest workers (or an agent re-shipping spooled batches stamped at their
-// original drain time) batches arrive out of order, and an older timestamp
-// must not regress the last-seen time and falsely kill a live agent.
-func (db *DB) Heartbeat(agent string, nowNs int64) {
-	db.hbMu.Lock()
-	defer db.hbMu.Unlock()
-	l := db.ledgerEntry(agent)
-	if nowNs > l.lastSeenNs {
-		l.lastSeenNs = nowNs
-	}
-}
-
-// MarkBatchSeq records a batch sequence number for an agent and reports
-// whether the batch is fresh (false = already ingested, drop it). Seq 0
-// means "unsequenced" (bare heartbeats, pre-Seq agents) and is always
-// fresh — those batches carry no replayable payload. The ledger tolerates
-// out-of-order arrival: seqs above the contiguous high-water mark park in
-// a pending set until the gap below them fills.
-func (db *DB) MarkBatchSeq(agent string, seq uint64) bool {
-	if seq == 0 {
-		return true
-	}
-	db.hbMu.Lock()
-	defer db.hbMu.Unlock()
-	return db.ledgerEntry(agent).markSeq(seq)
+	return a
 }
 
 // BatchStatus classifies a batch presented to AdmitBatch.
@@ -178,26 +188,39 @@ const (
 // missing to fenced. Fenced-payload exactness is guaranteed for the
 // immediately previous epoch (one live restart); older zombies are still
 // fenced but counted conservatively.
-func (db *DB) AdmitBatch(agent string, epoch, seq uint64, records int, nowNs int64, degraded uint8) BatchStatus {
-	db.hbMu.Lock()
-	defer db.hbMu.Unlock()
-	return db.ledgerEntry(agent).admit(epoch, seq, records, nowNs, degraded)
+//
+// Seq 0 means "unsequenced" (bare heartbeats) and is always fresh — those
+// deliveries carry no replayable payload. The heartbeat keeps the maximum
+// timestamp: with concurrent ingest workers (or an agent re-shipping
+// spooled batches stamped at their original drain time) batches arrive
+// out of order, and an older timestamp must not regress the last-seen
+// time and falsely kill a live agent (the collector doubles as the health
+// monitor, paper Section III-C).
+func (l *deliveryLedger) AdmitBatch(agent string, epoch, seq uint64, records int, nowNs int64, degraded uint8) BatchStatus {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.entry(agent).admit(epoch, seq, records, nowNs, degraded)
+}
+
+// HeartbeatEpoch is the epoch-aware liveness update: it behaves exactly
+// like admitting an unsequenced batch — a current lease advances the
+// agent's last-seen clock, a newer lease closes the old epoch first, and
+// a stale lease is fenced without touching liveness or any counter. The
+// aggregate-frame path uses it on the record ledger so a frame routed to
+// an agent's OLD collector after a re-homing cannot resurrect the stale
+// assignment. Epoch 0 (unleased) is never fenced.
+func (l *deliveryLedger) HeartbeatEpoch(agent string, epoch uint64, nowNs int64, degraded uint8) BatchStatus {
+	return l.AdmitBatch(agent, epoch, 0, 0, nowNs, degraded)
 }
 
 // admit implements AdmitBatch's classification on one agent's ledger.
-// It is shared by the record path (DB) and the aggregate path (AggStore),
-// which run separate sequence spaces over identical epoch/seq semantics.
-// Callers hold the mutex guarding l.
+// Callers hold the ledger mutex.
 func (l *agentLedger) admit(epoch, seq uint64, records int, nowNs int64, degraded uint8) BatchStatus {
 	if epoch > l.epoch {
-		l.missingPrior += l.maxSeq - l.hwm - uint64(len(l.pending))
-		l.prevMaxSeq = l.maxSeq
-		l.prevHwm = l.hwm
-		l.prevPending = l.pending
-		l.prevFenced = make(map[uint64]struct{})
+		l.missingPrior += l.gap()
+		l.startEpoch(epoch, l.maxSeq, l.hwm, l.pending)
 		l.hwm, l.maxSeq = 0, 0
 		l.pending = make(map[uint64]struct{})
-		l.epoch = epoch
 	}
 	if epoch != 0 && epoch < l.epoch {
 		if seq == 0 {
@@ -238,18 +261,18 @@ func (l *agentLedger) admit(epoch, seq uint64, records int, nowNs int64, degrade
 }
 
 // Ledger returns a snapshot of one agent's delivery ledger.
-func (db *DB) Ledger(agent string) (AgentLedger, bool) {
-	db.hbMu.Lock()
-	defer db.hbMu.Unlock()
-	l, ok := db.ledger[agent]
+func (l *deliveryLedger) Ledger(agent string) (AgentLedger, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	a, ok := l.agents[agent]
 	if !ok {
 		return AgentLedger{}, false
 	}
-	return l.snapshot(), true
+	return a.snapshot(), true
 }
 
-// snapshot exports the ledger's public view. Callers hold the mutex
-// guarding l.
+// snapshot exports the ledger's public view. Callers hold the ledger
+// mutex.
 func (l *agentLedger) snapshot() AgentLedger {
 	return AgentLedger{
 		LastSeenNs:     l.lastSeenNs,
@@ -257,7 +280,7 @@ func (l *agentLedger) snapshot() AgentLedger {
 		MaxSeq:         l.maxSeq,
 		DupBatches:     l.dups,
 		PendingBatches: len(l.pending),
-		MissingBatches: l.missingPrior + l.maxSeq - l.hwm - uint64(len(l.pending)),
+		MissingBatches: l.missingPrior + l.gap(),
 		Epoch:          l.epoch,
 		FencedBatches:  l.fencedBatches,
 		FencedRecords:  l.fencedRecords,
@@ -266,12 +289,12 @@ func (l *agentLedger) snapshot() AgentLedger {
 }
 
 // DeadAgents lists agents not heard from within timeout of nowNs.
-func (db *DB) DeadAgents(nowNs, timeoutNs int64) []string {
-	db.hbMu.Lock()
-	defer db.hbMu.Unlock()
+func (l *deliveryLedger) DeadAgents(nowNs, timeoutNs int64) []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	var out []string
-	for agent, l := range db.ledger {
-		if nowNs-l.lastSeenNs > timeoutNs {
+	for agent, a := range l.agents {
+		if nowNs-a.lastSeenNs > timeoutNs {
 			out = append(out, agent)
 		}
 	}
@@ -280,13 +303,64 @@ func (db *DB) DeadAgents(nowNs, timeoutNs int64) []string {
 }
 
 // Agents lists all agents that ever heartbeated.
-func (db *DB) Agents() []string {
-	db.hbMu.Lock()
-	defer db.hbMu.Unlock()
-	out := make([]string, 0, len(db.ledger))
-	for a := range db.ledger {
+func (l *deliveryLedger) Agents() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make([]string, 0, len(l.agents))
+	for a := range l.agents {
 		out = append(out, a)
 	}
 	sort.Strings(out)
 	return out
+}
+
+// ExportLedger snapshots an agent's ledger for handoff.
+func (l *deliveryLedger) ExportLedger(agent string) (LedgerHandoff, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	a, ok := l.agents[agent]
+	if !ok {
+		return LedgerHandoff{}, false
+	}
+	return a.export(), true
+}
+
+// ImportLedger installs handoff state for an agent at the given epoch
+// (the lease granted by the re-homing). Imports never regress: a stale
+// epoch is ignored, and an equal-epoch import merges monotonically.
+func (l *deliveryLedger) ImportLedger(agent string, epoch uint64, h LedgerHandoff) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.entry(agent).importHandoff(epoch, h)
+}
+
+// CloseAgentEpoch is the old home's side of a handoff: it advances the
+// agent's ledger to the new epoch with no live state, so any straggler
+// still routed here — a record batch, an aggregate frame, a bare
+// heartbeat — is fenced instead of resurrecting the assignment. Gap
+// accounting is zeroed here because it traveled with the export.
+func (l *deliveryLedger) CloseAgentEpoch(agent string, epoch uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.entry(agent).closeEpoch(epoch)
+}
+
+// exportStates snapshots every agent's complete ledger for a checkpoint.
+func (l *deliveryLedger) exportStates() map[string]ledgerState {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make(map[string]ledgerState, len(l.agents))
+	for agent, a := range l.agents {
+		out[agent] = a.exportState()
+	}
+	return out
+}
+
+// restoreStates overwrites the ledgers a checkpoint names.
+func (l *deliveryLedger) restoreStates(states map[string]ledgerState) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for agent, s := range states {
+		l.entry(agent).restoreState(s)
+	}
 }

@@ -6,14 +6,14 @@ import (
 	"vnettracer/internal/core"
 )
 
-// TestHeartbeatOutOfOrderKeepsMax is the regression for Heartbeat blindly
+// TestHeartbeatOutOfOrderKeepsMax is the regression for a heartbeat blindly
 // overwriting the last-seen time: with async ingest workers batches can be
 // processed out of order, and an older AgentTimeNs must not regress the
 // ledger and falsely declare a live agent dead.
 func TestHeartbeatOutOfOrderKeepsMax(t *testing.T) {
 	db := New()
-	db.Heartbeat("a", 1000)
-	db.Heartbeat("a", 400) // older batch processed late
+	db.HeartbeatEpoch("a", 0, 1000, 0)
+	db.HeartbeatEpoch("a", 0, 400, 0) // older batch processed late
 	if dead := db.DeadAgents(1100, 300); len(dead) != 0 {
 		t.Fatalf("live agent declared dead after out-of-order heartbeat: %v", dead)
 	}
@@ -22,10 +22,16 @@ func TestHeartbeatOutOfOrderKeepsMax(t *testing.T) {
 		t.Fatalf("ledger last seen = %+v, want 1000", l)
 	}
 	// A genuinely newer heartbeat still advances it.
-	db.Heartbeat("a", 2000)
+	db.HeartbeatEpoch("a", 0, 2000, 0)
 	if l, _ := db.Ledger("a"); l.LastSeenNs != 2000 {
 		t.Fatalf("last seen = %d, want 2000", l.LastSeenNs)
 	}
+}
+
+// markSeq admits an unleased, payload-free batch carrying seq and reports
+// whether the ledger found it fresh.
+func markSeq(db *DB, agent string, seq uint64) bool {
+	return db.AdmitBatch(agent, 0, seq, 0, 0, 0) == BatchFresh
 }
 
 // TestMarkBatchSeqDedupAndReorder exercises the exactly-once ledger: fresh
@@ -34,28 +40,28 @@ func TestHeartbeatOutOfOrderKeepsMax(t *testing.T) {
 func TestMarkBatchSeqDedupAndReorder(t *testing.T) {
 	db := New()
 	for _, seq := range []uint64{1, 2} {
-		if !db.MarkBatchSeq("a", seq) {
+		if !markSeq(db, "a", seq) {
 			t.Fatalf("fresh seq %d rejected", seq)
 		}
 	}
-	if db.MarkBatchSeq("a", 2) {
+	if markSeq(db, "a", 2) {
 		t.Fatal("duplicate seq 2 accepted")
 	}
-	if db.MarkBatchSeq("a", 1) {
+	if markSeq(db, "a", 1) {
 		t.Fatal("duplicate seq 1 below high-water accepted")
 	}
 	// Out of order: 5 parks pending, then 3 and 4 fill the gap.
-	if !db.MarkBatchSeq("a", 5) {
+	if !markSeq(db, "a", 5) {
 		t.Fatal("out-of-order seq 5 rejected")
 	}
 	l, _ := db.Ledger("a")
 	if l.HighWaterSeq != 2 || l.PendingBatches != 1 || l.MaxSeq != 5 || l.MissingBatches != 2 {
 		t.Fatalf("ledger after reorder = %+v", l)
 	}
-	if db.MarkBatchSeq("a", 5) {
+	if markSeq(db, "a", 5) {
 		t.Fatal("duplicate pending seq 5 accepted")
 	}
-	if !db.MarkBatchSeq("a", 3) || !db.MarkBatchSeq("a", 4) {
+	if !markSeq(db, "a", 3) || !markSeq(db, "a", 4) {
 		t.Fatal("gap-filling seqs rejected")
 	}
 	l, _ = db.Ledger("a")
@@ -66,11 +72,11 @@ func TestMarkBatchSeqDedupAndReorder(t *testing.T) {
 		t.Fatalf("dup batches = %d, want 3", l.DupBatches)
 	}
 	// Seq 0 is unsequenced: always fresh, never recorded.
-	if !db.MarkBatchSeq("a", 0) || !db.MarkBatchSeq("a", 0) {
+	if !markSeq(db, "a", 0) || !markSeq(db, "a", 0) {
 		t.Fatal("unsequenced batch rejected")
 	}
 	// Ledgers are per agent.
-	if !db.MarkBatchSeq("b", 5) {
+	if !markSeq(db, "b", 5) {
 		t.Fatal("agent b's seq 5 rejected by agent a's ledger")
 	}
 }
@@ -79,8 +85,8 @@ func TestMarkBatchSeqDedupAndReorder(t *testing.T) {
 // from its spool) stays visible as a missing batch.
 func TestLedgerCountsMissing(t *testing.T) {
 	db := New()
-	db.MarkBatchSeq("a", 1)
-	db.MarkBatchSeq("a", 4) // 2 and 3 never arrive
+	markSeq(db, "a", 1)
+	markSeq(db, "a", 4) // 2 and 3 never arrive
 	l, _ := db.Ledger("a")
 	if l.MissingBatches != 2 {
 		t.Fatalf("missing = %d, want 2", l.MissingBatches)

@@ -35,7 +35,7 @@ func TestConcurrentInsertAndQuery(t *testing.T) {
 					}
 				}
 				db.Insert(recs)
-				db.Heartbeat("agent", int64(i))
+				db.HeartbeatEpoch("agent", 0, int64(i), 0)
 				db.SetSkew(1, int64(i))
 			}
 		}(w)

@@ -1,13 +1,16 @@
-// Crash recovery and the Durability coordinator. Recover is the single
-// startup path for a durable collector — first boot and post-crash are
-// the same call: sweep orphaned temp files, reopen the spilled extents
-// the latest checkpoint covers, restore the checkpointed ledgers and
-// aggregate store, replay the WAL tail through the normal exactly-once
-// admission path (so a torn, duplicated, or reordered tail can never
-// double-ingest), and resume the log at the next LSN. The returned
-// Durability then fronts ingest: admit → WAL append → apply, under a
-// shared/exclusive barrier that lets checkpoints cut a consistent
-// snapshot without stopping the world between batches.
+// The admission front door, crash recovery and the Durability
+// coordinator. Every record batch and aggregate frame a store takes in —
+// live off the wire, replayed from the WAL, or loaded from a dump — goes
+// through Durability.admit: classify against the ledger, log if a WAL is
+// open, apply if fresh, under a shared/exclusive barrier that lets
+// checkpoints cut a consistent snapshot without stopping the world
+// between batches. Unlogged builds that door with no log behind it.
+// Recover is the single startup path for a durable collector — first boot
+// and post-crash are the same call: sweep orphaned temp files, reopen the
+// spilled extents the latest checkpoint covers, restore the checkpointed
+// ledgers and aggregate store, replay the WAL tail through the door (so a
+// torn, duplicated, or reordered tail can never double-ingest), and only
+// then open the log behind it at the next LSN.
 package tracedb
 
 import (
@@ -94,12 +97,16 @@ type DurabilityStats struct {
 	LastError string
 }
 
-// Durability fronts a DB + AggStore pair with a write-ahead log and
-// checkpointing. All methods are safe for concurrent use.
+// Durability fronts a DB + AggStore pair with the admission sequence
+// and, when Recover opened one, a write-ahead log and checkpointing. All
+// methods are safe for concurrent use.
 type Durability struct {
 	db   *DB
 	aggs *AggStore
-	dir  string
+	// dir holds the WAL generations and checkpoints; empty while no WAL
+	// is open (Unlogged, and Recover until replay is done), which makes
+	// the log step of admission a no-op.
+	dir string
 
 	// barrier orders ingest against checkpoints: admissions hold it
 	// shared, a checkpoint holds it exclusive, so the checkpoint's cut
@@ -127,8 +134,13 @@ type Durability struct {
 	flushKick chan struct{}
 	flushWG   sync.WaitGroup
 	stopOnce  sync.Once
+}
 
-	recovery RecoveryStats
+// Unlogged fronts db and aggs with the admission front door and no
+// write-ahead log: what a collector runs on until SetDurability hands it
+// a recovered one, and what offline tools load dumps through.
+func Unlogged(db *DB, aggs *AggStore) *Durability {
+	return &Durability{db: db, aggs: aggs}
 }
 
 // Recover builds the durability layer over db and aggs, restoring any
@@ -161,7 +173,7 @@ func Recover(db *DB, aggs *AggStore, cfg DurabilityConfig) (*Durability, Recover
 	if loaded {
 		stats.CheckpointLoaded = true
 		stats.CheckpointLSN = ckpt.LSN
-		db.restoreLedgerStates(ckpt.Ledgers)
+		db.restoreStates(ckpt.Ledgers)
 		aggs.restoreState(ckpt.Aggs)
 		for tpid, ts := range ckpt.Tables {
 			t := db.ensureTableNamed(tpid, ts.Name)
@@ -179,6 +191,9 @@ func Recover(db *DB, aggs *AggStore, cfg DurabilityConfig) (*Durability, Recover
 		return nil, stats, err
 	}
 
+	// Replay goes through the same front door live ingest uses; its log is
+	// not open yet, so nothing replayed is logged a second time.
+	d := Unlogged(db, aggs)
 	maxLSN := stats.CheckpointLSN
 	files, err := listWALFiles(cfg.Dir)
 	if err != nil {
@@ -194,22 +209,13 @@ func Recover(db *DB, aggs *AggStore, cfg DurabilityConfig) (*Durability, Recover
 				maxLSN = e.LSN
 			}
 			stats.ReplayedEntries++
-			switch e.Kind {
-			case walKindRecords:
-				st := db.AdmitBatch(e.Agent, e.Epoch, e.Seq, len(e.Records), e.TimeNs, e.Degraded)
-				if st == BatchFresh {
-					db.Insert(e.Records)
-					stats.ReplayedRecords += uint64(len(e.Records))
-				} else {
-					stats.ReplayedDup++
-				}
-			case walKindAggs:
-				st := aggs.Admit(e.Agent, e.Epoch, e.Seq, e.Scripts, e.TimeNs, e.Degraded)
-				if st == BatchFresh {
-					stats.ReplayedFrames++
-				} else {
-					stats.ReplayedDup++
-				}
+			switch st := d.admit(&e); {
+			case st != BatchFresh:
+				stats.ReplayedDup++
+			case e.Kind == walKindRecords:
+				stats.ReplayedRecords += uint64(len(e.Records))
+			default:
+				stats.ReplayedFrames++
 			}
 		})
 		if err != nil {
@@ -227,7 +233,7 @@ func Recover(db *DB, aggs *AggStore, cfg DurabilityConfig) (*Durability, Recover
 		}
 	}
 
-	d := &Durability{db: db, aggs: aggs, dir: cfg.Dir}
+	d.dir = cfg.Dir
 	d.wal = walWriter{
 		dir:     cfg.Dir,
 		policy:  cfg.Fsync,
@@ -242,7 +248,6 @@ func Recover(db *DB, aggs *AggStore, cfg DurabilityConfig) (*Durability, Recover
 		return nil, stats, err
 	}
 	stats.NextLSN = d.wal.nextLSN
-	d.recovery = stats
 	if cfg.Fsync == FsyncInterval {
 		// Group commit off the hot path: appends only stage frames in
 		// memory, and this flusher writes+syncs each accumulated group
@@ -441,60 +446,57 @@ func (db *DB) ensureTableNamed(tpid uint32, name string) *Table {
 	return t
 }
 
-// AdmitRecordBatch is the durable form of DB.AdmitBatch + DB.Insert: it
-// classifies the batch, and — only when fresh — appends it to the WAL
-// (fsync per policy) and then inserts the records, all under the shared
-// side of the checkpoint barrier so a concurrent checkpoint never cuts
-// between admission and application. A WAL append failure does not drop
-// the batch (the records are ingested and the error is surfaced in
-// Stats); it degrades durability, not availability.
-func (d *Durability) AdmitRecordBatch(agent string, epoch, seq uint64, recs []core.Record, nowNs int64, degraded uint8) BatchStatus {
-	return d.AdmitRecordBatchRaw(agent, epoch, seq, recs, nil, nowNs, degraded)
+// AdmitRecordBatch is the front door for a record batch: it classifies
+// the batch against the record ledger and — only when fresh — appends it
+// to the WAL (fsync per policy) and inserts the records. raw, when the
+// caller still holds the records' canonical wire encoding (the
+// transport's record section, len(recs)*core.RecordSize bytes matching
+// recs), is logged verbatim instead of re-marshalling recs, taking the
+// encode off the synchronous ingest path; it must not be mutated after
+// the call, and nil (or any other length) falls back to marshalling.
+func (d *Durability) AdmitRecordBatch(agent string, epoch, seq uint64, recs []core.Record, raw []byte, nowNs int64, degraded uint8) BatchStatus {
+	return d.admit(&walEntry{
+		Kind: walKindRecords, Agent: agent, Epoch: epoch, Seq: seq,
+		TimeNs: nowNs, Degraded: degraded, Records: recs, RawRecords: raw,
+	})
 }
 
-// AdmitRecordBatchRaw is AdmitRecordBatch for callers that still hold the
-// records' canonical wire encoding (the transport's record section): the
-// WAL logs raw verbatim instead of re-marshalling recs, taking the encode
-// off the synchronous ingest path. raw must be len(recs)*core.RecordSize
-// bytes of core.Record wire form matching recs — anything else falls back
-// to marshalling — and must not be mutated after the call.
-func (d *Durability) AdmitRecordBatchRaw(agent string, epoch, seq uint64, recs []core.Record, raw []byte, nowNs int64, degraded uint8) BatchStatus {
-	d.barrier.RLock()
-	defer d.barrier.RUnlock()
-	st := d.db.AdmitBatch(agent, epoch, seq, len(recs), nowNs, degraded)
-	if st != BatchFresh {
-		return st
-	}
-	// An unsequenced empty batch is a bare heartbeat: nothing to replay.
-	if seq != 0 || len(recs) > 0 {
-		d.append(&walEntry{
-			Kind: walKindRecords, Agent: agent, Epoch: epoch, Seq: seq,
-			TimeNs: nowNs, Degraded: degraded, Records: recs, RawRecords: raw,
-		})
-	}
-	d.db.Insert(recs)
-	return st
-}
-
-// AdmitAggFrame is the durable form of AggStore.Admit: fresh frames are
-// WAL-logged before they merge.
+// AdmitAggFrame is the front door for an aggregate frame: fresh frames
+// merge into the aggregate store and are WAL-logged.
 func (d *Durability) AdmitAggFrame(agent string, epoch, seq uint64, scripts []ScriptAgg, nowNs int64, degraded uint8) BatchStatus {
+	return d.admit(&walEntry{
+		Kind: walKindAggs, Agent: agent, Epoch: epoch, Seq: seq,
+		TimeNs: nowNs, Degraded: degraded, Scripts: scripts,
+	})
+}
+
+// admit is the one admission sequence — classify, log, apply — all under
+// the shared side of the checkpoint barrier so a concurrent checkpoint
+// never cuts between admission and application. A WAL append failure
+// does not drop the delivery (it is applied and the error is surfaced in
+// Stats); it degrades durability, not availability. Admit-before-log is
+// safe because losing the unlogged append also loses the ack: the
+// unacknowledged delivery re-ships. An aggregate frame's classification
+// and merge are one atomic step under the store's mutex, so its log
+// append follows the merge; a record batch is logged before it inserts.
+func (d *Durability) admit(e *walEntry) BatchStatus {
 	d.barrier.RLock()
 	defer d.barrier.RUnlock()
-	// Admit merges the fresh frame immediately (classification and merge
-	// are atomic under the store's mutex); the WAL append follows. The
-	// ordering is safe for the same reason admit-before-log is on the
-	// record path: losing the unlogged append also loses the merge, and
-	// the unacknowledged frame re-ships.
-	st := d.aggs.Admit(agent, epoch, seq, scripts, nowNs, degraded)
+	var st BatchStatus
+	if e.Kind == walKindAggs {
+		st = d.aggs.Admit(e.Agent, e.Epoch, e.Seq, e.Scripts, e.TimeNs, e.Degraded)
+	} else {
+		st = d.db.AdmitBatch(e.Agent, e.Epoch, e.Seq, len(e.Records), e.TimeNs, e.Degraded)
+	}
 	if st != BatchFresh {
 		return st
 	}
-	if seq != 0 || len(scripts) > 0 {
-		d.append(&walEntry{
-			Kind: walKindAggs, Agent: agent, Epoch: epoch, Seq: seq,
-			TimeNs: nowNs, Degraded: degraded, Scripts: scripts,
-		})
+	// An unsequenced empty delivery is a bare heartbeat: nothing to replay.
+	if d.dir != "" && (e.Seq != 0 || len(e.Records)+len(e.Scripts) > 0) {
+		d.append(e)
+	}
+	if e.Kind == walKindRecords {
+		d.db.Insert(e.Records)
 	}
 	return st
 }
@@ -546,6 +548,9 @@ func (d *Durability) Checkpoint() error {
 }
 
 func (d *Durability) checkpointLocked() error {
+	if d.dir == "" {
+		return fmt.Errorf("tracedb: checkpoint: no write-ahead log is open")
+	}
 	spillBefore := d.db.StorageTotals().SpillErrors
 	d.db.SealAll()
 	if after := d.db.StorageTotals().SpillErrors; after > spillBefore {
@@ -558,7 +563,7 @@ func (d *Durability) checkpointLocked() error {
 
 	payload := &checkpointPayload{
 		LSN:     lastLSN,
-		Ledgers: d.db.exportLedgerStates(),
+		Ledgers: d.db.exportStates(),
 		Tables:  d.db.exportTableStates(),
 		Aggs:    d.aggs.exportState(),
 	}
@@ -593,32 +598,13 @@ func (d *Durability) checkpointLocked() error {
 // pruneCheckpoints deletes all but the newest checkpointsKept checkpoint
 // files.
 func (d *Durability) pruneCheckpoints() {
-	ents, err := os.ReadDir(d.dir)
+	names, err := listCheckpoints(d.dir)
 	if err != nil {
 		return
 	}
-	type cand struct {
-		name string
-		lsn  uint64
+	for _, name := range names[min(len(names), checkpointsKept):] {
+		os.Remove(filepath.Join(d.dir, name))
 	}
-	var cands []cand
-	for _, ent := range ents {
-		if lsn, ok := parseCheckpointFileName(ent.Name()); ok && !ent.IsDir() {
-			cands = append(cands, cand{ent.Name(), lsn})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].lsn > cands[j].lsn })
-	for _, c := range cands[min(len(cands), checkpointsKept):] {
-		os.Remove(filepath.Join(d.dir, c.name))
-	}
-}
-
-// Sync forces any unsynced WAL frames to stable storage regardless of
-// policy.
-func (d *Durability) Sync() error {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	return d.wal.sync()
 }
 
 // Close stops the group-commit flusher, then syncs and closes the WAL.
@@ -634,9 +620,6 @@ func (d *Durability) Close() error {
 	defer d.wmu.Unlock()
 	return d.wal.close()
 }
-
-// Recovery returns what the Recover call that built this layer rebuilt.
-func (d *Durability) Recovery() RecoveryStats { return d.recovery }
 
 // Stats snapshots the durability counters.
 func (d *Durability) Stats() DurabilityStats {

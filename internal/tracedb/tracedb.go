@@ -68,8 +68,9 @@ type DB struct {
 	mu     sync.RWMutex
 	tables map[uint32]*Table
 
-	hbMu   sync.Mutex
-	ledger map[string]*agentLedger
+	// The record-batch ledger, doubling as the agent-heartbeat monitor;
+	// it has its own lock.
+	deliveryLedger
 }
 
 // New returns an empty in-memory database with default segment sizing and
@@ -85,11 +86,7 @@ func NewWith(cfg Config) *DB {
 	if cfg.DataDir != "" {
 		sweepTmpFiles(cfg.DataDir)
 	}
-	return &DB{
-		cfg:    cfg,
-		tables: make(map[uint32]*Table),
-		ledger: make(map[string]*agentLedger),
-	}
+	return &DB{cfg: cfg, tables: make(map[uint32]*Table)}
 }
 
 // Config returns the store's effective configuration.

@@ -1,0 +1,90 @@
+#!/usr/bin/env bash
+# Regression gate over the pipeline benchmark (BENCHMARK.json): runs
+# alternating parent/change pairs of bench/run.sh per workload, prints the
+# median [q1..q3] of every end-to-end metric on both sides, and exits
+# non-zero when a change median is worse than the parent's by more than
+# that metric's bound, when more operations fail than at the parent, or
+# when a run is incorrect.
+#
+#   scripts/bench-gate.sh <parent-ref> [pairs]
+#
+# The parent is checked out as a git worktree under .bench_build/ and
+# removed on exit; every run's result line is kept in .bench_build/gate/
+# as <workload>.<side>.<seed>.json, stderr in .bench_build/gate/log. Pair
+# i runs both sides on seed i, the parent first when i is odd. Nothing
+# else should be running: the benchmark uses every CPU.
+set -euo pipefail
+
+parent_ref=${1:?usage: bench-gate.sh <parent-ref> [pairs]}
+pairs=${2:-10}
+
+root=$(git rev-parse --show-toplevel)
+cd "$root"
+gate="$root/.bench_build/gate"
+parent="$root/.bench_build/gate-parent"
+rm -rf "$gate"
+mkdir -p "$gate"
+git worktree remove --force "$parent" 2>/dev/null || true
+git worktree add --detach "$parent" "$parent_ref" >/dev/null
+trap 'git worktree remove --force "$parent"' EXIT
+
+seconds=$(jq -r .run_seconds BENCHMARK.json)
+
+# run <side> <checkout> <workload> <seed>
+run() {
+	echo "== $3 seed $4: $1" >&2
+	(cd "$2" && bash bench/run.sh --workload "$3" --seed "$4" --seconds "$seconds" --trace 0) \
+		2>>"$gate/log" | tail -n 1 >"$gate/$3.$1.$4.json"
+}
+
+for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
+	for i in $(seq 1 "$pairs"); do
+		if ((i % 2)); then
+			run parent "$parent" "$w" "$i"
+			run change "$root" "$w" "$i"
+		else
+			run change "$root" "$w" "$i"
+			run parent "$parent" "$w" "$i"
+		fi
+	done
+done
+
+for f in "$gate"/*.*.*.json; do
+	jq -c --arg file "$(basename "$f")" '{file: $file, run: .}' "$f"
+done | jq -s --slurpfile spec BENCHMARK.json '
+	def pct(p): sort as $s | (($s | length) - 1) * p
+		| $s[floor] + ($s[ceil] - $s[floor]) * (. - floor);
+	def stats: {med: pct(0.5), q1: pct(0.25), q3: pct(0.75)};
+	$spec[0] as $b
+	| [.[] | (.file | split(".")) as $p | {w: $p[0], side: $p[1], run: .run}] as $runs
+	| def failed(s): [$runs[] | select(.side == s) | .run.failed] | add;
+	def values_of(s; $w; $m): [$runs[] | select(.w == $w and .side == s) | .run.metrics[$m].value | values];
+	{
+		failed: {parent: failed("parent"), change: failed("change")},
+		incorrect: [$runs[] | select(.run.correct != true) | "\(.w) \(.side)"],
+		rows: [
+			$b.workloads[].name as $w | $b.end_to_end[] as $m
+			| values_of("parent"; $w; $m.name) as $pv | values_of("change"; $w; $m.name) as $cv
+			| select(($pv | length) > 0 and ($cv | length) > 0)
+			| ($pv | stats) as $ps | ($cv | stats) as $cs
+			| (if $m.better == "lower" then $cs.med - $ps.med else $ps.med - $cs.med end) as $worse
+			| (if $ps.med != 0 then $worse / ($ps.med | fabs) elif $worse > 0 then infinite else 0 end) as $rel
+			| {w: $w, m: $m.name, unit: $m.unit, p: $ps, c: $cs, rel: $rel, bound: $m.bound, regressed: ($rel > $m.bound)}
+		]
+	}' >"$gate/report.json"
+
+jq -r '
+	def r: if . == 0 then "0" else pow(10; 4 - (fabs | log10 | floor)) as $k | (. * $k | round) / $k | tostring end;
+	.rows[] | [.w, .m, "\(.p.med | r) [\(.p.q1 | r)..\(.p.q3 | r)]", "\(.c.med | r) [\(.c.q1 | r)..\(.c.q3 | r)]",
+		.unit, "\((.rel * 1000 | round) / 10)% worse (bound \(.bound * 100)%)", (if .regressed then "REGRESSED" else "ok" end)]
+	| @tsv' "$gate/report.json" |
+	awk -F'\t' 'BEGIN { printf "%-16s %-21s %-40s %-40s %-6s %s\n", "workload", "metric", "parent median [q1..q3]", "change median [q1..q3]", "unit", "verdict" }
+		{ printf "%-16s %-21s %-40s %-40s %-6s %s  %s\n", $1, $2, $3, $4, $5, $6, $7 }'
+jq -r '"failed operations: parent \(.failed.parent), change \(.failed.change); incorrect runs: \(.incorrect | length) \(.incorrect | join(", "))"' "$gate/report.json"
+
+jq -e '(.rows | map(select(.regressed)) | length) == 0 and .failed.change <= .failed.parent and (.incorrect | length) == 0' \
+	"$gate/report.json" >/dev/null || {
+	echo "bench-gate: FAIL" >&2
+	exit 1
+}
+echo "bench-gate: ok"
