@@ -5,10 +5,10 @@ import (
 	"sort"
 )
 
-// errLower aborts lowering, which fails Load. For a
-// verified program this never fires — every case it guards is already
-// rejected by checkStructure — but lowering is also exercised directly by
-// tests on hand-built programs, so it stays defensive.
+// errLower aborts lowering, which fails Load. For a verified program this
+// never fires — every case it guards is already rejected by
+// checkStructure — but lowering is also exercised directly by tests on
+// hand-built programs, so it stays defensive.
 var errLower = fmt.Errorf("ebpf: program not lowerable")
 
 // lowerProgram translates bytecode into the basic-block IR, resolving

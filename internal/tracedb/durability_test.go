@@ -92,8 +92,8 @@ func TestDurabilityRecoverRoundTrip(t *testing.T) {
 		// re-marshalled encodings both replay below.
 		recs := batchRecs(1, seq, 3)
 		var raw []byte
-		for i := range recs {
-			if seq%2 == 0 {
+		if seq%2 == 0 {
+			for i := range recs {
 				raw = recs[i].Marshal(raw)
 			}
 		}
