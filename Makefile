@@ -81,11 +81,12 @@ bench-build:
 check: tier1 vet staticcheck race faults crash fuzz cover bench-build
 
 # Opt-in regression gate (not part of check: a 10-pair set takes ~35 min
-# and needs an otherwise idle machine). Builds PARENT in a git worktree
-# under .bench_build/, alternates parent/change runs of the pipeline
-# benchmark per workload, prints median [q1..q3] per end-to-end metric and
-# fails when a change median is worse than the parent's by more than the
-# metric's bound in BENCHMARK.json, or more operations fail.
+# and needs an otherwise idle machine). Exports PARENT under
+# .bench_build/, alternates parent/change runs of the pipeline benchmark
+# per workload, prints median [q1..q3] and pairs won per end-to-end metric
+# and fails when a change median is worse than the parent's by more than
+# the metric's bound in BENCHMARK.json, or more operations fail. Run again
+# after an interruption, it keeps the runs already made.
 PAIRS ?= 10
 .PHONY: bench-gate
 bench-gate:

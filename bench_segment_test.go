@@ -2,12 +2,13 @@ package vnettracer
 
 // Benchmarks for the segment store: compressed bytes per record and
 // resident bytes per record against the 48-byte flat-slice baseline, seal
-// throughput, and head-append and lookup cost. Scan and sealed-lookup
-// throughput are the pipeline benchmark's tracedb.scan_ns_per_rec and
-// tracedb.lookup_sealed_us (bench/).
+// throughput, head-append, lookup and adoption cost. Scan throughput is
+// the pipeline benchmark's tracedb.scan_ns_per_rec (bench/).
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"vnettracer/internal/core"
@@ -41,22 +42,46 @@ func segmentBenchRecords(n int) []core.Record {
 	return recs
 }
 
-// BenchmarkSegmentSeal measures sealing (compression) throughput and the
-// compressed size per record.
+// BenchmarkSegmentSeal measures the seal a table performs — Bloom filter,
+// column-block encode through the table's reused scratch, exact-size blob
+// — on one default-sized segment per iteration: ns/record, compressed
+// bytes per record, and allocs/op (Go reports them per iteration, i.e. per
+// sealed extent, the head array included). "random-ids" draws trace IDs
+// the way the tracer does; "sequential-ids" is the stream the other
+// benchmarks here use.
 func BenchmarkSegmentSeal(b *testing.B) {
-	const n = 4096
-	recs := segmentBenchRecords(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var stored int
-	for i := 0; i < b.N; i++ {
-		ext := tracedb.SealRecords(1, recs)
-		stored = ext.StoredBytes()
+	n := tracedb.DefaultSegmentBytes/core.RecordSize + 1 // one run that tips the segment
+	for _, random := range []bool{true, false} {
+		name := "sequential-ids"
+		recs := segmentBenchRecords(n)
+		if random {
+			name = "random-ids"
+			rng := rand.New(rand.NewSource(11))
+			for i := range recs {
+				recs[i].TraceID = rng.Uint32()
+			}
+		}
+		b.Run(name, func(b *testing.B) {
+			// Retention keeps a handful of extents, so the heap the
+			// collector walks does not grow with b.N.
+			db := tracedb.NewWith(tracedb.Config{RetainBytes: 1 << 20})
+			db.Insert(recs) // warm the table's seal scratch
+			b.ReportAllocs()
+			b.SetBytes(int64(n * core.RecordSize))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				db.Insert(recs)
+			}
+			b.StopTimer()
+			st := db.StorageTotals()
+			if sealed := st.Extents + int(st.EvictedExtents); sealed != b.N+1 || st.HeadRecords != 0 {
+				b.Fatalf("%d extents and %d head records after %d sealing inserts", sealed, st.HeadRecords, b.N+1)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/record")
+			b.ReportMetric(float64(st.StoredBytes())/float64(st.SealedRecords), "B/record")
+			b.ReportMetric(st.CompressionRatio(), "compression-x")
+		})
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(stored)/float64(n), "compressed-bytes/record")
-	b.ReportMetric(float64(core.RecordSize)*float64(n)/float64(stored), "compression-x")
-	b.SetBytes(int64(n * core.RecordSize))
 }
 
 // BenchmarkTableAppend measures DB.Insert, the store's write path, per
@@ -94,35 +119,131 @@ func BenchmarkTableAppend(b *testing.B) {
 	})
 }
 
-// BenchmarkTableLookup prices the two halves of a trace-ID lookup on one
-// default-sized segment of records: "head" scans them as an unsealed,
-// index-free head (worst case: the head is one record short of sealing
-// and the ID is absent, so every record is compared), "extent" decodes
-// them as the one sealed extent whose Bloom filter admits the ID. The
-// head carries no index because the first costs less than the second.
+// BenchmarkTableLookup prices a trace-ID lookup on one default-sized
+// segment of records: "head" scans them as an unsealed, index-free head
+// (worst case: the head is one record short of sealing and the ID is
+// absent, so every record is compared); "extent" probes them as the one
+// sealed, resident extent whose Bloom filter admits the ID (verify the
+// tail, scan the ID section, decode one block); "extent-spilled-hit" is
+// the same probe against the spilled file (open, one tail read, one block
+// read); "extent-spilled-false-positive" is an ID the filter admits but
+// the extent lacks (the tail read and no block). The head carries no
+// index because the first costs less than the others.
 func BenchmarkTableLookup(b *testing.B) {
 	n := tracedb.DefaultSegmentBytes / core.RecordSize // the next record would seal
 	recs := segmentBenchRecords(n)
-	lookup := func(b *testing.B, sealed bool, id uint32, want int) {
-		db := tracedb.New()
+	hit, absent := uint32(n/2), uint32(n+1)
+	lookup := func(b *testing.B, sealed, spilled bool, id func(*tracedb.Table, string) uint32, want int) {
+		dir := ""
+		if spilled {
+			dir = b.TempDir()
+		}
+		db := tracedb.NewWith(tracedb.Config{DataDir: dir})
 		db.Insert(recs)
 		if sealed {
 			db.SealAll()
 		}
 		tbl, _ := db.Table(1)
-		if st := tbl.Storage(); (st.Extents == 1) != sealed || st.Records() != uint64(n) {
-			b.Fatalf("fixture: %d extents, %d records", st.Extents, st.Records())
+		if st := tbl.Storage(); (st.Extents == 1) != sealed || (st.SpilledExtents == 1) != spilled || st.Records() != uint64(n) {
+			b.Fatalf("fixture: %d extents, %d spilled, %d records", st.Extents, st.SpilledExtents, st.Records())
 		}
+		q := id(tbl, dir)
+		errsBefore := tbl.Storage().ReadErrors
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if got := tbl.ByTraceID(id); len(got) != want {
-				b.Fatalf("ByTraceID(%d) = %d records, want %d", id, len(got), want)
+			if got := tbl.ByTraceID(q); len(got) != want {
+				b.Fatalf("ByTraceID(%d) = %d records, want %d", q, len(got), want)
 			}
 		}
+		b.StopTimer()
+		if errs := tbl.Storage().ReadErrors - errsBefore; errs != 0 {
+			b.Fatalf("%d read errors during the timed lookups", errs)
+		}
 	}
-	b.Run("head", func(b *testing.B) { lookup(b, false, uint32(n+1), 0) })
-	b.Run("extent", func(b *testing.B) { lookup(b, true, uint32(n/2), 1) })
+	fixed := func(id uint32) func(*tracedb.Table, string) uint32 {
+		return func(*tracedb.Table, string) uint32 { return id }
+	}
+	b.Run("head", func(b *testing.B) { lookup(b, false, false, fixed(absent), 0) })
+	b.Run("extent", func(b *testing.B) { lookup(b, true, false, fixed(hit), 1) })
+	b.Run("extent-spilled-hit", func(b *testing.B) { lookup(b, true, true, fixed(hit), 1) })
+	b.Run("extent-spilled-false-positive", func(b *testing.B) {
+		lookup(b, true, true, func(tbl *tracedb.Table, dir string) uint32 { return bloomFalsePositive(b, tbl, dir, absent) }, 0)
+	})
+}
+
+// bloomFalsePositive returns an ID, from first upwards, that tbl holds no
+// record of but its one spilled extent's Bloom filter admits. The filter
+// is not exported, so the extent's file is moved aside while probing: a
+// lookup the filter rejects never touches the file, one it admits fails
+// to open it and is counted as a read error. The table is left as it was,
+// with its read-error count raised by one.
+func bloomFalsePositive(b *testing.B, tbl *tracedb.Table, dir string, first uint32) uint32 {
+	files, err := filepath.Glob(filepath.Join(dir, "*.vnx"))
+	if err != nil || len(files) != 1 {
+		b.Fatalf("extent files in %s: %v, %v", dir, files, err)
+	}
+	aside := files[0] + ".aside"
+	if err := os.Rename(files[0], aside); err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		if err := os.Rename(aside, files[0]); err != nil {
+			b.Fatal(err)
+		}
+	}()
+	before := tbl.Storage().ReadErrors
+	for id := first; id < first+1<<20; id++ {
+		tbl.ByTraceID(id)
+		if tbl.Storage().ReadErrors != before {
+			return id
+		}
+	}
+	b.Fatal("no Bloom false positive in 2^20 absent IDs")
+	return 0
+}
+
+// BenchmarkExtentAdopt measures recovery's adoption of spilled extents —
+// one tail read per extent, Bloom filter rebuilt from its ID section —
+// as ns/record through tracedb.Recover on a directory whose every record
+// sits in a checkpointed extent (nothing to replay).
+func BenchmarkExtentAdopt(b *testing.B) {
+	const extents = 64
+	perExtent := tracedb.DefaultSegmentBytes/core.RecordSize + 1
+	recs := segmentBenchRecords(perExtent)
+	dir := b.TempDir()
+	open := func() (*tracedb.Durability, tracedb.RecoveryStats) {
+		db := tracedb.NewWith(tracedb.Config{DataDir: filepath.Join(dir, "data")})
+		dur, st, err := tracedb.Recover(db, tracedb.NewAggStore(), tracedb.DurabilityConfig{Dir: filepath.Join(dir, "wal")})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return dur, st
+	}
+	dur, _ := open()
+	for i := 0; i < extents; i++ {
+		dur.AdmitRecordBatch("bench", 0, uint64(i+1), recs, nil, 0, 0)
+	}
+	if err := dur.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	if err := dur.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dur, st := open()
+		if st.AdoptedExtents != extents || st.AdoptedRecords != uint64(extents*perExtent) || st.ReplayedRecords != 0 {
+			b.Fatalf("recovery: %+v", st)
+		}
+		b.StopTimer()
+		if err := dur.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(extents*perExtent), "ns/record")
 }
 
 // BenchmarkSegmentResidency pins the acceptance criterion: resident bytes

@@ -33,16 +33,18 @@ func fuzzRecords() []core.Record {
 // FuzzSegmentDecode feeds the extent codec arbitrary bytes plus
 // mutations of valid blobs. The decoder must either return an error or a
 // well-formed record slice — never panic, and never allocate beyond what
-// the input length can justify (the header's count field is
-// attacker-controlled). Whatever decodes must survive an
-// encode→decode→re-encode round trip with identical record values.
-// (Byte-identity is not required: Go's uvarint reader accepts non-minimal
-// encodings that re-encode shorter.)
+// the input length can justify (the trailer's counts are
+// attacker-controlled). Nothing but a current-version blob may decode.
+// Whatever decodes must survive an encode→decode→re-encode round trip
+// with identical record values (byte-identity is not required: Go's
+// uvarint reader accepts non-minimal encodings that re-encode shorter),
+// and every distinct trace ID's point lookup must return exactly what a
+// filter over the full decode returns, in order.
 func FuzzSegmentDecode(f *testing.F) {
 	recs := fuzzRecords()
-	valid := appendExtentBlob(nil, 2, recs)
-	empty := appendExtentBlob(nil, 9, nil)
-	single := appendExtentBlob(nil, 1, recs[:1])
+	valid := encodeExtent(2, recs)
+	empty := encodeExtent(9, nil)
+	single := encodeExtent(1, recs[:1])
 	f.Add([]byte{})
 	f.Add(extentMagic[:])
 	f.Add(valid)
@@ -52,16 +54,29 @@ func FuzzSegmentDecode(f *testing.F) {
 	bad := append([]byte(nil), valid...)
 	bad[4] ^= 0xff // version
 	f.Add(bad)
+	// Three blocks with every way the tail and directory can be wrong.
+	blocks := encodeExtent(3, typicalRecords(2*blockRecords+50))
+	f.Add(blocks)
+	for _, forged := range forgedExtents(f, blocks) {
+		f.Add(forged.blob)
+	}
+	// A version 1 blob of one all-zero record: header, count, tpid, five
+	// raw fields, a flow ref introducing the zero tuple inline.
+	f.Add(append([]byte("vntx\x01\x01\x02"), make([]byte, 12)...))
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		tpid, got, err := decodeExtentBytes(blob)
 		if err != nil {
 			return
 		}
+		if blob[4] != extentVersion {
+			t.Fatalf("a version %d blob decoded", blob[4])
+		}
+		checkLookupsMatchDecode(t, blob, got)
 		// A successful decode must be exactly re-encodable: seal the
 		// decoded records again and decode once more — the record values
 		// must match field for field.
-		blob2 := appendExtentBlob(nil, tpid, got)
+		blob2 := encodeExtent(tpid, got)
 		tpid2, got2, err := decodeExtentBytes(blob2)
 		if err != nil {
 			t.Fatalf("re-encode of a valid extent failed to decode: %v", err)

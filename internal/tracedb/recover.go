@@ -14,9 +14,7 @@
 package tracedb
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -53,8 +51,8 @@ type RecoveryStats struct {
 	// AdoptedExtents/AdoptedRecords count spilled extents reopened under
 	// the checkpoint's seal fence. DroppedExtents counts post-checkpoint
 	// extent files removed (their records replay from the WAL instead);
-	// CorruptExtents counts pre-checkpoint extents that failed to decode
-	// and were skipped.
+	// CorruptExtents counts pre-checkpoint extents whose tail failed to
+	// verify — damaged, or written in a retired format — and were skipped.
 	AdoptedExtents int
 	AdoptedRecords uint64
 	DroppedExtents int
@@ -323,8 +321,8 @@ func (d *Durability) flushLoop(every time.Duration, spare []byte) {
 
 // reopenExtents rescans the DB's data directory: extent files under the
 // checkpoint's seal fence are adopted back into their tables (metadata
-// rebuilt by one streaming decode; the blob stays on disk), files at or
-// past the fence are removed — their records were logged after the
+// rebuilt from each file's tail; the blocks stay on disk, unread), files
+// at or past the fence are removed — their records were logged after the
 // checkpoint cut and will be re-inserted by WAL replay, which re-seals
 // and re-spills them under the same names.
 func reopenExtents(db *DB, sealFence map[uint32]int, stats *RecoveryStats) error {
@@ -377,52 +375,6 @@ func reopenExtents(db *DB, sealFence map[uint32]int, stats *RecoveryStats) error
 		t.mu.Unlock()
 	}
 	return nil
-}
-
-// reopenExtent rebuilds one spilled extent's resident metadata (count,
-// time range, bloom filter) with a single streaming decode; the
-// compressed blob stays on disk.
-func reopenExtent(path string, tpid uint32, seq int) (*Extent, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	d, err := newExtentDecoder(bufio.NewReaderSize(f, 32*1024))
-	if err != nil {
-		return nil, err
-	}
-	if d.tpid != tpid {
-		return nil, fmt.Errorf("tracedb: extent %s: tpid %d in blob, %d in name",
-			filepath.Base(path), d.tpid, tpid)
-	}
-	e := &Extent{seq: seq, path: path, filter: newBloom(int(d.count))}
-	for {
-		r, err := d.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if e.count == 0 {
-			e.minTimeNs, e.maxTimeNs = r.TimeNs, r.TimeNs
-		}
-		if r.TimeNs < e.minTimeNs {
-			e.minTimeNs = r.TimeNs
-		}
-		if r.TimeNs > e.maxTimeNs {
-			e.maxTimeNs = r.TimeNs
-		}
-		e.filter.add(r.TraceID)
-		e.count++
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	e.storedBytes = int(fi.Size())
-	return e, nil
 }
 
 // ensureTableNamed returns the table for tpid, creating it (with the

@@ -264,8 +264,8 @@ func TestSealAllAndCompressionRatio(t *testing.T) {
 }
 
 // TestSpilledExtentSurvivesReopen: a spilled file is self-describing and
-// readable via the streaming path (crash-safety property: the rename only
-// lands complete extents).
+// decodes on its own (crash-safety property: the rename only lands
+// complete extents).
 func TestSpilledExtentSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	db := NewWith(Config{SegmentBytes: 4 * core.RecordSize, DataDir: dir})

@@ -1,6 +1,7 @@
 package tracedb
 
 import (
+	"bytes"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -32,9 +33,11 @@ type Table struct {
 
 	// head is the mutable segment: raw records in insertion order, in an
 	// array allocated once per segment. It carries no index; trace-ID
-	// lookups scan it, which its size bound keeps cheaper than decoding
+	// lookups scan it, which its size bound keeps cheaper than probing
 	// one sealed extent.
 	head []core.Record
+	// enc is the seal path's scratch, reused from one seal to the next.
+	enc extentEncoder
 
 	// sealed lists immutable extents oldest-first. sealedRecords and
 	// sealedBytes are running totals so Len and retention are O(1).
@@ -91,17 +94,20 @@ func (t *Table) sealLocked() {
 	if len(t.head) == 0 {
 		return
 	}
-	ext := sealExtent(t.TPID, t.sealSeq, t.head)
+	ext, blob := sealExtent(&t.enc, t.TPID, t.sealSeq, t.head)
 	t.sealSeq++
 	if dir := t.db.cfg.DataDir; dir != "" {
 		// Spill is best-effort: a failed write (disk full, bad dir) keeps
 		// the blob resident rather than losing the records — but the
 		// failure is counted, because a resident-only extent is invisible
 		// to crash recovery and an operator needs to see disk trouble.
-		if err := ext.spill(dir, t.TPID); err != nil {
+		if err := ext.spill(dir, t.TPID, blob); err != nil {
 			t.spillErrors++
 			t.lastSpillErr = err
 		}
+	}
+	if !ext.Spilled() {
+		ext.blob = bytes.Clone(blob)
 	}
 	t.sealed = append(t.sealed, ext)
 	t.sealedRecords += ext.count
@@ -191,28 +197,28 @@ func alignNs(timeNs uint64, skewNs int64) uint64 {
 
 // scanSegments drives fn over sealed extents then the head, in insertion
 // order, aligning timestamps when align is set. It returns early when fn
-// returns false. Extents that fail to read (evicted mid-query) are
-// skipped and counted.
+// returns false. An extent that fails to read or verify (evicted
+// mid-query, damaged on disk) delivers no record and is counted.
 func (t *Table) scanSegments(align bool, fn func(core.Record) bool) {
 	exts, head, skew := t.snapshot()
-	stopped := false
-	visit := func(r core.Record) bool {
-		if align {
+	visit := fn
+	if align {
+		visit = func(r core.Record) bool {
 			r.TimeNs = alignNs(r.TimeNs, skew)
+			return fn(r)
 		}
-		if !fn(r) {
-			stopped = true
-			return false
-		}
-		return true
 	}
-	for _, e := range exts {
-		if err := e.scan(visit); err != nil {
-			t.readErrors.Add(1)
-			continue
-		}
-		if stopped {
-			return
+	if len(exts) > 0 {
+		rd := readers.Get().(*extentReader)
+		defer readers.Put(rd)
+		for _, e := range exts {
+			stopped, err := e.scan(rd, visit)
+			if err != nil {
+				t.readErrors.Add(1)
+			}
+			if stopped {
+				return
+			}
 		}
 	}
 	for i := range head {
@@ -234,25 +240,13 @@ func (t *Table) Scan(fn func(core.Record) bool) { t.scanSegments(false, fn) }
 // so a skew learned after records sealed still aligns them.
 func (t *Table) ScanAligned(fn func(core.Record) bool) { t.scanSegments(true, fn) }
 
-// ByTraceID returns all records for one packet ID in insertion order.
-// Sealed extents are decoded only when their Bloom filter admits the ID;
-// the head snapshot is scanned linearly, outside the lock.
+// ByTraceID returns all records for one packet ID in insertion order. A
+// sealed extent is probed only when its Bloom filter admits the ID, and
+// then only its tail and the blocks holding a match are read; the head
+// snapshot is scanned linearly, outside the lock.
 func (t *Table) ByTraceID(id uint32) []core.Record {
 	exts, head, _ := t.snapshot()
-	var out []core.Record
-	for _, e := range exts {
-		if !e.mayContain(id) {
-			continue
-		}
-		if err := e.scan(func(r core.Record) bool {
-			if r.TraceID == id {
-				out = append(out, r)
-			}
-			return true
-		}); err != nil {
-			t.readErrors.Add(1)
-		}
-	}
+	out := t.lookupSealed(exts, id, false)
 	for i := range head {
 		if head[i].TraceID == id {
 			out = append(out, head[i])
@@ -265,35 +259,44 @@ func (t *Table) ByTraceID(id uint32) []core.Record {
 // order, with timestamp alignment applied.
 func (t *Table) FirstByTraceID(id uint32) (core.Record, bool) {
 	exts, head, skew := t.snapshot()
+	found := t.lookupSealed(exts, id, true)
+	for i := 0; i < len(head) && len(found) == 0; i++ {
+		if head[i].TraceID == id {
+			found = head[i : i+1]
+		}
+	}
+	if len(found) == 0 {
+		return core.Record{}, false
+	}
+	first := found[0]
+	first.TimeNs = alignNs(first.TimeNs, skew)
+	return first, true
+}
+
+// lookupSealed collects id's records from the extents whose Bloom filter
+// admits it, oldest first, stopping at the first record when firstOnly.
+// An extent that fails to read or verify contributes nothing and is
+// counted.
+func (t *Table) lookupSealed(exts []*Extent, id uint32, firstOnly bool) []core.Record {
+	var out []core.Record
+	var rd *extentReader
 	for _, e := range exts {
 		if !e.mayContain(id) {
 			continue
 		}
-		var found core.Record
-		ok := false
-		if err := e.scan(func(r core.Record) bool {
-			if r.TraceID == id {
-				found, ok = r, true
-				return false
-			}
-			return true
-		}); err != nil {
+		if rd == nil {
+			rd = readers.Get().(*extentReader)
+			defer readers.Put(rd)
+		}
+		var err error
+		if out, err = e.lookup(rd, id, firstOnly, out); err != nil {
 			t.readErrors.Add(1)
-			continue
 		}
-		if ok {
-			found.TimeNs = alignNs(found.TimeNs, skew)
-			return found, true
+		if firstOnly && len(out) > 0 {
+			break
 		}
 	}
-	for i := range head {
-		if head[i].TraceID == id {
-			found := head[i]
-			found.TimeNs = alignNs(found.TimeNs, skew)
-			return found, true
-		}
-	}
-	return core.Record{}, false
+	return out
 }
 
 // traceIDSet scans all live segments and returns the distinct packet IDs.

@@ -5,8 +5,9 @@
 // Storage is an append-only, time-partitioned segment store. Each table
 // keeps a mutable in-memory head segment of raw records; when the head
 // crosses the configured segment size it is sealed into an immutable,
-// compressed Extent (delta-of-delta timestamps, zigzag-varint field
-// deltas, a per-extent flow dictionary — see codec.go), optionally
+// compressed Extent (256-record column blocks of delta-of-delta
+// timestamps and zigzag-varint field deltas, a fixed-width trace-ID
+// section, a per-extent flow dictionary — see codec.go), optionally
 // spilled to a data directory, and eventually evicted whole by the
 // retention policy. Queries stream sealed extents then the head in
 // insertion order; clock-skew alignment is applied per segment at read

@@ -42,6 +42,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -263,7 +264,30 @@ func decodeWALPayload(b []byte) (walEntry, error) {
 	return e, nil
 }
 
+// byteCursor is a minimal io.ByteReader over a slice, for
+// binary.ReadUvarint.
+type byteCursor struct {
+	b   []byte
+	off int
+}
+
+func (c *byteCursor) ReadByte() (byte, error) {
+	if c.off >= len(c.b) {
+		return 0, io.EOF
+	}
+	v := c.b[c.off]
+	c.off++
+	return v, nil
+}
+
 func (c *byteCursor) remaining() int { return len(c.b) - c.off }
+
+func errOrOverflow(err error, v uint64) error {
+	if err != nil {
+		return err
+	}
+	return fmt.Errorf("value %d overflows field width", v)
+}
 
 func readWALString(cur *byteCursor) (string, error) {
 	n, err := binary.ReadUvarint(cur)

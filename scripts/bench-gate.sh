@@ -1,18 +1,23 @@
 #!/usr/bin/env bash
 # Regression gate over the pipeline benchmark (BENCHMARK.json): runs
 # alternating parent/change pairs of bench/run.sh per workload, prints the
-# median [q1..q3] of every end-to-end metric on both sides, and exits
-# non-zero when a change median is worse than the parent's by more than
-# that metric's bound, when more operations fail than at the parent, or
-# when a run is incorrect.
+# median [q1..q3] of every end-to-end metric on both sides and how many
+# pairs the change won, and exits non-zero when a change median is worse
+# than the parent's by more than that metric's bound, when more operations
+# fail than at the parent, or when a run is incorrect.
 #
 #   scripts/bench-gate.sh <parent-ref> [pairs]
 #
-# The parent is checked out as a git worktree under .bench_build/ and
-# removed on exit; every run's result line is kept in .bench_build/gate/
-# as <workload>.<side>.<seed>.json, stderr in .bench_build/gate/log. Pair
-# i runs both sides on seed i, the parent first when i is odd. Nothing
-# else should be running: the benchmark uses every CPU.
+# The parent is exported (git archive) under .bench_build/gate-parent;
+# every run's result line is kept in .bench_build/gate/ as
+# <workload>.<side>.<seed>.json, stderr in .bench_build/gate/log. Pair i
+# runs both sides on seed i, the parent first when i is odd. Nothing else
+# should be running: the benchmark uses every CPU.
+#
+# An interrupted gate resumes: .bench_build/gate/stamp records the parent
+# commit, HEAD, a hash of the uncommitted diff and the pair count, and
+# while it matches, runs whose result line is already there are not
+# repeated. Any mismatch wipes both directories and starts over.
 set -euo pipefail
 
 parent_ref=${1:?usage: bench-gate.sh <parent-ref> [pairs]}
@@ -22,19 +27,27 @@ root=$(git rev-parse --show-toplevel)
 cd "$root"
 gate="$root/.bench_build/gate"
 parent="$root/.bench_build/gate-parent"
-rm -rf "$gate"
-mkdir -p "$gate"
-git worktree remove --force "$parent" 2>/dev/null || true
-git worktree add --detach "$parent" "$parent_ref" >/dev/null
-trap 'git worktree remove --force "$parent"' EXIT
+parent_sha=$(git rev-parse --verify "$parent_ref^{commit}")
+stamp="$parent_sha $(git rev-parse HEAD) $(git diff HEAD | sha256sum | cut -d' ' -f1) $pairs"
+if [[ "$(cat "$gate/stamp" 2>/dev/null)" != "$stamp" ]]; then
+	rm -rf "$gate" "$parent"
+	mkdir -p "$gate" "$parent"
+	git archive "$parent_sha" | tar -x -C "$parent"
+	echo "$stamp" >"$gate/stamp"
+fi
 
 seconds=$(jq -r .run_seconds BENCHMARK.json)
 
 # run <side> <checkout> <workload> <seed>
 run() {
+	local out="$gate/$3.$1.$4.json"
+	if jq -e 'has("metrics")' "$out" >/dev/null 2>&1; then
+		echo "== $3 seed $4: $1 (kept)" >&2
+		return
+	fi
 	echo "== $3 seed $4: $1" >&2
 	(cd "$2" && bash bench/run.sh --workload "$3" --seed "$4" --seconds "$seconds" --trace 0) \
-		2>>"$gate/log" | tail -n 1 >"$gate/$3.$1.$4.json"
+		2>>"$gate/log" | tail -n 1 >"$out"
 }
 
 for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
@@ -56,9 +69,13 @@ done | jq -s --slurpfile spec BENCHMARK.json '
 		| $s[floor] + ($s[ceil] - $s[floor]) * (. - floor);
 	def stats: {med: pct(0.5), q1: pct(0.25), q3: pct(0.75)};
 	$spec[0] as $b
-	| [.[] | (.file | split(".")) as $p | {w: $p[0], side: $p[1], run: .run}] as $runs
+	| [.[] | (.file | split(".")) as $p | {w: $p[0], side: $p[1], seed: $p[2], run: .run}] as $runs
 	| def failed(s): [$runs[] | select(.side == s) | .run.failed] | add;
 	def values_of(s; $w; $m): [$runs[] | select(.w == $w and .side == s) | .run.metrics[$m].value | values];
+	# One entry per seed both sides ran: how much better the change read.
+	def gains($w; $m): [$runs[] | select(.w == $w) | {seed, side, v: .run.metrics[$m.name].value} | select(.v != null)]
+		| group_by(.seed) | map(select(length == 2) | (map({(.side): .v}) | add)
+			| if $m.better == "lower" then .parent - .change else .change - .parent end);
 	{
 		failed: {parent: failed("parent"), change: failed("change")},
 		incorrect: [$runs[] | select(.run.correct != true) | "\(.w) \(.side)"],
@@ -69,17 +86,19 @@ done | jq -s --slurpfile spec BENCHMARK.json '
 			| ($pv | stats) as $ps | ($cv | stats) as $cs
 			| (if $m.better == "lower" then $cs.med - $ps.med else $ps.med - $cs.med end) as $worse
 			| (if $ps.med != 0 then $worse / ($ps.med | fabs) elif $worse > 0 then infinite else 0 end) as $rel
-			| {w: $w, m: $m.name, unit: $m.unit, p: $ps, c: $cs, rel: $rel, bound: $m.bound, regressed: ($rel > $m.bound)}
+			| gains($w; $m) as $g
+			| {w: $w, m: $m.name, unit: $m.unit, p: $ps, c: $cs, rel: $rel, bound: $m.bound, regressed: ($rel > $m.bound),
+				won: ($g | map(select(. > 0)) | length), lost: ($g | map(select(. < 0)) | length), pairs: ($g | length)}
 		]
 	}' >"$gate/report.json"
 
 jq -r '
 	def r: if . == 0 then "0" else pow(10; 4 - (fabs | log10 | floor)) as $k | (. * $k | round) / $k | tostring end;
 	.rows[] | [.w, .m, "\(.p.med | r) [\(.p.q1 | r)..\(.p.q3 | r)]", "\(.c.med | r) [\(.c.q1 | r)..\(.c.q3 | r)]",
-		.unit, "\((.rel * 1000 | round) / 10)% worse (bound \(.bound * 100)%)", (if .regressed then "REGRESSED" else "ok" end)]
+		.unit, "won \(.won) lost \(.lost) of \(.pairs)", "\((.rel * 1000 | round) / 10)% worse (bound \(.bound * 100)%)", (if .regressed then "REGRESSED" else "ok" end)]
 	| @tsv' "$gate/report.json" |
-	awk -F'\t' 'BEGIN { printf "%-16s %-21s %-40s %-40s %-6s %s\n", "workload", "metric", "parent median [q1..q3]", "change median [q1..q3]", "unit", "verdict" }
-		{ printf "%-16s %-21s %-40s %-40s %-6s %s  %s\n", $1, $2, $3, $4, $5, $6, $7 }'
+	awk -F'\t' 'BEGIN { printf "%-16s %-21s %-40s %-40s %-6s %-20s %s\n", "workload", "metric", "parent median [q1..q3]", "change median [q1..q3]", "unit", "pairs (ties: neither)", "verdict" }
+		{ printf "%-16s %-21s %-40s %-40s %-6s %-20s %s  %s\n", $1, $2, $3, $4, $5, $6, $7, $8 }'
 jq -r '"failed operations: parent \(.failed.parent), change \(.failed.change); incorrect runs: \(.incorrect | length) \(.incorrect | join(", "))"' "$gate/report.json"
 
 jq -e '(.rows | map(select(.regressed)) | length) == 0 and .failed.change <= .failed.parent and (.incorrect | length) == 0' \
