@@ -93,6 +93,12 @@ bench-gate:
 	@test -n "$(PARENT)" || { echo "usage: make bench-gate PARENT=<ref> [PAIRS=10]"; exit 2; }
 	bash scripts/bench-gate.sh "$(PARENT)" $(PAIRS)
 
+# Non-test Go lines outside bench/: the number a CHANGES.md size line
+# quotes. Not part of check — it measures, it cannot fail.
+.PHONY: loc
+loc:
+	@bash scripts/loc.sh
+
 .PHONY: bench-wire
 bench-wire:
 	$(GO) test -run NONE -bench 'BenchmarkBatchWireEncoding|BenchmarkCollectorIngest' .

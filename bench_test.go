@@ -1,4 +1,4 @@
-package vnettracer
+package vnettracer_test
 
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (Section IV). Each figure bench runs the corresponding testbed experiment

@@ -1,11 +1,13 @@
 package vnettracer
 
-// Cluster query layer: when the collector tier is scaled out, each
-// agent's record tables and aggregate ledgers live on its home
-// collector, so any tracepoint's data is partitioned across the tier
-// (an agent that re-homed mid-run leaves records on both its old and
-// new collector). ClusterQuery stitches the partitions back into the
-// single-collector query surface: k-way merged time-ordered scans,
+// Query layer: every table-level metric is answered over merged views of
+// a tracepoint's partitions. With one collector there is one partition
+// per tracepoint (Session queries its database this way); when the
+// collector tier is scaled out, each agent's record tables and aggregate
+// ledgers live on its home collector, so any tracepoint's data is
+// partitioned across the tier (an agent that re-homed mid-run leaves
+// records on both its old and new collector). ClusterQuery stitches the
+// partitions into one query surface: k-way merged time-ordered scans,
 // cross-collector trace-ID joins for latency and loss, and mergeable
 // sketches (log2 histograms, per-flow top-K with exact overflow
 // accounting) for the aggregate plane.
@@ -19,7 +21,7 @@ import (
 )
 
 // ClusterQuery is a read-only merged view over the databases (and
-// optionally aggregate stores) of several collectors. It never copies
+// optionally aggregate stores) of one or more collectors. It never copies
 // records: scans k-way merge the partition streams on aligned
 // timestamps, and joins stream each side exactly once.
 type ClusterQuery struct {
@@ -95,7 +97,7 @@ func (q *ClusterQuery) table(tpid uint32) (*tracedb.Merged, error) {
 }
 
 // Throughput computes the paper's throughput metric over the merged
-// tracepoint stream.
+// tracepoint stream, in skew-corrected time.
 func (q *ClusterQuery) Throughput(tpid uint32) (float64, error) {
 	m, err := q.table(tpid)
 	if err != nil {
@@ -113,34 +115,39 @@ func (q *ClusterQuery) PerFlowThroughput(tpid uint32) ([]FlowStats, error) {
 	return metrics.PerFlowThroughputOf(metrics.SourceFunc(m.ScanAligned)), nil
 }
 
+// tables resolves a path of tracepoints to their merged views.
+func (q *ClusterQuery) tables(tpids ...uint32) ([]*tracedb.Merged, error) {
+	out := make([]*tracedb.Merged, len(tpids))
+	for i, id := range tpids {
+		m, err := q.table(id)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = m
+	}
+	return out, nil
+}
+
 // Latencies joins two tracepoints on packet trace ID across collector
 // boundaries: the from and to sides are each a merged multi-partition
 // stream, so a packet observed at tracepoint A on one collector and at
 // tracepoint B on another still pairs up.
 func (q *ClusterQuery) Latencies(from, to uint32) ([]LatencySample, error) {
-	a, err := q.table(from)
+	ab, err := q.tables(from, to)
 	if err != nil {
 		return nil, err
 	}
-	b, err := q.table(to)
-	if err != nil {
-		return nil, err
-	}
-	return metrics.LatenciesOf(metrics.SourceFunc(a.ScanAligned), metrics.SourceFunc(b.ScanAligned)), nil
+	return metrics.Latencies(ab[0], ab[1]), nil
 }
 
 // Loss counts packets seen at from but never at to, across all
 // partitions of both tracepoints.
 func (q *ClusterQuery) Loss(from, to uint32) (lost int64, rate float64, err error) {
-	a, err := q.table(from)
+	ab, err := q.tables(from, to)
 	if err != nil {
 		return 0, 0, err
 	}
-	b, err := q.table(to)
-	if err != nil {
-		return 0, 0, err
-	}
-	lost, rate = metrics.LossOf(a, b)
+	lost, rate = metrics.Loss(ab[0], ab[1])
 	return lost, rate, nil
 }
 
@@ -148,28 +155,11 @@ func (q *ClusterQuery) Loss(from, to uint32) (lost int64, rate float64, err erro
 // stage a merged multi-partition stream — the paper's latency
 // decomposition, surviving collector scale-out.
 func (q *ClusterQuery) Decompose(tpids ...uint32) ([]Segment, error) {
-	if len(tpids) < 2 {
-		return nil, fmt.Errorf("vnettracer: decompose needs >= 2 tracepoints")
+	stages, err := q.tables(tpids...)
+	if err != nil {
+		return nil, err
 	}
-	stages := make([]*tracedb.Merged, len(tpids))
-	for i, id := range tpids {
-		m, err := q.table(id)
-		if err != nil {
-			return nil, err
-		}
-		stages[i] = m
-	}
-	out := make([]Segment, 0, len(stages)-1)
-	for i := 1; i < len(stages); i++ {
-		out = append(out, Segment{
-			From: stages[i-1].Name(),
-			To:   stages[i].Name(),
-			PerPacket: metrics.LatenciesOf(
-				metrics.SourceFunc(stages[i-1].ScanAligned),
-				metrics.SourceFunc(stages[i].ScanAligned)),
-		})
-	}
-	return out, nil
+	return metrics.Decompose(stages)
 }
 
 // TopFlows builds a per-partition top-K flow sketch at each collector

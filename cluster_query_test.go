@@ -14,20 +14,22 @@ import (
 	"vnettracer/internal/tracedb"
 )
 
-// clusterFixture builds the baseline DB, the partitioned view, and the
-// record stream behind them. Tracepoint 1 is the source, tracepoint 2
-// the destination (some packets "lost"); tracepoint 1's records split
-// across partitions 0 and 1 mid-stream.
-func clusterFixture(t *testing.T) (*DB, *ClusterQuery) {
+// clusterFixture builds the baseline single-collector session, the
+// partitioned view, and the record stream behind them. Tracepoint 1 is
+// the source, tracepoint 3 a hop in between, tracepoint 2 the destination
+// (some packets "lost"); tracepoint 1's records split across partitions 0
+// and 1 mid-stream, tracepoint 3's alternate between partitions 1 and 2.
+func clusterFixture(t *testing.T) (*Session, *ClusterQuery) {
 	t.Helper()
-	base := tracedb.New()
+	s := NewSession()
+	base := s.DB()
 	parts := []*tracedb.DB{tracedb.New(), tracedb.New(), tracedb.New()}
 	for _, db := range append([]*tracedb.DB{base}, parts...) {
-		if _, err := db.CreateTable(1, "src"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := db.CreateTable(2, "dst"); err != nil {
-			t.Fatal(err)
+		for tpid, label := range map[uint32]string{1: "src", 2: "dst", 3: "mid"} {
+			if _, err := db.CreateTable(tpid, label); err != nil {
+				t.Fatal(err)
+			}
+			s.labels[label] = tpid
 		}
 	}
 	const n = 400
@@ -48,6 +50,11 @@ func clusterFixture(t *testing.T) (*DB, *ClusterQuery) {
 		if i%10 == 3 {
 			continue // lost before the destination tracepoint
 		}
+		mid := src
+		mid.TPID = 3
+		mid.TimeNs += uint64(2000 + 100*(i%3))
+		base.Insert([]Record{mid})
+		parts[1+i%2].Insert([]Record{mid})
 		dst := src
 		dst.TPID = 2
 		dst.TimeNs += uint64(5000 + 100*(i%11))
@@ -58,16 +65,17 @@ func clusterFixture(t *testing.T) (*DB, *ClusterQuery) {
 	for _, db := range parts {
 		q.AddDB(db)
 	}
-	return base, q
+	return s, q
 }
 
 func TestClusterQueryMatchesSingleCollector(t *testing.T) {
-	base, q := clusterFixture(t)
+	s, q := clusterFixture(t)
+	base := s.DB()
 	if q.Partitions() != 3 {
 		t.Fatalf("partitions = %d, want 3", q.Partitions())
 	}
-	if got := q.Tables(); !reflect.DeepEqual(got, []uint32{1, 2}) {
-		t.Fatalf("tables = %v, want [1 2]", got)
+	if got := q.Tables(); !reflect.DeepEqual(got, []uint32{1, 2, 3}) {
+		t.Fatalf("tables = %v, want [1 2 3]", got)
 	}
 
 	baseSrc, _ := base.Table(1)
@@ -92,7 +100,7 @@ func TestClusterQueryMatchesSingleCollector(t *testing.T) {
 	}
 
 	baseDst, _ := base.Table(2)
-	wantLat := metrics.Latencies(baseSrc, baseDst)
+	wantLat := Latencies(baseSrc, baseDst)
 	gotLat, err := q.Latencies(1, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +109,7 @@ func TestClusterQueryMatchesSingleCollector(t *testing.T) {
 		t.Fatalf("latency join diverged: %d samples vs baseline %d", len(gotLat), len(wantLat))
 	}
 
-	wantLost, wantRate := metrics.Loss(baseSrc, baseDst)
+	wantLost, wantRate := Loss(baseSrc, baseDst)
 	gotLost, gotRate, err := q.Loss(1, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -120,11 +128,28 @@ func TestClusterQueryMatchesSingleCollector(t *testing.T) {
 	if !reflect.DeepEqual(segs[0].PerPacket, wantLat) {
 		t.Fatal("decompose per-packet latencies diverged from baseline")
 	}
+
+	// A three-stage path, every stage partitioned differently, against the
+	// single-collector session.
+	wantSegs, err := s.Decompose("src", "mid", "dst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSegs, err := q.Decompose(1, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gotSegs) != 2 || len(gotSegs[0].PerPacket) != 360 || gotSegs[1].MeanNs() <= 0 {
+		t.Fatalf("three-stage decomposition = %d segments, %d packets in the first", len(gotSegs), len(gotSegs[0].PerPacket))
+	}
+	if !reflect.DeepEqual(gotSegs, wantSegs) {
+		t.Fatalf("three-stage decomposition diverged from the session's:\n got %+v\nwant %+v", gotSegs, wantSegs)
+	}
 }
 
 func TestClusterQueryTopFlows(t *testing.T) {
-	base, q := clusterFixture(t)
-	baseSrc, _ := base.Table(1)
+	s, q := clusterFixture(t)
+	baseSrc, _ := s.DB().Table(1)
 
 	// k larger than the flow count: the merged sketch must be exact.
 	exact := metrics.TopKOf(metrics.SourceFunc(baseSrc.ScanAligned), 16)

@@ -185,25 +185,32 @@ func fmtBytes(n uint64) string {
 
 // teeSink forwards batches and aggregate frames and appends them to
 // JSONL files (records and aggregates dumped separately, since they are
-// replayed through different ledgers).
+// replayed through different ledgers). It forwards the collector's
+// backpressure report too: a dump file must not cost the agents their
+// overload degradation.
 type teeSink struct {
-	next    control.RecordSink
+	next    control.AckingRecordSink
 	agg     control.AggSink
 	mu      sync.Mutex
 	file    *os.File
 	aggFile *os.File
 }
 
+var _ control.AckingRecordSink = (*teeSink)(nil)
+
 func (t *teeSink) HandleBatch(b control.RecordBatch) error {
-	if err := t.next.HandleBatch(b); err != nil {
-		return err
-	}
-	if t.file == nil {
-		return nil
+	_, err := t.HandleBatchAck(b)
+	return err
+}
+
+func (t *teeSink) HandleBatchAck(b control.RecordBatch) (control.BatchAck, error) {
+	ack, err := t.next.HandleBatchAck(b)
+	if err != nil || t.file == nil {
+		return ack, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return writeJSON(t.file, b)
+	return ack, writeJSON(t.file, b)
 }
 
 func (t *teeSink) HandleAgg(b control.AggBatch) error {

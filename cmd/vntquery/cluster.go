@@ -13,7 +13,6 @@ import (
 
 	"vnettracer"
 	"vnettracer/internal/metrics"
-	"vnettracer/internal/tracedb"
 )
 
 // stringList is a repeatable flag: -in a.jsonl -in b.jsonl.
@@ -46,16 +45,11 @@ func runClusterCmd(args []string) error {
 
 	q := vnettracer.NewClusterQuery()
 	for _, path := range ins {
-		db := tracedb.New()
-		batches, err := loadRecordDump(path, db)
+		batches, err := addDump(q, path, uint32(*to), *skew)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("collector %s: %d batches\n", path, batches)
-		q.AddDB(db)
-		if *skew != 0 && *to != 0 {
-			db.SetSkew(uint32(*to), *skew)
-		}
 	}
 	for _, path := range aggIns {
 		st, frames, err := loadAggDump(path)
@@ -70,32 +64,13 @@ func runClusterCmd(args []string) error {
 	case *script != "":
 		return printClusterAgg(q, *script, len(aggIns))
 	case *from != 0 && *to != 0:
-		lats, err := q.Latencies(uint32(*from), uint32(*to))
-		if err != nil {
-			return err
-		}
-		sum := metrics.Summarize(metrics.Values(lats))
-		lost, rate, err := q.Loss(uint32(*from), uint32(*to))
-		if err != nil {
-			return err
-		}
-		lo, hi := metrics.JitterRange(lats)
-		fmt.Printf("cluster latency %d -> %d over %d packets (%d partitions):\n",
-			*from, *to, sum.Count, q.Partitions())
-		fmt.Printf("  mean=%.1fus p50=%.1fus p99=%.1fus p99.9=%.1fus max=%.1fus\n",
-			sum.MeanNs/1e3, float64(sum.P50Ns)/1e3, float64(sum.P99Ns)/1e3,
-			float64(sum.P999Ns)/1e3, float64(sum.MaxNs)/1e3)
-		fmt.Printf("  jitter range: (%.1f, %.1f)us\n", float64(lo)/1e3, float64(hi)/1e3)
-		fmt.Printf("  loss: %d packets (%.2f%%)\n", lost, rate*100)
+		return printPair(q, uint32(*from), uint32(*to), "cluster ", fmt.Sprintf(" (%d partitions)", q.Partitions()))
 	case *tp != 0:
-		m, ok := q.Table(uint32(*tp))
-		if !ok {
-			return fmt.Errorf("no partition holds tracepoint %d", *tp)
-		}
 		bps, err := q.Throughput(uint32(*tp))
 		if err != nil {
 			return err
 		}
+		m, _ := q.Table(uint32(*tp))
 		fmt.Printf("tracepoint %d: %d records across %d partitions, throughput %.3f Mbps\n",
 			*tp, m.Len(), m.Parts(), bps/1e6)
 		if *topK > 0 {

@@ -16,8 +16,10 @@
 //	vntquery cluster -in c0.jsonl -in c1.jsonl -tp 1 -top 10
 //	vntquery cluster -agg-in a0.jsonl -agg-in a1.jsonl -script udp-rx
 //
-// The cluster subcommand takes one dump per collector of a scaled-out
-// tier and answers through the merge layer: table listings and
+// A plain query loads its dump as a cluster of one partition, so both
+// forms compute through the same layer and differ only in what they
+// print. The cluster subcommand takes one dump per collector of a
+// scaled-out tier and answers through the merge layer: table listings and
 // throughput k-way merge the per-collector partitions on aligned
 // timestamps, latency/loss joins pair trace IDs across collector
 // boundaries (an agent re-homed by a collector failure leaves its
@@ -51,6 +53,7 @@ import (
 	"fmt"
 	"os"
 
+	"vnettracer"
 	"vnettracer/internal/control"
 	"vnettracer/internal/metrics"
 	"vnettracer/internal/script"
@@ -336,59 +339,79 @@ func runStorage(path, walDir string, cfg tracedb.Config) error {
 	return nil
 }
 
-func run(path string, tp, from, to uint32, skew int64, flows bool) error {
+// addDump loads one collector's record dump as a partition of q, with
+// the destination tracepoint's skew applied, and returns the batches read.
+func addDump(q *vnettracer.ClusterQuery, path string, to uint32, skew int64) (int, error) {
 	db := tracedb.New()
-	lines, err := loadRecordDump(path, db)
+	batches, err := loadRecordDump(path, db)
+	if err != nil {
+		return 0, err
+	}
+	if skew != 0 && to != 0 {
+		db.SetSkew(to, skew)
+	}
+	q.AddDB(db)
+	return batches, nil
+}
+
+// printPair answers -from/-to: the latency join with its jitter range,
+// and the loss between the two tracepoints. prefix and suffix are the
+// mode's own parts of the heading.
+func printPair(q *vnettracer.ClusterQuery, from, to uint32, prefix, suffix string) error {
+	lats, err := q.Latencies(from, to)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("loaded %d batches\n", lines)
+	lost, rate, err := q.Loss(from, to)
+	if err != nil {
+		return err
+	}
+	sum := metrics.Summarize(metrics.Values(lats))
+	lo, hi := metrics.JitterRange(lats)
+	fmt.Printf("%slatency %d -> %d over %d packets%s:\n", prefix, from, to, sum.Count, suffix)
+	fmt.Printf("  mean=%.1fus p50=%.1fus p99=%.1fus p99.9=%.1fus max=%.1fus\n",
+		sum.MeanNs/1e3, float64(sum.P50Ns)/1e3, float64(sum.P99Ns)/1e3,
+		float64(sum.P999Ns)/1e3, float64(sum.MaxNs)/1e3)
+	fmt.Printf("  jitter range: (%.1f, %.1f)us\n", float64(lo)/1e3, float64(hi)/1e3)
+	fmt.Printf("  loss: %d packets (%.2f%%)\n", lost, rate*100)
+	return nil
+}
+
+// run answers the single-dump queries: one collector's dump is a cluster
+// of one partition, queried through the same layer the cluster subcommand
+// uses.
+func run(path string, tp, from, to uint32, skew int64, flows bool) error {
+	q := vnettracer.NewClusterQuery()
+	batches, err := addDump(q, path, to, skew)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("loaded %d batches\n", batches)
 
 	switch {
 	case from != 0 && to != 0:
-		a, ok := db.Table(from)
-		if !ok {
-			return fmt.Errorf("no table %d", from)
-		}
-		b, ok := db.Table(to)
-		if !ok {
-			return fmt.Errorf("no table %d", to)
-		}
-		if skew != 0 {
-			db.SetSkew(to, skew)
-		}
-		lats := metrics.Latencies(a, b)
-		sum := metrics.Summarize(metrics.Values(lats))
-		lost, rate := metrics.Loss(a, b)
-		lo, hi := metrics.JitterRange(lats)
-		fmt.Printf("latency %d -> %d over %d packets:\n", from, to, sum.Count)
-		fmt.Printf("  mean=%.1fus p50=%.1fus p99=%.1fus p99.9=%.1fus max=%.1fus\n",
-			sum.MeanNs/1e3, float64(sum.P50Ns)/1e3, float64(sum.P99Ns)/1e3,
-			float64(sum.P999Ns)/1e3, float64(sum.MaxNs)/1e3)
-		fmt.Printf("  jitter range: (%.1f, %.1f)us\n", float64(lo)/1e3, float64(hi)/1e3)
-		fmt.Printf("  loss: %d packets (%.2f%%)\n", lost, rate*100)
-	case tp != 0:
-		t, ok := db.Table(tp)
-		if !ok {
-			return fmt.Errorf("no table %d", tp)
-		}
-		if flows {
-			for _, fs := range metrics.PerFlowThroughputOf(t) {
-				fmt.Printf("  %-40s %6d pkts %10d bytes %10.3f Mbps\n",
-					fs.Flow, fs.Packets, fs.Bytes, fs.ThroughputBps/1e6)
-			}
-			return nil
-		}
-		bps, err := metrics.ThroughputOf(t)
+		return printPair(q, from, to, "", "")
+	case tp != 0 && flows:
+		stats, err := q.PerFlowThroughput(tp)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("tracepoint %d: %d records, throughput %.3f Mbps\n", tp, t.Len(), bps/1e6)
+		for _, fs := range stats {
+			fmt.Printf("  %-40s %6d pkts %10d bytes %10.3f Mbps\n",
+				fs.Flow, fs.Packets, fs.Bytes, fs.ThroughputBps/1e6)
+		}
+	case tp != 0:
+		bps, err := q.Throughput(tp)
+		if err != nil {
+			return err
+		}
+		m, _ := q.Table(tp)
+		fmt.Printf("tracepoint %d: %d records, throughput %.3f Mbps\n", tp, m.Len(), bps/1e6)
 	default:
-		for _, id := range db.Tables() {
-			t, _ := db.Table(id)
+		for _, id := range q.Tables() {
+			m, _ := q.Table(id)
 			fmt.Printf("  tracepoint %d: %d records, %d distinct packet IDs\n",
-				id, t.Len(), t.NumTraceIDs())
+				id, m.Len(), m.NumTraceIDs())
 		}
 	}
 	return nil

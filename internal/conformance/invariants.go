@@ -581,7 +581,7 @@ func checkMetrics(sc Scenario, cluster []*agentState, truth *groundTruth, cols [
 		if srcClean && dstClean {
 			// Loss: distinct trace IDs that left the send probe and never
 			// hit the receive probe == injected wire drops.
-			lost, _ := metrics.LossOf(srcTbl, dstTbl)
+			lost, _ := metrics.Loss(srcTbl, dstTbl)
 			if uint64(lost) != path.dropped {
 				res.violatef("path %d: measured loss %d, injected %d drops", i, lost, path.dropped)
 			}
@@ -589,9 +589,7 @@ func checkMetrics(sc Scenario, cluster []*agentState, truth *groundTruth, cols [
 			// Latency: mean skew-aligned hop latency vs the mean of the
 			// realized transit delays, within both agents' skew bounds.
 			if len(path.delays) > 0 {
-				samples := metrics.LatenciesOf(
-					metrics.SourceFunc(srcTbl.ScanAligned),
-					metrics.SourceFunc(dstTbl.ScanAligned))
+				samples := metrics.Latencies(srcTbl, dstTbl)
 				if len(samples) != len(path.delays) {
 					res.violatef("path %d: %d latency samples, %d packets delivered",
 						i, len(samples), len(path.delays))

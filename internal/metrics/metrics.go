@@ -23,15 +23,18 @@ var ErrNoData = errors.New("metrics: no data")
 const TraceIDBytes = 4
 
 // RecordSource streams records one pass at a time; Scan calls fn for each
-// record until fn returns false. *tracedb.Table satisfies it directly
-// (and its ScanAligned can be adapted with SourceFunc), so analyses run
-// against live tables without materializing a full copy.
+// record until fn returns false. Every analysis here reads the timestamps
+// its source hands it, so the caller picks raw or skew-corrected time by
+// the scan it passes: *tracedb.Table and *tracedb.Merged satisfy
+// RecordSource directly, but through their raw Scan — cross-node math
+// wants SourceFunc(x.ScanAligned), which is what Latencies, Decompose and
+// the query layer above them pass.
 type RecordSource interface {
 	Scan(fn func(core.Record) bool)
 }
 
-// SourceFunc adapts a scan function to a RecordSource, e.g.
-// SourceFunc(table.ScanAligned).
+// SourceFunc adapts a scan function to a RecordSource:
+// SourceFunc(view.ScanAligned) is a view in skew-corrected time.
 type SourceFunc func(fn func(core.Record) bool)
 
 // Scan implements RecordSource.
@@ -95,20 +98,21 @@ type LatencySample struct {
 	Ns      int64
 }
 
-// Latencies joins two tracepoint tables on packet ID and returns per-packet
+// Latencies joins two tracepoint views on packet ID and returns per-packet
 // latency from a to b: t_b - t_a (timestamps skew-aligned per table).
 // Packets missing from either side are skipped (they feed the loss metric
-// instead). The join is two streaming passes — one over each table — so
-// it never decodes a sealed segment more than once per side.
-func Latencies(a, b *tracedb.Table) []LatencySample {
+// instead). A single table is the one-partition view tracedb.Merge(t);
+// with more partitions a packet seen at a on one collector and at b on
+// another still pairs up.
+func Latencies(a, b *tracedb.Merged) []LatencySample {
 	return LatenciesOf(SourceFunc(a.ScanAligned), SourceFunc(b.ScanAligned))
 }
 
-// LatenciesOf is the source-generic latency join: the same two-pass
-// first-occurrence join as Latencies over any record streams — a merged
-// cross-collector view (tracedb.Merged.ScanAligned), a filtered stream,
-// or an in-memory slice. Callers pass already-aligned sources; each side
-// is scanned exactly once.
+// LatenciesOf is the latency join itself, over any two record streams — a
+// view's ScanAligned, a filtered stream, an in-memory slice: first
+// occurrence per packet ID on each side, untraced records (ID 0) skipped,
+// in two streaming passes so no sealed segment is decoded more than once
+// per side. Callers pass already-aligned sources.
 func LatenciesOf(a, b RecordSource) []LatencySample {
 	// First occurrence per trace ID on the b side.
 	bFirst := make(map[uint32]uint64)
@@ -191,21 +195,10 @@ func JitterRange(samples []LatencySample) (minNs, maxNs int64) {
 	return minNs, maxNs
 }
 
-// TraceIDCounter counts the distinct packet IDs a record store holds;
-// *tracedb.Table and *tracedb.Merged both satisfy it.
-type TraceIDCounter interface {
-	NumTraceIDs() int
-}
-
-// Loss computes packet loss between two tracepoints: N_loss = N_i - N_j
-// and R_loss = N_loss / N_i, over distinct packet IDs.
-func Loss(a, b *tracedb.Table) (lost int64, rate float64) {
-	return LossOf(a, b)
-}
-
-// LossOf is the source-generic loss metric, usable with merged
-// cross-collector views as well as single tables.
-func LossOf(a, b TraceIDCounter) (lost int64, rate float64) {
+// Loss computes packet loss between two tracepoint views: N_loss = N_i -
+// N_j and R_loss = N_loss / N_i, over distinct packet IDs (untraced
+// records, ID 0, are not packets on either side).
+func Loss(a, b *tracedb.Merged) (lost int64, rate float64) {
 	ni := int64(a.NumTraceIDs())
 	nj := int64(b.NumTraceIDs())
 	lost = ni - nj
@@ -227,17 +220,17 @@ type Segment struct {
 func (s *Segment) MeanNs() float64 { return Mean(Values(s.PerPacket)) }
 
 // Decompose splits end-to-end latency across consecutive tracepoint
-// tables, the paper's "decomposition of end-to-end latency" (Figures 9a
-// and 11).
-func Decompose(stages []*tracedb.Table) ([]Segment, error) {
+// views, the paper's "decomposition of end-to-end latency" (Figures 9a
+// and 11): one Latencies join per consecutive pair.
+func Decompose(stages []*tracedb.Merged) ([]Segment, error) {
 	if len(stages) < 2 {
 		return nil, fmt.Errorf("%w: need >= 2 stages", ErrNoData)
 	}
 	out := make([]Segment, 0, len(stages)-1)
 	for i := 1; i < len(stages); i++ {
 		out = append(out, Segment{
-			From:      stages[i-1].Name,
-			To:        stages[i].Name,
+			From:      stages[i-1].Name(),
+			To:        stages[i].Name(),
 			PerPacket: Latencies(stages[i-1], stages[i]),
 		})
 	}

@@ -11,14 +11,16 @@ import (
 	"vnettracer/internal/tracedb"
 )
 
-func table(t *testing.T, db *tracedb.DB, tpid uint32, name string, recs []core.Record) *tracedb.Table {
+// table creates and fills one table and returns its one-partition view,
+// the form every table-level metric takes.
+func table(t *testing.T, db *tracedb.DB, tpid uint32, name string, recs []core.Record) *tracedb.Merged {
 	t.Helper()
 	tbl, err := db.CreateTable(tpid, name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.Insert(recs)
-	return tbl
+	return tracedb.Merge(tbl)
 }
 
 func TestThroughputFormula(t *testing.T) {
@@ -150,6 +152,24 @@ func TestLoss(t *testing.T) {
 	}
 }
 
+// Untraced records (ID 0: TCP, which carries no embedded ID) are not
+// packets to the loss metric, as they are not to the join.
+func TestLossIgnoresUntraced(t *testing.T) {
+	db := tracedb.New()
+	a := table(t, db, 1, "a", []core.Record{
+		{TPID: 1, TraceID: 0, Proto: 6}, {TPID: 1, TraceID: 1}, {TPID: 1, TraceID: 0, Proto: 6}, {TPID: 1, TraceID: 2},
+	})
+	b := table(t, db, 2, "b", []core.Record{
+		{TPID: 2, TraceID: 1}, {TPID: 2, TraceID: 2},
+	})
+	if lost, rate := Loss(a, b); lost != 0 || rate != 0 {
+		t.Fatalf("loss = %d rate = %f, want none: the untraced records counted as a packet", lost, rate)
+	}
+	if n := a.NumTraceIDs(); n != 2 {
+		t.Fatalf("distinct packet IDs = %d, want 2", n)
+	}
+}
+
 func TestDecompose(t *testing.T) {
 	db := tracedb.New()
 	mk := func(tpid uint32, base uint64) []core.Record {
@@ -162,7 +182,7 @@ func TestDecompose(t *testing.T) {
 	s1 := table(t, db, 1, "eth0", mk(1, 0))
 	s2 := table(t, db, 2, "ovs", mk(2, 1000))
 	s3 := table(t, db, 3, "eth1", mk(3, 5000))
-	segs, err := Decompose([]*tracedb.Table{s1, s2, s3})
+	segs, err := Decompose([]*tracedb.Merged{s1, s2, s3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +195,7 @@ func TestDecompose(t *testing.T) {
 	if segs[0].MeanNs() != 1000 || segs[1].MeanNs() != 4000 {
 		t.Fatalf("means = %f %f", segs[0].MeanNs(), segs[1].MeanNs())
 	}
-	if _, err := Decompose([]*tracedb.Table{s1}); !errors.Is(err, ErrNoData) {
+	if _, err := Decompose([]*tracedb.Merged{s1}); !errors.Is(err, ErrNoData) {
 		t.Fatal("single stage accepted")
 	}
 }

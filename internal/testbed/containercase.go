@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"vnettracer"
 	"vnettracer/internal/core"
 	"vnettracer/internal/kernel"
 	"vnettracer/internal/overlay"
@@ -198,11 +199,11 @@ func contUDP(container bool, spec *script.Spec) (bps float64, hist []uint64, inv
 	h := newContainerHost(37)
 	var compiled *script.Compiled
 	if spec != nil {
-		tr := NewTracing()
+		tr := vnettracer.NewSession()
 		if _, err := tr.AddMachine(h.machines[1]); err != nil {
 			return 0, nil, 0, err
 		}
-		if err := tr.InstallSpec("vm2", *spec); err != nil {
+		if _, err := tr.Install("vm2", *spec); err != nil {
 			return 0, nil, 0, err
 		}
 		agent, _ := tr.Agent("vm2")
@@ -304,7 +305,7 @@ type PathTraceResult struct {
 func RunPathTrace() (PathTraceResult, error) {
 	trace := func(container bool) ([]string, error) {
 		h := newContainerHost(41)
-		tr := NewTracing()
+		tr := vnettracer.NewSession()
 		for i := 0; i < 2; i++ {
 			if _, err := tr.AddMachine(h.machines[i]); err != nil {
 				return nil, err
@@ -341,7 +342,7 @@ func RunPathTrace() (PathTraceResult, error) {
 		if !got {
 			return nil, fmt.Errorf("testbed: path-trace probe not delivered (container=%v)", container)
 		}
-		if err := tr.FlushAll(); err != nil {
+		if err := tr.Flush(); err != nil {
 			return nil, err
 		}
 
@@ -352,7 +353,10 @@ func RunPathTrace() (PathTraceResult, error) {
 		}
 		var crossings []crossing
 		for _, label := range labels {
-			t := tr.MustTable(label)
+			t, err := tr.Table(label)
+			if err != nil {
+				return nil, err
+			}
 			for _, r := range t.ByTraceID(sent.TraceID) {
 				crossings = append(crossings, crossing{at: r.TimeNs, label: label})
 			}

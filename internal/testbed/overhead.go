@@ -3,6 +3,7 @@ package testbed
 import (
 	"fmt"
 
+	"vnettracer"
 	"vnettracer/internal/core"
 	"vnettracer/internal/kernel"
 	"vnettracer/internal/ovs"
@@ -120,7 +121,7 @@ func newTwoHostKVM(seed int64, linkBps int64) *twoHostKVM {
 func RunOverheadLatency(pings int) (OverheadLatencyResult, error) {
 	run := func(traced bool) (LatencyStats, float64, int, error) {
 		tb := newTwoHostKVM(42, Gbps)
-		tr := NewTracing()
+		tr := vnettracer.NewSession()
 		records := 0
 		if traced {
 			for i := 0; i < 2; i++ {
@@ -160,14 +161,10 @@ func RunOverheadLatency(pings int) (OverheadLatencyResult, error) {
 		cli.Run(pings)
 		tb.eng.Run(int64(pings+100) * 100 * US)
 		if traced {
-			if err := tr.FlushAll(); err != nil {
+			if err := tr.Flush(); err != nil {
 				return LatencyStats{}, 0, 0, err
 			}
-			for _, tpid := range tr.DB.Tables() {
-				if t, ok := tr.DB.Table(tpid); ok {
-					records += t.Len()
-				}
-			}
+			records = int(tr.StorageStats().Records())
 		}
 		return NewLatencyStats(cli.Latencies()), cli.LossRate(), records, nil
 	}
@@ -274,7 +271,7 @@ func netperfThroughput(linkBps int64, mode TracerMode, segments, window int) (fl
 
 	switch mode {
 	case ModeVNetTracer:
-		tr := NewTracing()
+		tr := vnettracer.NewSession()
 		if _, err := tr.AddMachine(r.srvM); err != nil {
 			return 0, err
 		}

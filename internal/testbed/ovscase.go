@@ -3,13 +3,12 @@ package testbed
 import (
 	"fmt"
 
+	"vnettracer"
 	"vnettracer/internal/core"
 	"vnettracer/internal/kernel"
-	"vnettracer/internal/metrics"
 	"vnettracer/internal/ovs"
 	"vnettracer/internal/script"
 	"vnettracer/internal/sim"
-	"vnettracer/internal/tracedb"
 	"vnettracer/internal/vnet"
 	"vnettracer/internal/workload"
 )
@@ -156,7 +155,7 @@ func RunOVSCase(cfg OVSCaseConfig) (OVSCaseResult, error) {
 	// Tracing: decompose the sockperf flow c->s into sender stack, OVS,
 	// receiver stack. The OVS segment is entered at the vnet0 ingress port
 	// and exited at the server VM's em device.
-	tr := NewTracing()
+	tr := vnettracer.NewSession()
 	for i := range machines {
 		if _, err := tr.AddMachine(machines[i]); err != nil {
 			return OVSCaseResult{}, err
@@ -226,7 +225,7 @@ func RunOVSCase(cfg OVSCaseConfig) (OVSCaseResult, error) {
 
 	spCli.Run(cfg.Pings)
 	eng.Run(duration + 200*MS)
-	if err := tr.FlushAll(); err != nil {
+	if err := tr.Flush(); err != nil {
 		return OVSCaseResult{}, err
 	}
 
@@ -245,20 +244,15 @@ func RunOVSCase(cfg OVSCaseConfig) (OVSCaseResult, error) {
 
 	stages := []string{"udp_send@vm0", "vnet0-ingress", "server-em", "udp_recv@server"}
 	names := []string{"sender-stack", "ovs", "receiver-stack"}
-	tables := make([]*tracedb.Table, 0, len(stages))
-	for _, s := range stages {
-		t, err := tr.Table(s)
-		if err != nil {
-			return OVSCaseResult{}, err
-		}
-		tables = append(tables, t)
+	segs, err := tr.Decompose(stages...)
+	if err != nil {
+		return OVSCaseResult{}, err
 	}
-	for i := 0; i+1 < len(tables); i++ {
-		lat := metrics.Latencies(tables[i], tables[i+1])
+	for i, seg := range segs {
 		res.Segments = append(res.Segments, SegmentStats{
 			Name:   names[i],
-			MeanUs: metrics.Mean(metrics.Values(lat)) / 1e3,
-			Count:  len(lat),
+			MeanUs: seg.MeanNs() / 1e3,
+			Count:  len(seg.PerPacket),
 		})
 	}
 	return res, nil

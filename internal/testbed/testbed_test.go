@@ -1,69 +1,6 @@
 package testbed
 
-import (
-	"testing"
-
-	"vnettracer/internal/core"
-	"vnettracer/internal/kernel"
-	"vnettracer/internal/script"
-	"vnettracer/internal/sim"
-)
-
-func TestTracingAddMachineDuplicate(t *testing.T) {
-	eng := sim.NewEngine(1)
-	node := kernel.NewNode(eng, kernel.NodeConfig{Name: "m"})
-	m := newMachine(node)
-	tr := NewTracing()
-	if _, err := tr.AddMachine(m); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.AddMachine(m); err == nil {
-		t.Fatal("duplicate machine accepted")
-	}
-	if _, ok := tr.Agent("m"); !ok {
-		t.Fatal("agent not registered")
-	}
-	if _, ok := tr.Agent("ghost"); ok {
-		t.Fatal("phantom agent")
-	}
-}
-
-func TestTracingInstallAndTable(t *testing.T) {
-	eng := sim.NewEngine(1)
-	node := kernel.NewNode(eng, kernel.NodeConfig{Name: "m"})
-	m := newMachine(node)
-	tr := NewTracing()
-	if _, err := tr.AddMachine(m); err != nil {
-		t.Fatal(err)
-	}
-	tpid, err := tr.InstallRecord("m", "probe", core.AttachPoint{Kind: core.AttachKProbe, Site: "x"}, script.Filter{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tpid == 0 {
-		t.Fatal("no TPID allocated")
-	}
-	if _, err := tr.Table("probe"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Table("ghost"); err == nil {
-		t.Fatal("phantom table")
-	}
-	// Install to unknown machine fails.
-	if _, err := tr.InstallRecord("ghost", "p2", core.AttachPoint{Kind: core.AttachKProbe, Site: "x"}, script.Filter{}); err == nil {
-		t.Fatal("install to unknown machine accepted")
-	}
-}
-
-func TestTracingMustTablePanicsOnUnknown(t *testing.T) {
-	tr := NewTracing()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustTable did not panic")
-		}
-	}()
-	tr.MustTable("ghost")
-}
+import "testing"
 
 func TestNewLatencyStats(t *testing.T) {
 	ns := make([]int64, 1000)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"vnettracer"
 	"vnettracer/internal/clocksync"
 	"vnettracer/internal/core"
 	"vnettracer/internal/hyper"
@@ -11,7 +12,6 @@ import (
 	"vnettracer/internal/metrics"
 	"vnettracer/internal/script"
 	"vnettracer/internal/sim"
-	"vnettracer/internal/tracedb"
 	"vnettracer/internal/vnet"
 	"vnettracer/internal/workload"
 )
@@ -184,7 +184,7 @@ func RunXenCase(cfg XenConfig) (XenResult, error) {
 	vm1.Egress = eth1.Receive
 
 	// Tracing deployment.
-	tr := NewTracing()
+	tr := vnettracer.NewSession()
 	for _, m := range []*core.Machine{clientM, dom0M, vm1M} {
 		if _, err := tr.AddMachine(m); err != nil {
 			return XenResult{}, err
@@ -276,7 +276,7 @@ func RunXenCase(cfg XenConfig) (XenResult, error) {
 		eng.Run(eng.Now() + dur + 100*MS)
 		appLat = cli.Latencies
 	}
-	if err := tr.FlushAll(); err != nil {
+	if err := tr.Flush(); err != nil {
 		return XenResult{}, err
 	}
 
@@ -291,26 +291,25 @@ func RunXenCase(cfg XenConfig) (XenResult, error) {
 		},
 	}
 
-	est, err := estimateSkewFromTables(
-		tr.MustTable("probe-t1"), tr.MustTable("probe-t2"),
-		tr.MustTable("probe-t3"), tr.MustTable("probe-t4"))
+	est, err := estimateSkew(tr, [4]string{"probe-t1", "probe-t2", "probe-t3", "probe-t4"})
 	if err != nil {
 		return XenResult{}, fmt.Errorf("testbed: xen skew estimation: %w", err)
 	}
 	res.SkewEstimateNs = est.SkewNs
 	// Align every host-side table to the client timeline.
 	for _, label := range []string{"xenbr0", "vif1.0", "eth1", "veth684a1d9"} {
-		t := tr.MustTable(label)
-		tr.DB.SetSkew(t.TPID, est.SkewNs)
+		if err := tr.SetSkew(label, est.SkewNs); err != nil {
+			return XenResult{}, err
+		}
 	}
 
-	stages := []*tracedb.Table{
-		tr.MustTable("eth0"), tr.MustTable("xenbr0"), tr.MustTable("vif1.0"),
-		tr.MustTable("eth1"), tr.MustTable("veth684a1d9"),
+	segs, err := tr.Decompose("eth0", "xenbr0", "vif1.0", "eth1", "veth684a1d9")
+	if err != nil {
+		return XenResult{}, err
 	}
 	perPacket := make(map[uint64]*PacketDecomp)
-	for seg := 0; seg < 4; seg++ {
-		lats := metrics.Latencies(stages[seg], stages[seg+1])
+	for seg := range segs {
+		lats := segs[seg].PerPacket
 		var sum float64
 		for _, s := range lats {
 			sum += float64(s.Ns)
@@ -331,32 +330,38 @@ func RunXenCase(cfg XenConfig) (XenResult, error) {
 	sort.Slice(res.PerPacket, func(i, j int) bool { return res.PerPacket[i].Seq < res.PerPacket[j].Seq })
 
 	// Jitter of the traced one-way latency eth0 -> veth.
-	oneWay := metrics.Latencies(stages[0], stages[4])
-	lo, hi := metrics.JitterRange(oneWay)
+	oneWay, err := tr.Decompose("eth0", "veth684a1d9")
+	if err != nil {
+		return XenResult{}, err
+	}
+	lo, hi := metrics.JitterRange(oneWay[0].PerPacket)
 	res.JitterLoUs = float64(lo) / 1e3
 	res.JitterHiUs = float64(hi) / 1e3
 	return res, nil
 }
 
-// estimateSkewFromTables joins the four probe tracepoints on packet
-// sequence to build Cristian samples.
-func estimateSkewFromTables(t1, t2, t3, t4 *tracedb.Table) (clocksync.Estimate, error) {
-	bySeq := func(t *tracedb.Table) map[uint64]int64 {
-		out := make(map[uint64]int64)
-		t.Scan(func(r core.Record) bool {
-			if _, dup := out[r.Seq]; !dup {
-				out[r.Seq] = int64(r.TimeNs)
+// estimateSkew joins the four probe tracepoints on packet sequence to
+// build Cristian samples.
+func estimateSkew(tr *vnettracer.Session, probes [4]string) (clocksync.Estimate, error) {
+	var bySeq [4]map[uint64]int64
+	for i, label := range probes {
+		first := make(map[uint64]int64)
+		err := tr.ScanTable(label, func(r core.Record) bool {
+			if _, dup := first[r.Seq]; !dup {
+				first[r.Seq] = int64(r.TimeNs)
 			}
 			return true
 		})
-		return out
+		if err != nil {
+			return clocksync.Estimate{}, err
+		}
+		bySeq[i] = first
 	}
-	m1, m2, m3, m4 := bySeq(t1), bySeq(t2), bySeq(t3), bySeq(t4)
 	var samples []clocksync.Sample
-	for seq, ts1 := range m1 {
-		ts2, ok2 := m2[seq]
-		ts3, ok3 := m3[seq]
-		ts4, ok4 := m4[seq]
+	for seq, ts1 := range bySeq[0] {
+		ts2, ok2 := bySeq[1][seq]
+		ts3, ok3 := bySeq[2][seq]
+		ts4, ok4 := bySeq[3][seq]
 		if ok2 && ok3 && ok4 {
 			samples = append(samples, clocksync.Sample{T1: ts1, T2: ts2, T3: ts3, T4: ts4})
 		}

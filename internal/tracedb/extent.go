@@ -201,40 +201,25 @@ func (e *Extent) readTail(f *os.File, rd *extentReader, from int) (extentTail, e
 	return t, err
 }
 
-// scan streams the extent's records in stored order until fn returns
-// false, and reports whether it did. A spilled extent is read whole, once;
-// either way header, tail and every block are verified before fn sees the
-// first record, so an extent that fails delivers nothing.
-func (e *Extent) scan(rd *extentReader, fn func(core.Record) bool) (stopped bool, err error) {
+// view opens the whole extent for a scan: a spilled extent is read once,
+// into rd.buf, which the view then aliases. Header, tail and every block
+// are verified before it returns, so an extent that fails delivers no
+// record.
+func (e *Extent) view(rd *extentReader) (extentView, error) {
 	blob := e.blob
 	if blob == nil {
 		f, err := os.Open(e.path)
 		if err != nil {
-			return false, err
+			return extentView{}, err
 		}
 		rd.buf, err = e.readAt(f, rd.buf, 0, e.storedBytes)
 		f.Close()
 		if err != nil {
-			return false, err
+			return extentView{}, err
 		}
 		blob = rd.buf
 	}
-	x, err := viewExtent(blob)
-	if err != nil {
-		return false, err
-	}
-	for i := 0; i < x.tail.blocks(); i++ {
-		recs, err := x.block(i, rd.recs[:])
-		if err != nil {
-			return false, err
-		}
-		for k := range recs {
-			if !fn(recs[k]) {
-				return true, nil
-			}
-		}
-	}
-	return false, nil
+	return viewExtent(blob)
 }
 
 // lookup appends the extent's records for one trace ID to out, in stored

@@ -1,19 +1,20 @@
 package tracedb
 
 import (
-	"sort"
+	"slices"
 
 	"vnettracer/internal/core"
 )
 
-// Merged is the cluster-query view of one tracepoint whose records are
-// partitioned across collectors: after a re-homing, an agent's table has
-// a prefix on its old collector and a suffix on its new one. Merged
-// presents the union as a single record stream. ScanAligned is a k-way
-// merge on aligned timestamps, so when each partition is time-sorted
-// (per-CPU ring order survives segment sealing) the merged stream is
-// globally time-sorted — what the latency join and throughput span
-// calculations assume of a single-collector table.
+// Merged is the query view of one tracepoint: the union of its table's
+// partitions, presented as a single record stream. A single-collector
+// table is the one-partition case, Merge(t); with the collector tier
+// scaled out a tracepoint's records are partitioned across collectors
+// (after a re-homing, an agent's table has a prefix on its old collector
+// and a suffix on its new one). ScanAligned is a k-way merge on aligned
+// timestamps, so when each partition is time-sorted (per-CPU ring order
+// survives segment sealing) the merged stream is globally time-sorted —
+// what the latency join and throughput span calculations assume.
 type Merged struct {
 	parts []*Table
 }
@@ -54,156 +55,134 @@ func (m *Merged) Len() int {
 
 // Scan streams every partition's records in raw timestamps, k-way merged
 // on TimeNs.
-func (m *Merged) Scan(fn func(core.Record) bool) { m.scanMerged(false, fn) }
+func (m *Merged) Scan(fn func(core.Record) bool) { m.scan(false, fn) }
 
 // ScanAligned streams every partition's records with per-table skew
 // correction applied, k-way merged on the aligned TimeNs — the
 // cross-collector equivalent of Table.ScanAligned.
-func (m *Merged) ScanAligned(fn func(core.Record) bool) { m.scanMerged(true, fn) }
+func (m *Merged) ScanAligned(fn func(core.Record) bool) { m.scan(true, fn) }
 
-// mergeStream adapts one partition's push-based scan into a pullable
-// record stream: a goroutine runs the scan and feeds a buffered channel,
-// stopping early when the consumer closes stop.
-type mergeStream struct {
-	ch   chan core.Record
-	stop chan struct{}
-	cur  core.Record
-	ok   bool
+// mergeSource is one partition's cursor inside a merge, with the record
+// it currently offers.
+type mergeSource struct {
+	cursor
+	part int
+	recs []core.Record // rest of the current block; recs[0] is cur, raw
+	cur  core.Record   // as the merge orders and delivers it
 }
 
-func (s *mergeStream) advance() {
-	s.cur, s.ok = <-s.ch
+// advance moves to the partition's next record and reports whether there
+// is one.
+func (s *mergeSource) advance(align bool) bool {
+	if len(s.recs) > 1 {
+		s.recs = s.recs[1:]
+	} else if s.recs = s.next(); s.recs == nil {
+		return false
+	}
+	s.cur = s.recs[0]
+	if align {
+		s.cur.TimeNs = alignNs(s.cur.TimeNs, s.skew)
+	}
+	return true
 }
 
-// scanMerged runs the k-way merge. Ties on TimeNs break by partition
-// index, so the merged order is deterministic for a fixed partition
+// before orders sources by (cur.TimeNs, partition index): ties break by
+// partition, so the merged order is deterministic for a fixed partition
 // list.
-func (m *Merged) scanMerged(align bool, fn func(core.Record) bool) {
-	if len(m.parts) == 1 {
-		// Single partition: no goroutine machinery needed.
-		if align {
-			m.parts[0].ScanAligned(fn)
-		} else {
-			m.parts[0].Scan(fn)
+func (s *mergeSource) before(o *mergeSource) bool {
+	if s.cur.TimeNs != o.cur.TimeNs {
+		return s.cur.TimeNs < o.cur.TimeNs
+	}
+	return s.part < o.part
+}
+
+// siftDown restores the min-heap property of h below index i.
+func siftDown(h []*mergeSource, i int) {
+	for {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && h[l].before(h[least]) {
+			least = l
 		}
-		return
+		if r < len(h) && h[r].before(h[least]) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
 	}
-	streams := make([]*mergeStream, len(m.parts))
-	for i, t := range m.parts {
-		s := &mergeStream{ch: make(chan core.Record, 64), stop: make(chan struct{})}
-		streams[i] = s
-		go func(t *Table, s *mergeStream) {
-			defer close(s.ch)
-			emit := func(r core.Record) bool {
-				select {
-				case s.ch <- r:
-					return true
-				case <-s.stop:
-					return false
-				}
-			}
-			if align {
-				t.ScanAligned(emit)
-			} else {
-				t.Scan(emit)
-			}
-		}(t, s)
-	}
+}
+
+// scan runs the k-way merge: one cursor per partition in a binary
+// min-heap, pulled in the caller's goroutine. A partition is opened (its
+// first extent read and verified) before the first record is delivered;
+// every cursor's reader goes back to the pool when fn stops the scan.
+func (m *Merged) scan(align bool, fn func(core.Record) bool) {
+	srcs := make([]mergeSource, len(m.parts))
+	h := make([]*mergeSource, 0, len(srcs))
 	defer func() {
-		// Unblock and drain every producer so no goroutine leaks when the
-		// consumer stops early.
-		for _, s := range streams {
-			close(s.stop)
-			for range s.ch {
-			}
+		for i := range srcs {
+			srcs[i].close()
 		}
 	}()
-
-	// heap holds the stream indices with a live head record, a binary
-	// min-heap on (cur.TimeNs, stream index).
-	heap := make([]int, 0, len(streams))
-	less := func(a, b int) bool {
-		if streams[a].cur.TimeNs != streams[b].cur.TimeNs {
-			return streams[a].cur.TimeNs < streams[b].cur.TimeNs
-		}
-		return a < b
-	}
-	up := func(i int) {
-		for i > 0 {
-			parent := (i - 1) / 2
-			if !less(heap[i], heap[parent]) {
-				break
-			}
-			heap[i], heap[parent] = heap[parent], heap[i]
-			i = parent
+	for i, t := range m.parts {
+		s := &srcs[i]
+		s.cursor, s.part = t.cursor(), i
+		if s.advance(align) {
+			h = append(h, s)
 		}
 	}
-	down := func(i int) {
-		for {
-			least, l, r := i, 2*i+1, 2*i+2
-			if l < len(heap) && less(heap[l], heap[least]) {
-				least = l
-			}
-			if r < len(heap) && less(heap[r], heap[least]) {
-				least = r
-			}
-			if least == i {
-				return
-			}
-			heap[i], heap[least] = heap[least], heap[i]
-			i = least
-		}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
 	}
-	for i, s := range streams {
-		s.advance()
-		if s.ok {
-			heap = append(heap, i)
-			up(len(heap) - 1)
-		}
-	}
-	for len(heap) > 0 {
-		i := heap[0]
-		s := streams[i]
+	for len(h) > 0 {
+		s := h[0]
 		if !fn(s.cur) {
 			return
 		}
-		s.advance()
-		if s.ok {
-			down(0)
-			continue
+		if !s.advance(align) {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
-		heap[0] = heap[len(heap)-1]
-		heap = heap[:len(heap)-1]
-		down(0)
+		siftDown(h, 0)
 	}
 }
 
-// TraceIDs returns the distinct packet IDs across all partitions, sorted.
-func (m *Merged) TraceIDs() []uint32 {
+// traceIDSet scans every partition and returns the distinct packet IDs.
+// ID 0 is not a packet ID: it marks a record of a packet that carries none
+// (IDs are only embedded in UDP), which the latency join cannot pair
+// either, so loss and the join agree on what counts as a packet.
+func (m *Merged) traceIDSet() map[uint32]struct{} {
 	set := make(map[uint32]struct{})
 	for _, t := range m.parts {
-		for _, id := range t.TraceIDs() {
-			set[id] = struct{}{}
-		}
+		t.Scan(func(r core.Record) bool {
+			if r.TraceID != 0 {
+				set[r.TraceID] = struct{}{}
+			}
+			return true
+		})
 	}
+	return set
+}
+
+// TraceIDs returns the distinct packet IDs across all partitions, in
+// ascending order; untraced records (ID 0) are left out. This is a full
+// streaming pass: the set it builds is transient query state, not
+// resident storage.
+func (m *Merged) TraceIDs() []uint32 {
+	set := m.traceIDSet()
 	out := make([]uint32, 0, len(set))
 	for id := range set {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// NumTraceIDs counts distinct packet IDs across all partitions.
-func (m *Merged) NumTraceIDs() int {
-	set := make(map[uint32]struct{})
-	for _, t := range m.parts {
-		for _, id := range t.TraceIDs() {
-			set[id] = struct{}{}
-		}
-	}
-	return len(set)
-}
+// NumTraceIDs counts distinct packet IDs across all partitions without
+// building the sorted slice.
+func (m *Merged) NumTraceIDs() int { return len(m.traceIDSet()) }
 
 // FirstByTraceID returns the record with the earliest aligned timestamp
 // for a packet ID across all partitions — the cross-collector trace-ID

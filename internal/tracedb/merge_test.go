@@ -2,6 +2,9 @@ package tracedb
 
 import (
 	"math/rand"
+	"os"
+	"runtime"
+	"slices"
 	"testing"
 
 	"vnettracer/internal/core"
@@ -91,35 +94,113 @@ func TestMergedEqualsBaseline(t *testing.T) {
 			t.Fatalf("FirstByTraceID(%d): merged %+v ok=%v, baseline %+v", id, mr, ok, br)
 		}
 	}
+
+	// A single table is its own one-partition view, whatever its records
+	// live in: the head alone, resident extents, spilled extents.
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"head only", Config{}},
+		{"resident extents", Config{SegmentBytes: 40 * core.RecordSize}},
+		{"spilled extents", Config{SegmentBytes: 40 * core.RecordSize, DataDir: t.TempDir()}},
+	} {
+		db := NewWith(tc.cfg)
+		tbl, _ := db.CreateTable(1, "tp")
+		db.SetSkew(1, skew)
+		for i := 0; i < 300; i++ {
+			// Every tenth record is untraced (ID 0).
+			db.Insert([]core.Record{mergeRec(uint32(i%40+1)*uint32(min(i%10, 1)), uint64(1000+i*7), uint32(i%4), uint64(i+1))})
+		}
+		if st := tbl.Storage(); st.HeadRecords == 0 || (st.Extents > 0) != (tc.cfg.SegmentBytes > 0) || (st.SpilledExtents > 0) != (tc.cfg.DataDir != "") {
+			t.Fatalf("%s: fixture %+v", tc.name, st)
+		}
+		one := Merge(tbl)
+		if one.Len() != tbl.Len() || one.Parts() != 1 {
+			t.Fatalf("%s: Len = %d in %d parts, want %d in 1", tc.name, one.Len(), one.Parts(), tbl.Len())
+		}
+		if !slices.Equal(collectRecs(one.Scan), collectRecs(tbl.Scan)) {
+			t.Fatalf("%s: Merge(t).Scan differs from t.Scan", tc.name)
+		}
+		if !slices.Equal(collectRecs(one.ScanAligned), collectRecs(tbl.ScanAligned)) {
+			t.Fatalf("%s: Merge(t).ScanAligned differs from t.ScanAligned", tc.name)
+		}
+		ids := tbl.TraceIDs()
+		if len(ids) != 36 || ids[0] == 0 || one.NumTraceIDs() != 36 || tbl.NumTraceIDs() != 36 || !slices.Equal(one.TraceIDs(), ids) {
+			t.Fatalf("%s: %d / %d / %d distinct IDs, want the 36 traced ones", tc.name, len(ids), one.NumTraceIDs(), tbl.NumTraceIDs())
+		}
+		for _, id := range append(ids, 0, 999) {
+			tr, tok := tbl.FirstByTraceID(id)
+			mr, mok := one.FirstByTraceID(id)
+			if tok != mok || tr != mr {
+				t.Fatalf("%s: FirstByTraceID(%d): view %+v %v, table %+v %v", tc.name, id, mr, mok, tr, tok)
+			}
+		}
+	}
 }
 
 // TestMergedEarlyStop: a consumer that stops mid-stream gets exactly as
-// many records as it asked for and leaves no stuck producer behind
-// (the -race run would flag unsynchronized leftovers).
+// many records as it asked for, and the merge runs in its goroutine alone:
+// nothing is left behind to stop. A damaged extent in one partition is
+// counted once per scan that reaches it and delivers nothing, stopped
+// early or not.
 func TestMergedEarlyStop(t *testing.T) {
 	parts := make([]*Table, 3)
-	for i := range parts {
+	for i := range parts[:2] {
 		var db *DB
 		db, parts[i] = newMergeTable(t, 0)
 		for j := 0; j < 50; j++ {
 			db.Insert([]core.Record{mergeRec(1, uint64(100+j), 0, uint64(j+1))})
 		}
 	}
+	f := newDamageFixture(t)
+	parts[2] = f.tbl
+	file, err := os.ReadFile(f.extentPath(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	file[len(file)/2] ^= 1
+	if err := os.WriteFile(f.extentPath(0), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	m := Merge(parts...)
-	n := 0
-	m.ScanAligned(func(core.Record) bool {
-		n++
-		return n < 5
-	})
-	if n != 5 {
-		t.Fatalf("early-stopped scan visited %d records, want 5", n)
+	for _, stopAt := range []int{1, 5} {
+		before := runtime.NumGoroutine()
+		n := 0
+		m.ScanAligned(func(core.Record) bool {
+			n++
+			return n < stopAt
+		})
+		if n != stopAt {
+			t.Fatalf("early-stopped scan visited %d records, want %d", n, stopAt)
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Fatalf("goroutines: %d before the scan, %d after", before, after)
+		}
+	}
+	if got := f.tbl.Storage().ReadErrors; got != 2 {
+		t.Fatalf("ReadErrors = %d after two scans over the damaged extent, want 2", got)
+	}
+	fromDamaged := 0
+	all := collectRecs(m.Scan)
+	for _, r := range all {
+		if r.Proto == 17 && r.Seq < damageExtentRecords { // the fixture's records, not mergeRec's
+			fromDamaged++
+		}
+	}
+	if want := 100 + damageRecords - damageExtentRecords; len(all) != want || fromDamaged != 0 {
+		t.Fatalf("full scan delivered %d records, %d from the damaged extent; want %d and none", len(all), fromDamaged, want)
+	}
+	if got := f.tbl.Storage().ReadErrors; got != 3 {
+		t.Fatalf("ReadErrors = %d after the full scan, want 3", got)
 	}
 }
 
 // TestMergedRandomInterleavings is the fuzz-style merge-heap check: many
 // seeded trials with random record counts, duplicate timestamps, and
 // random partition assignment. The merged stream must contain exactly
-// the union (as a multiset) in non-decreasing time order.
+// the union (as a multiset) in (time, partition index) order.
 func TestMergedRandomInterleavings(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 40; trial++ {
@@ -130,6 +211,7 @@ func TestMergedRandomInterleavings(t *testing.T) {
 		for i := 0; i < n; i++ {
 			all[i] = mergeRec(uint32(rng.Intn(10)+1), uint64(rng.Intn(50)), uint32(rng.Intn(3)), uint64(i+1))
 			p := rng.Intn(k)
+			all[i].Dir = uint8(p) // so the merged stream shows its tie-break
 			buckets[p] = append(buckets[p], all[i])
 		}
 		parts := make([]*Table, k)
@@ -154,12 +236,11 @@ func TestMergedRandomInterleavings(t *testing.T) {
 			t.Fatalf("trial %d: merged %d records, want %d", trial, len(got), n)
 		}
 		seen := make(map[core.Record]int)
-		var prev uint64
 		for i, r := range got {
-			if i > 0 && r.TimeNs < prev {
-				t.Fatalf("trial %d: time regressed at %d: %d after %d", trial, i, r.TimeNs, prev)
+			if i > 0 && (r.TimeNs < got[i-1].TimeNs || r.TimeNs == got[i-1].TimeNs && r.Dir < got[i-1].Dir) {
+				t.Fatalf("trial %d: record %d is (time %d, partition %d) after (%d, %d)",
+					trial, i, r.TimeNs, r.Dir, got[i-1].TimeNs, got[i-1].Dir)
 			}
-			prev = r.TimeNs
 			seen[r]++
 		}
 		for _, r := range all {

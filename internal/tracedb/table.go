@@ -2,7 +2,6 @@ package tracedb
 
 import (
 	"bytes"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -195,35 +194,87 @@ func alignNs(timeNs uint64, skewNs int64) uint64 {
 	return uint64(v)
 }
 
-// scanSegments drives fn over sealed extents then the head, in insertion
-// order, aligning timestamps when align is set. It returns early when fn
-// returns false. An extent that fails to read or verify (evicted
-// mid-query, damaged on disk) delivers no record and is counted.
-func (t *Table) scanSegments(align bool, fn func(core.Record) bool) {
+// cursor pulls the records of one table snapshot a block at a time: each
+// sealed extent's blocks, oldest extent first, then the head slice — the
+// table's insertion order. It is the one way records leave a table in
+// bulk: Scan loops over it and a Merged view heap-merges one per
+// partition. A cursor holds a pooled extentReader from its first extent
+// until close.
+type cursor struct {
+	t    *Table
+	exts []*Extent // not yet opened
+	head []core.Record
+	skew int64 // the snapshot's alignment, for consumers that align
+	rd   *extentReader
+	x    extentView // the open extent, verified whole
+	blk  int        // its next block
+}
+
+func (t *Table) cursor() cursor {
 	exts, head, skew := t.snapshot()
-	visit := fn
-	if align {
-		visit = func(r core.Record) bool {
-			r.TimeNs = alignNs(r.TimeNs, skew)
-			return fn(r)
-		}
-	}
-	if len(exts) > 0 {
-		rd := readers.Get().(*extentReader)
-		defer readers.Put(rd)
-		for _, e := range exts {
-			stopped, err := e.scan(rd, visit)
-			if err != nil {
-				t.readErrors.Add(1)
+	return cursor{t: t, exts: exts, head: head, skew: skew}
+}
+
+// next returns the next block of records, raw and non-empty, or nil once
+// the snapshot is exhausted. The slice is the reader's scratch (or the
+// head itself): read-only, and valid until the next call. An extent that
+// fails to read or verify (evicted mid-query, damaged on disk) delivers no
+// record and is counted.
+func (c *cursor) next() []core.Record {
+	for {
+		if c.blk < c.x.tail.blocks() {
+			recs, err := c.x.block(c.blk, c.rd.recs[:])
+			c.blk++
+			if err == nil {
+				return recs
 			}
-			if stopped {
+		} else if len(c.exts) > 0 {
+			if c.rd == nil {
+				c.rd = readers.Get().(*extentReader)
+			}
+			var err error
+			c.x, err = c.exts[0].view(c.rd)
+			c.exts, c.blk = c.exts[1:], 0
+			if err == nil {
+				continue
+			}
+		} else {
+			head := c.head
+			c.head = nil
+			if len(head) == 0 {
+				return nil
+			}
+			return head
+		}
+		// The extent failed: count it and deliver nothing more of it.
+		c.t.readErrors.Add(1)
+		c.x = extentView{}
+	}
+}
+
+// close returns the cursor's reader to the pool; the last block next
+// returned is dead after it.
+func (c *cursor) close() {
+	if c.rd != nil {
+		readers.Put(c.rd)
+		c.rd = nil
+	}
+}
+
+// scan drives fn over the table in insertion order, aligning timestamps
+// when align is set, until fn returns false.
+func (t *Table) scan(align bool, fn func(core.Record) bool) {
+	c := t.cursor()
+	defer c.close()
+	for recs := c.next(); recs != nil; recs = c.next() {
+		for k := range recs {
+			r := recs[k]
+			if align {
+				r.TimeNs = alignNs(r.TimeNs, c.skew)
+			}
+			if !fn(r) {
 				return
 			}
-		}
-	}
-	for i := range head {
-		if !visit(head[i]) {
-			return
 		}
 	}
 }
@@ -232,13 +283,13 @@ func (t *Table) scanSegments(align bool, fn func(core.Record) bool) {
 // The segment snapshot is taken under the lock and decoded outside it, so
 // long analyses never block inserts; records inserted after Scan starts
 // are not visited.
-func (t *Table) Scan(fn func(core.Record) bool) { t.scanSegments(false, fn) }
+func (t *Table) Scan(fn func(core.Record) bool) { t.scan(false, fn) }
 
 // ScanAligned streams every record with timestamps corrected by the node
 // skew ("timestamp alignment for the clock skew", Section III-C), until
 // fn returns false. The correction is applied per segment at read time,
 // so a skew learned after records sealed still aligns them.
-func (t *Table) ScanAligned(fn func(core.Record) bool) { t.scanSegments(true, fn) }
+func (t *Table) ScanAligned(fn func(core.Record) bool) { t.scan(true, fn) }
 
 // ByTraceID returns all records for one packet ID in insertion order. A
 // sealed extent is probed only when its Bloom filter admits the ID, and
@@ -299,32 +350,14 @@ func (t *Table) lookupSealed(exts []*Extent, id uint32, firstOnly bool) []core.R
 	return out
 }
 
-// traceIDSet scans all live segments and returns the distinct packet IDs.
-func (t *Table) traceIDSet() map[uint32]struct{} {
-	set := make(map[uint32]struct{})
-	t.Scan(func(r core.Record) bool {
-		set[r.TraceID] = struct{}{}
-		return true
-	})
-	return set
-}
-
 // TraceIDs returns the distinct packet IDs seen at this tracepoint, in
-// ascending order. With sealed segments this is a full streaming pass;
-// the set it builds is transient query state, not resident storage.
-func (t *Table) TraceIDs() []uint32 {
-	set := t.traceIDSet()
-	out := make([]uint32, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// ascending order (see Merged.TraceIDs: a table is its own one-partition
+// view).
+func (t *Table) TraceIDs() []uint32 { return Merge(t).TraceIDs() }
 
 // NumTraceIDs returns the count of distinct packet IDs without building
 // the sorted slice.
-func (t *Table) NumTraceIDs() int { return len(t.traceIDSet()) }
+func (t *Table) NumTraceIDs() int { return Merge(t).NumTraceIDs() }
 
 // Incomplete reports trace IDs seen at this table but missing from other
 // — the "identifying incomplete records" data-cleaning step, and the raw
@@ -332,7 +365,7 @@ func (t *Table) NumTraceIDs() int { return len(t.traceIDSet()) }
 // locks across each other, so Incomplete(a,b) and Incomplete(b,a) can run
 // concurrently with inserts on both.
 func (t *Table) Incomplete(other *Table) []uint32 {
-	present := other.traceIDSet()
+	present := Merge(other).traceIDSet()
 	var out []uint32
 	for _, id := range t.TraceIDs() {
 		if _, ok := present[id]; !ok {

@@ -114,6 +114,11 @@ func TestIncomplete(t *testing.T) {
 	if got := b.Incomplete(a); len(got) != 0 {
 		t.Fatalf("reverse Incomplete = %v", got)
 	}
+	// Untraced records (ID 0) on one side only are not a missing packet.
+	db.Insert([]core.Record{rec(2, 0, 6), rec(2, 0, 7)})
+	if got := b.Incomplete(a); len(got) != 0 {
+		t.Fatalf("Incomplete counts untraced records as a packet: %v", got)
+	}
 }
 
 func TestHeartbeatsAndDeadAgents(t *testing.T) {

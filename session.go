@@ -19,8 +19,15 @@ type Session struct {
 	collector  *control.Collector
 	dispatcher *control.Dispatcher
 	supervisor *control.Supervisor
-	agents     map[string]*control.Agent
-	labels     map[string]uint32
+	// query is the one-partition cluster view over db: the session answers
+	// every table-level metric through the same layer a scaled-out tier
+	// does.
+	query  *ClusterQuery
+	agents map[string]*control.Agent
+	labels map[string]uint32
+	// flushNs is the interval StartFlushing armed, kept so a restarted
+	// agent gets the same timer.
+	flushNs int64
 }
 
 // NewSession creates an empty session with default in-memory storage.
@@ -42,6 +49,7 @@ func NewSessionWith(cfg StoreConfig) *Session {
 		collector:  control.NewCollector(db),
 		dispatcher: disp,
 		supervisor: sup,
+		query:      NewClusterQuery().AddDB(db),
 		agents:     make(map[string]*control.Agent),
 		labels:     make(map[string]uint32),
 	}
@@ -87,19 +95,27 @@ func (s *Session) AddMachine(m *Machine) (*Agent, error) {
 }
 
 // RestartAgent models an agent-process restart: the machine gets a fresh
-// agent with the next epoch lease, the dispatcher's roster points at it,
-// and the next supervision pass re-pushes the desired state so its
-// tracepoints re-attach. The previous agent object (the "zombie") is
-// returned: anything it still ships carries the old epoch and is fenced
-// by the collector.
+// agent with the next epoch lease and the session's periodic flush, the
+// dispatcher's roster points at it, and the next supervision pass
+// re-pushes the desired state so its tracepoints re-attach. The previous
+// agent object (the "zombie") is returned: anything it still ships
+// carries the old epoch and is fenced by the collector.
 func (s *Session) RestartAgent(machine string) (*Agent, *Agent, error) {
 	old, ok := s.agents[machine]
 	if !ok {
 		return nil, nil, fmt.Errorf("vnettracer: machine %q not in session", machine)
 	}
+	// Process death: the flush loop dies and the kernel detaches the
+	// process's probes; only the spool survives in the zombie.
 	old.StopFlushing()
+	if err := old.Apply(ControlPackage{Replace: true}); err != nil {
+		return nil, nil, err
+	}
 	agent := control.NewAgent(machine, old.Machine(), s.collector)
 	agent.SetEpoch(s.dispatcher.Reregister(machine, agent))
+	if s.flushNs > 0 {
+		agent.StartFlushing(s.flushNs)
+	}
 	s.agents[machine] = agent
 	return agent, old, nil
 }
@@ -177,8 +193,12 @@ func (s *Session) agentNames() []string {
 	return names
 }
 
-// StartFlushing arms periodic ring-buffer flushes on every agent.
+// StartFlushing arms periodic ring-buffer flushes on every agent, and on
+// every agent a later RestartAgent creates. Call after installing
+// scripts; without it long runs overflow the bounded kernel buffer (the
+// paper dumps the buffer periodically for the same reason).
 func (s *Session) StartFlushing(intervalNs int64) {
+	s.flushNs = intervalNs
 	for _, name := range s.agentNames() {
 		s.agents[name].StartFlushing(intervalNs)
 	}
@@ -197,13 +217,26 @@ func (s *Session) Flush() error {
 	return errors.Join(errs...)
 }
 
+// tpids resolves script labels to their tracepoint IDs.
+func (s *Session) tpids(labels ...string) ([]uint32, error) {
+	out := make([]uint32, len(labels))
+	for i, l := range labels {
+		tpid, ok := s.labels[l]
+		if !ok {
+			return nil, fmt.Errorf("vnettracer: unknown script label %q", l)
+		}
+		out[i] = tpid
+	}
+	return out, nil
+}
+
 // Table returns the record table behind a script label.
 func (s *Session) Table(label string) (*Table, error) {
-	tpid, ok := s.labels[label]
-	if !ok {
-		return nil, fmt.Errorf("vnettracer: unknown script label %q", label)
+	ids, err := s.tpids(label)
+	if err != nil {
+		return nil, err
 	}
-	t, ok := s.db.Table(tpid)
+	t, ok := s.db.Table(ids[0])
 	if !ok {
 		return nil, fmt.Errorf("vnettracer: no table for %q", label)
 	}
@@ -225,32 +258,32 @@ func (s *Session) ScanTable(label string, fn func(Record) bool) error {
 // Throughput computes one-pass throughput over a label's table (the
 // paper's sum(S_i - S_ID) / (T_N - T_1)).
 func (s *Session) Throughput(label string) (float64, error) {
-	t, err := s.Table(label)
+	ids, err := s.tpids(label)
 	if err != nil {
 		return 0, err
 	}
-	return metrics.ThroughputOf(t)
+	return s.query.Throughput(ids[0])
 }
 
 // PerFlowThroughput computes one-pass per-flow throughput over a label's
 // table.
 func (s *Session) PerFlowThroughput(label string) ([]metrics.FlowStats, error) {
-	t, err := s.Table(label)
+	ids, err := s.tpids(label)
 	if err != nil {
 		return nil, err
 	}
-	return metrics.PerFlowThroughputOf(t), nil
+	return s.query.PerFlowThroughput(ids[0])
 }
 
 // SetSkew records a clock-offset correction (e.g. from Cristian's
 // algorithm) for a label's tracepoint; subsequent analyses align its
 // timestamps.
 func (s *Session) SetSkew(label string, skewNs int64) error {
-	tpid, ok := s.labels[label]
-	if !ok {
-		return fmt.Errorf("vnettracer: unknown script label %q", label)
+	ids, err := s.tpids(label)
+	if err != nil {
+		return err
 	}
-	s.db.SetSkew(tpid, skewNs)
+	s.db.SetSkew(ids[0], skewNs)
 	return nil
 }
 
@@ -258,15 +291,11 @@ func (s *Session) SetSkew(label string, skewNs int64) error {
 // returning one segment per consecutive pair (the paper's latency
 // decomposition). Tables are skew-aligned before joining.
 func (s *Session) Decompose(labels ...string) ([]metrics.Segment, error) {
-	tables := make([]*Table, 0, len(labels))
-	for _, l := range labels {
-		t, err := s.Table(l)
-		if err != nil {
-			return nil, err
-		}
-		tables = append(tables, t)
+	ids, err := s.tpids(labels...)
+	if err != nil {
+		return nil, err
 	}
-	return metrics.Decompose(tables)
+	return s.query.Decompose(ids...)
 }
 
 // Script returns an installed script's compiled form (for reading its

@@ -38,11 +38,28 @@ func TestSessionEndToEnd(t *testing.T) {
 	if _, err := s.AddMachine(machine); err == nil {
 		t.Fatal("duplicate machine accepted")
 	}
+	if _, ok := s.Agent("m0"); !ok {
+		t.Fatal("agent not registered")
+	}
+	if _, ok := s.Agent("ghost"); ok {
+		t.Fatal("phantom agent")
+	}
 
 	filter := Filter{Proto: ProtoUDP, DstPort: 9000}
-	if _, err := s.InstallRecord("m0", "dev-rx",
-		AttachPoint{Kind: AttachDevice, Device: "lo0", Dir: Ingress}, filter); err != nil {
+	tpid, err := s.InstallRecord("m0", "dev-rx",
+		AttachPoint{Kind: AttachDevice, Device: "lo0", Dir: Ingress}, filter)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if tpid == 0 {
+		t.Fatal("no TPID allocated")
+	}
+	if _, err := s.InstallRecord("ghost", "p2",
+		AttachPoint{Kind: AttachKProbe, Site: SiteUDPRecvmsg}, filter); err == nil {
+		t.Fatal("install to unknown machine accepted")
+	}
+	if _, err := s.Table("ghost"); err == nil {
+		t.Fatal("phantom table")
 	}
 	if _, err := s.InstallRecord("m0", "sock-rx",
 		AttachPoint{Kind: AttachKProbe, Site: SiteUDPRecvmsg}, filter); err != nil {
@@ -273,5 +290,89 @@ func TestSessionDecompose(t *testing.T) {
 	}
 	if _, err := s.Decompose("dev", "ghost"); err == nil {
 		t.Fatal("unknown label accepted")
+	}
+}
+
+// TestSessionRestartAgent: a restarted agent comes back under the next
+// epoch lease with the session's periodic flush, the supervision pass
+// re-attaches its scripts, and what the previous incarnation still ships
+// is fenced and counted.
+func TestSessionRestartAgent(t *testing.T) {
+	eng := NewEngine(6)
+	machine, _ := buildLoopbackMachine(t, eng)
+	node := machine.Node
+	s := NewSession()
+	if _, err := s.AddMachine(machine); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.InstallRecord("m0", "rx",
+		AttachPoint{Kind: AttachKProbe, Site: SiteUDPRecvmsg}, Filter{}); err != nil {
+		t.Fatal(err)
+	}
+	s.StartFlushing(10 * Millisecond)
+	srvAddr := SockAddr{IP: MustParseIP("10.0.0.1"), Port: 9000}
+	if _, err := node.Open(ProtoUDP, srvAddr, func(*Packet) {}); err != nil {
+		t.Fatal(err)
+	}
+	cli, err := node.Open(ProtoUDP, SockAddr{IP: MustParseIP("10.0.0.1"), Port: 40001}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// burst sends n packets and runs the engine just long enough to
+	// deliver them — well short of a flush interval.
+	burst := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := cli.Send(srvAddr, 50); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Run(eng.Now() + 100*Microsecond)
+	}
+	tbl, err := s.Table("rx")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	burst(10)
+	eng.Run(eng.Now() + 15*Millisecond)
+	if tbl.Len() != 10 {
+		t.Fatalf("before the restart: %d records, want 10", tbl.Len())
+	}
+
+	if _, _, err := s.RestartAgent("ghost"); err == nil {
+		t.Fatal("restart of an unknown machine accepted")
+	}
+	fresh, zombie, err := s.RestartAgent("m0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur, _ := s.Agent("m0"); cur != fresh || fresh.Epoch() != 2 || zombie.Epoch() != 1 {
+		t.Fatalf("epochs after restart: fresh %d, zombie %d", fresh.Epoch(), zombie.Epoch())
+	}
+	if got := fresh.Installed(); len(got) != 0 {
+		t.Fatalf("fresh agent starts with %v installed", got)
+	}
+	s.Supervise(eng.Now())
+	if got := fresh.Installed(); len(got) != 1 || got[0] != "rx" {
+		t.Fatalf("after supervision the fresh agent has %v installed, want [rx]", got)
+	}
+
+	// Once the fresh agent's first flush has announced its lease, what the
+	// zombie drains from the machine's ring ships under a stale one.
+	eng.Run(eng.Now() + 10*Millisecond)
+	burst(3)
+	zombie.Flush()
+	if batches, records := s.Collector().FencedStats(); batches != 1 || records != 3 {
+		t.Fatalf("fenced %d batches / %d records, want 1 / 3", batches, records)
+	}
+	if tbl.Len() != 10 {
+		t.Fatalf("the zombie's batch reached the table: %d records", tbl.Len())
+	}
+
+	// The fresh agent flushes on the session's interval, unprompted.
+	burst(10)
+	eng.Run(eng.Now() + 15*Millisecond)
+	if tbl.Len() != 20 {
+		t.Fatalf("after the restart: %d records, want 20 (one per packet, flushed by the fresh agent's own timer)", tbl.Len())
 	}
 }

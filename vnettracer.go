@@ -117,8 +117,8 @@ type (
 	Extent = tracedb.Extent
 	// StorageStats is a snapshot of segment-store accounting.
 	StorageStats = tracedb.StorageStats
-	// Merged is a k-way merged read-only view over partitions of one
-	// tracepoint's table spread across collectors.
+	// Merged is the read-only query view of one tracepoint: its table's
+	// partitions (one per collector holding a shard), k-way merged.
 	Merged = tracedb.Merged
 	// ScriptAgg is one script's merged in-probe aggregate state.
 	ScriptAgg = tracedb.ScriptAgg
@@ -146,7 +146,7 @@ type (
 	// Segment is one hop of a latency decomposition.
 	Segment = metrics.Segment
 	// RecordSource streams records for one-pass analyses; *Table satisfies
-	// it via Scan.
+	// it via Scan, in raw (not skew-corrected) time.
 	RecordSource = metrics.RecordSource
 	// RecordBatch is what agents ship to the collector.
 	RecordBatch = control.RecordBatch
@@ -238,13 +238,17 @@ func Throughput(recs []Record) (float64, error) { return metrics.Throughput(recs
 
 // Latencies joins two tracepoint tables on packet ID and returns
 // per-packet latency (skew-aligned).
-func Latencies(a, b *Table) []LatencySample { return metrics.Latencies(a, b) }
+func Latencies(a, b *Table) []LatencySample {
+	return metrics.Latencies(tracedb.Merge(a), tracedb.Merge(b))
+}
 
 // Jitter returns consecutive latency differences.
 func Jitter(samples []LatencySample) []int64 { return metrics.Jitter(samples) }
 
 // Loss computes packet loss between two tracepoints.
-func Loss(a, b *Table) (lost int64, rate float64) { return metrics.Loss(a, b) }
+func Loss(a, b *Table) (lost int64, rate float64) {
+	return metrics.Loss(tracedb.Merge(a), tracedb.Merge(b))
+}
 
 // Summarize computes count/mean/percentiles over latency values.
 func Summarize(vals []int64) Summary { return metrics.Summarize(vals) }
