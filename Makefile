@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME) ./internal/tracedb
 	$(GO) test -run NONE -fuzz FuzzDecodeAggFrame -fuzztime $(FUZZTIME) ./internal/control
 	$(GO) test -run NONE -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) ./internal/tracedb
+	$(GO) test -run NONE -fuzz FuzzLatenciesOf -fuzztime $(FUZZTIME) ./internal/metrics
 
 # Coverage summary over the whole module.
 .PHONY: cover
@@ -75,10 +76,18 @@ bench-build:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
+# The latency join's own number, without the pipeline under it: 1 M
+# records a side through metrics.LatenciesOf and through the two-pass map
+# join it replaced (its test oracle). One iteration, so check only proves
+# it still compiles and joins; raise -benchtime to measure.
+.PHONY: bench-join
+bench-join:
+	$(GO) test -run NONE -bench BenchmarkLatenciesOf -benchtime 1x -benchmem ./internal/metrics
+
 # Everything here leaves `git status` clean: what it writes (cover.out,
 # .bench_build/) is ignored.
 .PHONY: check
-check: tier1 vet staticcheck race faults crash fuzz cover bench-build
+check: tier1 vet staticcheck race faults crash fuzz cover bench-build bench-join
 
 # Opt-in regression gate (not part of check: a 10-pair set takes ~35 min
 # and needs an otherwise idle machine). Exports PARENT under

@@ -9,7 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"vnettracer/internal/core"
 	"vnettracer/internal/tracedb"
@@ -111,47 +111,11 @@ func Latencies(a, b *tracedb.Merged) []LatencySample {
 // LatenciesOf is the latency join itself, over any two record streams — a
 // view's ScanAligned, a filtered stream, an in-memory slice: first
 // occurrence per packet ID on each side, untraced records (ID 0) skipped,
-// in two streaming passes so no sealed segment is decoded more than once
-// per side. Callers pass already-aligned sources.
+// samples in (Seq, TraceID) order. Each source is scanned once (see
+// join.go). Callers pass already-aligned sources.
 func LatenciesOf(a, b RecordSource) []LatencySample {
-	// First occurrence per trace ID on the b side.
-	bFirst := make(map[uint32]uint64)
-	b.Scan(func(r core.Record) bool {
-		if r.TraceID != 0 {
-			if _, seen := bFirst[r.TraceID]; !seen {
-				bFirst[r.TraceID] = r.TimeNs
-			}
-		}
-		return true
-	})
-	var out []LatencySample
-	seen := make(map[uint32]struct{})
-	a.Scan(func(r core.Record) bool {
-		if r.TraceID == 0 {
-			return true // untraced packets cannot be joined
-		}
-		if _, dup := seen[r.TraceID]; dup {
-			return true
-		}
-		seen[r.TraceID] = struct{}{}
-		tb, ok := bFirst[r.TraceID]
-		if !ok {
-			return true
-		}
-		out = append(out, LatencySample{
-			TraceID: r.TraceID,
-			Seq:     r.Seq,
-			Ns:      int64(tb) - int64(r.TimeNs),
-		})
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Seq != out[j].Seq {
-			return out[i].Seq < out[j].Seq
-		}
-		return out[i].TraceID < out[j].TraceID
-	})
-	return out
+	var tab joinTable
+	return tab.join(partition(a), partition(b))
 }
 
 // Values extracts the nanosecond latencies from samples.
@@ -221,20 +185,35 @@ func (s *Segment) MeanNs() float64 { return Mean(Values(s.PerPacket)) }
 
 // Decompose splits end-to-end latency across consecutive tracepoint
 // views, the paper's "decomposition of end-to-end latency" (Figures 9a
-// and 11): one Latencies join per consecutive pair.
+// and 11): one latency join per consecutive pair.
 func Decompose(stages []*tracedb.Merged) ([]Segment, error) {
 	if len(stages) < 2 {
 		return nil, fmt.Errorf("%w: need >= 2 stages", ErrNoData)
 	}
+	sources := make([]RecordSource, len(stages))
+	for i, st := range stages {
+		sources[i] = SourceFunc(st.ScanAligned)
+	}
 	out := make([]Segment, 0, len(stages)-1)
-	for i := 1; i < len(stages); i++ {
-		out = append(out, Segment{
-			From:      stages[i-1].Name(),
-			To:        stages[i].Name(),
-			PerPacket: Latencies(stages[i-1], stages[i]),
-		})
+	for i, samples := range decompose(sources) {
+		out = append(out, Segment{From: stages[i].Name(), To: stages[i+1].Name(), PerPacket: samples})
 	}
 	return out, nil
+}
+
+// decompose joins each stage to the next. Every stage is scanned once: an
+// interior stage's scattered records are side b of the hop that ends at it
+// and then side a of the hop that starts there.
+func decompose(stages []RecordSource) [][]LatencySample {
+	out := make([][]LatencySample, 0, len(stages)-1)
+	var tab joinTable
+	a := partition(stages[0])
+	for _, st := range stages[1:] {
+		b := partition(st)
+		out = append(out, tab.join(a, b))
+		a = b
+	}
+	return out
 }
 
 // Mean returns the arithmetic mean of vals, 0 when empty.
@@ -255,9 +234,13 @@ func Percentile(vals []int64, p float64) int64 {
 	if len(vals) == 0 {
 		return 0
 	}
-	sorted := make([]int64, len(vals))
-	copy(sorted, vals)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	return nearestRank(sorted, p)
+}
+
+// nearestRank reads the p-th percentile off non-empty, sorted values.
+func nearestRank(sorted []int64, p float64) int64 {
 	if p <= 0 {
 		return sorted[0]
 	}
@@ -291,9 +274,11 @@ func Summarize(vals []int64) Summary {
 		return s
 	}
 	s.MeanNs = Mean(vals)
-	s.P50Ns = Percentile(vals, 50)
-	s.P99Ns = Percentile(vals, 99)
-	s.P999Ns = Percentile(vals, 99.9)
-	s.MaxNs = Percentile(vals, 100)
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	s.P50Ns = nearestRank(sorted, 50)
+	s.P99Ns = nearestRank(sorted, 99)
+	s.P999Ns = nearestRank(sorted, 99.9)
+	s.MaxNs = sorted[len(sorted)-1]
 	return s
 }

@@ -462,8 +462,8 @@ func TestWALRawRecordsEncoding(t *testing.T) {
 	if got := appendWALPayload(nil, &bad); !bytes.Equal(got, want) {
 		t.Fatalf("wrong-length raw was not ignored")
 	}
-	e, err := decodeWALPayload(want)
-	if err != nil {
+	var e walEntry
+	if err := decodeWALPayload(want, &e); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(e.Records, recs) {

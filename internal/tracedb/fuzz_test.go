@@ -137,13 +137,12 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(badKind)
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		e, err := decodeWALPayload(payload)
-		if err != nil {
+		var e, e2 walEntry
+		if decodeWALPayload(payload, &e) != nil {
 			return
 		}
 		re := appendWALPayload(nil, &e)
-		e2, err := decodeWALPayload(re)
-		if err != nil {
+		if err := decodeWALPayload(re, &e2); err != nil {
 			t.Fatalf("re-encode of a valid wal payload failed to decode: %v", err)
 		}
 		if !reflect.DeepEqual(e, e2) {

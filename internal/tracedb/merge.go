@@ -149,40 +149,29 @@ func (m *Merged) scan(align bool, fn func(core.Record) bool) {
 	}
 }
 
-// traceIDSet scans every partition and returns the distinct packet IDs.
-// ID 0 is not a packet ID: it marks a record of a packet that carries none
-// (IDs are only embedded in UDP), which the latency join cannot pair
-// either, so loss and the join agree on what counts as a packet.
-func (m *Merged) traceIDSet() map[uint32]struct{} {
-	set := make(map[uint32]struct{})
+// TraceIDs returns the distinct packet IDs across all partitions, in
+// ascending order: one streaming pass collects them, 4 bytes a record, and
+// a sort and a compaction make them a set — transient query state, not
+// resident storage. ID 0 is not a packet ID: it marks a record of a packet
+// that carries none (IDs are only embedded in UDP), which the latency join
+// cannot pair either, so loss and the join agree on what counts as a
+// packet.
+func (m *Merged) TraceIDs() []uint32 {
+	ids := make([]uint32, 0, m.Len())
 	for _, t := range m.parts {
 		t.Scan(func(r core.Record) bool {
 			if r.TraceID != 0 {
-				set[r.TraceID] = struct{}{}
+				ids = append(ids, r.TraceID)
 			}
 			return true
 		})
 	}
-	return set
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
-// TraceIDs returns the distinct packet IDs across all partitions, in
-// ascending order; untraced records (ID 0) are left out. This is a full
-// streaming pass: the set it builds is transient query state, not
-// resident storage.
-func (m *Merged) TraceIDs() []uint32 {
-	set := m.traceIDSet()
-	out := make([]uint32, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// NumTraceIDs counts distinct packet IDs across all partitions without
-// building the sorted slice.
-func (m *Merged) NumTraceIDs() int { return len(m.traceIDSet()) }
+// NumTraceIDs counts distinct packet IDs across all partitions.
+func (m *Merged) NumTraceIDs() int { return len(m.TraceIDs()) }
 
 // FirstByTraceID returns the record with the earliest aligned timestamp
 // for a packet ID across all partitions — the cross-collector trace-ID

@@ -199,7 +199,7 @@ func Recover(db *DB, aggs *AggStore, cfg DurabilityConfig) (*Durability, Recover
 	}
 	for _, name := range files {
 		path := filepath.Join(cfg.Dir, name)
-		goodOff, tornErr, err := walReplayFile(path, func(e walEntry) {
+		goodOff, tornErr, err := walReplayFile(path, func(e *walEntry) {
 			if e.LSN <= stats.CheckpointLSN {
 				return
 			}
@@ -207,7 +207,7 @@ func Recover(db *DB, aggs *AggStore, cfg DurabilityConfig) (*Durability, Recover
 				maxLSN = e.LSN
 			}
 			stats.ReplayedEntries++
-			switch st := d.admit(&e); {
+			switch st := d.admit(e); {
 			case st != BatchFresh:
 				stats.ReplayedDup++
 			case e.Kind == walKindRecords:

@@ -65,25 +65,37 @@ func newTable(db *DB, tpid uint32, name string) *Table {
 	return &Table{TPID: tpid, Name: name, db: db}
 }
 
-// append adds a run of records (all with this table's TPID) under the
-// table lock, sealing the head into a new extent once it crosses the
-// configured segment size. The check runs after the whole run lands, so
-// extents always break at batch-run boundaries.
-func (t *Table) append(recs []core.Record) {
+// appendRuns adds every run of this table's records in recs, skipping the
+// other tables' records between them, under one hold of the table lock.
+// Each run is appended whole and then the head's size checked, so the
+// head seals into a new extent at a run boundary: the first at which it
+// has crossed the configured segment size.
+func (t *Table) appendRuns(recs []core.Record) {
 	t.mu.Lock()
-	if t.head == nil {
-		// Room for a whole segment plus the run that tips it over, so a
-		// segment of runs no longer than its first never regrows. Segment
-		// sizes above the default start at the default and grow on demand:
-		// a store configured never to seal must not reserve its limit per
-		// table.
-		t.head = make([]core.Record, 0, min(t.db.cfg.SegmentBytes, DefaultSegmentBytes)/core.RecordSize+len(recs))
+	defer t.mu.Unlock()
+	for i := 0; i < len(recs); {
+		if recs[i].TPID != t.TPID {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(recs) && recs[j].TPID == t.TPID {
+			j++
+		}
+		if t.head == nil {
+			// Room for a whole segment plus the run that tips it over, so a
+			// segment of runs no longer than its first never regrows. Segment
+			// sizes above the default start at the default and grow on demand:
+			// a store configured never to seal must not reserve its limit per
+			// table.
+			t.head = make([]core.Record, 0, min(t.db.cfg.SegmentBytes, DefaultSegmentBytes)/core.RecordSize+j-i)
+		}
+		t.head = append(t.head, recs[i:j]...)
+		if len(t.head)*core.RecordSize >= t.db.cfg.SegmentBytes {
+			t.sealLocked()
+		}
+		i = j
 	}
-	t.head = append(t.head, recs...)
-	if len(t.head)*core.RecordSize >= t.db.cfg.SegmentBytes {
-		t.sealLocked()
-	}
-	t.mu.Unlock()
 }
 
 // sealLocked compresses the head into a new immutable extent, spills it
@@ -355,24 +367,26 @@ func (t *Table) lookupSealed(exts []*Extent, id uint32, firstOnly bool) []core.R
 // view).
 func (t *Table) TraceIDs() []uint32 { return Merge(t).TraceIDs() }
 
-// NumTraceIDs returns the count of distinct packet IDs without building
-// the sorted slice.
+// NumTraceIDs returns the count of distinct packet IDs.
 func (t *Table) NumTraceIDs() int { return Merge(t).NumTraceIDs() }
 
 // Incomplete reports trace IDs seen at this table but missing from other
 // — the "identifying incomplete records" data-cleaning step, and the raw
-// material of the packet-loss metric. Both tables stream without holding
-// locks across each other, so Incomplete(a,b) and Incomplete(b,a) can run
-// concurrently with inserts on both.
+// material of the packet-loss metric — in ascending order. Both tables
+// stream without holding locks across each other, so Incomplete(a,b) and
+// Incomplete(b,a) can run concurrently with inserts on both.
 func (t *Table) Incomplete(other *Table) []uint32 {
-	present := Merge(other).traceIDSet()
+	present := other.TraceIDs()
 	var out []uint32
 	for _, id := range t.TraceIDs() {
-		if _, ok := present[id]; !ok {
+		for len(present) > 0 && present[0] < id {
+			present = present[1:]
+		}
+		if len(present) == 0 || present[0] != id {
 			out = append(out, id)
 		}
 	}
-	return out // TraceIDs is sorted, so out is too
+	return out
 }
 
 // Storage returns the table's segment-store accounting.

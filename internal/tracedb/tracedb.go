@@ -22,6 +22,7 @@ package tracedb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -107,18 +108,35 @@ func (db *DB) CreateTable(tpid uint32, name string) (*Table, error) {
 }
 
 // Insert routes records to their tracepoint tables, creating tables on
-// demand for unknown tracepoints. Records usually arrive grouped by
-// tracepoint, so runs of the same TPID are appended under one table lock;
-// segment seals happen only at run boundaries, keeping extents batch
-// aligned.
+// demand for unknown tracepoints. Each run of one TPID is one append, and
+// a table's seal check follows each of its runs, so extents break at run
+// boundaries and stay batch aligned. Every packet fires every site of its
+// path, so a batch usually alternates between a few tracepoints record by
+// record: a table takes all of its runs in the batch under one hold of its
+// lock, resolved once, instead of a directory lookup and a lock per
+// record. A table's records keep their order; tables fill one after the
+// other.
 func (db *DB) Insert(recs []core.Record) {
-	for i := 0; i < len(recs); {
-		j := i + 1
-		for j < len(recs) && recs[j].TPID == recs[i].TPID {
-			j++
+	var done [8]uint32 // tracepoints whose runs are all in
+	n := 0
+	for i := range recs {
+		tpid := recs[i].TPID
+		if (i > 0 && recs[i-1].TPID == tpid) || slices.Contains(done[:n], tpid) {
+			continue
 		}
-		db.table(recs[i].TPID).append(recs[i:j])
-		i = j
+		if n == len(done) {
+			// More tracepoints than are remembered: this one's runs go in
+			// one at a time, as each is met.
+			j := i + 1
+			for j < len(recs) && recs[j].TPID == tpid {
+				j++
+			}
+			db.table(tpid).appendRuns(recs[i:j])
+			continue
+		}
+		db.table(tpid).appendRuns(recs[i:])
+		done[n] = tpid
+		n++
 	}
 }
 

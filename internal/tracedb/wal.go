@@ -39,6 +39,7 @@
 package tracedb
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -190,78 +191,77 @@ func appendU64Slice(dst []byte, vs []uint64) []byte {
 	return dst
 }
 
-// decodeWALPayload decodes one frame payload. Like the extent decoder it
-// never allocates proportionally to a header-declared count alone — every
-// count is checked against the bytes that remain, so arbitrary (fuzzed)
-// input cannot balloon memory.
-func decodeWALPayload(b []byte) (walEntry, error) {
+// decodeWALPayload decodes one frame payload into e, replacing what e
+// held; a record batch reuses e's record array, grown when it is too
+// small. Like the extent decoder it never allocates proportionally to a
+// header-declared count alone — every count is checked against the bytes
+// that remain, so arbitrary (fuzzed) input cannot balloon memory.
+func decodeWALPayload(b []byte, e *walEntry) error {
 	cur := &byteCursor{b: b}
-	var e walEntry
+	*e = walEntry{Records: e.Records[:0]}
 	var err error
 	if e.LSN, err = binary.ReadUvarint(cur); err != nil {
-		return e, fmt.Errorf("tracedb: wal lsn: %w", err)
+		return fmt.Errorf("tracedb: wal lsn: %w", err)
 	}
 	if e.Kind, err = cur.ReadByte(); err != nil {
-		return e, fmt.Errorf("tracedb: wal kind: %w", err)
+		return fmt.Errorf("tracedb: wal kind: %w", err)
 	}
 	if e.Kind != walKindRecords && e.Kind != walKindAggs {
-		return e, fmt.Errorf("tracedb: wal kind %d unknown", e.Kind)
+		return fmt.Errorf("tracedb: wal kind %d unknown", e.Kind)
 	}
 	if e.Agent, err = readWALString(cur); err != nil {
-		return e, fmt.Errorf("tracedb: wal agent: %w", err)
+		return fmt.Errorf("tracedb: wal agent: %w", err)
 	}
 	if e.Epoch, err = binary.ReadUvarint(cur); err != nil {
-		return e, fmt.Errorf("tracedb: wal epoch: %w", err)
+		return fmt.Errorf("tracedb: wal epoch: %w", err)
 	}
 	if e.Seq, err = binary.ReadUvarint(cur); err != nil {
-		return e, fmt.Errorf("tracedb: wal seq: %w", err)
+		return fmt.Errorf("tracedb: wal seq: %w", err)
 	}
 	t, err := binary.ReadUvarint(cur)
 	if err != nil {
-		return e, fmt.Errorf("tracedb: wal time: %w", err)
+		return fmt.Errorf("tracedb: wal time: %w", err)
 	}
 	e.TimeNs = unzigzag(t)
 	if e.Degraded, err = cur.ReadByte(); err != nil {
-		return e, fmt.Errorf("tracedb: wal degraded: %w", err)
+		return fmt.Errorf("tracedb: wal degraded: %w", err)
 	}
 	switch e.Kind {
 	case walKindRecords:
 		n, err := binary.ReadUvarint(cur)
 		if err != nil {
-			return e, fmt.Errorf("tracedb: wal record count: %w", err)
+			return fmt.Errorf("tracedb: wal record count: %w", err)
 		}
 		// Records are fixed-width, so the count bounds-checks exactly.
 		if n > uint64(cur.remaining())/walRecordSize {
-			return e, fmt.Errorf("tracedb: wal record count %d exceeds frame size", n)
+			return fmt.Errorf("tracedb: wal record count %d exceeds frame size", n)
 		}
-		want := int(n) * walRecordSize
-		recs, err := core.UnmarshalRecords(cur.b[cur.off : cur.off+want])
-		if err != nil {
-			return e, fmt.Errorf("tracedb: wal records: %w", err)
+		e.Records = slices.Grow(e.Records, int(n))
+		for end := cur.off + int(n)*walRecordSize; cur.off < end; cur.off += walRecordSize {
+			r, _ := core.UnmarshalRecord(cur.b[cur.off:]) // walRecordSize bytes are there
+			e.Records = append(e.Records, r)
 		}
-		cur.off += want
-		e.Records = recs
 	case walKindAggs:
 		n, err := binary.ReadUvarint(cur)
 		if err != nil {
-			return e, fmt.Errorf("tracedb: wal script count: %w", err)
+			return fmt.Errorf("tracedb: wal script count: %w", err)
 		}
 		if n > uint64(cur.remaining())/5+1 {
-			return e, fmt.Errorf("tracedb: wal script count %d exceeds frame size", n)
+			return fmt.Errorf("tracedb: wal script count %d exceeds frame size", n)
 		}
 		e.Scripts = make([]ScriptAgg, 0, n)
 		for i := uint64(0); i < n; i++ {
 			s, err := readWALScript(cur)
 			if err != nil {
-				return e, fmt.Errorf("tracedb: wal script %d: %w", i, err)
+				return fmt.Errorf("tracedb: wal script %d: %w", i, err)
 			}
 			e.Scripts = append(e.Scripts, s)
 		}
 	}
 	if cur.remaining() != 0 {
-		return e, fmt.Errorf("tracedb: %d trailing bytes after wal payload", cur.remaining())
+		return fmt.Errorf("tracedb: %d trailing bytes after wal payload", cur.remaining())
 	}
-	return e, nil
+	return nil
 }
 
 // byteCursor is a minimal io.ByteReader over a slice, for
@@ -567,42 +567,68 @@ func (w *walWriter) close() error {
 	return err
 }
 
+// walReadBuffer is the replay reader's buffer: several frames of a
+// paced agent per read, and a frame larger than it is read straight into
+// the payload buffer.
+const walReadBuffer = 64 << 10
+
 // walReplayFile streams one generation's frames into fn, in order. It
 // stops at the first torn or corrupt frame and returns the byte offset of
 // the end of the last good frame; tornErr describes why it stopped (nil
 // when the file ended cleanly). Decode errors inside a CRC-valid frame
 // are reported the same way — the frame marks the end of usable log.
-func walReplayFile(path string, fn func(walEntry)) (goodOff int64, tornErr error, err error) {
-	b, err := os.ReadFile(path)
+//
+// Replay allocates per log, not per frame: one reader, one payload buffer
+// and one entry whose record array every batch decodes into, each as
+// large as the log's largest frame needs and never more than the bytes
+// the file still holds. The entry handed to fn, its Records included, is
+// valid only until fn returns.
+func walReplayFile(path string, fn func(*walEntry)) (goodOff int64, tornErr error, err error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return 0, nil, err
 	}
-	off := 0
-	for {
-		if off == len(b) {
-			return int64(off), nil, nil
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, nil, err
+	}
+	rd := bufio.NewReaderSize(f, walReadBuffer)
+	var (
+		hdr     [walFrameHeader]byte
+		payload []byte
+		e       walEntry
+	)
+	for off, size := int64(0), fi.Size(); ; {
+		left := size - off
+		if left == 0 {
+			return off, nil, nil
 		}
-		if len(b)-off < walFrameHeader {
-			return int64(off), fmt.Errorf("tracedb: wal: torn frame header (%d bytes)", len(b)-off), nil
+		if left < walFrameHeader {
+			return off, fmt.Errorf("tracedb: wal: torn frame header (%d bytes)", left), nil
 		}
-		plen := int(binary.BigEndian.Uint32(b[off : off+4]))
-		crc := binary.BigEndian.Uint32(b[off+4 : off+8])
+		if _, err := io.ReadFull(rd, hdr[:]); err != nil {
+			return off, nil, fmt.Errorf("tracedb: wal: %s: frame header at offset %d: %w", filepath.Base(path), off, err)
+		}
+		plen := int(binary.BigEndian.Uint32(hdr[0:4]))
+		crc := binary.BigEndian.Uint32(hdr[4:8])
 		if plen > maxWALPayload {
-			return int64(off), fmt.Errorf("tracedb: wal: frame length %d exceeds cap", plen), nil
+			return off, fmt.Errorf("tracedb: wal: frame length %d exceeds cap", plen), nil
 		}
-		if len(b)-off-walFrameHeader < plen {
-			return int64(off), fmt.Errorf("tracedb: wal: torn frame payload (%d of %d bytes)",
-				len(b)-off-walFrameHeader, plen), nil
+		if left -= walFrameHeader; left < int64(plen) {
+			return off, fmt.Errorf("tracedb: wal: torn frame payload (%d of %d bytes)", left, plen), nil
 		}
-		payload := b[off+walFrameHeader : off+walFrameHeader+plen]
+		payload = slices.Grow(payload[:0], plen)[:plen]
+		if _, err := io.ReadFull(rd, payload); err != nil {
+			return off, nil, fmt.Errorf("tracedb: wal: %s: frame payload at offset %d: %w", filepath.Base(path), off, err)
+		}
 		if crc32.ChecksumIEEE(payload) != crc {
-			return int64(off), fmt.Errorf("tracedb: wal: frame CRC mismatch at offset %d", off), nil
+			return off, fmt.Errorf("tracedb: wal: frame CRC mismatch at offset %d", off), nil
 		}
-		e, derr := decodeWALPayload(payload)
-		if derr != nil {
-			return int64(off), fmt.Errorf("tracedb: wal: frame at offset %d: %w", off, derr), nil
+		if err := decodeWALPayload(payload, &e); err != nil {
+			return off, fmt.Errorf("tracedb: wal: frame at offset %d: %w", off, err), nil
 		}
-		fn(e)
-		off += walFrameHeader + plen
+		fn(&e)
+		off += walFrameHeader + int64(plen)
 	}
 }
