@@ -60,7 +60,12 @@ func walReplayWhole(path string, fn func(walEntry)) (goodOff int64, tornErr erro
 func TestWALReplayMatchesWholeFileReplay(t *testing.T) {
 	entries := []walEntry{
 		{Kind: walKindRecords, Agent: "a1", Epoch: 1, Seq: 1, TimeNs: 5, Records: batchRecs(1, 1, 2*walReadBuffer/walRecordSize)},
-		{Kind: walKindAggs, Agent: "a1", Epoch: 1, Seq: 1, TimeNs: 6, Scripts: testScripts(3)},
+		// More scripts, slots and flows than the aggregate frame at the
+		// end, which decodes into the arrays this one leaves behind.
+		{Kind: walKindAggs, Agent: "a1", Epoch: 1, Seq: 1, TimeNs: 6, Scripts: append(testScripts(3), ScriptAgg{
+			Script: "wide.vnt", Counters: []uint64{1, 2, 3, 4}, CPUHits: []uint64{5, 6}, Hist: []uint64{7, 8, 9, 10, 11},
+			Flows: []FlowAgg{{SrcIP: 9, Packets: 1, Bytes: 2}, {SrcIP: 10, Packets: 3, Bytes: 4}, {SrcIP: 11, Packets: 5, Bytes: 6}},
+		})},
 		{Kind: walKindRecords, Agent: "a1", Epoch: 1, Seq: 2, TimeNs: 7, Records: batchRecs(2, 2, 40)},
 		{Kind: walKindRecords, Agent: "agent-two", Epoch: 3, Seq: 9, TimeNs: -8, Degraded: 1, Records: batchRecs(1, 3, 3)},
 		{Kind: walKindAggs, Agent: "a1", Epoch: 1, Seq: 2, TimeNs: 9, Scripts: testScripts(4)},
@@ -84,8 +89,12 @@ func TestWALReplayMatchesWholeFileReplay(t *testing.T) {
 		var tornErr, err error
 		if streaming {
 			o.goodOff, tornErr, err = walReplayFile(path, func(e *walEntry) {
-				kept := *e
-				kept.Records = append([]core.Record(nil), e.Records...) // e is the replay's scratch
+				// e and every array under it are the replay's scratch: keep
+				// a copy of its own, written out and decoded afresh.
+				var kept walEntry
+				if err := decodeWALPayload(appendWALPayload(nil, e), &kept); err != nil {
+					t.Fatal(err)
+				}
 				o.entries = append(o.entries, kept)
 			})
 		} else {
@@ -216,6 +225,36 @@ func TestRecoverAllocatedBytesPerRecord(t *testing.T) {
 	t.Logf("%.1f bytes allocated per replayed record", perRec)
 	if perRec > 85 {
 		t.Fatalf("recovery allocated %.1f bytes per replayed record, want <= 85", perRec)
+	}
+}
+
+// Aggregate frames replay through one entry's arrays too: what a frame
+// still allocates is its agent and script names, not its slots and flows.
+func TestWALReplayReusesAggregateArrays(t *testing.T) {
+	scripts := testScripts(1)
+	for f := 0; f < 200; f++ {
+		scripts[0].Flows = append(scripts[0].Flows, FlowAgg{SrcIP: uint32(f), DstIP: 7, SrcPort: 1, DstPort: 2, Proto: 17, Packets: 3, Bytes: 300})
+	}
+	const frames = 300
+	var log []byte
+	for i := 0; i < frames; i++ {
+		log = appendWALFrame(log, &walEntry{LSN: uint64(i + 1), Kind: walKindAggs, Agent: "a1", Epoch: 1, Seq: uint64(i + 1), Scripts: scripts})
+	}
+	path := filepath.Join(t.TempDir(), walFileName(1))
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	var flows int
+	runtime.ReadMemStats(&before)
+	goodOff, tornErr, err := walReplayFile(path, func(e *walEntry) { flows += len(e.Scripts[0].Flows) })
+	runtime.ReadMemStats(&after)
+	if err != nil || tornErr != nil || goodOff != int64(len(log)) || flows != frames*len(scripts[0].Flows) {
+		t.Fatalf("replay stopped at %d of %d (%v, %v) after %d flows", goodOff, len(log), tornErr, err, flows)
+	}
+	// The reader's buffer, one frame's worth of arrays, and the names.
+	if got, limit := int(after.TotalAlloc-before.TotalAlloc), walReadBuffer+len(log)/10; got > limit {
+		t.Fatalf("replaying %d bytes of aggregate frames allocated %d, want <= %d", len(log), got, limit)
 	}
 }
 

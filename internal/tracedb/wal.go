@@ -192,13 +192,14 @@ func appendU64Slice(dst []byte, vs []uint64) []byte {
 }
 
 // decodeWALPayload decodes one frame payload into e, replacing what e
-// held; a record batch reuses e's record array, grown when it is too
-// small. Like the extent decoder it never allocates proportionally to a
-// header-declared count alone — every count is checked against the bytes
-// that remain, so arbitrary (fuzzed) input cannot balloon memory.
+// held and reusing its arrays — the records', the scripts' and each
+// script's slots and flows — grown where they are too small. Like the
+// extent decoder it never allocates proportionally to a header-declared
+// count alone — every count is checked against the bytes that remain, so
+// arbitrary (fuzzed) input cannot balloon memory.
 func decodeWALPayload(b []byte, e *walEntry) error {
 	cur := &byteCursor{b: b}
-	*e = walEntry{Records: e.Records[:0]}
+	*e = walEntry{Records: e.Records[:0], Scripts: e.Scripts[:0]}
 	var err error
 	if e.LSN, err = binary.ReadUvarint(cur); err != nil {
 		return fmt.Errorf("tracedb: wal lsn: %w", err)
@@ -249,13 +250,15 @@ func decodeWALPayload(b []byte, e *walEntry) error {
 		if n > uint64(cur.remaining())/5+1 {
 			return fmt.Errorf("tracedb: wal script count %d exceeds frame size", n)
 		}
-		e.Scripts = make([]ScriptAgg, 0, n)
-		for i := uint64(0); i < n; i++ {
-			s, err := readWALScript(cur)
-			if err != nil {
+		for i := 0; i < int(n); i++ {
+			if i < cap(e.Scripts) {
+				e.Scripts = e.Scripts[:i+1] // with the arrays an earlier frame left there
+			} else {
+				e.Scripts = append(e.Scripts, ScriptAgg{})
+			}
+			if err := readWALScript(cur, &e.Scripts[i]); err != nil {
 				return fmt.Errorf("tracedb: wal script %d: %w", i, err)
 			}
-			e.Scripts = append(e.Scripts, s)
 		}
 	}
 	if cur.remaining() != 0 {
@@ -318,7 +321,8 @@ func readWALU16(cur *byteCursor) (uint16, error) {
 	return uint16(v), nil
 }
 
-func readWALU64Slice(cur *byteCursor) ([]uint64, error) {
+// readWALU64Slice reads a counted run of uvarints into dst's array.
+func readWALU64Slice(cur *byteCursor, dst []uint64) ([]uint64, error) {
 	n, err := binary.ReadUvarint(cur)
 	if err != nil {
 		return nil, err
@@ -326,10 +330,7 @@ func readWALU64Slice(cur *byteCursor) ([]uint64, error) {
 	if n > uint64(cur.remaining()) {
 		return nil, fmt.Errorf("slot count %d exceeds frame size", n)
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	vs := make([]uint64, 0, n)
+	vs := slices.Grow(dst[:0], int(n))
 	for i := uint64(0); i < n; i++ {
 		v, err := binary.ReadUvarint(cur)
 		if err != nil {
@@ -340,58 +341,56 @@ func readWALU64Slice(cur *byteCursor) ([]uint64, error) {
 	return vs, nil
 }
 
-func readWALScript(cur *byteCursor) (ScriptAgg, error) {
-	var s ScriptAgg
+// readWALScript reads one script's aggregates into s, reusing its arrays.
+func readWALScript(cur *byteCursor, s *ScriptAgg) error {
 	var err error
 	if s.Script, err = readWALString(cur); err != nil {
-		return s, fmt.Errorf("name: %w", err)
+		return fmt.Errorf("name: %w", err)
 	}
-	if s.Counters, err = readWALU64Slice(cur); err != nil {
-		return s, fmt.Errorf("counters: %w", err)
+	if s.Counters, err = readWALU64Slice(cur, s.Counters); err != nil {
+		return fmt.Errorf("counters: %w", err)
 	}
-	if s.CPUHits, err = readWALU64Slice(cur); err != nil {
-		return s, fmt.Errorf("cpu hits: %w", err)
+	if s.CPUHits, err = readWALU64Slice(cur, s.CPUHits); err != nil {
+		return fmt.Errorf("cpu hits: %w", err)
 	}
-	if s.Hist, err = readWALU64Slice(cur); err != nil {
-		return s, fmt.Errorf("hist: %w", err)
+	if s.Hist, err = readWALU64Slice(cur, s.Hist); err != nil {
+		return fmt.Errorf("hist: %w", err)
 	}
 	n, err := binary.ReadUvarint(cur)
 	if err != nil {
-		return s, fmt.Errorf("flow count: %w", err)
+		return fmt.Errorf("flow count: %w", err)
 	}
 	// A flow encodes to at least 7 bytes (6 varints + proto byte).
 	if n > uint64(cur.remaining())/7+1 {
-		return s, fmt.Errorf("flow count %d exceeds frame size", n)
+		return fmt.Errorf("flow count %d exceeds frame size", n)
 	}
-	if n > 0 {
-		s.Flows = make([]FlowAgg, 0, n)
-	}
+	s.Flows = slices.Grow(s.Flows[:0], int(n))
 	for i := uint64(0); i < n; i++ {
 		var f FlowAgg
 		if f.SrcIP, err = readWALU32(cur); err != nil {
-			return s, fmt.Errorf("flow %d srcIP: %w", i, err)
+			return fmt.Errorf("flow %d srcIP: %w", i, err)
 		}
 		if f.DstIP, err = readWALU32(cur); err != nil {
-			return s, fmt.Errorf("flow %d dstIP: %w", i, err)
+			return fmt.Errorf("flow %d dstIP: %w", i, err)
 		}
 		if f.SrcPort, err = readWALU16(cur); err != nil {
-			return s, fmt.Errorf("flow %d srcPort: %w", i, err)
+			return fmt.Errorf("flow %d srcPort: %w", i, err)
 		}
 		if f.DstPort, err = readWALU16(cur); err != nil {
-			return s, fmt.Errorf("flow %d dstPort: %w", i, err)
+			return fmt.Errorf("flow %d dstPort: %w", i, err)
 		}
 		if f.Proto, err = cur.ReadByte(); err != nil {
-			return s, fmt.Errorf("flow %d proto: %w", i, err)
+			return fmt.Errorf("flow %d proto: %w", i, err)
 		}
 		if f.Packets, err = binary.ReadUvarint(cur); err != nil {
-			return s, fmt.Errorf("flow %d packets: %w", i, err)
+			return fmt.Errorf("flow %d packets: %w", i, err)
 		}
 		if f.Bytes, err = binary.ReadUvarint(cur); err != nil {
-			return s, fmt.Errorf("flow %d bytes: %w", i, err)
+			return fmt.Errorf("flow %d bytes: %w", i, err)
 		}
 		s.Flows = append(s.Flows, f)
 	}
-	return s, nil
+	return nil
 }
 
 // walFileName returns the generation file name for a first LSN.
