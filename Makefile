@@ -28,10 +28,12 @@ staticcheck:
 # Race-detector pass over the concurrent record path (probe registry
 # fired while the agent attaches and detaches, per-CPU rings, store,
 # control plane, metrics run against live tables) plus the cluster
-# conformance corpus.
+# conformance corpus. tracedb runs on one P and on two, so a scan's
+# producer and consumer goroutines run both interleaved and in parallel.
 .PHONY: race
 race:
-	$(GO) test -race ./internal/kernel ./internal/vnet ./internal/core ./internal/tracedb ./internal/control ./internal/metrics ./internal/conformance
+	$(GO) test -race ./internal/kernel ./internal/vnet ./internal/core ./internal/control ./internal/metrics ./internal/conformance
+	$(GO) test -race -cpu 1,2 ./internal/tracedb
 
 # Fault-injection pass over delivery semantics: flaky collector, lost
 # acknowledgements, connection kill before reply, collector restart, and
@@ -84,10 +86,17 @@ bench-build:
 bench-join:
 	$(GO) test -run NONE -bench BenchmarkLatenciesOf -benchtime 1x -benchmem ./internal/metrics
 
+# The table scan's own number: ~300 spilled default-size extents through
+# Table.ScanAligned, with an idle consumer and one that does ~20 ns a
+# record. One iteration, as bench-join; raise -benchtime to measure.
+.PHONY: bench-scan
+bench-scan:
+	$(GO) test -run NONE -bench BenchmarkTableScan -benchtime 1x -benchmem ./internal/tracedb
+
 # Everything here leaves `git status` clean: what it writes (cover.out,
 # .bench_build/) is ignored.
 .PHONY: check
-check: tier1 vet staticcheck race faults crash fuzz cover bench-build bench-join
+check: tier1 vet staticcheck race faults crash fuzz cover bench-build bench-join bench-scan
 
 # Opt-in regression gate (not part of check: a 10-pair set takes ~35 min
 # and needs an otherwise idle machine). Exports PARENT under

@@ -9,8 +9,8 @@
 //     the resident metadata from it or scan the ID section and fetch, by
 //     directory offset, only the block(s) that hold a match;
 //   - a scan reads the whole extent once, verifies header, tail and every
-//     block's CRC before the first record is delivered, and decodes block
-//     by block.
+//     block's CRC, and decodes every block before the first record is
+//     delivered, so an extent delivers all of its records or none.
 //
 // Layout (all fixed-width integers little-endian):
 //
@@ -493,10 +493,18 @@ func viewExtent(blob []byte) (extentView, error) {
 	return x, nil
 }
 
-// block decodes block i into recs (see decodeBlock).
-func (x *extentView) block(i int, recs []core.Record) ([]core.Record, error) {
-	off, end, _ := x.tail.blockSpan(i)
-	return x.tail.decodeBlock(i, x.blob[off:end], recs)
+// decode decodes every block of the extent into recs, grown to the
+// extent's record count, and returns it: all of the extent's records, or
+// recs[:0] and the first block's error — never a prefix.
+func (x *extentView) decode(recs []core.Record) ([]core.Record, error) {
+	recs = slices.Grow(recs[:0], x.tail.count)[:x.tail.count]
+	for i := 0; i < x.tail.blocks(); i++ {
+		off, end, _ := x.tail.blockSpan(i)
+		if _, err := x.tail.decodeBlock(i, x.blob[off:end], recs[i*blockRecords:]); err != nil {
+			return recs[:0], err
+		}
+	}
+	return recs, nil
 }
 
 // decodeExtentBytes decodes a whole in-memory extent blob into a freshly
@@ -507,11 +515,8 @@ func decodeExtentBytes(blob []byte) (tpid uint32, recs []core.Record, err error)
 	if err != nil {
 		return 0, nil, err
 	}
-	recs = make([]core.Record, x.tail.count)
-	for i := 0; i < x.tail.blocks(); i++ {
-		if _, err := x.block(i, recs[i*blockRecords:]); err != nil {
-			return x.tail.tpid, nil, err
-		}
+	if recs, err = x.decode(nil); err != nil {
+		return x.tail.tpid, nil, err
 	}
 	return x.tail.tpid, recs, nil
 }

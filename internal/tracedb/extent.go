@@ -203,8 +203,9 @@ func (e *Extent) readTail(f *os.File, rd *extentReader, from int) (extentTail, e
 
 // view opens the whole extent for a scan: a spilled extent is read once,
 // into rd.buf, which the view then aliases. Header, tail and every block
-// are verified before it returns, so an extent that fails delivers no
-// record.
+// are verified before it returns, and a scan decodes every block of the
+// view before it hands any over (readAhead.decode), so an extent that
+// fails — its bytes or its columns — delivers no record.
 func (e *Extent) view(rd *extentReader) (extentView, error) {
 	blob := e.blob
 	if blob == nil {

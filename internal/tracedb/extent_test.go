@@ -2,10 +2,13 @@ package tracedb
 
 import (
 	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"vnettracer/internal/core"
@@ -229,5 +232,115 @@ func TestAdoptForgedCountIsCorruptNotFatal(t *testing.T) {
 			t.Errorf("%s: recovery allocated %d bytes over a %d-byte forgery", name, grew, len(forged.blob))
 		}
 		f.checkExtentMissing(t, false)
+	}
+}
+
+// forgeBlock returns a copy of an extent blob whose block k edit has
+// changed in place, without changing its length, with the block's
+// directory CRC and the tail CRC made good again: a forgery only decoding
+// can catch.
+func forgeBlock(t *testing.T, blob []byte, k int, edit func(blk []byte, n int, x *extentTail)) []byte {
+	t.Helper()
+	b := slices.Clone(blob)
+	x, err := viewExtent(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, end, n := x.tail.blockSpan(k)
+	edit(b[off:end], n, &x.tail)
+	dir := len(b) - extentTrailerLen - len(x.tail.dir)
+	le.PutUint32(b[dir+dirEntryLen*k+8:], crc32.Checksum(b[off:end], castagnoli))
+	resealTail(b)
+	if _, err := viewExtent(b); err != nil {
+		t.Fatalf("forgery does not verify: %v", err)
+	}
+	return b
+}
+
+// TestForgedColumnsDeliverNothing forges the middle extent of three with
+// good checksums over columns that do not decode — in its first, middle
+// or last block — and checks that a scan delivers none of that extent,
+// every record of its neighbours and the head, and counts one read error
+// per scan: through Table.Scan, Table.ScanAligned and a three-partition
+// Merged view. The producer decodes an extent whole before handing any of
+// it over, so the blocks before the bad one are not delivered either.
+func TestForgedColumnsDeliverNothing(t *testing.T) {
+	forgeries := []struct {
+		name, err string
+		edit      func(blk []byte, n int, x *extentTail)
+	}{
+		{"flow ref beyond the dictionary", "flow ref", func(blk []byte, _ int, x *extentTail) {
+			// The flow column comes last and every ref is one byte, so the
+			// block's last byte is its last record's ref.
+			blk[len(blk)-1] = byte(len(x.dict) / flowEntryLen)
+		}},
+		{"len overflowing uint32", "len", func(blk []byte, n int, _ *extentTail) {
+			p := 0
+			for range n { // past the time column
+				_, p = readUvarint(blk, p)
+			}
+			// The block's first len is MaxUint32, five varint bytes ending
+			// in 0x0f; 0x1f carries it past 32 bits.
+			blk[p+4] = 0x1f
+		}},
+	}
+	recs := typicalRecords(damageRecords)
+	for i := range recs {
+		recs[i].TPID, recs[i].TraceID, recs[i].Seq = 1, uint32(i+1), uint64(i)
+		if i%damageExtentRecords%blockRecords == 0 {
+			recs[i].Len = math.MaxUint32
+		}
+	}
+	want := slices.Concat(recs[:damageExtentRecords], recs[2*damageExtentRecords:])
+	for _, fg := range forgeries {
+		for k := 0; k < 3; k++ {
+			t.Run(fmt.Sprintf("%s/block %d", fg.name, k), func(t *testing.T) {
+				db := NewWith(Config{SegmentBytes: damageExtentRecords * core.RecordSize})
+				for i := 0; i < len(recs); i += damageExtentRecords {
+					db.Insert(recs[i:min(i+damageExtentRecords, len(recs))])
+				}
+				tbl, _ := db.Table(1)
+				if st := tbl.Storage(); st.Extents != damageExtents || st.HeadRecords != damageHeadRecords {
+					t.Fatalf("fixture: %+v", st)
+				}
+				forged := *tbl.sealed[1]
+				forged.blob = forgeBlock(t, forged.blob, k, fg.edit)
+				if _, _, err := decodeExtentBytes(forged.blob); err == nil || !strings.Contains(err.Error(), fg.err) {
+					t.Fatalf("forged extent decodes with %v, want an error mentioning %q", err, fg.err)
+				}
+				tbl.mu.Lock()
+				tbl.sealed[1] = &forged
+				tbl.mu.Unlock()
+
+				expectErrs := func(what string, want uint64) {
+					t.Helper()
+					if got := tbl.Storage().ReadErrors; got != want {
+						t.Fatalf("ReadErrors = %d after %s, want %d", got, what, want)
+					}
+				}
+				if got := collectRecs(tbl.Scan); !slices.Equal(got, want) {
+					t.Fatalf("Scan delivered %d records, want the %d outside the forged extent", len(got), len(want))
+				}
+				expectErrs("Scan", 1)
+				if got := collectRecs(tbl.ScanAligned); !slices.Equal(got, want) {
+					t.Fatalf("ScanAligned delivered %d records, want the %d outside the forged extent", len(got), len(want))
+				}
+				expectErrs("ScanAligned", 2)
+				parts := []*Table{nil, tbl, nil}
+				for _, p := range []int{0, 2} {
+					var pdb *DB
+					pdb, parts[p] = newMergeTable(t, 0)
+					for j := 0; j < 50; j++ {
+						pdb.Insert([]core.Record{mergeRec(1, uint64(100+j), 0, uint64(j+1))})
+					}
+				}
+				// The mergeRecs' timestamps all precede the fixture's.
+				got := collectRecs(Merge(parts...).ScanAligned)
+				if len(got) != 100+len(want) || !slices.Equal(got[100:], want) {
+					t.Fatalf("Merged delivered %d records, want the 100 mergeRecs and the %d outside the forged extent", len(got), len(want))
+				}
+				expectErrs("Merged.ScanAligned", 3)
+			})
+		}
 	}
 }

@@ -2,6 +2,7 @@ package tracedb
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"vnettracer/internal/core"
@@ -39,7 +40,8 @@ func fuzzRecords() []core.Record {
 // with identical record values (byte-identity is not required: Go's
 // uvarint reader accepts non-minimal encodings that re-encode shorter),
 // and every distinct trace ID's point lookup must return exactly what a
-// filter over the full decode returns, in order.
+// filter over the full decode returns, in order. A table holding the blob
+// as a sealed extent must scan it all or nothing (checkScanAllOrNone).
 func FuzzSegmentDecode(f *testing.F) {
 	recs := fuzzRecords()
 	valid := encodeExtent(2, recs)
@@ -66,6 +68,7 @@ func FuzzSegmentDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		tpid, got, err := decodeExtentBytes(blob)
+		checkScanAllOrNone(t, blob, got, err == nil)
 		if err != nil {
 			return
 		}
@@ -88,6 +91,28 @@ func FuzzSegmentDecode(f *testing.F) {
 			t.Fatalf("records diverged across round trip:\n %+v\n %+v", got, got2)
 		}
 	})
+}
+
+// checkScanAllOrNone scans a table whose middle extent is blob, between
+// two good extents and before a head. The scan must deliver the
+// neighbours and the head whole and of blob either every record (recs,
+// when it decodes) or none, and count one read error exactly when it
+// does not.
+func checkScanAllOrNone(t *testing.T, blob []byte, recs []core.Record, decodes bool) {
+	t.Helper()
+	good := fuzzRecords()
+	tbl := &Table{TPID: 2, head: good[:2], sealed: []*Extent{
+		SealRecords(2, good), {blob: blob, storedBytes: len(blob)}, SealRecords(2, good[1:]),
+	}}
+	want := slices.Concat(good, recs, good[1:], good[:2])
+	var errs uint64
+	if !decodes {
+		errs = 1
+	}
+	got := collectRecs(tbl.Scan)
+	if !slices.Equal(got, want) || tbl.Storage().ReadErrors != errs {
+		t.Fatalf("scan delivered %d records and counted %d read errors; want %d and %d", len(got), tbl.Storage().ReadErrors, len(want), errs)
+	}
 }
 
 // fuzzWALEntries returns representative WAL entries (a record batch and

@@ -115,9 +115,11 @@ func siftDown(h []*mergeSource, i int) {
 }
 
 // scan runs the k-way merge: one cursor per partition in a binary
-// min-heap, pulled in the caller's goroutine. A partition is opened (its
-// first extent read and verified) before the first record is delivered;
-// every cursor's reader goes back to the pool when fn stops the scan.
+// min-heap, pulled in the caller's goroutine while each partition's
+// producer decodes ahead on its own. A partition is opened (its first
+// extent read, verified and decoded) before the first record is
+// delivered; every producer is stopped and waited for when the merge
+// ends, fn stops it, or fn panics.
 func (m *Merged) scan(align bool, fn func(core.Record) bool) {
 	srcs := make([]mergeSource, len(m.parts))
 	h := make([]*mergeSource, 0, len(srcs))

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"vnettracer/internal/core"
 )
@@ -139,11 +140,29 @@ func TestMergedEqualsBaseline(t *testing.T) {
 	}
 }
 
-// TestMergedEarlyStop: a consumer that stops mid-stream gets exactly as
-// many records as it asked for, and the merge runs in its goroutine alone:
-// nothing is left behind to stop. A damaged extent in one partition is
-// counted once per scan that reaches it and delivers nothing, stopped
-// early or not.
+// settleGoroutines waits for the goroutine count to fall back to at most
+// want. A scan's producer has sent its last batch before the scan
+// returns, but the runtime counts it until it has returned as well, so
+// the check polls instead of reading once; a goroutine of an earlier test
+// still winding down may take the count below want.
+func settleGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before the scan, %d after", want, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestMergedEarlyStop: a consumer that stops mid-stream — at the first
+// record, at an extent's last record, inside the head — gets exactly as
+// many records as it asked for, and a consumer that panics gets its panic
+// back. Either way every partition's producer goroutine is stopped and
+// gone when the scan returns: a scan leaves no goroutine behind. A
+// damaged extent in one partition is counted once per scan that reaches
+// it and delivers nothing, stopped early or not.
 func TestMergedEarlyStop(t *testing.T) {
 	parts := make([]*Table, 3)
 	for i := range parts[:2] {
@@ -164,23 +183,55 @@ func TestMergedEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The 100 mergeRecs come first (earlier timestamps), then the
+	// fixture's extents 1 and 2 and its head, in Seq order.
 	m := Merge(parts...)
-	for _, stopAt := range []int{1, 5} {
+	scans := uint64(0)
+	for _, tc := range []struct {
+		name    string
+		stopAt  int
+		lastSeq uint64 // of the last record delivered, when it is the fixture's
+	}{
+		{"first record", 1, 1},
+		{"early", 5, 3}, // the two mergeRec partitions alternate
+		{"extent boundary", 100 + damageExtentRecords, 2*damageExtentRecords - 1},
+		{"inside the head", 100 + 2*damageExtentRecords + 10, damageExtents*damageExtentRecords + 9},
+	} {
 		before := runtime.NumGoroutine()
 		n := 0
-		m.ScanAligned(func(core.Record) bool {
+		var last core.Record
+		m.ScanAligned(func(r core.Record) bool {
 			n++
-			return n < stopAt
+			last = r
+			return n < tc.stopAt
 		})
-		if n != stopAt {
-			t.Fatalf("early-stopped scan visited %d records, want %d", n, stopAt)
+		scans++
+		if n != tc.stopAt || last.Seq != tc.lastSeq {
+			t.Fatalf("%s: stopped after %d records at Seq %d, want %d at Seq %d", tc.name, n, last.Seq, tc.stopAt, tc.lastSeq)
 		}
-		if after := runtime.NumGoroutine(); after != before {
-			t.Fatalf("goroutines: %d before the scan, %d after", before, after)
-		}
+		settleGoroutines(t, before)
 	}
-	if got := f.tbl.Storage().ReadErrors; got != 2 {
-		t.Fatalf("ReadErrors = %d after two scans over the damaged extent, want 2", got)
+
+	before := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			if v := recover(); v != "consumer" {
+				t.Fatalf("recovered %v, want the consumer's panic", v)
+			}
+		}()
+		n := 0
+		m.Scan(func(core.Record) bool {
+			if n++; n == 100+blockRecords {
+				panic("consumer")
+			}
+			return true
+		})
+	}()
+	scans++
+	settleGoroutines(t, before)
+
+	if got := f.tbl.Storage().ReadErrors; got != scans {
+		t.Fatalf("ReadErrors = %d after %d scans over the damaged extent, want %d", got, scans, scans)
 	}
 	fromDamaged := 0
 	all := collectRecs(m.Scan)
@@ -192,8 +243,8 @@ func TestMergedEarlyStop(t *testing.T) {
 	if want := 100 + damageRecords - damageExtentRecords; len(all) != want || fromDamaged != 0 {
 		t.Fatalf("full scan delivered %d records, %d from the damaged extent; want %d and none", len(all), fromDamaged, want)
 	}
-	if got := f.tbl.Storage().ReadErrors; got != 3 {
-		t.Fatalf("ReadErrors = %d after the full scan, want 3", got)
+	if got := f.tbl.Storage().ReadErrors; got != scans+1 {
+		t.Fatalf("ReadErrors = %d after the full scan, want %d", got, scans+1)
 	}
 }
 

@@ -150,3 +150,54 @@ func TestScanEarlyStop(t *testing.T) {
 		return true
 	})
 }
+
+// TestScanUnderSealAndEviction runs scans while Insert seals extents and
+// retention evicts them — deleting their spilled files under the scans'
+// snapshots. Each scan's producer decodes ahead of its consumer, so this
+// is the -race check of the handoff between them as well as of the
+// snapshot. Every extent holds one 64-record batch of consecutive trace
+// IDs, so whatever a scan delivers must be increasing and whole: a gap
+// opens only at an extent boundary, where an evicted extent was skipped.
+func TestScanUnderSealAndEviction(t *testing.T) {
+	const perExtent = 64
+	db := NewWith(Config{SegmentBytes: perExtent * core.RecordSize, RetainBytes: 8 << 10, DataDir: t.TempDir()})
+	db.CreateTable(1, "t")
+	tbl, _ := db.Table(1)
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		batch := make([]core.Record, perExtent)
+		for i := 0; i < 300; i++ {
+			for k := range batch {
+				id := i*perExtent + k + 1
+				batch[k] = core.Record{TPID: 1, TraceID: uint32(id), TimeNs: uint64(id), Len: 7}
+			}
+			db.Insert(batch)
+		}
+	}()
+	check := func(stopAt int) func(core.Record) bool {
+		var prev uint32
+		n := 0
+		return func(r core.Record) bool {
+			if r.Len != 7 || r.TraceID <= prev || r.TraceID != prev+1 && (prev%perExtent != 0 || r.TraceID%perExtent != 1) {
+				t.Errorf("record %d after %d: %+v", r.TraceID, prev, r)
+				return false
+			}
+			prev = r.TraceID
+			n++
+			return n != stopAt
+		}
+	}
+	for i := 0; ; i++ {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		tbl.Scan(check(0))
+		tbl.ScanAligned(check(1 + i%(3*perExtent)))
+		Merge(tbl).Scan(check(0))
+		tbl.NumTraceIDs()
+	}
+}

@@ -206,70 +206,154 @@ func alignNs(timeNs uint64, skewNs int64) uint64 {
 	return uint64(v)
 }
 
-// cursor pulls the records of one table snapshot a block at a time: each
-// sealed extent's blocks, oldest extent first, then the head slice — the
-// table's insertion order. It is the one way records leave a table in
-// bulk: Scan loops over it and a Merged view heap-merges one per
-// partition. A cursor holds a pooled extentReader from its first extent
-// until close.
+// cursor pulls the records of one table snapshot a batch at a time: each
+// sealed extent's records whole, oldest extent first, then the head slice
+// — the table's insertion order. It is the one way records leave a table
+// in bulk: Scan loops over it and a Merged view heap-merges one per
+// partition. When the snapshot holds sealed extents the cursor starts a
+// producer goroutine (readAhead) that reads, verifies and decodes the
+// next extent while the caller consumes the current one; close stops and
+// drains it, so no goroutine outlives the scan.
 type cursor struct {
 	t    *Table
-	exts []*Extent // not yet opened
 	head []core.Record
-	skew int64 // the snapshot's alignment, for consumers that align
-	rd   *extentReader
-	x    extentView // the open extent, verified whole
-	blk  int        // its next block
+	skew int64      // the snapshot's alignment, for consumers that align
+	ra   *readAhead // the producer, until it has sent batchEnd
+	held batch      // the batch next returned last
+}
+
+// readAhead is a cursor's producer and everything it reuses, pooled whole:
+// the extent reader, the two extent-sized record buffers that bound the
+// handoff, and the channels that carry them. Between scans both buffers
+// sit in free and full is empty.
+type readAhead struct {
+	rd   extentReader
+	exts []*Extent
+	stop atomic.Bool
+	free chan []core.Record // the buffers the producer may decode into
+	// full holds decoded batches in extent order, one slot per buffer, so
+	// a producer never waits to hand a decoded buffer over and can read
+	// and verify the next extent while both buffers are taken.
+	full chan batch
+	run  func() // produce, bound once: starting a scan allocates nothing
+}
+
+// batchKind says what a batch from the producer carries.
+type batchKind uint8
+
+const (
+	_            batchKind = iota // the zero batch: nothing taken yet
+	batchRecords                  // one extent's records, in one of the two buffers
+	batchFailed                   // an extent that failed to read, verify or decode
+	batchEnd                      // the producer is done; nothing follows
+)
+
+// batch is one handoff from the producer to the cursor.
+type batch struct {
+	recs []core.Record
+	kind batchKind
+}
+
+var readAheads = sync.Pool{New: func() any {
+	ra := &readAhead{free: make(chan []core.Record, 2), full: make(chan batch, 2)}
+	ra.free <- nil
+	ra.free <- nil
+	ra.run = ra.produce
+	return ra
+}}
+
+// produce is the sequential walk over the snapshot's extents, run on the
+// producer goroutine. Each extent is decoded whole before any of it is
+// handed over, so an extent delivers all of its records or none; stop
+// ends the walk at the next extent boundary. batchEnd is the last thing
+// produce touches ra for.
+func (ra *readAhead) produce() {
+	for _, e := range ra.exts {
+		if ra.stop.Load() {
+			break
+		}
+		ra.full <- ra.decode(e)
+	}
+	ra.full <- batch{kind: batchEnd}
+}
+
+// decode reads and verifies one extent, then decodes all of it into a
+// free buffer.
+func (ra *readAhead) decode(e *Extent) batch {
+	x, err := e.view(&ra.rd)
+	if err != nil {
+		return batch{kind: batchFailed}
+	}
+	recs, err := x.decode(<-ra.free)
+	if err != nil {
+		ra.free <- recs
+		return batch{kind: batchFailed}
+	}
+	return batch{recs: recs, kind: batchRecords}
 }
 
 func (t *Table) cursor() cursor {
 	exts, head, skew := t.snapshot()
-	return cursor{t: t, exts: exts, head: head, skew: skew}
-}
-
-// next returns the next block of records, raw and non-empty, or nil once
-// the snapshot is exhausted. The slice is the reader's scratch (or the
-// head itself): read-only, and valid until the next call. An extent that
-// fails to read or verify (evicted mid-query, damaged on disk) delivers no
-// record and is counted.
-func (c *cursor) next() []core.Record {
-	for {
-		if c.blk < c.x.tail.blocks() {
-			recs, err := c.x.block(c.blk, c.rd.recs[:])
-			c.blk++
-			if err == nil {
-				return recs
-			}
-		} else if len(c.exts) > 0 {
-			if c.rd == nil {
-				c.rd = readers.Get().(*extentReader)
-			}
-			var err error
-			c.x, err = c.exts[0].view(c.rd)
-			c.exts, c.blk = c.exts[1:], 0
-			if err == nil {
-				continue
-			}
-		} else {
-			head := c.head
-			c.head = nil
-			if len(head) == 0 {
-				return nil
-			}
-			return head
-		}
-		// The extent failed: count it and deliver nothing more of it.
-		c.t.readErrors.Add(1)
-		c.x = extentView{}
+	c := cursor{t: t, head: head, skew: skew}
+	if len(exts) > 0 {
+		c.ra = readAheads.Get().(*readAhead)
+		c.ra.exts = exts
+		c.ra.stop.Store(false)
+		go c.ra.run()
 	}
+	return c
 }
 
-// close returns the cursor's reader to the pool; the last block next
-// returned is dead after it.
+// take hands the batch taken last back to the producer and waits for the
+// next one. On batchEnd the producer is finished and goes back to the
+// pool.
+func (c *cursor) take() batch {
+	if c.held.kind == batchRecords {
+		c.ra.free <- c.held.recs
+	}
+	c.held = <-c.ra.full
+	if c.held.kind == batchEnd {
+		c.ra.exts = nil
+		readAheads.Put(c.ra)
+		c.ra = nil
+	}
+	return c.held
+}
+
+// next returns the next batch of records, raw and non-empty, or nil once
+// the snapshot is exhausted. The slice is the producer's buffer (or the
+// head itself): read-only, and valid until the next call. An extent that
+// fails to read, verify or decode (evicted mid-query, damaged on disk,
+// forged columns behind good checksums) delivers no record and is counted
+// when the cursor reaches its place in the stream — so a scan stopped
+// before it does not count it, however far ahead the producer ran.
+func (c *cursor) next() []core.Record {
+	for c.ra != nil {
+		switch b := c.take(); {
+		case b.kind == batchFailed:
+			c.t.readErrors.Add(1)
+		case len(b.recs) > 0:
+			return b.recs
+		}
+	}
+	head := c.head
+	c.head = nil
+	if len(head) == 0 {
+		return nil
+	}
+	return head
+}
+
+// close stops the producer and waits for it, returning its batches, its
+// reader and its buffers to the pool; the last batch next returned is dead
+// after it.
 func (c *cursor) close() {
-	if c.rd != nil {
-		readers.Put(c.rd)
-		c.rd = nil
+	if c.ra == nil {
+		return
+	}
+	c.ra.stop.Store(true)
+	for c.ra != nil {
+		c.take()
 	}
 }
 
