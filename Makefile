@@ -111,6 +111,15 @@ bench-gate:
 	@test -n "$(PARENT)" || { echo "usage: make bench-gate PARENT=<ref> [PAIRS=10]"; exit 2; }
 	bash scripts/bench-gate.sh "$(PARENT)" $(PAIRS)
 
+# Opt-in proof that a refactor changed nothing observable (not part of
+# check or tier-1: ~1 min). Exports PARENT under .bench_build/ and diffs
+# the full `vntbench -quick` output (elapsed lines stripped), the 300
+# seed-sweep digests and digests.golden against the working tree.
+.PHONY: nochange
+nochange:
+	@test -n "$(PARENT)" || { echo "usage: make nochange PARENT=<ref>"; exit 2; }
+	bash scripts/nochange.sh "$(PARENT)"
+
 # Non-test Go lines outside bench/: the number a CHANGES.md size line
 # quotes. Not part of check — it measures, it cannot fail.
 .PHONY: loc

@@ -34,29 +34,21 @@ func runCollector(args []string) error {
 		return err
 	}
 
-	db := tracedb.NewWith(tracedb.Config{
-		SegmentBytes: *segBytes,
-		DataDir:      *dataDir,
-		RetainBytes:  *retention,
-	})
-	var col *control.Collector
-	var dur *tracedb.Durability
-	if *walDir != "" {
-		if *dataDir == "" {
-			return fmt.Errorf("-wal requires -data-dir: recovery reopens spilled segments from it")
-		}
-		policy, err := tracedb.ParseFsyncPolicy(*fsyncMode)
-		if err != nil {
-			return err
-		}
-		aggs := tracedb.NewAggStore()
-		col = control.NewCollectorWith(db, aggs)
-		d, rec, err := tracedb.Recover(db, aggs, tracedb.DurabilityConfig{Dir: *walDir, Fsync: policy})
-		if err != nil {
-			return fmt.Errorf("recover: %w", err)
-		}
-		col.SetDurability(d)
-		dur = d
+	if *walDir != "" && *dataDir == "" {
+		return fmt.Errorf("-wal requires -data-dir: recovery reopens spilled segments from it")
+	}
+	policy, err := tracedb.ParseFsyncPolicy(*fsyncMode)
+	if err != nil {
+		return err
+	}
+	col, dur, rec, err := control.OpenCollector(
+		tracedb.Config{SegmentBytes: *segBytes, DataDir: *dataDir, RetainBytes: *retention},
+		tracedb.DurabilityConfig{Dir: *walDir, Fsync: policy})
+	if err != nil {
+		return fmt.Errorf("recover: %w", err)
+	}
+	db := col.DB()
+	if dur != nil {
 		fmt.Printf("recovered: checkpoint=%v lsn=%d, adopted %d extents (%d records), replayed %d WAL entries (%d records, %d agg frames, %d dup), next lsn %d\n",
 			rec.CheckpointLoaded, rec.CheckpointLSN, rec.AdoptedExtents, rec.AdoptedRecords,
 			rec.ReplayedEntries, rec.ReplayedRecords, rec.ReplayedFrames, rec.ReplayedDup, rec.NextLSN)
@@ -64,8 +56,6 @@ func runCollector(args []string) error {
 			fmt.Printf("  repair: %d post-checkpoint extents dropped, %d corrupt extents skipped, %d torn WAL tails truncated, %d tmp files swept\n",
 				rec.DroppedExtents, rec.CorruptExtents, rec.TornTails, rec.SweptTmp)
 		}
-	} else {
-		col = control.NewCollector(db)
 	}
 	// Move DB inserts off the transport goroutines onto the bounded
 	// ingest queue; a full queue drops batches rather than stalling agents.

@@ -293,15 +293,15 @@ func runAgg(path, only string, topFlows int) error {
 // restarted collector would resume with; note recovery repairs in
 // place, truncating torn WAL tails and sweeping orphaned tmp files.
 func runStorage(path, walDir string, cfg tracedb.Config) error {
-	db := tracedb.NewWith(cfg)
-	if walDir != "" {
-		if cfg.DataDir == "" {
-			return fmt.Errorf("-wal requires -data-dir: recovery reopens spilled segments from it")
-		}
-		dur, rec, err := tracedb.Recover(db, tracedb.NewAggStore(), tracedb.DurabilityConfig{Dir: walDir, Fsync: tracedb.FsyncNever})
-		if err != nil {
-			return fmt.Errorf("recover: %w", err)
-		}
+	if walDir != "" && cfg.DataDir == "" {
+		return fmt.Errorf("-wal requires -data-dir: recovery reopens spilled segments from it")
+	}
+	col, dur, rec, err := control.OpenCollector(cfg, tracedb.DurabilityConfig{Dir: walDir, Fsync: tracedb.FsyncNever})
+	if err != nil {
+		return fmt.Errorf("recover: %w", err)
+	}
+	db := col.DB()
+	if dur != nil {
 		defer dur.Close()
 		fmt.Printf("recovered from %q (data-dir %q)\n", walDir, cfg.DataDir)
 		fmt.Printf("  checkpoint loaded=%v lsn=%d, next lsn %d\n", rec.CheckpointLoaded, rec.CheckpointLSN, rec.NextLSN)

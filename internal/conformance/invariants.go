@@ -3,6 +3,7 @@ package conformance
 import (
 	"sort"
 
+	"vnettracer"
 	"vnettracer/internal/control"
 	"vnettracer/internal/core"
 	"vnettracer/internal/metrics"
@@ -18,8 +19,9 @@ import (
 // verifiably lossless (no ring drops, no evictions, nothing still
 // spooled), because a lossy path legitimately stores fewer records than
 // the ground truth injected.
-func check(sc Scenario, cluster []*agentState, truth *groundTruth, cols []*collectorState, clu *control.Cluster, fs *faultState, res *Result, dig *digest) {
+func check(sc Scenario, s *vnettracer.Session, cluster []*agentState, truth *groundTruth, cols []*collectorState, fs *faultState, res *Result, dig *digest) {
 	var totalStored, totalEvictedBatches, totalSpooledBatches uint64
+	clu, q := s.Cluster(), s.Query()
 
 	perColAgents := make(map[string]int)
 	for _, st := range cluster {
@@ -42,7 +44,7 @@ func check(sc Scenario, cluster []*agentState, truth *groundTruth, cols []*colle
 		led, ledOK := clu.Ledger(st.name)
 		var fencedB, fencedR, missing uint64
 		for _, cs := range cols {
-			if l, ok := cs.db.Ledger(st.name); ok {
+			if l, ok := cs.col.DB().Ledger(st.name); ok {
 				fencedB += l.FencedBatches
 				fencedR += l.FencedRecords
 				missing += l.MissingBatches
@@ -50,7 +52,12 @@ func check(sc Scenario, cluster []*agentState, truth *groundTruth, cols []*colle
 		}
 		st.fencedBatches, st.fencedRecords = fencedB, fencedR
 		fires := truth.table(st.srcTP).fires + truth.table(st.dstTP).fires
-		stored := uint64(tableLen(cols, st.srcTP) + tableLen(cols, st.dstTP))
+		var stored uint64
+		for _, tpid := range []uint32{st.srcTP, st.dstTP} {
+			if m, ok := q.Table(tpid); ok {
+				stored += uint64(m.Len())
+			}
+		}
 		rep := AgentReport{
 			Name:               st.name,
 			Fires:              fires,
@@ -127,8 +134,8 @@ func check(sc Scenario, cluster []*agentState, truth *groundTruth, cols []*colle
 				st.name, missing, evictedBatches)
 		}
 
-		checkTable(sc, st, st.srcTP, truth, cols, res)
-		checkTable(sc, st, st.dstTP, truth, cols, res)
+		checkTable(sc, st, st.srcTP, truth, q, res)
+		checkTable(sc, st, st.dstTP, truth, q, res)
 	}
 
 	// Collector totals, summed across the tier, agree with the tables. A
@@ -204,9 +211,9 @@ func check(sc Scenario, cluster []*agentState, truth *groundTruth, cols []*colle
 		res.violatef("collectors missing %d batches, agents evicted %d", missing, totalEvictedBatches)
 	}
 
-	checkMetrics(sc, cluster, truth, cols, res)
+	checkMetrics(sc, cluster, truth, q, res)
 	checkSupervision(sc, cluster, res)
-	checkAggregates(sc, cluster, truth, cols, fs, res, dig)
+	checkAggregates(sc, cluster, truth, cols, q, fs, res, dig)
 
 	// Fold the final accounting into the digest so a run that delivers
 	// the same event trace but different statistics still diverges.
@@ -323,7 +330,7 @@ func checkSupervision(sc Scenario, cluster []*agentState, res *Result) {
 // at the receive probe must appear in the merged counters, the per-CPU
 // and latency histograms, and the per-flow sums — and a retried frame
 // (lost ack) must never double any of them.
-func checkAggregates(sc Scenario, cluster []*agentState, truth *groundTruth, cols []*collectorState, fs *faultState, res *Result, dig *digest) {
+func checkAggregates(sc Scenario, cluster []*agentState, truth *groundTruth, cols []*collectorState, q *vnettracer.ClusterQuery, fs *faultState, res *Result, dig *digest) {
 	if !sc.ShipAggregates {
 		return
 	}
@@ -359,14 +366,7 @@ func checkAggregates(sc Scenario, cluster []*agentState, truth *groundTruth, col
 		tt := truth.table(st.dstTP)
 		// The queryable aggregate is the cross-collector merge of every
 		// store's view of this script.
-		var parts []tracedb.ScriptAgg
-		for _, cs := range cols {
-			if a, got := cs.col.Aggregates().Get(name); got {
-				parts = append(parts, a)
-			}
-		}
-		ok := len(parts) > 0
-		agg := tracedb.MergeAggs(parts...)
+		agg, ok := q.Aggregate(name)
 		if tt.fires == 0 {
 			if ok && counterAt(agg.Counters, script.SlotPackets) != 0 {
 				res.violatef("agent %s: aggregates report %d packets, ground truth fired none",
@@ -434,9 +434,9 @@ func counterAt(counters []uint64, slot int) uint64 {
 // partitions: exactly-once per trace ID cluster-wide, per-flow
 // conservation, per-(partition, CPU) intra-ring ordering, and the merge
 // layer losing nothing.
-func checkTable(sc Scenario, st *agentState, tpid uint32, truth *groundTruth, cols []*collectorState, res *Result) {
-	parts := partitions(cols, tpid)
-	if len(parts) == 0 {
+func checkTable(sc Scenario, st *agentState, tpid uint32, truth *groundTruth, q *vnettracer.ClusterQuery, res *Result) {
+	merged, ok := q.Table(tpid)
+	if !ok {
 		res.violatef("agent %s: table %d missing on every collector", st.name, tpid)
 		return
 	}
@@ -451,7 +451,8 @@ func checkTable(sc Scenario, st *agentState, tpid uint32, truth *groundTruth, co
 		seen   bool
 	}
 	stored := 0
-	for _, tbl := range parts {
+	for i := 0; i < merged.Parts(); i++ {
+		tbl := merged.Part(i)
 		stored += tbl.Len()
 		// Cursors are per partition: a re-homed agent's stream splits at
 		// the handoff point, and each partition preserves emit order for
@@ -490,7 +491,7 @@ func checkTable(sc Scenario, st *agentState, tpid uint32, truth *groundTruth, co
 	// The k-way merged view loses nothing: it streams exactly the union
 	// of the partitions.
 	mergedCount := 0
-	tracedb.Merge(parts...).ScanAligned(func(core.Record) bool {
+	merged.ScanAligned(func(core.Record) bool {
 		mergedCount++
 		return true
 	})
@@ -539,7 +540,7 @@ func checkTable(sc Scenario, st *agentState, tpid uint32, truth *groundTruth, co
 // reconciles them with the injected ground truth, within the
 // skew-correction bounds. Only lossless paths qualify: a drop anywhere on
 // the path changes the metric legitimately.
-func checkMetrics(sc Scenario, cluster []*agentState, truth *groundTruth, cols []*collectorState, res *Result) {
+func checkMetrics(sc Scenario, cluster []*agentState, truth *groundTruth, q *vnettracer.ClusterQuery, res *Result) {
 	for i, src := range cluster {
 		dst := cluster[(i+1)%len(cluster)]
 		path := truth.paths[i]
@@ -548,15 +549,14 @@ func checkMetrics(sc Scenario, cluster []*agentState, truth *groundTruth, cols [
 		}
 		srcClean := machineClean(src) && src.skewTolNs > 0
 		dstClean := machineClean(dst) && dst.skewTolNs > 0
-		srcParts := partitions(cols, src.srcTP)
-		dstParts := partitions(cols, dst.dstTP)
-		if len(srcParts) == 0 || len(dstParts) == 0 {
+		_, srcOK := q.Table(src.srcTP)
+		_, dstOK := q.Table(dst.dstTP)
+		if !srcOK || !dstOK {
 			continue // table-missing violations already reported
 		}
-		// Queries run against the k-way merged cross-collector view — the
-		// same layer vntquery's cluster mode uses.
-		srcTbl := tracedb.Merge(srcParts...)
-		dstTbl := tracedb.Merge(dstParts...)
+		// Queries run through the session's k-way merged cross-collector
+		// view — the same layer vntquery's cluster mode uses. Both tables
+		// exist, so the join queries below cannot fail.
 
 		// Throughput at the send probe: bytes on the true time span vs
 		// bytes on the skew-aligned span.
@@ -565,7 +565,7 @@ func checkMetrics(sc Scenario, cluster []*agentState, truth *groundTruth, cols [
 			span := tt.lastNs - tt.firstNs
 			if span > 0 {
 				want := float64(tt.bytes) * 8 * 1e9 / float64(span)
-				got, err := metrics.ThroughputOf(metrics.SourceFunc(srcTbl.ScanAligned))
+				got, err := q.Throughput(src.srcTP)
 				if err != nil {
 					res.violatef("path %d: throughput: %v", i, err)
 				} else {
@@ -581,7 +581,7 @@ func checkMetrics(sc Scenario, cluster []*agentState, truth *groundTruth, cols [
 		if srcClean && dstClean {
 			// Loss: distinct trace IDs that left the send probe and never
 			// hit the receive probe == injected wire drops.
-			lost, _ := metrics.Loss(srcTbl, dstTbl)
+			lost, _, _ := q.Loss(src.srcTP, dst.dstTP)
 			if uint64(lost) != path.dropped {
 				res.violatef("path %d: measured loss %d, injected %d drops", i, lost, path.dropped)
 			}
@@ -589,7 +589,7 @@ func checkMetrics(sc Scenario, cluster []*agentState, truth *groundTruth, cols [
 			// Latency: mean skew-aligned hop latency vs the mean of the
 			// realized transit delays, within both agents' skew bounds.
 			if len(path.delays) > 0 {
-				samples := metrics.Latencies(srcTbl, dstTbl)
+				samples, _ := q.Latencies(src.srcTP, dst.dstTP)
 				if len(samples) != len(path.delays) {
 					res.violatef("path %d: %d latency samples, %d packets delivered",
 						i, len(samples), len(path.delays))
@@ -634,29 +634,6 @@ func flowKeyOfRecord(r core.Record) metrics.FlowKey {
 		DstPort: r.DstPort,
 		Proto:   r.Proto,
 	}
-}
-
-// tableLen sums a tracepoint's record count over its collector
-// partitions.
-func tableLen(cols []*collectorState, tpid uint32) int {
-	n := 0
-	for _, cs := range cols {
-		if tbl, ok := cs.db.Table(tpid); ok {
-			n += tbl.Len()
-		}
-	}
-	return n
-}
-
-// partitions collects a tracepoint's per-collector table partitions.
-func partitions(cols []*collectorState, tpid uint32) []*tracedb.Table {
-	out := make([]*tracedb.Table, 0, len(cols))
-	for _, cs := range cols {
-		if tbl, ok := cs.db.Table(tpid); ok {
-			out = append(out, tbl)
-		}
-	}
-	return out
 }
 
 func sortedIDKeys(m map[uint32]uint64) []uint32 {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"vnettracer"
 	"vnettracer/internal/clocksync"
 	"vnettracer/internal/control"
 	"vnettracer/internal/core"
@@ -24,25 +25,18 @@ const (
 	syncSpacingNs = 40 * sim.Microsecond
 )
 
-// collectorState is one collector slot in the scaled-out tier: its own
-// trace store (per-agent tables partition across these), its dedup
-// collector, and the fault-injecting sink agents ship to. Durable
-// scenarios add the WAL/checkpoint layer plus the bookkeeping a
-// kill/recover fault needs: the in-memory counters the crash destroys
-// (monitoring state a real process loses, which the harness folds back
-// into the cluster reconciliation) and the crash-instant snapshots the
-// recovery-fidelity checks compare against.
+// collectorState is the harness's view of one collector of the session's
+// tier: its current incarnation and the fault-injecting sink agents ship
+// to, both handed over by the session's sink seam at every (re)open.
+// Durable scenarios add the bookkeeping a kill/recover fault needs: the
+// in-memory counters the crash destroys (monitoring state a real process
+// loses, which the harness folds back into the cluster reconciliation)
+// and the crash-instant snapshots the recovery-fidelity checks compare
+// against.
 type collectorState struct {
 	name string
-	db   *tracedb.DB
 	col  *control.Collector
 	sink *faultSink
-
-	// Durable-scenario state: the durability layer and its directories
-	// (dataDir holds spilled extents, walDir the WAL and checkpoints).
-	dur     *tracedb.Durability
-	dataDir string
-	walDir  string
 
 	// wasCrashed marks the kill fault fired here; recovered marks the
 	// rebuild completed (the sink is fresh, so sink.crashed is false
@@ -283,62 +277,32 @@ func Run(sc Scenario) (*Result, error) {
 		defer os.RemoveAll(tmp)
 		spillRoot = tmp
 	}
+	s := vnettracer.NewClusterSession()
+	defer s.Close()
+	s.Supervisor().SetJitterSeed(sc.Seed)
 	cols := make([]*collectorState, sc.Collectors)
-	disp := control.NewDispatcher()
-	clu := control.NewCluster(disp)
 	for c := range cols {
-		name := fmt.Sprintf("col-%d", c)
-		dir := spillRoot
-		if dir != "" && sc.Collectors > 1 {
-			// Each collector spills into its own subdirectory: extent
-			// filenames are per-table, and a rehomed agent's table has
-			// partitions on two collectors.
-			dir = filepath.Join(dir, name)
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return nil, fmt.Errorf("conformance: %s: %w", sc.Name, err)
+		cs := &collectorState{}
+		store, log := collectorDirs(sc, spillRoot, c)
+		// Every incarnation of the collector (the first, and one per
+		// recovery) comes through here before it serves traffic: the
+		// harness fronts it with a fault sink, and a recovered one first
+		// has its rebuilt state checked against the crash-instant snapshot.
+		if _, err := s.AddCollector(store, log, func(name string, col *control.Collector) control.RecordSink {
+			if cs.wasCrashed && !cs.recovered {
+				cs.checkRecovery(col)
 			}
-		}
-		cs := &collectorState{name: name}
-		dataDir := dir
-		if sc.Durable {
-			// Split the collector's directory: extents under data/, WAL and
-			// checkpoints under wal/ — the layout the CLI collector uses.
-			dataDir = filepath.Join(dir, "data")
-			cs.walDir = filepath.Join(dir, "wal")
-			if err := os.MkdirAll(dataDir, 0o755); err != nil {
-				return nil, fmt.Errorf("conformance: %s: %w", sc.Name, err)
-			}
-		}
-		cs.dataDir = dataDir
-		db := tracedb.NewWith(tracedb.Config{SegmentBytes: sc.SegmentBytes, DataDir: dataDir})
-		var col *control.Collector
-		if sc.Durable {
-			// Startup is the recovery path run against an empty directory:
-			// the same code cold-starts and crash-recovers.
-			aggs := tracedb.NewAggStore()
-			col = control.NewCollectorWith(db, aggs)
-			d, _, err := tracedb.Recover(db, aggs, tracedb.DurabilityConfig{Dir: cs.walDir, Fsync: tracedb.FsyncInterval})
-			if err != nil {
-				return nil, fmt.Errorf("conformance: %s: %w", sc.Name, err)
-			}
-			col.SetDurability(d)
-			cs.dur = d
-		} else {
-			col = control.NewCollector(db)
-		}
-		cs.db, cs.col, cs.sink = db, col, newFaultSink(name, col, fs)
-		cols[c] = cs
-		if err := clu.AddCollector(name, col, cs.sink); err != nil {
+			cs.name, cs.col, cs.sink = name, col, newFaultSink(name, col, fs)
+			return cs.sink
+		}); err != nil {
 			return nil, fmt.Errorf("conformance: %s: %w", sc.Name, err)
 		}
+		cols[c] = cs
 	}
-	sup := control.NewSupervisor(disp)
-	sup.SetLedger(clu)
-	sup.SetJitterSeed(sc.Seed)
 
 	cluster := make([]*agentState, sc.Agents)
 	for i := range cluster {
-		st, err := buildAgent(sc, i, eng, cols, clu, disp, sup)
+		st, err := buildAgent(sc, i, eng, s)
 		if err != nil {
 			return nil, err
 		}
@@ -350,37 +314,49 @@ func Run(sc Scenario) (*Result, error) {
 	if err := scheduleWorkload(sc, eng, dist, cluster, truth, dig); err != nil {
 		return nil, err
 	}
-	scheduleFaults(sc, eng, cluster, cols, clu, disp, fs, res, dig)
-	scheduleCheckpoints(sc, eng, cols, dig)
-	scheduleSupervision(sc, eng, sup)
+	scheduleFaults(sc, eng, s, cluster, cols, res, dig)
+	scheduleCheckpoints(sc, eng, s, cols, dig)
+	scheduleSupervision(sc, eng, s)
 
 	eng.Run(sc.HorizonNs)
 	quiesce(sc, cluster, fs, dig)
-	estimateSkews(sc, cluster, cols, res)
+	estimateSkews(sc, s, cluster, res)
 
-	res.Supervisor = sup.Stats()
+	res.Supervisor = s.Supervisor().Stats()
 	// Seal every head before checking: the invariants then run against
 	// fully sealed (and, with SpillDir, spilled) segments, and the
 	// storage accounting reflects the whole run's history.
 	for _, cs := range cols {
-		cs.db.SealAll()
-		res.Storage.Add(cs.db.StorageTotals())
+		cs.col.DB().SealAll()
 	}
+	res.Storage = s.StorageStats()
 	dig.logf("storage records=%d extents=%d spilled=%d stored=%d raw=%d evicted=%d readerrs=%d",
 		res.Storage.Records(), res.Storage.Extents, res.Storage.SpilledExtents,
 		res.Storage.StoredBytes(), res.Storage.SealedRawBytes,
 		res.Storage.EvictedRecords, res.Storage.ReadErrors)
-	check(sc, cluster, truth, cols, clu, fs, res, dig)
+	check(sc, s, cluster, truth, cols, fs, res, dig)
 	res.Digest = dig.sum()
-	for _, cs := range cols {
-		if cs.dur != nil {
-			cs.dur.Close()
-		}
-	}
 	return res, nil
 }
 
-func buildAgent(sc Scenario, i int, eng *sim.Engine, cols []*collectorState, clu *control.Cluster, disp *control.Dispatcher, sup *control.Supervisor) (*agentState, error) {
+// collectorDirs lays out collector c's storage under the run's root. With
+// more than one collector each gets its own subdirectory (extent
+// filenames are per table, and a re-homed agent's table has partitions on
+// two collectors). Durable collectors split theirs the way the CLI
+// collector does: extents under data/, WAL and checkpoints under wal/.
+func collectorDirs(sc Scenario, root string, c int) (tracedb.Config, tracedb.DurabilityConfig) {
+	dir := root
+	if dir != "" && sc.Collectors > 1 {
+		dir = filepath.Join(dir, fmt.Sprintf("col-%d", c))
+	}
+	if !sc.Durable {
+		return tracedb.Config{SegmentBytes: sc.SegmentBytes, DataDir: dir}, tracedb.DurabilityConfig{}
+	}
+	return tracedb.Config{SegmentBytes: sc.SegmentBytes, DataDir: filepath.Join(dir, "data")},
+		tracedb.DurabilityConfig{Dir: filepath.Join(dir, "wal"), Fsync: tracedb.FsyncInterval}
+}
+
+func buildAgent(sc Scenario, i int, eng *sim.Engine, s *vnettracer.Session) (*agentState, error) {
 	name := fmt.Sprintf("agent-%d", i)
 	st := &agentState{
 		idx:      i,
@@ -404,36 +380,20 @@ func buildAgent(sc Scenario, i int, eng *sim.Engine, cols []*collectorState, clu
 		return nil, fmt.Errorf("conformance: %s: %w", sc.Name, err)
 	}
 	st.machine = machine
-	st.agent = control.NewAgent(name, machine, nil)
+	// Placement: the session homes the agent by consistent hash on one
+	// collector and points it at that collector's fault-injecting sink.
+	if st.agent, err = s.AddMachine(machine); err != nil {
+		return nil, fmt.Errorf("conformance: %s: %w", sc.Name, err)
+	}
 	if sc.SpoolBytes > 0 {
 		st.agent.SetSpoolLimit(sc.SpoolBytes)
 	}
-	if err := disp.Register(name, st.agent); err != nil {
-		return nil, fmt.Errorf("conformance: %s: %w", sc.Name, err)
-	}
-	// Placement: the cluster homes the agent by consistent hash and hands
-	// back the home's (fault-injecting) sink.
-	_, sink, err := clu.Register(name, st.agent)
-	if err != nil {
-		return nil, fmt.Errorf("conformance: %s: %w", sc.Name, err)
-	}
-	st.agent.Retarget(sink, disp.Epoch(name))
-	// Every collector carries (possibly empty) partitions of every
-	// agent's tables: after a re-homing, records for the same tracepoint
-	// land on the successor's store and queries read the merged view.
-	for _, cs := range cols {
-		if _, err := cs.db.CreateTable(st.srcTP, name+"/send"); err != nil {
-			return nil, fmt.Errorf("conformance: %s: %w", sc.Name, err)
-		}
-		if _, err := cs.db.CreateTable(st.dstTP, name+"/recv"); err != nil {
-			return nil, fmt.Errorf("conformance: %s: %w", sc.Name, err)
-		}
-	}
-	clu.OwnTable(name, st.srcTP)
-	clu.OwnTable(name, st.dstTP)
-	// Provisioning goes through the supervisor: it records the desired
-	// state (and pushes it immediately), so a later kill/reboot fault gets
-	// the same tracepoints re-pushed without the harness re-declaring them.
+	// Provisioning goes through the supervisor as one desired-state
+	// change, so a later kill/reboot fault gets the same tracepoints
+	// re-pushed without the harness re-declaring them. Every collector
+	// carries (possibly empty) partitions of the record tables: after a
+	// re-homing, records for the same tracepoint land on the successor's
+	// store and queries read the merged view.
 	pkg := control.ControlPackage{
 		Install: []script.Spec{
 			recordSpec(name+"/send", st.srcTP, kernel.SiteUDPSendSkb),
@@ -445,7 +405,7 @@ func buildAgent(sc Scenario, i int, eng *sim.Engine, cols []*collectorState, clu
 		pkg.Install = append(pkg.Install, aggSpec(name+"/agg", uint32(1000+i)))
 		pkg.ShipAggregates = true
 	}
-	if err := sup.Desire(name, pkg, eng.Now()); err != nil {
+	if _, err := s.InstallPackage(name, pkg); err != nil {
 		return nil, fmt.Errorf("conformance: %s: %w", sc.Name, err)
 	}
 	return st, nil
@@ -625,7 +585,7 @@ func flowOf(i int) flowTuple {
 // scheduleFaults arms the agent-restart, kill/reboot, collector-crash,
 // and collector kill/recover faults (transport faults live in the sinks
 // themselves).
-func scheduleFaults(sc Scenario, eng *sim.Engine, cluster []*agentState, cols []*collectorState, clu *control.Cluster, disp *control.Dispatcher, fs *faultState, res *Result, dig *digest) {
+func scheduleFaults(sc Scenario, eng *sim.Engine, s *vnettracer.Session, cluster []*agentState, cols []*collectorState, res *Result, dig *digest) {
 	if sc.RestartAtNs > 0 && sc.RestartForNs > 0 {
 		st := cluster[sc.RestartAgent%len(cluster)]
 		eng.Schedule(sc.RestartAtNs, func() {
@@ -646,29 +606,22 @@ func scheduleFaults(sc Scenario, eng *sim.Engine, cluster []*agentState, cols []
 			// zombie object (a real agent's spool would die with it; keeping
 			// it models the worst case — a paused-then-thawed process that
 			// re-ships under its stale lease).
-			st.agent.StopFlushing()
-			if err := st.agent.Apply(control.ControlPackage{Replace: true}); err != nil {
+			zombie, err := s.KillAgent(st.name)
+			if err != nil {
 				panic(err) // detach-only Replace cannot fail
 			}
-			st.zombie = st.agent
+			st.zombie = zombie
 			dig.logf("kill t=%d agent=%s epoch=%d", eng.Now(), st.name, st.zombie.Epoch())
 		})
 		eng.Schedule(sc.KillAtNs+sc.KillRebootAfterNs, func() {
 			// Reboot: a fresh process takes over the machine under the next
 			// epoch lease, with nothing installed and no flush loop — the
-			// supervisor's next tick must re-push the desired state. The
-			// cluster re-registration keeps the sticky home and refreshes
-			// the retargeter to the fresh process.
-			fresh := control.NewAgent(st.name, st.machine, nil)
-			if sc.SpoolBytes > 0 {
-				fresh.SetSpoolLimit(sc.SpoolBytes)
-			}
-			epoch := disp.Reregister(st.name, fresh)
-			_, sink, err := clu.Register(st.name, fresh)
+			// supervisor's next tick must re-push the desired state. It
+			// keeps the sticky home and the spool bound.
+			fresh, _, err := s.RestartAgent(st.name)
 			if err != nil {
 				panic(err) // the home collector cannot vanish mid-reboot
 			}
-			fresh.Retarget(sink, epoch)
 			st.agent = fresh
 			dig.logf("reboot t=%d agent=%s epoch=%d", eng.Now(), st.name, fresh.Epoch())
 		})
@@ -693,7 +646,7 @@ func scheduleFaults(sc Scenario, eng *sim.Engine, cluster []*agentState, cols []
 		anchor := cluster[sc.FailAgentHome%len(cluster)]
 		var victim string
 		eng.Schedule(sc.CollectorFailAtNs, func() {
-			victim, _ = clu.Home(anchor.name)
+			victim, _ = s.Cluster().Home(anchor.name)
 			for _, cs := range cols {
 				if cs.name == victim {
 					cs.sink.crash()
@@ -702,7 +655,7 @@ func scheduleFaults(sc Scenario, eng *sim.Engine, cluster []*agentState, cols []
 			dig.logf("collector-crash t=%d col=%s", eng.Now(), victim)
 		})
 		eng.Schedule(sc.CollectorFailAtNs+sc.CollectorRehomeAfterNs, func() {
-			moves, err := clu.FailCollector(victim)
+			moves, err := s.FailCollector(victim)
 			if err != nil {
 				panic(err) // the victim exists and fails exactly once
 			}
@@ -721,7 +674,7 @@ func scheduleFaults(sc Scenario, eng *sim.Engine, cluster []*agentState, cols []
 		anchor := cluster[sc.CrashAgentHome%len(cluster)]
 		var victim *collectorState
 		eng.Schedule(sc.CollectorCrashAtNs, func() {
-			home, _ := clu.Home(anchor.name)
+			home, _ := s.Cluster().Home(anchor.name)
 			for _, cs := range cols {
 				if cs.name == home {
 					victim = cs
@@ -729,15 +682,16 @@ func scheduleFaults(sc Scenario, eng *sim.Engine, cluster []*agentState, cols []
 			}
 			victim.sink.crash()
 			victim.wasCrashed = true
+			db := victim.col.DB()
 			b, r, rd := victim.col.Stats()
 			dupB, dupR, _ := victim.col.DeliveryStats()
 			victim.lostBatches, victim.lostRecords, victim.lostRingDrops = b, r, rd
 			victim.lostDupBatches, victim.lostDupRecords = dupB, dupR
-			victim.preRecords = storeRecords(victim.db)
+			victim.preRecords = db.StorageTotals().Records()
 			victim.preTotals = victim.col.Aggregates().Totals()
 			victim.preLedgers = make(map[string]tracedb.AgentLedger)
-			for _, agent := range victim.db.Agents() {
-				if l, ok := victim.db.Ledger(agent); ok {
+			for _, agent := range db.Agents() {
+				if l, ok := db.Ledger(agent); ok {
 					victim.preLedgers[agent] = l
 				}
 			}
@@ -750,40 +704,42 @@ func scheduleFaults(sc Scenario, eng *sim.Engine, cluster []*agentState, cols []
 				victim.preTotals.FramesMerged, res.CrashSpooledBatches, res.CrashSpooledFrames)
 		})
 		eng.Schedule(sc.CollectorCrashAtNs+sc.CollectorRecoverAfterNs, func() {
-			recoverCollector(sc, eng, victim, clu, fs, res, dig)
+			// The session rebuilds the collector purely from its on-disk
+			// state — adopted extents, the latest checkpoint, and the WAL
+			// tail — with the dead incarnation abandoned unread, and rejoins
+			// it to the tier; the sink seam checks what it rebuilt first.
+			moves, rec, err := s.RecoverCollector(victim.name)
+			if err != nil {
+				panic(fmt.Sprintf("conformance: %s: recover %s: %v", sc.Name, victim.name, err))
+			}
+			victim.recovered = true
+			res.RecoveredCollectors++
+			res.Recovery = rec
+			dig.logf("collector-recover t=%d col=%s ckpt=%v ckptlsn=%d adopted=%d/%d dropped=%d replayed=%d recs=%d frames=%d dup=%d torn=%d next=%d selfmoves=%d",
+				eng.Now(), victim.name, rec.CheckpointLoaded, rec.CheckpointLSN, rec.AdoptedExtents,
+				rec.AdoptedRecords, rec.DroppedExtents, rec.ReplayedEntries, rec.ReplayedRecords,
+				rec.ReplayedFrames, rec.ReplayedDup, rec.TornTails, rec.NextLSN, len(moves))
+			for _, mv := range moves {
+				dig.logf("recover-rehome t=%d agent=%s col=%s epoch=%d", eng.Now(), mv.Agent, mv.To, mv.Epoch)
+			}
 		})
 	}
 }
 
-// recoverCollector rebuilds a killed collector purely from its on-disk
-// state — adopted extents, the latest checkpoint, and the WAL tail — and
-// rejoins it to the tier via Cluster.RecoverCollector. The dead
-// incarnation's objects are abandoned unread: recovery must stand on
-// disk alone. Fidelity mismatches against the crash-instant snapshots
-// (records, merged aggregates, durable ledger fields) are recorded as
-// notes, which check() surfaces as invariant violations.
-func recoverCollector(sc Scenario, eng *sim.Engine, cs *collectorState, clu *control.Cluster, fs *faultState, res *Result, dig *digest) {
-	cs.dur.Close() // the dead incarnation's log handle
-	db := tracedb.NewWith(tracedb.Config{SegmentBytes: sc.SegmentBytes, DataDir: cs.dataDir})
-	aggs := tracedb.NewAggStore()
-	d, rec, err := tracedb.Recover(db, aggs, tracedb.DurabilityConfig{Dir: cs.walDir, Fsync: tracedb.FsyncInterval})
-	if err != nil {
-		panic(fmt.Sprintf("conformance: %s: recover %s: %v", sc.Name, cs.name, err))
-	}
-	col := control.NewCollectorWith(db, aggs)
-	col.SetDurability(d)
-	sink := newFaultSink(cs.name, col, fs)
-
-	// Recovery fidelity: the rebuilt store must hold exactly what the
-	// dead incarnation had ingested, and no durable ledger field may
-	// regress. Dup/heartbeat bookkeeping since the last checkpoint is
-	// deliberately transient; its lost deltas fold into aggLost and the
-	// lost* counters instead.
-	if got := storeRecords(db); got != cs.preRecords {
+// checkRecovery compares a recovered incarnation, before it rejoins the
+// tier, with the crash-instant snapshots: the rebuilt store must hold
+// exactly what the dead incarnation had ingested, and no durable ledger
+// field may regress. Dup/heartbeat bookkeeping since the last checkpoint
+// is deliberately transient; its lost deltas fold into aggLost and the
+// lost* counters instead. Mismatches become notes, which check()
+// surfaces as invariant violations.
+func (cs *collectorState) checkRecovery(col *control.Collector) {
+	db := col.DB()
+	if got := db.StorageTotals().Records(); got != cs.preRecords {
 		cs.notes = append(cs.notes, fmt.Sprintf(
 			"collector %s: recovered %d records, crashed holding %d", cs.name, got, cs.preRecords))
 	}
-	tot := aggs.Totals()
+	tot := col.Aggregates().Totals()
 	if tot.FramesMerged != cs.preTotals.FramesMerged || tot.RowsMerged != cs.preTotals.RowsMerged {
 		cs.notes = append(cs.notes, fmt.Sprintf(
 			"collector %s: recovered aggregates merged=%d rows=%d, crashed holding merged=%d rows=%d",
@@ -806,33 +762,6 @@ func recoverCollector(sc Scenario, eng *sim.Engine, cs *collectorState, clu *con
 				cs.name, agent, pre.HighWaterSeq, l.HighWaterSeq, pre.MaxSeq, l.MaxSeq, pre.Epoch, l.Epoch))
 		}
 	}
-
-	moves, err := clu.RecoverCollector(cs.name, col, sink)
-	if err != nil {
-		panic(fmt.Sprintf("conformance: %s: rejoin %s: %v", sc.Name, cs.name, err))
-	}
-	cs.db, cs.col, cs.sink, cs.dur = db, col, sink, d
-	cs.recovered = true
-	res.RecoveredCollectors++
-	res.Recovery = rec
-	dig.logf("collector-recover t=%d col=%s ckpt=%v ckptlsn=%d adopted=%d/%d dropped=%d replayed=%d recs=%d frames=%d dup=%d torn=%d next=%d selfmoves=%d",
-		eng.Now(), cs.name, rec.CheckpointLoaded, rec.CheckpointLSN, rec.AdoptedExtents,
-		rec.AdoptedRecords, rec.DroppedExtents, rec.ReplayedEntries, rec.ReplayedRecords,
-		rec.ReplayedFrames, rec.ReplayedDup, rec.TornTails, rec.NextLSN, len(moves))
-	for _, mv := range moves {
-		dig.logf("recover-rehome t=%d agent=%s col=%s epoch=%d", eng.Now(), mv.Agent, mv.To, mv.Epoch)
-	}
-}
-
-// storeRecords sums live record counts across every table in a store.
-func storeRecords(db *tracedb.DB) uint64 {
-	var n uint64
-	for _, id := range db.Tables() {
-		if t, ok := db.Table(id); ok {
-			n += uint64(t.Len())
-		}
-	}
-	return n
 }
 
 func satSub(a, b uint64) uint64 {
@@ -844,9 +773,8 @@ func satSub(a, b uint64) uint64 {
 
 // scheduleCheckpoints arms the periodic checkpoint tick on every durable
 // collector. A tick against a crashed collector is skipped — its process
-// is dead; checkpointing resumes on the recovered incarnation (cs.dur is
-// swapped at recovery).
-func scheduleCheckpoints(sc Scenario, eng *sim.Engine, cols []*collectorState, dig *digest) {
+// is dead; checkpointing resumes on the recovered incarnation.
+func scheduleCheckpoints(sc Scenario, eng *sim.Engine, s *vnettracer.Session, cols []*collectorState, dig *digest) {
 	if !sc.Durable || sc.CheckpointEveryNs <= 0 {
 		return
 	}
@@ -854,11 +782,11 @@ func scheduleCheckpoints(sc Scenario, eng *sim.Engine, cols []*collectorState, d
 		cs := cs
 		var tick func()
 		tick = func() {
-			if cs.dur != nil && !cs.sink.crashed {
-				if err := cs.dur.Checkpoint(); err != nil {
+			if d := s.Durability(cs.name); d != nil && !cs.sink.crashed {
+				if err := d.Checkpoint(); err != nil {
 					cs.notes = append(cs.notes, fmt.Sprintf("collector %s: checkpoint: %v", cs.name, err))
 				} else {
-					dig.logf("checkpoint t=%d col=%s lsn=%d", eng.Now(), cs.name, cs.dur.Stats().LastCheckpointLSN)
+					dig.logf("checkpoint t=%d col=%s lsn=%d", eng.Now(), cs.name, d.Stats().LastCheckpointLSN)
 				}
 			}
 			if eng.Now()+sc.CheckpointEveryNs <= sc.HorizonNs {
@@ -870,13 +798,13 @@ func scheduleCheckpoints(sc Scenario, eng *sim.Engine, cols []*collectorState, d
 }
 
 // scheduleSupervision arms the periodic control-plane supervision pass.
-func scheduleSupervision(sc Scenario, eng *sim.Engine, sup *control.Supervisor) {
+func scheduleSupervision(sc Scenario, eng *sim.Engine, s *vnettracer.Session) {
 	if sc.SuperviseEveryNs <= 0 {
 		return
 	}
 	var tick func()
 	tick = func() {
-		sup.Tick(eng.Now())
+		s.Supervise(eng.Now())
 		if eng.Now()+sc.SuperviseEveryNs <= sc.HorizonNs {
 			eng.Schedule(sc.SuperviseEveryNs, tick)
 		}
@@ -931,7 +859,7 @@ func quiesce(sc Scenario, cluster []*agentState, fs *faultState, dig *digest) {
 // collected during the sync window and installs the skew on every
 // collector's partition of the machine's tables, mirroring what a real
 // deployment does before cross-node metric queries.
-func estimateSkews(sc Scenario, cluster []*agentState, cols []*collectorState, res *Result) {
+func estimateSkews(sc Scenario, s *vnettracer.Session, cluster []*agentState, res *Result) {
 	for _, st := range cluster {
 		est, err := clocksync.EstimateSkew(st.samples)
 		if err != nil {
@@ -939,9 +867,10 @@ func estimateSkews(sc Scenario, cluster []*agentState, cols []*collectorState, r
 			continue
 		}
 		st.est = est
-		for _, cs := range cols {
-			cs.db.SetSkew(st.srcTP, est.SkewNs)
-			cs.db.SetSkew(st.dstTP, est.SkewNs)
+		for _, label := range []string{st.name + "/send", st.name + "/recv"} {
+			if err := s.SetSkew(label, est.SkewNs); err != nil {
+				res.violatef("agent %s: %v", st.name, err)
+			}
 		}
 		drift := st.driftPPB
 		if drift < 0 {

@@ -10,8 +10,7 @@ import (
 
 // Retargeter is the agent-side hook a re-homing drives: swap the
 // delivery sink to the successor collector and adopt the new epoch
-// lease. *Agent implements it; the conformance harness wraps it to
-// interpose fault injection on the new path.
+// lease. *Agent implements it.
 type Retargeter interface {
 	Retarget(sink RecordSink, epoch uint64)
 }
@@ -33,7 +32,6 @@ type Cluster struct {
 	cols   map[string]*member
 	homes  map[string]string // agent -> collector name
 	agents map[string]Retargeter
-	tables map[string][]uint32 // agent -> tracepoint IDs it owns
 	moves  uint64
 }
 
@@ -55,7 +53,6 @@ func NewCluster(disp *Dispatcher) *Cluster {
 		cols:   make(map[string]*member),
 		homes:  make(map[string]string),
 		agents: make(map[string]Retargeter),
-		tables: make(map[string][]uint32),
 	}
 }
 
@@ -101,31 +98,12 @@ func (c *Cluster) Register(agent string, rt Retargeter) (home string, sink Recor
 	return h, c.cols[h].sink, nil
 }
 
-// OwnTable records that an agent's tracepoint table lives on its home
-// collector's database — the placement map cluster queries consult.
-func (c *Cluster) OwnTable(agent string, tpid uint32) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tables[agent] = append(c.tables[agent], tpid)
-}
-
 // Home names the collector currently owning an agent.
 func (c *Cluster) Home(agent string) (string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	h, ok := c.homes[agent]
 	return h, ok
-}
-
-// Collector returns a member collector by name.
-func (c *Cluster) Collector(name string) (*Collector, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.cols[name]
-	if !ok {
-		return nil, false
-	}
-	return m.col, true
 }
 
 // Collectors lists live (non-failed) collector names, sorted.
@@ -140,17 +118,6 @@ func (c *Cluster) Collectors() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// SinkFor returns the delivery sink for a collector name.
-func (c *Cluster) SinkFor(name string) (RecordSink, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.cols[name]
-	if !ok {
-		return nil, false
-	}
-	return m.sink, true
 }
 
 // Rehome is one agent's move during a collector failure.

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"os"
 	"sync"
 
 	"vnettracer/internal/tracedb"
@@ -53,6 +54,32 @@ func NewCollectorWith(db *tracedb.DB, aggs *tracedb.AggStore) *Collector {
 	c := &Collector{db: db, aggs: aggs, dur: tracedb.Unlogged(db, aggs)}
 	c.ingestFn = c.ingest
 	return c
+}
+
+// OpenCollector opens a collector over a fresh database built from cfg.
+// With dur.Dir empty the collector is unlogged and the returned
+// Durability is nil. Otherwise startup is crash recovery run against the
+// directories (a cold start is recovery from empty ones): extents under
+// cfg.DataDir are adopted, the latest checkpoint loads and the WAL tail
+// under dur.Dir replays, and from then on ingest is logged there.
+func OpenCollector(cfg tracedb.Config, dur tracedb.DurabilityConfig) (*Collector, *tracedb.Durability, tracedb.RecoveryStats, error) {
+	db := tracedb.NewWith(cfg)
+	aggs := tracedb.NewAggStore()
+	col := NewCollectorWith(db, aggs)
+	if dur.Dir == "" {
+		return col, nil, tracedb.RecoveryStats{}, nil
+	}
+	if cfg.DataDir != "" {
+		if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
+			return nil, nil, tracedb.RecoveryStats{}, err
+		}
+	}
+	d, rec, err := tracedb.Recover(db, aggs, dur)
+	if err != nil {
+		return nil, nil, rec, err
+	}
+	col.SetDurability(d)
+	return col, d, rec, nil
 }
 
 // SetDurability routes ingest through a durability layer: fresh record

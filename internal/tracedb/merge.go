@@ -35,6 +35,10 @@ func Merge(parts ...*Table) *Merged {
 // Parts reports how many partitions back the view.
 func (m *Merged) Parts() int { return len(m.parts) }
 
+// Part returns partition i (0 <= i < Parts()), for checks that must hold
+// within each collector's share of the table.
+func (m *Merged) Part(i int) *Table { return m.parts[i] }
+
 // Name returns the first partition's table name (partitions of one
 // tracepoint share it).
 func (m *Merged) Name() string {

@@ -3,6 +3,7 @@ package vnettracer
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"vnettracer/internal/control"
@@ -11,62 +12,231 @@ import (
 )
 
 // Session is a complete in-process tracer deployment: a dispatcher, a
-// collector over a fresh trace database, and one agent per monitored
-// machine. It is the programmatic equivalent of running the vnettracer
-// CLI's dispatcher, agents, and collector against a set of machines.
+// supervisor, a collector tier of one or more collectors, and one agent
+// per monitored machine. It is the programmatic equivalent of running the
+// vnettracer CLI's dispatcher, agents, and collectors against a set of
+// machines. One collector is a cluster of one: agents are placed on their
+// home collector by consistent hashing on the machine name, every record
+// table has a (possibly empty) partition on every collector, and every
+// metric is answered through the merged ClusterQuery view.
 type Session struct {
-	db         *tracedb.DB
-	collector  *control.Collector
 	dispatcher *control.Dispatcher
+	cluster    *control.Cluster
 	supervisor *control.Supervisor
-	// query is the one-partition cluster view over db: the session answers
-	// every table-level metric through the same layer a scaled-out tier
-	// does.
+	cols       []*sessionCollector
+	// query merges every collector's database and aggregate store, in
+	// collector order; a recovery swaps the new incarnation's in.
 	query  *ClusterQuery
 	agents map[string]*control.Agent
 	labels map[string]uint32
+	// tables keeps each record table's name and skew for collectors that
+	// join or recover later.
+	tables map[uint32]*tableMeta
 	// flushNs is the interval StartFlushing armed, kept so a restarted
 	// agent gets the same timer.
 	flushNs int64
 }
 
-// NewSession creates an empty session with default in-memory storage.
+// sessionCollector is one collector of the tier: its current incarnation
+// and what reopens it after a crash.
+type sessionCollector struct {
+	idx   int
+	name  string
+	col   *control.Collector
+	dur   *tracedb.Durability // nil when unlogged
+	store StoreConfig
+	log   DurabilityConfig
+	wrap  SinkWrapper
+}
+
+type tableMeta struct {
+	name string
+	skew int64
+}
+
+// SinkWrapper interposes on a collector's delivery path: agents homed on
+// the collector ship to what it returns instead of to the collector
+// itself. It is called with each incarnation (at AddCollector and again at
+// RecoverCollector). Fault-injection harnesses use it; deployments pass nil.
+type SinkWrapper func(name string, col *Collector) RecordSink
+
+// NewSession creates a session of one collector with default in-memory
+// storage.
 func NewSession() *Session { return NewSessionWith(StoreConfig{}) }
 
-// NewSessionWith creates an empty session whose trace database uses the
-// given segment-store configuration (segment size, spill directory,
-// retention budget).
+// NewSessionWith creates a session of one unlogged collector whose trace
+// database uses the given segment-store configuration (segment size,
+// spill directory, retention budget).
 func NewSessionWith(cfg StoreConfig) *Session {
-	db := tracedb.NewWith(cfg)
+	s := NewClusterSession()
+	if _, err := s.AddCollector(cfg, DurabilityConfig{}, nil); err != nil {
+		panic(err) // an unlogged collector opens without I/O
+	}
+	return s
+}
+
+// NewClusterSession creates a session with an empty collector tier: add
+// collectors with AddCollector before adding machines.
+func NewClusterSession() *Session {
 	disp := control.NewDispatcher()
+	clu := control.NewCluster(disp)
 	sup := control.NewSupervisor(disp)
-	// The collector's heartbeat ledger doubles as the supervisor's epoch
-	// observer: a restarted agent announces its new lease through its
+	// The home collectors' heartbeat ledgers double as the supervisor's
+	// epoch observer: a restarted agent announces its new lease through its
 	// first heartbeat and gets its tracepoints re-pushed.
-	sup.SetLedger(db)
+	sup.SetLedger(clu)
 	return &Session{
-		db:         db,
-		collector:  control.NewCollector(db),
 		dispatcher: disp,
+		cluster:    clu,
 		supervisor: sup,
-		query:      NewClusterQuery().AddDB(db),
+		query:      NewClusterQuery(),
 		agents:     make(map[string]*control.Agent),
 		labels:     make(map[string]uint32),
+		tables:     make(map[uint32]*tableMeta),
 	}
 }
 
-// DB returns the session's trace database.
-func (s *Session) DB() *DB { return s.db }
+// AddCollector opens a collector (control.OpenCollector: an empty log.Dir
+// means unlogged, otherwise startup recovers from the directories) and
+// joins it to the tier as col-<i>, i counting from 0. It gets a partition
+// of every record table. Placement is sticky: agents already homed
+// elsewhere stay there.
+func (s *Session) AddCollector(store StoreConfig, log DurabilityConfig, wrap SinkWrapper) (string, error) {
+	i := len(s.cols)
+	sc := &sessionCollector{idx: i, name: fmt.Sprintf("col-%d", i), store: store, log: log, wrap: wrap}
+	sink, _, err := s.open(sc)
+	if err != nil {
+		return "", err
+	}
+	if err := s.cluster.AddCollector(sc.name, sc.col, sink); err != nil {
+		return "", err
+	}
+	s.cols = append(s.cols, sc)
+	s.query.AddCollector(sc.col)
+	return sc.name, nil
+}
 
-// StorageStats returns the trace database's aggregate segment-store
-// accounting (resident vs spilled bytes, compression ratio, evictions).
-func (s *Session) StorageStats() StorageStats { return s.db.StorageTotals() }
+// open starts a new incarnation of a collector from its configuration and
+// readies it to serve, returning the sink its agents ship to.
+func (s *Session) open(sc *sessionCollector) (RecordSink, tracedb.RecoveryStats, error) {
+	col, dur, rec, err := control.OpenCollector(sc.store, sc.log)
+	if err != nil {
+		return nil, rec, fmt.Errorf("vnettracer: open collector %s: %w", sc.name, err)
+	}
+	sc.col, sc.dur = col, dur
+	s.prepare(col.DB())
+	if sc.wrap == nil {
+		return col, rec, nil
+	}
+	return sc.wrap(sc.name, col), rec, nil
+}
+
+// prepare gives a collector's database, before it serves traffic, its
+// partition of every record table, name and skew included (a table a
+// recovery rebuilt from the WAL alone knows only its TPID).
+func (s *Session) prepare(db *DB) {
+	for id, meta := range s.tables {
+		t, ok := db.Table(id)
+		if !ok {
+			t, _ = db.CreateTable(id, meta.name) // cannot fail: the table is absent
+		}
+		t.Name = meta.name
+		db.SetSkew(id, meta.skew)
+	}
+}
+
+func (s *Session) collector(name string) (*sessionCollector, error) {
+	for _, sc := range s.cols {
+		if sc.name == name {
+			return sc, nil
+		}
+	}
+	return nil, fmt.Errorf("vnettracer: no collector %q in session", name)
+}
+
+// FailCollector declares a collector dead and re-homes its agents onto
+// their consistent-hash successors (control.Cluster.FailCollector). What
+// it ingested before failing stays in the merged query view.
+func (s *Session) FailCollector(name string) ([]control.Rehome, error) {
+	return s.cluster.FailCollector(name)
+}
+
+// RecoverCollector rebuilds a crashed durable collector purely from its
+// directories — adopted extents, the latest checkpoint and the WAL tail —
+// and rejoins it to the tier (control.Cluster.RecoverCollector). The dead
+// incarnation is abandoned unread, and the merged query view reads the
+// new one.
+func (s *Session) RecoverCollector(name string) ([]control.Rehome, tracedb.RecoveryStats, error) {
+	sc, err := s.collector(name)
+	if err != nil {
+		return nil, tracedb.RecoveryStats{}, err
+	}
+	if sc.log.Dir == "" {
+		return nil, tracedb.RecoveryStats{}, fmt.Errorf("vnettracer: collector %q has no write-ahead log to recover from", name)
+	}
+	if sc.dur != nil {
+		sc.dur.Close() // the dead incarnation's log handle
+		sc.dur = nil
+	}
+	sink, rec, err := s.open(sc)
+	if err != nil {
+		return nil, rec, err
+	}
+	moves, err := s.cluster.RecoverCollector(name, sc.col, sink)
+	if err != nil {
+		return nil, rec, err
+	}
+	s.query.dbs[sc.idx], s.query.aggs[sc.idx] = sc.col.DB(), sc.col.Aggregates()
+	return moves, rec, nil
+}
+
+// Durability returns a collector's write-ahead log and checkpointer; nil
+// when the collector is unlogged or unknown.
+func (s *Session) Durability(name string) *tracedb.Durability {
+	if sc, err := s.collector(name); err == nil {
+		return sc.dur
+	}
+	return nil
+}
+
+// Close syncs and closes every durable collector's write-ahead log.
+func (s *Session) Close() error {
+	var errs []error
+	for _, sc := range s.cols {
+		if sc.dur != nil {
+			errs = append(errs, sc.dur.Close())
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// DB returns the first collector's trace database (with one collector,
+// the whole store).
+func (s *Session) DB() *DB { return s.cols[0].col.DB() }
+
+// StorageStats returns the segment-store accounting (resident vs spilled
+// bytes, compression ratio, evictions) summed over the tier.
+func (s *Session) StorageStats() StorageStats {
+	var st StorageStats
+	for _, sc := range s.cols {
+		st.Add(sc.col.DB().StorageTotals())
+	}
+	return st
+}
 
 // Dispatcher returns the session's control dispatcher.
 func (s *Session) Dispatcher() *Dispatcher { return s.dispatcher }
 
-// Collector returns the session's raw data collector.
-func (s *Session) Collector() *Collector { return s.collector }
+// Collector returns the first collector (with one collector, the only
+// one).
+func (s *Session) Collector() *Collector { return s.cols[0].col }
+
+// Cluster returns the collector tier's placement layer, for reading agent
+// homes, ledgers and re-home counts.
+func (s *Session) Cluster() *control.Cluster { return s.cluster }
+
+// Query returns the merged read view over every collector.
+func (s *Session) Query() *ClusterQuery { return s.query }
 
 // Supervisor returns the session's control-plane supervisor: the
 // desired-state layer that retries failed pushes and re-provisions
@@ -79,40 +249,65 @@ func (s *Session) Supervisor() *control.Supervisor { return s.supervisor }
 // periodically (e.g. from an engine timer).
 func (s *Session) Supervise(nowNs int64) { s.supervisor.Tick(nowNs) }
 
-// AddMachine registers a machine under a new agent named after its node.
+// AddMachine registers a machine under a new agent named after its node
+// and places it on its home collector.
 func (s *Session) AddMachine(m *Machine) (*Agent, error) {
 	name := m.Node.Name
 	if _, dup := s.agents[name]; dup {
 		return nil, fmt.Errorf("vnettracer: machine %q already in session", name)
 	}
-	agent := control.NewAgent(name, m, s.collector)
+	agent := control.NewAgent(name, m, nil)
 	if err := s.dispatcher.Register(name, agent); err != nil {
 		return nil, err
 	}
-	agent.SetEpoch(s.dispatcher.Epoch(name))
+	if err := s.place(agent, s.dispatcher.Epoch(name)); err != nil {
+		return nil, err
+	}
 	s.agents[name] = agent
 	return agent, nil
 }
 
-// RestartAgent models an agent-process restart: the machine gets a fresh
-// agent with the next epoch lease and the session's periodic flush, the
-// dispatcher's roster points at it, and the next supervision pass
-// re-pushes the desired state so its tracepoints re-attach. The previous
-// agent object (the "zombie") is returned: anything it still ships
-// carries the old epoch and is fenced by the collector.
-func (s *Session) RestartAgent(machine string) (*Agent, *Agent, error) {
-	old, ok := s.agents[machine]
-	if !ok {
-		return nil, nil, fmt.Errorf("vnettracer: machine %q not in session", machine)
+// place homes an agent (sticky across restarts) and points it at its
+// home's sink under the given lease.
+func (s *Session) place(agent *Agent, epoch uint64) error {
+	_, sink, err := s.cluster.Register(agent.Name(), agent)
+	if err != nil {
+		return err
 	}
-	// Process death: the flush loop dies and the kernel detaches the
-	// process's probes; only the spool survives in the zombie.
-	old.StopFlushing()
-	if err := old.Apply(ControlPackage{Replace: true}); err != nil {
+	agent.Retarget(sink, epoch)
+	return nil
+}
+
+// KillAgent models an agent-process death: the flush loop dies and the
+// kernel detaches the process's probes. The dead agent keeps its spool
+// and stays the machine's agent until RestartAgent replaces it.
+func (s *Session) KillAgent(machine string) (*Agent, error) {
+	a, ok := s.agents[machine]
+	if !ok {
+		return nil, fmt.Errorf("vnettracer: machine %q not in session", machine)
+	}
+	a.StopFlushing()
+	return a, a.Apply(ControlPackage{Replace: true})
+}
+
+// RestartAgent models an agent-process restart (killing the running one
+// first if KillAgent has not): the machine gets a fresh agent with the
+// next epoch lease, the previous one's spool bound and the session's
+// periodic flush, homed where the machine was; the dispatcher's roster
+// points at it, and the next supervision pass re-pushes the desired state
+// so its tracepoints re-attach. The previous agent object (the "zombie")
+// is returned: anything it still ships carries the old epoch and is
+// fenced by the collector.
+func (s *Session) RestartAgent(machine string) (*Agent, *Agent, error) {
+	old, err := s.KillAgent(machine)
+	if err != nil {
 		return nil, nil, err
 	}
-	agent := control.NewAgent(machine, old.Machine(), s.collector)
-	agent.SetEpoch(s.dispatcher.Reregister(machine, agent))
+	agent := control.NewAgent(machine, old.Machine(), nil)
+	agent.SetSpoolLimit(old.SpoolStats().Limit)
+	if err := s.place(agent, s.dispatcher.Reregister(machine, agent)); err != nil {
+		return nil, nil, err
+	}
 	if s.flushNs > 0 {
 		agent.StartFlushing(s.flushNs)
 	}
@@ -139,22 +334,45 @@ func (s *Session) Agent(machine string) (*Agent, bool) {
 // if the spec has none and creating the record table when the spec records.
 // It returns the spec's TPID.
 func (s *Session) Install(machine string, spec TraceSpec) (uint32, error) {
-	if spec.TPID == 0 {
-		spec.TPID = s.dispatcher.AllocTPID(spec.Name)
-	}
-	s.labels[spec.Name] = spec.TPID
-	for _, a := range spec.Actions {
-		if a == ActionRecord {
-			if _, err := s.db.CreateTable(spec.TPID, spec.Name); err != nil {
-				return 0, err
-			}
-			break
-		}
-	}
-	if err := s.supervisor.Desire(machine, ControlPackage{Install: []TraceSpec{spec}}, s.nowNs(machine)); err != nil {
+	ids, err := s.InstallPackage(machine, ControlPackage{Install: []TraceSpec{spec}})
+	if err != nil {
 		return 0, err
 	}
-	return spec.TPID, nil
+	return ids[0], nil
+}
+
+// InstallPackage makes a whole control package one desired-state change
+// for a machine: specs without a TPID get one, every recording spec's
+// table gets a partition on every collector, and the supervisor pushes
+// the package. It returns the specs' TPIDs in order. A machine not in the
+// session is refused before anything is allocated.
+func (s *Session) InstallPackage(machine string, pkg ControlPackage) ([]uint32, error) {
+	if _, ok := s.agents[machine]; !ok {
+		return nil, fmt.Errorf("vnettracer: machine %q not in session", machine)
+	}
+	pkg.Install = append([]TraceSpec(nil), pkg.Install...)
+	ids := make([]uint32, len(pkg.Install))
+	for i := range pkg.Install {
+		spec := &pkg.Install[i]
+		if spec.TPID == 0 {
+			spec.TPID = s.dispatcher.AllocTPID(spec.Name)
+		}
+		ids[i] = spec.TPID
+		s.labels[spec.Name] = spec.TPID
+		if !slices.Contains(spec.Actions, ActionRecord) {
+			continue
+		}
+		for _, sc := range s.cols {
+			if _, err := sc.col.DB().CreateTable(spec.TPID, spec.Name); err != nil {
+				return nil, err
+			}
+		}
+		s.tables[spec.TPID] = &tableMeta{name: spec.Name}
+	}
+	if err := s.supervisor.Desire(machine, pkg, s.nowNs(machine)); err != nil {
+		return nil, err
+	}
+	return ids, nil
 }
 
 // InstallRecord is shorthand for installing a record-action script under a
@@ -204,9 +422,9 @@ func (s *Session) StartFlushing(intervalNs int64) {
 	}
 }
 
-// Flush drains every agent's ring buffer to the collector. Every agent is
-// flushed even if some fail; failures come back joined. Records from a
-// failed flush stay in that agent's delivery spool for retry.
+// Flush drains every agent's ring buffer to its home collector. Every
+// agent is flushed even if some fail; failures come back joined. Records
+// from a failed flush stay in that agent's delivery spool for retry.
 func (s *Session) Flush() error {
 	var errs []error
 	for _, name := range s.agentNames() {
@@ -230,22 +448,24 @@ func (s *Session) tpids(labels ...string) ([]uint32, error) {
 	return out, nil
 }
 
-// Table returns the record table behind a script label.
+// Table returns the first collector's partition of the record table
+// behind a script label (with one collector, the whole table; Query
+// merges every collector's).
 func (s *Session) Table(label string) (*Table, error) {
 	ids, err := s.tpids(label)
 	if err != nil {
 		return nil, err
 	}
-	t, ok := s.db.Table(ids[0])
+	t, ok := s.DB().Table(ids[0])
 	if !ok {
 		return nil, fmt.Errorf("vnettracer: no table for %q", label)
 	}
 	return t, nil
 }
 
-// ScanTable streams a label's records in insertion order without copying
-// the table; fn returns false to stop early. Inserts arriving concurrently
-// are not blocked and not visited.
+// ScanTable streams a label's records in the first collector's partition
+// in insertion order without copying the table; fn returns false to stop
+// early. Inserts arriving concurrently are not blocked and not visited.
 func (s *Session) ScanTable(label string, fn func(Record) bool) error {
 	t, err := s.Table(label)
 	if err != nil {
@@ -276,14 +496,19 @@ func (s *Session) PerFlowThroughput(label string) ([]metrics.FlowStats, error) {
 }
 
 // SetSkew records a clock-offset correction (e.g. from Cristian's
-// algorithm) for a label's tracepoint; subsequent analyses align its
-// timestamps.
+// algorithm) for a label's tracepoint on every collector's partition;
+// subsequent analyses align its timestamps.
 func (s *Session) SetSkew(label string, skewNs int64) error {
 	ids, err := s.tpids(label)
 	if err != nil {
 		return err
 	}
-	s.db.SetSkew(ids[0], skewNs)
+	if t, ok := s.tables[ids[0]]; ok {
+		t.skew = skewNs
+	}
+	for _, sc := range s.cols {
+		sc.col.DB().SetSkew(ids[0], skewNs)
+	}
 	return nil
 }
 

@@ -376,3 +376,38 @@ func TestSessionRestartAgent(t *testing.T) {
 		t.Fatalf("after the restart: %d records, want 20 (one per packet, flushed by the fresh agent's own timer)", tbl.Len())
 	}
 }
+
+// TestSessionInstallUnknownMachine: an Install aimed at a machine the
+// session does not have fails before allocating anything — no label, no
+// table, no desired state for supervision to re-push — so retries leak
+// nothing and the next good Install gets the first TPID.
+func TestSessionInstallUnknownMachine(t *testing.T) {
+	eng := NewEngine(7)
+	machine, _ := buildLoopbackMachine(t, eng)
+	s := NewSession()
+	if _, err := s.AddMachine(machine); err != nil {
+		t.Fatal(err)
+	}
+	at := AttachPoint{Kind: AttachKProbe, Site: SiteUDPRecvmsg}
+	for try := 0; try < 2; try++ {
+		if _, err := s.InstallRecord("nope", "rx", at, Filter{}); err == nil {
+			t.Fatal("install on an unknown machine accepted")
+		}
+	}
+	if _, err := s.Table("rx"); err == nil {
+		t.Fatal("a failed install bound its label")
+	}
+	if got := s.DB().Tables(); len(got) != 0 {
+		t.Fatalf("failed installs left tables %v", got)
+	}
+	if pkg, ok := s.Supervisor().Desired("nope"); ok {
+		t.Fatalf("a failed install left desired state %+v for supervision to re-push", pkg)
+	}
+	tpid, err := s.InstallRecord("m0", "rx", at, Filter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.DB().Tables(); tpid != 1 || len(got) != 1 || got[0] != 1 {
+		t.Fatalf("after the good install: TPID %d, tables %v; want 1, [1]", tpid, got)
+	}
+}

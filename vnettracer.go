@@ -150,6 +150,11 @@ type (
 	RecordSource = metrics.RecordSource
 	// RecordBatch is what agents ship to the collector.
 	RecordBatch = control.RecordBatch
+	// RecordSink is what agents ship record batches to.
+	RecordSink = control.RecordSink
+	// DurabilityConfig places a collector's write-ahead log and
+	// checkpoints; an empty Dir means unlogged.
+	DurabilityConfig = tracedb.DurabilityConfig
 )
 
 // Attach kinds and probe sites.
