@@ -112,9 +112,10 @@ bench-gate:
 	bash scripts/bench-gate.sh "$(PARENT)" $(PAIRS)
 
 # Opt-in proof that a refactor changed nothing observable (not part of
-# check or tier-1: ~1 min). Exports PARENT under .bench_build/ and diffs
+# check or tier-1: ~2 min). Exports PARENT under .bench_build/ and diffs
 # the full `vntbench -quick` output (elapsed lines stripped), the 300
-# seed-sweep digests and digests.golden against the working tree.
+# seed-sweep digests, digests.golden and the stdout of every examples/
+# program against the working tree.
 .PHONY: nochange
 nochange:
 	@test -n "$(PARENT)" || { echo "usage: make nochange PARENT=<ref>"; exit 2; }

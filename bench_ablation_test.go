@@ -67,7 +67,7 @@ func BenchmarkCollectorIngest(b *testing.B) {
 	batch := benchBatch(recordsPerBatch, 8)
 
 	b.Run("inline-1producer", func(b *testing.B) {
-		col := control.NewCollector(tracedb.New())
+		col := control.NewCollectorWith(tracedb.New(), tracedb.NewAggStore())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			col.HandleBatch(batch)
@@ -78,7 +78,7 @@ func BenchmarkCollectorIngest(b *testing.B) {
 		// Each producer traces a disjoint set of tracepoints, so per-table
 		// locks let their inserts proceed without serializing — the case
 		// the old single DB mutex forced into lockstep.
-		col := control.NewCollector(tracedb.New())
+		col := control.NewCollectorWith(tracedb.New(), tracedb.NewAggStore())
 		var producer atomic.Uint32
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
@@ -94,7 +94,7 @@ func BenchmarkCollectorIngest(b *testing.B) {
 	})
 
 	b.Run("queued-workers4", func(b *testing.B) {
-		col := control.NewCollector(tracedb.New())
+		col := control.NewCollectorWith(tracedb.New(), tracedb.NewAggStore())
 		col.StartIngest(4, 4096)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

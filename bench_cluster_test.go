@@ -48,7 +48,7 @@ func BenchmarkClusterIngest(b *testing.B) {
 			names := make(map[string]int, numCols)
 			for c := 0; c < numCols; c++ {
 				name := fmt.Sprintf("col-%d", c)
-				cols[c] = control.NewCollector(tracedb.New())
+				cols[c] = control.NewCollectorWith(tracedb.New(), tracedb.NewAggStore())
 				if err := clu.AddCollector(name, cols[c], nil); err != nil {
 					b.Fatal(err)
 				}

@@ -167,18 +167,13 @@ func (q *ClusterQuery) Decompose(tpids ...uint32) ([]Segment, error) {
 // instead of the full stream. The merged sketch's Overflow() keeps the
 // exact packet/byte mass outside the top K, so totals still reconcile.
 func (q *ClusterQuery) TopFlows(tpid uint32, k int) (*metrics.TopKFlows, error) {
-	merged := metrics.NewTopKFlows(k)
-	found := false
-	for _, db := range q.dbs {
-		t, ok := db.Table(tpid)
-		if !ok {
-			continue
-		}
-		found = true
-		merged.Merge(metrics.TopKOf(metrics.SourceFunc(t.ScanAligned), k))
+	m, err := q.table(tpid)
+	if err != nil {
+		return nil, err
 	}
-	if !found {
-		return nil, fmt.Errorf("vnettracer: no partition holds tracepoint %d", tpid)
+	merged := metrics.NewTopKFlows(k)
+	for i := 0; i < m.Parts(); i++ {
+		merged.Merge(metrics.TopKOf(metrics.SourceFunc(m.Part(i).ScanAligned), k))
 	}
 	return merged, nil
 }

@@ -22,7 +22,7 @@ import (
 func clusterFixture(t *testing.T) (*Session, *ClusterQuery) {
 	t.Helper()
 	s := NewSession()
-	base := s.DB()
+	base := s.cols[0].col.DB()
 	parts := []*tracedb.DB{tracedb.New(), tracedb.New(), tracedb.New()}
 	for _, db := range append([]*tracedb.DB{base}, parts...) {
 		for tpid, label := range map[uint32]string{1: "src", 2: "dst", 3: "mid"} {
@@ -70,7 +70,6 @@ func clusterFixture(t *testing.T) (*Session, *ClusterQuery) {
 
 func TestClusterQueryMatchesSingleCollector(t *testing.T) {
 	s, q := clusterFixture(t)
-	base := s.DB()
 	if q.Partitions() != 3 {
 		t.Fatalf("partitions = %d, want 3", q.Partitions())
 	}
@@ -78,7 +77,7 @@ func TestClusterQueryMatchesSingleCollector(t *testing.T) {
 		t.Fatalf("tables = %v, want [1 2 3]", got)
 	}
 
-	baseSrc, _ := base.Table(1)
+	baseSrc, _ := s.Table("src")
 	m, ok := q.Table(1)
 	if !ok {
 		t.Fatal("no merged table 1")
@@ -99,7 +98,7 @@ func TestClusterQueryMatchesSingleCollector(t *testing.T) {
 		t.Fatalf("throughput %v, baseline %v", gotTp, wantTp)
 	}
 
-	baseDst, _ := base.Table(2)
+	baseDst, _ := s.Table("dst")
 	wantLat := Latencies(baseSrc, baseDst)
 	gotLat, err := q.Latencies(1, 2)
 	if err != nil {
@@ -149,7 +148,7 @@ func TestClusterQueryMatchesSingleCollector(t *testing.T) {
 
 func TestClusterQueryTopFlows(t *testing.T) {
 	s, q := clusterFixture(t)
-	baseSrc, _ := s.DB().Table(1)
+	baseSrc, _ := s.Table("src")
 
 	// k larger than the flow count: the merged sketch must be exact.
 	exact := metrics.TopKOf(metrics.SourceFunc(baseSrc.ScanAligned), 16)

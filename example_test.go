@@ -79,17 +79,3 @@ func ExampleCompileSpec() {
 	// Output:
 	// verified, within the 4k limit: true
 }
-
-// ExamplePerFlowThroughput computes the paper's per-flow metric from raw
-// records.
-func ExamplePerFlowThroughput() {
-	recs := []vnettracer.Record{
-		{SrcIP: 0x0a000001, DstIP: 0x0a000002, SrcPort: 1000, DstPort: 80, Proto: 6, Len: 1004, TimeNs: 0},
-		{SrcIP: 0x0a000001, DstIP: 0x0a000002, SrcPort: 1000, DstPort: 80, Proto: 6, Len: 1004, TimeNs: 1_000_000},
-	}
-	for _, fs := range vnettracer.PerFlowThroughput(recs) {
-		fmt.Printf("%s: %.0f Mbps\n", fs.Flow, fs.ThroughputBps/1e6)
-	}
-	// Output:
-	// tcp 10.0.0.1:1000->10.0.0.2:80: 16 Mbps
-}

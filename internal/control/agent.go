@@ -326,17 +326,6 @@ func (a *Agent) Script(name string) (*script.Compiled, bool) {
 	return ls.compiled, true
 }
 
-// Handle returns an installed script's attach handle (runtime stats).
-func (a *Agent) Handle(name string) (*core.AttachHandle, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	ls, ok := a.loaded[name]
-	if !ok {
-		return nil, false
-	}
-	return ls.handle, true
-}
-
 // Installed lists installed script names in sorted order, so two agents
 // with the same scripts report identically regardless of install order.
 func (a *Agent) Installed() []string {

@@ -39,7 +39,7 @@ func newClusterFixture(t *testing.T, nCols, nAgents int) *clusterFixture {
 	f.clu = NewCluster(f.disp)
 	for i := 0; i < nCols; i++ {
 		name := fmt.Sprintf("col-%d", i)
-		col := NewCollector(tracedb.New())
+		col := NewCollectorWith(tracedb.New(), tracedb.NewAggStore())
 		f.cols[name] = col
 		if err := f.clu.AddCollector(name, col, nil); err != nil {
 			t.Fatal(err)

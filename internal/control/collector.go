@@ -41,15 +41,9 @@ type Collector struct {
 	ingestFn func(RecordBatch)
 }
 
-// NewCollector creates a collector over a trace database.
-func NewCollector(db *tracedb.DB) *Collector {
-	return NewCollectorWith(db, tracedb.NewAggStore())
-}
-
-// NewCollectorWith creates a collector over an existing database and
-// aggregate store — the recovery path, where tracedb.Recover has already
-// rebuilt both from disk and the collector must serve them rather than
-// start empty.
+// NewCollectorWith creates a collector over a trace database and an
+// aggregate store: fresh ones, or ones tracedb.Recover has rebuilt from
+// disk, which the collector then serves rather than starting empty.
 func NewCollectorWith(db *tracedb.DB, aggs *tracedb.AggStore) *Collector {
 	c := &Collector{db: db, aggs: aggs, dur: tracedb.Unlogged(db, aggs)}
 	c.ingestFn = c.ingest

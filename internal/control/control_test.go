@@ -31,7 +31,7 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	db := tracedb.New()
-	collector := NewCollector(db)
+	collector := NewCollectorWith(db, tracedb.NewAggStore())
 	agent := NewAgent("agent-0", machine, collector)
 	return &rig{eng: eng, machine: machine, agent: agent, collector: collector, db: db}
 }
@@ -168,7 +168,7 @@ func TestAgentReportsRingDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := tracedb.New()
-	collector := NewCollector(db)
+	collector := NewCollectorWith(db, tracedb.NewAggStore())
 	agent := NewAgent("a", machine, collector)
 	if err := agent.Apply(ControlPackage{Install: []script.Spec{recordSpec("s1", 1, kernel.SiteUDPRecvmsg)}}); err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestTCPControlAndBatchRoundTrip(t *testing.T) {
 
 	// Collector-side server backed by a separate DB.
 	db2 := tracedb.New()
-	col2 := NewCollector(db2)
+	col2 := NewCollectorWith(db2, tracedb.NewAggStore())
 	colLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +306,7 @@ func TestTCPWrongEndpointRejected(t *testing.T) {
 
 func TestTCPSinkReconnects(t *testing.T) {
 	db := tracedb.New()
-	col := NewCollector(db)
+	col := NewCollectorWith(db, tracedb.NewAggStore())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -154,7 +154,7 @@ func TestFaultAckLossNoDuplicates(t *testing.T) {
 // sequence-number dedup the retry is dropped. (Fails without Seq dedup.)
 func TestFaultConnKillBeforeReply(t *testing.T) {
 	db := tracedb.New()
-	col := NewCollector(db)
+	col := NewCollectorWith(db, tracedb.NewAggStore())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestFaultConnKillBeforeReply(t *testing.T) {
 func TestFaultCollectorRestart(t *testing.T) {
 	r := newRig(t)
 	db := tracedb.New()
-	col := NewCollector(db)
+	col := NewCollectorWith(db, tracedb.NewAggStore())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +428,7 @@ func TestDispatcherPushAllPartialFailure(t *testing.T) {
 // ingest workers can) must leave the newer timestamp in the ledger.
 func TestHeartbeatOutOfOrderBatches(t *testing.T) {
 	db := tracedb.New()
-	col := NewCollector(db)
+	col := NewCollectorWith(db, tracedb.NewAggStore())
 	col.HandleBatch(RecordBatch{Agent: "a", AgentTimeNs: 1000, Seq: 2})
 	col.HandleBatch(RecordBatch{Agent: "a", AgentTimeNs: 400, Seq: 1}) // older batch, processed late
 	if dead := db.DeadAgents(1100, 300); len(dead) != 0 {

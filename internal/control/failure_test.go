@@ -25,7 +25,7 @@ func TestHeartbeatDetectsCrashedAgent(t *testing.T) {
 		}
 		return machine
 	}
-	db := NewCollector(tracedb.New())
+	db := NewCollectorWith(tracedb.New(), tracedb.NewAggStore())
 	healthy := NewAgent("healthy", mk("healthy"), db)
 	crashy := NewAgent("crashy", mk("crashy"), db)
 	healthy.StartFlushing(10 * int64(sim.Millisecond))

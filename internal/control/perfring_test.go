@@ -34,7 +34,7 @@ func TestAgentPerRingDropAccountingConcurrent(t *testing.T) {
 		t.Fatalf("machine has %d rings, want one per CPU (%d)", machine.Ring.NumRings(), ncpu)
 	}
 	db := tracedb.New()
-	collector := NewCollector(db)
+	collector := NewCollectorWith(db, tracedb.NewAggStore())
 	agent := NewAgent("agent-0", machine, collector)
 
 	var wg sync.WaitGroup

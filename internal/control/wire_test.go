@@ -177,7 +177,7 @@ func TestBatchFrameV4CarriesEpoch(t *testing.T) {
 // silent and never half-ingested.
 func TestServerCountsRejectedFrames(t *testing.T) {
 	db := tracedb.New()
-	col := NewCollector(db)
+	col := NewCollectorWith(db, tracedb.NewAggStore())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestServerCountsRejectedFrames(t *testing.T) {
 // the DB after StopIngest drains, and overflow is counted, not blocking.
 func TestCollectorAsyncIngest(t *testing.T) {
 	db := tracedb.New()
-	col := NewCollector(db)
+	col := NewCollectorWith(db, tracedb.NewAggStore())
 	col.StartIngest(4, 256)
 	var wg sync.WaitGroup
 	const senders, perSender = 8, 50
@@ -287,7 +287,7 @@ func TestCollectorAsyncIngest(t *testing.T) {
 func TestCollectorIngestBackpressure(t *testing.T) {
 	blocker := make(chan struct{})
 	db := tracedb.New()
-	col := NewCollector(db)
+	col := NewCollectorWith(db, tracedb.NewAggStore())
 	inner := col.ingestFn
 	col.ingestFn = func(b RecordBatch) {
 		<-blocker // slow store
@@ -316,7 +316,7 @@ func TestCollectorIngestBackpressure(t *testing.T) {
 // -race regression for the record path.
 func TestConcurrentBatchesRace(t *testing.T) {
 	db := tracedb.New()
-	col := NewCollector(db)
+	col := NewCollectorWith(db, tracedb.NewAggStore())
 	col.StartIngest(4, 1024)
 	defer col.StopIngest()
 
@@ -368,7 +368,7 @@ func TestConcurrentBatchesRace(t *testing.T) {
 				tbl, _ := db.Table(id)
 				tbl.Scan(func(core.Record) bool { return true })
 				tbl.Len()
-				tbl.TraceIDs()
+				tracedb.Merge(tbl).TraceIDs()
 			}
 		}
 	}()

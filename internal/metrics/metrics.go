@@ -85,11 +85,6 @@ func ThroughputOf(src RecordSource) (float64, error) {
 	return float64(bytes) * 8 * 1e9 / float64(maxT-minT), nil
 }
 
-// Throughput computes throughput over an in-memory record slice.
-func Throughput(recs []core.Record) (float64, error) {
-	return ThroughputOf(Records(recs))
-}
-
 // LatencySample is one per-packet latency measurement between two
 // tracepoints.
 type LatencySample struct {

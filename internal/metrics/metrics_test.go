@@ -31,7 +31,7 @@ func TestThroughputFormula(t *testing.T) {
 		recs = append(recs, core.Record{TPID: 1, TraceID: uint32(i + 1), Len: 1004, TimeNs: uint64(i) * 111_111})
 	}
 	recs[len(recs)-1].TimeNs = 1_000_000
-	bps, err := Throughput(recs)
+	bps, err := ThroughputOf(Records(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +42,11 @@ func TestThroughputFormula(t *testing.T) {
 }
 
 func TestThroughputErrors(t *testing.T) {
-	if _, err := Throughput(nil); !errors.Is(err, ErrNoData) {
+	if _, err := ThroughputOf(Records(nil)); !errors.Is(err, ErrNoData) {
 		t.Fatalf("empty: %v", err)
 	}
 	same := []core.Record{{TimeNs: 5}, {TimeNs: 5}}
-	if _, err := Throughput(same); !errors.Is(err, ErrNoData) {
+	if _, err := ThroughputOf(Records(same)); !errors.Is(err, ErrNoData) {
 		t.Fatalf("zero span: %v", err)
 	}
 }
@@ -57,7 +57,7 @@ func TestThroughputUnsorted(t *testing.T) {
 		{Len: 104, TimeNs: 0},
 		{Len: 104, TimeNs: 500},
 	}
-	bps, err := Throughput(recs)
+	bps, err := ThroughputOf(Records(recs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,11 +91,6 @@ func PerFlowThroughputOf(src RecordSource) []FlowStats {
 	return out
 }
 
-// PerFlowThroughput computes per-flow throughput over an in-memory slice.
-func PerFlowThroughput(recs []core.Record) []FlowStats {
-	return PerFlowThroughputOf(Records(recs))
-}
-
 // InterArrivalsOf returns consecutive packet arrival gaps at one
 // tracepoint, sorted by timestamp — the paper's "packet arrival time" raw
 // metric. Only the 8-byte timestamps are materialized from the stream, not
@@ -115,9 +110,4 @@ func InterArrivalsOf(src RecordSource) []int64 {
 		out = append(out, int64(ts[i]-ts[i-1]))
 	}
 	return out
-}
-
-// InterArrivals returns arrival gaps over an in-memory record slice.
-func InterArrivals(recs []core.Record) []int64 {
-	return InterArrivalsOf(Records(recs))
 }

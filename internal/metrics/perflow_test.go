@@ -26,7 +26,7 @@ func TestPerFlowThroughputSeparatesFlows(t *testing.T) {
 	}
 	recs[14].TimeNs = 1_000_000
 
-	stats := PerFlowThroughput(recs)
+	stats := PerFlowThroughputOf(Records(recs))
 	if len(stats) != 2 {
 		t.Fatalf("flows = %d", len(stats))
 	}
@@ -51,7 +51,7 @@ func TestPerFlowThroughputSubtractsTraceID(t *testing.T) {
 		flowRec(1, 2, 1, 2, 17, 104, 0),
 		flowRec(1, 2, 1, 2, 17, 104, 1_000_000),
 	}
-	stats := PerFlowThroughput(recs)
+	stats := PerFlowThroughputOf(Records(recs))
 	// 2 x (104-4) bytes over 1ms = 1.6 Mbps.
 	if got := stats[0].ThroughputBps; got != 1.6e6 {
 		t.Fatalf("throughput = %.0f, want 1.6e6", got)
@@ -59,7 +59,7 @@ func TestPerFlowThroughputSubtractsTraceID(t *testing.T) {
 }
 
 func TestPerFlowThroughputSinglePacket(t *testing.T) {
-	stats := PerFlowThroughput([]core.Record{flowRec(1, 2, 1, 2, 17, 100, 5)})
+	stats := PerFlowThroughputOf(Records([]core.Record{flowRec(1, 2, 1, 2, 17, 100, 5)}))
 	if len(stats) != 1 || stats[0].ThroughputBps != 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
@@ -81,11 +81,11 @@ func TestInterArrivals(t *testing.T) {
 	recs := []core.Record{
 		{TimeNs: 300}, {TimeNs: 100}, {TimeNs: 600}, // unsorted
 	}
-	got := InterArrivals(recs)
+	got := InterArrivalsOf(Records(recs))
 	if len(got) != 2 || got[0] != 200 || got[1] != 300 {
 		t.Fatalf("inter-arrivals = %v", got)
 	}
-	if InterArrivals(recs[:1]) != nil {
+	if InterArrivalsOf(Records(recs[:1])) != nil {
 		t.Fatal("single record should yield nil")
 	}
 }
@@ -96,9 +96,9 @@ func TestPerFlowDeterministicOrder(t *testing.T) {
 		flowRec(3, 4, 1, 2, 17, 100, 0),
 		flowRec(5, 6, 1, 2, 17, 100, 0),
 	}
-	first := PerFlowThroughput(recs)
+	first := PerFlowThroughputOf(Records(recs))
 	for i := 0; i < 10; i++ {
-		again := PerFlowThroughput(recs)
+		again := PerFlowThroughputOf(Records(recs))
 		for j := range first {
 			if first[j].Flow != again[j].Flow {
 				t.Fatal("order not deterministic")

@@ -345,16 +345,17 @@ func RunXenCase(cfg XenConfig) (XenResult, error) {
 func estimateSkew(tr *vnettracer.Session, probes [4]string) (clocksync.Estimate, error) {
 	var bySeq [4]map[uint64]int64
 	for i, label := range probes {
+		t, err := tr.Table(label)
+		if err != nil {
+			return clocksync.Estimate{}, err
+		}
 		first := make(map[uint64]int64)
-		err := tr.ScanTable(label, func(r core.Record) bool {
+		t.Scan(func(r core.Record) bool {
 			if _, dup := first[r.Seq]; !dup {
 				first[r.Seq] = int64(r.TimeNs)
 			}
 			return true
 		})
-		if err != nil {
-			return clocksync.Estimate{}, err
-		}
 		bySeq[i] = first
 	}
 	var samples []clocksync.Sample

@@ -51,13 +51,9 @@ func checkLookupsMatchDecode(t testing.TB, blob []byte, recs []core.Record) {
 				want = append(want, w)
 			}
 		}
-		got, err := e.lookup(rd, r.TraceID, false, nil)
+		got, err := e.lookup(rd, r.TraceID, nil)
 		if err != nil || !slices.Equal(got, want) {
 			t.Fatalf("lookup(%d) = %v, %v; the decode holds %v", r.TraceID, got, err, want)
-		}
-		first, err := e.lookup(rd, r.TraceID, true, nil)
-		if err != nil || len(first) != 1 || first[0] != want[0] {
-			t.Fatalf("first lookup(%d) = %v, %v; want %v", r.TraceID, first, err, want[0])
 		}
 	}
 }

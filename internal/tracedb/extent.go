@@ -224,11 +224,10 @@ func (e *Extent) view(rd *extentReader) (extentView, error) {
 }
 
 // lookup appends the extent's records for one trace ID to out, in stored
-// order — all of them, or only the first when firstOnly. It reads the
-// tail, scans the ID section, and fetches and decodes only the blocks
-// that hold a match; a Bloom false positive costs the tail read and no
-// block. On an error nothing is appended.
-func (e *Extent) lookup(rd *extentReader, id uint32, firstOnly bool, out []core.Record) ([]core.Record, error) {
+// order. It reads the tail, scans the ID section, and fetches and decodes
+// only the blocks that hold a match; a Bloom false positive costs the
+// tail read and no block. On an error nothing is appended.
+func (e *Extent) lookup(rd *extentReader, id uint32, out []core.Record) ([]core.Record, error) {
 	var f *os.File
 	var t extentTail
 	var err error
@@ -257,9 +256,6 @@ func (e *Extent) lookup(rd *extentReader, id uint32, firstOnly bool, out []core.
 			decoded = b
 		}
 		out = append(out, rd.recs[i%blockRecords])
-		if firstOnly {
-			break
-		}
 	}
 	return out, nil
 }
@@ -289,21 +285,8 @@ func (e *Extent) loadBlock(f *os.File, rd *extentReader, t *extentTail, b int) e
 // (false positives possible, false negatives impossible).
 func (e *Extent) mayContain(id uint32) bool { return e.filter.mayContain(id) }
 
-// Count returns the number of records sealed into the extent.
-func (e *Extent) Count() int { return e.count }
-
-// StoredBytes returns the compressed size in bytes (resident or on disk).
-func (e *Extent) StoredBytes() int { return e.storedBytes }
-
 // Spilled reports whether the blob lives on disk rather than in memory.
 func (e *Extent) Spilled() bool { return e.path != "" }
-
-// Path returns the spilled file path, empty while resident.
-func (e *Extent) Path() string { return e.path }
-
-// TimeRange returns the raw (unaligned) timestamp bounds of the extent's
-// records.
-func (e *Extent) TimeRange() (minNs, maxNs uint64) { return e.minTimeNs, e.maxTimeNs }
 
 // residentBytes is the extent's in-memory footprint: blob (when not
 // spilled) plus bloom filter plus fixed overhead.

@@ -124,10 +124,6 @@ func (f *damageFixture) checkExtentMissing(t *testing.T, readErrs bool) {
 		t.Fatalf("ByTraceID answered from the failed extent: %v", got)
 	}
 	expectErr("ByTraceID")
-	if got, ok := f.tbl.FirstByTraceID(lost); ok {
-		t.Fatalf("FirstByTraceID answered from the failed extent: %v", got)
-	}
-	expectErr("FirstByTraceID")
 	// Every other extent, and the head, still answer.
 	for _, seq := range []uint64{3, damageExtentRecords - 1, 2 * damageExtentRecords, 3*damageExtentRecords - 1, damageRecords - 1} {
 		got := f.tbl.ByTraceID(uint32(seq + 1))

@@ -91,23 +91,12 @@ func (f *lookupFixture) scanFor(id uint32) []core.Record {
 	return out
 }
 
-// checkLookup holds ByTraceID and FirstByTraceID of id against want.
+// checkLookup holds ByTraceID of id against want: raw timestamps, the
+// fixture's skew notwithstanding.
 func (f *lookupFixture) checkLookup(t *testing.T, id uint32, want []core.Record) {
 	t.Helper()
 	if got := f.tbl.ByTraceID(id); !slices.Equal(got, want) {
 		t.Errorf("ByTraceID(%d) = %d records %v, want %d records %v", id, len(got), got, len(want), want)
-	}
-	first, ok := f.tbl.FirstByTraceID(id)
-	if len(want) == 0 {
-		if ok {
-			t.Errorf("FirstByTraceID(%d) = %+v, want none", id, first)
-		}
-		return
-	}
-	wantFirst := want[0]
-	wantFirst.TimeNs = alignNs(wantFirst.TimeNs, fixtureSkew)
-	if !ok || first != wantFirst {
-		t.Errorf("FirstByTraceID(%d) = %+v, %v; want %+v", id, first, ok, wantFirst)
 	}
 }
 

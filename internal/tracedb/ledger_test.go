@@ -1,6 +1,7 @@
 package tracedb
 
 import (
+	"maps"
 	"testing"
 
 	"vnettracer/internal/core"
@@ -109,16 +110,19 @@ func TestAlignClampsAtZero(t *testing.T) {
 	db.SetSkew(1, 1000) // exceeds the first record's timestamp
 
 	want := map[uint32]uint64{1: 0, 2: 4000}
+	if got := alignedByID(tbl); !maps.Equal(got, want) {
+		t.Fatalf("ScanAligned = %v, want %v (trace 1 clamped at 0)", got, want)
+	}
+}
+
+// alignedByID maps each trace ID to its record's aligned timestamp.
+func alignedByID(tbl *Table) map[uint32]uint64 {
+	out := make(map[uint32]uint64)
 	tbl.ScanAligned(func(r core.Record) bool {
-		if r.TimeNs != want[r.TraceID] {
-			t.Fatalf("ScanAligned trace %d = %d, want %d", r.TraceID, r.TimeNs, want[r.TraceID])
-		}
+		out[r.TraceID] = r.TimeNs
 		return true
 	})
-	r, ok := tbl.FirstByTraceID(1)
-	if !ok || r.TimeNs != 0 {
-		t.Fatalf("FirstByTraceID = %d, want clamped 0", r.TimeNs)
-	}
+	return out
 }
 
 // TestAlignNegativeSkew: a node whose clock runs *behind* the collector
@@ -135,14 +139,7 @@ func TestAlignNegativeSkew(t *testing.T) {
 	db.SetSkew(1, -2500)
 
 	want := map[uint32]uint64{1: 2500, 2: 9500}
-	tbl.ScanAligned(func(r core.Record) bool {
-		if r.TimeNs != want[r.TraceID] {
-			t.Fatalf("ScanAligned trace %d = %d, want %d", r.TraceID, r.TimeNs, want[r.TraceID])
-		}
-		return true
-	})
-	r, ok := tbl.FirstByTraceID(1)
-	if !ok || r.TimeNs != 2500 {
-		t.Fatalf("FirstByTraceID = %d, want 2500", r.TimeNs)
+	if got := alignedByID(tbl); !maps.Equal(got, want) {
+		t.Fatalf("ScanAligned = %v, want %v", got, want)
 	}
 }

@@ -179,20 +179,29 @@ func (m *Merged) TraceIDs() []uint32 {
 // NumTraceIDs counts distinct packet IDs across all partitions.
 func (m *Merged) NumTraceIDs() int { return len(m.TraceIDs()) }
 
-// FirstByTraceID returns the record with the earliest aligned timestamp
-// for a packet ID across all partitions — the cross-collector trace-ID
-// join primitive behind latency decomposition. Ties break toward the
-// earliest partition.
-func (m *Merged) FirstByTraceID(id uint32) (core.Record, bool) {
-	var best core.Record
-	found := false
+// ByTraceID returns every record of one packet ID, partition by
+// partition, each partition's in insertion order (Table.ByTraceID): a
+// one-partition view answers exactly what its table does.
+func (m *Merged) ByTraceID(id uint32) []core.Record {
+	var out []core.Record
 	for _, t := range m.parts {
-		if r, ok := t.FirstByTraceID(id); ok {
-			if !found || r.TimeNs < best.TimeNs {
-				best = r
-				found = true
-			}
+		out = append(out, t.ByTraceID(id)...)
+	}
+	return out
+}
+
+// Incomplete reports trace IDs seen in this view but missing from other —
+// the "identifying incomplete records" data-cleaning step, and the raw
+// material of the packet-loss metric — in ascending order. Both views
+// stream without holding locks across each other, so Incomplete(a,b) and
+// Incomplete(b,a) can run concurrently with inserts on both.
+func (m *Merged) Incomplete(other *Merged) []uint32 {
+	present := other.TraceIDs()
+	var out []uint32
+	for _, id := range m.TraceIDs() {
+		if _, ok := slices.BinarySearch(present, id); !ok {
+			out = append(out, id)
 		}
 	}
-	return best, found
+	return out
 }

@@ -1,6 +1,7 @@
 package tracedb
 
 import (
+	"cmp"
 	"math/rand"
 	"os"
 	"runtime"
@@ -84,15 +85,43 @@ func TestMergedEqualsBaseline(t *testing.T) {
 	if raw[0].TimeNs != 1000 {
 		t.Fatalf("raw merged first time %d, want 1000", raw[0].TimeNs)
 	}
-	// Trace-ID surface matches the baseline.
-	if m.NumTraceIDs() != base.NumTraceIDs() {
-		t.Fatalf("NumTraceIDs = %d, want %d", m.NumTraceIDs(), base.NumTraceIDs())
+	// Trace-ID surface matches the baseline. ByTraceID answers partition
+	// by partition (record i went to partition i%3, Seq i+1), each in
+	// insertion order; as a set it is the baseline's.
+	one := Merge(base)
+	if ids := m.TraceIDs(); !slices.Equal(ids, one.TraceIDs()) || len(ids) != 40 {
+		t.Fatalf("TraceIDs = %v, want the baseline's 40", ids)
 	}
-	for _, id := range m.TraceIDs() {
-		br, _ := base.FirstByTraceID(id)
-		mr, ok := m.FirstByTraceID(id)
-		if !ok || mr != br {
-			t.Fatalf("FirstByTraceID(%d): merged %+v ok=%v, baseline %+v", id, mr, ok, br)
+	byPart := func(a, b core.Record) int {
+		return cmp.Or(cmp.Compare((a.Seq-1)%3, (b.Seq-1)%3), cmp.Compare(a.Seq, b.Seq))
+	}
+	for _, id := range append(m.TraceIDs(), 999) {
+		got := m.ByTraceID(id)
+		if !slices.IsSortedFunc(got, byPart) {
+			t.Fatalf("ByTraceID(%d) is not partition by partition: %+v", id, got)
+		}
+		slices.SortFunc(got, func(a, b core.Record) int { return cmp.Compare(a.Seq, b.Seq) })
+		if want := base.ByTraceID(id); !slices.Equal(got, want) {
+			t.Fatalf("ByTraceID(%d): merged %+v, baseline %+v", id, got, want)
+		}
+	}
+	// Incomplete, both directions, against a view of the odd IDs plus one
+	// the baseline never saw.
+	oddDB, odd := newMergeTable(t, 0)
+	for id := uint32(1); id <= 40; id += 2 {
+		oddDB.Insert([]core.Record{mergeRec(id, uint64(id), 0, uint64(id))})
+	}
+	oddDB.Insert([]core.Record{mergeRec(99, 99, 0, 99)})
+	var evens []uint32
+	for id := uint32(2); id <= 40; id += 2 {
+		evens = append(evens, id)
+	}
+	for name, v := range map[string]*Merged{"merged": m, "baseline": one} {
+		if got := v.Incomplete(Merge(odd)); !slices.Equal(got, evens) {
+			t.Fatalf("%s.Incomplete(odd) = %v, want the even IDs", name, got)
+		}
+		if got := Merge(odd).Incomplete(v); !slices.Equal(got, []uint32{99}) {
+			t.Fatalf("odd.Incomplete(%s) = %v, want [99]", name, got)
 		}
 	}
 
@@ -126,15 +155,13 @@ func TestMergedEqualsBaseline(t *testing.T) {
 		if !slices.Equal(collectRecs(one.ScanAligned), collectRecs(tbl.ScanAligned)) {
 			t.Fatalf("%s: Merge(t).ScanAligned differs from t.ScanAligned", tc.name)
 		}
-		ids := tbl.TraceIDs()
-		if len(ids) != 36 || ids[0] == 0 || one.NumTraceIDs() != 36 || tbl.NumTraceIDs() != 36 || !slices.Equal(one.TraceIDs(), ids) {
-			t.Fatalf("%s: %d / %d / %d distinct IDs, want the 36 traced ones", tc.name, len(ids), one.NumTraceIDs(), tbl.NumTraceIDs())
+		ids := one.TraceIDs()
+		if len(ids) != 36 || ids[0] == 0 || one.NumTraceIDs() != 36 {
+			t.Fatalf("%s: %d / %d distinct IDs, want the 36 traced ones", tc.name, len(ids), one.NumTraceIDs())
 		}
 		for _, id := range append(ids, 0, 999) {
-			tr, tok := tbl.FirstByTraceID(id)
-			mr, mok := one.FirstByTraceID(id)
-			if tok != mok || tr != mr {
-				t.Fatalf("%s: FirstByTraceID(%d): view %+v %v, table %+v %v", tc.name, id, mr, mok, tr, tok)
+			if got, want := one.ByTraceID(id), tbl.ByTraceID(id); !slices.Equal(got, want) {
+				t.Fatalf("%s: ByTraceID(%d): view %+v, table %+v", tc.name, id, got, want)
 			}
 		}
 	}

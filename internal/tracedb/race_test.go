@@ -59,12 +59,12 @@ func TestConcurrentInsertAndQuery(t *testing.T) {
 				a.Extents()
 				a.Storage()
 				a.ByTraceID(1)
-				a.FirstByTraceID(1)
-				a.TraceIDs()
-				a.NumTraceIDs()
-				a.Skew()
-				a.Incomplete(b)
-				b.Incomplete(a)
+				ma, mb := Merge(a), Merge(b)
+				ma.ByTraceID(1)
+				ma.TraceIDs()
+				ma.NumTraceIDs()
+				ma.Incomplete(mb)
+				mb.Incomplete(ma)
 				n := 0
 				a.Scan(func(core.Record) bool { n++; return n < 100 })
 				a.ScanAligned(func(core.Record) bool { return true })
@@ -198,6 +198,6 @@ func TestScanUnderSealAndEviction(t *testing.T) {
 		tbl.Scan(check(0))
 		tbl.ScanAligned(check(1 + i%(3*perExtent)))
 		Merge(tbl).Scan(check(0))
-		tbl.NumTraceIDs()
+		Merge(tbl).NumTraceIDs()
 	}
 }

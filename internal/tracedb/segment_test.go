@@ -63,10 +63,6 @@ func TestCrossSegmentQueries(t *testing.T) {
 		if len(got) != 1 || got[0].TraceID != id {
 			t.Fatalf("ByTraceID(%d) = %+v", id, got)
 		}
-		first, ok := tbl.FirstByTraceID(id)
-		if !ok || first.TraceID != id {
-			t.Fatalf("FirstByTraceID(%d) = %+v ok=%v", id, first, ok)
-		}
 	}
 	if got := tbl.ByTraceID(9999); len(got) != 0 {
 		t.Fatalf("missing id returned %+v", got)
@@ -84,11 +80,8 @@ func TestCrossSegmentQueries(t *testing.T) {
 		}
 	}
 
-	if ids := tbl.TraceIDs(); len(ids) != n || ids[0] != 1 || ids[n-1] != n {
+	if ids := Merge(tbl).TraceIDs(); len(ids) != n || ids[0] != 1 || ids[n-1] != n {
 		t.Fatalf("TraceIDs len=%d", len(ids))
-	}
-	if got := tbl.NumTraceIDs(); got != n {
-		t.Fatalf("NumTraceIDs = %d", got)
 	}
 
 	// Incomplete across segmented tables: table 2 misses IDs 3 and 77 —
@@ -101,11 +94,11 @@ func TestCrossSegmentQueries(t *testing.T) {
 		db.Insert([]core.Record{{TPID: 2, TraceID: id, TimeNs: uint64(k)}})
 	}
 	other, _ := db.Table(2)
-	missing := tbl.Incomplete(other)
+	missing := Merge(tbl).Incomplete(Merge(other))
 	if len(missing) != 2 || missing[0] != 3 || missing[1] != 77 {
 		t.Fatalf("Incomplete = %v", missing)
 	}
-	if got := other.Incomplete(tbl); len(got) != 0 {
+	if got := Merge(other).Incomplete(Merge(tbl)); len(got) != 0 {
 		t.Fatalf("reverse Incomplete = %v", got)
 	}
 }
@@ -138,7 +131,8 @@ func TestSkewAlignmentAcrossSegments(t *testing.T) {
 	}
 
 	// Positive skew larger than the first sealed records' timestamps:
-	// clamp at zero, no unsigned wrap.
+	// clamp at zero, no unsigned wrap — in both sealed extents, the first
+	// record of the first and the last of the second included.
 	db.SetSkew(1, 2500)
 	want := []uint64{0, 0, 0, 500, 1500, 2500, 3500, 4500}
 	i = 0
@@ -149,15 +143,8 @@ func TestSkewAlignmentAcrossSegments(t *testing.T) {
 		i++
 		return true
 	})
-
-	// FirstByTraceID aligns too, including for sealed records.
-	first, ok := tbl.FirstByTraceID(1)
-	if !ok || first.TimeNs != 0 {
-		t.Fatalf("FirstByTraceID = %+v ok=%v", first, ok)
-	}
-	first, ok = tbl.FirstByTraceID(8)
-	if !ok || first.TimeNs != 4500 {
-		t.Fatalf("FirstByTraceID(8) = %+v ok=%v", first, ok)
+	if i != len(want) {
+		t.Fatalf("aligned scan visited %d, want %d", i, len(want))
 	}
 
 	// Raw Scan stays unaligned.

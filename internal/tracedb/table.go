@@ -173,13 +173,6 @@ func (t *Table) snapshot() ([]*Extent, []core.Record, int64) {
 	return exts, head, skew
 }
 
-// Skew returns the clock offset correction applied during alignment.
-func (t *Table) Skew() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.skewNs
-}
-
 // Len returns the live record count (head plus sealed, minus evicted).
 func (t *Table) Len() int {
 	t.mu.RLock()
@@ -393,7 +386,7 @@ func (t *Table) ScanAligned(fn func(core.Record) bool) { t.scan(true, fn) }
 // snapshot is scanned linearly, outside the lock.
 func (t *Table) ByTraceID(id uint32) []core.Record {
 	exts, head, _ := t.snapshot()
-	out := t.lookupSealed(exts, id, false)
+	out := t.lookupSealed(exts, id)
 	for i := range head {
 		if head[i].TraceID == id {
 			out = append(out, head[i])
@@ -402,29 +395,10 @@ func (t *Table) ByTraceID(id uint32) []core.Record {
 	return out
 }
 
-// FirstByTraceID returns the first record for a packet ID in insertion
-// order, with timestamp alignment applied.
-func (t *Table) FirstByTraceID(id uint32) (core.Record, bool) {
-	exts, head, skew := t.snapshot()
-	found := t.lookupSealed(exts, id, true)
-	for i := 0; i < len(head) && len(found) == 0; i++ {
-		if head[i].TraceID == id {
-			found = head[i : i+1]
-		}
-	}
-	if len(found) == 0 {
-		return core.Record{}, false
-	}
-	first := found[0]
-	first.TimeNs = alignNs(first.TimeNs, skew)
-	return first, true
-}
-
 // lookupSealed collects id's records from the extents whose Bloom filter
-// admits it, oldest first, stopping at the first record when firstOnly.
-// An extent that fails to read or verify contributes nothing and is
-// counted.
-func (t *Table) lookupSealed(exts []*Extent, id uint32, firstOnly bool) []core.Record {
+// admits it, oldest first. An extent that fails to read or verify
+// contributes nothing and is counted.
+func (t *Table) lookupSealed(exts []*Extent, id uint32) []core.Record {
 	var out []core.Record
 	var rd *extentReader
 	for _, e := range exts {
@@ -436,38 +410,8 @@ func (t *Table) lookupSealed(exts []*Extent, id uint32, firstOnly bool) []core.R
 			defer readers.Put(rd)
 		}
 		var err error
-		if out, err = e.lookup(rd, id, firstOnly, out); err != nil {
+		if out, err = e.lookup(rd, id, out); err != nil {
 			t.readErrors.Add(1)
-		}
-		if firstOnly && len(out) > 0 {
-			break
-		}
-	}
-	return out
-}
-
-// TraceIDs returns the distinct packet IDs seen at this tracepoint, in
-// ascending order (see Merged.TraceIDs: a table is its own one-partition
-// view).
-func (t *Table) TraceIDs() []uint32 { return Merge(t).TraceIDs() }
-
-// NumTraceIDs returns the count of distinct packet IDs.
-func (t *Table) NumTraceIDs() int { return Merge(t).NumTraceIDs() }
-
-// Incomplete reports trace IDs seen at this table but missing from other
-// — the "identifying incomplete records" data-cleaning step, and the raw
-// material of the packet-loss metric — in ascending order. Both tables
-// stream without holding locks across each other, so Incomplete(a,b) and
-// Incomplete(b,a) can run concurrently with inserts on both.
-func (t *Table) Incomplete(other *Table) []uint32 {
-	present := other.TraceIDs()
-	var out []uint32
-	for _, id := range t.TraceIDs() {
-		for len(present) > 0 && present[0] < id {
-			present = present[1:]
-		}
-		if len(present) == 0 || present[0] != id {
-			out = append(out, id)
 		}
 	}
 	return out

@@ -67,14 +67,10 @@ func TestByTraceIDIndex(t *testing.T) {
 	if len(got) != 2 || got[0].TimeNs != 10 || got[1].TimeNs != 30 {
 		t.Fatalf("ByTraceID = %+v", got)
 	}
-	first, ok := tbl.FirstByTraceID(5)
-	if !ok || first.TimeNs != 10 {
-		t.Fatalf("First = %+v ok=%v", first, ok)
+	if got := tbl.ByTraceID(99); len(got) != 0 {
+		t.Fatalf("missing id found: %+v", got)
 	}
-	if _, ok := tbl.FirstByTraceID(99); ok {
-		t.Fatal("missing id found")
-	}
-	ids := tbl.TraceIDs()
+	ids := Merge(tbl).TraceIDs()
 	if len(ids) != 2 || ids[0] != 5 || ids[1] != 6 {
 		t.Fatalf("TraceIDs = %v", ids)
 	}
@@ -86,10 +82,6 @@ func TestSkewAlignment(t *testing.T) {
 	db.Insert([]core.Record{rec(1, 5, 1000)})
 	db.SetSkew(1, 300)
 	tbl, _ := db.Table(1)
-	first, _ := tbl.FirstByTraceID(5)
-	if first.TimeNs != 700 {
-		t.Fatalf("aligned time = %d, want 700", first.TimeNs)
-	}
 	all := collectAligned(tbl)
 	if all[0].TimeNs != 700 {
 		t.Fatalf("aligned scan = %d", all[0].TimeNs)
@@ -105,8 +97,9 @@ func TestIncomplete(t *testing.T) {
 	db.CreateTable(1, "a")
 	db.CreateTable(2, "b")
 	db.Insert([]core.Record{rec(1, 10, 1), rec(1, 11, 2), rec(1, 12, 3), rec(2, 10, 4), rec(2, 12, 5)})
-	a, _ := db.Table(1)
-	b, _ := db.Table(2)
+	ta, _ := db.Table(1)
+	tb, _ := db.Table(2)
+	a, b := Merge(ta), Merge(tb)
 	missing := a.Incomplete(b)
 	if len(missing) != 1 || missing[0] != 11 {
 		t.Fatalf("Incomplete = %v", missing)

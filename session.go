@@ -210,10 +210,6 @@ func (s *Session) Close() error {
 	return errors.Join(errs...)
 }
 
-// DB returns the first collector's trace database (with one collector,
-// the whole store).
-func (s *Session) DB() *DB { return s.cols[0].col.DB() }
-
 // StorageStats returns the segment-store accounting (resident vs spilled
 // bytes, compression ratio, evictions) summed over the tier.
 func (s *Session) StorageStats() StorageStats {
@@ -226,10 +222,6 @@ func (s *Session) StorageStats() StorageStats {
 
 // Dispatcher returns the session's control dispatcher.
 func (s *Session) Dispatcher() *Dispatcher { return s.dispatcher }
-
-// Collector returns the first collector (with one collector, the only
-// one).
-func (s *Session) Collector() *Collector { return s.cols[0].col }
 
 // Cluster returns the collector tier's placement layer, for reading agent
 // homes, ledgers and re-home counts.
@@ -448,31 +440,14 @@ func (s *Session) tpids(labels ...string) ([]uint32, error) {
 	return out, nil
 }
 
-// Table returns the first collector's partition of the record table
-// behind a script label (with one collector, the whole table; Query
-// merges every collector's).
-func (s *Session) Table(label string) (*Table, error) {
+// Table returns the merged view of a script label's record table over
+// every collector (with one collector, the table in insertion order).
+func (s *Session) Table(label string) (*Merged, error) {
 	ids, err := s.tpids(label)
 	if err != nil {
 		return nil, err
 	}
-	t, ok := s.DB().Table(ids[0])
-	if !ok {
-		return nil, fmt.Errorf("vnettracer: no table for %q", label)
-	}
-	return t, nil
-}
-
-// ScanTable streams a label's records in the first collector's partition
-// in insertion order without copying the table; fn returns false to stop
-// early. Inserts arriving concurrently are not blocked and not visited.
-func (s *Session) ScanTable(label string, fn func(Record) bool) error {
-	t, err := s.Table(label)
-	if err != nil {
-		return err
-	}
-	t.Scan(fn)
-	return nil
+	return s.query.table(ids[0])
 }
 
 // Throughput computes one-pass throughput over a label's table (the

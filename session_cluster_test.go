@@ -7,13 +7,16 @@ package vnettracer
 // lifecycle faults must be invisible in every query answer.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vnettracer/internal/control"
+	"vnettracer/internal/core"
 	"vnettracer/internal/tracedb"
 )
 
@@ -52,6 +55,50 @@ type oracleAnswers struct {
 	LossRate   map[string]float64
 	Decompose  map[string][]Segment
 	Aggregate  map[string]ScriptAgg
+	Tables     map[string]tableAnswers
+}
+
+// tableAnswers is what Session.Table answers for one machine: its two
+// record tables, and the IDs seen at in but never at rx.
+type tableAnswers struct {
+	In, Rx     tableAnswer
+	Incomplete []uint32
+}
+
+// tableAnswer is one table's length, scan and per-ID lookups. Records are
+// compared as multisets, sorted by a total key, because a k-way merge's
+// order is not one partition's insertion order.
+type tableAnswer struct {
+	Len       int
+	Scan      []Record
+	ByTraceID map[uint32][]Record
+}
+
+// readTable takes one Session.Table answer apart.
+func readTable(t *Merged) tableAnswer {
+	ans := tableAnswer{Len: t.Len(), ByTraceID: map[uint32][]Record{}}
+	t.Scan(func(r Record) bool {
+		ans.Scan = append(ans.Scan, r)
+		return true
+	})
+	for _, r := range ans.Scan {
+		if _, done := ans.ByTraceID[r.TraceID]; !done {
+			ans.ByTraceID[r.TraceID] = sortRecords(t.ByTraceID(r.TraceID))
+		}
+	}
+	sortRecords(ans.Scan)
+	return ans
+}
+
+// sortRecords orders records by their wire bytes, a total key.
+func sortRecords(recs []Record) []Record {
+	slices.SortFunc(recs, func(a, b Record) int {
+		var ka, kb [core.RecordSize]byte
+		a.MarshalTo(ka[:])
+		b.MarshalTo(kb[:])
+		return bytes.Compare(ka[:], kb[:])
+	})
+	return recs
 }
 
 var oracleMachines = []string{"m0", "m1", "m2"}
@@ -134,6 +181,7 @@ func runOracle(t *testing.T, s *Session, faults func(eng *Engine)) oracleAnswers
 		Throughput: map[string]float64{}, PerFlow: map[string][]FlowStats{},
 		Latencies: map[string][]LatencySample{}, Lost: map[string]int64{}, LossRate: map[string]float64{},
 		Decompose: map[string][]Segment{}, Aggregate: map[string]ScriptAgg{},
+		Tables: map[string]tableAnswers{},
 	}
 	q := s.Query()
 	for _, name := range oracleMachines {
@@ -142,7 +190,8 @@ func runOracle(t *testing.T, s *Session, faults func(eng *Engine)) oracleAnswers
 		if err != nil {
 			t.Fatal(err)
 		}
-		var errs [6]error
+		var errs [8]error
+		var inT, rxT *Merged
 		ans.Throughput[name], errs[0] = s.Throughput(in)
 		ans.PerFlow[name], errs[1] = s.PerFlowThroughput(rx)
 		ans.Latencies[name], errs[2] = q.Latencies(ids[0], ids[1])
@@ -153,9 +202,12 @@ func runOracle(t *testing.T, s *Session, faults func(eng *Engine)) oracleAnswers
 			errs[5] = fmt.Errorf("no aggregates for %s", name)
 		}
 		ans.Aggregate[name] = agg
+		inT, errs[6] = s.Table(in)
+		rxT, errs[7] = s.Table(rx)
 		if err := errors.Join(errs[:]...); err != nil {
 			t.Fatal(err)
 		}
+		ans.Tables[name] = tableAnswers{In: readTable(inT), Rx: readTable(rxT), Incomplete: inT.Incomplete(rxT)}
 		if ans.Lost[name] == 0 || len(ans.Latencies[name]) == 0 {
 			t.Fatalf("%s: lost %d, %d latency samples — the workload proves nothing", name, ans.Lost[name], len(ans.Latencies[name]))
 		}
@@ -232,6 +284,7 @@ func TestSessionOneVsThreeCollectors(t *testing.T) {
 				"loss":          got.Lost[name] == want.Lost[name] && got.LossRate[name] == want.LossRate[name],
 				"decomposition": reflect.DeepEqual(got.Decompose[name], want.Decompose[name]),
 				"aggregates":    reflect.DeepEqual(got.Aggregate[name], want.Aggregate[name]),
+				"table":         reflect.DeepEqual(got.Tables[name], want.Tables[name]),
 			} {
 				if !eq {
 					t.Errorf("%s: %s differs between one and three collectors", name, what)

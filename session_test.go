@@ -362,7 +362,7 @@ func TestSessionRestartAgent(t *testing.T) {
 	eng.Run(eng.Now() + 10*Millisecond)
 	burst(3)
 	zombie.Flush()
-	if batches, records := s.Collector().FencedStats(); batches != 1 || records != 3 {
+	if batches, records := s.cols[0].col.FencedStats(); batches != 1 || records != 3 {
 		t.Fatalf("fenced %d batches / %d records, want 1 / 3", batches, records)
 	}
 	if tbl.Len() != 10 {
@@ -397,7 +397,7 @@ func TestSessionInstallUnknownMachine(t *testing.T) {
 	if _, err := s.Table("rx"); err == nil {
 		t.Fatal("a failed install bound its label")
 	}
-	if got := s.DB().Tables(); len(got) != 0 {
+	if got := s.Query().Tables(); len(got) != 0 {
 		t.Fatalf("failed installs left tables %v", got)
 	}
 	if pkg, ok := s.Supervisor().Desired("nope"); ok {
@@ -407,7 +407,7 @@ func TestSessionInstallUnknownMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.DB().Tables(); tpid != 1 || len(got) != 1 || got[0] != 1 {
+	if got := s.Query().Tables(); tpid != 1 || len(got) != 1 || got[0] != 1 {
 		t.Fatalf("after the good install: TPID %d, tables %v; want 1, [1]", tpid, got)
 	}
 }

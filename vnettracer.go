@@ -40,7 +40,10 @@
 //	}, vnettracer.Filter{DstPort: 9000})
 //	// ... wire devices, run workloads, eng.Run(...)
 //	s.Flush()
-//	table, _ := s.Table("rx")
+//	rx, _ := s.Table("rx") // every collector's rx records, merged
+//
+// Every Session read is merged over its collectors, so adding collectors
+// changes no answer.
 //
 // See examples/ for complete programs reproducing the paper's three case
 // studies.
@@ -145,8 +148,8 @@ type (
 	FlowStats = metrics.FlowStats
 	// Segment is one hop of a latency decomposition.
 	Segment = metrics.Segment
-	// RecordSource streams records for one-pass analyses; *Table satisfies
-	// it via Scan, in raw (not skew-corrected) time.
+	// RecordSource streams records for one-pass analyses; *Merged and
+	// *Table satisfy it via Scan, in raw (not skew-corrected) time.
 	RecordSource = metrics.RecordSource
 	// RecordBatch is what agents ship to the collector.
 	RecordBatch = control.RecordBatch
@@ -237,23 +240,15 @@ func CompileSpec(spec TraceSpec) (*Compiled, error) { return script.Compile(spec
 
 // Analysis helpers re-exported from internal/metrics.
 
-// Throughput computes bits/s over one tracepoint's records using the
-// paper's formula sum(S_i - S_ID) / (T_N - T_1).
-func Throughput(recs []Record) (float64, error) { return metrics.Throughput(recs) }
-
-// Latencies joins two tracepoint tables on packet ID and returns
+// Latencies joins two tracepoint views on packet ID and returns
 // per-packet latency (skew-aligned).
-func Latencies(a, b *Table) []LatencySample {
-	return metrics.Latencies(tracedb.Merge(a), tracedb.Merge(b))
-}
+func Latencies(a, b *Merged) []LatencySample { return metrics.Latencies(a, b) }
 
 // Jitter returns consecutive latency differences.
 func Jitter(samples []LatencySample) []int64 { return metrics.Jitter(samples) }
 
-// Loss computes packet loss between two tracepoints.
-func Loss(a, b *Table) (lost int64, rate float64) {
-	return metrics.Loss(tracedb.Merge(a), tracedb.Merge(b))
-}
+// Loss computes packet loss between two tracepoint views.
+func Loss(a, b *Merged) (lost int64, rate float64) { return metrics.Loss(a, b) }
 
 // Summarize computes count/mean/percentiles over latency values.
 func Summarize(vals []int64) Summary { return metrics.Summarize(vals) }
@@ -264,23 +259,17 @@ func Values(samples []LatencySample) []int64 { return metrics.Values(samples) }
 // Percentile returns the p-th percentile of vals.
 func Percentile(vals []int64, p float64) int64 { return metrics.Percentile(vals, p) }
 
-// PerFlowThroughput groups one tracepoint's records by 5-tuple and
-// computes each flow's throughput (the paper's per-flow metric).
-func PerFlowThroughput(recs []Record) []FlowStats { return metrics.PerFlowThroughput(recs) }
+// One-pass analyses over a live view (or any RecordSource), without
+// materializing a record copy.
 
-// InterArrivals returns consecutive packet arrival gaps at a tracepoint.
-func InterArrivals(recs []Record) []int64 { return metrics.InterArrivals(recs) }
-
-// Streaming variants: one-pass analyses over a live table (or any
-// RecordSource) without materializing a full record copy.
-
-// ThroughputOf computes one-pass throughput over a record stream.
+// ThroughputOf computes bits/s over one tracepoint's record stream using
+// the paper's formula sum(S_i - S_ID) / (T_N - T_1).
 func ThroughputOf(src RecordSource) (float64, error) { return metrics.ThroughputOf(src) }
 
-// PerFlowThroughputOf computes one-pass per-flow throughput over a record
-// stream.
+// PerFlowThroughputOf groups one tracepoint's record stream by 5-tuple
+// and computes each flow's throughput (the paper's per-flow metric).
 func PerFlowThroughputOf(src RecordSource) []FlowStats { return metrics.PerFlowThroughputOf(src) }
 
-// InterArrivalsOf returns consecutive packet arrival gaps over a record
-// stream.
+// InterArrivalsOf returns consecutive packet arrival gaps at a
+// tracepoint.
 func InterArrivalsOf(src RecordSource) []int64 { return metrics.InterArrivalsOf(src) }
