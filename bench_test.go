@@ -275,11 +275,11 @@ func BenchmarkTraceIDPutTrimUDP(b *testing.B) {
 // benchEnv is a no-op helper environment.
 type benchEnv struct{}
 
-func (benchEnv) KtimeNs() uint64              { return 12345 }
-func (benchEnv) SMPProcessorID() uint32       { return 0 }
-func (benchEnv) PrandomU32() uint32           { return 4 }
-func (benchEnv) PerfEventOutput([]byte) bool  { return true }
-func (benchEnv) TracePrintk(string)           {}
+func (benchEnv) KtimeNs() uint64             { return 12345 }
+func (benchEnv) SMPProcessorID() uint32      { return 0 }
+func (benchEnv) PrandomU32() uint32          { return 4 }
+func (benchEnv) PerfEventOutput([]byte) bool { return true }
+func (benchEnv) TracePrintk(string)          {}
 
 // benchRecordSetup compiles the canonical record script (filter + 48-byte
 // record emission) and a matching packet context for the interpreter vs
@@ -547,9 +547,9 @@ func BenchmarkRingBufferContended(b *testing.B) {
 
 func BenchmarkPacketMarshalRoundTrip(b *testing.B) {
 	p := &vnet.Packet{
-		Eth: vnet.EthernetHeader{EtherType: vnet.EtherTypeIPv4},
-		IP:  vnet.IPv4Header{TTL: 64, Protocol: vnet.ProtoUDP, Src: 1, Dst: 2},
-		UDP: &vnet.UDPHeader{SrcPort: 1, DstPort: 2},
+		Eth:     vnet.EthernetHeader{EtherType: vnet.EtherTypeIPv4},
+		IP:      vnet.IPv4Header{TTL: 64, Protocol: vnet.ProtoUDP, Src: 1, Dst: 2},
+		UDP:     &vnet.UDPHeader{SrcPort: 1, DstPort: 2},
 		Payload: make([]byte, 1400),
 	}
 	b.ResetTimer()

@@ -16,11 +16,11 @@ func main() {
 	cases := []struct {
 		cfg testbed.OVSCaseConfig
 	}{
-		{testbed.OVSCaseConfig{}},                           // Case I: uncongested
-		{testbed.OVSCaseConfig{IperfVM0: 1}},                // Case II: shared ingress port
-		{testbed.OVSCaseConfig{IperfVM0: 3}},                // Case II+
-		{testbed.OVSCaseConfig{IperfVM0: 1, ExtraVMs: 1}},   // Case III: second ingress port
-		{testbed.OVSCaseConfig{IperfVM0: 1, ExtraVMs: 3}},   // Case III+
+		{testbed.OVSCaseConfig{}},                                       // Case I: uncongested
+		{testbed.OVSCaseConfig{IperfVM0: 1}},                            // Case II: shared ingress port
+		{testbed.OVSCaseConfig{IperfVM0: 3}},                            // Case II+
+		{testbed.OVSCaseConfig{IperfVM0: 1, ExtraVMs: 1}},               // Case III: second ingress port
+		{testbed.OVSCaseConfig{IperfVM0: 1, ExtraVMs: 3}},               // Case III+
 		{testbed.OVSCaseConfig{IperfVM0: 1, ExtraVMs: 1, Police: true}}, // mitigation
 	}
 

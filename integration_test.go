@@ -146,9 +146,9 @@ func TestPerFlowIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := s.Install("m0", TraceSpec{
-		Name:   "flowB-count",
-		Attach: AttachPoint{Kind: AttachDevice, Device: "lo0", Dir: Ingress},
-		Filter: Filter{Proto: ProtoUDP, DstPort: 9001},
+		Name:    "flowB-count",
+		Attach:  AttachPoint{Kind: AttachDevice, Device: "lo0", Dir: Ingress},
+		Filter:  Filter{Proto: ProtoUDP, DstPort: 9001},
 		Actions: []Action{ActionCount},
 	}); err != nil {
 		t.Fatal(err)

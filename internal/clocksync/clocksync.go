@@ -46,8 +46,8 @@ type Estimate struct {
 
 // Validation errors.
 var (
-	ErrNoSamples  = errors.New("clocksync: no samples")
-	ErrBadSample  = errors.New("clocksync: sample violates causality")
+	ErrNoSamples = errors.New("clocksync: no samples")
+	ErrBadSample = errors.New("clocksync: sample violates causality")
 )
 
 // EstimateSkew runs Cristian's algorithm over the samples: the sample with

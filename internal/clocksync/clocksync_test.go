@@ -153,7 +153,7 @@ func TestEstimateDriftBeatsStaticOffsetOnLongTraces(t *testing.T) {
 	}
 	var samples []Sample
 	for i := int64(0); i < 60; i++ {
-		samples = append(samples, mk(i * 10_000_000_000))
+		samples = append(samples, mk(i*10_000_000_000))
 	}
 	static, err := EstimateSkew(samples[:1])
 	if err != nil {

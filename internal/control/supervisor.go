@@ -48,7 +48,7 @@ type desiredState struct {
 	specs           map[string]script.Spec
 	order           []string // install order, kept stable across re-pushes
 	flushIntervalNs int64
-	shipAggregates  bool // desired aggregate-drain mode, survives re-pushes
+	shipAggregates  bool   // desired aggregate-drain mode, survives re-pushes
 	applied         bool   // desired state successfully pushed at appliedEpoch
 	appliedEpoch    uint64 // epoch the last successful push targeted
 	failures        int    // consecutive push failures

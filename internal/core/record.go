@@ -17,17 +17,17 @@ type Record struct {
 	TraceID uint32
 	// TPID identifies the tracepoint that produced the record; the
 	// dispatcher assigns these in the control package.
-	TPID   uint32
-	TimeNs uint64 // node CLOCK_MONOTONIC
-	Len    uint32 // wire length
-	CPU    uint32
-	Seq    uint64
-	SrcIP  uint32
-	DstIP  uint32
+	TPID    uint32
+	TimeNs  uint64 // node CLOCK_MONOTONIC
+	Len     uint32 // wire length
+	CPU     uint32
+	Seq     uint64
+	SrcIP   uint32
+	DstIP   uint32
 	SrcPort uint16
 	DstPort uint16
-	Proto  uint8
-	Dir    uint8
+	Proto   uint8
+	Dir     uint8
 }
 
 // MarshalTo serializes the 48-byte wire form in place into dst, which

@@ -114,7 +114,9 @@ func (b *Builder) Mov(dst, src Reg) *Builder { return b.Emit(Mov64Reg(dst, src))
 func (b *Builder) MovImm(dst Reg, imm int32) *Builder { return b.Emit(Mov64Imm(dst, imm)) }
 
 // ALUImm applies op with an immediate operand.
-func (b *Builder) ALUImm(op uint8, dst Reg, imm int32) *Builder { return b.Emit(ALU64Imm(op, dst, imm)) }
+func (b *Builder) ALUImm(op uint8, dst Reg, imm int32) *Builder {
+	return b.Emit(ALU64Imm(op, dst, imm))
+}
 
 // ALUReg applies op with a register operand.
 func (b *Builder) ALUReg(op uint8, dst, src Reg) *Builder { return b.Emit(ALU64Reg(op, dst, src)) }

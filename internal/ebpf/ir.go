@@ -169,6 +169,6 @@ type irProg struct {
 // regMask is a register bit set used by liveness analysis.
 type regMask uint16
 
-func (m regMask) has(r Reg) bool   { return m&(1<<r) != 0 }
-func (m *regMask) add(r Reg)       { *m |= 1 << r }
-func (m *regMask) remove(r Reg)    { *m &^= 1 << r }
+func (m regMask) has(r Reg) bool { return m&(1<<r) != 0 }
+func (m *regMask) add(r Reg)     { *m |= 1 << r }
+func (m *regMask) remove(r Reg)  { *m &^= 1 << r }

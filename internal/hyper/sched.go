@@ -95,8 +95,8 @@ type VCPU struct {
 	cpuBound bool
 	boosted  bool
 
-	queue  []workItem
-	wakeAt int64
+	queue   []workItem
+	wakeAt  int64
 	hasWake bool
 
 	// TotalWakeDelayNs and Wakes accumulate wake-to-run latency; the

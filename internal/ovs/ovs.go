@@ -37,22 +37,22 @@ type Config struct {
 // testbeds.
 func DefaultConfig(name string) Config {
 	return Config{
-		Name:         name,
-		PortProcNs:   500,
-		PortQueueCap: 512,
-		FabricBaseNs: 1200,
-		PortSwitchNs: 2500,
-		FlowMissNs:   50000,
+		Name:           name,
+		PortProcNs:     500,
+		PortQueueCap:   512,
+		FabricBaseNs:   1200,
+		PortSwitchNs:   2500,
+		FlowMissNs:     50000,
 		FabricQueueCap: 4096,
 	}
 }
 
 // Stats aggregates bridge counters.
 type Stats struct {
-	Switched    uint64
-	FlowMisses  uint64
-	PortSwitches uint64
-	DroppedFabric uint64
+	Switched       uint64
+	FlowMisses     uint64
+	PortSwitches   uint64
+	DroppedFabric  uint64
 	DroppedNoRoute uint64
 }
 

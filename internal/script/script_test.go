@@ -44,9 +44,9 @@ func TestCompileRejectsEmptyActions(t *testing.T) {
 
 func TestCompiledProgramPassesVerifier(t *testing.T) {
 	c, err := Compile(Spec{
-		Name: "full",
-		TPID: 3,
-		Filter: Spec{}.Filter, // zero filter
+		Name:    "full",
+		TPID:    3,
+		Filter:  Spec{}.Filter, // zero filter
 		Actions: []Action{ActionRecord, ActionCount, ActionCPUHist},
 	})
 	if err != nil {

@@ -10,8 +10,8 @@ import (
 
 func fire(n *kernel.Node, site string) int64 {
 	return n.Probes.Fire(&kernel.ProbeCtx{
-		Site: site,
-		Pkt:  &vnet.Packet{IP: vnet.IPv4Header{Protocol: vnet.ProtoUDP}, UDP: &vnet.UDPHeader{}},
+		Site:   site,
+		Pkt:    &vnet.Packet{IP: vnet.IPv4Header{Protocol: vnet.ProtoUDP}, UDP: &vnet.UDPHeader{}},
 		TimeNs: n.Clock.NowNs(),
 	})
 }

@@ -16,8 +16,8 @@ import (
 
 // Container-case addressing.
 var (
-	contVMIP   = [2]vnet.IPv4{vnet.MustParseIPv4("10.1.0.1"), vnet.MustParseIPv4("10.1.0.2")}
-	contCtrIP  = [2]vnet.IPv4{vnet.MustParseIPv4("172.17.0.2"), vnet.MustParseIPv4("172.17.0.3")}
+	contVMIP  = [2]vnet.IPv4{vnet.MustParseIPv4("10.1.0.1"), vnet.MustParseIPv4("10.1.0.2")}
+	contCtrIP = [2]vnet.IPv4{vnet.MustParseIPv4("172.17.0.2"), vnet.MustParseIPv4("172.17.0.3")}
 )
 
 const (

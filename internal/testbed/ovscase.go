@@ -47,9 +47,9 @@ type SegmentStats struct {
 
 // OVSCaseResult reports one scenario.
 type OVSCaseResult struct {
-	Label     string
-	Sockperf  LatencyStats
-	LossRate  float64
+	Label    string
+	Sockperf LatencyStats
+	LossRate float64
 	// Decomposition: sender stack, OVS, receiver stack (traced).
 	Segments []SegmentStats
 	// PolicerDrops counts ingress-police drops across client ports.
@@ -80,8 +80,8 @@ func RunOVSCase(cfg OVSCaseConfig) (OVSCaseResult, error) {
 
 	// Build the bridge with a fabric that saturates under the iperf load.
 	brCfg := ovs.DefaultConfig("ovs-br1")
-	brCfg.FabricBaseNs = 2500  // ~400 kpps switching capacity
-	brCfg.PortSwitchNs = 2500  // per extra contending ingress port
+	brCfg.FabricBaseNs = 2500 // ~400 kpps switching capacity
+	brCfg.PortSwitchNs = 2500 // per extra contending ingress port
 	brCfg.FlowMissNs = 30000
 	brCfg.FabricQueueCap = 256 // OVS buffering before drop
 	br := ovs.New(eng, brCfg)

@@ -23,8 +23,8 @@ import (
 
 // Handy unit aliases.
 const (
-	US = int64(sim.Microsecond)
-	MS = int64(sim.Millisecond)
+	US  = int64(sim.Microsecond)
+	MS  = int64(sim.Millisecond)
 	SEC = int64(sim.Second)
 
 	// Gbps / Mbps in bits per second.
@@ -35,12 +35,12 @@ const (
 // LatencyStats summarises an experiment's latency distribution in
 // microseconds, the unit the paper's figures use.
 type LatencyStats struct {
-	Count   int
-	MeanUs  float64
-	P50Us   float64
-	P99Us   float64
-	P999Us  float64
-	MaxUs   float64
+	Count  int
+	MeanUs float64
+	P50Us  float64
+	P99Us  float64
+	P999Us float64
+	MaxUs  float64
 }
 
 // NewLatencyStats converts nanosecond samples.

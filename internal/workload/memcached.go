@@ -67,8 +67,8 @@ type MemcachedClient struct {
 	dst     kernel.SockAddr
 	getFrac int // GETs per (getFrac+1) requests
 
-	pending map[uint64]int64
-	nextID  uint64
+	pending  map[uint64]int64
+	nextID   uint64
 	nextSock int
 
 	// Latencies holds request-response times in issue order.
