@@ -10,6 +10,15 @@ tier1:
 vet:
 	$(GO) vet ./...
 
+# Formatting gate: fails, listing the files, when gofmt would change any
+# Go file (bench/ included; dot-directories such as .bench_build/, where
+# other targets export a parent tree, are not ours to format).
+GOFMT ?= gofmt
+.PHONY: fmt
+fmt:
+	@out=$$($(GOFMT) -l $$(find . -name '*.go' -not -path './.*')) || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 # Deeper static analysis. staticcheck is fetched via `go run`, which
 # needs either a warm module cache or network access; when neither is
 # available (hermetic CI, offline dev) the target degrades to a skip
@@ -96,7 +105,7 @@ bench-scan:
 # Everything here leaves `git status` clean: what it writes (cover.out,
 # .bench_build/) is ignored.
 .PHONY: check
-check: tier1 vet staticcheck race faults crash fuzz cover bench-build bench-join bench-scan
+check: tier1 fmt vet staticcheck race faults crash fuzz cover bench-build bench-join bench-scan
 
 # Opt-in regression gate (not part of check: a 10-pair set takes ~35 min
 # and needs an otherwise idle machine). Exports PARENT under

@@ -66,7 +66,6 @@ type Agent struct {
 	name    string
 	machine *core.Machine
 	sink    RecordSink
-	cost    core.CostModel
 
 	mu           sync.Mutex
 	loaded       map[string]*loadedScript
@@ -197,7 +196,6 @@ func NewAgent(name string, machine *core.Machine, sink RecordSink) *Agent {
 		name:        name,
 		machine:     machine,
 		sink:        sink,
-		cost:        core.DefaultCostModel(),
 		loaded:      make(map[string]*loadedScript),
 		spoolLimit:  DefaultSpoolBytes,
 		nextSeq:     1,
@@ -263,10 +261,6 @@ func (a *Agent) Name() string { return a.name }
 // Machine returns the machine under management.
 func (a *Agent) Machine() *core.Machine { return a.machine }
 
-// SetCostModel overrides the eBPF execution cost model (used by overhead
-// ablation benches).
-func (a *Agent) SetCostModel(cm core.CostModel) { a.cost = cm }
-
 // Apply implements ControlClient: uninstalls, then installs, then re-arms
 // flushing. Installation is atomic per script; a failing spec leaves
 // earlier scripts of the same package installed and returns the error.
@@ -302,7 +296,7 @@ func (a *Agent) Apply(pkg ControlPackage) error {
 		if err != nil {
 			return fmt.Errorf("control: agent %s: %w", a.name, err)
 		}
-		handle, err := a.machine.Attach(compiled.Prog, spec.Attach, a.cost)
+		handle, err := a.machine.Attach(compiled.Prog, spec.Attach, core.DefaultCostModel())
 		if err != nil {
 			return fmt.Errorf("control: agent %s: %w", a.name, err)
 		}

@@ -122,9 +122,9 @@ func (c *Collector) HandleAgg(b AggBatch) error {
 // agent is re-homed to another collector: the record-batch ledger and the
 // aggregate-frame ledger (independent sequence spaces, same semantics).
 type AgentHandoff struct {
-	Records    tracedb.LedgerHandoff
+	Records    tracedb.LedgerState
 	HasRecords bool
-	Aggs       tracedb.LedgerHandoff
+	Aggs       tracedb.LedgerState
 	HasAggs    bool
 }
 

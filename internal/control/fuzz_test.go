@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vnettracer/internal/core"
+	"vnettracer/internal/tracedb"
 )
 
 // fuzzBatch is a representative sequenced batch used to seed the fuzzer
@@ -148,7 +149,7 @@ func FuzzDecodeAggFrame(f *testing.F) {
 		rows := 0
 		for i := range got.Scripts {
 			rows += len(got.Scripts[i].Counters) + len(got.Scripts[i].Flows)*7
-			if len(got.Scripts[i].CPUHits) > maxAggSparseLen || len(got.Scripts[i].Hist) > maxAggSparseLen {
+			if len(got.Scripts[i].CPUHits) > tracedb.MaxSparseLen || len(got.Scripts[i].Hist) > tracedb.MaxSparseLen {
 				t.Fatalf("sparse series beyond cap: %d/%d", len(got.Scripts[i].CPUHits), len(got.Scripts[i].Hist))
 			}
 		}

@@ -8,9 +8,7 @@ import (
 	"vnettracer/internal/tracedb"
 )
 
-// Binary aggregate framing (protocol v5). An aggregate frame replaces
-// thousands of 48-byte records with a few dozen bytes of merged metrics,
-// so its body is varint/delta packed rather than fixed-layout:
+// Binary aggregate framing (protocol v5):
 //
 //	[0]     magic, aggMagic (0xA5 — distinct from batchMagic 0xB2 and
 //	        from '{' (0x7B), so a v5-unaware collector's batch decoder
@@ -22,39 +20,13 @@ import (
 //	[12:20] frame sequence number, uint64 LE (aggregate seq space)
 //	[20:28] registration epoch, uint64 LE (0 = unleased, never fenced)
 //	[28]    degradation level
-//	[29:..] agent name bytes, then uvarint script count and per script:
-//
-//	  uvarint name length, name bytes
-//	  counters: uvarint slot count, one uvarint per slot
-//	  cpu hits: sparse u64 series (below)
-//	  histogram: sparse u64 series (below)
-//	  flows:    uvarint count, rows sorted by 5-tuple, each field a
-//	            zigzag varint delta against the previous row (first row
-//	            deltas against zero) followed by uvarint packets/bytes
-//
-// A sparse series is: uvarint length, uvarint nonzero count, then per
-// nonzero entry a uvarint index gap (distance from the previous nonzero
-// index; first entry is the index itself) and a uvarint value. A log2
-// histogram concentrates mass in a handful of buckets, and per-CPU hits
-// touch only the CPUs that ran the probe, so both collapse to a few
-// bytes. Flow rows are sorted, making the IP/port deltas small.
-//
-// The decoder never trusts a count field for allocation: every element
-// consumes at least one encoded byte, so counts are validated against
-// the bytes actually remaining before any slice is sized, and series
-// lengths are capped at maxAggSeriesLen outright.
+//	[29:..] agent name bytes, then the script section: the one binary
+//	        form of []tracedb.ScriptAgg, laid out and bounded in
+//	        tracedb/aggcodec.go and logged as-is by the collector's WAL.
 const (
-	aggMagic        = 0xA5
-	aggWireV5       = 5
-	aggHeaderSize   = 29
-	maxAggSeriesLen = 1 << 20
-	// maxAggSparseLen bounds the dense length a sparse series may declare.
-	// Unlike dense fields, a sparse length is not backed byte-for-byte by
-	// the body (that is the point of the encoding), so the decoder caps it
-	// outright: large enough for any histogram (64 buckets) or CPU count,
-	// small enough that a hostile length cannot force a large allocation.
-	maxAggSparseLen  = 1 << 12
-	maxAggScriptName = math.MaxUint16
+	aggMagic      = 0xA5
+	aggWireV5     = 5
+	aggHeaderSize = 29
 )
 
 // EncodeAggFrame encodes an aggregate frame as a v5 binary body (without
@@ -83,152 +55,7 @@ func AppendAggFrame(dst []byte, b *AggBatch) ([]byte, error) {
 	le.PutUint64(hdr[20:], b.Epoch)
 	hdr[28] = b.Degraded
 	dst = append(dst, b.Agent...)
-	dst = binary.AppendUvarint(dst, uint64(len(b.Scripts)))
-	for i := range b.Scripts {
-		s := &b.Scripts[i]
-		if len(s.Script) > maxAggScriptName {
-			return nil, fmt.Errorf("control: script name of %d bytes exceeds frame limit", len(s.Script))
-		}
-		if len(s.Counters) > maxAggSeriesLen {
-			return nil, fmt.Errorf("control: aggregate series exceeds %d slots", maxAggSeriesLen)
-		}
-		if len(s.CPUHits) > maxAggSparseLen || len(s.Hist) > maxAggSparseLen {
-			return nil, fmt.Errorf("control: sparse aggregate series exceeds %d slots", maxAggSparseLen)
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(s.Script)))
-		dst = append(dst, s.Script...)
-		dst = binary.AppendUvarint(dst, uint64(len(s.Counters)))
-		for _, v := range s.Counters {
-			dst = binary.AppendUvarint(dst, v)
-		}
-		dst = appendSparseU64(dst, s.CPUHits)
-		dst = appendSparseU64(dst, s.Hist)
-		dst = binary.AppendUvarint(dst, uint64(len(s.Flows)))
-		var prev tracedb.FlowAgg
-		for _, f := range s.Flows {
-			dst = appendZigzag(dst, int64(f.SrcIP)-int64(prev.SrcIP))
-			dst = appendZigzag(dst, int64(f.DstIP)-int64(prev.DstIP))
-			dst = appendZigzag(dst, int64(f.SrcPort)-int64(prev.SrcPort))
-			dst = appendZigzag(dst, int64(f.DstPort)-int64(prev.DstPort))
-			dst = appendZigzag(dst, int64(f.Proto)-int64(prev.Proto))
-			dst = binary.AppendUvarint(dst, f.Packets)
-			dst = binary.AppendUvarint(dst, f.Bytes)
-			prev = f
-		}
-	}
-	return dst, nil
-}
-
-// appendSparseU64 encodes a mostly-zero series as length, nonzero count,
-// and (index gap, value) pairs.
-func appendSparseU64(dst []byte, s []uint64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	nz := 0
-	for _, v := range s {
-		if v != 0 {
-			nz++
-		}
-	}
-	dst = binary.AppendUvarint(dst, uint64(nz))
-	prev := 0
-	for i, v := range s {
-		if v == 0 {
-			continue
-		}
-		dst = binary.AppendUvarint(dst, uint64(i-prev))
-		dst = binary.AppendUvarint(dst, v)
-		prev = i
-	}
-	return dst
-}
-
-func appendZigzag(dst []byte, v int64) []byte {
-	return binary.AppendUvarint(dst, uint64(v<<1)^uint64(v>>63))
-}
-
-// aggReader walks an aggregate frame body with bounds checking.
-type aggReader struct {
-	buf []byte
-}
-
-func (r *aggReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("control: aggregate frame: bad varint")
-	}
-	r.buf = r.buf[n:]
-	return v, nil
-}
-
-func (r *aggReader) zigzag() (int64, error) {
-	u, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return int64(u>>1) ^ -int64(u&1), nil
-}
-
-// count reads a count field and validates it against the bytes actually
-// remaining: each counted element encodes to at least minBytes, so a
-// count the body cannot possibly back is rejected before any allocation.
-func (r *aggReader) count(minBytes int) (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(maxAggSeriesLen) || int(v)*minBytes > len(r.buf) {
-		return 0, fmt.Errorf("control: aggregate frame declares %d elements, %d bytes remain", v, len(r.buf))
-	}
-	return int(v), nil
-}
-
-func (r *aggReader) bytes(n int) ([]byte, error) {
-	if n > len(r.buf) {
-		return nil, fmt.Errorf("control: aggregate frame truncated: want %d bytes, have %d", n, len(r.buf))
-	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b, nil
-}
-
-// sparseU64 decodes a sparse series back to its dense form.
-func (r *aggReader) sparseU64() ([]uint64, error) {
-	lv, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if lv > maxAggSparseLen {
-		return nil, fmt.Errorf("control: aggregate frame: sparse series of %d slots exceeds %d", lv, maxAggSparseLen)
-	}
-	length := int(lv)
-	nz, err := r.count(2)
-	if err != nil {
-		return nil, err
-	}
-	if nz > length {
-		return nil, fmt.Errorf("control: aggregate frame: %d nonzero entries in %d slots", nz, length)
-	}
-	if length == 0 {
-		return nil, nil
-	}
-	out := make([]uint64, length)
-	idx := 0
-	for i := 0; i < nz; i++ {
-		gap, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		v, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		idx += int(gap)
-		if idx < 0 || idx >= length {
-			return nil, fmt.Errorf("control: aggregate frame: sparse index %d out of %d slots", idx, length)
-		}
-		out[idx] = v
-	}
-	return out, nil
+	return tracedb.AppendScriptAggs(dst, b.Scripts)
 }
 
 // DecodeAggFrame decodes a v5 aggregate frame body.
@@ -243,97 +70,20 @@ func DecodeAggFrame(body []byte) (AggBatch, error) {
 		return AggBatch{}, fmt.Errorf("control: unsupported aggregate wire version %d (want %d)", body[1], aggWireV5)
 	}
 	le := binary.LittleEndian
-	nameLen := int(le.Uint16(body[2:]))
-	b := AggBatch{
+	nameEnd := aggHeaderSize + int(le.Uint16(body[2:]))
+	if nameEnd > len(body) {
+		return AggBatch{}, fmt.Errorf("control: aggregate frame truncated: agent name wants %d bytes, have %d", nameEnd-aggHeaderSize, len(body)-aggHeaderSize)
+	}
+	scripts, err := tracedb.DecodeScriptAggs(body[nameEnd:], nil)
+	if err != nil {
+		return AggBatch{}, err
+	}
+	return AggBatch{
+		Agent:       string(body[aggHeaderSize:nameEnd]),
 		AgentTimeNs: int64(le.Uint64(body[4:])),
 		Seq:         le.Uint64(body[12:]),
 		Epoch:       le.Uint64(body[20:]),
 		Degraded:    body[28],
-	}
-	r := aggReader{buf: body[aggHeaderSize:]}
-	name, err := r.bytes(nameLen)
-	if err != nil {
-		return AggBatch{}, err
-	}
-	b.Agent = string(name)
-	nScripts, err := r.count(1)
-	if err != nil {
-		return AggBatch{}, err
-	}
-	for si := 0; si < nScripts; si++ {
-		var s tracedb.ScriptAgg
-		snLen, err := r.count(1)
-		if err != nil {
-			return AggBatch{}, err
-		}
-		sn, err := r.bytes(snLen)
-		if err != nil {
-			return AggBatch{}, err
-		}
-		s.Script = string(sn)
-		nCounters, err := r.count(1)
-		if err != nil {
-			return AggBatch{}, err
-		}
-		if nCounters > 0 {
-			s.Counters = make([]uint64, nCounters)
-			for i := range s.Counters {
-				if s.Counters[i], err = r.uvarint(); err != nil {
-					return AggBatch{}, err
-				}
-			}
-		}
-		if s.CPUHits, err = r.sparseU64(); err != nil {
-			return AggBatch{}, err
-		}
-		if s.Hist, err = r.sparseU64(); err != nil {
-			return AggBatch{}, err
-		}
-		nFlows, err := r.count(7)
-		if err != nil {
-			return AggBatch{}, err
-		}
-		var prev tracedb.FlowAgg
-		for i := 0; i < nFlows; i++ {
-			var f tracedb.FlowAgg
-			dSrcIP, err := r.zigzag()
-			if err != nil {
-				return AggBatch{}, err
-			}
-			dDstIP, err := r.zigzag()
-			if err != nil {
-				return AggBatch{}, err
-			}
-			dSrcPort, err := r.zigzag()
-			if err != nil {
-				return AggBatch{}, err
-			}
-			dDstPort, err := r.zigzag()
-			if err != nil {
-				return AggBatch{}, err
-			}
-			dProto, err := r.zigzag()
-			if err != nil {
-				return AggBatch{}, err
-			}
-			f.SrcIP = uint32(int64(prev.SrcIP) + dSrcIP)
-			f.DstIP = uint32(int64(prev.DstIP) + dDstIP)
-			f.SrcPort = uint16(int64(prev.SrcPort) + dSrcPort)
-			f.DstPort = uint16(int64(prev.DstPort) + dDstPort)
-			f.Proto = uint8(int64(prev.Proto) + dProto)
-			if f.Packets, err = r.uvarint(); err != nil {
-				return AggBatch{}, err
-			}
-			if f.Bytes, err = r.uvarint(); err != nil {
-				return AggBatch{}, err
-			}
-			s.Flows = append(s.Flows, f)
-			prev = f
-		}
-		b.Scripts = append(b.Scripts, s)
-	}
-	if len(r.buf) != 0 {
-		return AggBatch{}, fmt.Errorf("control: aggregate frame has %d trailing bytes", len(r.buf))
-	}
-	return b, nil
+		Scripts:     scripts,
+	}, nil
 }

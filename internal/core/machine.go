@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"vnettracer/internal/ebpf"
 	"vnettracer/internal/kernel"
@@ -128,17 +127,6 @@ func (m *Machine) RegisterDevice(dev *vnet.NetDev) error {
 func (m *Machine) Device(name string) (*vnet.NetDev, bool) {
 	d, ok := m.devices[name]
 	return d, ok
-}
-
-// Devices lists registered device names in sorted order — callers print
-// and compare this, so it must not depend on map iteration order.
-func (m *Machine) Devices() []string {
-	out := make([]string, 0, len(m.devices))
-	for name := range m.devices {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Printk returns accumulated trace_printk output (debugging aid).

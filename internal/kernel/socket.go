@@ -50,9 +50,6 @@ func (s *Socket) Close() {
 	delete(s.node.sockets, sockKey{ip: s.local.IP, port: s.local.Port, proto: s.proto})
 }
 
-// Local returns the bound address.
-func (s *Socket) Local() SockAddr { return s.local }
-
 // Sent returns how many packets this socket has sent.
 func (s *Socket) Sent() uint64 { return s.sent }
 

@@ -30,10 +30,6 @@ func (c *Clock) NowNs() int64 {
 	return c.offset + t + t/1_000_000_000*c.driftPPB + t%1_000_000_000*c.driftPPB/1_000_000_000
 }
 
-// TrueNow returns the engine's global time, i.e. ground truth. Experiments
-// may use it to validate skew estimation, but traced metrics must not.
-func (c *Clock) TrueNow() int64 { return c.eng.Now() }
-
 // OffsetNs returns the configured boot offset. Exposed so tests can compare
 // Cristian-estimated skew with ground truth.
 func (c *Clock) OffsetNs() int64 { return c.offset }

@@ -35,10 +35,6 @@ type Engine struct {
 	queue   eventHeap
 	rng     *rand.Rand
 	stopped bool
-
-	// processed counts events executed since construction; useful for
-	// run-away detection in tests.
-	processed uint64
 }
 
 // NewEngine returns an engine whose random source is seeded with seed,
@@ -54,9 +50,6 @@ func (e *Engine) Now() int64 { return e.now }
 
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
-
-// Processed reports how many events the engine has executed.
-func (e *Engine) Processed() uint64 { return e.processed }
 
 // Timer is a handle to a scheduled event. The zero value is invalid; timers
 // are obtained from Schedule or At.
@@ -129,7 +122,6 @@ func (e *Engine) Run(until int64) uint64 {
 		e.now = ev.at
 		ev.fired = true
 		ev.fn()
-		e.processed++
 		n++
 	}
 	if !e.stopped && e.now < until {
@@ -154,7 +146,6 @@ func (e *Engine) RunUntilIdle() uint64 {
 		e.now = ev.at
 		ev.fired = true
 		ev.fn()
-		e.processed++
 		n++
 	}
 	return n

@@ -33,11 +33,11 @@ const checkpointVersion = 1
 
 var checkpointMagic = [4]byte{'v', 'n', 'c', 'k'}
 
-// ledgerState is the full serialized form of one agentLedger — richer
-// than LedgerHandoff because a recovering collector restores its own
-// complete state (frozen previous-epoch views, fenced counters) rather
-// than handing a successor the minimum to continue.
-type ledgerState struct {
+// LedgerState is the full serialized form of one agentLedger: what a
+// checkpoint restores, and what a handoff exports to a successor
+// collector (whose importHandoff reads only the live sequence state, the
+// gap and duplicate counts, the last heartbeat and the degradation level).
+type LedgerState struct {
 	LastSeenNs    int64    `json:"last_seen_ns,omitempty"`
 	HighWater     uint64   `json:"hwm,omitempty"`
 	MaxSeq        uint64   `json:"max_seq,omitempty"`
@@ -56,8 +56,8 @@ type ledgerState struct {
 
 // exportState snapshots the complete ledger. Callers hold the ledger
 // mutex.
-func (l *agentLedger) exportState() ledgerState {
-	return ledgerState{
+func (l *agentLedger) exportState() LedgerState {
+	return LedgerState{
 		LastSeenNs:    l.lastSeenNs,
 		HighWater:     l.hwm,
 		MaxSeq:        l.maxSeq,
@@ -77,7 +77,7 @@ func (l *agentLedger) exportState() ledgerState {
 
 // restoreState overwrites the ledger with a checkpointed snapshot.
 // Callers hold the ledger mutex.
-func (l *agentLedger) restoreState(s ledgerState) {
+func (l *agentLedger) restoreState(s LedgerState) {
 	l.lastSeenNs = s.LastSeenNs
 	l.hwm = s.HighWater
 	l.maxSeq = s.MaxSeq
@@ -150,7 +150,7 @@ func (db *DB) exportTableStates() map[uint32]tableState {
 // aggState is the AggStore's serialized form: its per-agent ledgers, the
 // merged script aggregates, and the ingest counters.
 type aggState struct {
-	Ledgers      map[string]ledgerState `json:"ledgers,omitempty"`
+	Ledgers      map[string]LedgerState `json:"ledgers,omitempty"`
 	Scripts      []ScriptAgg            `json:"scripts,omitempty"`
 	FramesMerged uint64                 `json:"frames_merged,omitempty"`
 	FramesDup    uint64                 `json:"frames_dup,omitempty"`
@@ -197,7 +197,7 @@ func (s *AggStore) restoreState(st aggState) {
 // checkpointPayload is the JSON body of a checkpoint file.
 type checkpointPayload struct {
 	LSN        uint64                 `json:"lsn"`
-	Ledgers    map[string]ledgerState `json:"ledgers,omitempty"`
+	Ledgers    map[string]LedgerState `json:"ledgers,omitempty"`
 	Tables     map[uint32]tableState  `json:"tables,omitempty"`
 	Aggs       aggState               `json:"aggs"`
 	SealedAtNs int64                  `json:"sealed_at_ns,omitempty"`

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -451,15 +453,15 @@ func TestWALRawRecordsEncoding(t *testing.T) {
 	}
 	marshalled := mk(nil)
 	passthrough := mk(raw)
-	want := appendWALPayload(nil, &marshalled)
-	got := appendWALPayload(nil, &passthrough)
+	want := mustWALPayload(t, &marshalled)
+	got := mustWALPayload(t, &passthrough)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("raw passthrough encoded %d bytes differing from re-marshal (%d vs %d)", len(got), len(got), len(want))
 	}
 	// A wrong-length raw (stale after a Records mutation) falls back to
 	// marshalling instead of corrupting the frame.
 	bad := mk(raw[:len(raw)-1])
-	if got := appendWALPayload(nil, &bad); !bytes.Equal(got, want) {
+	if got := mustWALPayload(t, &bad); !bytes.Equal(got, want) {
 		t.Fatalf("wrong-length raw was not ignored")
 	}
 	var e walEntry
@@ -468,5 +470,87 @@ func TestWALRawRecordsEncoding(t *testing.T) {
 	}
 	if !reflect.DeepEqual(e.Records, recs) {
 		t.Fatalf("decoded records differ: %+v vs %+v", e.Records, recs)
+	}
+}
+
+// A log written before aggregate bodies became the script section holds
+// kind-2 entries, which no decoder reads any more. Recovering it must fail
+// naming the retired kind and leave the generation byte for byte as it
+// was: treating the entry as a torn tail would truncate every frame after
+// it, records included.
+func TestRecoverRefusesRetiredAggregateKind(t *testing.T) {
+	base := t.TempDir()
+	cfg := Config{DataDir: filepath.Join(base, "data")}
+	dcfg := DurabilityConfig{Dir: filepath.Join(base, "wal")}
+	if err := os.MkdirAll(dcfg.Dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// A kind-2 payload in its dense form: the ledger prefix, then one
+	// script "s" with counters {10, 20}, no cpu hits, a two-bucket
+	// histogram and one flow.
+	dense := []byte{2, 2}                    // LSN, kind
+	dense = append(dense, 2, 'a', '1', 1, 1) // agent, epoch, seq
+	dense = append(dense, 12, 0)             // zigzag time 6, degraded
+	dense = append(dense, 1, 1, 's')         // script count, name
+	dense = append(dense, 2, 10, 20, 0)      // counters, cpu hits
+	dense = append(dense, 2, 0, 7)           // histogram
+	dense = append(dense, 1, 1, 2, 3, 4, 17, 5, 6)
+	var log []byte
+	log = mustWALFrame(t, log, &walEntry{LSN: 1, Kind: walKindRecords, Agent: "a1", Epoch: 1, Seq: 1, TimeNs: 5, Records: batchRecs(1, 1, 3)})
+	log = binary.BigEndian.AppendUint32(log, uint32(len(dense)))
+	log = binary.BigEndian.AppendUint32(log, crc32.ChecksumIEEE(dense))
+	log = append(log, dense...)
+	log = mustWALFrame(t, log, &walEntry{LSN: 3, Kind: walKindRecords, Agent: "a1", Epoch: 1, Seq: 2, TimeNs: 7, Records: batchRecs(1, 2, 3)})
+	path := filepath.Join(dcfg.Dir, walFileName(1))
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d, stats, err := Recover(NewWith(cfg), NewAggStore(), dcfg)
+	if err == nil {
+		d.Close()
+		t.Fatalf("recovered a log holding a kind-2 entry: %+v", stats)
+	}
+	if !strings.Contains(err.Error(), "kind 2") || !strings.Contains(err.Error(), "retired") {
+		t.Fatalf("recovery failed without naming the retired kind: %v", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, log) {
+		t.Fatalf("recovery changed the generation: %d bytes left of %d (%v)", len(got), len(log), err)
+	}
+}
+
+// An aggregate frame the script section cannot hold is still merged, but
+// stages nothing in the log: it takes no LSN, counts as a WAL error, and
+// the frames around it replay.
+func TestWALRefusedAggregateFrameStagesNothing(t *testing.T) {
+	for _, policy := range []FsyncPolicy{FsyncNever, FsyncInterval} {
+		base := t.TempDir()
+		cfg := Config{DataDir: filepath.Join(base, "data")}
+		dcfg := DurabilityConfig{Dir: filepath.Join(base, "wal"), Fsync: policy}
+		d, _, err := Recover(NewWith(cfg), NewAggStore(), dcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wide := []ScriptAgg{{Script: "wide", Hist: make([]uint64, MaxSparseLen+1)}}
+		d.AdmitAggFrame("a1", 1, 1, testScripts(1), 1, 0)
+		if st := d.AdmitAggFrame("a1", 1, 2, wide, 2, 0); st != BatchFresh {
+			t.Fatalf("%v: refused frame admitted as %v", policy, st)
+		}
+		d.AdmitAggFrame("a1", 1, 3, testScripts(1), 3, 0)
+		s := d.Stats()
+		if s.WALErrors != 1 || s.WALEntries != 2 || s.NextLSN != 3 || !strings.Contains(s.LastError, "sparse") {
+			t.Fatalf("%v: %d WAL errors (%q), %d entries, next LSN %d; want 1, 2 and 3", policy, s.WALErrors, s.LastError, s.WALEntries, s.NextLSN)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		d, stats, err := Recover(NewWith(cfg), NewAggStore(), dcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Close()
+		if stats.ReplayedFrames != 2 || stats.TornTails != 0 {
+			t.Fatalf("%v: replayed %d frames with %d torn tails, want 2 and none", policy, stats.ReplayedFrames, stats.TornTails)
+		}
 	}
 }

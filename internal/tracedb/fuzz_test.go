@@ -150,7 +150,7 @@ func fuzzWALEntries() []walEntry {
 func FuzzWALDecode(f *testing.F) {
 	var valids [][]byte
 	for _, e := range fuzzWALEntries() {
-		valids = append(valids, appendWALPayload(nil, &e))
+		valids = append(valids, mustWALPayload(f, &e))
 	}
 	f.Add([]byte{})
 	for _, v := range valids {
@@ -166,7 +166,10 @@ func FuzzWALDecode(f *testing.F) {
 		if decodeWALPayload(payload, &e) != nil {
 			return
 		}
-		re := appendWALPayload(nil, &e)
+		re, err := appendWALPayload(nil, &e)
+		if err != nil {
+			t.Fatalf("a decoded wal payload failed to re-encode: %v", err)
+		}
 		if err := decodeWALPayload(re, &e2); err != nil {
 			t.Fatalf("re-encode of a valid wal payload failed to decode: %v", err)
 		}

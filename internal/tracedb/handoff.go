@@ -18,41 +18,6 @@ import "sort"
 //     zeroed in the tombstone, so a cluster-wide sum never double-counts
 //     a missing batch.
 
-// LedgerHandoff is one agent's exportable delivery-ledger state: the
-// sequence bookkeeping a successor collector needs to continue
-// exactly-once ingest for the same agent process.
-type LedgerHandoff struct {
-	// Epoch is the lease the state was recorded under.
-	Epoch uint64
-	// HighWater/MaxSeq/Pending mirror the live ledger's sequence state.
-	HighWater uint64
-	MaxSeq    uint64
-	Pending   []uint64
-	// MissingPrior carries gap counts from epochs closed before the
-	// handoff; the current epoch's gap re-derives from the seq state.
-	MissingPrior uint64
-	// Dups preserves the duplicate-drop history for reporting continuity.
-	Dups uint64
-	// LastSeenNs is the newest heartbeat on the agent's clock.
-	LastSeenNs int64
-	// Degraded is the agent's last self-reported degradation level.
-	Degraded uint8
-}
-
-// export snapshots the handoff state. Callers hold the ledger mutex.
-func (l *agentLedger) export() LedgerHandoff {
-	return LedgerHandoff{
-		Epoch:        l.epoch,
-		HighWater:    l.hwm,
-		MaxSeq:       l.maxSeq,
-		Pending:      sortedSeqs(l.pending),
-		MissingPrior: l.missingPrior,
-		Dups:         l.dups,
-		LastSeenNs:   l.lastSeenNs,
-		Degraded:     l.degraded,
-	}
-}
-
 // importHandoff installs exported state at the given (newer) epoch,
 // never regressing what this ledger already knows. On an epoch advance
 // the imported sequence state becomes both the current state (the agent
@@ -62,7 +27,7 @@ func (l *agentLedger) export() LedgerHandoff {
 // dedup-aware fence instead of double-counting). At an equal epoch the
 // import merges monotonically — repeated handoffs cannot move the
 // high-water mark backwards. Callers hold the ledger mutex.
-func (l *agentLedger) importHandoff(epoch uint64, h LedgerHandoff) {
+func (l *agentLedger) importHandoff(epoch uint64, h LedgerState) {
 	if epoch < l.epoch {
 		return // stale import: this ledger has already moved on
 	}

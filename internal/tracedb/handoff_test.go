@@ -74,9 +74,9 @@ func TestHandoffRehomeExactlyOnce(t *testing.T) {
 // stale-epoch import is ignored outright.
 func TestHandoffImportNeverRegresses(t *testing.T) {
 	db := New()
-	db.ImportLedger("a", 2, LedgerHandoff{HighWater: 5, MaxSeq: 5, LastSeenNs: 500})
+	db.ImportLedger("a", 2, LedgerState{HighWater: 5, MaxSeq: 5, LastSeenNs: 500})
 	// Same epoch, older view (say a retried handoff RPC): no regression.
-	db.ImportLedger("a", 2, LedgerHandoff{HighWater: 3, MaxSeq: 3, Pending: []uint64{4}, LastSeenNs: 400})
+	db.ImportLedger("a", 2, LedgerState{HighWater: 3, MaxSeq: 3, Pending: []uint64{4}, LastSeenNs: 400})
 	l := ledger(t, db, "a")
 	if l.HighWaterSeq != 5 || l.MaxSeq != 5 || l.PendingBatches != 0 {
 		t.Fatalf("after stale same-epoch import: hwm=%d max=%d pending=%d, want 5/5/0",
@@ -86,12 +86,12 @@ func TestHandoffImportNeverRegresses(t *testing.T) {
 		t.Fatalf("LastSeenNs regressed to %d", l.LastSeenNs)
 	}
 	// Stale epoch: ignored entirely.
-	db.ImportLedger("a", 1, LedgerHandoff{HighWater: 99, MaxSeq: 99})
+	db.ImportLedger("a", 1, LedgerState{HighWater: 99, MaxSeq: 99})
 	if l = ledger(t, db, "a"); l.Epoch != 2 || l.HighWaterSeq != 5 {
 		t.Fatalf("stale-epoch import applied: epoch=%d hwm=%d", l.Epoch, l.HighWaterSeq)
 	}
 	// Same epoch, newer view: merges forward, pending runs the hwm up.
-	db.ImportLedger("a", 2, LedgerHandoff{HighWater: 6, MaxSeq: 8, Pending: []uint64{7, 8}, LastSeenNs: 600})
+	db.ImportLedger("a", 2, LedgerState{HighWater: 6, MaxSeq: 8, Pending: []uint64{7, 8}, LastSeenNs: 600})
 	if l = ledger(t, db, "a"); l.HighWaterSeq != 8 || l.PendingBatches != 0 || l.LastSeenNs != 600 {
 		t.Fatalf("merge-forward: hwm=%d pending=%d last=%d, want 8/0/600",
 			l.HighWaterSeq, l.PendingBatches, l.LastSeenNs)

@@ -315,20 +315,20 @@ func (l *deliveryLedger) Agents() []string {
 }
 
 // ExportLedger snapshots an agent's ledger for handoff.
-func (l *deliveryLedger) ExportLedger(agent string) (LedgerHandoff, bool) {
+func (l *deliveryLedger) ExportLedger(agent string) (LedgerState, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	a, ok := l.agents[agent]
 	if !ok {
-		return LedgerHandoff{}, false
+		return LedgerState{}, false
 	}
-	return a.export(), true
+	return a.exportState(), true
 }
 
 // ImportLedger installs handoff state for an agent at the given epoch
 // (the lease granted by the re-homing). Imports never regress: a stale
 // epoch is ignored, and an equal-epoch import merges monotonically.
-func (l *deliveryLedger) ImportLedger(agent string, epoch uint64, h LedgerHandoff) {
+func (l *deliveryLedger) ImportLedger(agent string, epoch uint64, h LedgerState) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.entry(agent).importHandoff(epoch, h)
@@ -346,10 +346,10 @@ func (l *deliveryLedger) CloseAgentEpoch(agent string, epoch uint64) {
 }
 
 // exportStates snapshots every agent's complete ledger for a checkpoint.
-func (l *deliveryLedger) exportStates() map[string]ledgerState {
+func (l *deliveryLedger) exportStates() map[string]LedgerState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make(map[string]ledgerState, len(l.agents))
+	out := make(map[string]LedgerState, len(l.agents))
 	for agent, a := range l.agents {
 		out[agent] = a.exportState()
 	}
@@ -357,7 +357,7 @@ func (l *deliveryLedger) exportStates() map[string]ledgerState {
 }
 
 // restoreStates overwrites the ledgers a checkpoint names.
-func (l *deliveryLedger) restoreStates(states map[string]ledgerState) {
+func (l *deliveryLedger) restoreStates(states map[string]LedgerState) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for agent, s := range states {

@@ -14,6 +14,27 @@ import (
 	"vnettracer/internal/core"
 )
 
+// mustWALPayload is appendWALPayload onto nil for an entry the test
+// knows encodes.
+func mustWALPayload(tb testing.TB, e *walEntry) []byte {
+	tb.Helper()
+	b, err := appendWALPayload(nil, e)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// mustWALFrame is appendWALFrame for an entry the test knows encodes.
+func mustWALFrame(tb testing.TB, dst []byte, e *walEntry) []byte {
+	tb.Helper()
+	b, err := appendWALFrame(dst, e)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
 // walReplayWhole is the replay walReplayFile replaced, kept as its oracle:
 // the whole generation read into memory, every entry decoded into arrays
 // of its own.
@@ -74,7 +95,7 @@ func TestWALReplayMatchesWholeFileReplay(t *testing.T) {
 	var ends []int
 	for i := range entries {
 		entries[i].LSN = uint64(i + 1)
-		whole = appendWALFrame(whole, &entries[i])
+		whole = mustWALFrame(t, whole, &entries[i])
 		ends = append(ends, len(whole))
 	}
 	path := filepath.Join(t.TempDir(), walFileName(1))
@@ -92,7 +113,7 @@ func TestWALReplayMatchesWholeFileReplay(t *testing.T) {
 				// e and every array under it are the replay's scratch: keep
 				// a copy of its own, written out and decoded afresh.
 				var kept walEntry
-				if err := decodeWALPayload(appendWALPayload(nil, e), &kept); err != nil {
+				if err := decodeWALPayload(mustWALPayload(t, e), &kept); err != nil {
 					t.Fatal(err)
 				}
 				o.entries = append(o.entries, kept)
@@ -145,7 +166,7 @@ func TestWALReplayMatchesWholeFileReplay(t *testing.T) {
 	}
 	// A frame whose checksum holds and whose payload does not decode ends
 	// the log too; no flipped bit gets past the checksum to show it.
-	records := appendWALPayload(nil, &entries[3])
+	records := mustWALPayload(t, &entries[3])
 	for what, payload := range map[string][]byte{
 		"unknown kind":   {9, 0xee},
 		"trailing bytes": append(slices.Clone(records), 0),
@@ -238,7 +259,7 @@ func TestWALReplayReusesAggregateArrays(t *testing.T) {
 	const frames = 300
 	var log []byte
 	for i := 0; i < frames; i++ {
-		log = appendWALFrame(log, &walEntry{LSN: uint64(i + 1), Kind: walKindAggs, Agent: "a1", Epoch: 1, Seq: uint64(i + 1), Scripts: scripts})
+		log = mustWALFrame(t, log, &walEntry{LSN: uint64(i + 1), Kind: walKindAggs, Agent: "a1", Epoch: 1, Seq: uint64(i + 1), Scripts: scripts})
 	}
 	path := filepath.Join(t.TempDir(), walFileName(1))
 	if err := os.WriteFile(path, log, 0o644); err != nil {

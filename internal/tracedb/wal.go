@@ -24,10 +24,13 @@
 // loop, and WAL bytes are short-lived (retired at the next checkpoint)
 // so the size trade is cheap.
 //
-// kind 2 (aggregate frame): the same agent/epoch/seq/time/degraded
-// prefix, then uvarint script count and per script a length-prefixed
-// name, uvarint-counted counter/cpu-hit/histogram slots, and flows
-// (uvarint 5-tuple fields + proto byte + packet/byte sums).
+// kind 3 (aggregate frame): the same agent/epoch/seq/time/degraded
+// prefix, then the script section (aggcodec.go) — the bytes the v5 wire
+// frame carries after its header and agent name.
+//
+// kind 2 is retired: an aggregate body in a dense form of its own, whose
+// codec is gone. Recovery refuses a log holding one (errWALKindRetired)
+// and leaves it as it found it, rather than truncating it as a torn tail.
 //
 // Appends are group-committed: one frame write per batch (the batch is
 // the group), with fsync driven by policy — always (every append),
@@ -41,10 +44,10 @@ package tracedb
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -96,9 +99,13 @@ func (p FsyncPolicy) String() string {
 
 // WAL entry kinds.
 const (
-	walKindRecords byte = 1
-	walKindAggs    byte = 2
+	walKindRecords     byte = 1
+	walKindRetiredAggs byte = 2
+	walKindAggs        byte = 3
 )
+
+// errWALKindRetired is what decoding a kind-2 entry returns.
+var errWALKindRetired = fmt.Errorf("tracedb: wal kind %d (dense aggregate frame) is retired; recover this log with a build that reads it, then checkpoint", walKindRetiredAggs)
 
 // walEntry is one logged ingest event: an admitted record batch or an
 // admitted aggregate frame, with the ledger identity (agent, epoch, seq)
@@ -132,8 +139,9 @@ const walRecordSize = core.RecordSize
 const maxWALPayload = 64 << 20
 
 // appendWALPayload encodes the entry's payload (everything after the
-// frame header) onto dst.
-func appendWALPayload(dst []byte, e *walEntry) []byte {
+// frame header) onto dst. It fails, returning nil, only for scripts the
+// script section cannot hold.
+func appendWALPayload(dst []byte, e *walEntry) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, e.LSN)
 	dst = append(dst, e.Kind)
 	dst = binary.AppendUvarint(dst, uint64(len(e.Agent)))
@@ -160,35 +168,9 @@ func appendWALPayload(dst []byte, e *walEntry) []byte {
 			e.Records[i].MarshalTo(dst[base+i*walRecordSize:])
 		}
 	case walKindAggs:
-		dst = binary.AppendUvarint(dst, uint64(len(e.Scripts)))
-		for i := range e.Scripts {
-			s := &e.Scripts[i]
-			dst = binary.AppendUvarint(dst, uint64(len(s.Script)))
-			dst = append(dst, s.Script...)
-			dst = appendU64Slice(dst, s.Counters)
-			dst = appendU64Slice(dst, s.CPUHits)
-			dst = appendU64Slice(dst, s.Hist)
-			dst = binary.AppendUvarint(dst, uint64(len(s.Flows)))
-			for _, f := range s.Flows {
-				dst = binary.AppendUvarint(dst, uint64(f.SrcIP))
-				dst = binary.AppendUvarint(dst, uint64(f.DstIP))
-				dst = binary.AppendUvarint(dst, uint64(f.SrcPort))
-				dst = binary.AppendUvarint(dst, uint64(f.DstPort))
-				dst = append(dst, f.Proto)
-				dst = binary.AppendUvarint(dst, f.Packets)
-				dst = binary.AppendUvarint(dst, f.Bytes)
-			}
-		}
+		return AppendScriptAggs(dst, e.Scripts)
 	}
-	return dst
-}
-
-func appendU64Slice(dst []byte, vs []uint64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(vs)))
-	for _, v := range vs {
-		dst = binary.AppendUvarint(dst, v)
-	}
-	return dst
+	return dst, nil
 }
 
 // decodeWALPayload decodes one frame payload into e, replacing what e
@@ -198,197 +180,57 @@ func appendU64Slice(dst []byte, vs []uint64) []byte {
 // count alone — every count is checked against the bytes that remain, so
 // arbitrary (fuzzed) input cannot balloon memory.
 func decodeWALPayload(b []byte, e *walEntry) error {
-	cur := &byteCursor{b: b}
+	r := reader{buf: b}
 	*e = walEntry{Records: e.Records[:0], Scripts: e.Scripts[:0]}
 	var err error
-	if e.LSN, err = binary.ReadUvarint(cur); err != nil {
+	if e.LSN, err = r.uvarint(); err != nil {
 		return fmt.Errorf("tracedb: wal lsn: %w", err)
 	}
-	if e.Kind, err = cur.ReadByte(); err != nil {
+	if e.Kind, err = r.u8(); err != nil {
 		return fmt.Errorf("tracedb: wal kind: %w", err)
 	}
-	if e.Kind != walKindRecords && e.Kind != walKindAggs {
+	switch e.Kind {
+	case walKindRecords, walKindAggs:
+	case walKindRetiredAggs:
+		return errWALKindRetired
+	default:
 		return fmt.Errorf("tracedb: wal kind %d unknown", e.Kind)
 	}
-	if e.Agent, err = readWALString(cur); err != nil {
+	agent, err := r.lenBytes()
+	if err != nil {
 		return fmt.Errorf("tracedb: wal agent: %w", err)
 	}
-	if e.Epoch, err = binary.ReadUvarint(cur); err != nil {
+	e.Agent = string(agent)
+	if e.Epoch, err = r.uvarint(); err != nil {
 		return fmt.Errorf("tracedb: wal epoch: %w", err)
 	}
-	if e.Seq, err = binary.ReadUvarint(cur); err != nil {
+	if e.Seq, err = r.uvarint(); err != nil {
 		return fmt.Errorf("tracedb: wal seq: %w", err)
 	}
-	t, err := binary.ReadUvarint(cur)
+	t, err := r.uvarint()
 	if err != nil {
 		return fmt.Errorf("tracedb: wal time: %w", err)
 	}
 	e.TimeNs = unzigzag(t)
-	if e.Degraded, err = cur.ReadByte(); err != nil {
+	if e.Degraded, err = r.u8(); err != nil {
 		return fmt.Errorf("tracedb: wal degraded: %w", err)
 	}
-	switch e.Kind {
-	case walKindRecords:
-		n, err := binary.ReadUvarint(cur)
-		if err != nil {
-			return fmt.Errorf("tracedb: wal record count: %w", err)
-		}
-		// Records are fixed-width, so the count bounds-checks exactly.
-		if n > uint64(cur.remaining())/walRecordSize {
-			return fmt.Errorf("tracedb: wal record count %d exceeds frame size", n)
-		}
-		e.Records = slices.Grow(e.Records, int(n))
-		for end := cur.off + int(n)*walRecordSize; cur.off < end; cur.off += walRecordSize {
-			r, _ := core.UnmarshalRecord(cur.b[cur.off:]) // walRecordSize bytes are there
-			e.Records = append(e.Records, r)
-		}
-	case walKindAggs:
-		n, err := binary.ReadUvarint(cur)
-		if err != nil {
-			return fmt.Errorf("tracedb: wal script count: %w", err)
-		}
-		if n > uint64(cur.remaining())/5+1 {
-			return fmt.Errorf("tracedb: wal script count %d exceeds frame size", n)
-		}
-		for i := 0; i < int(n); i++ {
-			if i < cap(e.Scripts) {
-				e.Scripts = e.Scripts[:i+1] // with the arrays an earlier frame left there
-			} else {
-				e.Scripts = append(e.Scripts, ScriptAgg{})
-			}
-			if err := readWALScript(cur, &e.Scripts[i]); err != nil {
-				return fmt.Errorf("tracedb: wal script %d: %w", i, err)
-			}
-		}
-	}
-	if cur.remaining() != 0 {
-		return fmt.Errorf("tracedb: %d trailing bytes after wal payload", cur.remaining())
-	}
-	return nil
-}
-
-// byteCursor is a minimal io.ByteReader over a slice, for
-// binary.ReadUvarint.
-type byteCursor struct {
-	b   []byte
-	off int
-}
-
-func (c *byteCursor) ReadByte() (byte, error) {
-	if c.off >= len(c.b) {
-		return 0, io.EOF
-	}
-	v := c.b[c.off]
-	c.off++
-	return v, nil
-}
-
-func (c *byteCursor) remaining() int { return len(c.b) - c.off }
-
-func errOrOverflow(err error, v uint64) error {
-	if err != nil {
+	if e.Kind == walKindAggs {
+		e.Scripts, err = DecodeScriptAggs(r.buf, e.Scripts)
 		return err
 	}
-	return fmt.Errorf("value %d overflows field width", v)
-}
-
-func readWALString(cur *byteCursor) (string, error) {
-	n, err := binary.ReadUvarint(cur)
+	n, err := r.uvarint()
 	if err != nil {
-		return "", err
+		return fmt.Errorf("tracedb: wal record count: %w", err)
 	}
-	if n > uint64(cur.remaining()) {
-		return "", fmt.Errorf("length %d exceeds frame size", n)
+	// Records are fixed-width, so the count bounds-checks exactly.
+	if n != uint64(len(r.buf))/walRecordSize || len(r.buf)%walRecordSize != 0 {
+		return fmt.Errorf("tracedb: wal record count %d does not match the %d bytes left", n, len(r.buf))
 	}
-	s := string(cur.b[cur.off : cur.off+int(n)])
-	cur.off += int(n)
-	return s, nil
-}
-
-func readWALU32(cur *byteCursor) (uint32, error) {
-	v, err := binary.ReadUvarint(cur)
-	if err != nil || v > math.MaxUint32 {
-		return 0, errOrOverflow(err, v)
-	}
-	return uint32(v), nil
-}
-
-func readWALU16(cur *byteCursor) (uint16, error) {
-	v, err := binary.ReadUvarint(cur)
-	if err != nil || v > math.MaxUint16 {
-		return 0, errOrOverflow(err, v)
-	}
-	return uint16(v), nil
-}
-
-// readWALU64Slice reads a counted run of uvarints into dst's array.
-func readWALU64Slice(cur *byteCursor, dst []uint64) ([]uint64, error) {
-	n, err := binary.ReadUvarint(cur)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(cur.remaining()) {
-		return nil, fmt.Errorf("slot count %d exceeds frame size", n)
-	}
-	vs := slices.Grow(dst[:0], int(n))
-	for i := uint64(0); i < n; i++ {
-		v, err := binary.ReadUvarint(cur)
-		if err != nil {
-			return nil, err
-		}
-		vs = append(vs, v)
-	}
-	return vs, nil
-}
-
-// readWALScript reads one script's aggregates into s, reusing its arrays.
-func readWALScript(cur *byteCursor, s *ScriptAgg) error {
-	var err error
-	if s.Script, err = readWALString(cur); err != nil {
-		return fmt.Errorf("name: %w", err)
-	}
-	if s.Counters, err = readWALU64Slice(cur, s.Counters); err != nil {
-		return fmt.Errorf("counters: %w", err)
-	}
-	if s.CPUHits, err = readWALU64Slice(cur, s.CPUHits); err != nil {
-		return fmt.Errorf("cpu hits: %w", err)
-	}
-	if s.Hist, err = readWALU64Slice(cur, s.Hist); err != nil {
-		return fmt.Errorf("hist: %w", err)
-	}
-	n, err := binary.ReadUvarint(cur)
-	if err != nil {
-		return fmt.Errorf("flow count: %w", err)
-	}
-	// A flow encodes to at least 7 bytes (6 varints + proto byte).
-	if n > uint64(cur.remaining())/7+1 {
-		return fmt.Errorf("flow count %d exceeds frame size", n)
-	}
-	s.Flows = slices.Grow(s.Flows[:0], int(n))
-	for i := uint64(0); i < n; i++ {
-		var f FlowAgg
-		if f.SrcIP, err = readWALU32(cur); err != nil {
-			return fmt.Errorf("flow %d srcIP: %w", i, err)
-		}
-		if f.DstIP, err = readWALU32(cur); err != nil {
-			return fmt.Errorf("flow %d dstIP: %w", i, err)
-		}
-		if f.SrcPort, err = readWALU16(cur); err != nil {
-			return fmt.Errorf("flow %d srcPort: %w", i, err)
-		}
-		if f.DstPort, err = readWALU16(cur); err != nil {
-			return fmt.Errorf("flow %d dstPort: %w", i, err)
-		}
-		if f.Proto, err = cur.ReadByte(); err != nil {
-			return fmt.Errorf("flow %d proto: %w", i, err)
-		}
-		if f.Packets, err = binary.ReadUvarint(cur); err != nil {
-			return fmt.Errorf("flow %d packets: %w", i, err)
-		}
-		if f.Bytes, err = binary.ReadUvarint(cur); err != nil {
-			return fmt.Errorf("flow %d bytes: %w", i, err)
-		}
-		s.Flows = append(s.Flows, f)
+	e.Records = slices.Grow(e.Records, int(n))
+	for off := 0; off < len(r.buf); off += walRecordSize {
+		rec, _ := core.UnmarshalRecord(r.buf[off:]) // walRecordSize bytes are there
+		e.Records = append(e.Records, rec)
 	}
 	return nil
 }
@@ -477,7 +319,8 @@ func (w *walWriter) openGeneration() error {
 }
 
 // append assigns the next LSN to e, frames it, writes it, and applies the
-// fsync policy. The assigned LSN is stored into e.LSN.
+// fsync policy. The assigned LSN is stored into e.LSN. An entry the
+// encoder refuses stages and writes nothing and takes no LSN.
 func (w *walWriter) append(e *walEntry) error {
 	if w.f == nil {
 		if err := w.openGeneration(); err != nil {
@@ -491,12 +334,19 @@ func (w *walWriter) append(e *walEntry) error {
 		// buffer and return. The Durability flusher drains buf with one
 		// write+fsync per period, off the ingest path; loss stays
 		// bounded to one period of acks.
-		start := len(w.buf)
-		w.buf = appendWALFrame(w.buf, e)
-		n = len(w.buf) - start
+		buf, err := appendWALFrame(w.buf, e)
+		if err != nil {
+			return err
+		}
+		n = len(buf) - len(w.buf)
+		w.buf = buf
 	} else {
-		w.scratch = appendWALFrame(w.scratch[:0], e)
-		n = len(w.scratch)
+		frame, err := appendWALFrame(w.scratch[:0], e)
+		if err != nil {
+			return err
+		}
+		w.scratch = frame
+		n = len(frame)
 		if _, err := w.f.Write(w.scratch); err != nil {
 			return err
 		}
@@ -511,15 +361,18 @@ func (w *walWriter) append(e *walEntry) error {
 	return nil
 }
 
-// appendWALFrame encodes one framed entry (header + payload) onto dst.
-func appendWALFrame(dst []byte, e *walEntry) []byte {
+// appendWALFrame encodes one framed entry (header + payload) onto dst,
+// or fails as appendWALPayload does.
+func appendWALFrame(dst []byte, e *walEntry) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
-	dst = appendWALPayload(dst, e)
+	dst, err := appendWALPayload(append(dst, 0, 0, 0, 0, 0, 0, 0, 0), e)
+	if err != nil {
+		return nil, err
+	}
 	payload := dst[start+walFrameHeader:]
 	binary.BigEndian.PutUint32(dst[start:start+4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(dst[start+4:start+8], crc32.ChecksumIEEE(payload))
-	return dst
+	return dst, nil
 }
 
 // flush writes any group-committed frames to the active generation.
@@ -575,7 +428,9 @@ const walReadBuffer = 64 << 10
 // stops at the first torn or corrupt frame and returns the byte offset of
 // the end of the last good frame; tornErr describes why it stopped (nil
 // when the file ended cleanly). Decode errors inside a CRC-valid frame
-// are reported the same way — the frame marks the end of usable log.
+// are reported the same way — the frame marks the end of usable log —
+// except a retired kind, which is the log's format and not damage: that
+// is returned as err, so the generation is not cut short.
 //
 // Replay allocates per log, not per frame: one reader, one payload buffer
 // and one entry whose record array every batch decodes into, each as
@@ -624,7 +479,9 @@ func walReplayFile(path string, fn func(*walEntry)) (goodOff int64, tornErr erro
 		if crc32.ChecksumIEEE(payload) != crc {
 			return off, fmt.Errorf("tracedb: wal: frame CRC mismatch at offset %d", off), nil
 		}
-		if err := decodeWALPayload(payload, &e); err != nil {
+		if err := decodeWALPayload(payload, &e); errors.Is(err, errWALKindRetired) {
+			return off, nil, fmt.Errorf("tracedb: wal: %s: frame at offset %d: %w", filepath.Base(path), off, err)
+		} else if err != nil {
 			return off, fmt.Errorf("tracedb: wal: frame at offset %d: %w", off, err), nil
 		}
 		fn(&e)

@@ -26,9 +26,6 @@ func NewLink(eng *sim.Engine, bps, propNs int64, dst func(p *Packet)) *Link {
 	return &Link{eng: eng, bps: bps, propNs: propNs, dst: dst}
 }
 
-// SetDst rewires the receiving end.
-func (l *Link) SetDst(dst func(p *Packet)) { l.dst = dst }
-
 // Sent returns the number of frames transmitted.
 func (l *Link) Sent() uint64 { return l.sent }
 

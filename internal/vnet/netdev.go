@@ -120,9 +120,6 @@ func (d *NetDev) Ifindex() int { return d.cfg.Ifindex }
 // Stats returns a snapshot of the device counters.
 func (d *NetDev) Stats() DevStats { return d.stats }
 
-// QueueLen returns the instantaneous queue depth.
-func (d *NetDev) QueueLen() int { return len(d.queue) }
-
 // SetOut rewires the downstream delivery function; topology builders use
 // this to connect devices after construction.
 func (d *NetDev) SetOut(out func(p *Packet)) { d.cfg.Out = out }
