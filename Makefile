@@ -102,10 +102,18 @@ bench-join:
 bench-scan:
 	$(GO) test -run NONE -bench BenchmarkTableScan -benchtime 1x -benchmem ./internal/tracedb
 
+# The compiled eBPF engine's own numbers: the record script on a packet
+# it matches and on one it filters out, and the aggregation script (the
+# aggregates-bulk probe program). One iteration each, as bench-join;
+# raise -benchtime to measure.
+.PHONY: bench-ebpf
+bench-ebpf:
+	$(GO) test -run NONE -bench 'BenchmarkEBPFCompiled(RecordScript|AggScript|FilterMiss)$$' -benchtime 1x -benchmem .
+
 # Everything here leaves `git status` clean: what it writes (cover.out,
 # .bench_build/) is ignored.
 .PHONY: check
-check: tier1 fmt vet staticcheck race faults crash fuzz cover bench-build bench-join bench-scan
+check: tier1 fmt vet staticcheck race faults crash fuzz cover bench-build bench-join bench-scan bench-ebpf
 
 # Opt-in regression gate (not part of check: a 10-pair set takes ~35 min
 # and needs an otherwise idle machine). Exports PARENT under

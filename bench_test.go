@@ -391,7 +391,34 @@ func BenchmarkProbeFire(b *testing.B) {
 	})
 }
 
-func BenchmarkEBPFInterpFilterMiss(b *testing.B) {
+// BenchmarkEBPFCompiledAggScript measures the compiled engine on the
+// in-probe aggregation script (count, per-CPU histogram, latency
+// histogram, per-flow sums — the aggregates-bulk probe program) for a
+// packet its filter matches: four map updates and no record.
+func BenchmarkEBPFCompiledAggScript(b *testing.B) {
+	c, err := script.Compile(script.Spec{
+		Name:    "bench-agg",
+		TPID:    1,
+		Filter:  script.Filter{Proto: vnet.ProtoUDP, DstPort: 9000},
+		Actions: []script.Action{script.ActionCount, script.ActionCPUHist, script.ActionHist, script.ActionFlowCount},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := core.BuildCtx(nil, benchProbeCtx())
+	env := benchEnv{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := c.Prog.Run(ctx, env); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEBPFCompiledFilterMiss measures the compiled record script on
+// a packet its filter rejects: the cost a probe adds to untraced traffic.
+func BenchmarkEBPFCompiledFilterMiss(b *testing.B) {
 	c, err := script.Compile(script.Spec{
 		Name:    "bench-miss",
 		TPID:    1,
@@ -409,6 +436,7 @@ func BenchmarkEBPFInterpFilterMiss(b *testing.B) {
 	}
 	ctx := core.BuildCtx(nil, pc)
 	env := benchEnv{}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := c.Prog.Run(ctx, env); err != nil {

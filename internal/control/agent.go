@@ -508,17 +508,6 @@ func (a *Agent) shipAgg() error {
 
 var errNoAggSink = errors.New("control: sink does not support aggregate frames")
 
-// SetAggShipping turns the periodic aggregate drain on or off. While on,
-// every flush snapshot-and-resets the loaded scripts' aggregation maps
-// and ships the result as a compact v5 frame, so userspace map readers
-// (ReadCounter, ReadCPUHist, ...) will observe only the residue since
-// the last drain.
-func (a *Agent) SetAggShipping(on bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.shipAggs = on
-}
-
 // AggShipStats reports the agent-side aggregate delivery state for
 // shutdown summaries and tests.
 type AggShipStats struct {

@@ -102,8 +102,7 @@ func TestAggregateFramesOverTCP(t *testing.T) {
 	sink := NewTCPSink(ln.Addr().String())
 	defer sink.Close()
 	agent := NewAgent("agent-tcp", r.machine, sink)
-	agent.SetAggShipping(true)
-	if err := agent.Apply(ControlPackage{Install: []script.Spec{aggSpec("agg", 1, kernel.SiteUDPRecvmsg)}}); err != nil {
+	if err := agent.Apply(ControlPackage{ShipAggregates: true, Install: []script.Spec{aggSpec("agg", 1, kernel.SiteUDPRecvmsg)}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 7; i++ {
@@ -137,8 +136,7 @@ func (recordOnlySink) HandleBatch(b RecordBatch) error { return nil }
 func TestAggShippingFailsClosedWithoutAggSink(t *testing.T) {
 	r := newRig(t)
 	agent := NewAgent("agent-legacy", r.machine, recordOnlySink{})
-	agent.SetAggShipping(true)
-	if err := agent.Apply(ControlPackage{Install: []script.Spec{aggSpec("agg", 1, kernel.SiteUDPRecvmsg)}}); err != nil {
+	if err := agent.Apply(ControlPackage{ShipAggregates: true, Install: []script.Spec{aggSpec("agg", 1, kernel.SiteUDPRecvmsg)}}); err != nil {
 		t.Fatal(err)
 	}
 	firePacket(r, kernel.SiteUDPRecvmsg, 1)
@@ -166,8 +164,7 @@ func TestAggFrameToV5UnawareServerCounted(t *testing.T) {
 	sink := NewTCPSink(ln.Addr().String())
 	defer sink.Close()
 	agent := NewAgent("agent-v5", r.machine, sink)
-	agent.SetAggShipping(true)
-	if err := agent.Apply(ControlPackage{Install: []script.Spec{aggSpec("agg", 1, kernel.SiteUDPRecvmsg)}}); err != nil {
+	if err := agent.Apply(ControlPackage{ShipAggregates: true, Install: []script.Spec{aggSpec("agg", 1, kernel.SiteUDPRecvmsg)}}); err != nil {
 		t.Fatal(err)
 	}
 	firePacket(r, kernel.SiteUDPRecvmsg, 1)

@@ -231,9 +231,6 @@ func emitOp(op *irInsn, maps []Map, next blockFn) (blockFn, error) {
 			return next(m)
 		}, nil
 
-	case irCopyCtxStack:
-		return emitCopyCtxStack(op, next)
-
 	case irCopyBatch:
 		ops := op.batch
 		for i := range ops {
@@ -285,20 +282,6 @@ func emitOp(op *irInsn, maps []Map, next blockFn) (blockFn, error) {
 			return next(m)
 		}, nil
 
-	case irSmpID:
-		return func(m *vm) error {
-			m.stats.HelperCalls++
-			m.regs[R0] = uint64(m.env.SMPProcessorID())
-			return next(m)
-		}, nil
-
-	case irPrandom:
-		return func(m *vm) error {
-			m.stats.HelperCalls++
-			m.regs[R0] = uint64(m.env.PrandomU32())
-			return next(m)
-		}, nil
-
 	case irPerfEmitStack:
 		lo, hi := op.off, op.off+op.size
 		return func(m *vm) error {
@@ -313,54 +296,12 @@ func emitOp(op *irInsn, maps []Map, next blockFn) (blockFn, error) {
 			return next(m)
 		}, nil
 
-	case irMapLookupStack:
-		mp, lo, hi := maps[op.mapIdx], op.off, op.off+op.size
-		return func(m *vm) error {
-			m.stats.HelperCalls++
-			// The key slice is read within the call and never retained, so
-			// passing VM stack memory directly avoids the per-call copy.
-			val, ok := mp.Lookup(m.stack[lo:hi])
-			if !ok {
-				m.regs[R0] = 0
-				return next(m)
-			}
-			m.regions = append(m.regions, val)
-			m.regs[R0] = m.ptr(len(m.regions)-1, 0)
-			return next(m)
-		}, nil
-
-	case irMapUpdateStack:
-		mp := maps[op.mapIdx]
-		k0, k1 := op.off, op.off+op.size
-		v0, v1 := op.valOff, op.valOff+int64(mp.ValueSize())
-		flags := op.flags
-		return func(m *vm) error {
-			m.stats.HelperCalls++
-			if err := mp.Update(m.stack[k0:k1], m.stack[v0:v1], flags); err != nil {
-				m.regs[R0] = ^uint64(0)
-			} else {
-				m.regs[R0] = 0
-			}
-			return next(m)
-		}, nil
-
-	case irMapDeleteStack:
-		mp, lo, hi := maps[op.mapIdx], op.off, op.off+op.size
-		return func(m *vm) error {
-			m.stats.HelperCalls++
-			if err := mp.Delete(m.stack[lo:hi]); err != nil {
-				m.regs[R0] = ^uint64(0)
-			} else {
-				m.regs[R0] = 0
-			}
-			return next(m)
-		}, nil
-
 	case irMapIncStack:
-		// The map implementation is known at compile time, so each form
-		// binds its fast path directly: no type switch, no key copy, no
-		// allocation on the aggregating hot path. Delta comes from R3 at
-		// runtime (it is often a packet length, not a constant).
+		// The map implementation is known at compile time (lowering
+		// inlines only these three types), so each form binds its fast
+		// path directly: no type switch, no key copy, no allocation on the
+		// aggregating hot path. Delta comes from R3 at runtime (it is
+		// often a packet length, not a constant).
 		k0, k1, valOff := op.off, op.off+op.size, op.valOff
 		switch t := maps[op.mapIdx].(type) {
 		case *HashMap:
@@ -402,49 +343,18 @@ func emitOp(op *irInsn, maps []Map, next blockFn) (blockFn, error) {
 				return next(m)
 			}, nil
 		}
-		mp := maps[op.mapIdx]
-		return func(m *vm) error {
-			m.stats.HelperCalls++
-			if m.mapInc(mp, m.stack[k0:k1], valOff, m.regs[R3]) {
-				m.regs[R0] = 0
-			} else {
-				m.regs[R0] = ^uint64(0)
-			}
-			return next(m)
-		}, nil
 
 	case irHistObserve:
-		switch t := maps[op.mapIdx].(type) {
-		case *ArrayMap:
-			maxE := t.MaxEntries()
-			return func(m *vm) error {
-				m.stats.HelperCalls++
-				b := histBucket(m.regs[R2], maxE)
-				if t.IncSlot(b, 0, 1) {
-					m.regs[R0] = uint64(b)
-				} else {
-					m.regs[R0] = ^uint64(0)
-				}
-				return next(m)
-			}, nil
-		case *PerCPUArray:
-			maxE := t.MaxEntries()
-			return func(m *vm) error {
-				m.stats.HelperCalls++
-				b := histBucket(m.regs[R2], maxE)
-				if t.IncSlotCPU(b, int(m.env.SMPProcessorID()), 0, 1) {
-					m.regs[R0] = uint64(b)
-				} else {
-					m.regs[R0] = ^uint64(0)
-				}
-				return next(m)
-			}, nil
+		// Lowering inlines hist_observe only on an *ArrayMap.
+		t, ok := maps[op.mapIdx].(*ArrayMap)
+		if !ok {
+			break
 		}
-		mp := maps[op.mapIdx]
+		maxE := t.MaxEntries()
 		return func(m *vm) error {
 			m.stats.HelperCalls++
-			b := histBucket(m.regs[R2], mp.MaxEntries())
-			if m.histInc(mp, b) {
+			b := histBucket(m.regs[R2], maxE)
+			if t.IncSlot(b, 0, 1) {
 				m.regs[R0] = uint64(b)
 			} else {
 				m.regs[R0] = ^uint64(0)
@@ -562,54 +472,6 @@ func emitALU(op *irInsn, next blockFn) blockFn {
 		m.regs[dst] = res
 		return next(m)
 	}
-}
-
-// emitCopyCtxStack compiles the fused ctx-to-stack copy. The common
-// record-script shapes get dedicated closures; remaining width pairs use
-// a generic load-then-truncate form.
-func emitCopyCtxStack(op *irInsn, next blockFn) (blockFn, error) {
-	co, so := op.ctxOff, op.off
-	switch {
-	case op.loadSize == 4 && op.size == 4:
-		return func(m *vm) error {
-			binary.LittleEndian.PutUint32(m.stack[so:], binary.LittleEndian.Uint32(m.ctx[co:]))
-			return next(m)
-		}, nil
-	case op.loadSize == 8 && op.size == 8:
-		return func(m *vm) error {
-			binary.LittleEndian.PutUint64(m.stack[so:], binary.LittleEndian.Uint64(m.ctx[co:]))
-			return next(m)
-		}, nil
-	case op.loadSize == 4 && op.size == 2:
-		return func(m *vm) error {
-			binary.LittleEndian.PutUint16(m.stack[so:], uint16(binary.LittleEndian.Uint32(m.ctx[co:])))
-			return next(m)
-		}, nil
-	case op.loadSize == 4 && op.size == 1:
-		return func(m *vm) error {
-			m.stack[so] = byte(binary.LittleEndian.Uint32(m.ctx[co:]))
-			return next(m)
-		}, nil
-	case op.loadSize == 2 && op.size == 2:
-		return func(m *vm) error {
-			binary.LittleEndian.PutUint16(m.stack[so:], binary.LittleEndian.Uint16(m.ctx[co:]))
-			return next(m)
-		}, nil
-	case op.loadSize == 1 && op.size == 1:
-		return func(m *vm) error {
-			m.stack[so] = m.ctx[co]
-			return next(m)
-		}, nil
-	}
-	ls, ss := op.loadSize, op.size
-	if !validSize(ls) || !validSize(ss) {
-		return nil, fmt.Errorf("%w: copy sizes %d/%d", errLower, ls, ss)
-	}
-	return func(m *vm) error {
-		v := loadLE(m.ctx, co, ls)
-		storeLE(m.stack[:], so, ss, v)
-		return next(m)
-	}, nil
 }
 
 func validSize(n int64) bool { return n == 1 || n == 2 || n == 4 || n == 8 }

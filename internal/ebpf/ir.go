@@ -7,10 +7,12 @@ package ebpf
 // the context or a fixed stack slot carries an absolute region offset and
 // needs no runtime bounds check, while anything the proof could not pin
 // down keeps the fully checked dynamic form. Optimization passes (opt.go)
-// fold constants, propagate copies, delete dead register writes, and fuse
-// common shapes (ctx-load + stack-store copies, ctx-load + branch
-// filters). The emitter (emit.go) then turns each basic block into one
-// chain of specialized Go closures.
+// delete dead register writes, fuse the shapes trace scripts emit
+// (ctx-load + stack-store copies, constant + stack-store, ctx-load +
+// branch filters) and batch the record build into one op. The emitter
+// (emit.go) then turns each basic block into one chain of specialized Go
+// closures. The tier keeps only forms some trace script reaches; anything
+// else runs through the generic, interpreter-identical helper call.
 
 // irKind discriminates IR operations.
 type irKind uint8
@@ -41,33 +43,25 @@ const (
 	irStoreDynImm
 	// irCopyCtxStack fuses a ctx load with the stack store that consumed
 	// it: stack[off:off+size] = ctx[ctxOff:ctxOff+loadSize] (truncating
-	// when size < loadSize). The intermediate register is gone.
+	// when size < loadSize). The intermediate register is gone. It exists
+	// only between fusion and batching, which puts every one in an
+	// irCopyBatch.
 	irCopyCtxStack
 	// irHelper is a generic helper call through vm.call — full
 	// interpreter semantics including caller-saved register poisoning.
 	irHelper
-	// irKtime, irSmpID, irPrandom inline the zero-argument helpers.
+	// irKtime inlines ktime_get_ns.
 	irKtime
-	irSmpID
-	irPrandom
 	// irPerfEmitStack inlines perf_event_output of a proved stack range:
 	// the four argument registers are statically dead.
 	irPerfEmitStack
-	// irMapLookupStack inlines map_lookup_elem with the key at a proved
-	// stack offset, passing a stack slice directly (no key copy).
-	irMapLookupStack
-	// irMapUpdateStack inlines map_update_elem with key/value at proved
-	// stack offsets and constant flags.
-	irMapUpdateStack
-	// irMapDeleteStack inlines map_delete_elem with the key at a proved
-	// stack offset.
-	irMapDeleteStack
-	// irMapIncStack inlines map_inc_elem with the key at a proved stack
-	// offset and a verified constant value offset: one locked fetch-add
-	// on the addressed counter lane, delta read from R3 at runtime.
+	// irMapIncStack inlines map_inc_elem on a hash, array or per-CPU
+	// array map with the key at a proved stack offset and a verified
+	// constant value offset: one locked fetch-add on the addressed
+	// counter lane, delta read from R3 at runtime.
 	irMapIncStack
-	// irHistObserve inlines hist_observe: a log2-bucket increment for
-	// the sample in R2.
+	// irHistObserve inlines hist_observe on an array map: a log2-bucket
+	// increment for the sample in R2.
 	irHistObserve
 	// irCopyBatch executes a run of fused ctx-to-stack copies and constant
 	// stack stores (the record-build shape) in one closure, driven by a
@@ -111,8 +105,7 @@ type irInsn struct {
 	size     int64 // access width in bytes
 	loadSize int64 // irCopyCtxStack: source width (>= size)
 	mapIdx   int   // inlined map ops
-	valOff   int64 // irMapUpdateStack: value stack offset
-	flags    uint64
+	valOff   int64 // irMapIncStack: value offset of the counter lane
 	helper   HelperID
 	batch    []memCopy // irCopyBatch descriptors
 	origPC   int
@@ -171,4 +164,3 @@ type regMask uint16
 
 func (m regMask) has(r Reg) bool { return m&(1<<r) != 0 }
 func (m *regMask) add(r Reg)     { *m |= 1 << r }
-func (m *regMask) remove(r Reg)  { *m &^= 1 << r }

@@ -311,19 +311,15 @@ func lowerALU(in Insn, pc int) irInsn {
 	}
 }
 
-// lowerCall inlines a helper when the verifier facts pin its arguments
-// down; otherwise it keeps the generic vm.call path, which is
+// lowerCall inlines the helpers trace scripts call when the verifier
+// facts pin their arguments down; every other call, and every map type
+// without a bound fast path, keeps the generic vm.call path, which is
 // bit-identical to the interpreter.
 func lowerCall(in Insn, pc int, maps []Map, facts *progFacts) irInsn {
 	id := HelperID(in.Imm)
 	generic := irInsn{kind: irHelper, helper: id, origPC: pc}
-	switch id {
-	case HelperKtimeGetNs:
+	if id == HelperKtimeGetNs {
 		return irInsn{kind: irKtime, origPC: pc}
-	case HelperGetSmpProcessorID:
-		return irInsn{kind: irSmpID, origPC: pc}
-	case HelperGetPrandomU32:
-		return irInsn{kind: irPrandom, origPC: pc}
 	}
 	f := callFactAt(facts, pc)
 	if f == nil {
@@ -353,43 +349,17 @@ func lowerCall(in Insn, pc int, maps []Map, facts *progFacts) irInsn {
 		if okOff && okSize && size >= 0 && off >= 0 && off+size <= StackSize {
 			return irInsn{kind: irPerfEmitStack, off: off, size: size, origPC: pc}
 		}
-	case HelperMapLookupElem:
-		idx, okMap := mapArg(0)
-		off, okKey := stackArg(1)
-		if okMap && okKey {
-			ks := int64(maps[idx].KeySize())
-			if off >= 0 && off+ks <= StackSize {
-				return irInsn{kind: irMapLookupStack, mapIdx: idx, off: off, size: ks, origPC: pc}
-			}
-		}
-	case HelperMapDeleteElem:
-		idx, okMap := mapArg(0)
-		off, okKey := stackArg(1)
-		if okMap && okKey {
-			ks := int64(maps[idx].KeySize())
-			if off >= 0 && off+ks <= StackSize {
-				return irInsn{kind: irMapDeleteStack, mapIdx: idx, off: off, size: ks, origPC: pc}
-			}
-		}
-	case HelperMapUpdateElem:
-		idx, okMap := mapArg(0)
-		keyOff, okKey := stackArg(1)
-		valOff, okVal := stackArg(2)
-		flags, okFlags := constArg(3)
-		if okMap && okKey && okVal && okFlags {
-			ks := int64(maps[idx].KeySize())
-			vs := int64(maps[idx].ValueSize())
-			if keyOff >= 0 && keyOff+ks <= StackSize && valOff >= 0 && valOff+vs <= StackSize {
-				return irInsn{kind: irMapUpdateStack, mapIdx: idx, off: keyOff, size: ks,
-					valOff: valOff, flags: uint64(flags), origPC: pc}
-			}
-		}
 	case HelperMapIncElem:
 		// r1=map, r2=key ptr, r3=delta (runtime), r4=value offset (const).
 		idx, okMap := mapArg(0)
 		keyOff, okKey := stackArg(1)
 		valOff, okOff := constArg(3)
-		if okMap && okKey && okOff {
+		if !okMap || !okKey || !okOff {
+			break
+		}
+		// Only the three map types with a bound fast path inline.
+		switch maps[idx].(type) {
+		case *HashMap, *ArrayMap, *PerCPUArray:
 			ks := int64(maps[idx].KeySize())
 			if keyOff >= 0 && keyOff+ks <= StackSize &&
 				valOff >= 0 && valOff+8 <= int64(maps[idx].ValueSize()) {
@@ -401,7 +371,9 @@ func lowerCall(in Insn, pc int, maps []Map, facts *progFacts) irInsn {
 		// r1=map, r2=sample (runtime). The map pointer is the only static
 		// argument, so inlining needs nothing from the stack.
 		if idx, okMap := mapArg(0); okMap {
-			return irInsn{kind: irHistObserve, mapIdx: idx, origPC: pc}
+			if _, ok := maps[idx].(*ArrayMap); ok {
+				return irInsn{kind: irHistObserve, mapIdx: idx, origPC: pc}
+			}
 		}
 	}
 	return generic

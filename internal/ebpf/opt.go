@@ -9,80 +9,10 @@ package ebpf
 
 // optimize runs the pass pipeline in place.
 func optimize(p *irProg) {
-	for i := range p.blocks {
-		constPropBlock(&p.blocks[i])
-	}
 	liveOut := deadWriteElim(p)
 	for i := range p.blocks {
 		fuseBlock(&p.blocks[i], liveOut[i])
 		batchBlock(&p.blocks[i])
-	}
-}
-
-// constPropBlock tracks registers holding compile-time constants within a
-// block and folds ALU results, register copies, and store sources that
-// the constants decide. Folding uses aluOp itself, so 32-bit truncation
-// and div/mod-by-zero semantics stay bit-identical to the interpreter.
-func constPropBlock(blk *irBlock) {
-	var known regMask
-	var vals [NumRegs]uint64
-
-	setKnown := func(r Reg, v uint64) { known.add(r); vals[r] = v }
-	clobber := func(r Reg) { known.remove(r) }
-
-	for i := range blk.ops {
-		op := &blk.ops[i]
-		switch op.kind {
-		case irMovImm:
-			setKnown(op.dst, uint64(op.imm))
-		case irMovReg:
-			if known.has(op.src) {
-				*op = irInsn{kind: irMovImm, dst: op.dst, imm: int64(vals[op.src]), origPC: op.origPC}
-				setKnown(op.dst, uint64(op.imm))
-			} else {
-				clobber(op.dst)
-			}
-		case irALU:
-			s, sOK := uint64(op.imm), true
-			if op.useReg {
-				s, sOK = vals[op.src], known.has(op.src)
-			}
-			d, dOK := vals[op.dst], known.has(op.dst)
-			if op.aluOp == ALUMov {
-				d, dOK = 0, true // mov does not read dst
-			}
-			if sOK && dOK {
-				if !op.is64 {
-					s, d = uint64(uint32(s)), uint64(uint32(d))
-				}
-				if res, err := aluOp(op.aluOp, d, s, op.is64); err == nil {
-					if !op.is64 {
-						res = uint64(uint32(res))
-					}
-					*op = irInsn{kind: irMovImm, dst: op.dst, imm: int64(res), origPC: op.origPC}
-					setKnown(op.dst, res)
-					continue
-				}
-			}
-			clobber(op.dst)
-		case irStoreStack:
-			if known.has(op.src) {
-				*op = irInsn{kind: irStoreStackImm, off: op.off, size: op.size,
-					imm: int64(vals[op.src]), origPC: op.origPC}
-			}
-		case irLoadCtx, irLoadStack, irLoadDyn:
-			clobber(op.dst)
-		case irHelper:
-			// Generic calls poison R1-R5 and set R0 at runtime.
-			for r := R0; r <= R5; r++ {
-				clobber(r)
-			}
-		case irKtime, irSmpID, irPrandom, irPerfEmitStack,
-			irMapLookupStack, irMapUpdateStack, irMapDeleteStack,
-			irMapIncStack, irHistObserve:
-			// Inlined helpers write only R0 at runtime.
-			clobber(R0)
-		}
 	}
 }
 
@@ -131,9 +61,7 @@ func opDefs(op *irInsn) regMask {
 		for r := R0; r <= R5; r++ {
 			d.add(r)
 		}
-	case irKtime, irSmpID, irPrandom, irPerfEmitStack,
-		irMapLookupStack, irMapUpdateStack, irMapDeleteStack,
-		irMapIncStack, irHistObserve:
+	case irKtime, irPerfEmitStack, irMapIncStack, irHistObserve:
 		d.add(R0)
 	}
 	return d
@@ -214,11 +142,12 @@ func deadWriteElim(p *irProg) []regMask {
 	return liveOut
 }
 
-// fuseBlock runs peepholes that need liveness: a proved ctx load feeding
-// an adjacent proved stack store collapses into one copy op when the
-// intermediate register dies at the store, and a trailing 32-bit ctx
-// load feeding the block's branch folds into the terminator (the filter
-// shape: "jump out unless ctx field == K").
+// fuseBlock runs peepholes that need liveness. A proved ctx load or a
+// constant feeding an adjacent proved stack store collapses into one copy
+// op or one constant store when the intermediate register dies at the
+// store (the record build: field copies and the tracepoint ID), and a
+// trailing 32-bit ctx load feeding the block's branch folds into the
+// terminator (the filter shape: "jump out unless ctx field == K").
 func fuseBlock(blk *irBlock, liveOut regMask) {
 	// liveAfter[i] = registers live immediately after ops[i].
 	liveAfter := make([]regMask, len(blk.ops))
@@ -247,19 +176,18 @@ func fuseBlock(blk *irBlock, liveOut regMask) {
 	fused := make([]irInsn, 0, len(blk.ops))
 	for i := 0; i < len(blk.ops); i++ {
 		op := blk.ops[i]
-		if op.kind == irLoadCtx && i+1 < len(blk.ops) {
-			st := blk.ops[i+1]
-			if st.kind == irStoreStack && st.src == op.dst && !liveAfter[i+1].has(op.dst) {
-				fused = append(fused, irInsn{
-					kind:     irCopyCtxStack,
-					off:      st.off,
-					size:     st.size,
-					ctxOff:   op.off,
-					loadSize: op.size,
-					origPC:   op.origPC,
-				})
-				i++
-				continue
+		if i+1 < len(blk.ops) {
+			if st := blk.ops[i+1]; st.kind == irStoreStack && st.src == op.dst && !liveAfter[i+1].has(op.dst) {
+				switch op.kind {
+				case irLoadCtx:
+					op = irInsn{kind: irCopyCtxStack, off: st.off, size: st.size,
+						ctxOff: op.off, loadSize: op.size, origPC: op.origPC}
+					i++
+				case irMovImm:
+					op = irInsn{kind: irStoreStackImm, off: st.off, size: st.size,
+						imm: op.imm, origPC: st.origPC}
+					i++
+				}
 			}
 		}
 		fused = append(fused, op)
@@ -318,8 +246,9 @@ func mergeCopies(a, b memCopy) (memCopy, bool) {
 }
 
 // batchBlock collapses maximal runs of fused copies and constant stores
-// (length >= 2) into single irCopyBatch ops so the whole record build
-// executes inside one closure.
+// into single irCopyBatch ops so the whole record build executes inside
+// one closure. Every fused copy lands in a batch, one descriptor long if
+// it stands alone; a lone constant store keeps its own closure.
 func batchBlock(blk *irBlock) {
 	out := make([]irInsn, 0, len(blk.ops))
 	for i := 0; i < len(blk.ops); i++ {
@@ -343,8 +272,7 @@ func batchBlock(blk *irBlock) {
 			}
 			j++
 		}
-		if j == i+1 {
-			// A lone copy keeps its dedicated closure.
+		if j == i+1 && blk.ops[i].kind == irStoreStackImm {
 			out = append(out, blk.ops[i])
 			continue
 		}

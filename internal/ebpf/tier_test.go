@@ -449,19 +449,6 @@ func lowerVerified(t *testing.T, insns []Insn, maps []Map) *irProg {
 	return ir
 }
 
-func TestOptConstFolding(t *testing.T) {
-	ir := lowerVerified(t, []Insn{
-		Mov64Imm(R0, 2),
-		ALU64Imm(ALUAdd, R0, 3),
-		ALU64Imm(ALUMul, R0, 10),
-		Exit(),
-	}, nil)
-	ops := ir.blocks[0].ops
-	if len(ops) != 1 || ops[0].kind != irMovImm || ops[0].imm != 50 {
-		t.Fatalf("constant chain did not fold to one mov: %+v", ops)
-	}
-}
-
 func TestOptDeadWriteElim(t *testing.T) {
 	ir := lowerVerified(t, []Insn{
 		Mov64Imm(R3, 7), // dead: R3 is never read

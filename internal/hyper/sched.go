@@ -130,10 +130,6 @@ func NewPCPU(eng *sim.Engine, cfg Config) *PCPU {
 	return &PCPU{eng: eng, cfg: cfg}
 }
 
-// SetRatelimit changes the rate limit at runtime (the paper's tuning
-// experiment toggles it between 1000us and 0).
-func (p *PCPU) SetRatelimit(ns int64) { p.cfg.RatelimitNs = ns }
-
 // Config returns the scheduler configuration.
 func (p *PCPU) Config() Config { return p.cfg }
 

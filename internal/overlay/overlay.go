@@ -95,15 +95,14 @@ func (v *VTEP) Decap(p *vnet.Packet) *vnet.Packet {
 }
 
 // Bridge is a simple L3 learning bridge (docker0/docker_gwbridge): packets
-// are forwarded to the port owning the destination IP, or to the default
-// uplink.
+// are forwarded to the port owning the destination IP and dropped
+// otherwise.
 type Bridge struct {
-	eng    *sim.Engine
-	dev    *vnet.NetDev
-	ports  map[vnet.IPv4]func(*vnet.Packet)
-	uplink func(*vnet.Packet)
+	eng   *sim.Engine
+	dev   *vnet.NetDev
+	ports map[vnet.IPv4]func(*vnet.Packet)
 
-	// NoRoute counts packets with neither a port nor an uplink.
+	// NoRoute counts packets dropped for want of a port.
 	NoRoute uint64
 }
 
@@ -132,16 +131,9 @@ func (b *Bridge) AddPort(ip vnet.IPv4, out func(*vnet.Packet)) {
 	b.ports[ip] = out
 }
 
-// SetUplink sets the default route (toward the VXLAN device).
-func (b *Bridge) SetUplink(out func(*vnet.Packet)) { b.uplink = out }
-
 func (b *Bridge) route(p *vnet.Packet) {
 	if out, ok := b.ports[p.IP.Dst]; ok {
 		out(p)
-		return
-	}
-	if b.uplink != nil {
-		b.uplink(p)
 		return
 	}
 	b.NoRoute++

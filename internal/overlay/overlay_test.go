@@ -162,13 +162,12 @@ func TestVTEPUnregister(t *testing.T) {
 	}
 }
 
-func TestBridgeRoutesToPortOrUplink(t *testing.T) {
+func TestBridgeRoutesToPortOrDrops(t *testing.T) {
 	eng := sim.NewEngine(1)
 	b := NewBridge(eng, "docker0", 10, 500)
-	var localGot, uplinkGot int
+	var localGot int
 	local := vnet.MustParseIPv4("172.17.0.2")
 	b.AddPort(local, func(*vnet.Packet) { localGot++ })
-	b.SetUplink(func(*vnet.Packet) { uplinkGot++ })
 
 	mk := func(dst vnet.IPv4) *vnet.Packet {
 		return &vnet.Packet{
@@ -179,8 +178,8 @@ func TestBridgeRoutesToPortOrUplink(t *testing.T) {
 	b.Dev().Receive(mk(local))
 	b.Dev().Receive(mk(vnet.MustParseIPv4("172.17.0.99")))
 	eng.RunUntilIdle()
-	if localGot != 1 || uplinkGot != 1 {
-		t.Fatalf("local=%d uplink=%d", localGot, uplinkGot)
+	if localGot != 1 || b.NoRoute != 1 {
+		t.Fatalf("local=%d noroute=%d", localGot, b.NoRoute)
 	}
 }
 
