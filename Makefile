@@ -36,12 +36,14 @@ staticcheck:
 
 # Race-detector pass over the concurrent record path (probe registry
 # fired while the agent attaches and detaches, per-CPU rings, store,
-# control plane, metrics run against live tables) plus the cluster
-# conformance corpus. tracedb runs on one P and on two, so a scan's
-# producer and consumer goroutines run both interleaved and in parallel.
+# control plane, metrics run against live tables), the aggregation maps
+# (probes on four CPUs incrementing while a drainer resets) plus the
+# cluster conformance corpus. tracedb runs on one P and on two, so a
+# scan's producer and consumer goroutines run both interleaved and in
+# parallel.
 .PHONY: race
 race:
-	$(GO) test -race ./internal/kernel ./internal/vnet ./internal/core ./internal/control ./internal/metrics ./internal/conformance
+	$(GO) test -race ./internal/kernel ./internal/vnet ./internal/core ./internal/ebpf ./internal/script ./internal/control ./internal/metrics ./internal/conformance
 	$(GO) test -race -cpu 1,2 ./internal/tracedb
 
 # Fault-injection pass over delivery semantics: flaky collector, lost
@@ -103,12 +105,14 @@ bench-scan:
 	$(GO) test -run NONE -bench BenchmarkTableScan -benchtime 1x -benchmem ./internal/tracedb
 
 # The compiled eBPF engine's own numbers: the record script on a packet
-# it matches and on one it filters out, and the aggregation script (the
-# aggregates-bulk probe program). One iteration each, as bench-join;
-# raise -benchtime to measure.
+# it matches and on one it filters out, the aggregation script (the
+# aggregates-bulk probe program) on one flow, and the same script over
+# whole drain intervals (2 scripts x 256 flows x 4 CPUs, a drain per 4096
+# firings; allocs/firing counts the map churn). One iteration each, as
+# bench-join; raise -benchtime to measure.
 .PHONY: bench-ebpf
 bench-ebpf:
-	$(GO) test -run NONE -bench 'BenchmarkEBPFCompiled(RecordScript|AggScript|FilterMiss)$$' -benchtime 1x -benchmem .
+	$(GO) test -run NONE -bench 'BenchmarkEBPFCompiled(RecordScript|AggScript|AggInterval|FilterMiss)$$' -benchtime 1x -benchmem .
 
 # Everything here leaves `git status` clean: what it writes (cover.out,
 # .bench_build/) is ignored.

@@ -10,6 +10,7 @@ package vnettracer_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -414,6 +415,69 @@ func BenchmarkEBPFCompiledAggScript(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// cpuEnv is benchEnv on a chosen CPU.
+type cpuEnv struct {
+	benchEnv
+	cpu uint32
+}
+
+func (e cpuEnv) SMPProcessorID() uint32 { return e.cpu }
+
+// BenchmarkEBPFCompiledAggInterval measures the aggregation script over
+// whole drain intervals, as the aggregates-bulk agent runs it: two
+// scripts fire across 256 flows on 4 CPUs, and each script is drained
+// once per 4096 firings. ns/op and allocs/firing are per firing, drains
+// included — the map churn a one-flow, never-drained loop cannot see.
+func BenchmarkEBPFCompiledAggInterval(b *testing.B) {
+	const (
+		scripts  = 2
+		flows    = 256
+		cpus     = 4
+		interval = 4096
+	)
+	var progs [scripts]*script.Compiled
+	for i := range progs {
+		c, err := script.Compile(script.Spec{
+			Name:    fmt.Sprintf("bench-agg-%d", i),
+			TPID:    uint32(i + 1),
+			Filter:  script.Filter{Proto: vnet.ProtoUDP, DstPort: 9000},
+			Actions: []script.Action{script.ActionCount, script.ActionCPUHist, script.ActionHist, script.ActionFlowCount},
+			NumCPU:  cpus,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs[i] = c
+	}
+	ctxs := make([][]byte, flows)
+	for i := range ctxs {
+		pc := benchProbeCtx()
+		pc.Pkt.UDP.SrcPort = uint16(4000 + i)
+		ctxs[i] = core.BuildCtx(nil, pc)
+	}
+	var envs [cpus]ebpf.Env
+	for c := range envs {
+		envs[c] = cpuEnv{cpu: uint32(c)}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := progs[i%scripts]
+		if _, _, err := c.Prog.Run(ctxs[(i/scripts)%flows], envs[(i/(scripts*flows))%cpus]); err != nil {
+			b.Fatal(err)
+		}
+		if i%interval == interval-1 {
+			for _, c := range progs {
+				c.DrainAggregates()
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/firing")
 }
 
 // BenchmarkEBPFCompiledFilterMiss measures the compiled record script on

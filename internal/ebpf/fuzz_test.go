@@ -68,7 +68,11 @@ func fuzzMaps(t *testing.T) []ebpf.Map {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []ebpf.Map{h, a, p}
+	wide, err := ebpf.NewHashMap(4, 16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []ebpf.Map{h, a, p, wide}
 }
 
 // fuzzEnv is a deterministic helper environment that records every
@@ -253,6 +257,23 @@ func FuzzVerifyProgram(f *testing.F) {
 		ebpf.Exit(),
 	)
 	f.Add(insnsToBytes(aggSeed))
+	// The same fetch-add on map2, the per-CPU array: the env runs on CPU
+	// 1, and the map dump shows every CPU's slot, so an engine adding to
+	// any other CPU's slot diverges.
+	cpuSeed := []ebpf.Insn{
+		ebpf.StoreImm(ebpf.R10, -4, 1, ebpf.SizeW),
+	}
+	cpuFD := ebpf.LoadMapFD(ebpf.R1, 2)
+	cpuSeed = append(cpuSeed, cpuFD[:]...)
+	cpuSeed = append(cpuSeed,
+		ebpf.Mov64Reg(ebpf.R2, ebpf.R10),
+		ebpf.ALU64Imm(ebpf.ALUAdd, ebpf.R2, -4),
+		ebpf.Mov64Imm(ebpf.R3, 5),
+		ebpf.Mov64Imm(ebpf.R4, 0),
+		ebpf.Call(ebpf.HelperMapIncElem),
+		ebpf.Exit(),
+	)
+	f.Add(insnsToBytes(cpuSeed))
 	// Near miss the verifier must reject: the 8-byte counter lane at
 	// offset 4 overhangs map0's 8-byte value.
 	oobSeed := []ebpf.Insn{
@@ -268,6 +289,22 @@ func FuzzVerifyProgram(f *testing.F) {
 		ebpf.Exit(),
 	)
 	f.Add(insnsToBytes(oobSeed))
+	// Near miss the verifier must reject: offset 4 lies inside map3's
+	// 16-byte value but is not an 8-aligned lane.
+	misalignedSeed := []ebpf.Insn{
+		ebpf.StoreImm(ebpf.R10, -4, 3, ebpf.SizeW),
+	}
+	wideFD := ebpf.LoadMapFD(ebpf.R1, 3)
+	misalignedSeed = append(misalignedSeed, wideFD[:]...)
+	misalignedSeed = append(misalignedSeed,
+		ebpf.Mov64Reg(ebpf.R2, ebpf.R10),
+		ebpf.ALU64Imm(ebpf.ALUAdd, ebpf.R2, -4),
+		ebpf.Mov64Imm(ebpf.R3, 1),
+		ebpf.Mov64Imm(ebpf.R4, 4),
+		ebpf.Call(ebpf.HelperMapIncElem),
+		ebpf.Exit(),
+	)
+	f.Add(insnsToBytes(misalignedSeed))
 	f.Add(insnsToBytes([]ebpf.Insn{ // ctx load + ALU + helper call
 		ebpf.LoadMem(ebpf.R1, ebpf.R1, 0, ebpf.SizeW),
 		ebpf.Mov64Reg(ebpf.R0, ebpf.R1),

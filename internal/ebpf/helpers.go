@@ -32,9 +32,10 @@ const (
 	// their ids sit far outside the kernel's helper range.
 
 	// HelperMapIncElem: r1=map, r2=key ptr, r3=delta, r4=byte offset into
-	// the value (must be a known constant). Atomically adds delta to the
-	// little-endian u64 at value[off], creating a zeroed entry in hash
-	// maps when absent — the bpf_map_inc-style fetch-add that replaces the
+	// the value (a known constant, a multiple of 8, with off+8 inside the
+	// value — the verifier rejects any other lane, as the kernel does for
+	// BPF atomics). Atomically adds delta to the little-endian u64 at
+	// value[off], creating a zeroed entry in hash maps when absent — the bpf_map_inc-style fetch-add that replaces the
 	// lookup/add/update round trip in aggregating trace scripts. Returns 0
 	// on success, -1 on failure.
 	HelperMapIncElem HelperID = 200

@@ -133,18 +133,6 @@ func initVM(m *vm, maps []Map, ctx []byte, env Env) {
 	m.ctx = ctx
 	m.regs[R1] = m.ptr(1, 0) // ctx pointer
 	m.regs[R10] = m.ptr(0, StackSize)
-
-	// Bind per-CPU maps to the executing CPU. The CPU id is only fetched
-	// when a per-CPU map is actually present.
-	cpu := -1
-	for _, mp := range maps {
-		if pc, ok := mp.(*PerCPUArray); ok {
-			if cpu < 0 {
-				cpu = int(env.SMPProcessorID())
-			}
-			pc.SetCurrentCPU(cpu)
-		}
-	}
 }
 
 // resetVM drops references that would pin caller memory across reuse.
@@ -396,7 +384,13 @@ func (m *vm) call(id HelperID) error {
 		if err != nil {
 			return err
 		}
-		val, ok := mp.Lookup(key)
+		var val []byte
+		var ok bool
+		if pc, isPC := mp.(*PerCPUArray); isPC {
+			val, ok = pc.lookupOn(key, int(m.env.SMPProcessorID()))
+		} else {
+			val, ok = mp.Lookup(key)
+		}
 		if !ok {
 			m.regs[R0] = 0
 			break
@@ -416,7 +410,12 @@ func (m *vm) call(id HelperID) error {
 		if err != nil {
 			return err
 		}
-		if err := mp.Update(key, val, m.regs[R4]); err != nil {
+		if pc, isPC := mp.(*PerCPUArray); isPC {
+			err = pc.updateOn(key, val, m.regs[R4], int(m.env.SMPProcessorID()))
+		} else {
+			err = mp.Update(key, val, m.regs[R4])
+		}
+		if err != nil {
 			m.regs[R0] = ^uint64(0)
 		} else {
 			m.regs[R0] = 0

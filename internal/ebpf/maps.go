@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 )
 
 // MapType enumerates the supported eBPF map types.
@@ -54,6 +57,8 @@ var (
 // exactly as writes through a value pointer do in the kernel. All map
 // operations are safe for concurrent use, since trace programs on different
 // simulated CPUs and the userspace agent may touch a map concurrently.
+// Lookup and Update are the userspace calls: on a per-CPU array they
+// address CPU 0's slot, while programs address the executing CPU's.
 type Map interface {
 	Type() MapType
 	KeySize() int
@@ -63,19 +68,33 @@ type Map interface {
 	Update(key, value []byte, flags uint64) error
 	Delete(key []byte) error
 	// ForEach iterates over a snapshot of entries. The callback receives
-	// copies; mutating them does not affect the map.
+	// copies; mutating them does not affect the map. A per-CPU array
+	// passes every CPU's slot of an entry in one value, in CPU order, as
+	// the kernel's userspace lookup on a per-CPU map does.
 	ForEach(fn func(key, value []byte))
 	// Len returns the number of live entries.
 	Len() int
 }
 
-// HashMap is a fixed-capacity hash map keyed by opaque bytes.
+// HashMap is a fixed-capacity hash map keyed by opaque bytes. Each key's
+// storage is allocated once and outlives a Drain, which parks the entry
+// rather than deleting it; the key's next Inc or Update revives it in
+// place, so a steady set of flows aggregates without allocating.
 type HashMap struct {
 	mu         sync.Mutex
 	keySize    int
 	valueSize  int
 	maxEntries int
-	entries    map[string][]byte
+	index      map[string]*hashEntry // live and parked entries
+	live       int
+}
+
+// hashEntry is one key's storage: key and value share one buffer. A
+// parked entry (live false) was drained and is absent to every reader
+// until a write revives it.
+type hashEntry struct {
+	key, val []byte
+	live     bool
 }
 
 var _ Map = (*HashMap)(nil)
@@ -91,7 +110,7 @@ func NewHashMap(keySize, valueSize, maxEntries int) (*HashMap, error) {
 		keySize:    keySize,
 		valueSize:  valueSize,
 		maxEntries: maxEntries,
-		entries:    make(map[string][]byte, maxEntries),
+		index:      make(map[string]*hashEntry, maxEntries),
 	}, nil
 }
 
@@ -111,7 +130,46 @@ func (m *HashMap) MaxEntries() int { return m.maxEntries }
 func (m *HashMap) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.entries)
+	return m.live
+}
+
+// find returns key's entry when it is live. The caller holds mu.
+func (m *HashMap) find(key []byte) *hashEntry {
+	if e := m.index[string(key)]; e != nil && e.live {
+		return e
+	}
+	return nil
+}
+
+// insert makes an absent key live with a zeroed value. A parked entry of
+// the same key is revived; otherwise the key gets a fresh buffer, never
+// one another key used, so a program still holding an old
+// map_lookup_elem pointer cannot write into another flow's value. When
+// the index is at capacity the parked entries are evicted first; insert
+// returns nil when maxEntries keys are live. The caller holds mu.
+func (m *HashMap) insert(key []byte) *hashEntry {
+	e := m.index[string(key)]
+	if e == nil {
+		if len(m.index) >= m.maxEntries {
+			for k, p := range m.index {
+				if !p.live {
+					delete(m.index, k)
+				}
+			}
+			if len(m.index) >= m.maxEntries {
+				return nil
+			}
+		}
+		kv := make([]byte, m.keySize+m.valueSize)
+		copy(kv, key)
+		e = &hashEntry{key: kv[:m.keySize:m.keySize], val: kv[m.keySize:]}
+		m.index[string(key)] = e
+	} else {
+		clear(e.val)
+	}
+	e.live = true
+	m.live++
+	return e
 }
 
 // Lookup implements Map.
@@ -121,8 +179,10 @@ func (m *HashMap) Lookup(key []byte) ([]byte, bool) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	v, ok := m.entries[string(key)]
-	return v, ok
+	if e := m.find(key); e != nil {
+		return e.val, true
+	}
+	return nil, false
 }
 
 // Update implements Map.
@@ -138,28 +198,19 @@ func (m *HashMap) Update(key, value []byte, flags uint64) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k := string(key)
-	existing, ok := m.entries[k]
-	switch flags {
-	case UpdateNoExist:
-		if ok {
-			return ErrEntryExist
+	e := m.find(key)
+	switch {
+	case flags == UpdateNoExist && e != nil:
+		return ErrEntryExist
+	case flags == UpdateExist && e == nil:
+		return ErrNoEntry
+	}
+	if e == nil {
+		if e = m.insert(key); e == nil {
+			return ErrMapFull
 		}
-	case UpdateExist:
-		if !ok {
-			return ErrNoEntry
-		}
 	}
-	if ok {
-		copy(existing, value)
-		return nil
-	}
-	if len(m.entries) >= m.maxEntries {
-		return ErrMapFull
-	}
-	buf := make([]byte, m.valueSize)
-	copy(buf, value)
-	m.entries[k] = buf
+	copy(e.val, value)
 	return nil
 }
 
@@ -170,75 +221,166 @@ func (m *HashMap) Delete(key []byte) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k := string(key)
-	if _, ok := m.entries[k]; !ok {
+	if m.find(key) == nil {
 		return ErrNoEntry
 	}
-	delete(m.entries, k)
+	delete(m.index, string(key))
+	m.live--
 	return nil
 }
 
 // ForEach implements Map.
 func (m *HashMap) ForEach(fn func(key, value []byte)) {
+	w := m.keySize + m.valueSize
 	m.mu.Lock()
-	snapshot := make(map[string][]byte, len(m.entries))
-	for k, v := range m.entries {
-		c := make([]byte, len(v))
-		copy(c, v)
-		snapshot[k] = c
+	snapshot := make([]byte, 0, m.live*w)
+	for _, e := range m.index {
+		if e.live {
+			snapshot = append(append(snapshot, e.key...), e.val...)
+		}
 	}
 	m.mu.Unlock()
-	for k, v := range snapshot {
-		fn([]byte(k), v)
+	for o := 0; o < len(snapshot); o += w {
+		fn(snapshot[o:o+m.keySize:o+m.keySize], snapshot[o+m.keySize:o+w:o+w])
 	}
 }
 
-// Inc atomically adds delta to the little-endian u64 at value[off] for
-// key, creating a zeroed entry when the key is absent — the map_inc_elem
-// aggregation fast path: one lock round trip instead of a lookup/update
-// pair, and no allocation once the entry exists. It reports whether the
-// add was applied; a wrong key size, an offset overrunning the value, or
-// a full map leave the map untouched.
+// Inc adds delta to the little-endian u64 at value[off] for key, creating
+// a zeroed entry when the key is absent — the map_inc_elem aggregation
+// fast path: one lock round trip instead of a lookup/update pair, and no
+// allocation once the key has been seen, drains included. It reports
+// whether the add was applied; a wrong key size, an offset that is not an
+// 8-aligned lane inside the value, or a full map leave the map untouched.
 func (m *HashMap) Inc(key []byte, off int64, delta uint64) bool {
-	if len(key) != m.keySize || off < 0 || off+8 > int64(m.valueSize) {
+	if len(key) != m.keySize || !laneOK(off, m.valueSize) {
 		return false
 	}
 	m.mu.Lock()
-	v, ok := m.entries[string(key)]
-	if !ok {
-		if len(m.entries) >= m.maxEntries {
+	e := m.find(key)
+	if e == nil {
+		if e = m.insert(key); e == nil {
 			m.mu.Unlock()
 			return false
 		}
-		v = make([]byte, m.valueSize)
-		m.entries[string(key)] = v
 	}
-	binary.LittleEndian.PutUint64(v[off:], binary.LittleEndian.Uint64(v[off:])+delta)
+	binary.LittleEndian.PutUint64(e.val[off:], binary.LittleEndian.Uint64(e.val[off:])+delta)
 	m.mu.Unlock()
 	return true
 }
 
-// Drain removes every entry and hands each (key, value) pair to fn.
-// Entry ownership transfers out in one critical section, so a count
-// accumulated concurrently lands either in this drain or in the map
-// afterwards — never lost, never double-counted. The agent's aggregate
-// flush loop uses this as its snapshot-and-reset primitive.
+// Drain hands each live (key, value) pair to fn and parks the entry, all
+// in one critical section, so a count accumulated concurrently lands
+// either in this drain or in the map afterwards — never lost, never
+// double-counted. fn runs under the map's lock and receives views of the
+// map's own buffers: it must copy what it keeps and must not call back
+// into the map. The agent's aggregate flush loop uses this as its
+// snapshot-and-reset primitive.
 func (m *HashMap) Drain(fn func(key, value []byte)) {
 	m.mu.Lock()
-	stolen := m.entries
-	m.entries = make(map[string][]byte, len(stolen))
-	m.mu.Unlock()
-	for k, v := range stolen {
-		fn([]byte(k), v)
+	for _, e := range m.index {
+		if e.live {
+			fn(e.key, e.val)
+			e.live = false
+		}
 	}
+	m.live = 0
+	m.mu.Unlock()
+}
+
+// laneOK reports whether [off, off+8) is an 8-aligned u64 lane inside a
+// value of valueSize bytes — the verifier's map_inc_elem rule.
+func laneOK(off int64, valueSize int) bool {
+	return off >= 0 && off%8 == 0 && off+8 <= int64(valueSize)
+}
+
+// slab is the storage of both array map types: value slots back to back
+// in one []uint64, each a whole number of words, so every slot starts
+// 8-byte aligned and every aligned lane is one word that the aggregation
+// helpers update with a single atomic add — no lock.
+type slab struct {
+	valueSize int
+	stride    int // words per slot
+	words     []uint64
+	// bytes views words as the value memory programs see. Lanes are
+	// little-endian u64s, so the view matches the map's byte layout only
+	// on a little-endian host (TestSlabViewIsLittleEndian pins it).
+	bytes []byte
+}
+
+func newSlab(valueSize, slots int) slab {
+	stride := (valueSize + 7) / 8
+	words := make([]uint64, slots*stride)
+	return slab{
+		valueSize: valueSize,
+		stride:    stride,
+		words:     words,
+		bytes:     unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(words)*8),
+	}
+}
+
+// view returns slot i's value bytes, aliasing the slab.
+func (s *slab) view(i int) []byte {
+	o := i * s.stride * 8
+	return s.bytes[o : o+s.valueSize : o+s.valueSize]
+}
+
+// add adds delta to the lane at byte offset off of slot i.
+func (s *slab) add(i int, off int64, delta uint64) bool {
+	if !laneOK(off, s.valueSize) {
+		return false
+	}
+	atomic.AddUint64(&s.words[i*s.stride+int(off/8)], delta)
+	return true
+}
+
+// store writes value over slot i, one atomic store per word.
+func (s *slab) store(i int, value []byte) {
+	for w := 0; w < s.stride; w++ {
+		var b [8]byte
+		copy(b[:], value[w*8:])
+		atomic.StoreUint64(&s.words[i*s.stride+w], binary.LittleEndian.Uint64(b[:]))
+	}
+}
+
+// load copies slot i into dst, one atomic load per word.
+func (s *slab) load(dst []byte, i int) {
+	dst = dst[:s.valueSize]
+	for w := 0; w < s.stride; w++ {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], atomic.LoadUint64(&s.words[i*s.stride+w]))
+		copy(dst[w*8:], b[:])
+	}
+}
+
+// drain zeroes slot i word by word with atomic swaps and returns its
+// leading word, so every add lands in exactly one drain.
+func (s *slab) drain(i int) uint64 {
+	first := atomic.SwapUint64(&s.words[i*s.stride], 0)
+	for w := 1; w < s.stride; w++ {
+		atomic.StoreUint64(&s.words[i*s.stride+w], 0)
+	}
+	return first
+}
+
+// arrayIndex decodes an array map's 4-byte little-endian key.
+func arrayIndex(key []byte, n int) (int, bool) {
+	if len(key) != 4 {
+		return 0, false
+	}
+	idx := int(binary.LittleEndian.Uint32(key))
+	return idx, idx >= 0 && idx < n
+}
+
+// arrayKey encodes slot i as an array map key.
+func arrayKey(i int) []byte {
+	return binary.LittleEndian.AppendUint32(nil, uint32(i))
 }
 
 // ArrayMap is a fixed-size array of values indexed by a 4-byte
 // little-endian key. All slots exist from creation, as in the kernel.
 type ArrayMap struct {
-	mu        sync.Mutex
-	valueSize int
-	values    [][]byte
+	vals slab
+	n    int
 }
 
 var _ Map = (*ArrayMap)(nil)
@@ -248,11 +390,7 @@ func NewArrayMap(valueSize, maxEntries int) (*ArrayMap, error) {
 	if valueSize <= 0 || maxEntries <= 0 {
 		return nil, fmt.Errorf("ebpf: invalid array map geometry value=%d max=%d", valueSize, maxEntries)
 	}
-	values := make([][]byte, maxEntries)
-	for i := range values {
-		values[i] = make([]byte, valueSize)
-	}
-	return &ArrayMap{valueSize: valueSize, values: values}, nil
+	return &ArrayMap{vals: newSlab(valueSize, maxEntries), n: maxEntries}, nil
 }
 
 // Type implements Map.
@@ -262,24 +400,15 @@ func (m *ArrayMap) Type() MapType { return MapTypeArray }
 func (m *ArrayMap) KeySize() int { return 4 }
 
 // ValueSize implements Map.
-func (m *ArrayMap) ValueSize() int { return m.valueSize }
+func (m *ArrayMap) ValueSize() int { return m.vals.valueSize }
 
 // MaxEntries implements Map.
-func (m *ArrayMap) MaxEntries() int { return len(m.values) }
+func (m *ArrayMap) MaxEntries() int { return m.n }
 
 // Len implements Map. Every slot of an array map is always live.
-func (m *ArrayMap) Len() int { return len(m.values) }
+func (m *ArrayMap) Len() int { return m.n }
 
-func (m *ArrayMap) index(key []byte) (int, bool) {
-	if len(key) != 4 {
-		return 0, false
-	}
-	idx := int(uint32(key[0]) | uint32(key[1])<<8 | uint32(key[2])<<16 | uint32(key[3])<<24)
-	if idx < 0 || idx >= len(m.values) {
-		return 0, false
-	}
-	return idx, true
-}
+func (m *ArrayMap) index(key []byte) (int, bool) { return arrayIndex(key, m.n) }
 
 // Lookup implements Map.
 func (m *ArrayMap) Lookup(key []byte) ([]byte, bool) {
@@ -287,15 +416,13 @@ func (m *ArrayMap) Lookup(key []byte) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.values[idx], true
+	return m.vals.view(idx), true
 }
 
 // Update implements Map.
 func (m *ArrayMap) Update(key, value []byte, flags uint64) error {
-	if len(value) != m.valueSize {
-		return fmt.Errorf("%w: got %d want %d", ErrValueSize, len(value), m.valueSize)
+	if len(value) != m.vals.valueSize {
+		return fmt.Errorf("%w: got %d want %d", ErrValueSize, len(value), m.vals.valueSize)
 	}
 	if flags == UpdateNoExist {
 		// Array entries always exist.
@@ -308,9 +435,7 @@ func (m *ArrayMap) Update(key, value []byte, flags uint64) error {
 	if !ok {
 		return ErrOutOfRange
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	copy(m.values[idx], value)
+	m.vals.store(idx, value)
 	return nil
 }
 
@@ -322,72 +447,54 @@ func (m *ArrayMap) Delete(key []byte) error {
 	return errors.New("ebpf: array map entries cannot be deleted")
 }
 
-// IncSlot adds delta to the little-endian u64 at value[off] of slot idx:
-// the map_inc_elem fast path for counter and histogram arrays, skipping
-// the key decode that Lookup/Update pay.
+// IncSlot atomically adds delta to the little-endian u64 at value[off] of
+// slot idx: the map_inc_elem fast path for counter and histogram arrays,
+// skipping the key decode that Lookup/Update pay. off must be an 8-aligned
+// lane inside the value.
 func (m *ArrayMap) IncSlot(idx int, off int64, delta uint64) bool {
-	if idx < 0 || idx >= len(m.values) || off < 0 || off+8 > int64(m.valueSize) {
+	if idx < 0 || idx >= m.n {
 		return false
 	}
-	m.mu.Lock()
-	v := m.values[idx]
-	binary.LittleEndian.PutUint64(v[off:], binary.LittleEndian.Uint64(v[off:])+delta)
-	m.mu.Unlock()
-	return true
+	return m.vals.add(idx, off, delta)
 }
 
 // DrainU64 appends the leading u64 of every slot to dst and zeroes the
-// slot in the same critical section, so concurrent increments land
-// either in this drain or the next — the agent's snapshot-and-reset for
-// counter and histogram arrays. Maps with values narrower than 8 bytes
-// are returned unchanged.
+// slot with atomic swaps, so concurrent increments land either in this
+// drain or the next — the agent's snapshot-and-reset for counter and
+// histogram arrays. Maps with values narrower than 8 bytes are returned
+// unchanged.
 func (m *ArrayMap) DrainU64(dst []uint64) []uint64 {
-	if m.valueSize < 8 {
+	if m.vals.valueSize < 8 {
 		return dst
 	}
-	m.mu.Lock()
-	for _, v := range m.values {
-		dst = append(dst, binary.LittleEndian.Uint64(v))
-		for i := range v {
-			v[i] = 0
-		}
+	dst = slices.Grow(dst, m.n)
+	for i := 0; i < m.n; i++ {
+		dst = append(dst, m.vals.drain(i))
 	}
-	m.mu.Unlock()
 	return dst
 }
 
 // ForEach implements Map.
 func (m *ArrayMap) ForEach(fn func(key, value []byte)) {
-	m.mu.Lock()
-	snapshot := make([][]byte, len(m.values))
-	for i, v := range m.values {
-		c := make([]byte, len(v))
-		copy(c, v)
-		snapshot[i] = c
+	vs := m.vals.valueSize
+	snapshot := make([]byte, m.n*vs)
+	for i := 0; i < m.n; i++ {
+		m.vals.load(snapshot[i*vs:], i)
 	}
-	m.mu.Unlock()
-	for i, v := range snapshot {
-		key := []byte{byte(i), byte(i >> 8), byte(i >> 16), byte(i >> 24)}
-		fn(key, v)
+	for i := 0; i < m.n; i++ {
+		fn(arrayKey(i), snapshot[i*vs:(i+1)*vs:(i+1)*vs])
 	}
 }
 
 // PerCPUArray stores one value slot per (index, cpu) pair. Programs access
-// the slot for the CPU they execute on; userspace reads all CPUs' slots.
-// Slot contents are guarded per CPU: operations that know their CPU
-// (IncSlotCPU, LookupCPU, drains) take only that CPU's lock, so probe
-// invocations on different simulated CPUs never contend with each other.
+// the slot of the CPU they execute on; userspace reads all CPUs' slots.
+// Slots live in one slab (entry idx, CPU c at slot idx*numCPU+c) and
+// every lane update is one atomic add, so probe invocations on different
+// simulated CPUs never contend and no run can see another CPU's slot.
 type PerCPUArray struct {
-	// mu guards cur; slot contents for CPU c are guarded by locks[c].
-	mu        sync.Mutex
-	valueSize int
-	numCPU    int
-	// values[idx][cpu]
-	values [][][]byte
-	locks  []sync.Mutex
-	// cur selects the CPU whose slot Lookup returns; the interpreter sets
-	// it to the executing CPU before each run.
-	cur int
+	vals   slab
+	n      int
+	numCPU int
 }
 
 var _ Map = (*PerCPUArray)(nil)
@@ -399,19 +506,7 @@ func NewPerCPUArray(valueSize, maxEntries, numCPU int) (*PerCPUArray, error) {
 		return nil, fmt.Errorf("ebpf: invalid percpu array geometry value=%d max=%d cpus=%d",
 			valueSize, maxEntries, numCPU)
 	}
-	values := make([][][]byte, maxEntries)
-	for i := range values {
-		values[i] = make([][]byte, numCPU)
-		for c := range values[i] {
-			values[i][c] = make([]byte, valueSize)
-		}
-	}
-	return &PerCPUArray{
-		valueSize: valueSize,
-		numCPU:    numCPU,
-		values:    values,
-		locks:     make([]sync.Mutex, numCPU),
-	}, nil
+	return &PerCPUArray{vals: newSlab(valueSize, maxEntries*numCPU), n: maxEntries, numCPU: numCPU}, nil
 }
 
 // Type implements Map.
@@ -421,67 +516,65 @@ func (m *PerCPUArray) Type() MapType { return MapTypePerCPUArray }
 func (m *PerCPUArray) KeySize() int { return 4 }
 
 // ValueSize implements Map.
-func (m *PerCPUArray) ValueSize() int { return m.valueSize }
+func (m *PerCPUArray) ValueSize() int { return m.vals.valueSize }
 
 // MaxEntries implements Map.
-func (m *PerCPUArray) MaxEntries() int { return len(m.values) }
+func (m *PerCPUArray) MaxEntries() int { return m.n }
 
 // Len implements Map.
-func (m *PerCPUArray) Len() int { return len(m.values) }
+func (m *PerCPUArray) Len() int { return m.n }
 
 // NumCPU returns the number of per-entry CPU slots.
 func (m *PerCPUArray) NumCPU() int { return m.numCPU }
 
-// SetCurrentCPU selects which CPU's slot subsequent Lookup calls return.
-// The interpreter calls this with the executing CPU id.
-func (m *PerCPUArray) SetCurrentCPU(cpu int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if cpu >= 0 && cpu < m.numCPU {
-		m.cur = cpu
+func (m *PerCPUArray) index(key []byte) (int, bool) { return arrayIndex(key, m.n) }
+
+// slot returns the slab slot of entry idx on cpu. Out-of-range CPUs wrap,
+// matching the per-CPU ring-buffer convention.
+func (m *PerCPUArray) slot(idx, cpu int) int {
+	if cpu < 0 || cpu >= m.numCPU {
+		cpu %= m.numCPU
+		if cpu < 0 {
+			cpu += m.numCPU
+		}
 	}
+	return idx*m.numCPU + cpu
 }
 
-func (m *PerCPUArray) index(key []byte) (int, bool) {
-	if len(key) != 4 {
-		return 0, false
-	}
-	idx := int(uint32(key[0]) | uint32(key[1])<<8 | uint32(key[2])<<16 | uint32(key[3])<<24)
-	if idx < 0 || idx >= len(m.values) {
-		return 0, false
-	}
-	return idx, true
-}
+// Lookup implements Map, returning CPU 0's slot.
+func (m *PerCPUArray) Lookup(key []byte) ([]byte, bool) { return m.lookupOn(key, 0) }
 
-// Lookup implements Map, returning the current CPU's slot.
-func (m *PerCPUArray) Lookup(key []byte) ([]byte, bool) {
+// lookupOn is map_lookup_elem from a program running on cpu: that CPU's
+// slot, aliasing the map.
+func (m *PerCPUArray) lookupOn(key []byte, cpu int) ([]byte, bool) {
 	idx, ok := m.index(key)
 	if !ok {
 		return nil, false
 	}
-	m.mu.Lock()
-	cur := m.cur
-	m.mu.Unlock()
-	return m.values[idx][cur], true
+	return m.vals.view(m.slot(idx, cpu)), true
 }
 
-// LookupCPU returns the slot for a specific CPU; used by userspace readers.
+// LookupCPU returns a copy of the slot for a specific CPU; used by
+// userspace readers.
 func (m *PerCPUArray) LookupCPU(key []byte, cpu int) ([]byte, bool) {
 	idx, ok := m.index(key)
 	if !ok || cpu < 0 || cpu >= m.numCPU {
 		return nil, false
 	}
-	m.locks[cpu].Lock()
-	defer m.locks[cpu].Unlock()
-	out := make([]byte, m.valueSize)
-	copy(out, m.values[idx][cpu])
+	out := make([]byte, m.vals.valueSize)
+	m.vals.load(out, m.slot(idx, cpu))
 	return out, true
 }
 
-// Update implements Map, writing the current CPU's slot.
+// Update implements Map, writing CPU 0's slot.
 func (m *PerCPUArray) Update(key, value []byte, flags uint64) error {
-	if len(value) != m.valueSize {
-		return fmt.Errorf("%w: got %d want %d", ErrValueSize, len(value), m.valueSize)
+	return m.updateOn(key, value, flags, 0)
+}
+
+// updateOn is map_update_elem from a program running on cpu.
+func (m *PerCPUArray) updateOn(key, value []byte, flags uint64, cpu int) error {
+	if len(value) != m.vals.valueSize {
+		return fmt.Errorf("%w: got %d want %d", ErrValueSize, len(value), m.vals.valueSize)
 	}
 	if flags == UpdateNoExist {
 		return ErrEntryExist
@@ -493,54 +586,32 @@ func (m *PerCPUArray) Update(key, value []byte, flags uint64) error {
 	if !ok {
 		return ErrOutOfRange
 	}
-	m.mu.Lock()
-	cur := m.cur
-	m.mu.Unlock()
-	m.locks[cur].Lock()
-	defer m.locks[cur].Unlock()
-	copy(m.values[idx][cur], value)
+	m.vals.store(m.slot(idx, cpu), value)
 	return nil
 }
 
-// IncSlotCPU adds delta to the little-endian u64 at value[off] of slot
-// idx on the given CPU — the map_inc_elem fast path for per-CPU maps.
-// Only the target CPU's lock is taken, so concurrent probe invocations
-// on different simulated CPUs proceed without contention. Out-of-range
-// CPUs wrap, matching the per-CPU ring-buffer convention.
+// IncSlotCPU atomically adds delta to the little-endian u64 at value[off]
+// of slot idx on the given CPU — the map_inc_elem fast path for per-CPU
+// maps. off must be an 8-aligned lane inside the value; out-of-range CPUs
+// wrap.
 func (m *PerCPUArray) IncSlotCPU(idx, cpu int, off int64, delta uint64) bool {
-	if idx < 0 || idx >= len(m.values) || off < 0 || off+8 > int64(m.valueSize) {
+	if idx < 0 || idx >= m.n {
 		return false
 	}
-	if cpu < 0 || cpu >= m.numCPU {
-		cpu %= m.numCPU
-		if cpu < 0 {
-			cpu += m.numCPU
-		}
-	}
-	l := &m.locks[cpu]
-	l.Lock()
-	v := m.values[idx][cpu]
-	binary.LittleEndian.PutUint64(v[off:], binary.LittleEndian.Uint64(v[off:])+delta)
-	l.Unlock()
-	return true
+	return m.vals.add(m.slot(idx, cpu), off, delta)
 }
 
 // DrainU64CPUs appends the leading u64 of slot idx for every CPU to dst,
-// zeroing each in its own critical section — the agent's
-// snapshot-and-reset for per-CPU counters. Values narrower than 8 bytes
-// or an out-of-range idx return dst unchanged.
+// zeroing each with atomic swaps — the agent's snapshot-and-reset for
+// per-CPU counters. Values narrower than 8 bytes or an out-of-range idx
+// return dst unchanged.
 func (m *PerCPUArray) DrainU64CPUs(idx int, dst []uint64) []uint64 {
-	if idx < 0 || idx >= len(m.values) || m.valueSize < 8 {
+	if idx < 0 || idx >= m.n || m.vals.valueSize < 8 {
 		return dst
 	}
+	dst = slices.Grow(dst, m.numCPU)
 	for c := 0; c < m.numCPU; c++ {
-		m.locks[c].Lock()
-		v := m.values[idx][c]
-		dst = append(dst, binary.LittleEndian.Uint64(v))
-		for i := range v {
-			v[i] = 0
-		}
-		m.locks[c].Unlock()
+		dst = append(dst, m.vals.drain(m.slot(idx, c)))
 	}
 	return dst
 }
@@ -553,21 +624,16 @@ func (m *PerCPUArray) Delete(key []byte) error {
 	return errors.New("ebpf: percpu array entries cannot be deleted")
 }
 
-// ForEach implements Map, visiting the current CPU's slots.
+// ForEach implements Map: each entry's value is every CPU's slot, in CPU
+// order.
 func (m *PerCPUArray) ForEach(fn func(key, value []byte)) {
-	m.mu.Lock()
-	cur := m.cur
-	m.mu.Unlock()
-	m.locks[cur].Lock()
-	snapshot := make([][]byte, len(m.values))
-	for i := range m.values {
-		c := make([]byte, m.valueSize)
-		copy(c, m.values[i][cur])
-		snapshot[i] = c
+	vs := m.vals.valueSize
+	w := m.numCPU * vs
+	snapshot := make([]byte, m.n*w)
+	for i := 0; i < m.n*m.numCPU; i++ {
+		m.vals.load(snapshot[i*vs:], i)
 	}
-	m.locks[cur].Unlock()
-	for i, v := range snapshot {
-		key := []byte{byte(i), byte(i >> 8), byte(i >> 16), byte(i >> 24)}
-		fn(key, v)
+	for i := 0; i < m.n; i++ {
+		fn(arrayKey(i), snapshot[i*w:(i+1)*w:(i+1)*w])
 	}
 }

@@ -727,7 +727,9 @@ func (v *verifier) checkCall(st *vState, in Insn) error {
 
 // checkHelperGeometry applies helper-specific constraints the generic
 // argument kinds cannot express: the aggregation helpers address a fixed
-// 8-byte lane inside map values, so the lane must fit.
+// 8-byte lane inside map values, so the lane must fit, and — as for the
+// kernel's BPF atomics — it must be 8-byte aligned, one word of the map's
+// storage an atomic add can target.
 func (v *verifier) checkHelperGeometry(st *vState, id HelperID, mapIdx int) error {
 	switch id {
 	case HelperMapIncElem:
@@ -739,6 +741,10 @@ func (v *verifier) checkHelperGeometry(st *vState, id HelperID, mapIdx int) erro
 		if off < 0 || off+8 > vs {
 			return fmt.Errorf("%w: map_inc_elem counter [%d:%d) outside value of %d bytes",
 				ErrBadHelperArg, off, off+8, vs)
+		}
+		if off%8 != 0 {
+			return fmt.Errorf("%w: map_inc_elem counter at offset %d is not 8-byte aligned",
+				ErrBadHelperArg, off)
 		}
 	case HelperHistObserve:
 		if mapIdx < 0 {

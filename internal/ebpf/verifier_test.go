@@ -269,6 +269,34 @@ func TestVerifyRejectsHelperArgTypeMismatch(t *testing.T) {
 	rejects(t, insns, []Map{m}, ErrBadHelperArg)
 }
 
+// A map_inc_elem lane must be 8-byte aligned, as the kernel requires of
+// BPF atomics: offset 4 of a 16-byte value lies inside the value but
+// straddles two words; offset 8 is the value's second lane.
+func TestVerifyRejectsMisalignedIncLane(t *testing.T) {
+	m, err := NewHashMap(4, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc := func(off int32) []Insn {
+		pair := LoadMapFD(R1, 0)
+		return []Insn{
+			StoreImm(R10, -4, 1, SizeW),
+			pair[0], pair[1],
+			Mov64Reg(R2, R10),
+			ALU64Imm(ALUAdd, R2, -4),
+			Mov64Imm(R3, 1),
+			Mov64Imm(R4, off),
+			Call(HelperMapIncElem),
+			Mov64Imm(R0, 0),
+			Exit(),
+		}
+	}
+	rejects(t, inc(4), []Map{m}, ErrBadHelperArg)
+	if err := Verify(inc(8), []Map{m}, 64); err != nil {
+		t.Fatalf("aligned lane at offset 8 rejected: %v", err)
+	}
+}
+
 func TestVerifyRejectsUninitializedHelperKey(t *testing.T) {
 	m, err := NewHashMap(4, 8, 4)
 	if err != nil {

@@ -7,9 +7,10 @@
 package script
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"vnettracer/internal/core"
 	"vnettracer/internal/ebpf"
@@ -456,8 +457,9 @@ func (c *Compiled) HasAggregates() bool {
 
 // DrainAggregates atomically snapshots and resets every aggregation map.
 // Counts observed by concurrent probe invocations land in exactly one
-// snapshot (the map drain primitives transfer ownership under their
-// locks), so periodic drains never lose or double-count.
+// snapshot (array lanes are swapped to zero atomically, flow entries are
+// parked under the hash map's lock), so periodic drains never lose or
+// double-count.
 func (c *Compiled) DrainAggregates() AggSnapshot {
 	var s AggSnapshot
 	if c.Counters != nil {
@@ -470,6 +472,9 @@ func (c *Compiled) DrainAggregates() AggSnapshot {
 		s.Hist = c.Hist.DrainU64(nil)
 	}
 	if c.Flows != nil {
+		if n := c.Flows.Len(); n > 0 {
+			s.Flows = make([]FlowStat, 0, n)
+		}
 		c.Flows.Drain(func(k, v []byte) {
 			s.Flows = append(s.Flows, flowStatFromKV(k, v))
 		})
@@ -491,21 +496,20 @@ func flowStatFromKV(k, v []byte) FlowStat {
 }
 
 func sortFlows(fs []FlowStat) {
-	sort.Slice(fs, func(i, j int) bool {
-		a, b := &fs[i], &fs[j]
+	slices.SortFunc(fs, func(a, b FlowStat) int {
 		if a.SrcIP != b.SrcIP {
-			return a.SrcIP < b.SrcIP
+			return cmp.Compare(a.SrcIP, b.SrcIP)
 		}
 		if a.DstIP != b.DstIP {
-			return a.DstIP < b.DstIP
+			return cmp.Compare(a.DstIP, b.DstIP)
 		}
 		if a.SrcPort != b.SrcPort {
-			return a.SrcPort < b.SrcPort
+			return cmp.Compare(a.SrcPort, b.SrcPort)
 		}
 		if a.DstPort != b.DstPort {
-			return a.DstPort < b.DstPort
+			return cmp.Compare(a.DstPort, b.DstPort)
 		}
-		return a.Proto < b.Proto
+		return cmp.Compare(a.Proto, b.Proto)
 	})
 }
 

@@ -1,6 +1,7 @@
 package script
 
 import (
+	"runtime"
 	"testing"
 
 	"vnettracer/internal/core"
@@ -131,6 +132,69 @@ func TestRecordScriptFiringDoesNotAllocate(t *testing.T) {
 	}
 	if got := m.Ring.Used(); got != (firings+1)*core.RecordSize {
 		t.Fatalf("ring holds %d bytes, want %d records", got, firings+1)
+	}
+}
+
+// mallocs counts the heap allocations f makes, on one P so that no other
+// goroutine's allocations are counted.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// Once every flow has been seen, an aggregation interval — 256 flows
+// fired through the aggregation script, then one drain — allocates
+// nothing on the probe side (drained flow entries are revived in place)
+// and a constant few in DrainAggregates, whatever the flow count: one
+// slice per map (race-instrumented builds add one per array drain).
+func TestAggregateScriptFiringDoesNotAllocate(t *testing.T) {
+	_, m := testRig(t)
+	c, err := Compile(Spec{
+		Name:    "agg",
+		TPID:    9,
+		Filter:  Filter{Proto: vnet.ProtoUDP, DstPort: 9000},
+		Actions: []Action{ActionCount, ActionCPUHist, ActionHist, ActionFlowCount},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Attach(c.Prog, core.AttachPoint{Kind: core.AttachKProbe, Site: kernel.SiteUDPRecvmsg}, core.DefaultCostModel()); err != nil {
+		t.Fatal(err)
+	}
+	const flows = 256
+	pcs := make([]*kernel.ProbeCtx, flows)
+	for i := range pcs {
+		pcs[i] = &kernel.ProbeCtx{
+			Site: kernel.SiteUDPRecvmsg,
+			Pkt:  udpPkt(vnet.MustParseIPv4("10.0.0.1"), vnet.MustParseIPv4("10.0.0.2"), uint16(4000+i), 9000, 0, 56),
+		}
+	}
+	fire := func() {
+		for _, pc := range pcs {
+			m.Node.Probes.Fire(pc)
+		}
+	}
+	for interval := 1; interval <= 2; interval++ {
+		var snap AggSnapshot
+		probe := mallocs(fire)
+		drain := mallocs(func() { snap = c.DrainAggregates() })
+		if len(snap.Flows) != flows || snap.Counters[SlotPackets] != flows {
+			t.Fatalf("interval %d drained %d flows, %d packets; want %d of each",
+				interval, len(snap.Flows), snap.Counters[SlotPackets], flows)
+		}
+		if interval == 1 {
+			continue // the first interval creates the flow entries
+		}
+		if probe != 0 {
+			t.Errorf("interval %d: firing %d seen flows made %d allocations, want 0", interval, flows, probe)
+		}
+		if drain > 8 {
+			t.Errorf("interval %d: DrainAggregates of %d flows made %d allocations, want a constant <= 8", interval, flows, drain)
+		}
 	}
 }
 
