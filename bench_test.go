@@ -329,15 +329,16 @@ func BenchmarkEBPFInterpRecordScript(b *testing.B) {
 
 // BenchmarkEBPFCompiledRecordScript measures the compiled engine: basic
 // blocks compiled to specialized closure chains with verifier-fact bounds
-// elision and inlined helpers. This is what Program.Run executes on the
-// data path.
+// elision and inlined helpers, run through an ebpf.Runner as a probe
+// attachment runs it on the data path.
 func BenchmarkEBPFCompiledRecordScript(b *testing.B) {
 	prog, ctx := benchRecordSetup(b)
+	r := prog.NewRunner()
 	env := benchEnv{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := prog.Run(ctx, env); err != nil {
+		if _, _, err := r.Run(ctx, env); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -407,11 +408,12 @@ func BenchmarkEBPFCompiledAggScript(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := core.BuildCtx(nil, benchProbeCtx())
+	r := c.Prog.NewRunner()
 	env := benchEnv{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Prog.Run(ctx, env); err != nil {
+		if _, _, err := r.Run(ctx, env); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -437,7 +439,10 @@ func BenchmarkEBPFCompiledAggInterval(b *testing.B) {
 		cpus     = 4
 		interval = 4096
 	)
-	var progs [scripts]*script.Compiled
+	var (
+		progs   [scripts]*script.Compiled
+		runners [scripts]*ebpf.Runner
+	)
 	for i := range progs {
 		c, err := script.Compile(script.Spec{
 			Name:    fmt.Sprintf("bench-agg-%d", i),
@@ -449,7 +454,7 @@ func BenchmarkEBPFCompiledAggInterval(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		progs[i] = c
+		progs[i], runners[i] = c, c.Prog.NewRunner()
 	}
 	ctxs := make([][]byte, flows)
 	for i := range ctxs {
@@ -465,8 +470,7 @@ func BenchmarkEBPFCompiledAggInterval(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := progs[i%scripts]
-		if _, _, err := c.Prog.Run(ctxs[(i/scripts)%flows], envs[(i/(scripts*flows))%cpus]); err != nil {
+		if _, _, err := runners[i%scripts].Run(ctxs[(i/scripts)%flows], envs[(i/(scripts*flows))%cpus]); err != nil {
 			b.Fatal(err)
 		}
 		if i%interval == interval-1 {
@@ -499,11 +503,12 @@ func BenchmarkEBPFCompiledFilterMiss(b *testing.B) {
 		},
 	}
 	ctx := core.BuildCtx(nil, pc)
+	r := c.Prog.NewRunner()
 	env := benchEnv{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Prog.Run(ctx, env); err != nil {
+		if _, _, err := r.Run(ctx, env); err != nil {
 			b.Fatal(err)
 		}
 	}

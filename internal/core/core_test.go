@@ -274,6 +274,33 @@ func TestMachineAttachDeviceHook(t *testing.T) {
 	}
 }
 
+// A device-hook firing allocates nothing: the attachment resolves its
+// site name once, at attach time. The policer drops every packet, so
+// Receive does no work past the hooks.
+func TestMachineDeviceHookFiringDoesNotAllocate(t *testing.T) {
+	eng, m := newMachine(t)
+	dev := vnet.NewNetDev(eng, vnet.NetDevConfig{Name: "ens3", Ifindex: 3, Policer: vnet.NewTokenBucket(0, 0)})
+	if err := m.RegisterDevice(dev); err != nil {
+		t.Fatal(err)
+	}
+	h, err := m.Attach(loadMini(t), AttachPoint{Kind: AttachDevice, Device: "ens3", Dir: vnet.Ingress}, DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &vnet.Packet{IP: vnet.IPv4Header{Protocol: vnet.ProtoUDP}, UDP: &vnet.UDPHeader{}, TraceID: 5}
+	const firings = 1000
+	if allocs := testing.AllocsPerRun(firings, func() { dev.Receive(p) }); allocs != 0 {
+		t.Fatalf("device-hook firing allocates %.2f times", allocs)
+	}
+	// AllocsPerRun fires once more to warm up.
+	if got := h.Stats().Invocations; got != firings+1 {
+		t.Fatalf("invocations = %d, want %d", got, firings+1)
+	}
+	if got := m.Ring.Used(); got != (firings+1)*16 {
+		t.Fatalf("ring holds %d bytes, want %d", got, (firings+1)*16)
+	}
+}
+
 func TestMachineAttachUnknownDevice(t *testing.T) {
 	_, m := newMachine(t)
 	if _, err := m.Attach(loadMini(t), AttachPoint{Kind: AttachDevice, Device: "nope"}, DefaultCostModel()); err == nil {

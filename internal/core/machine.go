@@ -167,15 +167,16 @@ func (e *machineEnv) PerfEventOutput(data []byte) bool {
 func (e *machineEnv) TracePrintk(msg string) { e.m.printk = append(e.m.printk, msg) }
 
 // Attach binds a verified program at the attach point. Each firing builds
-// the context, interprets the program, routes its perf output to the ring
-// buffer, and charges the interpreter cost (per the cost model) to the
+// the context, runs the program, routes its perf output to the ring
+// buffer, and charges the execution cost (per the cost model) to the
 // packet's processing path.
 //
-// One attachment owns one context buffer, one helper environment and one
-// stats block, reused by every firing, so firings of the same attachment
-// must not overlap: the simulated kernel fires a node's probes from one
-// goroutine at a time. kernel.ProbeRegistry.Fire itself is safe from any
-// number of goroutines; it is this handler that is not.
+// One attachment owns one context buffer, one helper environment, one
+// ebpf.Runner and one stats block, reused by every firing, so firings of
+// the same attachment must not overlap: the simulated kernel fires a
+// node's probes from one goroutine at a time (-race builds check it in
+// the runner). kernel.ProbeRegistry.Fire itself is safe from any number
+// of goroutines; it is this handler that is not.
 func (m *Machine) Attach(prog *ebpf.Program, at AttachPoint, cm CostModel) (*AttachHandle, error) {
 	if prog == nil {
 		return nil, fmt.Errorf("core: machine %s: nil program", m.Node.Name)
@@ -187,11 +188,12 @@ func (m *Machine) Attach(prog *ebpf.Program, at AttachPoint, cm CostModel) (*Att
 	h := &AttachHandle{point: at}
 	env := &machineEnv{m: m}
 	scratch := make([]byte, CtxSize)
+	runner := prog.NewRunner()
 
 	runProg := func(pc *kernel.ProbeCtx) int64 {
 		env.cpu = uint32(pc.CPU)
 		ctx := BuildCtx(scratch, pc)
-		_, stats, err := prog.Run(ctx, env)
+		_, stats, err := runner.Run(ctx, env)
 		h.stats.Invocations++
 		h.stats.Insns += uint64(stats.Insns)
 		cost := cm.Cost(stats)
@@ -221,9 +223,10 @@ func (m *Machine) Attach(prog *ebpf.Program, at AttachPoint, cm CostModel) (*Att
 		if dir == 0 {
 			dir = vnet.Ingress
 		}
+		site := at.String()
 		h.detach = dev.AttachHook(dir, func(p *vnet.Packet, d vnet.Direction) int64 {
 			pc := kernel.ProbeCtx{
-				Site:       at.String(),
+				Site:       site,
 				Pkt:        p,
 				DevIfindex: dev.Ifindex(),
 				DevName:    dev.Name(),

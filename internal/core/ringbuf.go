@@ -229,7 +229,11 @@ func (p *PerCPURing) NumRings() int { return len(p.rings) }
 // Ring returns the ring for a CPU. Out-of-range CPUs wrap, so records
 // from a mis-sized topology are never silently lost.
 func (p *PerCPURing) Ring(cpu uint32) *RingBuffer {
-	return p.rings[int(cpu)%len(p.rings)]
+	n := uint32(len(p.rings))
+	if cpu < n {
+		return p.rings[cpu]
+	}
+	return p.rings[cpu%n]
 }
 
 // Emit writes data into the executing CPU's ring: the perf_event_output

@@ -3,7 +3,6 @@ package ebpf
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 )
 
 // The emitter turns the optimized IR into a single web of specialized Go
@@ -24,25 +23,17 @@ import (
 // return means the chain ran to an exit with the result in R0.
 type blockFn func(m *vm) error
 
-// optProg is a program compiled by the optimized tier: the entry block's
-// closure chain, which links through every reachable block. cache is a
-// single-slot vm reservoir in front of the shared vmPool — the common
-// case of one goroutine tracing packets back to back trades sync.Pool's
-// pin/unpin for one uncontended atomic swap per run.
-type optProg struct {
-	entry blockFn
-	cache atomic.Pointer[vm]
-}
-
 func wrapInsn(err error, pc int) error {
 	return fmt.Errorf("%w at insn %d", err, pc)
 }
 
-// emitProgram compiles an optimized irProg into one closure web. Blocks
-// are emitted from the last index backward so every terminator can
-// capture its successors' already-built chains; each block's chain starts
-// with a closure charging its bytecode instruction count to ExecStats.
-func emitProgram(p *irProg) (*optProg, error) {
+// emitProgram compiles an optimized irProg into one closure web and
+// returns the entry block's chain, which links through every reachable
+// block. Blocks are emitted from the last index backward so every
+// terminator can capture its successors' already-built chains; each
+// block's chain starts with a closure charging its bytecode instruction
+// count to ExecStats.
+func emitProgram(p *irProg) (blockFn, error) {
 	chains := make([]blockFn, len(p.blocks))
 	for i := len(p.blocks) - 1; i >= 0; i-- {
 		blk := &p.blocks[i]
@@ -56,7 +47,7 @@ func emitProgram(p *irProg) (*optProg, error) {
 			return inner(m)
 		}
 	}
-	return &optProg{entry: chains[0]}, nil
+	return chains[0], nil
 }
 
 func emitBlock(blk *irBlock, maps []Map, chains []blockFn) (blockFn, error) {
@@ -616,27 +607,15 @@ func emitTerm(t *irTerm, chains []blockFn) (blockFn, error) {
 	return nil, fmt.Errorf("%w: terminator %d", errLower, t.kind)
 }
 
-// runOptimized executes a compiled program: one call into the entry
+// runOptimized executes a compiled program on m: one call into the entry
 // chain. Instruction counts are charged per block by each block's charge
 // closure. There is no step-budget check: lowering rejects back edges, so
 // every block executes at most once and total work is bounded by the
 // verifier's MaxInsns — the budget is unreachable by construction.
-func runOptimized(p *optProg, maps []Map, ctx []byte, env Env) (uint64, ExecStats, error) {
-	m := p.cache.Swap(nil)
-	if m == nil {
-		m = vmPool.Get().(*vm)
-	}
+func runOptimized(entry blockFn, m *vm, maps []Map, ctx []byte, env Env) (uint64, ExecStats, error) {
 	initVM(m, maps, ctx, env)
-
-	err := p.entry(m)
-	r0, stats := m.regs[R0], m.stats
-
-	resetVM(m)
-	if !p.cache.CompareAndSwap(nil, m) {
-		vmPool.Put(m)
+	if err := entry(m); err != nil {
+		return 0, m.stats, err
 	}
-	if err != nil {
-		return 0, stats, err
-	}
-	return r0, stats, nil
+	return m.regs[R0], m.stats, nil
 }

@@ -219,16 +219,21 @@ func (e *gatedEnv) KtimeNs() uint64 {
 	return 0
 }
 
+type execFn func(ctx []byte, env Env) (uint64, ExecStats, error)
+
 // A program addresses the per-CPU slot of the CPU it runs on, whatever
 // other runs do meanwhile: run A on CPU 0 blocks between its start and its
 // map_lookup_elem while run B on CPU 1 completes, and each CPU's slot
-// still holds only its own run's write.
+// still holds only its own run's write. Each engine hands out the
+// executors of run A and run B; "runners" gives each CPU its own Runner,
+// as each attachment owns one.
 func TestPerCPULookupFollowsExecutingCPU(t *testing.T) {
-	engines := map[string]func(p *Program, ctx []byte, env Env) (uint64, ExecStats, error){
-		"compiled":    (*Program).Run,
-		"interpreted": (*Program).RunInterpreted,
+	engines := map[string]func(p *Program) (execA, execB execFn){
+		"compiled":    func(p *Program) (execFn, execFn) { return p.Run, p.Run },
+		"interpreted": func(p *Program) (execFn, execFn) { return p.RunInterpreted, p.RunInterpreted },
+		"runners":     func(p *Program) (execFn, execFn) { return p.NewRunner().Run, p.NewRunner().Run },
 	}
-	for name, exec := range engines {
+	for name, engine := range engines {
 		t.Run(name, func(t *testing.T) {
 			m, err := NewPerCPUArray(8, 1, 2)
 			if err != nil {
@@ -249,14 +254,15 @@ func TestPerCPULookupFollowsExecutingCPU(t *testing.T) {
 				mov r0, 0
 				exit
 			`, map[string]Map{"percpu": m}, 8)
+			execA, execB := engine(p)
 			envA := &gatedEnv{testEnv: testEnv{cpu: 0}, entered: make(chan struct{}), gate: make(chan struct{})}
 			done := make(chan error)
 			go func() {
-				_, _, err := exec(p, []byte{0xa, 0, 0, 0, 0, 0, 0, 0}, envA)
+				_, _, err := execA([]byte{0xa, 0, 0, 0, 0, 0, 0, 0}, envA)
 				done <- err
 			}()
 			<-envA.entered
-			if _, _, err := exec(p, []byte{0xb, 0, 0, 0, 0, 0, 0, 0}, &testEnv{time: 1, cpu: 1}); err != nil {
+			if _, _, err := execB([]byte{0xb, 0, 0, 0, 0, 0, 0, 0}, &testEnv{time: 1, cpu: 1}); err != nil {
 				t.Fatal(err)
 			}
 			close(envA.gate)
@@ -272,6 +278,42 @@ func TestPerCPULookupFollowsExecutingCPU(t *testing.T) {
 			}
 		})
 	}
+}
+
+// reentryEnv re-enters its runner once from inside ktime_get_ns, as a
+// second firing of an attachment would if firings overlapped.
+type reentryEnv struct {
+	testEnv
+	r       *Runner
+	entered bool
+}
+
+func (e *reentryEnv) KtimeNs() uint64 {
+	if !e.entered {
+		e.entered = true
+		e.r.Run(make([]byte, 8), e)
+	}
+	return 0
+}
+
+// A runner's runs must never overlap; -race builds check it and panic on
+// a run entered while another is in progress.
+func TestRunnerPanicsOnOverlap(t *testing.T) {
+	if !raceEnabled {
+		t.Skip("the overlap check is compiled only into -race builds")
+	}
+	p := loadAsm(t, `
+		call ktime_get_ns
+		mov r0, 0
+		exit
+	`, nil, 8)
+	env := &reentryEnv{r: p.NewRunner()}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("re-entered runner did not panic")
+		}
+	}()
+	env.r.Run(make([]byte, 8), env)
 }
 
 // Userspace Lookup and Update address CPU 0; ForEach passes every CPU's

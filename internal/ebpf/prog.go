@@ -40,18 +40,20 @@ type ProgramSpec struct {
 	CtxSize int
 }
 
-// Program is a verified, executable program. Obtain one via Load. Run
-// executes the optimized closures Load compiled from the verifier's
-// facts; RunInterpreted executes the same instructions on the plain
-// interpreter, the reference every differential test and fuzz target
-// compares Run against.
+// Program is a verified, executable program. Obtain one via Load. A
+// Runner from NewRunner executes the optimized closures Load compiled
+// from the verifier's facts on a VM it owns, as a probe does; Run
+// executes them on a pooled VM; RunInterpreted executes the same
+// instructions on the plain interpreter, the reference every
+// differential test and fuzz target compares the compiled engine
+// against.
 type Program struct {
 	name    string
 	typ     ProgType
 	insns   []Insn
 	maps    []Map
 	ctxSize int
-	opt     *optProg
+	entry   blockFn // the optimized tier's closure web
 }
 
 // Load verifies the spec and returns an executable program. Instruction
@@ -77,7 +79,7 @@ func Load(spec ProgramSpec) (*Program, error) {
 		return nil, fmt.Errorf("ebpf: load %q: lower: %w", spec.Name, err)
 	}
 	optimize(ir)
-	opt, err := emitProgram(ir)
+	entry, err := emitProgram(ir)
 	if err != nil {
 		return nil, fmt.Errorf("ebpf: load %q: emit: %w", spec.Name, err)
 	}
@@ -87,7 +89,7 @@ func Load(spec ProgramSpec) (*Program, error) {
 		insns:   insns,
 		maps:    maps,
 		ctxSize: spec.CtxSize,
-		opt:     opt,
+		entry:   entry,
 	}, nil
 }
 
@@ -123,16 +125,58 @@ func (p *Program) checkRun(ctx []byte) error {
 
 // Run executes the program over ctx with env supplying helpers. It
 // returns the program's R0 and execution statistics. ctx must be exactly
-// CtxSize bytes.
+// CtxSize bytes. Run takes its VM from a pool, so any number of
+// goroutines may call it at once; a caller that runs the program over
+// and over without overlap uses a Runner instead.
 func (p *Program) Run(ctx []byte, env Env) (uint64, ExecStats, error) {
+	m := vmPool.Get().(*vm)
+	r0, stats, err := p.exec(m, ctx, env)
+	putVM(m)
+	return r0, stats, err
+}
+
+// exec runs the compiled program on m, the VM Run and Runner.Run hand it.
+func (p *Program) exec(m *vm, ctx []byte, env Env) (uint64, ExecStats, error) {
 	if err := p.checkRun(ctx); err != nil {
 		return 0, ExecStats{}, err
 	}
-	r0, stats, err := runOptimized(p.opt, p.maps, ctx, env)
+	r0, stats, err := runOptimized(p.entry, m, p.maps, ctx, env)
 	if err != nil {
 		return 0, stats, fmt.Errorf("ebpf: run %q: %w", p.name, err)
 	}
 	return r0, stats, nil
+}
+
+// Runner executes one program on a VM of its own, so a run takes nothing
+// from a pool and makes no atomic operation — the kernel's model, where
+// each CPU runs BPF on its own stack. A Runner serves one caller whose
+// runs never overlap: it is not safe for concurrent use, nor re-entrant
+// from the program's own helpers. Builds with -race enforce that, and an
+// overlapping run panics. Between runs the VM keeps the last ctx and env
+// referenced; unlike a pooled VM it serves no one else.
+type Runner struct {
+	prog    *Program
+	m       vm
+	running bool // maintained only in -race builds
+}
+
+// NewRunner returns a Runner for the program.
+func (p *Program) NewRunner() *Runner { return &Runner{prog: p} }
+
+// Run executes the program exactly as Program.Run does, on the runner's
+// VM.
+func (r *Runner) Run(ctx []byte, env Env) (uint64, ExecStats, error) {
+	if raceEnabled {
+		if r.running {
+			panic(fmt.Sprintf("ebpf: runner of %q entered while it is running", r.prog.Name()))
+		}
+		r.running = true
+	}
+	r0, stats, err := r.prog.exec(&r.m, ctx, env)
+	if raceEnabled {
+		r.running = false
+	}
+	return r0, stats, err
 }
 
 // RunInterpreted executes the program through the plain instruction

@@ -23,7 +23,7 @@ func trivialInsns() []Insn {
 
 func TestTierDefaultsToOptimized(t *testing.T) {
 	p := mustLoad(t, trivialInsns(), nil)
-	if p.opt == nil {
+	if p.entry == nil {
 		t.Fatal("Load returned a program without optimized code")
 	}
 	r0, _, err := p.Run(make([]byte, 64), &testEnv{})
@@ -96,11 +96,11 @@ func faultingEngines(t *testing.T, insns []Insn, wantOptimized bool) map[string]
 		return errs
 	}
 	optimize(ir)
-	opt, eerr := emitProgram(ir)
+	entry, eerr := emitProgram(ir)
 	if eerr != nil {
 		t.Fatalf("emit: %v", eerr)
 	}
-	_, _, err = runOptimized(opt, nil, ctx, &testEnv{})
+	_, _, err = runOptimized(entry, new(vm), nil, ctx, &testEnv{})
 	errs["optimized"] = err
 	return errs
 }

@@ -269,10 +269,10 @@ func (n *Node) DeliverLocal(p *vnet.Packet) {
 		return
 	}
 	cost := n.cfg.Costs.UDPRecv
-	site := SiteUDPRecvmsg
+	site, retSite := SiteUDPRecvmsg, retUDPRecvmsg
 	if flow.Proto == vnet.ProtoTCP {
 		cost = n.cfg.Costs.TCPRecv
-		site = SiteTCPRecvmsg
+		site, retSite = SiteTCPRecvmsg, retTCPRecvmsg
 	}
 
 	// Strip the UDP trace ID before the payload reaches the application
@@ -289,7 +289,7 @@ func (n *Node) DeliverLocal(p *vnet.Packet) {
 	cost += n.Probes.Fire(&ProbeCtx{Site: site, Pkt: p, TimeNs: n.Clock.NowNs()})
 	deliver := func() {
 		// kretprobe: the receive function returns here, after its cost.
-		retCost := n.Probes.Fire(&ProbeCtx{Site: RetSite(site), Pkt: p, TimeNs: n.Clock.NowNs()})
+		retCost := n.Probes.Fire(&ProbeCtx{Site: retSite, Pkt: p, TimeNs: n.Clock.NowNs()})
 		run := func() {
 			if s.onRecv != nil {
 				s.onRecv(p)

@@ -28,7 +28,18 @@ const (
 // kretprobe at tcp_recvmsg attaches to RetSite(SiteTCPRecvmsg). The kernel
 // fires it when the function returns (e.g. after the receive path's cost
 // has elapsed).
-func RetSite(site string) string { return site + "%return" }
+func RetSite(site string) string { return site + retSuffix }
+
+const retSuffix = "%return"
+
+// The return sites the kernel's send and receive paths fire, spelled out
+// as constants so a packet builds no string.
+const (
+	retUDPSendSkb      = SiteUDPSendSkb + retSuffix
+	retTCPOptionsWrite = SiteTCPOptionsWrite + retSuffix
+	retUDPRecvmsg      = SiteUDPRecvmsg + retSuffix
+	retTCPRecvmsg      = SiteTCPRecvmsg + retSuffix
+)
 
 // UprobeSite derives a user-level probe site for an application symbol
 // (the paper's uprobe/uretprobe surface). Workloads fire these around

@@ -84,16 +84,16 @@ func (s *Socket) SendBytes(dst SockAddr, payload []byte) (*vnet.Packet, error) {
 	s.sent++
 
 	var cost int64
-	var site string
+	var site, retSite string
 	switch s.proto {
 	case vnet.ProtoTCP:
 		p.TCP = &vnet.TCPHeader{SrcPort: s.local.Port, DstPort: dst.Port, Flags: vnet.TCPFlagACK}
 		cost = n.cfg.Costs.TCPSend
-		site = SiteTCPOptionsWrite
+		site, retSite = SiteTCPOptionsWrite, retTCPOptionsWrite
 	case vnet.ProtoUDP:
 		p.UDP = &vnet.UDPHeader{SrcPort: s.local.Port, DstPort: dst.Port}
 		cost = n.cfg.Costs.UDPSend
-		site = SiteUDPSendSkb
+		site, retSite = SiteUDPSendSkb, retUDPSendSkb
 	}
 
 	// Trace-ID insertion: the paper's kernel modification writes a random
@@ -122,7 +122,7 @@ func (s *Socket) SendBytes(dst SockAddr, payload []byte) (*vnet.Packet, error) {
 
 	n.eng.Schedule(cost, func() {
 		// kretprobe: the send function returns as the packet leaves.
-		n.Probes.Fire(&ProbeCtx{Site: RetSite(site), Pkt: p, TimeNs: n.Clock.NowNs()})
+		n.Probes.Fire(&ProbeCtx{Site: retSite, Pkt: p, TimeNs: n.Clock.NowNs()})
 		if n.Egress != nil {
 			n.Egress(p)
 		}
