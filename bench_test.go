@@ -20,6 +20,7 @@ import (
 	"vnettracer/internal/script"
 	"vnettracer/internal/sim"
 	"vnettracer/internal/testbed"
+	"vnettracer/internal/tracedb"
 	"vnettracer/internal/vnet"
 )
 
@@ -442,6 +443,7 @@ func BenchmarkEBPFCompiledAggInterval(b *testing.B) {
 	var (
 		progs   [scripts]*script.Compiled
 		runners [scripts]*ebpf.Runner
+		snaps   [scripts]tracedb.ScriptAgg // drained into, interval after interval
 	)
 	for i := range progs {
 		c, err := script.Compile(script.Spec{
@@ -474,8 +476,8 @@ func BenchmarkEBPFCompiledAggInterval(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i%interval == interval-1 {
-			for _, c := range progs {
-				c.DrainAggregates()
+			for j, c := range progs {
+				c.DrainAggregates(&snaps[j])
 			}
 		}
 	}

@@ -417,24 +417,11 @@ func (a *Agent) drainAggLocked(now int64) {
 	sort.Strings(names)
 	var scripts []tracedb.ScriptAgg
 	for _, name := range names {
-		snap := a.loaded[name].compiled.DrainAggregates()
-		if snap.Empty() {
-			continue
+		sa := tracedb.ScriptAgg{Script: name}
+		a.loaded[name].compiled.DrainAggregates(&sa)
+		if !sa.Empty() {
+			scripts = append(scripts, sa)
 		}
-		sa := tracedb.ScriptAgg{
-			Script:   name,
-			Counters: snap.Counters,
-			CPUHits:  snap.CPUHits,
-			Hist:     snap.Hist,
-		}
-		for _, f := range snap.Flows {
-			sa.Flows = append(sa.Flows, tracedb.FlowAgg{
-				SrcIP: uint32(f.SrcIP), DstIP: uint32(f.DstIP),
-				SrcPort: f.SrcPort, DstPort: f.DstPort, Proto: f.Proto,
-				Packets: f.Packets, Bytes: f.Bytes,
-			})
-		}
-		scripts = append(scripts, sa)
 	}
 	if len(scripts) == 0 {
 		// Nothing aggregated since the last drain: no frame, no sequence

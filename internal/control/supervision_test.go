@@ -144,8 +144,8 @@ func TestSupervisorRetryBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	sup := NewSupervisor(d)
-	sup.SetRetryBackoff(100, 1000) // tiny, nanosecond-scale timeline
-	err := sup.Desire("a", ControlPackage{Install: []script.Spec{recordSpec("s1", 1, kernel.SiteUDPRecvmsg)}}, 50)
+	const b = DefaultRetryBackoffNs // the timeline's unit: the first backoff
+	err := sup.Desire("a", ControlPackage{Install: []script.Spec{recordSpec("s1", 1, kernel.SiteUDPRecvmsg)}}, b/2)
 	if err == nil {
 		t.Fatal("Desire against a failing client returned nil")
 	}
@@ -153,24 +153,24 @@ func TestSupervisorRetryBackoff(t *testing.T) {
 	if st.Pushes != 1 || st.Failures != 1 || st.PendingRetries != 1 {
 		t.Fatalf("after failed Desire: %+v", st)
 	}
-	// First retry is due at 50 + 100 + jitter(<=50): ticking earlier than
+	// First retry is due at b/2 + b + jitter(<=b/2): ticking earlier than
 	// the minimum must not push.
-	sup.Tick(149)
+	sup.Tick(3*b/2 - 1)
 	if fc.calls != 1 {
 		t.Fatalf("tick before backoff deadline pushed (calls=%d)", fc.calls)
 	}
 	// Past the jitter-inclusive maximum the retry must fire (and fail
-	// again, doubling the backoff to 200 + jitter(<=100)).
-	sup.Tick(250)
+	// again, doubling the backoff to 2b + jitter(<=b)).
+	sup.Tick(5 * b / 2)
 	if fc.calls != 2 {
 		t.Fatalf("tick past deadline did not push (calls=%d)", fc.calls)
 	}
-	sup.Tick(251)
+	sup.Tick(5*b/2 + 1)
 	if fc.calls != 2 {
 		t.Fatalf("tick inside doubled backoff pushed (calls=%d)", fc.calls)
 	}
 	// Past the doubled window the client heals.
-	sup.Tick(600)
+	sup.Tick(6 * b)
 	if fc.calls != 3 {
 		t.Fatalf("final retry did not push (calls=%d)", fc.calls)
 	}
@@ -184,7 +184,7 @@ func TestSupervisorRetryBackoff(t *testing.T) {
 		t.Fatalf("converged push = %+v, want Replace with s1", last)
 	}
 	// In sync: further ticks are no-ops.
-	sup.Tick(700)
+	sup.Tick(7 * b)
 	if fc.calls != 3 {
 		t.Fatalf("converged supervisor still pushing (calls=%d)", fc.calls)
 	}

@@ -9,7 +9,7 @@ import (
 	"vnettracer/internal/tracedb"
 )
 
-// Default supervisor retry backoff bounds: the first failed push retries
+// The supervisor's retry backoff bounds: the first failed push retries
 // after DefaultRetryBackoffNs, doubling (plus jitter) up to
 // DefaultMaxRetryBackoffNs.
 const (
@@ -38,8 +38,6 @@ type Supervisor struct {
 	ledger  LedgerSource
 	desired map[string]*desiredState
 	rng     *rand.Rand
-	baseNs  int64
-	maxNs   int64
 	stats   SupervisorStats
 }
 
@@ -80,8 +78,6 @@ func NewSupervisor(disp *Dispatcher) *Supervisor {
 		disp:    disp,
 		desired: make(map[string]*desiredState),
 		rng:     rand.New(rand.NewSource(1)),
-		baseNs:  DefaultRetryBackoffNs,
-		maxNs:   DefaultMaxRetryBackoffNs,
 	}
 }
 
@@ -91,18 +87,6 @@ func (s *Supervisor) SetLedger(ls LedgerSource) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ledger = ls
-}
-
-// SetRetryBackoff overrides the retry backoff bounds (nanoseconds).
-func (s *Supervisor) SetRetryBackoff(baseNs, maxNs int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if baseNs > 0 {
-		s.baseNs = baseNs
-	}
-	if maxNs >= s.baseNs {
-		s.maxNs = maxNs
-	}
 }
 
 // SetJitterSeed reseeds the backoff jitter source (deterministic replay).
@@ -202,12 +186,12 @@ func (s *Supervisor) pushLocked(agent string, ds *desiredState, nowNs int64) err
 	if err != nil {
 		ds.failures++
 		s.stats.Failures++
-		backoff := s.baseNs
-		for i := 1; i < ds.failures && backoff < s.maxNs; i++ {
+		backoff := int64(DefaultRetryBackoffNs)
+		for i := 1; i < ds.failures && backoff < DefaultMaxRetryBackoffNs; i++ {
 			backoff *= 2
 		}
-		if backoff > s.maxNs {
-			backoff = s.maxNs
+		if backoff > DefaultMaxRetryBackoffNs {
+			backoff = DefaultMaxRetryBackoffNs
 		}
 		// Jitter of up to half the backoff keeps a fleet of failed
 		// pushes from re-converging on the dispatcher in lockstep.

@@ -36,9 +36,10 @@ func EncodeAggFrame(b *AggBatch) ([]byte, error) {
 }
 
 // AppendAggFrame appends the v5 binary body for b to dst and returns the
-// extended slice. Flow rows must be sorted by 5-tuple (DrainAggregates
-// and AggStore.Get both guarantee it); encoding preserves whatever order
-// it is given, only the delta sizes suffer otherwise.
+// extended slice. Flow rows should be sorted by tracedb.CompareFlows, as
+// DrainAggregates, AggStore.Get and MergeAggs leave them; encoding
+// preserves whatever order it is given, only the delta sizes suffer
+// otherwise.
 func AppendAggFrame(dst []byte, b *AggBatch) ([]byte, error) {
 	if len(b.Agent) > math.MaxUint16 {
 		return nil, fmt.Errorf("control: agent name of %d bytes exceeds frame limit", len(b.Agent))

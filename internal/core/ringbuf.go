@@ -37,7 +37,6 @@ type RingBuffer struct {
 	reserved int // outstanding reservation length; lock held while > 0
 	drops    uint64
 	writes   uint64
-	drained  uint64
 
 	// Head-drop sampling mode, entered under collector overload: when
 	// sampleEvery > 1 only every sampleEvery-th write is admitted; the
@@ -135,7 +134,6 @@ func (r *RingBuffer) DrainInto(dst []byte) []byte {
 	}
 	dst = append(dst, r.buf[:r.used]...)
 	r.used = 0
-	r.drained++
 	return dst
 }
 

@@ -2,6 +2,8 @@ package ebpf
 
 import (
 	"encoding/binary"
+	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -428,10 +430,31 @@ func TestHelperClobbersCallerSaved(t *testing.T) {
 	}
 }
 
+// A call Run refuses — a ctx of the wrong size, or no program at all —
+// returns its error, also when the pool hands out a VM that never ran.
+// Two GC cycles empty the pool, so the outcome does not depend on which
+// tests ran before.
 func TestRunCtxSizeMismatch(t *testing.T) {
 	p := loadAsm(t, "mov r0, 0\nexit", nil, 16)
-	if _, _, err := p.Run(make([]byte, 8), &testEnv{}); err == nil {
-		t.Fatal("expected ctx size mismatch error")
+	var none *Program
+	for _, c := range []struct {
+		name string
+		p    *Program
+		ctx  []byte
+		want error
+	}{
+		{"ctx size mismatch", p, make([]byte, 8), nil},
+		{"nil program", none, make([]byte, 16), ErrNotLoaded},
+	} {
+		runtime.GC()
+		runtime.GC()
+		_, _, err := c.p.Run(c.ctx, &testEnv{})
+		if err == nil || (c.want != nil && !errors.Is(err, c.want)) {
+			t.Errorf("%s: Run returned %v, want an error (%v)", c.name, err, c.want)
+		}
+		if _, _, err := c.p.NewRunner().Run(c.ctx, &testEnv{}); err == nil {
+			t.Errorf("%s: Runner.Run returned no error", c.name)
+		}
 	}
 }
 

@@ -129,6 +129,11 @@ func (p *Program) checkRun(ctx []byte) error {
 // goroutines may call it at once; a caller that runs the program over
 // and over without overlap uses a Runner instead.
 func (p *Program) Run(ctx []byte, env Env) (uint64, ExecStats, error) {
+	// exec checks too, but a refused call must not take a VM: putVM
+	// resets only a VM that exec initialised.
+	if err := p.checkRun(ctx); err != nil {
+		return 0, ExecStats{}, err
+	}
 	m := vmPool.Get().(*vm)
 	r0, stats, err := p.exec(m, ctx, env)
 	putVM(m)

@@ -7,13 +7,13 @@
 package script
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
 
 	"vnettracer/internal/core"
 	"vnettracer/internal/ebpf"
+	"vnettracer/internal/tracedb"
 	"vnettracer/internal/vnet"
 )
 
@@ -408,109 +408,45 @@ func (c *Compiled) ReadCPUHist() []uint64 {
 	return out
 }
 
-// FlowStat is one per-flow aggregate row decoded from the flow map.
-type FlowStat struct {
-	SrcIP   vnet.IPv4
-	DstIP   vnet.IPv4
-	SrcPort uint16
-	DstPort uint16
-	Proto   uint8
-	Packets uint64
-	Bytes   uint64
-}
-
-// AggSnapshot is one drained (snapshot-and-reset) view of a script's
-// aggregation maps. Slices are nil for actions the script lacks.
-type AggSnapshot struct {
-	Counters []uint64   // SlotPackets, SlotBytes
-	CPUHits  []uint64   // invocations per CPU
-	Hist     []uint64   // log2 latency buckets
-	Flows    []FlowStat // per-flow sums, sorted by 5-tuple
-}
-
-// Empty reports whether the snapshot carries no nonzero data — the agent
-// skips shipping such frames.
-func (s *AggSnapshot) Empty() bool {
-	for _, v := range s.Counters {
-		if v != 0 {
-			return false
-		}
-	}
-	for _, v := range s.CPUHits {
-		if v != 0 {
-			return false
-		}
-	}
-	for _, v := range s.Hist {
-		if v != 0 {
-			return false
-		}
-	}
-	return len(s.Flows) == 0
-}
-
 // HasAggregates reports whether the script maintains any aggregation map
 // worth draining.
 func (c *Compiled) HasAggregates() bool {
 	return c.Counters != nil || c.CPUHist != nil || c.Hist != nil || c.Flows != nil
 }
 
-// DrainAggregates atomically snapshots and resets every aggregation map.
-// Counts observed by concurrent probe invocations land in exactly one
-// snapshot (array lanes are swapped to zero atomically, flow entries are
-// parked under the hash map's lock), so periodic drains never lose or
-// double-count.
-func (c *Compiled) DrainAggregates() AggSnapshot {
-	var s AggSnapshot
+// DrainAggregates atomically snapshots and resets every aggregation map
+// into dst, reusing its arrays: counters, per-CPU hits, histogram buckets
+// and flow rows sorted by tracedb.CompareFlows. A series the script lacks
+// comes back empty. dst.Script is left as it is. Counts observed by
+// concurrent probe invocations land in exactly one snapshot (array lanes
+// are swapped to zero atomically, flow entries are parked under the hash
+// map's lock), so periodic drains never lose or double-count.
+func (c *Compiled) DrainAggregates(dst *tracedb.ScriptAgg) {
+	dst.Counters, dst.CPUHits, dst.Hist, dst.Flows = dst.Counters[:0], dst.CPUHits[:0], dst.Hist[:0], dst.Flows[:0]
 	if c.Counters != nil {
-		s.Counters = c.Counters.DrainU64(nil)
+		dst.Counters = c.Counters.DrainU64(dst.Counters)
 	}
 	if c.CPUHist != nil {
-		s.CPUHits = c.CPUHist.DrainU64CPUs(0, nil)
+		dst.CPUHits = c.CPUHist.DrainU64CPUs(0, dst.CPUHits)
 	}
 	if c.Hist != nil {
-		s.Hist = c.Hist.DrainU64(nil)
+		dst.Hist = c.Hist.DrainU64(dst.Hist)
 	}
 	if c.Flows != nil {
-		if n := c.Flows.Len(); n > 0 {
-			s.Flows = make([]FlowStat, 0, n)
-		}
+		dst.Flows = slices.Grow(dst.Flows, c.Flows.Len())
 		c.Flows.Drain(func(k, v []byte) {
-			s.Flows = append(s.Flows, flowStatFromKV(k, v))
+			dst.Flows = append(dst.Flows, tracedb.FlowAgg{
+				SrcIP:   binary.LittleEndian.Uint32(k[0:]),
+				DstIP:   binary.LittleEndian.Uint32(k[4:]),
+				SrcPort: binary.LittleEndian.Uint16(k[8:]),
+				DstPort: binary.LittleEndian.Uint16(k[10:]),
+				Proto:   k[12],
+				Packets: binary.LittleEndian.Uint64(v[FlowValPackets:]),
+				Bytes:   binary.LittleEndian.Uint64(v[FlowValBytes:]),
+			})
 		})
-		sortFlows(s.Flows)
+		slices.SortFunc(dst.Flows, tracedb.CompareFlows)
 	}
-	return s
-}
-
-func flowStatFromKV(k, v []byte) FlowStat {
-	return FlowStat{
-		SrcIP:   vnet.IPv4(binary.LittleEndian.Uint32(k[0:])),
-		DstIP:   vnet.IPv4(binary.LittleEndian.Uint32(k[4:])),
-		SrcPort: binary.LittleEndian.Uint16(k[8:]),
-		DstPort: binary.LittleEndian.Uint16(k[10:]),
-		Proto:   k[12],
-		Packets: binary.LittleEndian.Uint64(v[FlowValPackets:]),
-		Bytes:   binary.LittleEndian.Uint64(v[FlowValBytes:]),
-	}
-}
-
-func sortFlows(fs []FlowStat) {
-	slices.SortFunc(fs, func(a, b FlowStat) int {
-		if a.SrcIP != b.SrcIP {
-			return cmp.Compare(a.SrcIP, b.SrcIP)
-		}
-		if a.DstIP != b.DstIP {
-			return cmp.Compare(a.DstIP, b.DstIP)
-		}
-		if a.SrcPort != b.SrcPort {
-			return cmp.Compare(a.SrcPort, b.SrcPort)
-		}
-		if a.DstPort != b.DstPort {
-			return cmp.Compare(a.DstPort, b.DstPort)
-		}
-		return cmp.Compare(a.Proto, b.Proto)
-	})
 }
 
 func leU64(b []byte) uint64 {

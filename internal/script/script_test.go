@@ -8,6 +8,7 @@ import (
 	"vnettracer/internal/ebpf"
 	"vnettracer/internal/kernel"
 	"vnettracer/internal/sim"
+	"vnettracer/internal/tracedb"
 	"vnettracer/internal/vnet"
 )
 
@@ -147,10 +148,10 @@ func mallocs(f func()) uint64 {
 }
 
 // Once every flow has been seen, an aggregation interval — 256 flows
-// fired through the aggregation script, then one drain — allocates
-// nothing on the probe side (drained flow entries are revived in place)
-// and a constant few in DrainAggregates, whatever the flow count: one
-// slice per map (race-instrumented builds add one per array drain).
+// fired through the aggregation script, then one drain into the
+// previous interval's tracedb.ScriptAgg — allocates nothing: not on the
+// probe side (drained flow entries are revived in place), and not in
+// DrainAggregates, which reuses the destination's arrays.
 func TestAggregateScriptFiringDoesNotAllocate(t *testing.T) {
 	_, m := testRig(t)
 	c, err := Compile(Spec{
@@ -178,10 +179,10 @@ func TestAggregateScriptFiringDoesNotAllocate(t *testing.T) {
 			m.Node.Probes.Fire(pc)
 		}
 	}
+	var snap tracedb.ScriptAgg
 	for interval := 1; interval <= 2; interval++ {
-		var snap AggSnapshot
 		probe := mallocs(fire)
-		drain := mallocs(func() { snap = c.DrainAggregates() })
+		drain := mallocs(func() { c.DrainAggregates(&snap) })
 		if len(snap.Flows) != flows || snap.Counters[SlotPackets] != flows {
 			t.Fatalf("interval %d drained %d flows, %d packets; want %d of each",
 				interval, len(snap.Flows), snap.Counters[SlotPackets], flows)
@@ -192,8 +193,8 @@ func TestAggregateScriptFiringDoesNotAllocate(t *testing.T) {
 		if probe != 0 {
 			t.Errorf("interval %d: firing %d seen flows made %d allocations, want 0", interval, flows, probe)
 		}
-		if drain > 8 {
-			t.Errorf("interval %d: DrainAggregates of %d flows made %d allocations, want a constant <= 8", interval, flows, drain)
+		if drain != 0 {
+			t.Errorf("interval %d: DrainAggregates of %d flows into reused arrays made %d allocations, want 0", interval, flows, drain)
 		}
 	}
 }

@@ -11,9 +11,10 @@
 //	  counters: uvarint slot count, one uvarint per slot
 //	  cpu hits: sparse u64 series (below)
 //	  histogram: sparse u64 series (below)
-//	  flows:    uvarint count, rows sorted by 5-tuple, each field a
-//	            zigzag varint delta against the previous row (first row
-//	            deltas against zero) followed by uvarint packets/bytes
+//	  flows:    uvarint count, rows in CompareFlows order (any order
+//	            decodes), each field a zigzag varint delta against the
+//	            previous row (first row deltas against zero) followed by
+//	            uvarint packets/bytes
 //
 // A sparse series is: uvarint length, uvarint nonzero count, then per
 // nonzero entry a uvarint index gap (distance from the previous nonzero
@@ -52,10 +53,10 @@ const (
 
 // AppendScriptAggs appends the script section for scripts to dst and
 // returns the extended slice, or an error (and nil) when a name or series
-// exceeds the section's bounds. Flow rows should be sorted by 5-tuple
-// (DrainAggregates and AggStore.Get both guarantee it); encoding
-// preserves whatever order it is given, only the delta sizes suffer
-// otherwise.
+// exceeds the section's bounds. Flow rows should be sorted by
+// CompareFlows, as DrainAggregates, AggStore.Get and MergeAggs leave
+// them; encoding preserves whatever order it is given, only the delta
+// sizes suffer otherwise.
 func AppendScriptAggs(dst []byte, scripts []ScriptAgg) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(scripts)))
 	for i := range scripts {

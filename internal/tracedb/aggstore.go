@@ -1,6 +1,8 @@
 package tracedb
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -29,9 +31,10 @@ type FlowAgg struct {
 
 // ScriptAgg is the aggregate state of one trace script: counter slots
 // (packets, bytes), per-CPU invocation counts, log2 latency histogram
-// buckets, and per-flow sums. Nil slices mean the script lacks that
-// action. The same type serves as the wire payload (agent snapshot) and
-// the merged collector view.
+// buckets, and per-flow sums. Empty slices mean the script lacks that
+// action. It is the one aggregate form: a script's map drain writes it,
+// the wire, WAL and checkpoints carry it, and the collector's merged
+// view is one.
 type ScriptAgg struct {
 	Script   string    `json:"script"`
 	Counters []uint64  `json:"counters,omitempty"`
@@ -46,18 +49,88 @@ func (s *ScriptAgg) Rows() int {
 	return len(s.Counters) + len(s.CPUHits) + len(s.Hist) + len(s.Flows)
 }
 
+// Empty reports whether the entry carries no nonzero slot and no flow —
+// the agent ships no frame for such a script.
+func (s *ScriptAgg) Empty() bool {
+	for _, series := range [...][]uint64{s.Counters, s.CPUHits, s.Hist} {
+		for _, v := range series {
+			if v != 0 {
+				return false
+			}
+		}
+	}
+	return len(s.Flows) == 0
+}
+
+// CompareFlows orders flow rows by 5-tuple: source IP, destination IP,
+// source port, destination port, protocol. It is the one flow order —
+// the agent's drain, AggStore snapshots and MergeAggs all sort by it.
+func CompareFlows(a, b FlowAgg) int {
+	if a.SrcIP != b.SrcIP {
+		return cmp.Compare(a.SrcIP, b.SrcIP)
+	}
+	if a.DstIP != b.DstIP {
+		return cmp.Compare(a.DstIP, b.DstIP)
+	}
+	if a.SrcPort != b.SrcPort {
+		return cmp.Compare(a.SrcPort, b.SrcPort)
+	}
+	if a.DstPort != b.DstPort {
+		return cmp.Compare(a.DstPort, b.DstPort)
+	}
+	return cmp.Compare(a.Proto, b.Proto)
+}
+
 type flowKey struct {
 	srcIP, dstIP     uint32
 	srcPort, dstPort uint16
 	proto            uint8
 }
 
-// scriptAgg is the mutable merged state behind one script name.
+// scriptAgg is a running sum of snapshots of one script: the sum itself
+// in the wire form, flows in first-seen order, and flowAt, the row of
+// each 5-tuple in Flows.
 type scriptAgg struct {
-	counters []uint64
-	cpuHits  []uint64
-	hist     []uint64
-	flows    map[flowKey]*struct{ packets, bytes uint64 }
+	ScriptAgg
+	flowAt map[flowKey]int
+}
+
+// add folds one snapshot into the sum: counters, per-CPU hits and
+// histogram buckets sum slot-wise, flows per 5-tuple. A sum without a
+// name takes the snapshot's.
+func (sa *scriptAgg) add(in *ScriptAgg) {
+	if sa.Script == "" {
+		sa.Script = in.Script
+	}
+	sa.Counters = addU64(sa.Counters, in.Counters)
+	sa.CPUHits = addU64(sa.CPUHits, in.CPUHits)
+	sa.Hist = addU64(sa.Hist, in.Hist)
+	if len(in.Flows) > 0 && sa.flowAt == nil {
+		sa.flowAt = make(map[flowKey]int, len(in.Flows))
+	}
+	for _, f := range in.Flows {
+		k := flowKey{f.SrcIP, f.DstIP, f.SrcPort, f.DstPort, f.Proto}
+		if i, ok := sa.flowAt[k]; ok {
+			sa.Flows[i].Packets += f.Packets
+			sa.Flows[i].Bytes += f.Bytes
+			continue
+		}
+		sa.flowAt[k] = len(sa.Flows)
+		sa.Flows = append(sa.Flows, f)
+	}
+}
+
+// snapshot deep-copies the sum, flows sorted by CompareFlows.
+func (sa *scriptAgg) snapshot() ScriptAgg {
+	out := ScriptAgg{
+		Script:   sa.Script,
+		Counters: slices.Clone(sa.Counters),
+		CPUHits:  slices.Clone(sa.CPUHits),
+		Hist:     slices.Clone(sa.Hist),
+		Flows:    slices.Clone(sa.Flows),
+	}
+	slices.SortFunc(out.Flows, CompareFlows)
+	return out
 }
 
 // AggTotals summarizes an AggStore's ingest history for shutdown
@@ -134,22 +207,10 @@ func (s *AggStore) Admit(agent string, epoch, seq uint64, scripts []ScriptAgg, n
 func (s *AggStore) merge(in *ScriptAgg) {
 	sa, ok := s.scripts[in.Script]
 	if !ok {
-		sa = &scriptAgg{flows: make(map[flowKey]*struct{ packets, bytes uint64 })}
+		sa = new(scriptAgg)
 		s.scripts[in.Script] = sa
 	}
-	sa.counters = addU64(sa.counters, in.Counters)
-	sa.cpuHits = addU64(sa.cpuHits, in.CPUHits)
-	sa.hist = addU64(sa.hist, in.Hist)
-	for _, f := range in.Flows {
-		k := flowKey{f.SrcIP, f.DstIP, f.SrcPort, f.DstPort, f.Proto}
-		fv, ok := sa.flows[k]
-		if !ok {
-			fv = &struct{ packets, bytes uint64 }{}
-			sa.flows[k] = fv
-		}
-		fv.packets += f.Packets
-		fv.bytes += f.Bytes
-	}
+	sa.add(in)
 }
 
 // addU64 sums src into dst slot-wise, growing dst as needed.
@@ -176,7 +237,7 @@ func (s *AggStore) Scripts() []string {
 }
 
 // Get returns a deep-copied snapshot of one script's merged aggregates,
-// flows sorted by 5-tuple.
+// flows sorted by CompareFlows.
 func (s *AggStore) Get(script string) (ScriptAgg, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -184,44 +245,7 @@ func (s *AggStore) Get(script string) (ScriptAgg, bool) {
 	if !ok {
 		return ScriptAgg{}, false
 	}
-	return sa.snapshot(script), true
-}
-
-// snapshot deep-copies the merged state under the given script name,
-// flows sorted by 5-tuple. Callers hold the store's mutex.
-func (sa *scriptAgg) snapshot(script string) ScriptAgg {
-	out := ScriptAgg{
-		Script:   script,
-		Counters: append([]uint64(nil), sa.counters...),
-		CPUHits:  append([]uint64(nil), sa.cpuHits...),
-		Hist:     append([]uint64(nil), sa.hist...),
-	}
-	for k, v := range sa.flows {
-		out.Flows = append(out.Flows, FlowAgg{
-			SrcIP: k.srcIP, DstIP: k.dstIP,
-			SrcPort: k.srcPort, DstPort: k.dstPort, Proto: k.proto,
-			Packets: v.packets, Bytes: v.bytes,
-		})
-	}
-	sort.Slice(out.Flows, func(i, j int) bool { return flowLess(&out.Flows[i], &out.Flows[j]) })
-	return out
-}
-
-// flowLess orders flows by 5-tuple for deterministic output.
-func flowLess(a, b *FlowAgg) bool {
-	if a.SrcIP != b.SrcIP {
-		return a.SrcIP < b.SrcIP
-	}
-	if a.DstIP != b.DstIP {
-		return a.DstIP < b.DstIP
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
-	}
-	return a.Proto < b.Proto
+	return sa.snapshot(), true
 }
 
 // Totals summarizes ingest history and current store size.
@@ -236,7 +260,7 @@ func (s *AggStore) Totals() AggTotals {
 		Scripts:      len(s.scripts),
 	}
 	for _, sa := range s.scripts {
-		t.Flows += len(sa.flows)
+		t.Flows += len(sa.Flows)
 	}
 	return t
 }

@@ -90,14 +90,15 @@ func TestAggStoreEpochFencing(t *testing.T) {
 
 func TestAggStoreFlowsSortedAndIsolated(t *testing.T) {
 	s := NewAggStore()
-	s.Admit("a", 0, 1, []ScriptAgg{{
+	first := ScriptAgg{
 		Script: "s",
 		Flows: []FlowAgg{
 			{SrcIP: 9, DstIP: 1, Packets: 1, Bytes: 10},
 			{SrcIP: 1, DstIP: 5, Packets: 2, Bytes: 20},
 			{SrcIP: 1, DstIP: 2, Packets: 3, Bytes: 30},
 		},
-	}}, 1, 0)
+	}
+	s.Admit("a", 0, 1, []ScriptAgg{first}, 1, 0)
 	got, _ := s.Get("s")
 	if len(got.Flows) != 3 || got.Flows[0].DstIP != 2 || got.Flows[1].DstIP != 5 || got.Flows[2].SrcIP != 9 {
 		t.Fatalf("flows not sorted: %+v", got.Flows)
@@ -107,5 +108,45 @@ func TestAggStoreFlowsSortedAndIsolated(t *testing.T) {
 	again, _ := s.Get("s")
 	if again.Flows[0].Packets != 3 {
 		t.Fatalf("snapshot aliases store: %+v", again.Flows[0])
+	}
+
+	// The v5 decoder accepts flow rows that are unsorted and repeat a
+	// 5-tuple. Such a frame folds like any other: Get, MergeAggs of the
+	// same parts and Totals' count of distinct 5-tuples agree.
+	frame, err := AppendScriptAggs(nil, []ScriptAgg{{
+		Script: "s",
+		Flows: []FlowAgg{
+			{SrcIP: 1, DstIP: 5, Packets: 4, Bytes: 40},
+			{SrcIP: 7, DstIP: 7, Packets: 1, Bytes: 1},
+			{SrcIP: 1, DstIP: 5, Packets: 5, Bytes: 50},
+			{SrcIP: 1, DstIP: 2, SrcPort: 1, Packets: 6, Bytes: 60},
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := DecodeScriptAggs(frame, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Admit("a", 0, 2, second, 2, 0); st != BatchFresh {
+		t.Fatalf("second frame: %v", st)
+	}
+	want := []FlowAgg{
+		{SrcIP: 1, DstIP: 2, Packets: 3, Bytes: 30},
+		{SrcIP: 1, DstIP: 2, SrcPort: 1, Packets: 6, Bytes: 60},
+		{SrcIP: 1, DstIP: 5, Packets: 11, Bytes: 110},
+		{SrcIP: 7, DstIP: 7, Packets: 1, Bytes: 1},
+		{SrcIP: 9, DstIP: 1, Packets: 1, Bytes: 10},
+	}
+	got, _ = s.Get("s")
+	if !reflect.DeepEqual(got.Flows, want) {
+		t.Fatalf("Get flows = %+v, want %+v", got.Flows, want)
+	}
+	if merged := MergeAggs(first, second[0]); !reflect.DeepEqual(merged, got) {
+		t.Fatalf("MergeAggs = %+v, Get = %+v", merged, got)
+	}
+	if n := s.Totals().Flows; n != len(want) {
+		t.Fatalf("Totals().Flows = %d, want %d distinct 5-tuples", n, len(want))
 	}
 }

@@ -175,7 +175,7 @@ func (s *AggStore) exportState() aggState {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		st.Scripts = append(st.Scripts, s.scripts[name].snapshot(name))
+		st.Scripts = append(st.Scripts, s.scripts[name].snapshot())
 	}
 	return st
 }

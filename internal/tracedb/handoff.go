@@ -1,7 +1,5 @@
 package tracedb
 
-import "sort"
-
 // This file implements ledger handoff: the state that travels when an
 // agent is re-homed from a failed collector to a survivor. The agent
 // process itself outlives the collector, so unlike a restart its sequence
@@ -90,36 +88,17 @@ func seqSet(seqs []uint64) map[uint64]struct{} {
 	return m
 }
 
-// MergeAggs folds script-aggregate snapshots of the same script into one:
-// counters, per-CPU hits, and histogram buckets sum slot-wise; flows sum
-// per 5-tuple (sorted deterministically). This is the cross-collector
-// merge for a partitioned tier, where an agent's frames may have landed
-// on different collectors across a re-homing; it is exact because every
-// frame was merged exactly once on exactly one collector.
+// MergeAggs folds script-aggregate snapshots of the same script into one
+// with the fold AggStore merges frames by: counters, per-CPU hits, and
+// histogram buckets sum slot-wise; flows sum per 5-tuple, sorted by
+// CompareFlows. This is the cross-collector merge for a partitioned
+// tier, where an agent's frames may have landed on different collectors
+// across a re-homing; it is exact because every frame was merged exactly
+// once on exactly one collector.
 func MergeAggs(parts ...ScriptAgg) ScriptAgg {
-	var out ScriptAgg
-	flows := make(map[flowKey]*FlowAgg)
-	for _, p := range parts {
-		if out.Script == "" {
-			out.Script = p.Script
-		}
-		out.Counters = addU64(out.Counters, p.Counters)
-		out.CPUHits = addU64(out.CPUHits, p.CPUHits)
-		out.Hist = addU64(out.Hist, p.Hist)
-		for _, f := range p.Flows {
-			k := flowKey{f.SrcIP, f.DstIP, f.SrcPort, f.DstPort, f.Proto}
-			fv, ok := flows[k]
-			if !ok {
-				fv = &FlowAgg{SrcIP: f.SrcIP, DstIP: f.DstIP, SrcPort: f.SrcPort, DstPort: f.DstPort, Proto: f.Proto}
-				flows[k] = fv
-			}
-			fv.Packets += f.Packets
-			fv.Bytes += f.Bytes
-		}
+	var sum scriptAgg
+	for i := range parts {
+		sum.add(&parts[i])
 	}
-	for _, fv := range flows {
-		out.Flows = append(out.Flows, *fv)
-	}
-	sort.Slice(out.Flows, func(i, j int) bool { return flowLess(&out.Flows[i], &out.Flows[j]) })
-	return out
+	return sum.snapshot()
 }
