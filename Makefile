@@ -37,15 +37,16 @@ staticcheck:
 # Race-detector pass over the concurrent record path (probe registry
 # fired while the agent attaches and detaches, per-CPU rings, store,
 # control plane, metrics run against live tables), the aggregation maps
-# (probes on four CPUs incrementing while a drainer resets) plus the
-# cluster conformance corpus. tracedb runs on one P and on two, so a
+# (probes on four CPUs incrementing while a drainer resets), the root
+# package's Session (the control plane's one assembly: dispatcher,
+# cluster, agents, collectors) plus the cluster conformance corpus. tracedb runs on one P and on two, so a
 # scan's producer and consumer goroutines run both interleaved and in
 # parallel. Tests run in shuffled order, so state one test leaves behind
 # (a pooled VM, a package-level cache) cannot hide a bug in the next; a
 # failure prints the -shuffle seed that replays its order.
 .PHONY: race
 race:
-	$(GO) test -race -shuffle=on ./internal/kernel ./internal/vnet ./internal/core ./internal/ebpf ./internal/script ./internal/control ./internal/metrics ./internal/conformance
+	$(GO) test -race -shuffle=on . ./internal/kernel ./internal/vnet ./internal/core ./internal/ebpf ./internal/script ./internal/control ./internal/metrics ./internal/conformance
 	$(GO) test -race -shuffle=on -cpu 1,2 ./internal/tracedb
 
 # Fault-injection pass over delivery semantics: flaky collector, lost

@@ -36,7 +36,10 @@
 // The storage subcommand loads the dump into a segment store (segment
 // size, spill dir, and retention configurable by flags) and reports, per
 // table: segment counts, resident vs on-disk bytes, compression ratio,
-// and evicted-record counts.
+// and evicted-record counts. With -wal it runs the collector's crash
+// recovery over the directories instead; a cold start (no checkpoint, no
+// logged entry) over a data directory that holds extents — an unlogged
+// collector's sealed heads — is refused, and nothing is deleted.
 //
 // The agg subcommand replays an aggregate-frame dump (produced by
 // `vnettracer collector -agg-out agg.jsonl`) through the same

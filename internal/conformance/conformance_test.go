@@ -80,8 +80,8 @@ func TestScenarioCorpus(t *testing.T) {
 		},
 		"kitchen-sink": func(r *Result) (string, uint64) { return "deduped batches", r.DupBatches },
 		"agent-restart-reprovision": func(r *Result) (string, uint64) {
-			if r.Supervisor.Reprovisions == 0 {
-				return "supervisor re-provisions", 0
+			if r.Dispatch.Reprovisions == 0 {
+				return "dispatcher re-provisions", 0
 			}
 			return "unattended fires in the dead window", r.UnattendedFires
 		},

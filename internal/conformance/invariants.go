@@ -42,12 +42,20 @@ func check(sc Scenario, s *vnettracer.Session, cluster []*agentState, truth *gro
 		// fence and gap accounting may be spread across collectors, so
 		// those sum over every ledger the agent ever touched.
 		led, ledOK := clu.Ledger(st.name)
+		lease := s.Dispatcher().Epoch(st.name)
 		var fencedB, fencedR, missing uint64
 		for _, cs := range cols {
-			if l, ok := cs.col.DB().Ledger(st.name); ok {
-				fencedB += l.FencedBatches
-				fencedR += l.FencedRecords
-				missing += l.MissingBatches
+			l, _ := cs.col.DB().Ledger(st.name) // zero where never seen
+			fencedB += l.FencedBatches
+			fencedR += l.FencedRecords
+			missing += l.MissingBatches
+			// Every epoch an agent stamps is a lease this dispatcher
+			// granted, so no ledger reads ahead of it: the dispatcher's
+			// roster alone tells an epoch advance.
+			al, _ := cs.col.Aggregates().Ledger(st.name)
+			if l.Epoch > lease || al.Epoch > lease {
+				res.violatef("agent %s: collector %s ledgers at epoch %d/%d, ahead of the dispatcher's lease %d",
+					st.name, cs.name, l.Epoch, al.Epoch, lease)
 			}
 		}
 		st.fencedBatches, st.fencedRecords = fencedB, fencedR
@@ -231,8 +239,8 @@ func check(sc Scenario, s *vnettracer.Session, cluster []*agentState, truth *gro
 		colRecords, dup, missing, fs.attempts, fs.rejected, fs.acksLost,
 		res.FencedBatches, res.FencedRecords, res.OverloadAcks, res.Rehomes)
 	dig.logf("account supervisor pushes=%d failures=%d retries=%d reprovisions=%d pending=%d",
-		res.Supervisor.Pushes, res.Supervisor.Failures, res.Supervisor.Retries,
-		res.Supervisor.Reprovisions, res.Supervisor.PendingRetries)
+		res.Dispatch.Pushes, res.Dispatch.Failures, res.Dispatch.Retries,
+		res.Dispatch.Reprovisions, res.Dispatch.PendingRetries)
 }
 
 // checkSupervision verifies the control-plane supervision mechanisms a
@@ -249,8 +257,8 @@ func checkSupervision(sc Scenario, cluster []*agentState, res *Result) {
 		if got := st.agent.Epoch(); got < 2 {
 			res.violatef("agent %s: epoch %d after reboot, want >= 2", st.name, got)
 		}
-		if res.Supervisor.Reprovisions == 0 {
-			res.violatef("supervisor recorded no re-provision after an agent reboot")
+		if res.Dispatch.Reprovisions == 0 {
+			res.violatef("dispatcher recorded no re-provision after an agent reboot")
 		}
 		// Re-provisioning must have restored the full desired state on the
 		// fresh process: both tracepoints back, before the horizon.

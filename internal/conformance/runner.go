@@ -187,9 +187,9 @@ type Result struct {
 	AggFramesMerged, AggFramesDup, AggFramesFenced uint64
 	AggRowsMerged, AggRejected                     uint64
 
-	// Supervisor snapshots the control-plane supervision counters
-	// (pushes, retries, re-provisions) at quiesce.
-	Supervisor control.SupervisorStats
+	// Dispatch snapshots the dispatcher's push counters (pushes,
+	// retries, re-provisions) at quiesce.
+	Dispatch control.DispatcherStats
 
 	// Storage aggregates the trace store's segment accounting at quiesce
 	// (after heads seal), so runs can assert on residency and spill.
@@ -279,7 +279,7 @@ func Run(sc Scenario) (*Result, error) {
 	}
 	s := vnettracer.NewClusterSession()
 	defer s.Close()
-	s.Supervisor().SetJitterSeed(sc.Seed)
+	s.Dispatcher().SetJitterSeed(sc.Seed)
 	cols := make([]*collectorState, sc.Collectors)
 	for c := range cols {
 		cs := &collectorState{}
@@ -322,7 +322,7 @@ func Run(sc Scenario) (*Result, error) {
 	quiesce(sc, cluster, fs, dig)
 	estimateSkews(sc, s, cluster, res)
 
-	res.Supervisor = s.Supervisor().Stats()
+	res.Dispatch = s.Dispatcher().Stats()
 	// Seal every head before checking: the invariants then run against
 	// fully sealed (and, with SpillDir, spilled) segments, and the
 	// storage accounting reflects the whole run's history.
@@ -388,7 +388,7 @@ func buildAgent(sc Scenario, i int, eng *sim.Engine, s *vnettracer.Session) (*ag
 	if sc.SpoolBytes > 0 {
 		st.agent.SetSpoolLimit(sc.SpoolBytes)
 	}
-	// Provisioning goes through the supervisor as one desired-state
+	// Provisioning goes through the dispatcher as one desired-state
 	// change, so a later kill/reboot fault gets the same tracepoints
 	// re-pushed without the harness re-declaring them. Every collector
 	// carries (possibly empty) partitions of the record tables: after a
@@ -514,7 +514,7 @@ func scheduleWorkload(sc Scenario, eng *sim.Engine, dist sim.Dist, cluster []*ag
 			panic(err) // UDP by construction
 		}
 		// A fire against a site with no program attached (the window
-		// between a kill and the supervisor's re-provision) traces
+		// between a kill and the dispatcher's re-provision) traces
 		// nothing: it is ground truth the pipeline never saw, tracked
 		// separately so conservation stays exact.
 		attached := st.machine.Node.Probes.Attached(site) > 0
@@ -616,7 +616,7 @@ func scheduleFaults(sc Scenario, eng *sim.Engine, s *vnettracer.Session, cluster
 		eng.Schedule(sc.KillAtNs+sc.KillRebootAfterNs, func() {
 			// Reboot: a fresh process takes over the machine under the next
 			// epoch lease, with nothing installed and no flush loop — the
-			// supervisor's next tick must re-push the desired state. It
+			// dispatcher's next tick must re-push the desired state. It
 			// keeps the sticky home and the spool bound.
 			fresh, _, err := s.RestartAgent(st.name)
 			if err != nil {

@@ -101,13 +101,13 @@ type Scenario struct {
 	// failed pushes past their backoff deadline are retried and restarted
 	// agents (new epoch lease) get their desired tracepoints re-pushed.
 	// 0 disables the timer (the initial provisioning still goes through
-	// the supervisor either way).
+	// the dispatcher either way).
 	SuperviseEveryNs int64
 
 	// Agent kill: agent KillAgent's process dies at KillAtNs — probes
 	// detach, the flush loop stops — and a fresh process boots
 	// KillRebootAfterNs later under a new epoch lease, with nothing
-	// installed until the supervisor re-provisions it. Fires during the
+	// installed until the dispatcher re-provisions it. Fires during the
 	// dead window hit no probe and are counted as unattended ground
 	// truth. The dead process lingers as a zombie holding its old spool.
 	KillAtNs          int64
@@ -324,7 +324,7 @@ func Corpus() []Scenario {
 		},
 		{
 			// Agent 1's process dies mid-run and reboots 10ms later under a
-			// new epoch lease with nothing installed; the supervisor must
+			// new epoch lease with nothing installed; the dispatcher must
 			// re-push its tracepoints within a tick. Fires during the dead
 			// window hit no probe and are counted as unattended — the only
 			// capture loss this scenario permits.

@@ -265,7 +265,7 @@ func (a *Agent) Machine() *core.Machine { return a.machine }
 // flushing. Installation is atomic per script; a failing spec leaves
 // earlier scripts of the same package installed and returns the error.
 // A Replace package first detaches everything currently installed, making
-// it an idempotent full-desired-state declaration — the supervisor's
+// it an idempotent full-desired-state declaration — the dispatcher's
 // retry and re-provision pushes use it because the agent's current state
 // is unknown to them.
 func (a *Agent) Apply(pkg ControlPackage) error {

@@ -252,9 +252,8 @@ func (c *Cluster) Rehomes() uint64 {
 	return c.moves
 }
 
-// Ledger implements LedgerSource by routing to the agent's home
-// collector — the supervisor reads lease state from wherever the agent
-// currently lives.
+// Ledger reads the agent's delivery ledger from its home collector, so
+// lease and heartbeat state follow the agent wherever it currently lives.
 func (c *Cluster) Ledger(agent string) (tracedb.AgentLedger, bool) {
 	c.mu.Lock()
 	h, ok := c.homes[agent]

@@ -191,18 +191,21 @@ func TestDispatcherRegisterPush(t *testing.T) {
 	if err := d.Register("agent-0", r.agent); err == nil {
 		t.Fatal("duplicate register accepted")
 	}
-	tp := d.AllocTPID("ovs-ingress")
-	if d.TPName(tp) != "ovs-ingress" {
-		t.Fatal("TPName lookup failed")
-	}
-	if err := d.Push("agent-0", ControlPackage{Install: []script.Spec{recordSpec("s1", tp, kernel.SiteUDPRecvmsg)}}); err != nil {
+	tp := d.AllocTPID()
+	if err := d.Desire("agent-0", ControlPackage{Install: []script.Spec{recordSpec("s1", tp, kernel.SiteUDPRecvmsg)}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Push("ghost", ControlPackage{}); err == nil {
+	if got := r.agent.Installed(); len(got) != 1 || got[0] != "s1" {
+		t.Fatalf("installed %v, want [s1]", got)
+	}
+	if err := d.Desire("ghost", ControlPackage{}, 0); err == nil {
 		t.Fatal("push to unknown agent accepted")
 	}
-	if err := d.PushAll(ControlPackage{Uninstall: []string{"s1"}}); err != nil {
+	if err := d.Desire("agent-0", ControlPackage{Uninstall: []string{"s1"}}, 0); err != nil {
 		t.Fatal(err)
+	}
+	if got := r.agent.Installed(); len(got) != 0 {
+		t.Fatalf("installed %v after uninstall, want none", got)
 	}
 }
 
@@ -210,7 +213,7 @@ func TestDispatcherTPIDsUnique(t *testing.T) {
 	d := NewDispatcher()
 	seen := make(map[uint32]bool)
 	for i := 0; i < 100; i++ {
-		id := d.AllocTPID("tp")
+		id := d.AllocTPID()
 		if seen[id] {
 			t.Fatalf("TPID %d allocated twice", id)
 		}
@@ -246,7 +249,7 @@ func TestTCPControlAndBatchRoundTrip(t *testing.T) {
 	if err := d.Register("agent-0", ctl); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Push("agent-0", ControlPackage{Install: []script.Spec{recordSpec("s1", 7, kernel.SiteUDPRecvmsg)}}); err != nil {
+	if err := d.Desire("agent-0", ControlPackage{Install: []script.Spec{recordSpec("s1", 7, kernel.SiteUDPRecvmsg)}}, 0); err != nil {
 		t.Fatal(err)
 	}
 

@@ -3,7 +3,6 @@ package control
 import (
 	"errors"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -373,54 +372,12 @@ func TestConcurrentFlushSerialized(t *testing.T) {
 	}
 }
 
-// failingClient rejects every control package.
-type failingClient struct{ calls int }
-
-func (f *failingClient) Apply(ControlPackage) error {
-	f.calls++
-	return errors.New("unreachable")
-}
-
 // countingClient accepts every control package.
 type countingClient struct{ calls int }
 
 func (c *countingClient) Apply(ControlPackage) error {
 	c.calls++
 	return nil
-}
-
-// TestDispatcherPushAllPartialFailure: a failing agent must not stop the
-// rollout — every agent gets the package and the failures come back
-// joined, naming who is unconfigured.
-func TestDispatcherPushAllPartialFailure(t *testing.T) {
-	d := NewDispatcher()
-	a, b, c := &countingClient{}, &failingClient{}, &countingClient{}
-	for name, cl := range map[string]ControlClient{"a": a, "b": b, "c": c} {
-		if err := d.Register(name, cl); err != nil {
-			t.Fatal(err)
-		}
-	}
-	err := d.PushAll(ControlPackage{})
-	if err == nil {
-		t.Fatal("partial failure reported as success")
-	}
-	if a.calls != 1 || c.calls != 1 {
-		t.Fatalf("rollout stopped early: a=%d c=%d calls, want 1 each", a.calls, c.calls)
-	}
-	if b.calls != 1 {
-		t.Fatalf("failing agent pushed %d times, want 1", b.calls)
-	}
-	if !strings.Contains(err.Error(), `"b"`) {
-		t.Fatalf("error does not name the failing agent: %v", err)
-	}
-	// All-healthy roster still returns nil.
-	d2 := NewDispatcher()
-	if err := d2.Register("x", &countingClient{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d2.PushAll(ControlPackage{}); err != nil {
-		t.Fatalf("healthy PushAll = %v", err)
-	}
 }
 
 // TestHeartbeatOutOfOrderBatches drives the heartbeat-regression fix

@@ -1,35 +1,95 @@
 package control
 
 import (
-	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
-	"strings"
 	"sync"
+
+	"vnettracer/internal/script"
+)
+
+// The dispatcher's retry backoff bounds: the first failed push retries
+// after DefaultRetryBackoffNs, doubling (plus jitter) up to
+// DefaultMaxRetryBackoffNs.
+const (
+	DefaultRetryBackoffNs    = 100e6 // 100ms
+	DefaultMaxRetryBackoffNs = 5e9   // 5s
 )
 
 // Dispatcher is the control data dispatcher on the master node: it keeps a
-// roster of agents and pushes control packages to them. TPID allocation is
-// centralized here so tracepoint tables never collide across agents, and
-// each registration carries an epoch lease: a monotonically increasing
-// per-agent counter that lets the collector fence batches from a zombie
-// pre-restart process.
+// roster of agents and converges each one to its desired state. TPID
+// allocation is centralized here so tracepoint tables never collide across
+// agents, and each registration carries an epoch lease: a monotonically
+// increasing per-agent counter that lets the collector fence batches from
+// a zombie pre-restart process. Desired state is pushed as an idempotent
+// Replace package; a failed push is retried with capped exponential
+// backoff plus jitter, and an agent whose lease advances (it restarted and
+// lost its tracepoints) is re-provisioned. Drive retries with Tick.
 type Dispatcher struct {
-	mu      sync.Mutex
-	agents  map[string]ControlClient
-	epochs  map[string]uint64
-	nextTP  uint32
-	tpNames map[uint32]string
+	mu     sync.Mutex
+	agents map[string]*rosterEntry
+	nextTP uint32
+	rng    *rand.Rand
+	stats  DispatcherStats
 }
 
-// NewDispatcher returns an empty dispatcher.
+// rosterEntry is everything the dispatcher knows of one agent: its
+// control client and epoch lease, the state it should run, and how far
+// the last push got toward it.
+type rosterEntry struct {
+	client ControlClient // nil until Register
+	epoch  uint64        // current lease; 0 = never granted
+
+	specs           map[string]script.Spec // desired scripts; nil until Desire
+	order           []string               // install order, kept stable across re-pushes
+	flushIntervalNs int64
+	shipAggregates  bool // desired aggregate-drain mode, survives re-pushes
+
+	applied      bool   // desired state successfully pushed at appliedEpoch
+	appliedEpoch uint64 // epoch the last successful push targeted
+	failures     int    // consecutive push failures
+	nextRetryNs  int64  // earliest time for the next push attempt
+}
+
+// DispatcherStats reports the dispatcher's push work.
+type DispatcherStats struct {
+	// Desired counts agents with recorded desired state.
+	Desired int
+	// Pushes counts every push attempt; Failures the ones that errored;
+	// Retries the attempts that followed at least one failure.
+	Pushes   uint64
+	Failures uint64
+	Retries  uint64
+	// Reprovisions counts full desired-state re-pushes triggered by an
+	// epoch advance — agents that restarted and got their tracepoints
+	// re-attached without operator action.
+	Reprovisions uint64
+	// PendingRetries counts agents currently out of sync (failed push or
+	// unhealed epoch advance) awaiting their next attempt.
+	PendingRetries int
+}
+
+// NewDispatcher returns an empty dispatcher. The jitter RNG is
+// deterministically seeded so simulations replay; SetJitterSeed reseeds
+// it.
 func NewDispatcher() *Dispatcher {
 	return &Dispatcher{
-		agents:  make(map[string]ControlClient),
-		epochs:  make(map[string]uint64),
-		nextTP:  1,
-		tpNames: make(map[uint32]string),
+		agents: make(map[string]*rosterEntry),
+		nextTP: 1,
+		rng:    rand.New(rand.NewSource(1)),
 	}
+}
+
+// entryLocked returns the agent's roster entry, creating an empty one.
+// Callers hold d.mu.
+func (d *Dispatcher) entryLocked(name string) *rosterEntry {
+	e, ok := d.agents[name]
+	if !ok {
+		e = &rosterEntry{}
+		d.agents[name] = e
+	}
+	return e
 }
 
 // Register adds an agent to the roster, granting it epoch lease 1.
@@ -38,11 +98,12 @@ func NewDispatcher() *Dispatcher {
 func (d *Dispatcher) Register(name string, client ControlClient) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, dup := d.agents[name]; dup {
+	e := d.entryLocked(name)
+	if e.client != nil {
 		return fmt.Errorf("control: dispatcher: agent %q already registered", name)
 	}
-	d.agents[name] = client
-	d.epochs[name]++
+	e.client = client
+	e.epoch++
 	return nil
 }
 
@@ -54,9 +115,10 @@ func (d *Dispatcher) Register(name string, client ControlClient) error {
 func (d *Dispatcher) Reregister(name string, client ControlClient) uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.agents[name] = client
-	d.epochs[name]++
-	return d.epochs[name]
+	e := d.entryLocked(name)
+	e.client = client
+	e.epoch++
+	return e.epoch
 }
 
 // AdvanceEpoch bumps an agent's epoch lease without replacing its
@@ -68,130 +130,183 @@ func (d *Dispatcher) Reregister(name string, client ControlClient) uint64 {
 func (d *Dispatcher) AdvanceEpoch(name string) uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.epochs[name]++
-	return d.epochs[name]
+	e := d.entryLocked(name)
+	e.epoch++
+	return e.epoch
 }
 
 // Epoch returns the agent's current epoch lease (0 = never registered).
 func (d *Dispatcher) Epoch(name string) uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.epochs[name]
-}
-
-// Agents lists registered agent names.
-func (d *Dispatcher) Agents() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.agents))
-	for name := range d.agents {
-		out = append(out, name)
+	if e, ok := d.agents[name]; ok {
+		return e.epoch
 	}
-	sort.Strings(out)
-	return out
+	return 0
 }
 
-// AllocTPID reserves a fresh tracepoint ID under the given human-readable
-// name.
-func (d *Dispatcher) AllocTPID(name string) uint32 {
+// AllocTPID reserves a fresh tracepoint ID.
+func (d *Dispatcher) AllocTPID() uint32 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	id := d.nextTP
 	d.nextTP++
-	d.tpNames[id] = name
 	return id
 }
 
-// TPName resolves a tracepoint ID to its name.
-func (d *Dispatcher) TPName(id uint32) string {
+// SetJitterSeed reseeds the backoff jitter source (deterministic replay).
+func (d *Dispatcher) SetJitterSeed(seed int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.tpNames[id]
+	d.rng = rand.New(rand.NewSource(seed))
 }
 
-// ErrUnknownAgent marks a push to a name not on the roster.
-var ErrUnknownAgent = errors.New("unknown agent")
-
-// AgentError is a push failure attributed to one agent — the typed form
-// the supervisor needs to retry exactly the agents that failed.
-type AgentError struct {
-	Agent string
-	Err   error
-}
-
-func (e *AgentError) Error() string {
-	return fmt.Sprintf("control: dispatcher: push to %q: %v", e.Agent, e.Err)
-}
-
-// Unwrap exposes the underlying cause for errors.Is/As.
-func (e *AgentError) Unwrap() error { return e.Err }
-
-// PushAllError aggregates the per-agent failures of a PushAll rollout.
-// Failures are ordered by agent name; agents absent from the list
-// received the package successfully.
-type PushAllError struct {
-	Failures []*AgentError
-}
-
-func (e *PushAllError) Error() string {
-	msgs := make([]string, len(e.Failures))
-	for i, f := range e.Failures {
-		msgs[i] = f.Error()
-	}
-	return strings.Join(msgs, "\n")
-}
-
-// Unwrap exposes each per-agent failure to errors.Is/As.
-func (e *PushAllError) Unwrap() []error {
-	out := make([]error, len(e.Failures))
-	for i, f := range e.Failures {
-		out[i] = f
-	}
-	return out
-}
-
-// FailedAgents lists the agents that did not get the package, in name
-// order.
-func (e *PushAllError) FailedAgents() []string {
-	out := make([]string, len(e.Failures))
-	for i, f := range e.Failures {
-		out[i] = f.Agent
-	}
-	return out
-}
-
-// Push ships a control package to one agent. Failures come back as
-// *AgentError naming the agent.
-func (d *Dispatcher) Push(agent string, pkg ControlPackage) error {
+// Desire merges pkg into the agent's desired state and pushes the full
+// state immediately. Install specs add to (or, by name, update) the
+// desired set; Uninstall names leave it; a positive FlushIntervalNs
+// updates the desired flush cadence. The push error is returned so
+// synchronous mistakes (a spec that doesn't compile) surface to the
+// caller — but the state is recorded first, and a failed push (an agent
+// not yet registered included) is retried by Tick with backoff either way.
+func (d *Dispatcher) Desire(agent string, pkg ControlPackage, nowNs int64) error {
 	d.mu.Lock()
-	client, ok := d.agents[agent]
-	d.mu.Unlock()
-	if !ok {
-		return &AgentError{Agent: agent, Err: ErrUnknownAgent}
+	defer d.mu.Unlock()
+	e := d.entryLocked(agent)
+	if e.specs == nil {
+		e.specs = make(map[string]script.Spec)
 	}
-	if err := client.Apply(pkg); err != nil {
-		return &AgentError{Agent: agent, Err: err}
+	for _, name := range pkg.Uninstall {
+		if _, had := e.specs[name]; had {
+			delete(e.specs, name)
+			for i, n := range e.order {
+				if n == name {
+					e.order = append(e.order[:i], e.order[i+1:]...)
+					break
+				}
+			}
+		}
+	}
+	for _, spec := range pkg.Install {
+		if _, had := e.specs[spec.Name]; !had {
+			e.order = append(e.order, spec.Name)
+		}
+		e.specs[spec.Name] = spec
+	}
+	if pkg.FlushIntervalNs > 0 {
+		e.flushIntervalNs = pkg.FlushIntervalNs
+	}
+	if pkg.ShipAggregates {
+		e.shipAggregates = true
+	}
+	e.applied = false // state changed: must re-push even if it was in sync
+	return d.pushLocked(agent, e, nowNs)
+}
+
+// Desired returns the full desired-state package for an agent (what a
+// push would send), and whether any state is recorded.
+func (d *Dispatcher) Desired(agent string) (ControlPackage, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	e, ok := d.agents[agent]
+	if !ok || e.specs == nil {
+		return ControlPackage{}, false
+	}
+	return e.packageLocked(), true
+}
+
+// packageLocked builds the idempotent full-state push for this agent.
+func (e *rosterEntry) packageLocked() ControlPackage {
+	pkg := ControlPackage{Replace: true, FlushIntervalNs: e.flushIntervalNs, ShipAggregates: e.shipAggregates}
+	for _, name := range e.order {
+		pkg.Install = append(pkg.Install, e.specs[name])
+	}
+	return pkg
+}
+
+// pending reports whether the agent's desired state is not applied at its
+// current lease.
+func (e *rosterEntry) pending() bool {
+	return !e.applied || e.appliedEpoch < e.epoch
+}
+
+// pushLocked attempts the full desired-state push and updates retry and
+// reprovision bookkeeping. Callers hold d.mu.
+func (d *Dispatcher) pushLocked(agent string, e *rosterEntry, nowNs int64) error {
+	reprovision := e.applied && e.appliedEpoch > 0 && e.appliedEpoch < e.epoch
+	d.stats.Pushes++
+	if e.failures > 0 {
+		d.stats.Retries++
+	}
+	var err error
+	if e.client == nil {
+		err = fmt.Errorf("control: dispatcher: push to %q: unknown agent", agent)
+	} else if aerr := e.client.Apply(e.packageLocked()); aerr != nil {
+		err = fmt.Errorf("control: dispatcher: push to %q: %w", agent, aerr)
+	}
+	if err != nil {
+		e.failures++
+		d.stats.Failures++
+		backoff := int64(DefaultRetryBackoffNs)
+		for i := 1; i < e.failures && backoff < DefaultMaxRetryBackoffNs; i++ {
+			backoff *= 2
+		}
+		if backoff > DefaultMaxRetryBackoffNs {
+			backoff = DefaultMaxRetryBackoffNs
+		}
+		// Jitter of up to half the backoff keeps a fleet of failed
+		// pushes from re-converging on the dispatcher in lockstep.
+		e.nextRetryNs = nowNs + backoff + d.rng.Int63n(backoff/2+1)
+		return err
+	}
+	e.applied = true
+	e.appliedEpoch = e.epoch
+	e.failures = 0
+	e.nextRetryNs = 0
+	if reprovision {
+		d.stats.Reprovisions++
 	}
 	return nil
 }
 
-// PushAll ships the same package to every agent. A failing agent does not
-// stop the rollout: the rest of the roster still gets the package, and
-// the failures come back as a *PushAllError carrying one *AgentError per
-// failed agent, so a supervisor can retry exactly the failures.
-func (d *Dispatcher) PushAll(pkg ControlPackage) error {
-	var fails []*AgentError
-	for _, name := range d.Agents() {
-		if err := d.Push(name, pkg); err != nil {
-			var ae *AgentError
-			if !errors.As(err, &ae) {
-				ae = &AgentError{Agent: name, Err: err}
-			}
-			fails = append(fails, ae)
+// Tick runs one supervision pass at the given time: any agent whose
+// desired state is not applied at its current epoch — a failed push past
+// its backoff deadline, or an epoch advance from a restart — gets the
+// full desired state re-pushed. Agents are visited in name order, so
+// simulated runs replay deterministically.
+func (d *Dispatcher) Tick(nowNs int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	names := make([]string, 0, len(d.agents))
+	for name, e := range d.agents {
+		if e.specs != nil {
+			names = append(names, name)
 		}
 	}
-	if len(fails) == 0 {
-		return nil
+	sort.Strings(names)
+	for _, name := range names {
+		e := d.agents[name]
+		if !e.pending() || nowNs < e.nextRetryNs {
+			continue
+		}
+		// Errors are retried on a later tick; they already count in
+		// stats.Failures and remain visible through Stats.
+		_ = d.pushLocked(name, e, nowNs)
 	}
-	return &PushAllError{Failures: fails}
+}
+
+// Stats snapshots the push counters.
+func (d *Dispatcher) Stats() DispatcherStats {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	st := d.stats
+	for _, e := range d.agents {
+		if e.specs == nil {
+			continue
+		}
+		st.Desired++
+		if e.pending() {
+			st.PendingRetries++
+		}
+	}
+	return st
 }

@@ -35,7 +35,7 @@ type ControlPackage struct {
 	ShipAggregates bool `json:"ship_aggregates,omitempty"`
 	// Replace makes the package a full desired-state declaration: the
 	// agent detaches and unloads everything currently installed before
-	// applying Install, making the push idempotent. The supervisor uses
+	// applying Install, making the push idempotent. The dispatcher uses
 	// it for retries and post-restart re-provisioning, where the agent's
 	// current state is unknown.
 	Replace bool `json:"replace,omitempty"`

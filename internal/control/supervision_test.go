@@ -53,48 +53,6 @@ func (s *pressureSink) HandleBatchAck(b RecordBatch) (BatchAck, error) {
 	return BatchAck{QueueDepth: s.depth, QueueCap: s.cap}, nil
 }
 
-// TestPushTypedErrors: push failures come back as typed errors a
-// supervisor can dissect — *AgentError naming the agent, *PushAllError
-// aggregating them, errors.Is reaching the root cause through both.
-func TestPushTypedErrors(t *testing.T) {
-	d := NewDispatcher()
-	for name, cl := range map[string]ControlClient{
-		"a": &countingClient{}, "b": &failingClient{}, "d": &failingClient{},
-	} {
-		if err := d.Register(name, cl); err != nil {
-			t.Fatal(err)
-		}
-	}
-	err := d.PushAll(ControlPackage{})
-	var pae *PushAllError
-	if !errors.As(err, &pae) {
-		t.Fatalf("PushAll error is %T, want *PushAllError", err)
-	}
-	if got := pae.FailedAgents(); !reflect.DeepEqual(got, []string{"b", "d"}) {
-		t.Fatalf("FailedAgents = %v, want [b d]", got)
-	}
-	for _, f := range pae.Failures {
-		if f.Err == nil {
-			t.Fatalf("failure for %q carries no cause", f.Agent)
-		}
-	}
-	var ae *AgentError
-	if !errors.As(err, &ae) {
-		t.Fatalf("no *AgentError reachable through %T", err)
-	}
-
-	// Push to a name not on the roster: *AgentError wrapping
-	// ErrUnknownAgent.
-	err = d.Push("ghost", ControlPackage{})
-	if !errors.Is(err, ErrUnknownAgent) {
-		t.Fatalf("unknown-agent push: errors.Is(ErrUnknownAgent) false: %v", err)
-	}
-	ae = nil
-	if !errors.As(err, &ae) || ae.Agent != "ghost" {
-		t.Fatalf("unknown-agent push error = %v, want *AgentError for ghost", err)
-	}
-}
-
 // TestSupervisorDesireMerges: Desire accumulates desired state across
 // calls — installs add or update by name, uninstalls remove, the flush
 // cadence sticks — and the materialized package is always a full Replace.
@@ -104,19 +62,18 @@ func TestSupervisorDesireMerges(t *testing.T) {
 	if err := d.Register("a", cc); err != nil {
 		t.Fatal(err)
 	}
-	sup := NewSupervisor(d)
 	s1 := recordSpec("s1", 1, kernel.SiteUDPRecvmsg)
 	s2 := recordSpec("s2", 2, kernel.SiteTCPOptionsWrite)
-	if err := sup.Desire("a", ControlPackage{Install: []script.Spec{s1}, FlushIntervalNs: 1e6}, 0); err != nil {
+	if err := d.Desire("a", ControlPackage{Install: []script.Spec{s1}, FlushIntervalNs: 1e6}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := sup.Desire("a", ControlPackage{Install: []script.Spec{s2}}, 0); err != nil {
+	if err := d.Desire("a", ControlPackage{Install: []script.Spec{s2}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := sup.Desire("a", ControlPackage{Uninstall: []string{"s1"}}, 0); err != nil {
+	if err := d.Desire("a", ControlPackage{Uninstall: []string{"s1"}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	pkg, ok := sup.Desired("a")
+	pkg, ok := d.Desired("a")
 	if !ok {
 		t.Fatal("no desired state recorded")
 	}
@@ -136,45 +93,46 @@ func TestSupervisorDesireMerges(t *testing.T) {
 
 // TestSupervisorRetryBackoff: a failed push is retried by Tick only after
 // its backoff deadline, with the deadline growing exponentially, and a
-// success clears the pending state.
+// success clears the pending state. An agent desired before it registers
+// is one more failed push, converged by the first Tick past its deadline
+// once it joins the roster.
 func TestSupervisorRetryBackoff(t *testing.T) {
 	d := NewDispatcher()
 	fc := &flakyApplyClient{failures: 2}
 	if err := d.Register("a", fc); err != nil {
 		t.Fatal(err)
 	}
-	sup := NewSupervisor(d)
 	const b = DefaultRetryBackoffNs // the timeline's unit: the first backoff
-	err := sup.Desire("a", ControlPackage{Install: []script.Spec{recordSpec("s1", 1, kernel.SiteUDPRecvmsg)}}, b/2)
+	err := d.Desire("a", ControlPackage{Install: []script.Spec{recordSpec("s1", 1, kernel.SiteUDPRecvmsg)}}, b/2)
 	if err == nil {
 		t.Fatal("Desire against a failing client returned nil")
 	}
-	st := sup.Stats()
+	st := d.Stats()
 	if st.Pushes != 1 || st.Failures != 1 || st.PendingRetries != 1 {
 		t.Fatalf("after failed Desire: %+v", st)
 	}
 	// First retry is due at b/2 + b + jitter(<=b/2): ticking earlier than
 	// the minimum must not push.
-	sup.Tick(3*b/2 - 1)
+	d.Tick(3*b/2 - 1)
 	if fc.calls != 1 {
 		t.Fatalf("tick before backoff deadline pushed (calls=%d)", fc.calls)
 	}
 	// Past the jitter-inclusive maximum the retry must fire (and fail
 	// again, doubling the backoff to 2b + jitter(<=b)).
-	sup.Tick(5 * b / 2)
+	d.Tick(5 * b / 2)
 	if fc.calls != 2 {
 		t.Fatalf("tick past deadline did not push (calls=%d)", fc.calls)
 	}
-	sup.Tick(5*b/2 + 1)
+	d.Tick(5*b/2 + 1)
 	if fc.calls != 2 {
 		t.Fatalf("tick inside doubled backoff pushed (calls=%d)", fc.calls)
 	}
 	// Past the doubled window the client heals.
-	sup.Tick(6 * b)
+	d.Tick(6 * b)
 	if fc.calls != 3 {
 		t.Fatalf("final retry did not push (calls=%d)", fc.calls)
 	}
-	st = sup.Stats()
+	st = d.Stats()
 	if st.Pushes != 3 || st.Failures != 2 || st.Retries != 2 || st.PendingRetries != 0 {
 		t.Fatalf("after convergence: %+v", st)
 	}
@@ -184,9 +142,38 @@ func TestSupervisorRetryBackoff(t *testing.T) {
 		t.Fatalf("converged push = %+v, want Replace with s1", last)
 	}
 	// In sync: further ticks are no-ops.
-	sup.Tick(7 * b)
+	d.Tick(7 * b)
 	if fc.calls != 3 {
 		t.Fatalf("converged supervisor still pushing (calls=%d)", fc.calls)
+	}
+
+	// Desired before it registers: the push has no client to reach and
+	// counts as a failure, retried like any other.
+	if err := d.Desire("late", ControlPackage{Install: []script.Spec{recordSpec("s2", 2, kernel.SiteUDPRecvmsg)}}, 7*b); err == nil {
+		t.Fatal("Desire for an unregistered agent returned nil")
+	}
+	st = d.Stats()
+	if st.Pushes != 4 || st.Failures != 3 || st.PendingRetries != 1 {
+		t.Fatalf("after Desire for an unregistered agent: %+v", st)
+	}
+	late := &flakyApplyClient{}
+	if err := d.Register("late", late); err != nil {
+		t.Fatal(err)
+	}
+	d.Tick(7*b + b - 1)
+	if late.calls != 0 {
+		t.Fatalf("tick before backoff deadline pushed to the late agent (calls=%d)", late.calls)
+	}
+	d.Tick(7*b + 3*b/2)
+	if late.calls != 1 {
+		t.Fatalf("tick past deadline did not push to the late agent (calls=%d)", late.calls)
+	}
+	if pkg := late.pkgs[0]; !pkg.Replace || len(pkg.Install) != 1 || pkg.Install[0].Name != "s2" {
+		t.Fatalf("late agent's first push = %+v, want Replace with s2", pkg)
+	}
+	st = d.Stats()
+	if st.Pushes != 5 || st.Failures != 3 || st.Retries != 3 || st.PendingRetries != 0 || fc.calls != 3 {
+		t.Fatalf("after the late agent converged: %+v (a saw %d pushes)", st, fc.calls)
 	}
 }
 
@@ -200,12 +187,11 @@ func TestSupervisorReprovisionOnEpochAdvance(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.agent.SetEpoch(d.Epoch("agent-0"))
-	sup := NewSupervisor(d)
 	pkg := ControlPackage{Install: []script.Spec{
 		recordSpec("s1", 1, kernel.SiteUDPRecvmsg),
 		recordSpec("s2", 2, kernel.SiteTCPOptionsWrite),
 	}}
-	if err := sup.Desire("agent-0", pkg, 0); err != nil {
+	if err := d.Desire("agent-0", pkg, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.agent.Installed(); len(got) != 2 {
@@ -224,7 +210,7 @@ func TestSupervisorReprovisionOnEpochAdvance(t *testing.T) {
 	if got := fresh.Installed(); len(got) != 0 {
 		t.Fatalf("fresh agent already has scripts: %v", got)
 	}
-	sup.Tick(0)
+	d.Tick(0)
 	if got := fresh.Installed(); !reflect.DeepEqual(got, []string{"s1", "s2"}) {
 		t.Fatalf("after reprovision tick: installed %v, want [s1 s2]", got)
 	}
@@ -233,13 +219,13 @@ func TestSupervisorReprovisionOnEpochAdvance(t *testing.T) {
 	if got := r.machine.Node.Probes.Attached(kernel.SiteUDPRecvmsg); got != 1 {
 		t.Fatalf("site has %d programs attached, want 1", got)
 	}
-	st := sup.Stats()
+	st := d.Stats()
 	if st.Reprovisions != 1 {
 		t.Fatalf("Reprovisions = %d, want 1", st.Reprovisions)
 	}
 	pushes := st.Pushes
-	sup.Tick(1)
-	if got := sup.Stats().Pushes; got != pushes {
+	d.Tick(1)
+	if got := d.Stats().Pushes; got != pushes {
 		t.Fatalf("converged supervisor pushed again (%d -> %d)", pushes, got)
 	}
 }

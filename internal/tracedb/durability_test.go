@@ -434,6 +434,42 @@ func TestRecoverRequiresDirs(t *testing.T) {
 	}
 }
 
+// TestRecoverColdStartKeepsUncoveredExtents: an unlogged collector seals
+// its heads into the data directory; a durable start over that directory
+// with an empty WAL has no checkpoint and no entry to replay them from,
+// so it must fail naming the directory rather than drop them.
+func TestRecoverColdStartKeepsUncoveredExtents(t *testing.T) {
+	base := t.TempDir()
+	cfg := Config{SegmentBytes: 4 * core.RecordSize, DataDir: filepath.Join(base, "data")}
+	fill(NewWith(cfg), 1, 6, 2, 77, 10)
+	before, _ := filepath.Glob(filepath.Join(cfg.DataDir, "*.vnx"))
+	if len(before) == 0 {
+		t.Fatal("unlogged DB spilled no extents")
+	}
+	wal := filepath.Join(base, "wal")
+	_, stats, err := Recover(NewWith(cfg), NewAggStore(), DurabilityConfig{Dir: wal})
+	if err == nil || !strings.Contains(err.Error(), cfg.DataDir) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("%d extent files", len(before))) {
+		t.Fatalf("cold start over uncovered extents: err = %v (stats %+v)", err, stats)
+	}
+	if after, _ := filepath.Glob(filepath.Join(cfg.DataDir, "*.vnx")); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused recovery changed the data dir: %v -> %v", before, after)
+	}
+	// A durable collector that crashed before its first append left an
+	// empty generation and no extents: it still starts.
+	fresh := Config{SegmentBytes: cfg.SegmentBytes, DataDir: filepath.Join(base, "data2")}
+	d, _, err := Recover(NewWith(fresh), NewAggStore(), DurabilityConfig{Dir: wal})
+	if err != nil {
+		t.Fatalf("cold start with no extents: %v", err)
+	}
+	d.Close()
+	d, _, err = Recover(NewWith(fresh), NewAggStore(), DurabilityConfig{Dir: wal})
+	if err != nil {
+		t.Fatalf("restart over an empty generation: %v", err)
+	}
+	d.Close()
+}
+
 // TestWALRawRecordsEncoding pins the raw-bytes fast path: an entry
 // carrying its records' canonical wire encoding (the transport's record
 // section) must produce a byte-identical frame to one that re-marshals

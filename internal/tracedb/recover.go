@@ -185,7 +185,20 @@ func Recover(db *DB, aggs *AggStore, cfg DurabilityConfig) (*Durability, Recover
 		}
 	}
 
-	if err := reopenExtents(db, sealFence, &stats); err != nil {
+	files, err := listWALFiles(cfg.Dir)
+	if err != nil {
+		return nil, stats, err
+	}
+	// Extents past the seal fence are dropped for replay to rebuild; with
+	// no checkpoint and no logged entry, nothing could (an unlogged
+	// collector sealed them), so reopenExtents keeps them and fails.
+	replayable := loaded
+	for _, name := range files {
+		if fi, err := os.Stat(filepath.Join(cfg.Dir, name)); err == nil && fi.Size() > 0 {
+			replayable = true
+		}
+	}
+	if err := reopenExtents(db, sealFence, replayable, &stats); err != nil {
 		return nil, stats, err
 	}
 
@@ -193,10 +206,6 @@ func Recover(db *DB, aggs *AggStore, cfg DurabilityConfig) (*Durability, Recover
 	// not open yet, so nothing replayed is logged a second time.
 	d := Unlogged(db, aggs)
 	maxLSN := stats.CheckpointLSN
-	files, err := listWALFiles(cfg.Dir)
-	if err != nil {
-		return nil, stats, err
-	}
 	for _, name := range files {
 		path := filepath.Join(cfg.Dir, name)
 		goodOff, tornErr, err := walReplayFile(path, func(e *walEntry) {
@@ -324,8 +333,10 @@ func (d *Durability) flushLoop(every time.Duration, spare []byte) {
 // rebuilt from each file's tail; the blocks stay on disk, unread), files
 // at or past the fence are removed — their records were logged after the
 // checkpoint cut and will be re-inserted by WAL replay, which re-seals
-// and re-spills them under the same names.
-func reopenExtents(db *DB, sealFence map[uint32]int, stats *RecoveryStats) error {
+// and re-spills them under the same names. When nothing is replayable
+// (no checkpoint, no WAL entry) and such files exist, it fails and
+// removes none.
+func reopenExtents(db *DB, sealFence map[uint32]int, replayable bool, stats *RecoveryStats) error {
 	dir := db.Config().DataDir
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -335,6 +346,7 @@ func reopenExtents(db *DB, sealFence map[uint32]int, stats *RecoveryStats) error
 		return err
 	}
 	byTable := make(map[uint32][]*Extent)
+	var drop []string
 	for _, ent := range ents {
 		if ent.IsDir() {
 			continue
@@ -346,8 +358,7 @@ func reopenExtents(db *DB, sealFence map[uint32]int, stats *RecoveryStats) error
 		}
 		path := filepath.Join(dir, ent.Name())
 		if seq >= sealFence[tpid] {
-			os.Remove(path)
-			stats.DroppedExtents++
+			drop = append(drop, path)
 			continue
 		}
 		ext, err := reopenExtent(path, tpid, seq)
@@ -357,6 +368,13 @@ func reopenExtents(db *DB, sealFence map[uint32]int, stats *RecoveryStats) error
 		}
 		byTable[tpid] = append(byTable[tpid], ext)
 	}
+	if len(drop) > 0 && !replayable {
+		return fmt.Errorf("tracedb: recover: data directory %s holds %d extent files that no checkpoint covers and no WAL entry replays; refusing to delete them", dir, len(drop))
+	}
+	for _, path := range drop {
+		os.Remove(path)
+	}
+	stats.DroppedExtents = len(drop)
 	for tpid, exts := range byTable {
 		sort.Slice(exts, func(i, j int) bool { return exts[i].seq < exts[j].seq })
 		t := db.ensureTableNamed(tpid, "")

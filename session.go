@@ -12,8 +12,8 @@ import (
 )
 
 // Session is a complete in-process tracer deployment: a dispatcher, a
-// supervisor, a collector tier of one or more collectors, and one agent
-// per monitored machine. It is the programmatic equivalent of running the
+// collector tier of one or more collectors, and one agent per monitored
+// machine. It is the programmatic equivalent of running the
 // vnettracer CLI's dispatcher, agents, and collectors against a set of
 // machines. One collector is a cluster of one: agents are placed on their
 // home collector by consistent hashing on the machine name, every record
@@ -22,7 +22,6 @@ import (
 type Session struct {
 	dispatcher *control.Dispatcher
 	cluster    *control.Cluster
-	supervisor *control.Supervisor
 	cols       []*sessionCollector
 	// query merges every collector's database and aggregate store, in
 	// collector order; a recovery swaps the new incarnation's in.
@@ -79,16 +78,9 @@ func NewSessionWith(cfg StoreConfig) *Session {
 // collectors with AddCollector before adding machines.
 func NewClusterSession() *Session {
 	disp := control.NewDispatcher()
-	clu := control.NewCluster(disp)
-	sup := control.NewSupervisor(disp)
-	// The home collectors' heartbeat ledgers double as the supervisor's
-	// epoch observer: a restarted agent announces its new lease through its
-	// first heartbeat and gets its tracepoints re-pushed.
-	sup.SetLedger(clu)
 	return &Session{
 		dispatcher: disp,
-		cluster:    clu,
-		supervisor: sup,
+		cluster:    control.NewCluster(disp),
 		query:      NewClusterQuery(),
 		agents:     make(map[string]*control.Agent),
 		labels:     make(map[string]uint32),
@@ -230,16 +222,11 @@ func (s *Session) Cluster() *control.Cluster { return s.cluster }
 // Query returns the merged read view over every collector.
 func (s *Session) Query() *ClusterQuery { return s.query }
 
-// Supervisor returns the session's control-plane supervisor: the
-// desired-state layer that retries failed pushes and re-provisions
-// restarted agents.
-func (s *Session) Supervisor() *control.Supervisor { return s.supervisor }
-
 // Supervise runs one supervision pass at the given time: failed pushes
-// past their backoff deadline are retried, and agents observed at a new
-// epoch (restarted) get their full desired state re-pushed. Call it
+// past their backoff deadline are retried, and agents whose lease
+// advanced (restarted) get their full desired state re-pushed. Call it
 // periodically (e.g. from an engine timer).
-func (s *Session) Supervise(nowNs int64) { s.supervisor.Tick(nowNs) }
+func (s *Session) Supervise(nowNs int64) { s.dispatcher.Tick(nowNs) }
 
 // AddMachine registers a machine under a new agent named after its node
 // and places it on its home collector.
@@ -335,7 +322,7 @@ func (s *Session) Install(machine string, spec TraceSpec) (uint32, error) {
 
 // InstallPackage makes a whole control package one desired-state change
 // for a machine: specs without a TPID get one, every recording spec's
-// table gets a partition on every collector, and the supervisor pushes
+// table gets a partition on every collector, and the dispatcher pushes
 // the package. It returns the specs' TPIDs in order. A machine not in the
 // session is refused before anything is allocated.
 func (s *Session) InstallPackage(machine string, pkg ControlPackage) ([]uint32, error) {
@@ -347,7 +334,7 @@ func (s *Session) InstallPackage(machine string, pkg ControlPackage) ([]uint32, 
 	for i := range pkg.Install {
 		spec := &pkg.Install[i]
 		if spec.TPID == 0 {
-			spec.TPID = s.dispatcher.AllocTPID(spec.Name)
+			spec.TPID = s.dispatcher.AllocTPID()
 		}
 		ids[i] = spec.TPID
 		s.labels[spec.Name] = spec.TPID
@@ -361,7 +348,7 @@ func (s *Session) InstallPackage(machine string, pkg ControlPackage) ([]uint32, 
 		}
 		s.tables[spec.TPID] = &tableMeta{name: spec.Name}
 	}
-	if err := s.supervisor.Desire(machine, pkg, s.nowNs(machine)); err != nil {
+	if err := s.dispatcher.Desire(machine, pkg, s.nowNs(machine)); err != nil {
 		return nil, err
 	}
 	return ids, nil
@@ -379,12 +366,12 @@ func (s *Session) InstallRecord(machine, label string, at AttachPoint, filter Fi
 }
 
 // Uninstall removes a script from a machine at runtime: the label leaves
-// the supervisor's desired state and the reduced state is re-pushed.
+// the dispatcher's desired state and the reduced state is re-pushed.
 func (s *Session) Uninstall(machine, label string) error {
-	if desired, ok := s.supervisor.Desired(machine); ok {
+	if desired, ok := s.dispatcher.Desired(machine); ok {
 		for _, spec := range desired.Install {
 			if spec.Name == label {
-				return s.supervisor.Desire(machine,
+				return s.dispatcher.Desire(machine,
 					ControlPackage{Uninstall: []string{label}}, s.nowNs(machine))
 			}
 		}

@@ -400,7 +400,7 @@ func TestSessionInstallUnknownMachine(t *testing.T) {
 	if got := s.Query().Tables(); len(got) != 0 {
 		t.Fatalf("failed installs left tables %v", got)
 	}
-	if pkg, ok := s.Supervisor().Desired("nope"); ok {
+	if pkg, ok := s.Dispatcher().Desired("nope"); ok {
 		t.Fatalf("a failed install left desired state %+v for supervision to re-push", pkg)
 	}
 	tpid, err := s.InstallRecord("m0", "rx", at, Filter{})
