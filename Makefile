@@ -137,7 +137,7 @@ bench-gate:
 
 # Opt-in proof that a refactor changed nothing observable (not part of
 # check or tier-1: ~2 min). Exports PARENT under .bench_build/ and diffs
-# the full `vntbench -quick` output (elapsed lines stripped), the 300
+# the full `vntbench -quick` output (elapsed lines stripped), the 350
 # seed-sweep digests, digests.golden and the stdout of every examples/
 # program against the working tree.
 .PHONY: nochange
@@ -157,10 +157,13 @@ bench-wire:
 
 # Crash-recovery conformance: the kill -9 collector scenarios (recover
 # mid-traffic from WAL + checkpoint; recovery racing the ring's agent
-# re-homing) swept across CONFORMANCE_SEEDS seeds under the race
-# detector. The acceptance bar for the durable collector.
+# re-homing; recovery re-provisioning agents that ship aggregates;
+# recovery after an agent rebooted into a new sequence space) swept
+# across CONFORMANCE_SEEDS seeds under the race detector. The acceptance
+# bar for the durable collector.
+CRASH_SCENARIOS = collector-kill-recover|recover-vs-rehome|reprovision-drains-aggregates|recover-after-agent-reboot
 .PHONY: crash
 crash:
 	CONFORMANCE_SEEDS=$(CONFORMANCE_SEEDS) $(GO) test -race -count=1 \
-		-run 'TestScenarioCorpus/(collector-kill-recover|recover-vs-rehome)|TestSeedSweep/(collector-kill-recover|recover-vs-rehome)' \
+		-run 'TestScenarioCorpus/($(CRASH_SCENARIOS))|TestSeedSweep/($(CRASH_SCENARIOS))' \
 		./internal/conformance

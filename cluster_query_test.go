@@ -182,7 +182,7 @@ func TestClusterQueryTopFlows(t *testing.T) {
 func TestClusterQueryAggregates(t *testing.T) {
 	mk := func(hist []uint64, pkts uint64) *tracedb.AggStore {
 		st := tracedb.NewAggStore()
-		st.Admit("agent", 1, 1, []tracedb.ScriptAgg{{
+		tracedb.Unlogged(tracedb.New(), st).AdmitAggFrame("agent", 1, 1, []tracedb.ScriptAgg{{
 			Script:   "udp-rx",
 			Counters: []uint64{pkts, pkts * 100},
 			Hist:     hist,

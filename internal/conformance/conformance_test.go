@@ -89,8 +89,8 @@ func TestScenarioCorpus(t *testing.T) {
 			if sumAgents(r, func(a AgentReport) uint64 { return a.RingDrops }) == 0 {
 				return "ring drops alongside exact aggregates", 0
 			}
-			if r.AggRejected == 0 {
-				return "rejected aggregate deliveries", 0
+			if r.OutageSpooledFrames == 0 {
+				return "frames held back by the outage", 0
 			}
 			return "deduped aggregate frames", r.AggFramesDup
 		},
@@ -396,6 +396,7 @@ func TestSeedSweep(t *testing.T) {
 		"agent-restart-reprovision", "zombie-epoch-fencing", "collector-overload-degrade",
 		"in-probe-aggregation", "collector-crash-rehome", "skewed-agent-load",
 		"collector-kill-recover", "recover-vs-rehome",
+		"reprovision-drains-aggregates", "recover-after-agent-reboot",
 	} {
 		base, ok := byName[name]
 		if !ok {

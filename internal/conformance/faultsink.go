@@ -50,7 +50,7 @@ type faultState struct {
 
 	// Aggregate-frame delivery shares the outage window and the ack-loss
 	// cadence but keeps its own counters (and its own ingest count for the
-	// cadence), since frames ride a dedicated sequence space.
+	// cadence), so frame dedup reconciles against frame acks alone.
 	aggAttempts uint64
 	aggRejected uint64
 	aggAcksLost uint64
@@ -157,7 +157,7 @@ func (s *faultSink) HandleBatchAck(b control.RecordBatch) (control.BatchAck, err
 // HandleAgg implements control.AggSink under the same transport faults:
 // an outage rejects the frame outright (the agent keeps it spooled and
 // retries), and a lost "ack" — an error returned after the collector
-// already merged — forces a duplicate delivery the aggregate ledger must
+// already merged — forces a duplicate delivery the ledger must
 // absorb, or every counter it carries would double.
 func (s *faultSink) HandleAgg(b control.AggBatch) error {
 	f := s.f

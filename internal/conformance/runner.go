@@ -186,6 +186,9 @@ type Result struct {
 	// Aggregate-frame totals (ShipAggregates scenarios).
 	AggFramesMerged, AggFramesDup, AggFramesFenced uint64
 	AggRowsMerged, AggRejected                     uint64
+	// OutageSpooledFrames counts frames spooled at the last instant of a
+	// sink outage: held back by it, and shipped later (checkAggregates).
+	OutageSpooledFrames uint64
 
 	// Dispatch snapshots the dispatcher's push counters (pushes,
 	// retries, re-provisions) at quiesce.
@@ -586,6 +589,14 @@ func flowOf(i int) flowTuple {
 // and collector kill/recover faults (transport faults live in the sinks
 // themselves).
 func scheduleFaults(sc Scenario, eng *sim.Engine, s *vnettracer.Session, cluster []*agentState, cols []*collectorState, res *Result, dig *digest) {
+	if sc.ShipAggregates && !sc.SinkDownForever && sc.SinkDownFromNs < sc.SinkDownUntilNs {
+		eng.Schedule(sc.SinkDownUntilNs-1, func() {
+			for _, st := range cluster {
+				res.OutageSpooledFrames += uint64(st.agent.AggShipStats().FramesSpooled)
+			}
+		})
+	}
+
 	if sc.RestartAtNs > 0 && sc.RestartForNs > 0 {
 		st := cluster[sc.RestartAgent%len(cluster)]
 		eng.Schedule(sc.RestartAtNs, func() {

@@ -118,8 +118,8 @@ type Scenario struct {
 	// accepting deliveries at CollectorFailAtNs (its tenants spool and
 	// back off), and CollectorRehomeAfterNs later the control plane
 	// declares it dead — every tenant re-homes to its consistent-hash
-	// successor under an advanced epoch lease, with the record and
-	// aggregate ledgers handed off so delivery stays exactly-once across
+	// successor under an advanced epoch lease, with the agent's ledger
+	// handed off so delivery stays exactly-once across
 	// the move. Requires Collectors > 1.
 	CollectorFailAtNs      int64
 	CollectorRehomeAfterNs int64
@@ -373,8 +373,8 @@ func Corpus() []Scenario {
 			// rings (records legitimately drop) while an outage window and
 			// lost acks batter the transport — yet the merged aggregates at
 			// the collector must match the fired ground truth exactly,
-			// because map updates bypass the ring and the aggregate ledger
-			// dedups every retried frame.
+			// because map updates bypass the ring and the ledger dedups
+			// every retried frame.
 			Name:            "in-probe-aggregation",
 			Seed:            15,
 			Agents:          3,
@@ -485,6 +485,36 @@ func Corpus() []Scenario {
 			RestartAtNs:     60 * sim.Millisecond,
 			RestartForNs:    20 * sim.Millisecond,
 			RestartAgent:    2,
+		},
+		{
+			// Re-provisioning must not drop what the maps counted since
+			// the last drain: the recovered collector's fresh epoch makes
+			// the dispatcher re-push each agent's scripts as a Replace,
+			// which must spool the unloaded maps as a frame first.
+			Name:                    "reprovision-drains-aggregates",
+			Seed:                    1,
+			Agents:                  2,
+			Durable:                 true,
+			ShipAggregates:          true,
+			SuperviseEveryNs:        2 * sim.Millisecond,
+			CollectorCrashAtNs:      28 * sim.Millisecond,
+			CollectorRecoverAfterNs: 19 * sim.Millisecond,
+		},
+		{
+			// An agent reboots while its collector is down and restarts
+			// its sequence space, so the replayed ledger (at its old
+			// lease) must not carry its high-water mark into the
+			// self-handoff, or the new stream is deduped, never stored.
+			Name:                    "recover-after-agent-reboot",
+			Seed:                    18,
+			Agents:                  3,
+			Durable:                 true,
+			SuperviseEveryNs:        2 * sim.Millisecond,
+			KillAgent:               0,
+			KillAtNs:                27 * sim.Millisecond,
+			KillRebootAfterNs:       14 * sim.Millisecond,
+			CollectorCrashAtNs:      38 * sim.Millisecond,
+			CollectorRecoverAfterNs: 6 * sim.Millisecond,
 		},
 	}
 }

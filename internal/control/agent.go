@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"vnettracer/internal/core"
 	"vnettracer/internal/script"
@@ -55,13 +57,14 @@ const (
 // paper: "the agents are daemon processes, which are woken up once
 // receiving new tracing scripts".
 //
-// Delivery is lossless up to a bounded spool: a drained batch that fails
-// to ship is re-queued and retried (oldest first, with exponential
-// backoff across flush ticks) until it is delivered or evicted to make
-// room for newer data. Every data-carrying batch gets a monotonically
-// increasing sequence number so the collector can drop transport-level
-// re-sends — together: no loss while the spool has capacity, and no
-// duplicates ever.
+// Delivery is lossless up to a bounded spool: a drained record batch or
+// aggregate frame that fails to ship is re-queued and retried (oldest
+// first, with exponential backoff across flush ticks) until it is
+// delivered or evicted to make room for newer data. Every data-carrying
+// delivery of either kind gets the next number of one monotonically
+// increasing sequence so the collector can drop transport-level re-sends
+// — together: no loss while the spool has capacity, and no duplicates
+// ever.
 type Agent struct {
 	name    string
 	machine *core.Machine
@@ -90,7 +93,8 @@ type Agent struct {
 	// and spool order breaks.
 	flushMu sync.Mutex
 
-	// spool state (guarded by mu; only mutated under flushMu).
+	// spool state (guarded by mu; only mutated under flushMu): record
+	// batches and aggregate frames, oldest first, under one byte bound.
 	spool          []spooledBatch
 	spoolBytes     int
 	spoolLimit     int
@@ -109,18 +113,15 @@ type Agent struct {
 
 	// Aggregate shipping state (guarded by mu; mutated under flushMu).
 	// When shipAggs is set, each flush snapshot-and-resets the loaded
-	// scripts' aggregation maps and spools the drain as one v5 frame in a
-	// sequence space of its own. Off by default: draining resets the maps,
-	// so direct map readers (ReadCounter et al.) and aggregate shipping
-	// are mutually exclusive consumers.
+	// scripts' aggregation maps and spools the drain as one v5 frame
+	// behind the flush's record batch. Off by default: draining resets
+	// the maps, so direct map readers (ReadCounter et al.) and aggregate
+	// shipping are mutually exclusive consumers.
 	shipAggs    bool
-	aggSpool    []spooledAgg
-	nextAggSeq  uint64
 	aggShipped  uint64
 	aggShipErrs uint64
 	aggRejected uint64
 	aggEvicted  uint64
-	lastAggErr  error
 
 	// Degradation state (guarded by mu): flushStretch multiplies the
 	// periodic flush interval; degradeLevel is 0 (full capture),
@@ -135,51 +136,45 @@ type Agent struct {
 	Batches uint64
 }
 
-// maxAggSpoolFrames bounds the aggregate-frame spool. Aggregate frames
-// are tiny, so the bound is about retry-window length, not memory: the
-// oldest frames are evicted (counted; their sequence numbers surface as
-// gaps in the collector's aggregate ledger) once a collector outage
-// outlasts the window.
-const maxAggSpoolFrames = 256
-
-// spooledAgg is one drained-but-unshipped aggregate frame. Like
-// spooledBatch, it keeps its drain timestamp and sequence number across
-// retries so the collector's ledger sees a stable identity.
-type spooledAgg struct {
-	seq     uint64
-	timeNs  int64
-	scripts []tracedb.ScriptAgg
-}
-
-// spooledBatch is one drained-but-unshipped batch awaiting delivery. It
-// keeps its original drain timestamp and sequence number across retries
-// so the collector's ledger sees a stable identity.
+// spooledBatch is one drained-but-unshipped delivery: a record batch, or
+// an aggregate frame when scripts is non-nil. Its drain timestamp and
+// sequence number stay stable across retries for the collector's ledger;
+// bytes is its charge against the spool bound.
 type spooledBatch struct {
 	seq      uint64
 	timeNs   int64
 	drops    uint64
 	recs     []core.Record
+	scripts  []tracedb.ScriptAgg
+	bytes    int
 	attempts int
 }
 
+// aggRowBytes is a frame row's charge against the spool bound, so sizing
+// a frame needs no encode: the size of a flow row, the widest kind.
+const aggRowBytes = int(unsafe.Sizeof(tracedb.FlowAgg{}))
+
 // SpoolStats reports the agent-side delivery state: what is waiting for
-// retry and what was confirmed lost to the bounded spool.
+// retry and what was confirmed lost to the bounded spool. Batches,
+// Records and the evictions count record batches; AggShipStats reports
+// the spool's aggregate frames.
 type SpoolStats struct {
-	// Batches and Records count spooled batches not yet delivered.
+	// Batches and Records count spooled record batches not yet delivered.
 	Batches int
 	Records int
-	// Bytes is the spooled record payload; Limit is the eviction bound.
+	// Bytes is the spooled payload of both kinds (records at their wire
+	// size, frames at aggRowBytes a row); Limit is the eviction bound.
 	Bytes int
 	Limit int
-	// EvictedBatches/EvictedRecords count data evicted when the spool
-	// overflowed — the agent's confirmed-loss counter (these sequence
-	// numbers will surface as gaps in the collector's ledger).
+	// EvictedBatches/EvictedRecords count record data evicted when the
+	// spool overflowed — the agent's confirmed-loss counter (these
+	// sequence numbers will surface as gaps in the collector's ledger).
 	EvictedBatches uint64
 	EvictedRecords uint64
-	// Retries counts ship attempts of batches that had already failed at
-	// least once.
+	// Retries counts ship attempts of deliveries that had already failed
+	// at least once.
 	Retries uint64
-	// NextSeq is the next unassigned batch sequence number.
+	// NextSeq is the next unassigned sequence number.
 	NextSeq uint64
 }
 
@@ -199,7 +194,6 @@ func NewAgent(name string, machine *core.Machine, sink RecordSink) *Agent {
 		loaded:      make(map[string]*loadedScript),
 		spoolLimit:  DefaultSpoolBytes,
 		nextSeq:     1,
-		nextAggSeq:  1,
 		backoffNext: 1,
 		// Seeding jitter from the agent's name keeps runs replayable
 		// (same cluster, same schedules) while guaranteeing different
@@ -226,7 +220,7 @@ func (a *Agent) SetEpoch(epoch uint64) {
 
 // Retarget atomically swaps the agent's delivery sink and epoch lease —
 // the cluster re-homing path. Unlike a restart, the process survives: it
-// keeps its spool and its batch sequence space, so spooled batches ship
+// keeps its spool and its sequence space, so spooled batches ship
 // to the new collector under the new epoch with their original sequence
 // numbers, and the successor's imported ledger dedups any the failed
 // collector already ingested. The retry backoff resets so the spool
@@ -263,30 +257,35 @@ func (a *Agent) Machine() *core.Machine { return a.machine }
 
 // Apply implements ControlClient: uninstalls, then installs, then re-arms
 // flushing. Installation is atomic per script; a failing spec leaves
-// earlier scripts of the same package installed and returns the error.
+// earlier scripts of the same package installed and returns the error;
+// an unknown Uninstall name fails the package before anything changes.
 // A Replace package first detaches everything currently installed, making
 // it an idempotent full-desired-state declaration — the dispatcher's
 // retry and re-provision pushes use it because the agent's current state
 // is unknown to them.
 func (a *Agent) Apply(pkg ControlPackage) error {
+	// Unloading drains maps into the spool: flushMu first, as in flush.
+	a.flushMu.Lock()
+	defer a.flushMu.Unlock()
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	var unload []string
 	if pkg.Replace {
-		for name, ls := range a.loaded {
-			ls.handle.Detach()
-			delete(a.loaded, name)
+		unload = a.namesLocked()
+	}
+	for _, name := range pkg.Uninstall {
+		// A Replace already unloads every script, so a name it also
+		// uninstalls is unknown by then, as is a name listed twice.
+		if _, ok := a.loaded[name]; !ok || slices.Contains(unload, name) {
+			return fmt.Errorf("control: agent %s: uninstall unknown script %q", a.name, name)
 		}
+		unload = append(unload, name)
+	}
+	a.unloadLocked(unload)
+	if pkg.Replace {
 		a.shipAggs = pkg.ShipAggregates
 	} else if pkg.ShipAggregates {
 		a.shipAggs = true
-	}
-	for _, name := range pkg.Uninstall {
-		ls, ok := a.loaded[name]
-		if !ok {
-			return fmt.Errorf("control: agent %s: uninstall unknown script %q", a.name, name)
-		}
-		ls.handle.Detach()
-		delete(a.loaded, name)
 	}
 	for _, spec := range pkg.Install {
 		if _, dup := a.loaded[spec.Name]; dup {
@@ -308,6 +307,30 @@ func (a *Agent) Apply(pkg ControlPackage) error {
 	return nil
 }
 
+// unloadLocked detaches the named scripts and forgets them; an agent that
+// ships aggregates first spools what their maps counted as one frame, so
+// no count is lost. Callers hold a.flushMu and a.mu.
+func (a *Agent) unloadLocked(names []string) {
+	for _, name := range names {
+		a.loaded[name].handle.Detach()
+	}
+	if a.shipAggs {
+		a.drainAggLocked(names, a.machine.Node.Clock.NowNs())
+	}
+	for _, name := range names {
+		delete(a.loaded, name)
+	}
+}
+
+// namesLocked lists the installed script names, unsorted (holding a.mu).
+func (a *Agent) namesLocked() []string {
+	out := make([]string, 0, len(a.loaded))
+	for name := range a.loaded {
+		out = append(out, name)
+	}
+	return out
+}
+
 // Script returns an installed script's compiled form, giving callers
 // access to its maps (counters, CPU histograms).
 func (a *Agent) Script(name string) (*script.Compiled, bool) {
@@ -325,17 +348,15 @@ func (a *Agent) Script(name string) (*script.Compiled, bool) {
 func (a *Agent) Installed() []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.loaded))
-	for name := range a.loaded {
-		out = append(out, name)
-	}
+	out := a.namesLocked()
 	sort.Strings(out)
 	return out
 }
 
-// Flush drains the ring buffer into the spool and attempts to ship every
-// spooled batch, oldest first (also serving as the heartbeat — an empty
-// flush still announces liveness). A sink failure leaves the drained
+// Flush drains the ring buffer (and, when the agent ships aggregates, the
+// scripts' maps) into the spool and attempts to ship every spooled
+// delivery, oldest first (also serving as the heartbeat — an empty flush
+// still announces liveness). A sink failure leaves the drained
 // records spooled for retry; Flush always attempts delivery, bypassing
 // any retry backoff the periodic tick is observing.
 func (a *Agent) Flush() error {
@@ -384,10 +405,12 @@ func (a *Agent) flush(force bool) error {
 		a.lastRingDrops[i] = d
 	}
 	if len(recs) > 0 || delta > 0 || a.carryDrops > 0 {
-		a.enqueueLocked(recs, now, delta)
+		drops := delta + a.carryDrops
+		a.carryDrops = 0
+		a.enqueueLocked(spooledBatch{timeNs: now, drops: drops, recs: recs, bytes: len(recs) * core.RecordSize})
 	}
 	if a.shipAggs {
-		a.drainAggLocked(now)
+		a.drainAggLocked(a.namesLocked(), now)
 	}
 	if !force && a.backoffSkips > 0 {
 		a.backoffSkips--
@@ -395,32 +418,27 @@ func (a *Agent) flush(force bool) error {
 		return nil
 	}
 	a.mu.Unlock()
-	err = a.ship(now)
-	aggErr := a.shipAgg()
-	if err != nil {
-		return err
-	}
-	return aggErr
+	return a.ship(now)
 }
 
-// drainAggLocked snapshot-and-resets every loaded script's aggregation
-// maps and spools the non-empty result as one sequence-numbered frame.
-// The map drains transfer counts atomically, so probe invocations racing
-// the drain land in exactly one frame. Callers hold a.mu and a.flushMu.
-func (a *Agent) drainAggLocked(now int64) {
-	names := make([]string, 0, len(a.loaded))
-	for name, ls := range a.loaded {
-		if ls.compiled.HasAggregates() {
-			names = append(names, name)
-		}
-	}
+// drainAggLocked snapshot-and-resets the named scripts' aggregation maps
+// and spools the non-empty result as one frame. The map drains transfer
+// counts atomically, so probe invocations racing the drain land in
+// exactly one frame. Callers hold a.mu and a.flushMu.
+func (a *Agent) drainAggLocked(names []string, now int64) {
 	sort.Strings(names)
 	var scripts []tracedb.ScriptAgg
+	rows := 0
 	for _, name := range names {
+		c := a.loaded[name].compiled
+		if !c.HasAggregates() {
+			continue
+		}
 		sa := tracedb.ScriptAgg{Script: name}
-		a.loaded[name].compiled.DrainAggregates(&sa)
+		c.DrainAggregates(&sa)
 		if !sa.Empty() {
 			scripts = append(scripts, sa)
+			rows += sa.Rows()
 		}
 	}
 	if len(scripts) == 0 {
@@ -428,74 +446,12 @@ func (a *Agent) drainAggLocked(now int64) {
 		// number consumed — an idle script costs zero wire bytes.
 		return
 	}
-	a.aggSpool = append(a.aggSpool, spooledAgg{seq: a.nextAggSeq, timeNs: now, scripts: scripts})
-	a.nextAggSeq++
-	for len(a.aggSpool) > maxAggSpoolFrames {
-		a.aggSpool[0] = spooledAgg{}
-		a.aggSpool = a.aggSpool[1:]
-		a.aggEvicted++
-	}
-}
-
-// shipAgg delivers spooled aggregate frames oldest-first. A transport
-// failure leaves the remainder spooled for the next flush; a remote
-// rejection (a v5-unaware collector refusing aggregate frames) drops the
-// frame as counted loss — retrying a deterministic rejection forever
-// would only evict newer data. Callers hold a.flushMu but not a.mu.
-func (a *Agent) shipAgg() error {
-	aggSink, sinkOK := a.sink.(AggSink)
-	for {
-		a.mu.Lock()
-		if len(a.aggSpool) == 0 {
-			a.mu.Unlock()
-			return nil
-		}
-		if !sinkOK {
-			// Fail closed: the sink cannot ingest aggregate frames at all.
-			a.aggRejected += uint64(len(a.aggSpool))
-			a.aggShipErrs++
-			a.lastAggErr = errNoAggSink
-			a.aggSpool = nil
-			a.mu.Unlock()
-			return errNoAggSink
-		}
-		sb := a.aggSpool[0]
-		epoch, degraded := a.epoch, a.degradeLevel
-		a.mu.Unlock()
-		err := aggSink.HandleAgg(AggBatch{
-			Agent:       a.name,
-			AgentTimeNs: sb.timeNs,
-			Scripts:     sb.scripts,
-			Seq:         sb.seq,
-			Epoch:       epoch,
-			Degraded:    degraded,
-		})
-		a.mu.Lock()
-		if err != nil {
-			a.aggShipErrs++
-			a.lastAggErr = err
-			var remote *RemoteError
-			if errors.As(err, &remote) && len(a.aggSpool) > 0 && a.aggSpool[0].seq == sb.seq {
-				a.aggSpool[0] = spooledAgg{}
-				a.aggSpool = a.aggSpool[1:]
-				a.aggRejected++
-			}
-			a.mu.Unlock()
-			return err
-		}
-		if len(a.aggSpool) > 0 && a.aggSpool[0].seq == sb.seq {
-			a.aggSpool[0] = spooledAgg{}
-			a.aggSpool = a.aggSpool[1:]
-		}
-		a.aggShipped++
-		a.lastAggErr = nil
-		a.mu.Unlock()
-	}
+	a.enqueueLocked(spooledBatch{timeNs: now, scripts: scripts, bytes: rows * aggRowBytes})
 }
 
 var errNoAggSink = errors.New("control: sink does not support aggregate frames")
 
-// AggShipStats reports the agent-side aggregate delivery state for
+// AggShipStats reports the aggregate frames of the agent's one spool, for
 // shutdown summaries and tests.
 type AggShipStats struct {
 	// Enabled mirrors the drain-loop switch.
@@ -504,68 +460,71 @@ type AggShipStats struct {
 	// retry backlog.
 	FramesShipped uint64
 	FramesSpooled int
-	// ShipErrs counts failed ship attempts; LastErr is the most recent
-	// failure (nil once a later attempt succeeded).
+	// ShipErrs counts failed frame ship attempts.
 	ShipErrs uint64
-	LastErr  error
 	// Rejected counts frames dropped because the far end (or the local
 	// sink) cannot ingest aggregates; Evicted counts frames lost to the
 	// bounded spool. Both surface as sequence gaps at the collector.
 	Rejected uint64
 	Evicted  uint64
-	// NextSeq is the next unassigned aggregate sequence number.
-	NextSeq uint64
 }
 
 // AggShipStats snapshots the aggregate delivery state.
 func (a *Agent) AggShipStats() AggShipStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return AggShipStats{
+	st := AggShipStats{
 		Enabled:       a.shipAggs,
 		FramesShipped: a.aggShipped,
-		FramesSpooled: len(a.aggSpool),
 		ShipErrs:      a.aggShipErrs,
-		LastErr:       a.lastAggErr,
 		Rejected:      a.aggRejected,
 		Evicted:       a.aggEvicted,
-		NextSeq:       a.nextAggSeq,
 	}
+	for _, sb := range a.spool {
+		if sb.scripts != nil {
+			st.FramesSpooled++
+		}
+	}
+	return st
 }
 
-// enqueueLocked appends a freshly drained batch to the spool, assigning
-// its sequence number, and evicts oldest batches while the spool exceeds
-// its byte bound. Ring-drop counts from evicted batches are carried
-// forward so the collector's drop totals stay exact even under eviction.
-// Callers hold a.mu (and a.flushMu).
-func (a *Agent) enqueueLocked(recs []core.Record, now int64, drops uint64) {
-	sb := spooledBatch{
-		seq:    a.nextSeq,
-		timeNs: now,
-		drops:  drops + a.carryDrops,
-		recs:   recs,
-	}
+// enqueueLocked appends a freshly drained delivery to the spool,
+// assigning it the next sequence number, and evicts the oldest entries,
+// of either kind, while the spool exceeds its byte bound. Ring-drop
+// counts from evicted record batches are carried forward so the
+// collector's drop totals stay exact even under eviction. Callers hold
+// a.mu (and a.flushMu).
+func (a *Agent) enqueueLocked(sb spooledBatch) {
+	sb.seq = a.nextSeq
 	a.nextSeq++
-	a.carryDrops = 0
 	a.spool = append(a.spool, sb)
-	a.spoolBytes += len(recs) * core.RecordSize
+	a.spoolBytes += sb.bytes
 	for a.spoolBytes > a.spoolLimit && len(a.spool) > 0 {
 		old := a.spool[0]
 		a.spool[0] = spooledBatch{}
 		a.spool = a.spool[1:]
-		a.spoolBytes -= len(old.recs) * core.RecordSize
+		a.spoolBytes -= old.bytes
+		if old.scripts != nil {
+			a.aggEvicted++
+			continue
+		}
 		a.evictedBatches++
 		a.evictedRecords += uint64(len(old.recs))
 		a.carryDrops += old.drops
 	}
 }
 
-// ship delivers spooled batches oldest-first, then a bare heartbeat if no
-// batch stamped at the current flush time was shipped. The first failure
-// stops the pass, arms the exponential backoff, and leaves the remaining
-// spool intact. Callers hold a.flushMu but not a.mu.
+// ship delivers spooled entries oldest-first, each by its kind, then a
+// bare heartbeat if nothing stamped at the current flush time shipped.
+// The first transport failure stops the pass, arms the exponential
+// backoff, and leaves the rest spooled. A frame the far end cannot ingest
+// (no AggSink, or a remote rejection) is dropped as counted loss instead,
+// since retrying a deterministic rejection would only evict newer data;
+// the pass goes on and returns the rejection if nothing failed after it.
+// Callers hold a.flushMu but not a.mu.
 func (a *Agent) ship(now int64) error {
 	shippedNow := false
+	var rejected error
 	for {
 		a.mu.Lock()
 		if len(a.spool) == 0 {
@@ -578,52 +537,72 @@ func (a *Agent) ship(now int64) error {
 		}
 		epoch, degraded := a.epoch, a.degradeLevel
 		a.mu.Unlock()
-		err := a.deliver(RecordBatch{
-			Agent:       a.name,
-			AgentTimeNs: sb.timeNs,
-			Records:     sb.recs,
-			RingDrops:   sb.drops,
-			Seq:         sb.seq,
-			Epoch:       epoch,
-			Degraded:    degraded,
-		})
+		var err error
+		if sb.scripts == nil {
+			err = a.deliver(RecordBatch{Agent: a.name, AgentTimeNs: sb.timeNs, Records: sb.recs,
+				RingDrops: sb.drops, Seq: sb.seq, Epoch: epoch, Degraded: degraded})
+		} else if aggSink, ok := a.sink.(AggSink); ok {
+			err = aggSink.HandleAgg(AggBatch{Agent: a.name, AgentTimeNs: sb.timeNs, Scripts: sb.scripts,
+				Seq: sb.seq, Epoch: epoch, Degraded: degraded})
+		} else {
+			err = errNoAggSink
+		}
 		a.mu.Lock()
-		if err != nil {
-			if len(a.spool) > 0 && a.spool[0].seq == sb.seq {
+		atHead := len(a.spool) > 0 && a.spool[0].seq == sb.seq
+		reject := false
+		if err != nil && sb.scripts != nil {
+			a.aggShipErrs++
+			// Declared here, the errors.As target escapes to the heap
+			// only when a frame failed.
+			var remote *RemoteError
+			reject = errors.Is(err, errNoAggSink) || errors.As(err, &remote)
+		}
+		if err != nil && !reject {
+			if atHead {
 				a.spool[0].attempts++
 			}
 			a.noteShipLocked(err)
 			a.mu.Unlock()
 			return err
 		}
-		if len(a.spool) > 0 && a.spool[0].seq == sb.seq {
+		if atHead {
+			a.spoolBytes -= sb.bytes
 			a.spool[0] = spooledBatch{}
 			a.spool = a.spool[1:]
-			a.spoolBytes -= len(sb.recs) * core.RecordSize
 		}
-		if len(sb.recs) > 0 {
+		switch {
+		case reject:
+			a.aggRejected++
+			rejected = err
+		case sb.scripts != nil:
+			a.aggShipped++
+		case len(sb.recs) > 0:
 			a.Batches++
 		}
-		if sb.timeNs == now {
-			shippedNow = true
+		if err == nil {
+			// A frame carries no ack, so while degraded the heartbeat's ack
+			// must still come to tell the agent the queue cleared.
+			shippedNow = shippedNow || sb.timeNs == now && (sb.scripts == nil || degraded == 0)
+			a.noteShipLocked(nil)
 		}
-		a.noteShipLocked(nil)
 		a.mu.Unlock()
 	}
-	if shippedNow {
-		return nil
+	if !shippedNow {
+		// A bare heartbeat advances the collector's liveness clock while
+		// the spool retries old deliveries (or is empty). Unsequenced, so
+		// re-sending it is harmless.
+		a.mu.Lock()
+		hb := RecordBatch{Agent: a.name, AgentTimeNs: now, Epoch: a.epoch, Degraded: a.degradeLevel}
+		a.mu.Unlock()
+		err := a.deliver(hb)
+		a.mu.Lock()
+		a.noteShipLocked(err)
+		a.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
-	// Nothing carried the current timestamp: send a bare heartbeat so the
-	// collector's liveness clock advances even while the spool retries old
-	// batches (or is empty). Unsequenced — re-sending it is harmless.
-	a.mu.Lock()
-	hb := RecordBatch{Agent: a.name, AgentTimeNs: now, Epoch: a.epoch, Degraded: a.degradeLevel}
-	a.mu.Unlock()
-	err := a.deliver(hb)
-	a.mu.Lock()
-	a.noteShipLocked(err)
-	a.mu.Unlock()
-	return err
+	return rejected
 }
 
 // deliver ships one batch, preferring the acking sink so the collector's
@@ -812,7 +791,6 @@ func (a *Agent) SpoolStats() SpoolStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st := SpoolStats{
-		Batches:        len(a.spool),
 		Bytes:          a.spoolBytes,
 		Limit:          a.spoolLimit,
 		EvictedBatches: a.evictedBatches,
@@ -821,7 +799,10 @@ func (a *Agent) SpoolStats() SpoolStats {
 		NextSeq:        a.nextSeq,
 	}
 	for _, sb := range a.spool {
-		st.Records += len(sb.recs)
+		if sb.scripts == nil {
+			st.Batches++
+			st.Records += len(sb.recs)
+		}
 	}
 	return st
 }

@@ -8,6 +8,7 @@ import (
 	"vnettracer/internal/core"
 	"vnettracer/internal/kernel"
 	"vnettracer/internal/script"
+	"vnettracer/internal/sim"
 )
 
 // aggSpec is a script aggregating everything in-probe: counters, per-CPU
@@ -62,15 +63,15 @@ func TestAgentShipsAggregateFrames(t *testing.T) {
 	// Draining reset the probe-side maps: a second flush with no traffic
 	// ships nothing and consumes no sequence number.
 	st := r.agent.AggShipStats()
-	if st.FramesShipped != 1 || st.NextSeq != 2 {
-		t.Fatalf("agg ship stats after first flush: %+v", st)
+	if next := r.agent.SpoolStats().NextSeq; st.FramesShipped != 1 || next != 2 {
+		t.Fatalf("agg ship stats after first flush: %+v, next seq %d", st, next)
 	}
 	if err := r.agent.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	st = r.agent.AggShipStats()
-	if st.FramesShipped != 1 || st.NextSeq != 2 {
-		t.Fatalf("idle flush shipped a frame: %+v", st)
+	if next := r.agent.SpoolStats().NextSeq; st.FramesShipped != 1 || next != 2 {
+		t.Fatalf("idle flush shipped a frame: %+v, next seq %d", st, next)
 	}
 	// More traffic accumulates on top at the collector.
 	for i := 0; i < 5; i++ {
@@ -118,9 +119,9 @@ func TestAggregateFramesOverTCP(t *testing.T) {
 	if srv.UnsupportedAggFrames() != 0 {
 		t.Fatalf("unsupported frames = %d", srv.UnsupportedAggFrames())
 	}
-	led, ok := r.collector.Aggregates().Ledger("agent-tcp")
+	led, ok := r.collector.DB().Ledger("agent-tcp")
 	if !ok || led.HighWaterSeq != 1 {
-		t.Fatalf("agg ledger = %+v ok=%v", led, ok)
+		t.Fatalf("ledger = %+v ok=%v", led, ok)
 	}
 }
 
@@ -215,5 +216,194 @@ func TestAggFrameDuplicateAndFence(t *testing.T) {
 	tot := r.collector.Aggregates().Totals()
 	if tot.FramesMerged != 2 || tot.FramesDup != 1 || tot.FramesFenced != 1 {
 		t.Fatalf("totals = %+v", tot)
+	}
+}
+
+// outageSink takes both kinds for a collector, failing every delivery
+// while down, and counts what it was handed.
+type outageSink struct {
+	next            *Collector
+	down            bool
+	batches, frames int
+}
+
+var errOutage = errors.New("collector unreachable")
+
+func (s *outageSink) HandleBatch(b RecordBatch) error {
+	s.batches++
+	if s.down {
+		return errOutage
+	}
+	return s.next.HandleBatch(b)
+}
+
+func (s *outageSink) HandleAgg(b AggBatch) error {
+	s.frames++
+	if s.down {
+		return errOutage
+	}
+	return s.next.HandleAgg(b)
+}
+
+// TestOneSpoolEvictsOldestAcrossKinds: record batches and aggregate frames
+// wait in one spool under one byte bound, so an outage evicts the oldest
+// entries whatever their kind, and once the sink heals the ledger's gap
+// is exactly the evicted record batches plus the evicted frames.
+func TestOneSpoolEvictsOldestAcrossKinds(t *testing.T) {
+	r := newRig(t)
+	sink := &outageSink{next: r.collector, down: true}
+	agent := NewAgent("agent-0", r.machine, sink)
+	if err := agent.Apply(ControlPackage{ShipAggregates: true, Install: []script.Spec{
+		recordSpec("rec", 1, kernel.SiteUDPRecvmsg),
+		aggSpec("agg", 2, kernel.SiteUDPSendSkb),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	// Every round drains one record batch and one frame of the same
+	// shape, so the bound is set to two rounds' worth after the first.
+	round := func(id uint32) {
+		t.Helper()
+		firePacket(r, kernel.SiteUDPRecvmsg, id)
+		firePacket(r, kernel.SiteUDPSendSkb, id)
+		if err := agent.Flush(); !errors.Is(err, errOutage) {
+			t.Fatalf("round %d: flush error %v, want the outage", id, err)
+		}
+	}
+	round(1)
+	agent.SetSpoolLimit(2 * agent.SpoolStats().Bytes)
+	for id := uint32(2); id <= 5; id++ {
+		round(id)
+	}
+	ss, as := agent.SpoolStats(), agent.AggShipStats()
+	if ss.Batches != 2 || ss.EvictedBatches != 3 || as.FramesSpooled != 2 || as.Evicted != 3 {
+		t.Fatalf("spool %+v, frames %+v: want 2 batches and 2 frames spooled, 3 of each evicted", ss, as)
+	}
+	if ss.Bytes > ss.Limit || ss.NextSeq != 11 {
+		t.Fatalf("spool %+v: want at most its limit and next seq 11", ss)
+	}
+
+	sink.down = false
+	if err := agent.Flush(); err != nil {
+		t.Fatalf("flush after the outage: %v", err)
+	}
+	tbl, ok := r.db.Table(1)
+	if !ok || tbl.Len() != 2 || len(tbl.ByTraceID(4)) != 1 || len(tbl.ByTraceID(5)) != 1 {
+		t.Fatalf("stored records are not the 2 newest")
+	}
+	got, ok := r.collector.Aggregates().Get("agg")
+	if !ok || got.Counters[script.SlotPackets] != 2 {
+		t.Fatalf("merged aggregates %+v, want the 2 newest frames' packets", got)
+	}
+	l, ok := r.db.Ledger("agent-0")
+	if !ok || l.MissingBatches != ss.EvictedBatches+as.Evicted {
+		t.Fatalf("ledger missing %d, want %d evicted batches + %d evicted frames", l.MissingBatches, ss.EvictedBatches, as.Evicted)
+	}
+}
+
+// TestAggregateOnlyFlushIsOneDelivery: a frame stamped at the current
+// flush is the heartbeat, so an agent with nothing but aggregates to say
+// makes one delivery per flush, not a frame plus a bare heartbeat.
+func TestAggregateOnlyFlushIsOneDelivery(t *testing.T) {
+	r := newRig(t)
+	sink := &outageSink{next: r.collector}
+	agent := NewAgent("agent-0", r.machine, sink)
+	if err := agent.Apply(ControlPackage{ShipAggregates: true, Install: []script.Spec{aggSpec("agg", 1, kernel.SiteUDPRecvmsg)}}); err != nil {
+		t.Fatal(err)
+	}
+	r.eng.Run(5 * int64(sim.Millisecond))
+	for i := 0; i < 3; i++ {
+		firePacket(r, kernel.SiteUDPRecvmsg, uint32(i+1))
+	}
+	if err := agent.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if sink.frames != 1 || sink.batches != 0 {
+		t.Fatalf("aggregate-only flush made %d frame and %d batch deliveries, want 1 and 0", sink.frames, sink.batches)
+	}
+	if l, ok := r.db.Ledger("agent-0"); !ok || l.LastSeenNs != r.machine.Node.Clock.NowNs() {
+		t.Fatalf("the frame did not count as the heartbeat: %+v", l)
+	}
+	// An idle flush has no frame to carry the heartbeat: a bare one goes.
+	if err := agent.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if sink.frames != 1 || sink.batches != 1 {
+		t.Fatalf("idle flush made %d frame and %d batch deliveries in total, want 1 and 1", sink.frames, sink.batches)
+	}
+}
+
+// TestAggregateOnlyAgentRecovers: a frame carries no backpressure report,
+// so a degraded agent sends the bare heartbeat beside it. An agent that
+// degraded while it shipped records, and then was left with only an
+// aggregate script, still hears the queue clear and recovers.
+func TestAggregateOnlyAgentRecovers(t *testing.T) {
+	r := newRig(t)
+	sink := &pressureSink{inner: r.collector, depth: 90, cap: 100}
+	agent := NewAgent("agent-0", r.machine, sink)
+	pkg := ControlPackage{ShipAggregates: true, Install: []script.Spec{recordSpec("rec", 1, kernel.SiteUDPRecvmsg)}}
+	if err := agent.Apply(pkg); err != nil {
+		t.Fatal(err)
+	}
+	firePacket(r, kernel.SiteUDPRecvmsg, 1)
+	if err := agent.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if ds := agent.DegradeStats(); ds.Level != 2 {
+		t.Fatalf("pressured ack left the agent at %+v, want level 2", ds)
+	}
+	pkg.Replace, pkg.Install = true, []script.Spec{aggSpec("agg", 2, kernel.SiteUDPSendSkb)}
+	if err := agent.Apply(pkg); err != nil {
+		t.Fatal(err)
+	}
+	sink.depth = 0
+	firePacket(r, kernel.SiteUDPSendSkb, 2)
+	if err := agent.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if sink.batches != 2 || sink.frames != 1 {
+		t.Fatalf("sink took %d batches and %d frames, want 2 (a record batch, a heartbeat) and 1", sink.batches, sink.frames)
+	}
+	if ds := agent.DegradeStats(); ds.Level != 0 || ds.FlushStretch != 1 || ds.Recoveries != 1 {
+		t.Fatalf("the heartbeat's clear ack left the agent at %+v, want recovered", ds)
+	}
+	// Recovered, the agent is back to one delivery per aggregate-only flush.
+	firePacket(r, kernel.SiteUDPSendSkb, 3)
+	if err := agent.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if sink.batches != 2 || sink.frames != 2 {
+		t.Fatalf("sink took %d batches and %d frames in total, want 2 and 2", sink.batches, sink.frames)
+	}
+}
+
+// TestReprovisionDrainsAggregates: a Replace unloads every script, and
+// with them their maps; what they counted since the last drain must be
+// spooled first, so the re-provision loses no count.
+func TestReprovisionDrainsAggregates(t *testing.T) {
+	r := newRig(t)
+	pkg := ControlPackage{ShipAggregates: true, Install: []script.Spec{aggSpec("agg", 1, kernel.SiteUDPRecvmsg)}}
+	if err := r.agent.Apply(pkg); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		firePacket(r, kernel.SiteUDPRecvmsg, uint32(i+1))
+	}
+	pkg.Replace = true
+	if err := r.agent.Apply(pkg); err != nil {
+		t.Fatal(err)
+	}
+	firePacket(r, kernel.SiteUDPRecvmsg, 5)
+	if err := r.agent.Apply(ControlPackage{Uninstall: []string{"agg"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.agent.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := r.collector.Aggregates().Get("agg")
+	if !ok || got.Counters[script.SlotPackets] != 5 {
+		t.Fatalf("merged aggregates %+v, want all 5 packets", got)
+	}
+	if st := r.agent.AggShipStats(); st.FramesShipped != 2 {
+		t.Fatalf("agg ship stats %+v, want one frame per unload", st)
 	}
 }

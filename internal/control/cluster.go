@@ -18,9 +18,10 @@ type Retargeter interface {
 // Cluster scales the collector tier out: agents are assigned to
 // collectors by consistent hashing on the agent name, and a collector
 // failure re-homes its agents onto the survivors with an epoch-fenced
-// ledger handoff. Each agent's record and aggregate ledgers stay local
-// to its current home; the high-water marks travel in the handoff so
-// delivery stays exactly-once across the move.
+// ledger handoff. Each agent's one ledger (record batches and aggregate
+// frames share its sequence space) stays local to its current home; the
+// high-water mark travels in the handoff so delivery stays exactly-once
+// across the move.
 //
 // The dispatcher keeps global duties (roster, TPID allocation, epoch
 // leases); the cluster adds placement on top of it.
@@ -32,7 +33,10 @@ type Cluster struct {
 	cols   map[string]*member
 	homes  map[string]string // agent -> collector name
 	agents map[string]Retargeter
-	moves  uint64
+	// regEpoch is the lease each agent held when it last registered: its
+	// current incarnation's sequence space starts there.
+	regEpoch map[string]uint64
+	moves    uint64
 }
 
 // member is one collector slot: the collector, the sink agents ship to
@@ -48,11 +52,12 @@ type member struct {
 // NewCluster wraps a dispatcher with collector placement.
 func NewCluster(disp *Dispatcher) *Cluster {
 	return &Cluster{
-		disp:   disp,
-		ring:   NewHashRing(0),
-		cols:   make(map[string]*member),
-		homes:  make(map[string]string),
-		agents: make(map[string]Retargeter),
+		disp:     disp,
+		ring:     NewHashRing(0),
+		cols:     make(map[string]*member),
+		homes:    make(map[string]string),
+		agents:   make(map[string]Retargeter),
+		regEpoch: make(map[string]uint64),
 	}
 }
 
@@ -78,8 +83,8 @@ func (c *Cluster) AddCollector(name string, col *Collector, sink RecordSink) err
 // Register places an agent on its home collector (consistent hash of
 // the agent name over the live collector set) and returns the home's
 // name and sink for the caller to wire into the agent. Registering a
-// name again just refreshes the retargeter — the restart path, where a
-// new Agent value takes over the name.
+// name again refreshes the retargeter — the restart path, where a new
+// Agent value takes over the name and starts its sequence space over.
 func (c *Cluster) Register(agent string, rt Retargeter) (home string, sink RecordSink, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -87,6 +92,7 @@ func (c *Cluster) Register(agent string, rt Retargeter) (home string, sink Recor
 		return "", nil, fmt.Errorf("control: cluster: no collectors")
 	}
 	c.agents[agent] = rt
+	c.regEpoch[agent] = c.disp.Epoch(agent)
 	if h, ok := c.homes[agent]; ok {
 		return h, c.cols[h].sink, nil
 	}
@@ -133,9 +139,9 @@ type Rehome struct {
 //
 //  1. the dispatcher advances the epoch lease (same process, new
 //     lease — in-flight batches toward the dead collector are fenced);
-//  2. the dead collector's ledgers export, and it closes the agent's
+//  2. the dead collector's ledger exports, and it closes the agent's
 //     epoch so stragglers fence instead of resurrecting the assignment;
-//  3. the consistent-hash successor imports the ledgers AT the new
+//  3. the consistent-hash successor imports the ledger AT the new
 //     epoch — the agent keeps its sequence space, so the imported
 //     high-water mark dedups spool re-ships of batches whose acks died
 //     with the old collector;
@@ -169,10 +175,12 @@ func (c *Cluster) FailCollector(name string) ([]Rehome, error) {
 			return out, fmt.Errorf("control: cluster: no surviving collector for agent %q", agent)
 		}
 		epoch := c.disp.AdvanceEpoch(agent)
-		h := m.col.ExportAgent(agent)
+		h, ok := m.col.ExportAgent(agent)
 		m.col.FenceAgent(agent, epoch)
 		nm := c.cols[succ]
-		nm.col.ImportAgent(agent, epoch, h)
+		if ok {
+			nm.col.ImportAgent(agent, epoch, h)
+		}
 		c.homes[agent] = succ
 		if rt := c.agents[agent]; rt != nil {
 			rt.Retarget(nm.sink, epoch)
@@ -190,13 +198,18 @@ func (c *Cluster) FailCollector(name string) ([]Rehome, error) {
 //
 //   - agents still homed on the recovered collector (the crash was never
 //     declared, or the ring had no survivor to take them) are re-imported
-//     from the collector's own recovered ledgers AT a fresh epoch — a
+//     from the collector's own recovered ledger AT a fresh epoch — a
 //     handoff to self. The import's never-regress semantics make this
 //     safe even if a concurrent planned handoff raced it, and the fresh
 //     epoch fences any delivery still in flight toward the pre-crash
 //     incarnation. The agent retargets to the recovered sink and keeps
 //     its sequence space, so spool re-ships of batches whose acks died
-//     with the crash dedup against the replayed high-water mark.
+//     with the crash dedup against the replayed high-water mark. A
+//     replayed ledger older than the lease the agent registered under
+//     counted a sequence space the agent has since restarted, so the
+//     ledger instead advances to the fresh epoch as admission does on a
+//     newer lease. (The lease held at the crash cannot tell: an earlier
+//     self-handoff advanced it in memory only.)
 //
 //   - agents the ring re-homed to survivors during the outage stay
 //     where they are; the recovered collector closes their epochs so its
@@ -235,8 +248,11 @@ func (c *Cluster) RecoverCollector(name string, col *Collector, sink RecordSink)
 			continue
 		}
 		epoch := c.disp.AdvanceEpoch(agent)
-		h := col.ExportAgent(agent)
-		col.ImportAgent(agent, epoch, h)
+		if h, ok := col.ExportAgent(agent); ok && h.Epoch >= c.regEpoch[agent] {
+			col.ImportAgent(agent, epoch, h)
+		} else if ok {
+			col.DB().AdmitBatch(agent, epoch, 0, 0, 0, h.Degraded)
+		}
 		if rt := c.agents[agent]; rt != nil {
 			rt.Retarget(sink, epoch)
 		}

@@ -2,6 +2,7 @@ package control
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"vnettracer/internal/tracedb"
@@ -259,5 +260,76 @@ func TestClusterStaleHeartbeatDoesNotResurrect(t *testing.T) {
 	}
 	if l, _ := newCol.DB().Ledger(moved); l.LastSeenNs != 1<<40 {
 		t.Fatalf("live aggregate frame did not heartbeat: LastSeenNs = %d", l.LastSeenNs)
+	}
+}
+
+// TestClusterRecoverTwiceKeepsSequenceSpace: a collector that crashes
+// again before its tenants deliver at the lease its first recovery
+// granted replays a ledger one self-handoff behind that lease. An agent
+// that kept running kept its sequence space, so a spool re-ship of a
+// batch ingested before the first crash must dedup; one that
+// re-registered while the collector was down restarted its seqs, so its
+// new stream must be stored.
+func TestClusterRecoverTwiceKeepsSequenceSpace(t *testing.T) {
+	dir := t.TempDir()
+	store := tracedb.Config{DataDir: filepath.Join(dir, "data")}
+	dur := tracedb.DurabilityConfig{Dir: filepath.Join(dir, "wal")}
+	disp := NewDispatcher()
+	clu := NewCluster(disp)
+	col, d, _, err := OpenCollector(store, dur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { d.Close() }()
+	if err := clu.AddCollector("col-0", col, nil); err != nil {
+		t.Fatal(err)
+	}
+	rts := map[string]*fakeRetargeter{}
+	for _, agent := range []string{"kept", "rebooted"} {
+		if err := disp.Register(agent, nil); err != nil {
+			t.Fatal(err)
+		}
+		rt := &fakeRetargeter{}
+		_, sink, err := clu.Register(agent, rt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Retarget(sink, disp.Epoch(agent))
+		rts[agent] = rt
+	}
+	send := func(agent string, seq uint64) {
+		t.Helper()
+		rt := rts[agent]
+		if err := rt.sink.HandleBatch(RecordBatch{Agent: agent, AgentTimeNs: int64(1000 * seq), Seq: seq, Epoch: rt.epoch}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		send("kept", seq)
+		send("rebooted", seq)
+	}
+	crashAndRecover := func() {
+		t.Helper()
+		d.Close()
+		if col, d, _, err = OpenCollector(store, dur); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := clu.RecoverCollector("col-0", col, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crashAndRecover()
+	// Down again before any delivery at the granted lease; meanwhile one
+	// agent restarts and re-registers.
+	rts["rebooted"].Retarget(nil, disp.Reregister("rebooted", nil))
+	if _, _, err := clu.Register("rebooted", rts["rebooted"]); err != nil {
+		t.Fatal(err)
+	}
+	crashAndRecover()
+
+	send("kept", 3)
+	send("rebooted", 1)
+	if dup, _, _ := col.DeliveryStats(); dup != 1 {
+		t.Fatalf("recovered collector deduped %d batches, want 1 (kept's re-ship only)", dup)
 	}
 }

@@ -100,65 +100,41 @@ func (c *Collector) DB() *tracedb.DB { return c.db }
 // frames, living beside the record database.
 func (c *Collector) Aggregates() *tracedb.AggStore { return c.aggs }
 
-// HandleAgg implements AggSink: it admits the frame through the
-// aggregate ledger (exactly-once, epoch-fenced — the aggregate analogue
-// of record-batch ingest) and merges fresh payloads into the aggregate
-// store. Aggregate frames are small and pre-reduced, so ingest is always
-// synchronous; there is no queue to backpressure on. Non-fenced frames
-// advance the agent's liveness clock like record batches do.
+// HandleAgg implements AggSink: it admits the frame through the agent's
+// one delivery ledger (exactly-once and epoch-fenced, in the sequence
+// space the agent's record batches share) and merges fresh payloads into
+// the aggregate store. A frame's admission is its heartbeat, as a record
+// batch's is. Aggregate frames are small and pre-reduced, so ingest is
+// always synchronous; there is no queue to backpressure on.
 func (c *Collector) HandleAgg(b AggBatch) error {
-	st := c.frontDoor().AdmitAggFrame(b.Agent, b.Epoch, b.Seq, b.Scripts, b.AgentTimeNs, b.Degraded)
-	if st != tracedb.BatchFenced {
-		// Epoch-aware liveness: a frame that cleared the aggregate fence
-		// can still be stale relative to the record ledger (the agent was
-		// re-homed and this collector's record epoch already closed); an
-		// epoch-blind heartbeat here would resurrect the stale assignment.
-		c.db.HeartbeatEpoch(b.Agent, b.Epoch, b.AgentTimeNs, b.Degraded)
-	}
+	c.frontDoor().AdmitAggFrame(b.Agent, b.Epoch, b.Seq, b.Scripts, b.AgentTimeNs, b.Degraded)
 	return nil
 }
 
-// AgentHandoff bundles the per-agent delivery state that travels when an
-// agent is re-homed to another collector: the record-batch ledger and the
-// aggregate-frame ledger (independent sequence spaces, same semantics).
-type AgentHandoff struct {
-	Records    tracedb.LedgerState
-	HasRecords bool
-	Aggs       tracedb.LedgerState
-	HasAggs    bool
-}
-
-// ExportAgent snapshots an agent's delivery ledgers for handoff to a
-// successor collector. In a real deployment this reads the failed
-// collector's persisted ledger; here the in-memory state doubles as it.
-func (c *Collector) ExportAgent(agent string) AgentHandoff {
-	var h AgentHandoff
-	h.Records, h.HasRecords = c.db.ExportLedger(agent)
-	h.Aggs, h.HasAggs = c.aggs.ExportLedger(agent)
-	return h
+// ExportAgent snapshots an agent's delivery ledger for handoff to a
+// successor collector; ok is false when this collector never heard from
+// the agent. In a real deployment this reads the failed collector's
+// persisted ledger; here the in-memory state doubles as it.
+func (c *Collector) ExportAgent(agent string) (h tracedb.LedgerState, ok bool) {
+	return c.db.ExportLedger(agent)
 }
 
 // ImportAgent installs exported ledger state at the given epoch — the
 // successor collector's half of a re-homing. The imported high-water
-// marks are what keep delivery exactly-once across the move: the agent's
-// spool re-ships batches the failed collector already ingested (their
-// acks were lost with it), and the imported ledger dedups them here.
-func (c *Collector) ImportAgent(agent string, epoch uint64, h AgentHandoff) {
-	if h.HasRecords {
-		c.db.ImportLedger(agent, epoch, h.Records)
-	}
-	if h.HasAggs {
-		c.aggs.ImportLedger(agent, epoch, h.Aggs)
-	}
+// mark is what keeps delivery exactly-once across the move: the agent's
+// spool re-ships batches and frames the failed collector already
+// ingested (their acks were lost with it), and the imported ledger
+// dedups them here.
+func (c *Collector) ImportAgent(agent string, epoch uint64, h tracedb.LedgerState) {
+	c.db.ImportLedger(agent, epoch, h)
 }
 
-// FenceAgent closes both of an agent's ledgers at the new epoch — the
-// old home's half of a re-homing. Stragglers still routed here (spooled
-// batches from before the retarget, aggregate frames, heartbeats) are
-// fenced instead of ingested or counted as liveness.
+// FenceAgent closes an agent's ledger at the new epoch — the old home's
+// half of a re-homing. Stragglers still routed here (spooled batches and
+// frames from before the retarget, heartbeats) are fenced instead of
+// ingested or counted as liveness.
 func (c *Collector) FenceAgent(agent string, epoch uint64) {
 	c.db.CloseAgentEpoch(agent, epoch)
-	c.aggs.CloseAgentEpoch(agent, epoch)
 }
 
 // StorageStats returns the trace database's aggregate segment-store

@@ -50,8 +50,9 @@ type RecordBatch struct {
 	// RingDrops reports how many records the kernel buffer rejected since
 	// the last batch, surfacing trace loss under overload.
 	RingDrops uint64 `json:"ring_drops,omitempty"`
-	// Seq is the agent's monotonically increasing batch sequence number,
-	// assigned when the batch is first drained and kept across retries.
+	// Seq is the agent's monotonically increasing sequence number, shared
+	// with its aggregate frames, assigned when the batch is first drained
+	// and kept across retries.
 	// The collector's per-agent ledger uses it to drop re-sent batches
 	// (exactly-once ingest over an at-least-once transport) and to count
 	// gaps as missing batches. Zero means unsequenced: bare heartbeats and
@@ -81,19 +82,19 @@ type RecordBatch struct {
 // AggBatch is an aggregate frame: the agent's periodic snapshot-and-reset
 // drain of its scripts' in-probe aggregation maps (counters, per-CPU
 // hits, log2 latency histograms, per-flow sums). It carries the same
-// heartbeat/sequence/epoch identity as RecordBatch, but sequence numbers
-// live in a dedicated space — agents number record batches and aggregate
-// frames independently — admitted by the collector's aggregate ledger
-// with identical exactly-once and zombie-fencing semantics. Aggregates
-// are additive, so dedup is what keeps a retried frame from doubling
-// every metric it carries.
+// heartbeat/sequence/epoch identity as RecordBatch, numbered in the same
+// per-agent sequence space and admitted through the same ledger, with
+// identical exactly-once and zombie-fencing semantics. Aggregates are
+// additive, so dedup is what keeps a retried frame from doubling every
+// metric it carries.
 type AggBatch struct {
 	Agent       string              `json:"agent"`
 	AgentTimeNs int64               `json:"agent_time_ns"`
 	Scripts     []tracedb.ScriptAgg `json:"scripts,omitempty"`
-	// Seq is the frame's number in the agent's aggregate sequence space,
-	// assigned at drain time and stable across retries. Zero is never
-	// shipped: empty drains are skipped without consuming a number.
+	// Seq is the frame's number in the agent's one sequence space (see
+	// RecordBatch.Seq), assigned at drain time and stable across
+	// retries. Zero is never shipped: empty drains are skipped without
+	// consuming a number.
 	Seq uint64 `json:"seq,omitempty"`
 	// Epoch is the agent's registration lease (see RecordBatch.Epoch).
 	Epoch uint64 `json:"epoch,omitempty"`

@@ -34,11 +34,12 @@ type downSink struct{}
 func (downSink) HandleBatch(RecordBatch) error { return errors.New("sink down") }
 
 // pressureSink forwards to an inner sink and stamps every successful ack
-// with a configurable ingest-queue report.
+// with a configurable ingest-queue report, counting what it acked.
 type pressureSink struct {
-	inner RecordSink
-	depth int
-	cap   int
+	inner           RecordSink
+	depth           int
+	cap             int
+	batches, frames int
 }
 
 func (s *pressureSink) HandleBatch(b RecordBatch) error {
@@ -50,7 +51,18 @@ func (s *pressureSink) HandleBatchAck(b RecordBatch) (BatchAck, error) {
 	if err := s.inner.HandleBatch(b); err != nil {
 		return BatchAck{}, err
 	}
+	s.batches++
 	return BatchAck{QueueDepth: s.depth, QueueCap: s.cap}, nil
+}
+
+// HandleAgg needs an inner sink that takes frames (a Collector). Frames
+// carry no ack.
+func (s *pressureSink) HandleAgg(b AggBatch) error {
+	if err := s.inner.(AggSink).HandleAgg(b); err != nil {
+		return err
+	}
+	s.frames++
+	return nil
 }
 
 // TestSupervisorDesireMerges: Desire accumulates desired state across

@@ -107,7 +107,7 @@ type Server struct {
 	// unsupportedAggFrames counts v5 aggregate frames rejected because the
 	// sink does not implement AggSink — a fail-closed path: the frame is
 	// refused with an error (the agent keeps or drops it by its own
-	// policy), never half-ingested into the record ledger.
+	// policy), never half-ingested into the ledger.
 	unsupportedAggFrames atomic.Uint64
 
 	// rejectedFrames counts frames refused because the server could not

@@ -213,8 +213,8 @@ func TestWALLogsTheWireScriptSection(t *testing.T) {
 		return v
 	}
 	uvarint() // LSN
-	if kind := p[0]; kind != 3 {
-		t.Fatalf("aggregate frame logged as kind %d, want 3", kind)
+	if kind := p[0]; kind != 4 {
+		t.Fatalf("aggregate frame logged as kind %d, want 4", kind)
 	}
 	p = p[1:]
 	if agent := string(p[1 : 1+p[0]]); agent != b.Agent {

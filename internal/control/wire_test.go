@@ -224,8 +224,8 @@ func TestServerCountsRejectedFrames(t *testing.T) {
 	if tot := col.Aggregates().Totals(); tot.FramesMerged+tot.FramesDup+tot.FramesFenced != 0 {
 		t.Fatalf("rejected frames reached the aggregate store: %+v", tot)
 	}
-	if _, ok := col.Aggregates().Ledger(agg.Agent); ok {
-		t.Fatal("rejected aggregate frame touched the aggregate ledger")
+	if _, ok := db.Ledger(agg.Agent); ok {
+		t.Fatal("rejected aggregate frame touched the ledger")
 	}
 
 	// A good v4 frame on the same connection still lands, uncounted.

@@ -9,10 +9,11 @@ import (
 
 // This file implements the collector-side store for in-probe aggregates:
 // compact per-script metric frames drained from agent maps instead of
-// per-packet records. Frames are sequence-numbered and epoch-fenced in a
-// sequence space of their own but with the exact semantics of record
-// batches (the embedded deliveryLedger), so exactly-once merge and
-// zombie fencing extend to aggregates. Merging is additive: counters,
+// per-packet records. Frames share their agent's sequence space with
+// record batches and are admitted through the DB's one delivery ledger,
+// so exactly-once merge and zombie fencing extend to aggregates; the
+// store only merges what the ledger classified fresh. Merging is
+// additive: counters,
 // per-CPU hits and histogram buckets sum slot-wise; flows sum per
 // 5-tuple. Additivity is what makes at-most-once admission sufficient —
 // a frame merged twice would double every metric it carries.
@@ -44,7 +45,7 @@ type ScriptAgg struct {
 }
 
 // Rows returns the number of aggregate rows the entry carries, the unit
-// used for fenced-loss accounting (the aggregate analogue of a record).
+// RowsMerged counts.
 func (s *ScriptAgg) Rows() int {
 	return len(s.Counters) + len(s.CPUHits) + len(s.Hist) + len(s.Flows)
 }
@@ -150,16 +151,9 @@ type AggTotals struct {
 }
 
 // AggStore holds merged in-probe aggregates beside the record DB. It
-// keeps its own per-agent delivery ledger because aggregate frames ride
-// a dedicated sequence space (agents number record batches and aggregate
-// frames independently).
+// keeps no ledger: Durability.admit classifies each frame through the
+// DB's and then hands it to add.
 type AggStore struct {
-	// The aggregate-frame ledger. Frames come in through Admit, never
-	// the ledger's own AdmitBatch: Admit classifies through it while
-	// holding mu, so a frame's classification and its merge are one
-	// atomic step.
-	deliveryLedger
-
 	mu      sync.Mutex
 	scripts map[string]*scriptAgg
 
@@ -174,33 +168,23 @@ func NewAggStore() *AggStore {
 	return &AggStore{scripts: make(map[string]*scriptAgg)}
 }
 
-// Admit classifies an aggregate frame exactly like DB.AdmitBatch
-// classifies a record batch — fresh frames are merged, duplicates and
-// stale-epoch zombie frames are dropped with their counters advanced —
-// and returns the classification. rows should be the frame's total
-// aggregate row count (sum of ScriptAgg.Rows), the payload unit tracked
-// by FencedRecords.
-func (s *AggStore) Admit(agent string, epoch, seq uint64, scripts []ScriptAgg, nowNs int64, degraded uint8) BatchStatus {
-	rows := 0
-	for i := range scripts {
-		rows += scripts[i].Rows()
-	}
+// add takes in one frame the ledger classified as st: a fresh frame's
+// scripts merge, a duplicate or fenced one only counts.
+func (s *AggStore) add(st BatchStatus, scripts []ScriptAgg) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.AdmitBatch(agent, epoch, seq, rows, nowNs, degraded)
 	switch st {
 	case BatchFresh:
 		for i := range scripts {
 			s.merge(&scripts[i])
+			s.rowsMerged += uint64(scripts[i].Rows())
 		}
 		s.framesMerged++
-		s.rowsMerged += uint64(rows)
 	case BatchDuplicate:
 		s.framesDup++
 	case BatchFenced:
 		s.framesFenced++
 	}
-	return st
 }
 
 // merge folds one script snapshot into the store. Callers hold s.mu.

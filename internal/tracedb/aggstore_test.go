@@ -17,11 +17,12 @@ func aggFrame(pkts, bytes uint64) []ScriptAgg {
 }
 
 func TestAggStoreMergeOnIngest(t *testing.T) {
-	s := NewAggStore()
-	if st := s.Admit("a", 1, 1, aggFrame(10, 1000), 5, 0); st != BatchFresh {
+	db, s := New(), NewAggStore()
+	d := Unlogged(db, s)
+	if st := d.AdmitAggFrame("a", 1, 1, aggFrame(10, 1000), 5, 0); st != BatchFresh {
 		t.Fatalf("first frame: %v", st)
 	}
-	if st := s.Admit("a", 1, 2, aggFrame(5, 500), 6, 0); st != BatchFresh {
+	if st := d.AdmitAggFrame("a", 1, 2, aggFrame(5, 500), 6, 0); st != BatchFresh {
 		t.Fatalf("second frame: %v", st)
 	}
 	got, ok := s.Get("s")
@@ -45,9 +46,10 @@ func TestAggStoreMergeOnIngest(t *testing.T) {
 }
 
 func TestAggStoreDuplicateFrameNotDoubleCounted(t *testing.T) {
-	s := NewAggStore()
-	s.Admit("a", 1, 1, aggFrame(10, 1000), 5, 0)
-	if st := s.Admit("a", 1, 1, aggFrame(10, 1000), 7, 0); st != BatchDuplicate {
+	db, s := New(), NewAggStore()
+	d := Unlogged(db, s)
+	d.AdmitAggFrame("a", 1, 1, aggFrame(10, 1000), 5, 0)
+	if st := d.AdmitAggFrame("a", 1, 1, aggFrame(10, 1000), 7, 0); st != BatchDuplicate {
 		t.Fatalf("retry: %v", st)
 	}
 	got, _ := s.Get("s")
@@ -61,27 +63,29 @@ func TestAggStoreDuplicateFrameNotDoubleCounted(t *testing.T) {
 }
 
 func TestAggStoreEpochFencing(t *testing.T) {
-	s := NewAggStore()
-	s.Admit("a", 1, 1, aggFrame(10, 1000), 5, 0)
+	db, s := New(), NewAggStore()
+	d := Unlogged(db, s)
+	d.AdmitAggFrame("a", 1, 1, aggFrame(10, 1000), 5, 0)
 	// Restarted agent: new epoch, seq restarts.
-	if st := s.Admit("a", 2, 1, aggFrame(3, 300), 9, 0); st != BatchFresh {
+	if st := d.AdmitAggFrame("a", 2, 1, aggFrame(3, 300), 9, 0); st != BatchFresh {
 		t.Fatalf("new-epoch frame: %v", st)
 	}
 	// Zombie from epoch 1 with a never-ingested seq: fenced, not merged.
-	if st := s.Admit("a", 1, 2, aggFrame(99, 9900), 10, 0); st != BatchFenced {
+	if st := d.AdmitAggFrame("a", 1, 2, aggFrame(99, 9900), 10, 0); st != BatchFenced {
 		t.Fatalf("zombie frame: %v", st)
 	}
 	got, _ := s.Get("s")
 	if got.Counters[0] != 13 {
 		t.Fatalf("fenced frame merged: packets = %d, want 13", got.Counters[0])
 	}
-	led, ok := s.Ledger("a")
+	led, ok := db.Ledger("a")
 	if !ok || led.Epoch != 2 || led.FencedBatches != 1 {
 		t.Fatalf("ledger: %+v ok=%v", led, ok)
 	}
-	// Zombie frame carried 2 counter rows + 2 hist rows + 1 flow row.
-	if led.FencedRecords != 5 {
-		t.Fatalf("fenced rows = %d, want 5", led.FencedRecords)
+	// A frame is admitted with payload 0: FencedRecords counts records
+	// only, whatever rows the zombie frame carried.
+	if led.FencedRecords != 0 {
+		t.Fatalf("fenced records = %d, want 0", led.FencedRecords)
 	}
 	if tot := s.Totals(); tot.FramesFenced != 1 {
 		t.Fatalf("totals: %+v", tot)
@@ -89,7 +93,8 @@ func TestAggStoreEpochFencing(t *testing.T) {
 }
 
 func TestAggStoreFlowsSortedAndIsolated(t *testing.T) {
-	s := NewAggStore()
+	db, s := New(), NewAggStore()
+	d := Unlogged(db, s)
 	first := ScriptAgg{
 		Script: "s",
 		Flows: []FlowAgg{
@@ -98,7 +103,7 @@ func TestAggStoreFlowsSortedAndIsolated(t *testing.T) {
 			{SrcIP: 1, DstIP: 2, Packets: 3, Bytes: 30},
 		},
 	}
-	s.Admit("a", 0, 1, []ScriptAgg{first}, 1, 0)
+	d.AdmitAggFrame("a", 0, 1, []ScriptAgg{first}, 1, 0)
 	got, _ := s.Get("s")
 	if len(got.Flows) != 3 || got.Flows[0].DstIP != 2 || got.Flows[1].DstIP != 5 || got.Flows[2].SrcIP != 9 {
 		t.Fatalf("flows not sorted: %+v", got.Flows)
@@ -129,7 +134,7 @@ func TestAggStoreFlowsSortedAndIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Admit("a", 0, 2, second, 2, 0); st != BatchFresh {
+	if st := d.AdmitAggFrame("a", 0, 2, second, 2, 0); st != BatchFresh {
 		t.Fatalf("second frame: %v", st)
 	}
 	want := []FlowAgg{

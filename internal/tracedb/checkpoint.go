@@ -1,5 +1,5 @@
 // Checkpoints snapshot the collector's non-record durable state — the
-// per-agent record and aggregate delivery ledgers (including the frozen
+// per-agent delivery ledgers (including the frozen
 // previous-epoch views and fenced accounting that keep zombie dedup
 // exact), the merged aggregate store, and per-table seal/eviction
 // counters — so recovery can restore exactly-once semantics and then
@@ -13,7 +13,8 @@
 //	ckpt-<lsn:%016x>.ckpt
 //
 // and framed as: magic "vnck" | version byte | 8B big-endian LSN |
-// 4B big-endian CRC32(payload) | JSON payload. Files are written
+// 4B big-endian CRC32(payload) | JSON payload. Version 1, with a second
+// per-agent ledger for aggregate frames, is refused. Files are written
 // temp-then-rename like extent spills, so a crash mid-checkpoint leaves
 // the previous checkpoint intact and at worst an orphaned *.tmp (swept on
 // startup).
@@ -22,6 +23,7 @@ package tracedb
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -29,9 +31,13 @@ import (
 	"sort"
 )
 
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 var checkpointMagic = [4]byte{'v', 'n', 'c', 'k'}
+
+// errCheckpointVersion is what reading a checkpoint of another version
+// wraps; unlike corruption it fails recovery, leaving the files untouched.
+var errCheckpointVersion = errors.New("unsupported checkpoint version")
 
 // LedgerState is the full serialized form of one agentLedger: what a
 // checkpoint restores, and what a handoff exports to a successor
@@ -147,15 +153,14 @@ func (db *DB) exportTableStates() map[uint32]tableState {
 	return out
 }
 
-// aggState is the AggStore's serialized form: its per-agent ledgers, the
-// merged script aggregates, and the ingest counters.
+// aggState is the AggStore's serialized form: the merged script
+// aggregates and the ingest counters.
 type aggState struct {
-	Ledgers      map[string]LedgerState `json:"ledgers,omitempty"`
-	Scripts      []ScriptAgg            `json:"scripts,omitempty"`
-	FramesMerged uint64                 `json:"frames_merged,omitempty"`
-	FramesDup    uint64                 `json:"frames_dup,omitempty"`
-	FramesFenced uint64                 `json:"frames_fenced,omitempty"`
-	RowsMerged   uint64                 `json:"rows_merged,omitempty"`
+	Scripts      []ScriptAgg `json:"scripts,omitempty"`
+	FramesMerged uint64      `json:"frames_merged,omitempty"`
+	FramesDup    uint64      `json:"frames_dup,omitempty"`
+	FramesFenced uint64      `json:"frames_fenced,omitempty"`
+	RowsMerged   uint64      `json:"rows_merged,omitempty"`
 }
 
 // exportState snapshots the aggregate store.
@@ -163,7 +168,6 @@ func (s *AggStore) exportState() aggState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := aggState{
-		Ledgers:      s.exportStates(),
 		FramesMerged: s.framesMerged,
 		FramesDup:    s.framesDup,
 		FramesFenced: s.framesFenced,
@@ -184,7 +188,6 @@ func (s *AggStore) exportState() aggState {
 func (s *AggStore) restoreState(st aggState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.restoreStates(st.Ledgers)
 	for i := range st.Scripts {
 		s.merge(&st.Scripts[i])
 	}
@@ -273,7 +276,8 @@ func readCheckpoint(path string) (*checkpointPayload, error) {
 		}
 	}
 	if b[4] != checkpointVersion {
-		return nil, fmt.Errorf("tracedb: checkpoint %s: unsupported version %d", filepath.Base(path), b[4])
+		return nil, fmt.Errorf("tracedb: checkpoint %s: %w %d (this build reads %d); it cannot be migrated: start the collector with a fresh WAL and data directory",
+			filepath.Base(path), errCheckpointVersion, b[4], checkpointVersion)
 	}
 	lsn := binary.BigEndian.Uint64(b[5:13])
 	crc := binary.BigEndian.Uint32(b[13:17])
@@ -332,6 +336,9 @@ func loadLatestCheckpoint(dir string) (*checkpointPayload, bool, error) {
 		p, err := readCheckpoint(filepath.Join(dir, name))
 		if err == nil {
 			return p, true, nil
+		}
+		if errors.Is(err, errCheckpointVersion) {
+			return nil, false, err
 		}
 	}
 	return nil, false, nil

@@ -3,6 +3,7 @@ package tracedb
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -87,7 +88,9 @@ func TestDurabilityRecoverRoundTrip(t *testing.T) {
 	db, aggs, d, dcfg := durTestEnv(t, Config{})
 
 	// Admit sequenced batches across two agents and two tracepoints, a
-	// checkpoint in the middle, aggregate frames, and a duplicate.
+	// checkpoint in the middle, aggregate frames, and a duplicate. Each
+	// round's record batch and frame take consecutive numbers of a1's one
+	// sequence space: 2*seq-1 and 2*seq.
 	for seq := uint64(1); seq <= 6; seq++ {
 		// Even seqs arrive as the transport delivers them, with the
 		// records' wire bytes alongside, so the log's verbatim and
@@ -99,10 +102,10 @@ func TestDurabilityRecoverRoundTrip(t *testing.T) {
 				raw = recs[i].Marshal(raw)
 			}
 		}
-		if st := d.AdmitRecordBatch("a1", 1, seq, recs, raw, int64(seq), 0); st != BatchFresh {
+		if st := d.AdmitRecordBatch("a1", 1, 2*seq-1, recs, raw, int64(seq), 0); st != BatchFresh {
 			t.Fatalf("a1 seq %d: %v", seq, st)
 		}
-		if st := d.AdmitAggFrame("a1", 1, seq, testScripts(seq), int64(seq), 0); st != BatchFresh {
+		if st := d.AdmitAggFrame("a1", 1, 2*seq, testScripts(seq), int64(seq), 0); st != BatchFresh {
 			t.Fatalf("a1 agg seq %d: %v", seq, st)
 		}
 		if seq == 3 {
@@ -119,7 +122,7 @@ func TestDurabilityRecoverRoundTrip(t *testing.T) {
 	// so a duplicate's bookkeeping (dup count, heartbeat bump) is
 	// deliberately transient — the recovered state must match the
 	// fingerprint from before it.
-	if st := d.AdmitRecordBatch("a1", 1, 2, batchRecs(1, 2, 3), nil, 99, 0); st != BatchDuplicate {
+	if st := d.AdmitRecordBatch("a1", 1, 3, batchRecs(1, 2, 3), nil, 99, 0); st != BatchDuplicate {
 		t.Fatalf("expected duplicate, got %v", st)
 	}
 	if err := d.Close(); err != nil {
@@ -149,14 +152,14 @@ func TestDurabilityRecoverRoundTrip(t *testing.T) {
 
 	// Re-shipped (already-ingested) batches must dedup after recovery —
 	// the exactly-once property the WAL + checkpoint exist to preserve.
-	if st := d2.AdmitRecordBatch("a1", 1, 5, batchRecs(1, 5, 3), nil, 100, 0); st != BatchDuplicate {
+	if st := d2.AdmitRecordBatch("a1", 1, 9, batchRecs(1, 5, 3), nil, 100, 0); st != BatchDuplicate {
 		t.Fatalf("re-ship after recovery: got %v, want duplicate", st)
 	}
-	if st := d2.AdmitAggFrame("a1", 1, 4, testScripts(4), 100, 0); st != BatchDuplicate {
+	if st := d2.AdmitAggFrame("a1", 1, 8, testScripts(4), 100, 0); st != BatchDuplicate {
 		t.Fatalf("agg re-ship after recovery: got %v, want duplicate", st)
 	}
 	// And genuinely new traffic continues the sequence space.
-	if st := d2.AdmitRecordBatch("a1", 1, 7, batchRecs(1, 7, 2), nil, 101, 0); st != BatchFresh {
+	if st := d2.AdmitRecordBatch("a1", 1, 13, batchRecs(1, 7, 2), nil, 101, 0); st != BatchFresh {
 		t.Fatalf("new batch after recovery: got %v, want fresh", st)
 	}
 }
@@ -552,6 +555,84 @@ func TestRecoverRefusesRetiredAggregateKind(t *testing.T) {
 	}
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, log) {
 		t.Fatalf("recovery changed the generation: %d bytes left of %d (%v)", len(got), len(log), err)
+	}
+}
+
+// A log written while agents numbered aggregate frames in a sequence
+// space of their own holds kind-3 entries. Replayed into the one ledger,
+// such a frame would dedup against the record batch of the same seq, so
+// recovery refuses the log, names the kind, and leaves it byte for byte.
+func TestRecoverRefusesOwnSequenceAggregateKind(t *testing.T) {
+	base := t.TempDir()
+	cfg := Config{DataDir: filepath.Join(base, "data")}
+	dcfg := DurabilityConfig{Dir: filepath.Join(base, "wal")}
+	if err := os.MkdirAll(dcfg.Dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// Kind 3 had kind 4's body: encode a kind-4 entry and relabel it.
+	frame := mustWALPayload(t, &walEntry{LSN: 2, Kind: walKindAggs, Agent: "a1", Epoch: 1, Seq: 1, TimeNs: 6, Scripts: testScripts(1)})
+	frame[1] = walKindRetiredSeq
+	var log []byte
+	log = mustWALFrame(t, log, &walEntry{LSN: 1, Kind: walKindRecords, Agent: "a1", Epoch: 1, Seq: 1, TimeNs: 5, Records: batchRecs(1, 1, 3)})
+	log = binary.BigEndian.AppendUint32(log, uint32(len(frame)))
+	log = binary.BigEndian.AppendUint32(log, crc32.ChecksumIEEE(frame))
+	log = append(log, frame...)
+	path := filepath.Join(dcfg.Dir, walFileName(1))
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d, stats, err := Recover(NewWith(cfg), NewAggStore(), dcfg)
+	if err == nil {
+		d.Close()
+		t.Fatalf("recovered a log holding a kind-3 entry: %+v", stats)
+	}
+	if !errors.Is(err, errWALKindRetired) || !strings.Contains(err.Error(), "kind 3") {
+		t.Fatalf("recovery failed without naming the retired kind: %v", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, log) {
+		t.Fatalf("recovery changed the generation: %d bytes left of %d (%v)", len(got), len(log), err)
+	}
+}
+
+// A version-1 checkpoint carried a second, aggregate-only ledger per
+// agent. Recovery must refuse it by name rather than skip it as corrupt
+// (and then replay the WAL tail with no ledger under it), and must leave
+// the file as it was.
+func TestRecoverRefusesVersion1Checkpoint(t *testing.T) {
+	db, _, d, dcfg := durTestEnv(t, Config{})
+	d.AdmitRecordBatch("a1", 1, 1, batchRecs(1, 1, 3), nil, 1, 0)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	d.AdmitRecordBatch("a1", 1, 2, batchRecs(1, 2, 3), nil, 2, 0)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := listCheckpoints(dcfg.Dir)
+	if err != nil || len(names) != 1 {
+		t.Fatalf("checkpoints %v (%v), want one", names, err)
+	}
+	path := filepath.Join(dcfg.Dir, names[0])
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old[4] = 1 // the version byte; the CRC covers the payload only
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, stats, err := Recover(NewWith(db.Config()), NewAggStore(), dcfg)
+	if err == nil {
+		d2.Close()
+		t.Fatalf("recovered over a version-1 checkpoint: %+v", stats)
+	}
+	if !errors.Is(err, errCheckpointVersion) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("recovery failed without naming the checkpoint version: %v", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("recovery changed the checkpoint (%v)", err)
 	}
 }
 

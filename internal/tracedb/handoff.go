@@ -7,8 +7,8 @@ package tracedb
 // high-water mark or it would re-ingest every spooled batch the old
 // collector already has. Ownership rules:
 //
-//   - the agent's record and aggregate ledgers live only on its current
-//     home collector;
+//   - the agent's one ledger (record batches and aggregate frames share
+//     its sequence space) lives only on its current home collector;
 //   - re-homing advances the agent's epoch; the new home imports the old
 //     ledger state AT the new epoch (seqs continue), while the old home
 //     closes the epoch with a tombstone that fences stragglers;

@@ -150,7 +150,7 @@ func TestHeartbeatEpochDoesNotResurrect(t *testing.T) {
 	db := New()
 	admit(db, "a", 1, 1, 10, 100)
 	db.CloseAgentEpoch("a", 2)
-	if got := db.HeartbeatEpoch("a", 1, 9999, 0); got != BatchFenced {
+	if got := db.AdmitBatch("a", 1, 0, 0, 9999, 0); got != BatchFenced {
 		t.Fatalf("stale heartbeat: got %v, want BatchFenced", got)
 	}
 	l := ledger(t, db, "a")
@@ -161,13 +161,13 @@ func TestHeartbeatEpochDoesNotResurrect(t *testing.T) {
 		t.Fatalf("bare stale heartbeat perturbed fence counters: %d/%d", l.FencedBatches, l.FencedRecords)
 	}
 	// Current-epoch and unleased heartbeats still work.
-	if got := db.HeartbeatEpoch("a", 2, 200, 1); got != BatchFresh {
+	if got := db.AdmitBatch("a", 2, 0, 0, 200, 1); got != BatchFresh {
 		t.Fatalf("live heartbeat: got %v, want BatchFresh", got)
 	}
 	if l = ledger(t, db, "a"); l.LastSeenNs != 200 || l.Degraded != 1 {
 		t.Fatalf("live heartbeat: last=%d degraded=%d, want 200/1", l.LastSeenNs, l.Degraded)
 	}
-	if got := db.HeartbeatEpoch("a", 0, 300, 0); got != BatchFresh {
+	if got := db.AdmitBatch("a", 0, 0, 0, 300, 0); got != BatchFresh {
 		t.Fatalf("unleased heartbeat: got %v, want BatchFresh (epoch 0 never fences)", got)
 	}
 }

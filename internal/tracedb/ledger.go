@@ -131,12 +131,10 @@ type AgentLedger struct {
 	Degraded uint8
 }
 
-// deliveryLedger is the delivery ledger of one sequence space: every
-// agent's agentLedger behind one mutex. DB embeds one for record batches
-// and AggStore one for aggregate frames (agents number the two
-// independently), so both expose the same exactly-once, epoch-fenced
-// admission and the same snapshot, handoff and checkpoint surface. The
-// zero value is an empty ledger.
+// deliveryLedger is the collector's delivery ledger, embedded in DB:
+// every agent's agentLedger behind one mutex, admitting record batches
+// and aggregate frames in the agent's one sequence space. The zero value
+// is an empty ledger.
 type deliveryLedger struct {
 	mu     sync.Mutex
 	agents map[string]*agentLedger
@@ -176,7 +174,8 @@ const (
 // a newer lease, updates the heartbeat for live-epoch traffic, and keeps
 // the fenced-loss counters exact. records is the batch's payload size;
 // nowNs its heartbeat timestamp; degraded the agent's self-reported
-// degradation level.
+// degradation level. An aggregate frame is admitted with records 0, so
+// the fenced-loss counters count records only.
 //
 // Epoch rules: epoch 0 means unleased and is compared equal to itself
 // only — an unleased agent is never fenced. A batch with a newer epoch
@@ -189,9 +188,10 @@ const (
 // immediately previous epoch (one live restart); older zombies are still
 // fenced but counted conservatively.
 //
-// Seq 0 means "unsequenced" (bare heartbeats) and is always fresh — those
-// deliveries carry no replayable payload. The heartbeat keeps the maximum
-// timestamp: with concurrent ingest workers (or an agent re-shipping
+// Seq 0 means "unsequenced" (bare heartbeats) and is always fresh at a
+// current or newer lease — those deliveries carry no replayable payload —
+// and fenced without touching liveness at a stale one. The heartbeat
+// keeps the maximum timestamp: with concurrent ingest workers (or an agent re-shipping
 // spooled batches stamped at their original drain time) batches arrive
 // out of order, and an older timestamp must not regress the last-seen
 // time and falsely kill a live agent (the collector doubles as the health
@@ -200,17 +200,6 @@ func (l *deliveryLedger) AdmitBatch(agent string, epoch, seq uint64, records int
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.entry(agent).admit(epoch, seq, records, nowNs, degraded)
-}
-
-// HeartbeatEpoch is the epoch-aware liveness update: it behaves exactly
-// like admitting an unsequenced batch — a current lease advances the
-// agent's last-seen clock, a newer lease closes the old epoch first, and
-// a stale lease is fenced without touching liveness or any counter. The
-// aggregate-frame path uses it on the record ledger so a frame routed to
-// an agent's OLD collector after a re-homing cannot resurrect the stale
-// assignment. Epoch 0 (unleased) is never fenced.
-func (l *deliveryLedger) HeartbeatEpoch(agent string, epoch uint64, nowNs int64, degraded uint8) BatchStatus {
-	return l.AdmitBatch(agent, epoch, 0, 0, nowNs, degraded)
 }
 
 // admit implements AdmitBatch's classification on one agent's ledger.

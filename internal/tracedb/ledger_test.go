@@ -13,8 +13,8 @@ import (
 // ledger and falsely declare a live agent dead.
 func TestHeartbeatOutOfOrderKeepsMax(t *testing.T) {
 	db := New()
-	db.HeartbeatEpoch("a", 0, 1000, 0)
-	db.HeartbeatEpoch("a", 0, 400, 0) // older batch processed late
+	db.AdmitBatch("a", 0, 0, 0, 1000, 0)
+	db.AdmitBatch("a", 0, 0, 0, 400, 0) // older batch processed late
 	if dead := db.DeadAgents(1100, 300); len(dead) != 0 {
 		t.Fatalf("live agent declared dead after out-of-order heartbeat: %v", dead)
 	}
@@ -23,7 +23,7 @@ func TestHeartbeatOutOfOrderKeepsMax(t *testing.T) {
 		t.Fatalf("ledger last seen = %+v, want 1000", l)
 	}
 	// A genuinely newer heartbeat still advances it.
-	db.HeartbeatEpoch("a", 0, 2000, 0)
+	db.AdmitBatch("a", 0, 0, 0, 2000, 0)
 	if l, _ := db.Ledger("a"); l.LastSeenNs != 2000 {
 		t.Fatalf("last seen = %d, want 2000", l.LastSeenNs)
 	}

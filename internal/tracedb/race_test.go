@@ -35,7 +35,7 @@ func TestConcurrentInsertAndQuery(t *testing.T) {
 					}
 				}
 				db.Insert(recs)
-				db.HeartbeatEpoch("agent", 0, int64(i), 0)
+				db.AdmitBatch("agent", 0, 0, 0, int64(i), 0)
 				db.SetSkew(1, int64(i))
 			}
 		}(w)

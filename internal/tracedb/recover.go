@@ -417,7 +417,7 @@ func (db *DB) ensureTableNamed(tpid uint32, name string) *Table {
 }
 
 // AdmitRecordBatch is the front door for a record batch: it classifies
-// the batch against the record ledger and — only when fresh — appends it
+// the batch against the ledger and — only when fresh — appends it
 // to the WAL (fsync per policy) and inserts the records. raw, when the
 // caller still holds the records' canonical wire encoding (the
 // transport's record section, len(recs)*core.RecordSize bytes matching
@@ -431,8 +431,8 @@ func (d *Durability) AdmitRecordBatch(agent string, epoch, seq uint64, recs []co
 	})
 }
 
-// AdmitAggFrame is the front door for an aggregate frame: fresh frames
-// merge into the aggregate store and are WAL-logged.
+// AdmitAggFrame is the front door for an aggregate frame: classified by
+// the same ledger as record batches, it is logged and merged when fresh.
 func (d *Durability) AdmitAggFrame(agent string, epoch, seq uint64, scripts []ScriptAgg, nowNs int64, degraded uint8) BatchStatus {
 	return d.admit(&walEntry{
 		Kind: walKindAggs, Agent: agent, Epoch: epoch, Seq: seq,
@@ -442,30 +442,24 @@ func (d *Durability) AdmitAggFrame(agent string, epoch, seq uint64, scripts []Sc
 
 // admit is the one admission sequence — classify, log, apply — all under
 // the shared side of the checkpoint barrier so a concurrent checkpoint
-// never cuts between admission and application. A WAL append failure
-// does not drop the delivery (it is applied and the error is surfaced in
-// Stats); it degrades durability, not availability. Admit-before-log is
-// safe because losing the unlogged append also loses the ack: the
-// unacknowledged delivery re-ships. An aggregate frame's classification
-// and merge are one atomic step under the store's mutex, so its log
-// append follows the merge; a record batch is logged before it inserts.
+// never cuts between admission and application. Both kinds classify
+// through the DB's ledger; a frame's payload there is 0 records. A WAL
+// append failure does not drop the delivery (it is applied and the error
+// is surfaced in Stats); it degrades durability, not availability.
+// Admit-before-log is safe because losing the unlogged append also loses
+// the ack: the unacknowledged delivery re-ships.
 func (d *Durability) admit(e *walEntry) BatchStatus {
 	d.barrier.RLock()
 	defer d.barrier.RUnlock()
-	var st BatchStatus
-	if e.Kind == walKindAggs {
-		st = d.aggs.Admit(e.Agent, e.Epoch, e.Seq, e.Scripts, e.TimeNs, e.Degraded)
-	} else {
-		st = d.db.AdmitBatch(e.Agent, e.Epoch, e.Seq, len(e.Records), e.TimeNs, e.Degraded)
-	}
-	if st != BatchFresh {
-		return st
-	}
+	st := d.db.AdmitBatch(e.Agent, e.Epoch, e.Seq, len(e.Records), e.TimeNs, e.Degraded)
 	// An unsequenced empty delivery is a bare heartbeat: nothing to replay.
-	if d.dir != "" && (e.Seq != 0 || len(e.Records)+len(e.Scripts) > 0) {
+	if st == BatchFresh && d.dir != "" && (e.Seq != 0 || len(e.Records)+len(e.Scripts) > 0) {
 		d.append(e)
 	}
-	if e.Kind == walKindRecords {
+	switch {
+	case e.Kind == walKindAggs:
+		d.aggs.add(st, e.Scripts)
+	case st == BatchFresh:
 		d.db.Insert(e.Records)
 	}
 	return st

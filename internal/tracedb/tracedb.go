@@ -70,8 +70,8 @@ type DB struct {
 	mu     sync.RWMutex
 	tables map[uint32]*Table
 
-	// The record-batch ledger, doubling as the agent-heartbeat monitor;
-	// it has its own lock.
+	// The delivery ledger of record batches and aggregate frames alike,
+	// doubling as the agent-heartbeat monitor; it has its own lock.
 	deliveryLedger
 }
 

@@ -116,13 +116,13 @@ func TestIncomplete(t *testing.T) {
 
 func TestHeartbeatsAndDeadAgents(t *testing.T) {
 	db := New()
-	db.HeartbeatEpoch("agent-1", 0, 1000, 0)
-	db.HeartbeatEpoch("agent-2", 0, 8000, 0)
+	db.AdmitBatch("agent-1", 0, 0, 0, 1000, 0)
+	db.AdmitBatch("agent-2", 0, 0, 0, 8000, 0)
 	dead := db.DeadAgents(10000, 3000)
 	if len(dead) != 1 || dead[0] != "agent-1" {
 		t.Fatalf("dead = %v", dead)
 	}
-	db.HeartbeatEpoch("agent-1", 0, 9000, 0)
+	db.AdmitBatch("agent-1", 0, 0, 0, 9000, 0)
 	if got := db.DeadAgents(10000, 3000); len(got) != 0 {
 		t.Fatalf("dead after refresh = %v", got)
 	}

@@ -24,13 +24,15 @@
 // loop, and WAL bytes are short-lived (retired at the next checkpoint)
 // so the size trade is cheap.
 //
-// kind 3 (aggregate frame): the same agent/epoch/seq/time/degraded
+// kind 4 (aggregate frame): the same agent/epoch/seq/time/degraded
 // prefix, then the script section (aggcodec.go) — the bytes the v5 wire
-// frame carries after its header and agent name.
+// frame carries after its header and agent name. Its seq is in the
+// agent's one sequence space, shared with record batches.
 //
-// kind 2 is retired: an aggregate body in a dense form of its own, whose
-// codec is gone. Recovery refuses a log holding one (errWALKindRetired)
-// and leaves it as it found it, rather than truncating it as a torn tail.
+// kinds 2 and 3 are retired: kind 2 held a dense aggregate body whose
+// codec is gone; kind 3 is kind 4 numbered in a frames-only sequence
+// space, which would collide with record batches' seqs. Recovery refuses
+// a log holding either (errWALKindRetired) and leaves it untouched.
 //
 // Appends are group-committed: one frame write per batch (the batch is
 // the group), with fsync driven by policy — always (every append),
@@ -99,13 +101,14 @@ func (p FsyncPolicy) String() string {
 
 // WAL entry kinds.
 const (
-	walKindRecords     byte = 1
-	walKindRetiredAggs byte = 2
-	walKindAggs        byte = 3
+	walKindRecords      byte = 1
+	walKindRetiredDense byte = 2
+	walKindRetiredSeq   byte = 3
+	walKindAggs         byte = 4
 )
 
-// errWALKindRetired is what decoding a kind-2 entry returns.
-var errWALKindRetired = fmt.Errorf("tracedb: wal kind %d (dense aggregate frame) is retired; recover this log with a build that reads it, then checkpoint", walKindRetiredAggs)
+// errWALKindRetired is what decoding a kind-2 or kind-3 entry wraps.
+var errWALKindRetired = errors.New("is retired; a log holding it cannot be migrated: start the collector with a fresh WAL and data directory")
 
 // walEntry is one logged ingest event: an admitted record batch or an
 // admitted aggregate frame, with the ledger identity (agent, epoch, seq)
@@ -191,8 +194,8 @@ func decodeWALPayload(b []byte, e *walEntry) error {
 	}
 	switch e.Kind {
 	case walKindRecords, walKindAggs:
-	case walKindRetiredAggs:
-		return errWALKindRetired
+	case walKindRetiredDense, walKindRetiredSeq:
+		return fmt.Errorf("tracedb: wal kind %d %w", e.Kind, errWALKindRetired)
 	default:
 		return fmt.Errorf("tracedb: wal kind %d unknown", e.Kind)
 	}
