@@ -137,7 +137,7 @@ bench-gate:
 
 # Opt-in proof that a refactor changed nothing observable (not part of
 # check or tier-1: ~2 min). Exports PARENT under .bench_build/ and diffs
-# the full `vntbench -quick` output (elapsed lines stripped), the 350
+# the full `vntbench -quick` output (elapsed lines stripped), the 375
 # seed-sweep digests, digests.golden and the stdout of every examples/
 # program against the working tree.
 .PHONY: nochange
@@ -158,10 +158,11 @@ bench-wire:
 # Crash-recovery conformance: the kill -9 collector scenarios (recover
 # mid-traffic from WAL + checkpoint; recovery racing the ring's agent
 # re-homing; recovery re-provisioning agents that ship aggregates;
-# recovery after an agent rebooted into a new sequence space) swept
+# recovery after an agent rebooted into a new sequence space; a re-homed
+# agent's new home crashing before any checkpoint) swept
 # across CONFORMANCE_SEEDS seeds under the race detector. The acceptance
 # bar for the durable collector.
-CRASH_SCENARIOS = collector-kill-recover|recover-vs-rehome|reprovision-drains-aggregates|recover-after-agent-reboot
+CRASH_SCENARIOS = collector-kill-recover|recover-vs-rehome|reprovision-drains-aggregates|recover-after-agent-reboot|rehome-then-successor-crash
 .PHONY: crash
 crash:
 	CONFORMANCE_SEEDS=$(CONFORMANCE_SEEDS) $(GO) test -race -count=1 \

@@ -1,7 +1,7 @@
 package vnettracer
 
 // Scale-out benchmark for the partitioned collector tier: the same batch
-// stream sharded over 1, 2, and 4 collectors by the cluster's consistent
+// stream sharded over 1, 2, and 4 collectors by the dispatcher's consistent
 // hash. The harness is single-machine, so wall-clock alone would show
 // the *sum* of collector work, not the tier's throughput; instead each
 // batch's synchronous ingest cost is attributed to its home collector
@@ -35,6 +35,22 @@ func clusterBatch(agent string, tpid uint32, n int) control.RecordBatch {
 	return control.RecordBatch{Agent: agent, AgentTimeNs: 123456789, Records: recs}
 }
 
+// clusterTenant is one benchmark agent: the dispatcher retargets it at
+// its home collector's sink, and the loop ships its batch there.
+type clusterTenant struct {
+	home  int
+	sink  control.RecordSink
+	epoch uint64
+	seq   uint64
+	batch control.RecordBatch
+}
+
+func (tn *clusterTenant) Apply(control.ControlPackage) error { return nil }
+
+func (tn *clusterTenant) Retarget(sink control.RecordSink, epoch uint64) {
+	tn.sink, tn.epoch = sink, epoch
+}
+
 func BenchmarkClusterIngest(b *testing.B) {
 	const (
 		numAgents       = 128
@@ -43,40 +59,26 @@ func BenchmarkClusterIngest(b *testing.B) {
 	for _, numCols := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("collectors=%d", numCols), func(b *testing.B) {
 			disp := control.NewDispatcher()
-			clu := control.NewCluster(disp)
 			cols := make([]*control.Collector, numCols)
 			names := make(map[string]int, numCols)
 			for c := 0; c < numCols; c++ {
 				name := fmt.Sprintf("col-%d", c)
 				cols[c] = control.NewCollectorWith(tracedb.New(), tracedb.NewAggStore())
-				if err := clu.AddCollector(name, cols[c], nil); err != nil {
+				if err := disp.AddCollector(name, cols[c], nil); err != nil {
 					b.Fatal(err)
 				}
 				names[name] = c
 			}
-			type tenant struct {
-				home  int
-				sink  control.RecordSink
-				epoch uint64
-				seq   uint64
-				batch control.RecordBatch
-			}
-			tenants := make([]*tenant, numAgents)
+			tenants := make([]*clusterTenant, numAgents)
 			for i := range tenants {
 				agent := fmt.Sprintf("agent-%02d", i)
-				if err := disp.Register(agent, nil); err != nil {
+				tn := &clusterTenant{batch: clusterBatch(agent, uint32(i+1), recordsPerBatch)}
+				if err := disp.Register(agent, tn); err != nil {
 					b.Fatal(err)
 				}
-				home, sink, err := clu.Register(agent, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tenants[i] = &tenant{
-					home:  names[home],
-					sink:  sink,
-					epoch: disp.Epoch(agent),
-					batch: clusterBatch(agent, uint32(i+1), recordsPerBatch),
-				}
+				home, _ := disp.Home(agent)
+				tn.home = names[home]
+				tenants[i] = tn
 			}
 
 			perCol := make([]time.Duration, numCols)

@@ -70,11 +70,11 @@ func runAgent(args []string) error {
 	eng.Schedule(0, pump)
 
 	// A multi-collector tier: home onto one collector by the same
-	// consistent hash the cluster uses, so every component agrees on
+	// consistent hash the dispatcher uses, so every component agrees on
 	// placement without coordination.
 	home := *collector
 	if addrs := strings.Split(*collector, ","); len(addrs) > 1 {
-		ring := control.NewHashRing(0)
+		ring := control.NewHashRing()
 		for _, a := range addrs {
 			ring.Add(strings.TrimSpace(a))
 		}

@@ -101,7 +101,7 @@ func TestScenarioCorpus(t *testing.T) {
 			return "fenced records", r.FencedRecords
 		},
 		"collector-crash-rehome": func(r *Result) (string, uint64) {
-			if r.Rehomes == 0 {
+			if r.Dispatch.Rehomes == 0 {
 				return "re-homed agents", 0
 			}
 			if r.Rejected == 0 {
@@ -131,7 +131,7 @@ func TestScenarioCorpus(t *testing.T) {
 			if r.RecoveredCollectors == 0 {
 				return "recovered collectors", 0
 			}
-			if r.Rehomes == 0 {
+			if r.Dispatch.Rehomes == 0 {
 				return "re-homed agents", 0
 			}
 			if !r.Recovery.CheckpointLoaded {
@@ -141,6 +141,15 @@ func TestScenarioCorpus(t *testing.T) {
 				return "WAL-replayed records", 0
 			}
 			return "re-shipped batches deduped after the rehome", r.DupBatches
+		},
+		"rehome-then-successor-crash": func(r *Result) (string, uint64) {
+			if r.RecoveredCollectors == 0 {
+				return "recovered collectors", 0
+			}
+			if r.DupBatches == 0 {
+				return "re-shipped batches deduped", 0
+			}
+			return "re-homed agents on the crashed successor", r.CrashRehomedTenants
 		},
 		"skewed-agent-load": func(r *Result) (string, uint64) {
 			var min, max uint64
@@ -397,6 +406,7 @@ func TestSeedSweep(t *testing.T) {
 		"in-probe-aggregation", "collector-crash-rehome", "skewed-agent-load",
 		"collector-kill-recover", "recover-vs-rehome",
 		"reprovision-drains-aggregates", "recover-after-agent-reboot",
+		"rehome-then-successor-crash",
 	} {
 		base, ok := byName[name]
 		if !ok {

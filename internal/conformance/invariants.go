@@ -21,11 +21,11 @@ import (
 // the ground truth injected.
 func check(sc Scenario, s *vnettracer.Session, cluster []*agentState, truth *groundTruth, cols []*collectorState, fs *faultState, res *Result, dig *digest) {
 	var totalStored, totalEvictedBatches, totalSpooledBatches uint64
-	clu, q := s.Cluster(), s.Query()
+	disp, q := s.Dispatcher(), s.Query()
 
 	perColAgents := make(map[string]int)
 	for _, st := range cluster {
-		if h, ok := clu.Home(st.name); ok {
+		if h, ok := disp.Home(st.name); ok {
 			perColAgents[h]++
 		}
 	}
@@ -44,8 +44,8 @@ func check(sc Scenario, s *vnettracer.Session, cluster []*agentState, truth *gro
 		// The home collector holds the live lease; after a re-homing, the
 		// fence and gap accounting may be spread across collectors, so
 		// those sum over every ledger the agent ever touched.
-		led, ledOK := clu.Ledger(st.name)
-		lease := s.Dispatcher().Epoch(st.name)
+		led, ledOK := disp.Ledger(st.name)
+		lease := disp.Epoch(st.name)
 		var fencedB, fencedR, missing uint64
 		for _, cs := range cols {
 			l, _ := cs.col.DB().Ledger(st.name) // zero where never seen
@@ -185,7 +185,6 @@ func check(sc Scenario, s *vnettracer.Session, cluster []*agentState, truth *gro
 			Recovered: cs.recovered,
 		})
 	}
-	res.Rehomes = clu.Rehomes()
 	if colRecords != totalStored {
 		res.violatef("collectors ingested %d records, tables hold %d", colRecords, totalStored)
 	}
@@ -221,7 +220,7 @@ func check(sc Scenario, s *vnettracer.Session, cluster []*agentState, truth *gro
 	}
 
 	checkMetrics(sc, cluster, truth, q, res)
-	checkSupervision(sc, cluster, res)
+	checkSupervision(sc, cluster, cols, res)
 	checkAggregates(sc, cluster, truth, cols, q, fs, res, dig)
 
 	// Fold the final accounting into the digest so a run that delivers
@@ -238,7 +237,7 @@ func check(sc Scenario, s *vnettracer.Session, cluster []*agentState, truth *gro
 	}
 	dig.logf("account collector records=%d dup=%d missing=%d attempts=%d rejected=%d ackslost=%d fenced=%d/%d overloadacks=%d rehomes=%d",
 		colRecords, dup, missing, fs.attempts, fs.rejected, fs.acksLost,
-		res.FencedBatches, res.FencedRecords, res.OverloadAcks, res.Rehomes)
+		res.FencedBatches, res.FencedRecords, res.OverloadAcks, res.Dispatch.Rehomes)
 	dig.logf("account supervisor pushes=%d failures=%d retries=%d reprovisions=%d pending=%d",
 		res.Dispatch.Pushes, res.Dispatch.Failures, res.Dispatch.Retries,
 		res.Dispatch.Reprovisions, res.Dispatch.PendingRetries)
@@ -247,8 +246,9 @@ func check(sc Scenario, s *vnettracer.Session, cluster []*agentState, truth *gro
 // checkSupervision verifies the control-plane supervision mechanisms a
 // scenario arms actually engaged and converged: a killed agent ends the
 // run re-provisioned at a newer epoch, a zombie's late flush is fenced in
-// full, and overload degradation both triggers and fully recovers.
-func checkSupervision(sc Scenario, cluster []*agentState, res *Result) {
+// full, collector faults struck the collectors they resolved, and
+// overload degradation both triggers and fully recovers.
+func checkSupervision(sc Scenario, cluster []*agentState, cols []*collectorState, res *Result) {
 	if sc.KillAtNs > 0 && sc.KillRebootAfterNs > 0 {
 		st := cluster[sc.KillAgent%len(cluster)]
 		if st.zombie == nil {
@@ -278,7 +278,7 @@ func checkSupervision(sc Scenario, cluster []*agentState, res *Result) {
 		}
 	}
 	if sc.Collectors > 1 && sc.CollectorFailAtNs > 0 && sc.CollectorRehomeAfterNs > 0 {
-		if res.Rehomes == 0 {
+		if res.Dispatch.Rehomes == 0 {
 			res.violatef("collector crash re-homed no agents")
 		}
 		crashed := 0
@@ -293,8 +293,16 @@ func checkSupervision(sc Scenario, cluster []*agentState, res *Result) {
 				res.violatef("crashed collector %s still homes %d agents at quiesce", pc.Name, pc.Agents)
 			}
 		}
-		if crashed != 1 {
-			res.violatef("%d collectors crashed, fault injects exactly 1", crashed)
+		// The fail fault strikes one collector, and a kill fault that
+		// resolved another victim strikes a second.
+		want := 1
+		for _, cs := range cols {
+			if cs.wasCrashed && !cs.failed {
+				want = 2
+			}
+		}
+		if crashed != want {
+			res.violatef("%d collectors crashed, faults inject exactly %d", crashed, want)
 		}
 	}
 	if sc.Durable && sc.CollectorCrashAtNs > 0 && sc.CollectorRecoverAfterNs > 0 {

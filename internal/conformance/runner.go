@@ -38,9 +38,11 @@ type collectorState struct {
 	col  *control.Collector
 	sink *faultSink
 
-	// wasCrashed marks the kill fault fired here; recovered marks the
-	// rebuild completed (the sink is fresh, so sink.crashed is false
+	// failed marks the fail fault's victim, declared dead and re-homed
+	// away; wasCrashed marks the kill fault fired here; recovered marks
+	// the rebuild completed (the sink is fresh, so sink.crashed is false
 	// again afterwards).
+	failed     bool
 	wasCrashed bool
 	recovered  bool
 
@@ -178,9 +180,8 @@ type Result struct {
 	UnattendedFires                        uint64
 	OverloadAcks                           uint64
 
-	// Cluster-tier accounting: agent moves after a collector failure and
-	// the per-collector ingest split.
-	Rehomes      uint64
+	// PerCollector is the per-collector ingest split (agent moves after a
+	// collector failure are Dispatch.Rehomes).
 	PerCollector []CollectorReport
 
 	// Aggregate-frame totals (ShipAggregates scenarios).
@@ -190,8 +191,8 @@ type Result struct {
 	// sink outage: held back by it, and shipped later (checkAggregates).
 	OutageSpooledFrames uint64
 
-	// Dispatch snapshots the dispatcher's push counters (pushes,
-	// retries, re-provisions) at quiesce.
+	// Dispatch snapshots the dispatcher's counters (pushes, retries,
+	// re-provisions, re-homes) at quiesce.
 	Dispatch control.DispatcherStats
 
 	// Storage aggregates the trace store's segment accounting at quiesce
@@ -208,6 +209,9 @@ type Result struct {
 	CrashSpooledFrames  uint64
 	DupAfterRecovery    uint64
 	Recovery            tracedb.RecoveryStats
+	// CrashRehomedTenants counts the agents the kill victim homed at the
+	// crash instant because a collector failure had re-homed them there.
+	CrashRehomedTenants uint64
 }
 
 // CollectorReport is one collector's share of the run.
@@ -650,6 +654,7 @@ func scheduleFaults(sc Scenario, eng *sim.Engine, s *vnettracer.Session, cluster
 		})
 	}
 
+	rehomed := make(map[string]bool) // agents the fail fault moved
 	if sc.Collectors > 1 && sc.CollectorFailAtNs > 0 && sc.CollectorRehomeAfterNs > 0 {
 		// The victim is whichever collector homes agent FailAgentHome —
 		// resolved at crash time so the fault always lands on a collector
@@ -657,10 +662,11 @@ func scheduleFaults(sc Scenario, eng *sim.Engine, s *vnettracer.Session, cluster
 		anchor := cluster[sc.FailAgentHome%len(cluster)]
 		var victim string
 		eng.Schedule(sc.CollectorFailAtNs, func() {
-			victim, _ = s.Cluster().Home(anchor.name)
+			victim, _ = s.Dispatcher().Home(anchor.name)
 			for _, cs := range cols {
 				if cs.name == victim {
 					cs.sink.crash()
+					cs.failed = true
 				}
 			}
 			dig.logf("collector-crash t=%d col=%s", eng.Now(), victim)
@@ -671,6 +677,7 @@ func scheduleFaults(sc Scenario, eng *sim.Engine, s *vnettracer.Session, cluster
 				panic(err) // the victim exists and fails exactly once
 			}
 			for _, mv := range moves {
+				rehomed[mv.Agent] = true
 				dig.logf("rehome t=%d agent=%s from=%s to=%s epoch=%d",
 					eng.Now(), mv.Agent, mv.From, mv.To, mv.Epoch)
 			}
@@ -685,7 +692,7 @@ func scheduleFaults(sc Scenario, eng *sim.Engine, s *vnettracer.Session, cluster
 		anchor := cluster[sc.CrashAgentHome%len(cluster)]
 		var victim *collectorState
 		eng.Schedule(sc.CollectorCrashAtNs, func() {
-			home, _ := s.Cluster().Home(anchor.name)
+			home, _ := s.Dispatcher().Home(anchor.name)
 			for _, cs := range cols {
 				if cs.name == home {
 					victim = cs
@@ -709,6 +716,9 @@ func scheduleFaults(sc Scenario, eng *sim.Engine, s *vnettracer.Session, cluster
 			for _, st := range cluster {
 				res.CrashSpooledBatches += uint64(st.agent.SpoolStats().Batches)
 				res.CrashSpooledFrames += uint64(st.agent.AggShipStats().FramesSpooled)
+				if h, _ := s.Dispatcher().Home(st.name); h == victim.name && rehomed[st.name] {
+					res.CrashRehomedTenants++
+				}
 			}
 			dig.logf("collector-kill t=%d col=%s lostBatches=%d lostRecords=%d lostDup=%d stored=%d merged=%d spooled=%d/%d",
 				eng.Now(), victim.name, b, r, dupB, victim.preRecords,

@@ -516,5 +516,23 @@ func Corpus() []Scenario {
 			CollectorCrashAtNs:      38 * sim.Millisecond,
 			CollectorRecoverAfterNs: 6 * sim.Millisecond,
 		},
+		{
+			// A re-homed agent's new home crashes before any checkpoint:
+			// the ledger it imported in the handoff must survive the
+			// crash, or its recovery stores the agent's spool re-ships a
+			// second time and regresses the ledger.
+			Name:                    "rehome-then-successor-crash",
+			Seed:                    20,
+			Agents:                  5,
+			Collectors:              3,
+			Packets:                 600,
+			Flows:                   6,
+			Durable:                 true,
+			AckLossEvery:            4,
+			CollectorFailAtNs:       30 * sim.Millisecond,
+			CollectorRehomeAfterNs:  5 * sim.Millisecond,
+			CollectorCrashAtNs:      42 * sim.Millisecond,
+			CollectorRecoverAfterNs: 10 * sim.Millisecond,
+		},
 	}
 }

@@ -1,125 +1,59 @@
 package control
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	"vnettracer/internal/tracedb"
 )
-
-// Retargeter is the agent-side hook a re-homing drives: swap the
-// delivery sink to the successor collector and adopt the new epoch
-// lease. *Agent implements it.
-type Retargeter interface {
-	Retarget(sink RecordSink, epoch uint64)
-}
-
-// Cluster scales the collector tier out: agents are assigned to
-// collectors by consistent hashing on the agent name, and a collector
-// failure re-homes its agents onto the survivors with an epoch-fenced
-// ledger handoff. Each agent's one ledger (record batches and aggregate
-// frames share its sequence space) stays local to its current home; the
-// high-water mark travels in the handoff so delivery stays exactly-once
-// across the move.
-//
-// The dispatcher keeps global duties (roster, TPID allocation, epoch
-// leases); the cluster adds placement on top of it.
-type Cluster struct {
-	disp *Dispatcher
-
-	mu     sync.Mutex
-	ring   *HashRing
-	cols   map[string]*member
-	homes  map[string]string // agent -> collector name
-	agents map[string]Retargeter
-	// regEpoch is the lease each agent held when it last registered: its
-	// current incarnation's sequence space starts there.
-	regEpoch map[string]uint64
-	moves    uint64
-}
 
 // member is one collector slot: the collector, the sink agents ship to
 // (usually the collector itself; the harness substitutes a fault
 // injector), and whether it has failed.
 type member struct {
-	name   string
 	col    *Collector
 	sink   RecordSink
 	failed bool
 }
 
-// NewCluster wraps a dispatcher with collector placement.
-func NewCluster(disp *Dispatcher) *Cluster {
-	return &Cluster{
-		disp:     disp,
-		ring:     NewHashRing(0),
-		cols:     make(map[string]*member),
-		homes:    make(map[string]string),
-		agents:   make(map[string]Retargeter),
-		regEpoch: make(map[string]uint64),
-	}
-}
-
 // AddCollector joins a collector to the tier under a unique name. The
-// sink is what re-homed agents are retargeted at; nil means the
+// sink is what agents homed there are pointed at; nil means the
 // collector itself. Adding collectors after agents registered is legal
 // but does not move existing agents (placement is sticky until a
 // failure; rebalance-on-join is a policy choice left to the operator).
-func (c *Cluster) AddCollector(name string, col *Collector, sink RecordSink) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.cols[name]; dup {
-		return fmt.Errorf("control: cluster: collector %q already added", name)
+func (d *Dispatcher) AddCollector(name string, col *Collector, sink RecordSink) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if _, dup := d.cols[name]; dup {
+		return fmt.Errorf("control: dispatcher: collector %q already added", name)
 	}
 	if sink == nil {
 		sink = col
 	}
-	c.cols[name] = &member{name: name, col: col, sink: sink}
-	c.ring.Add(name)
+	d.cols[name] = &member{col: col, sink: sink}
+	d.ring.Add(name)
 	return nil
 }
 
-// Register places an agent on its home collector (consistent hash of
-// the agent name over the live collector set) and returns the home's
-// name and sink for the caller to wire into the agent. Registering a
-// name again refreshes the retargeter — the restart path, where a new
-// Agent value takes over the name and starts its sequence space over.
-func (c *Cluster) Register(agent string, rt Retargeter) (home string, sink RecordSink, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.cols) == 0 {
-		return "", nil, fmt.Errorf("control: cluster: no collectors")
-	}
-	c.agents[agent] = rt
-	c.regEpoch[agent] = c.disp.Epoch(agent)
-	if h, ok := c.homes[agent]; ok {
-		return h, c.cols[h].sink, nil
-	}
-	h, ok := c.ring.Owner(agent)
-	if !ok {
-		return "", nil, fmt.Errorf("control: cluster: no live collectors")
-	}
-	c.homes[agent] = h
-	return h, c.cols[h].sink, nil
-}
-
 // Home names the collector currently owning an agent.
-func (c *Cluster) Home(agent string) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h, ok := c.homes[agent]
-	return h, ok
+func (d *Dispatcher) Home(agent string) (string, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if e, ok := d.agents[agent]; ok && e.home != "" {
+		return e.home, true
+	}
+	return "", false
 }
 
-// Collectors lists live (non-failed) collector names, sorted.
-func (c *Cluster) Collectors() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.cols))
-	for name, m := range c.cols {
-		if !m.failed {
-			out = append(out, name)
+// homedLocked lists, in name order, the agents homed on collector col,
+// or every homed agent when col is "". Callers hold d.mu.
+func (d *Dispatcher) homedLocked(col string) []string {
+	var out []string
+	for agent, e := range d.agents {
+		if e.home != "" && (col == "" || e.home == col) {
+			out = append(out, agent)
 		}
 	}
 	sort.Strings(out)
@@ -135,10 +69,12 @@ type Rehome struct {
 }
 
 // FailCollector marks a collector dead and re-homes its agents onto
-// the survivors. Per agent, in name order:
+// the survivors. Each agent's one ledger (record batches and aggregate
+// frames share its sequence space) lives at its home, so per agent, in
+// name order:
 //
-//  1. the dispatcher advances the epoch lease (same process, new
-//     lease — in-flight batches toward the dead collector are fenced);
+//  1. the agent's epoch lease advances (same process, new lease —
+//     in-flight batches toward the dead collector are fenced);
 //  2. the dead collector's ledger exports, and it closes the agent's
 //     epoch so stragglers fence instead of resurrecting the assignment;
 //  3. the consistent-hash successor imports the ledger AT the new
@@ -147,48 +83,57 @@ type Rehome struct {
 //     with the old collector;
 //  4. the agent retargets: new sink, new epoch, spool intact.
 //
+// No WAL entry records an import, so each logged successor then
+// checkpoints once: a crash before its next checkpoint would otherwise
+// recover without the imported ledgers, store the spool re-ships again
+// and count false gaps. A failed checkpoint is returned; the moves stand.
+//
 // Agents homed elsewhere do not move — the consistent-hash property the
 // ring tests pin down.
-func (c *Cluster) FailCollector(name string) ([]Rehome, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.cols[name]
+func (d *Dispatcher) FailCollector(name string) ([]Rehome, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	m, ok := d.cols[name]
 	if !ok {
-		return nil, fmt.Errorf("control: cluster: unknown collector %q", name)
+		return nil, fmt.Errorf("control: dispatcher: unknown collector %q", name)
 	}
 	if m.failed {
-		return nil, fmt.Errorf("control: cluster: collector %q already failed", name)
+		return nil, fmt.Errorf("control: dispatcher: collector %q already failed", name)
 	}
 	m.failed = true
-	c.ring.Remove(name)
-	var moving []string
-	for agent, home := range c.homes {
-		if home == name {
-			moving = append(moving, agent)
-		}
-	}
-	sort.Strings(moving)
+	d.ring.Remove(name)
 	var out []Rehome
-	for _, agent := range moving {
-		succ, ok := c.ring.Owner(agent)
+	var importers []string
+	for _, agent := range d.homedLocked(name) {
+		succ, ok := d.ring.Owner(agent)
 		if !ok {
-			return out, fmt.Errorf("control: cluster: no surviving collector for agent %q", agent)
+			return out, fmt.Errorf("control: dispatcher: no surviving collector for agent %q", agent)
 		}
-		epoch := c.disp.AdvanceEpoch(agent)
-		h, ok := m.col.ExportAgent(agent)
-		m.col.FenceAgent(agent, epoch)
-		nm := c.cols[succ]
+		e := d.agents[agent]
+		e.epoch++
+		h, ok := m.col.DB().ExportLedger(agent)
+		m.col.DB().CloseAgentEpoch(agent, e.epoch)
+		nm := d.cols[succ]
 		if ok {
-			nm.col.ImportAgent(agent, epoch, h)
+			nm.col.DB().ImportLedger(agent, e.epoch, h)
+			if !slices.Contains(importers, succ) {
+				importers = append(importers, succ)
+			}
 		}
-		c.homes[agent] = succ
-		if rt := c.agents[agent]; rt != nil {
-			rt.Retarget(nm.sink, epoch)
-		}
-		c.moves++
-		out = append(out, Rehome{Agent: agent, From: name, To: succ, Epoch: epoch})
+		e.home = succ
+		e.client.Retarget(nm.sink, e.epoch)
+		d.stats.Rehomes++
+		out = append(out, Rehome{Agent: agent, From: name, To: succ, Epoch: e.epoch})
 	}
-	return out, nil
+	var errs []error
+	for _, succ := range importers {
+		if fd := d.cols[succ].col.frontDoor(); fd.Stats().Dir != "" {
+			if err := fd.Checkpoint(); err != nil {
+				errs = append(errs, fmt.Errorf("control: dispatcher: checkpoint %s after re-homing: %w", succ, err))
+			}
+		}
+	}
+	return out, errors.Join(errs...)
 }
 
 // RecoverCollector brings a crashed collector back into the tier with a
@@ -218,66 +163,53 @@ func (c *Cluster) FailCollector(name string) ([]Rehome, error) {
 //
 // If the collector had been declared failed, it rejoins the ring for
 // future placements (existing homes are sticky, like AddCollector).
-func (c *Cluster) RecoverCollector(name string, col *Collector, sink RecordSink) ([]Rehome, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.cols[name]
+func (d *Dispatcher) RecoverCollector(name string, col *Collector, sink RecordSink) ([]Rehome, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	m, ok := d.cols[name]
 	if !ok {
-		return nil, fmt.Errorf("control: cluster: unknown collector %q", name)
+		return nil, fmt.Errorf("control: dispatcher: unknown collector %q", name)
 	}
 	if sink == nil {
 		sink = col
 	}
 	if m.failed {
 		m.failed = false
-		c.ring.Add(name)
+		d.ring.Add(name)
 	}
 	m.col, m.sink = col, sink
-	var agents []string
-	for agent := range c.homes {
-		agents = append(agents, agent)
-	}
-	sort.Strings(agents)
 	var out []Rehome
-	for _, agent := range agents {
-		if c.homes[agent] != name {
+	for _, agent := range d.homedLocked("") {
+		e := d.agents[agent]
+		if e.home != name {
 			// Re-homed away during the outage: fence the recovered
 			// ledgers at the agent's current lease so stragglers and
 			// replayed state cannot resurrect the old assignment.
-			col.FenceAgent(agent, c.disp.Epoch(agent))
+			col.DB().CloseAgentEpoch(agent, e.epoch)
 			continue
 		}
-		epoch := c.disp.AdvanceEpoch(agent)
-		if h, ok := col.ExportAgent(agent); ok && h.Epoch >= c.regEpoch[agent] {
-			col.ImportAgent(agent, epoch, h)
+		e.epoch++
+		if h, ok := col.DB().ExportLedger(agent); ok && h.Epoch >= e.regEpoch {
+			col.DB().ImportLedger(agent, e.epoch, h)
 		} else if ok {
-			col.DB().AdmitBatch(agent, epoch, 0, 0, 0, h.Degraded)
+			col.DB().AdmitBatch(agent, e.epoch, 0, 0, 0, h.Degraded)
 		}
-		if rt := c.agents[agent]; rt != nil {
-			rt.Retarget(sink, epoch)
-		}
-		out = append(out, Rehome{Agent: agent, From: name, To: name, Epoch: epoch})
+		e.client.Retarget(sink, e.epoch)
+		out = append(out, Rehome{Agent: agent, From: name, To: name, Epoch: e.epoch})
 	}
 	return out, nil
 }
 
-// Rehomes counts agent moves across all collector failures.
-func (c *Cluster) Rehomes() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.moves
-}
-
 // Ledger reads the agent's delivery ledger from its home collector, so
 // lease and heartbeat state follow the agent wherever it currently lives.
-func (c *Cluster) Ledger(agent string) (tracedb.AgentLedger, bool) {
-	c.mu.Lock()
-	h, ok := c.homes[agent]
-	if !ok {
-		c.mu.Unlock()
+func (d *Dispatcher) Ledger(agent string) (tracedb.AgentLedger, bool) {
+	d.mu.Lock()
+	e, ok := d.agents[agent]
+	if !ok || e.home == "" {
+		d.mu.Unlock()
 		return tracedb.AgentLedger{}, false
 	}
-	db := c.cols[h].col.DB()
-	c.mu.Unlock()
+	db := d.cols[e.home].col.DB()
+	d.mu.Unlock()
 	return db.Ledger(agent)
 }

@@ -111,32 +111,6 @@ func (c *Collector) HandleAgg(b AggBatch) error {
 	return nil
 }
 
-// ExportAgent snapshots an agent's delivery ledger for handoff to a
-// successor collector; ok is false when this collector never heard from
-// the agent. In a real deployment this reads the failed collector's
-// persisted ledger; here the in-memory state doubles as it.
-func (c *Collector) ExportAgent(agent string) (h tracedb.LedgerState, ok bool) {
-	return c.db.ExportLedger(agent)
-}
-
-// ImportAgent installs exported ledger state at the given epoch — the
-// successor collector's half of a re-homing. The imported high-water
-// mark is what keeps delivery exactly-once across the move: the agent's
-// spool re-ships batches and frames the failed collector already
-// ingested (their acks were lost with it), and the imported ledger
-// dedups them here.
-func (c *Collector) ImportAgent(agent string, epoch uint64, h tracedb.LedgerState) {
-	c.db.ImportLedger(agent, epoch, h)
-}
-
-// FenceAgent closes an agent's ledger at the new epoch — the old home's
-// half of a re-homing. Stragglers still routed here (spooled batches and
-// frames from before the retarget, heartbeats) are fenced instead of
-// ingested or counted as liveness.
-func (c *Collector) FenceAgent(agent string, epoch uint64) {
-	c.db.CloseAgentEpoch(agent, epoch)
-}
-
 // StorageStats returns the trace database's aggregate segment-store
 // accounting (resident vs spilled bytes, compression ratio, evictions).
 func (c *Collector) StorageStats() tracedb.StorageStats { return c.db.StorageTotals() }

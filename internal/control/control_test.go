@@ -36,6 +36,27 @@ func newRig(t *testing.T) *rig {
 	return &rig{eng: eng, machine: machine, agent: agent, collector: collector, db: db}
 }
 
+// dispatcherWith returns a dispatcher whose collector tier is col alone
+// (a fresh collector when nil), so agents can register.
+func dispatcherWith(t *testing.T, col *Collector) *Dispatcher {
+	t.Helper()
+	if col == nil {
+		col = NewCollectorWith(tracedb.New(), tracedb.NewAggStore())
+	}
+	d := NewDispatcher()
+	if err := d.AddCollector("col-0", col, nil); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// remoteAgent is an agent driven over the TCP control channel; its
+// delivery sink is wired on its own side of the wire, so a retarget has
+// nothing to change here.
+type remoteAgent struct{ *TCPControlClient }
+
+func (remoteAgent) Retarget(RecordSink, uint64) {}
+
 func recordSpec(name string, tpid uint32, site string) script.Spec {
 	return script.Spec{
 		Name:    name,
@@ -184,7 +205,7 @@ func TestAgentReportsRingDrops(t *testing.T) {
 
 func TestDispatcherRegisterPush(t *testing.T) {
 	r := newRig(t)
-	d := NewDispatcher()
+	d := dispatcherWith(t, r.collector)
 	if err := d.Register("agent-0", r.agent); err != nil {
 		t.Fatal(err)
 	}
@@ -245,8 +266,8 @@ func TestTCPControlAndBatchRoundTrip(t *testing.T) {
 	// Dispatcher pushes over TCP.
 	ctl := NewTCPControlClient(agentSrv.Addr().String())
 	defer ctl.Close()
-	d := NewDispatcher()
-	if err := d.Register("agent-0", ctl); err != nil {
+	d := dispatcherWith(t, col2)
+	if err := d.Register("agent-0", remoteAgent{ctl}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Desire("agent-0", ControlPackage{Install: []script.Spec{recordSpec("s1", 7, kernel.SiteUDPRecvmsg)}}, 0); err != nil {

@@ -372,14 +372,6 @@ func TestConcurrentFlushSerialized(t *testing.T) {
 	}
 }
 
-// countingClient accepts every control package.
-type countingClient struct{ calls int }
-
-func (c *countingClient) Apply(ControlPackage) error {
-	c.calls++
-	return nil
-}
-
 // TestHeartbeatOutOfOrderBatches drives the heartbeat-regression fix
 // through the collector: two batches processed out of order (as async
 // ingest workers can) must leave the newer timestamp in the ledger.

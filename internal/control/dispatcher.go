@@ -18,28 +18,41 @@ const (
 )
 
 // Dispatcher is the control data dispatcher on the master node: it keeps a
-// roster of agents and converges each one to its desired state. TPID
-// allocation is centralized here so tracepoint tables never collide across
-// agents, and each registration carries an epoch lease: a monotonically
-// increasing per-agent counter that lets the collector fence batches from
-// a zombie pre-restart process. Desired state is pushed as an idempotent
-// Replace package; a failed push is retried with capped exponential
-// backoff plus jitter, and an agent whose lease advances (it restarted and
-// lost its tracepoints) is re-provisioned. Drive retries with Tick.
+// roster of agents, homes each one on a collector, and converges each one
+// to its desired state. TPID allocation is centralized here so tracepoint
+// tables never collide across agents, and each registration carries an
+// epoch lease: a monotonically increasing per-agent counter that lets the
+// collector fence batches from a zombie pre-restart process. Desired state
+// is pushed as an idempotent Replace package; a failed push is retried
+// with capped exponential backoff plus jitter, and an agent whose lease
+// advances (it restarted and lost its tracepoints) is re-provisioned.
+// Drive retries with Tick.
 type Dispatcher struct {
 	mu     sync.Mutex
 	agents map[string]*rosterEntry
+	// cols is the collector tier; ring places agents on its live members.
+	cols   map[string]*member
+	ring   *HashRing
 	nextTP uint32
 	rng    *rand.Rand
 	stats  DispatcherStats
 }
 
+// AgentClient is the dispatcher's handle on one agent: control pushes,
+// and retargets of its delivery under a lease. *Agent implements it.
+type AgentClient interface {
+	ControlClient
+	Retarget(sink RecordSink, epoch uint64)
+}
+
 // rosterEntry is everything the dispatcher knows of one agent: its
-// control client and epoch lease, the state it should run, and how far
-// the last push got toward it.
+// client, epoch lease and home collector, the state it should run, and
+// how far the last push got toward it.
 type rosterEntry struct {
-	client ControlClient // nil until Register
-	epoch  uint64        // current lease; 0 = never granted
+	client   AgentClient // nil until Register
+	epoch    uint64      // current lease; 0 = never granted
+	regEpoch uint64      // lease of the last (re)registration: this incarnation's seqs start there
+	home     string      // collector the agent ships to; "" until Register
 
 	specs           map[string]script.Spec // desired scripts; nil until Desire
 	order           []string               // install order, kept stable across re-pushes
@@ -68,6 +81,8 @@ type DispatcherStats struct {
 	// PendingRetries counts agents currently out of sync (failed push or
 	// unhealed epoch advance) awaiting their next attempt.
 	PendingRetries int
+	// Rehomes counts agent moves across all collector failures.
+	Rehomes uint64
 }
 
 // NewDispatcher returns an empty dispatcher. The jitter RNG is
@@ -76,6 +91,8 @@ type DispatcherStats struct {
 func NewDispatcher() *Dispatcher {
 	return &Dispatcher{
 		agents: make(map[string]*rosterEntry),
+		cols:   make(map[string]*member),
+		ring:   NewHashRing(),
 		nextTP: 1,
 		rng:    rand.New(rand.NewSource(1)),
 	}
@@ -92,47 +109,48 @@ func (d *Dispatcher) entryLocked(name string) *rosterEntry {
 	return e
 }
 
-// Register adds an agent to the roster, granting it epoch lease 1.
-// Registering a name twice is an error; a restarted agent re-joins with
-// Reregister, which bumps the lease.
-func (d *Dispatcher) Register(name string, client ControlClient) error {
+// Register adds an agent to the roster, granting it epoch lease 1, homes
+// it on a collector and retargets client at that collector. Registering a
+// name twice is an error; a restarted agent re-joins with Reregister,
+// which bumps the lease.
+func (d *Dispatcher) Register(name string, client AgentClient) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	e := d.entryLocked(name)
 	if e.client != nil {
 		return fmt.Errorf("control: dispatcher: agent %q already registered", name)
 	}
+	return d.joinLocked(name, e, client)
+}
+
+// Reregister replaces an agent's client and grants it the next epoch
+// lease — the restart path: the new incarnation keeps the agent's home,
+// is retargeted there under the new lease and starts its sequence space
+// over, and the old incarnation's batches are fenced at the collector. An
+// unknown name registers fresh (epoch 1).
+func (d *Dispatcher) Reregister(name string, client AgentClient) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.joinLocked(name, d.entryLocked(name), client)
+}
+
+// joinLocked grants client the agent's next lease, homes the agent if it
+// has no home yet (consistent hash of the name over the live collectors;
+// a home is sticky across restarts) and points client at the home's sink
+// under the new lease. Callers hold d.mu.
+func (d *Dispatcher) joinLocked(name string, e *rosterEntry, client AgentClient) error {
+	if e.home == "" {
+		h, ok := d.ring.Owner(name)
+		if !ok {
+			return fmt.Errorf("control: dispatcher: no live collector to home agent %q", name)
+		}
+		e.home = h
+	}
 	e.client = client
 	e.epoch++
+	e.regEpoch = e.epoch
+	client.Retarget(d.cols[e.home].sink, e.epoch)
 	return nil
-}
-
-// Reregister replaces an agent's control client and grants it the next
-// epoch lease — the restart path: the new incarnation's batches carry the
-// new epoch, and the old incarnation's are fenced at the collector. An
-// unknown name registers fresh (epoch 1). The granted epoch is returned
-// for the caller to stamp into the agent.
-func (d *Dispatcher) Reregister(name string, client ControlClient) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e := d.entryLocked(name)
-	e.client = client
-	e.epoch++
-	return e.epoch
-}
-
-// AdvanceEpoch bumps an agent's epoch lease without replacing its
-// control client — the re-homing path: the same agent process gets a new
-// lease when its home collector fails, so batches still in flight toward
-// the old collector are fenced while the agent itself keeps running (and
-// keeps its sequence space). The granted epoch is returned for the caller
-// to stamp into the agent and the successor collector's ledger.
-func (d *Dispatcher) AdvanceEpoch(name string) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e := d.entryLocked(name)
-	e.epoch++
-	return e.epoch
 }
 
 // Epoch returns the agent's current epoch lease (0 = never registered).

@@ -24,9 +24,8 @@ const DefaultRingReplicas = 64
 //     member set, so every dispatcher replica computes identical
 //     placements no matter the order collectors joined.
 type HashRing struct {
-	replicas int
-	points   []ringPoint
-	nodes    map[string]struct{}
+	points []ringPoint
+	nodes  map[string]struct{}
 }
 
 type ringPoint struct {
@@ -34,13 +33,9 @@ type ringPoint struct {
 	node string
 }
 
-// NewHashRing returns an empty ring. replicas <= 0 picks
-// DefaultRingReplicas.
-func NewHashRing(replicas int) *HashRing {
-	if replicas <= 0 {
-		replicas = DefaultRingReplicas
-	}
-	return &HashRing{replicas: replicas, nodes: make(map[string]struct{})}
+// NewHashRing returns an empty ring.
+func NewHashRing() *HashRing {
+	return &HashRing{nodes: make(map[string]struct{})}
 }
 
 func ringHash(s string) uint64 {
@@ -65,7 +60,7 @@ func (r *HashRing) Add(node string) {
 		return
 	}
 	r.nodes[node] = struct{}{}
-	for i := 0; i < r.replicas; i++ {
+	for i := 0; i < DefaultRingReplicas; i++ {
 		r.points = append(r.points, ringPoint{hash: ringHash(node + "#" + strconv.Itoa(i)), node: node})
 	}
 	// Ties on the hash value break by node name, so the sorted point set
@@ -107,16 +102,3 @@ func (r *HashRing) Owner(agent string) (string, bool) {
 	}
 	return r.points[i].node, true
 }
-
-// Nodes lists the ring's members, sorted.
-func (r *HashRing) Nodes() []string {
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len reports the member count.
-func (r *HashRing) Len() int { return len(r.nodes) }

@@ -41,11 +41,11 @@ func TestRingOwnerIndependentOfInsertionOrder(t *testing.T) {
 	cols := ringCols(5)
 	agents := ringAgentNames(200)
 
-	fwd := NewHashRing(0)
+	fwd := NewHashRing()
 	for _, c := range cols {
 		fwd.Add(c)
 	}
-	rev := NewHashRing(0)
+	rev := NewHashRing()
 	for i := len(cols) - 1; i >= 0; i-- {
 		rev.Add(cols[i])
 	}
@@ -64,13 +64,13 @@ func TestRingOwnerIndependentOfInsertionOrder(t *testing.T) {
 func TestRingRemoveMovesOnlyOwnedAgents(t *testing.T) {
 	cols := ringCols(4)
 	agents := ringAgentNames(300)
-	r := NewHashRing(0)
+	r := NewHashRing()
 	for _, c := range cols {
 		r.Add(c)
 	}
 	before := ownersOf(r, agents)
 	for _, dead := range cols {
-		r2 := NewHashRing(0)
+		r2 := NewHashRing()
 		for _, c := range cols {
 			r2.Add(c)
 		}
@@ -100,7 +100,7 @@ func TestRingBoundedChurnOnJoin(t *testing.T) {
 	agents := ringAgentNames(nAgents)
 	for _, n := range []int{2, 3, 4, 8} {
 		cols := ringCols(n)
-		r := NewHashRing(0)
+		r := NewHashRing()
 		for _, c := range cols {
 			r.Add(c)
 		}
@@ -129,7 +129,7 @@ func TestRingBoundedChurnOnJoin(t *testing.T) {
 // a uniform agent population — loose, but catches a broken hash).
 func TestRingSpreadsLoad(t *testing.T) {
 	agents := ringAgentNames(1000)
-	r := NewHashRing(0)
+	r := NewHashRing()
 	cols := ringCols(4)
 	for _, c := range cols {
 		r.Add(c)
@@ -149,14 +149,14 @@ func TestRingSpreadsLoad(t *testing.T) {
 // TestRingEdgeCases: empty ring has no owner; a single node owns
 // everything; duplicate Add and absent Remove are no-ops.
 func TestRingEdgeCases(t *testing.T) {
-	r := NewHashRing(0)
+	r := NewHashRing()
 	if _, ok := r.Owner("a"); ok {
 		t.Fatal("empty ring claims an owner")
 	}
 	r.Add("only")
 	r.Add("only") // duplicate: no-op
-	if r.Len() != 1 {
-		t.Fatalf("Len after duplicate Add: %d, want 1", r.Len())
+	if len(r.points) != DefaultRingReplicas {
+		t.Fatalf("%d points after duplicate Add, want %d", len(r.points), DefaultRingReplicas)
 	}
 	for _, a := range ringAgentNames(50) {
 		if o, ok := r.Owner(a); !ok || o != "only" {
@@ -164,11 +164,11 @@ func TestRingEdgeCases(t *testing.T) {
 		}
 	}
 	r.Remove("absent") // no-op
-	if got := r.Nodes(); len(got) != 1 || got[0] != "only" {
-		t.Fatalf("Nodes: %v, want [only]", got)
+	if len(r.points) != DefaultRingReplicas || len(r.nodes) != 1 {
+		t.Fatalf("absent Remove changed the ring: %d points, %d nodes", len(r.points), len(r.nodes))
 	}
 	r.Remove("only")
-	if _, ok := r.Owner("a"); ok || r.Len() != 0 {
+	if _, ok := r.Owner("a"); ok || len(r.nodes) != 0 {
 		t.Fatal("drained ring still owns agents")
 	}
 }

@@ -28,6 +28,8 @@ func (c *flakyApplyClient) Apply(pkg ControlPackage) error {
 	return nil
 }
 
+func (c *flakyApplyClient) Retarget(RecordSink, uint64) {}
+
 // downSink rejects every batch — the collector is gone.
 type downSink struct{}
 
@@ -69,8 +71,8 @@ func (s *pressureSink) HandleAgg(b AggBatch) error {
 // calls — installs add or update by name, uninstalls remove, the flush
 // cadence sticks — and the materialized package is always a full Replace.
 func TestSupervisorDesireMerges(t *testing.T) {
-	d := NewDispatcher()
-	cc := &countingClient{}
+	d := dispatcherWith(t, nil)
+	cc := &fakeAgent{}
 	if err := d.Register("a", cc); err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +100,8 @@ func TestSupervisorDesireMerges(t *testing.T) {
 	if pkg.FlushIntervalNs != 1e6 {
 		t.Fatalf("desired flush interval = %d, want 1e6", pkg.FlushIntervalNs)
 	}
-	if cc.calls != 3 {
-		t.Fatalf("client saw %d pushes, want 3 (one per Desire)", cc.calls)
+	if cc.applies != 3 {
+		t.Fatalf("client saw %d pushes, want 3 (one per Desire)", cc.applies)
 	}
 }
 
@@ -109,7 +111,7 @@ func TestSupervisorDesireMerges(t *testing.T) {
 // is one more failed push, converged by the first Tick past its deadline
 // once it joins the roster.
 func TestSupervisorRetryBackoff(t *testing.T) {
-	d := NewDispatcher()
+	d := dispatcherWith(t, nil)
 	fc := &flakyApplyClient{failures: 2}
 	if err := d.Register("a", fc); err != nil {
 		t.Fatal(err)
@@ -194,11 +196,10 @@ func TestSupervisorRetryBackoff(t *testing.T) {
 // desired state to the fresh incarnation without operator action.
 func TestSupervisorReprovisionOnEpochAdvance(t *testing.T) {
 	r := newRig(t)
-	d := NewDispatcher()
+	d := dispatcherWith(t, r.collector)
 	if err := d.Register("agent-0", r.agent); err != nil {
 		t.Fatal(err)
 	}
-	r.agent.SetEpoch(d.Epoch("agent-0"))
 	pkg := ControlPackage{Install: []script.Spec{
 		recordSpec("s1", 1, kernel.SiteUDPRecvmsg),
 		recordSpec("s2", 2, kernel.SiteTCPOptionsWrite),
@@ -215,7 +216,9 @@ func TestSupervisorReprovisionOnEpochAdvance(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := NewAgent("agent-0", r.machine, r.collector)
-	fresh.SetEpoch(d.Reregister("agent-0", fresh))
+	if err := d.Reregister("agent-0", fresh); err != nil {
+		t.Fatal(err)
+	}
 	if got := fresh.Epoch(); got != 2 {
 		t.Fatalf("reregistered epoch = %d, want 2", got)
 	}

@@ -5,7 +5,7 @@
 #
 #   - the full `vntbench -quick` output, elapsed-time lines stripped;
 #   - the `digest` lines of the conformance seed sweep at
-#     CONFORMANCE_SEEDS (default 25: 14 scenarios x 25 seeds = 350 lines);
+#     CONFORMANCE_SEEDS (default 25: 15 scenarios x 25 seeds = 375 lines);
 #   - internal/conformance/testdata/digests.golden;
 #   - the stdout of every examples/ program, the public API's end-to-end
 #     users, each under a header line naming it.

@@ -21,7 +21,6 @@ import (
 // metric is answered through the merged ClusterQuery view.
 type Session struct {
 	dispatcher *control.Dispatcher
-	cluster    *control.Cluster
 	cols       []*sessionCollector
 	// query merges every collector's database and aggregate store, in
 	// collector order; a recovery swaps the new incarnation's in.
@@ -77,10 +76,8 @@ func NewSessionWith(cfg StoreConfig) *Session {
 // NewClusterSession creates a session with an empty collector tier: add
 // collectors with AddCollector before adding machines.
 func NewClusterSession() *Session {
-	disp := control.NewDispatcher()
 	return &Session{
-		dispatcher: disp,
-		cluster:    control.NewCluster(disp),
+		dispatcher: control.NewDispatcher(),
 		query:      NewClusterQuery(),
 		agents:     make(map[string]*control.Agent),
 		labels:     make(map[string]uint32),
@@ -100,7 +97,7 @@ func (s *Session) AddCollector(store StoreConfig, log DurabilityConfig, wrap Sin
 	if err != nil {
 		return "", err
 	}
-	if err := s.cluster.AddCollector(sc.name, sc.col, sink); err != nil {
+	if err := s.dispatcher.AddCollector(sc.name, sc.col, sink); err != nil {
 		return "", err
 	}
 	s.cols = append(s.cols, sc)
@@ -147,15 +144,15 @@ func (s *Session) collector(name string) (*sessionCollector, error) {
 }
 
 // FailCollector declares a collector dead and re-homes its agents onto
-// their consistent-hash successors (control.Cluster.FailCollector). What
-// it ingested before failing stays in the merged query view.
+// their consistent-hash successors (control.Dispatcher.FailCollector).
+// What it ingested before failing stays in the merged query view.
 func (s *Session) FailCollector(name string) ([]control.Rehome, error) {
-	return s.cluster.FailCollector(name)
+	return s.dispatcher.FailCollector(name)
 }
 
 // RecoverCollector rebuilds a crashed durable collector purely from its
 // directories — adopted extents, the latest checkpoint and the WAL tail —
-// and rejoins it to the tier (control.Cluster.RecoverCollector). The dead
+// and rejoins it to the tier (control.Dispatcher.RecoverCollector). The dead
 // incarnation is abandoned unread, and the merged query view reads the
 // new one.
 func (s *Session) RecoverCollector(name string) ([]control.Rehome, tracedb.RecoveryStats, error) {
@@ -174,7 +171,7 @@ func (s *Session) RecoverCollector(name string) ([]control.Rehome, tracedb.Recov
 	if err != nil {
 		return nil, rec, err
 	}
-	moves, err := s.cluster.RecoverCollector(name, sc.col, sink)
+	moves, err := s.dispatcher.RecoverCollector(name, sc.col, sink)
 	if err != nil {
 		return nil, rec, err
 	}
@@ -212,12 +209,9 @@ func (s *Session) StorageStats() StorageStats {
 	return st
 }
 
-// Dispatcher returns the session's control dispatcher.
+// Dispatcher returns the session's control dispatcher, which also reads
+// agent homes, ledgers and re-home counts.
 func (s *Session) Dispatcher() *Dispatcher { return s.dispatcher }
-
-// Cluster returns the collector tier's placement layer, for reading agent
-// homes, ledgers and re-home counts.
-func (s *Session) Cluster() *control.Cluster { return s.cluster }
 
 // Query returns the merged read view over every collector.
 func (s *Session) Query() *ClusterQuery { return s.query }
@@ -239,22 +233,8 @@ func (s *Session) AddMachine(m *Machine) (*Agent, error) {
 	if err := s.dispatcher.Register(name, agent); err != nil {
 		return nil, err
 	}
-	if err := s.place(agent, s.dispatcher.Epoch(name)); err != nil {
-		return nil, err
-	}
 	s.agents[name] = agent
 	return agent, nil
-}
-
-// place homes an agent (sticky across restarts) and points it at its
-// home's sink under the given lease.
-func (s *Session) place(agent *Agent, epoch uint64) error {
-	_, sink, err := s.cluster.Register(agent.Name(), agent)
-	if err != nil {
-		return err
-	}
-	agent.Retarget(sink, epoch)
-	return nil
 }
 
 // KillAgent models an agent-process death: the flush loop dies and the
@@ -284,7 +264,7 @@ func (s *Session) RestartAgent(machine string) (*Agent, *Agent, error) {
 	}
 	agent := control.NewAgent(machine, old.Machine(), nil)
 	agent.SetSpoolLimit(old.SpoolStats().Limit)
-	if err := s.place(agent, s.dispatcher.Reregister(machine, agent)); err != nil {
+	if err := s.dispatcher.Reregister(machine, agent); err != nil {
 		return nil, nil, err
 	}
 	if s.flushNs > 0 {

@@ -241,14 +241,14 @@ func TestSessionOneVsThreeCollectors(t *testing.T) {
 	var rec tracedb.RecoveryStats
 	got := runOracle(t, three, func(eng *Engine) {
 		eng.Schedule(90*Millisecond, func() {
-			home, _ := three.Cluster().Home("m0")
+			home, _ := three.Dispatcher().Home("m0")
 			var err error
 			if moves, err = three.FailCollector(home); err != nil {
 				t.Error(err)
 			}
 		})
 		eng.Schedule(150*Millisecond, func() {
-			victim, _ = three.Cluster().Home("m1")
+			victim, _ = three.Dispatcher().Home("m1")
 			sinks[victim].dead = true
 		})
 		eng.Schedule(200*Millisecond, func() {
