@@ -109,13 +109,14 @@ bench-scan:
 
 # The compiled eBPF engine's own numbers: the record script on a packet
 # it matches and on one it filters out, the aggregation script (the
-# aggregates-bulk probe program) on one flow, and the same script over
-# whole drain intervals (2 scripts x 256 flows x 4 CPUs, a drain per 4096
-# firings; allocs/firing counts the map churn). One iteration each, as
-# bench-join; raise -benchtime to measure.
+# aggregates-bulk probe program) on one flow, the same script over whole
+# drain intervals (2 scripts x 256 flows x 4 CPUs, a drain per 4096
+# firings; allocs/firing counts the map churn), and a flow map at
+# capacity refusing a new flow and hitting a live one. One iteration
+# each, as bench-join; raise -benchtime to measure.
 .PHONY: bench-ebpf
 bench-ebpf:
-	$(GO) test -run NONE -bench 'BenchmarkEBPFCompiled(RecordScript|AggScript|AggInterval|FilterMiss)$$' -benchtime 1x -benchmem .
+	$(GO) test -run NONE -bench 'BenchmarkEBPFCompiled(RecordScript|AggScript|AggInterval|FilterMiss)$$|BenchmarkHashMapIncFull$$' -benchtime 1x -benchmem .
 
 # Everything here leaves `git status` clean: what it writes (cover.out,
 # .bench_build/) is ignored.

@@ -486,6 +486,42 @@ func BenchmarkEBPFCompiledAggInterval(b *testing.B) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/firing")
 }
 
+// BenchmarkHashMapIncFull measures the flow map's increment at capacity:
+// MaxFlows (the script default, 1024) live flows, then a new flow's
+// refused increment and a live flow's hit. A refusal must cost about what
+// a hit does, not a sweep of the whole index.
+func BenchmarkHashMapIncFull(b *testing.B) {
+	const maxFlows = 1024
+	m, err := ebpf.NewHashMap(script.FlowKeySize, script.FlowValueSize, maxFlows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := func(i uint32) []byte {
+		k := make([]byte, script.FlowKeySize)
+		k[0], k[1], k[2], k[3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
+		return k
+	}
+	for i := uint32(0); i < maxFlows; i++ {
+		if !m.Inc2(key(i), script.FlowValPackets, 1, script.FlowValBytes, 64) {
+			b.Fatalf("flow %d refused below capacity", i)
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		key  []byte
+		ok   bool
+	}{{"refused", key(maxFlows), false}, {"hit", key(7), true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if m.Inc2(bc.key, script.FlowValPackets, 1, script.FlowValBytes, 64) != bc.ok {
+					b.Fatalf("increment applied = %v, want %v", !bc.ok, bc.ok)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEBPFCompiledFilterMiss measures the compiled record script on
 // a packet its filter rejects: the cost a probe adds to untraced traffic.
 func BenchmarkEBPFCompiledFilterMiss(b *testing.B) {

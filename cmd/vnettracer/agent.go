@@ -125,8 +125,8 @@ func runAgent(args []string) error {
 					rs.Drops, rs.Rings, rs.PerRingDrops)
 			}
 			if as := agent.AggShipStats(); as.Enabled {
-				fmt.Fprintf(os.Stderr, "aggregate shipping: %d frames shipped, %d spooled, %d ship errors, %d rejected, %d evicted\n",
-					as.FramesShipped, as.FramesSpooled, as.ShipErrs, as.Rejected, as.Evicted)
+				fmt.Fprintf(os.Stderr, "aggregate shipping: %d frames shipped, %d spooled, %d ship errors, %d rejected, %d evicted, %d flow increments refused (flow map full)\n",
+					as.FramesShipped, as.FramesSpooled, as.ShipErrs, as.Rejected, as.Evicted, as.FlowsRefused)
 			}
 			if ds := agent.DegradeStats(); ds.Degradations > 0 {
 				fmt.Fprintf(os.Stderr, "overload degradation: entered %d times (recovered %d), %d stretched flushes, %d ring writes sampled away\n",

@@ -122,6 +122,9 @@ type Agent struct {
 	aggShipErrs uint64
 	aggRejected uint64
 	aggEvicted  uint64
+	// flowsRefused sums the flow increments full flow maps refused, as
+	// folded in at each drain.
+	flowsRefused uint64
 
 	// Degradation state (guarded by mu): flushStretch multiplies the
 	// periodic flush interval; degradeLevel is 0 (full capture),
@@ -181,6 +184,8 @@ type SpoolStats struct {
 type loadedScript struct {
 	compiled *script.Compiled
 	handle   *core.AttachHandle
+	// flowsRefused is the flow map's Refused count at the last drain.
+	flowsRefused uint64
 }
 
 // NewAgent creates an agent for a machine, shipping records to sink.
@@ -430,9 +435,15 @@ func (a *Agent) drainAggLocked(names []string, now int64) {
 	var scripts []tracedb.ScriptAgg
 	rows := 0
 	for _, name := range names {
-		c := a.loaded[name].compiled
+		ls := a.loaded[name]
+		c := ls.compiled
 		if !c.HasAggregates() {
 			continue
+		}
+		if c.Flows != nil {
+			refused := c.Flows.Refused()
+			a.flowsRefused += refused - ls.flowsRefused
+			ls.flowsRefused = refused
 		}
 		sa := tracedb.ScriptAgg{Script: name}
 		c.DrainAggregates(&sa)
@@ -467,6 +478,11 @@ type AggShipStats struct {
 	// bounded spool. Both surface as sequence gaps at the collector.
 	Rejected uint64
 	Evicted  uint64
+	// FlowsRefused counts flow-row increments the probe could not apply
+	// because a script's flow map held MaxFlows live flows: counts lost
+	// before any frame. Each drain folds them in, so a script's last
+	// drain on Replace or Uninstall keeps its count.
+	FlowsRefused uint64
 }
 
 // AggShipStats snapshots the aggregate delivery state.
@@ -479,6 +495,7 @@ func (a *Agent) AggShipStats() AggShipStats {
 		ShipErrs:      a.aggShipErrs,
 		Rejected:      a.aggRejected,
 		Evicted:       a.aggEvicted,
+		FlowsRefused:  a.flowsRefused,
 	}
 	for _, sb := range a.spool {
 		if sb.scripts != nil {

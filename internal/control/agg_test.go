@@ -9,6 +9,7 @@ import (
 	"vnettracer/internal/kernel"
 	"vnettracer/internal/script"
 	"vnettracer/internal/sim"
+	"vnettracer/internal/vnet"
 )
 
 // aggSpec is a script aggregating everything in-probe: counters, per-CPU
@@ -405,5 +406,50 @@ func TestReprovisionDrainsAggregates(t *testing.T) {
 	}
 	if st := r.agent.AggShipStats(); st.FramesShipped != 2 {
 		t.Fatalf("agg ship stats %+v, want one frame per unload", st)
+	}
+}
+
+// TestAgentCountsRefusedFlows: a flow map capped at 4 flows fed 6 flows
+// refuses exactly the firings of the two that do not fit, and the agent
+// reports them, also across a Replace, which drains the old maps.
+func TestAgentCountsRefusedFlows(t *testing.T) {
+	r := newRig(t)
+	spec := aggSpec("agg", 1, kernel.SiteUDPRecvmsg)
+	spec.MaxFlows = 4
+	pkg := ControlPackage{ShipAggregates: true, Install: []script.Spec{spec}}
+	if err := r.agent.Apply(pkg); err != nil {
+		t.Fatal(err)
+	}
+	fireFlows := func(flows, perFlow int) {
+		for f := 0; f < flows; f++ {
+			for i := 0; i < perFlow; i++ {
+				r.machine.Node.Probes.Fire(&kernel.ProbeCtx{Site: kernel.SiteUDPRecvmsg, Pkt: &vnet.Packet{
+					IP:  vnet.IPv4Header{Protocol: vnet.ProtoUDP, Src: 1, Dst: 2},
+					UDP: &vnet.UDPHeader{SrcPort: uint16(1000 + f), DstPort: 20},
+				}, TimeNs: r.machine.Node.Clock.NowNs()})
+			}
+		}
+	}
+	fireFlows(6, 3)
+	if err := r.agent.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.agent.AggShipStats(); st.FlowsRefused != 2*3 {
+		t.Fatalf("FlowsRefused = %d, want the 6 firings of the 2 flows past MaxFlows 4", st.FlowsRefused)
+	}
+	got, _ := r.collector.Aggregates().Get("agg")
+	if len(got.Flows) != 4 || got.Counters[script.SlotPackets] != 18 {
+		t.Fatalf("merged %d flows and %d packets, want 4 and 18", len(got.Flows), got.Counters[script.SlotPackets])
+	}
+
+	// The drain parked the 4 flows; 6 fresh ones refuse 2 again, counted
+	// by the Replace's drain of the old script.
+	fireFlows(6, 1)
+	pkg.Replace = true
+	if err := r.agent.Apply(pkg); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.agent.AggShipStats(); st.FlowsRefused != 2*3+2 {
+		t.Fatalf("FlowsRefused = %d after Replace, want %d", st.FlowsRefused, 2*3+2)
 	}
 }

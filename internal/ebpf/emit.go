@@ -3,6 +3,7 @@ package ebpf
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 )
 
 // The emitter turns the optimized IR into a single web of specialized Go
@@ -37,7 +38,7 @@ func emitProgram(p *irProg) (blockFn, error) {
 	chains := make([]blockFn, len(p.blocks))
 	for i := len(p.blocks) - 1; i >= 0; i-- {
 		blk := &p.blocks[i]
-		fn, err := emitBlock(blk, p.maps, chains)
+		fn, err := emitBlock(blk, chains)
 		if err != nil {
 			return nil, err
 		}
@@ -50,13 +51,13 @@ func emitProgram(p *irProg) (blockFn, error) {
 	return chains[0], nil
 }
 
-func emitBlock(blk *irBlock, maps []Map, chains []blockFn) (blockFn, error) {
+func emitBlock(blk *irBlock, chains []blockFn) (blockFn, error) {
 	fn, err := emitTerm(&blk.term, chains)
 	if err != nil {
 		return nil, err
 	}
 	for i := len(blk.ops) - 1; i >= 0; i-- {
-		fn, err = emitOp(&blk.ops[i], maps, fn)
+		fn, err = emitOp(&blk.ops[i], fn)
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +67,7 @@ func emitBlock(blk *irBlock, maps []Map, chains []blockFn) (blockFn, error) {
 
 // emitOp compiles one IR operation into a closure that performs it and
 // continues with next.
-func emitOp(op *irInsn, maps []Map, next blockFn) (blockFn, error) {
+func emitOp(op *irInsn, next blockFn) (blockFn, error) {
 	switch op.kind {
 	case irMovImm:
 		dst, v := op.dst, uint64(op.imm)
@@ -266,13 +267,6 @@ func emitOp(op *irInsn, maps []Map, next blockFn) (blockFn, error) {
 			return next(m)
 		}, nil
 
-	case irKtime:
-		return func(m *vm) error {
-			m.stats.HelperCalls++
-			m.regs[R0] = m.env.KtimeNs()
-			return next(m)
-		}, nil
-
 	case irPerfEmitStack:
 		lo, hi := op.off, op.off+op.size
 		return func(m *vm) error {
@@ -287,69 +281,35 @@ func emitOp(op *irInsn, maps []Map, next blockFn) (blockFn, error) {
 			return next(m)
 		}, nil
 
-	case irMapIncStack:
-		// The map implementation is known at compile time (lowering
-		// inlines only these three types), so each form binds its fast
-		// path directly: no type switch, no key copy, no allocation on the
-		// aggregating hot path. Delta comes from R3 at runtime (it is
-		// often a packet length, not a constant).
-		k0, k1, valOff := op.off, op.off+op.size, op.valOff
-		switch t := maps[op.mapIdx].(type) {
-		case *HashMap:
-			return func(m *vm) error {
-				m.stats.HelperCalls++
-				if t.Inc(m.stack[k0:k1], valOff, m.regs[R3]) {
-					m.regs[R0] = 0
-				} else {
-					m.regs[R0] = ^uint64(0)
-				}
-				return next(m)
-			}, nil
-		case *ArrayMap:
-			return func(m *vm) error {
-				m.stats.HelperCalls++
-				ok := false
-				if idx, okIdx := t.index(m.stack[k0:k1]); okIdx {
-					ok = t.IncSlot(idx, valOff, m.regs[R3])
-				}
-				if ok {
-					m.regs[R0] = 0
-				} else {
-					m.regs[R0] = ^uint64(0)
-				}
-				return next(m)
-			}, nil
-		case *PerCPUArray:
-			return func(m *vm) error {
-				m.stats.HelperCalls++
-				ok := false
-				if idx, okIdx := t.index(m.stack[k0:k1]); okIdx {
-					ok = t.IncSlotCPU(idx, int(m.env.SMPProcessorID()), valOff, m.regs[R3])
-				}
-				if ok {
-					m.regs[R0] = 0
-				} else {
-					m.regs[R0] = ^uint64(0)
-				}
-				return next(m)
-			}, nil
-		}
-
-	case irHistObserve:
-		// Lowering inlines hist_observe only on an *ArrayMap.
-		t, ok := maps[op.mapIdx].(*ArrayMap)
-		if !ok {
-			break
-		}
-		maxE := t.MaxEntries()
+	case irIncBatch:
+		ops, helpers := op.incs, op.helpers
 		return func(m *vm) error {
-			m.stats.HelperCalls++
-			b := histBucket(m.regs[R2], maxE)
-			if t.IncSlot(b, 0, 1) {
-				m.regs[R0] = uint64(b)
-			} else {
-				m.regs[R0] = ^uint64(0)
+			ctx := m.ctx
+			var r0 uint64
+			for i := range ops {
+				o := &ops[i]
+				l0, l1 := &o.lanes[0], &o.lanes[1]
+				switch o.code {
+				case icArray:
+					binary.LittleEndian.PutUint32(m.stack[o.key:], o.keyImm)
+					atomic.AddUint64(o.word, l0.delta(ctx))
+					r0 = 0
+				case icPerCPU:
+					binary.LittleEndian.PutUint32(m.stack[o.key:], o.keyImm)
+					r0 = incResult(o.pcpu.IncSlotCPU(o.idx, int(m.env.SMPProcessorID()), l0.off, l0.delta(ctx)))
+				case icHash2:
+					key := m.stack[o.key : o.key+int64(o.hash.keySize)]
+					r0 = incResult(o.hash.Inc2(key, l0.off, l0.delta(ctx), l1.off, l1.delta(ctx)))
+				case icObserve:
+					b := histBucket(m.env.KtimeNs()-binary.LittleEndian.Uint64(ctx[l0.co:]), o.hist.n)
+					r0 = ^uint64(0)
+					if o.hist.IncSlot(b, 0, 1) {
+						r0 = uint64(b)
+					}
+				}
 			}
+			m.stats.HelperCalls += helpers
+			m.regs[R0] = r0
 			return next(m)
 		}, nil
 	}
@@ -463,6 +423,22 @@ func emitALU(op *irInsn, next blockFn) blockFn {
 		m.regs[dst] = res
 		return next(m)
 	}
+}
+
+// incResult is map_inc_elem's R0: 0 when the add was applied, -1 when not.
+func incResult(ok bool) uint64 {
+	if ok {
+		return 0
+	}
+	return ^uint64(0)
+}
+
+// delta is the lane's increment: its constant, or its ctx field.
+func (l *incLane) delta(ctx []byte) uint64 {
+	if l.ls == 0 {
+		return l.imm
+	}
+	return loadLE(ctx, l.co, l.ls)
 }
 
 func validSize(n int64) bool { return n == 1 || n == 2 || n == 4 || n == 8 }

@@ -18,19 +18,27 @@ var irKindNames = map[irKind]string{
 	irStoreDynImm:   "storedynimm",
 	irCopyCtxStack:  "copyctxstack",
 	irHelper:        "helper",
-	irKtime:         "ktime",
 	irPerfEmitStack: "perfemit",
 	irMapIncStack:   "mapinc",
 	irHistObserve:   "hist",
 	irCopyBatch:     "copybatch",
+	irIncBatch:      "incbatch",
+}
+
+// incCodeNames names every incOp code.
+var incCodeNames = map[uint8]string{
+	icArray: "array", icPerCPU: "percpu", icHash2: "hash2", icObserve: "observe",
 }
 
 // IROp is one operation of a program's optimized IR as the census reads
 // it. For a copybatch, Lo and Hi bound the stack bytes its descriptors
-// write and Bytes counts them.
+// write and Bytes counts them; for an incbatch, Incs names its
+// descriptors in order and Helpers counts the helper calls it charges.
 type IROp struct {
 	Kind          string
 	Lo, Hi, Bytes int64
+	Incs          []string
+	Helpers       int
 }
 
 // OptimizedIR re-lowers a loaded program's instructions through the
@@ -49,7 +57,10 @@ func OptimizedIR(p *Program) ([]IROp, error) {
 	var out []IROp
 	for _, blk := range ir.blocks {
 		for _, op := range blk.ops {
-			v := IROp{Kind: irKindNames[op.kind]}
+			v := IROp{Kind: irKindNames[op.kind], Helpers: op.helpers}
+			for _, d := range op.incs {
+				v.Incs = append(v.Incs, incCodeNames[d.code])
+			}
 			for i, mc := range op.batch {
 				w := mcWidth(mc)
 				if i == 0 || mc.so < v.Lo {

@@ -207,7 +207,7 @@ func seedScript(f *testing.F, spec script.Spec) []byte {
 func FuzzVerifyProgram(f *testing.F) {
 	// Seed with real accepted programs: the trivial return, compiled
 	// scripts (the production codepath, covering the record fast path and
-	// the map-backed count/cpuhist actions), and small map/helper/branch
+	// the fused aggregation actions), and small map/helper/branch
 	// exercises — plus near-miss mutations the verifier must reject.
 	f.Add(insnsToBytes([]ebpf.Insn{
 		ebpf.Mov64Imm(ebpf.R0, 0),
@@ -356,6 +356,32 @@ func FuzzVerifyProgram(f *testing.F) {
 		ebpf.Exit(),
 	}))
 	f.Add([]byte{})
+	// The unfused aggregation path: a map_inc_elem whose delta is computed
+	// at run time, and a hist_observe of a sample that is not "now minus a
+	// ctx field", go back to the generic helper call, which stays under
+	// the differential oracle here.
+	rtFD := ebpf.LoadMapFD(ebpf.R1, 1)
+	rtSeed := []ebpf.Insn{
+		ebpf.StoreImm(ebpf.R10, -4, 2, ebpf.SizeW),
+		ebpf.Call(ebpf.HelperGetPrandomU32),
+		ebpf.Mov64Reg(ebpf.R3, ebpf.R0),
+		ebpf.ALU64Imm(ebpf.ALUAnd, ebpf.R3, 0xff), // delta known only at run time
+	}
+	rtSeed = append(rtSeed, rtFD[:]...)
+	rtSeed = append(rtSeed,
+		ebpf.Mov64Reg(ebpf.R2, ebpf.R10),
+		ebpf.ALU64Imm(ebpf.ALUAdd, ebpf.R2, -4),
+		ebpf.Mov64Imm(ebpf.R4, 0),
+		ebpf.Call(ebpf.HelperMapIncElem),
+		ebpf.Call(ebpf.HelperKtimeGetNs),
+		ebpf.Mov64Reg(ebpf.R2, ebpf.R0),
+	)
+	rtSeed = append(rtSeed, rtFD[:]...)
+	rtSeed = append(rtSeed,
+		ebpf.Call(ebpf.HelperHistObserve),
+		ebpf.Exit(),
+	)
+	f.Add(insnsToBytes(rtSeed))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		insns := insnsFromBytes(data)

@@ -9,10 +9,12 @@ package ebpf
 // down keeps the fully checked dynamic form. Optimization passes (opt.go)
 // delete dead register writes, fuse the shapes trace scripts emit
 // (ctx-load + stack-store copies, constant + stack-store, ctx-load +
-// branch filters) and batch the record build into one op. The emitter
-// (emit.go) then turns each basic block into one chain of specialized Go
-// closures. The tier keeps only forms some trace script reaches; anything
-// else runs through the generic, interpreter-identical helper call.
+// branch filters), batch the record build into one op, and fold each
+// aggregation action into one descriptor of an increment batch. The
+// emitter (emit.go) then turns each basic block into one chain of
+// specialized Go closures. The tier keeps only forms some trace script
+// reaches; anything else runs through the generic, interpreter-identical
+// helper call.
 
 // irKind discriminates IR operations.
 type irKind uint8
@@ -50,23 +52,27 @@ const (
 	// irHelper is a generic helper call through vm.call — full
 	// interpreter semantics including caller-saved register poisoning.
 	irHelper
-	// irKtime inlines ktime_get_ns.
-	irKtime
 	// irPerfEmitStack inlines perf_event_output of a proved stack range:
 	// the four argument registers are statically dead.
 	irPerfEmitStack
-	// irMapIncStack inlines map_inc_elem on a hash, array or per-CPU
-	// array map with the key at a proved stack offset and a verified
-	// constant value offset: one locked fetch-add on the addressed
-	// counter lane, delta read from R3 at runtime.
+	// irMapIncStack is map_inc_elem on a hash, array or per-CPU array map
+	// with the key at a proved stack offset and a verified constant value
+	// offset; only the delta in R3 is read at runtime. Like
+	// irHistObserve, it exists only between lowering and increment
+	// fusion, which folds it into an irIncBatch or turns it back into
+	// the generic call.
 	irMapIncStack
-	// irHistObserve inlines hist_observe on an array map: a log2-bucket
-	// increment for the sample in R2.
+	// irHistObserve is hist_observe on an array map, the sample in R2.
 	irHistObserve
 	// irCopyBatch executes a run of fused ctx-to-stack copies and constant
 	// stack stores (the record-build shape) in one closure, driven by a
 	// descriptor list instead of one closure per store.
 	irCopyBatch
+	// irIncBatch executes a run of aggregation actions in one closure,
+	// one incOp descriptor each, as irCopyBatch does for copies. It
+	// writes only R0 (the last absorbed helper's result); the registers
+	// the absorbed sequences staged are dead after it.
+	irIncBatch
 )
 
 // memCopy is one descriptor in an irCopyBatch. code selects the
@@ -91,6 +97,42 @@ const (
 	mcGeneric
 )
 
+// incOp is one descriptor in an irIncBatch: an absorbed map_inc_elem
+// together with the constant key store and the R3 delta that fed it, two
+// of them on one hash-map key as one two-lane increment, or an absorbed
+// "ktime; sample = now - ctx[co]; hist_observe" sequence. Each charges
+// the helper calls it absorbed.
+type incOp struct {
+	code uint8
+	// key is the key's stack offset. The array forms resolved their
+	// constant key at compile time and still write it back there, as the
+	// absorbed store did.
+	key    int64
+	keyImm uint32
+	lanes  [2]incLane // icHash2 uses both, the other inc forms lanes[0]
+	word   *uint64    // icArray: the resolved counter word
+	idx    int        // icPerCPU: the resolved entry
+	pcpu   *PerCPUArray
+	hash   *HashMap
+	hist   *ArrayMap // icObserve, the timestamp at ctx[lanes[0].co]
+}
+
+// incLane is one value lane an increment adds to, with its delta: the
+// constant imm, or ctx[co:co+ls] when ls is non-zero.
+type incLane struct {
+	off    int64
+	imm    uint64
+	co, ls int64
+}
+
+// incOp codes.
+const (
+	icArray   uint8 = iota // array slot += delta, slot resolved at compile time
+	icPerCPU               // per-CPU slot of the executing CPU += delta
+	icHash2                // two lanes of one hash row, one locked Inc2
+	icObserve              // log2 bucket of now - ctx[co] += 1
+)
+
 // irInsn is one IR operation. Field use depends on kind; origPC is the
 // bytecode index it was lowered from, kept for error context.
 type irInsn struct {
@@ -108,6 +150,8 @@ type irInsn struct {
 	valOff   int64 // irMapIncStack: value offset of the counter lane
 	helper   HelperID
 	batch    []memCopy // irCopyBatch descriptors
+	incs     []incOp   // irIncBatch descriptors
+	helpers  int       // irIncBatch: helper calls the descriptors absorbed
 	origPC   int
 }
 

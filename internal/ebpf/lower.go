@@ -314,13 +314,12 @@ func lowerALU(in Insn, pc int) irInsn {
 // lowerCall inlines the helpers trace scripts call when the verifier
 // facts pin their arguments down; every other call, and every map type
 // without a bound fast path, keeps the generic vm.call path, which is
-// bit-identical to the interpreter.
+// bit-identical to the interpreter. The aggregation helpers lower to
+// forms that increment fusion (opt.go) either absorbs or turns back into
+// the generic call.
 func lowerCall(in Insn, pc int, maps []Map, facts *progFacts) irInsn {
 	id := HelperID(in.Imm)
 	generic := irInsn{kind: irHelper, helper: id, origPC: pc}
-	if id == HelperKtimeGetNs {
-		return irInsn{kind: irKtime, origPC: pc}
-	}
 	f := callFactAt(facts, pc)
 	if f == nil {
 		return generic

@@ -87,6 +87,7 @@ type HashMap struct {
 	maxEntries int
 	index      map[string]*hashEntry // live and parked entries
 	live       int
+	refused    uint64 // increments refused for a full map
 }
 
 // hashEntry is one key's storage: key and value share one buffer. A
@@ -142,22 +143,25 @@ func (m *HashMap) find(key []byte) *hashEntry {
 }
 
 // insert makes an absent key live with a zeroed value. A parked entry of
-// the same key is revived; otherwise the key gets a fresh buffer, never
-// one another key used, so a program still holding an old
-// map_lookup_elem pointer cannot write into another flow's value. When
-// the index is at capacity the parked entries are evicted first; insert
-// returns nil when maxEntries keys are live. The caller holds mu.
-func (m *HashMap) insert(key []byte) *hashEntry {
-	e := m.index[string(key)]
+// the same key (e, from the caller's lookup) is revived; otherwise the
+// key gets a fresh buffer, never one another key used, so a program
+// still holding an old map_lookup_elem pointer cannot write into another
+// flow's value. When the index is at capacity the parked entries are
+// evicted first; insert returns nil when maxEntries keys are live,
+// without touching the index, so a full map refuses a new key in
+// constant time. The caller holds mu.
+func (m *HashMap) insert(key []byte, e *hashEntry) *hashEntry {
 	if e == nil {
 		if len(m.index) >= m.maxEntries {
+			// The index holds live and parked entries only, so
+			// len(m.index)-m.live are parked: sweep only if some are.
+			if m.live >= m.maxEntries {
+				return nil
+			}
 			for k, p := range m.index {
 				if !p.live {
 					delete(m.index, k)
 				}
-			}
-			if len(m.index) >= m.maxEntries {
-				return nil
 			}
 		}
 		kv := make([]byte, m.keySize+m.valueSize)
@@ -206,7 +210,7 @@ func (m *HashMap) Update(key, value []byte, flags uint64) error {
 		return ErrNoEntry
 	}
 	if e == nil {
-		if e = m.insert(key); e == nil {
+		if e = m.insert(key, m.index[string(key)]); e == nil {
 			return ErrMapFull
 		}
 	}
@@ -256,16 +260,57 @@ func (m *HashMap) Inc(key []byte, off int64, delta uint64) bool {
 		return false
 	}
 	m.mu.Lock()
-	e := m.find(key)
-	if e == nil {
-		if e = m.insert(key); e == nil {
-			m.mu.Unlock()
-			return false
-		}
+	e := m.incRowLocked(key)
+	if e != nil {
+		addLane(e.val, off, delta)
 	}
-	binary.LittleEndian.PutUint64(e.val[off:], binary.LittleEndian.Uint64(e.val[off:])+delta)
 	m.mu.Unlock()
-	return true
+	return e != nil
+}
+
+// Inc2 is Inc on two lanes of one key under one lock round trip and one
+// lookup: a flow row's packets and bytes. It applies both adds or
+// neither, so a Drain never sees one lane of a row without the other.
+func (m *HashMap) Inc2(key []byte, off0 int64, d0 uint64, off1 int64, d1 uint64) bool {
+	if len(key) != m.keySize || !laneOK(off0, m.valueSize) || !laneOK(off1, m.valueSize) {
+		return false
+	}
+	m.mu.Lock()
+	e := m.incRowLocked(key)
+	if e != nil {
+		addLane(e.val, off0, d0)
+		addLane(e.val, off1, d1)
+	}
+	m.mu.Unlock()
+	return e != nil
+}
+
+// incRowLocked returns key's live entry for an increment, creating a
+// zeroed one when the key is absent, or nil, counting the refusal, when
+// maxEntries keys are live. The caller holds mu.
+func (m *HashMap) incRowLocked(key []byte) *hashEntry {
+	e := m.index[string(key)]
+	if e != nil && e.live {
+		return e
+	}
+	if e = m.insert(key, e); e == nil {
+		m.refused++
+	}
+	return e
+}
+
+func addLane(val []byte, off int64, delta uint64) {
+	binary.LittleEndian.PutUint64(val[off:], binary.LittleEndian.Uint64(val[off:])+delta)
+}
+
+// Refused counts the Inc and Inc2 calls refused because maxEntries keys
+// were live: the counts a full map dropped, which no Drain carries. It
+// never resets. A compiled flow row is one Inc2 per firing; the
+// interpreter runs the same row as two Inc calls and counts two.
+func (m *HashMap) Refused() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.refused
 }
 
 // Drain hands each live (key, value) pair to fn and parks the entry, all
@@ -324,12 +369,22 @@ func (s *slab) view(i int) []byte {
 	return s.bytes[o : o+s.valueSize : o+s.valueSize]
 }
 
+// lane returns the word of the lane at byte offset off of slot i, or nil
+// when off is not a lane of the value.
+func (s *slab) lane(i int, off int64) *uint64 {
+	if !laneOK(off, s.valueSize) {
+		return nil
+	}
+	return &s.words[i*s.stride+int(off/8)]
+}
+
 // add adds delta to the lane at byte offset off of slot i.
 func (s *slab) add(i int, off int64, delta uint64) bool {
-	if !laneOK(off, s.valueSize) {
+	w := s.lane(i, off)
+	if w == nil {
 		return false
 	}
-	atomic.AddUint64(&s.words[i*s.stride+int(off/8)], delta)
+	atomic.AddUint64(w, delta)
 	return true
 }
 

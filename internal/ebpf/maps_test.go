@@ -125,20 +125,32 @@ func TestHashMapDrainParksEntries(t *testing.T) {
 
 // Four probe goroutines, one per CPU, increment all three map types
 // while a fifth drains in a loop: every increment lands in exactly one
-// drain, per key, lane and CPU.
+// drain, per key, lane and CPU. A flow row's two lanes, added by one
+// Inc2 (the compiled flow row), are drained together: no drain sees a
+// row's packets without its bytes.
 func TestMapsExactlyOnceUnderConcurrency(t *testing.T) {
-	const cpus, keys, rounds = 4, 8, 2000
+	const cpus, keys, rounds, rowBytes = 4, 8, 2000, 100
 	h, _ := NewHashMap(4, 16, keys)
+	rows, _ := NewHashMap(4, 16, keys)
 	a, _ := NewArrayMap(8, keys)
 	p, _ := NewPerCPUArray(8, keys, cpus)
 
-	var hashGot [keys][2]uint64
+	var hashGot, rowGot [keys][2]uint64
 	var arrGot [keys]uint64
 	var cpuGot [keys][cpus]uint64
+	torn := 0
 	drain := func() {
 		h.Drain(func(k, v []byte) {
 			hashGot[k[0]][0] += binary.LittleEndian.Uint64(v)
 			hashGot[k[0]][1] += binary.LittleEndian.Uint64(v[8:])
+		})
+		rows.Drain(func(k, v []byte) {
+			pkts, bytes := binary.LittleEndian.Uint64(v), binary.LittleEndian.Uint64(v[8:])
+			if bytes != pkts*rowBytes {
+				torn++
+			}
+			rowGot[k[0]][0] += pkts
+			rowGot[k[0]][1] += bytes
 		})
 		for k, v := range a.DrainU64(nil) {
 			arrGot[k] += v
@@ -160,6 +172,7 @@ func TestMapsExactlyOnceUnderConcurrency(t *testing.T) {
 				for k := 0; k < keys; k++ {
 					key := []byte{byte(k), 0, 0, 0}
 					ok := h.Inc(key, 0, 1) && h.Inc(key, 8, uint64(cpu+1)) &&
+						rows.Inc2(key, 0, 1, 8, rowBytes) &&
 						a.IncSlot(k, 0, uint64(cpu+1)) && p.IncSlotCPU(k, cpu, 0, uint64(k+1))
 					if !ok {
 						failed.Store(true)
@@ -189,10 +202,16 @@ func TestMapsExactlyOnceUnderConcurrency(t *testing.T) {
 	if failed.Load() {
 		t.Fatal("an increment was refused")
 	}
+	if torn != 0 {
+		t.Errorf("%d drained flow rows had one lane without the other", torn)
+	}
 	const cpuSum = cpus * (cpus + 1) / 2 // sum of cpu+1 over the CPUs
 	for k := 0; k < keys; k++ {
 		if hashGot[k][0] != cpus*rounds || hashGot[k][1] != cpuSum*rounds {
 			t.Errorf("hash key %d drained lanes %v, want [%d %d]", k, hashGot[k], cpus*rounds, cpuSum*rounds)
+		}
+		if rowGot[k][0] != cpus*rounds || rowGot[k][1] != cpus*rounds*rowBytes {
+			t.Errorf("flow row %d drained lanes %v, want [%d %d]", k, rowGot[k], cpus*rounds, cpus*rounds*rowBytes)
 		}
 		if arrGot[k] != cpuSum*rounds {
 			t.Errorf("array slot %d drained %d, want %d", k, arrGot[k], cpuSum*rounds)
@@ -202,6 +221,56 @@ func TestMapsExactlyOnceUnderConcurrency(t *testing.T) {
 				t.Errorf("per-CPU slot %d cpu %d drained %d, want %d", k, c, cpuGot[k][c], want)
 			}
 		}
+	}
+}
+
+// A full flow map refuses a new key without sweeping its index when no
+// entry is parked, counts every refused Inc and Inc2, and keeps serving
+// its live keys; once entries are parked, a new key evicts them instead.
+func TestHashMapFullRefusesAndCounts(t *testing.T) {
+	m, err := NewHashMap(4, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i byte) []byte { return []byte{i, 0, 0, 0} }
+	for i := byte(0); i < 4; i++ {
+		if !m.Inc2(key(i), 0, 1, 8, 10) {
+			t.Fatalf("key %d refused below capacity", i)
+		}
+	}
+	if m.Inc(key(4), 0, 1) || m.Inc2(key(5), 0, 1, 8, 10) {
+		t.Fatal("new key accepted with every entry live")
+	}
+	if got := m.Refused(); got != 2 {
+		t.Fatalf("Refused = %d after two refused increments, want 2", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.Inc(key(6), 0, 1) }); allocs != 0 {
+		t.Fatalf("refused Inc: %v allocs/op", allocs)
+	}
+	if !m.Inc2(key(0), 0, 1, 8, 10) || m.Len() != 4 {
+		t.Fatalf("hit on a full map refused, or Len %d", m.Len())
+	}
+	if v, _ := m.Lookup(key(0)); binary.LittleEndian.Uint64(v) != 2 || binary.LittleEndian.Uint64(v[8:]) != 20 {
+		t.Fatalf("key 0 = %x after two rows", v)
+	}
+	// A bad lane is not a full map: refused, not counted.
+	before := m.Refused()
+	if m.Inc2(key(0), 0, 1, 3, 1) || m.Refused() != before {
+		t.Fatal("misaligned second lane accepted or counted as a full-map refusal")
+	}
+
+	// Park everything, revive three keys: the fourth slot is parked, so a
+	// new key evicts it and fits; the next new key is refused again.
+	m.Drain(func(k, v []byte) {})
+	for i := byte(0); i < 3; i++ {
+		m.Inc(key(i), 0, 1)
+	}
+	refused := m.Refused()
+	if !m.Inc(key(7), 0, 1) {
+		t.Fatal("new key refused although an entry was parked")
+	}
+	if m.Inc(key(8), 0, 1) || m.Refused() != refused+1 || m.Len() != 4 {
+		t.Fatalf("fifth key: Refused %d (was %d), Len %d", m.Refused(), refused, m.Len())
 	}
 }
 

@@ -13,6 +13,7 @@ func optimize(p *irProg) {
 	for i := range p.blocks {
 		fuseBlock(&p.blocks[i], liveOut[i])
 		batchBlock(&p.blocks[i])
+		incFuseBlock(&p.blocks[i], liveOut[i], p.maps)
 	}
 }
 
@@ -39,9 +40,10 @@ func opUses(op *irInsn) regMask {
 	case irStoreDynImm:
 		u.add(op.dst)
 	case irHelper:
-		// Conservative: a generic helper may read any argument register.
-		for r := R1; r <= R5; r++ {
-			u.add(r)
+		// A helper reads the argument registers of its prototype (an
+		// unknown one faults before reading any).
+		for r := range Reg(len(helperProtos[op.helper].args)) {
+			u.add(R1 + r)
 		}
 	case irMapIncStack:
 		u.add(R3) // delta
@@ -61,7 +63,7 @@ func opDefs(op *irInsn) regMask {
 		for r := R0; r <= R5; r++ {
 			d.add(r)
 		}
-	case irKtime, irPerfEmitStack, irMapIncStack, irHistObserve:
+	case irPerfEmitStack, irMapIncStack, irHistObserve, irIncBatch:
 		d.add(R0)
 	}
 	return d
@@ -149,15 +151,7 @@ func deadWriteElim(p *irProg) []regMask {
 // trailing 32-bit ctx load feeding the block's branch folds into the
 // terminator (the filter shape: "jump out unless ctx field == K").
 func fuseBlock(blk *irBlock, liveOut regMask) {
-	// liveAfter[i] = registers live immediately after ops[i].
-	liveAfter := make([]regMask, len(blk.ops))
-	live := liveOut | termUses(&blk.term)
-	for i := len(blk.ops) - 1; i >= 0; i-- {
-		liveAfter[i] = live
-		op := &blk.ops[i]
-		live &^= opDefs(op)
-		live |= opUses(op)
-	}
+	liveAfter := liveAfterOps(blk, liveOut)
 
 	// Branch fusion first: it removes the final op.
 	if t := &blk.term; t.kind == termBranch && !t.ctxFused && len(blk.ops) > 0 {
@@ -193,6 +187,20 @@ func fuseBlock(blk *irBlock, liveOut regMask) {
 		fused = append(fused, op)
 	}
 	blk.ops = fused
+}
+
+// liveAfterOps returns, for each op of blk, the registers live
+// immediately after it.
+func liveAfterOps(blk *irBlock, liveOut regMask) []regMask {
+	liveAfter := make([]regMask, len(blk.ops))
+	live := liveOut | termUses(&blk.term)
+	for i := len(blk.ops) - 1; i >= 0; i-- {
+		liveAfter[i] = live
+		op := &blk.ops[i]
+		live &^= opDefs(op)
+		live |= opUses(op)
+	}
+	return liveAfter
 }
 
 // batchable converts a fused copy or constant store into a batch
@@ -280,4 +288,162 @@ func batchBlock(blk *irBlock) {
 		i = j - 1
 	}
 	blk.ops = out
+}
+
+// callClobbered are the registers a helper call leaves poisoned. A
+// verified program never reads them after a call before writing them, so
+// an absorbed sequence may leave them unwritten; fusion still checks they
+// are dead.
+const callClobbered regMask = 1<<R1 | 1<<R2 | 1<<R3 | 1<<R4 | 1<<R5
+
+// incFuseBlock folds each aggregation action into one incOp and collapses
+// maximal runs of them into single irIncBatch ops, as batchBlock does for
+// copies. It matches, on ops fusion and batching left:
+//   - constant key store; r3 = imm or ctx load; map_inc_elem on an array
+//     or per-CPU array: one increment, its slot resolved from the
+//     constant key at compile time;
+//   - two "r3 = imm or ctx load; map_inc_elem" of one hash map at one
+//     stack key (a flow row): one two-lane increment, one lock and one
+//     lookup;
+//   - ktime; r2 = r0; r1 = ctx u64; r2 -= r1; hist_observe: one "observe
+//     now - ctx[off]" descriptor.
+//
+// A lone match becomes a one-descriptor batch. A map_inc_elem or
+// hist_observe no match absorbs goes back to the generic helper call.
+func incFuseBlock(blk *irBlock, liveOut regMask, maps []Map) {
+	liveAfter := liveAfterOps(blk, liveOut)
+	out := make([]irInsn, 0, len(blk.ops))
+	var run []incOp
+	helpers := 0
+	flush := func() {
+		if len(run) > 0 {
+			out = append(out, irInsn{kind: irIncBatch, incs: run, helpers: helpers})
+			run, helpers = nil, 0
+		}
+	}
+	for i := 0; i < len(blk.ops); i++ {
+		d, n, ok := matchInc(blk.ops[i:], liveAfter[i:], maps)
+		if !ok {
+			flush()
+			out = append(out, genericCall(blk.ops[i])...)
+			continue
+		}
+		run = append(run, d)
+		helpers += incHelpers[d.code]
+		i += n - 1
+	}
+	flush()
+	blk.ops = out
+}
+
+// incHelpers is the number of helper calls each descriptor form absorbs.
+var incHelpers = [...]int{icArray: 1, icPerCPU: 1, icHash2: 2, icObserve: 2}
+
+// matchInc matches one aggregation action at the head of ops and returns
+// its descriptor and the number of ops it absorbs. liveAfter is aligned
+// with ops.
+func matchInc(ops []irInsn, liveAfter []regMask, maps []Map) (incOp, int, bool) {
+	if d, ok := matchObserve(ops, liveAfter, maps); ok {
+		return d, 5, true
+	}
+	if inc, l0, ok := matchLane(ops, liveAfter); ok {
+		h, isHash := maps[inc.mapIdx].(*HashMap)
+		if !isHash {
+			return incOp{}, 0, false
+		}
+		inc1, l1, ok := matchLane(ops[2:], liveAfter[2:])
+		if !ok || inc1.mapIdx != inc.mapIdx || inc1.off != inc.off {
+			return incOp{}, 0, false
+		}
+		return incOp{code: icHash2, hash: h, key: inc.off, lanes: [2]incLane{l0, l1}}, 4, true
+	}
+	// An array form: a constant store writes exactly the key.
+	key := &ops[0]
+	if key.kind != irStoreStackImm || key.size != 4 {
+		return incOp{}, 0, false
+	}
+	inc, l0, ok := matchLane(ops[1:], liveAfter[1:])
+	if !ok || inc.off != key.off {
+		return incOp{}, 0, false
+	}
+	d := incOp{key: key.off, keyImm: uint32(key.imm), lanes: [2]incLane{l0}}
+	idx := int(d.keyImm)
+	switch t := maps[inc.mapIdx].(type) {
+	case *ArrayMap:
+		if idx < t.n {
+			d.word = t.vals.lane(idx, l0.off)
+		}
+		d.code, ok = icArray, d.word != nil
+	case *PerCPUArray:
+		d.code, d.pcpu, d.idx, ok = icPerCPU, t, idx, idx < t.n
+	default:
+		ok = false
+	}
+	return d, 3, ok
+}
+
+// matchLane matches "r3 = imm or ctx load; map_inc_elem" at the head of
+// ops and returns the increment and its lane.
+func matchLane(ops []irInsn, liveAfter []regMask) (*irInsn, incLane, bool) {
+	if len(ops) < 2 {
+		return nil, incLane{}, false
+	}
+	set, inc := &ops[0], &ops[1]
+	if inc.kind != irMapIncStack || liveAfter[1]&callClobbered != 0 || set.dst != R3 {
+		return nil, incLane{}, false
+	}
+	lane := incLane{off: inc.valOff}
+	switch set.kind {
+	case irMovImm:
+		lane.imm = uint64(set.imm)
+	case irLoadCtx:
+		lane.co, lane.ls = set.off, set.size
+	default:
+		return nil, incLane{}, false
+	}
+	return inc, lane, true
+}
+
+// matchObserve matches the latency histogram's observe sequence at the
+// head of ops.
+func matchObserve(ops []irInsn, liveAfter []regMask, maps []Map) (incOp, bool) {
+	if len(ops) < 5 || liveAfter[4]&callClobbered != 0 {
+		return incOp{}, false
+	}
+	kt, mv, ld, sub, obs := &ops[0], &ops[1], &ops[2], &ops[3], &ops[4]
+	if kt.kind != irHelper || kt.helper != HelperKtimeGetNs ||
+		mv.kind != irMovReg || mv.dst != R2 || mv.src != R0 ||
+		ld.kind != irLoadCtx || ld.dst != R1 || ld.size != 8 ||
+		sub.kind != irALU || sub.aluOp != ALUSub || !sub.is64 || !sub.useReg || sub.dst != R2 || sub.src != R1 ||
+		obs.kind != irHistObserve {
+		return incOp{}, false
+	}
+	h, ok := maps[obs.mapIdx].(*ArrayMap)
+	if !ok {
+		return incOp{}, false
+	}
+	return incOp{code: icObserve, hist: h, lanes: [2]incLane{{co: ld.off}}}, true
+}
+
+// genericCall returns op, or, for an aggregation helper no descriptor
+// absorbed, the generic call with the argument registers dead-write
+// elimination removed put back: the map handle in R1, the key's stack
+// pointer in R2 and the lane offset in R4 — the values the verifier
+// proved they held.
+func genericCall(op irInsn) []irInsn {
+	handle := irInsn{kind: irMovImm, dst: R1, imm: int64(mapHandleBase | uint64(op.mapIdx)), origPC: op.origPC}
+	call := irInsn{kind: irHelper, origPC: op.origPC}
+	switch op.kind {
+	case irMapIncStack:
+		call.helper = HelperMapIncElem
+		keyPtr := uint64(1)<<regionShift | uint64(op.off) // stack region, as R10 encodes it
+		return []irInsn{handle,
+			{kind: irMovImm, dst: R2, imm: int64(keyPtr), origPC: op.origPC},
+			{kind: irMovImm, dst: R4, imm: op.valOff, origPC: op.origPC},
+			call}
+	case irHistObserve:
+		call.helper = HelperHistObserve
+		return []irInsn{handle, call}
+	}
+	return []irInsn{op}
 }

@@ -2,7 +2,11 @@ package ebpf
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -530,5 +534,125 @@ func TestOptBranchFusion(t *testing.T) {
 	}
 	if len(blk.ops) != 0 {
 		t.Fatalf("fused load should leave no ops: %+v", blk.ops)
+	}
+}
+
+// TestOptIncFusion checks the increment fusion pass on hand-built
+// aggregation sequences: which descriptors it builds, what it leaves to
+// the generic helper call, and that each program still matches the
+// interpreter on R0, ExecStats and final map state.
+func TestOptIncFusion(t *testing.T) {
+	inc := func(mapIdx int32, keyOff int16, valOff int32) []Insn {
+		fd := LoadMapFD(R1, mapIdx)
+		return append(fd[:], Mov64Reg(R2, R10), ALU64Imm(ALUAdd, R2, int32(keyOff)),
+			Mov64Imm(R4, valOff), Call(HelperMapIncElem))
+	}
+	prog := func(parts ...[]Insn) []Insn {
+		insns := []Insn{Mov64Reg(R6, R1)}
+		for _, p := range parts {
+			insns = append(insns, p...)
+		}
+		return append(insns, Exit())
+	}
+	one := func(in ...Insn) []Insn { return in }
+	cases := []struct {
+		name  string
+		insns []Insn
+		incs  []uint8 // descriptors of the one expected batch; nil: none
+		calls int     // generic helper calls left
+	}{
+		{"flow row: two lanes of one hash key", prog(
+			one(StoreImm(R10, -4, 3, SizeW), Mov64Imm(R3, 1)), inc(0, -4, 0),
+			one(LoadMem(R3, R6, 0, SizeW)), inc(0, -4, 8)),
+			[]uint8{icHash2}, 0},
+		{"array and per-CPU slots resolved from the constant key", prog(
+			one(StoreImm(R10, -4, 1, SizeW), Mov64Imm(R3, 5)), inc(1, -4, 0),
+			one(StoreImm(R10, -4, 0, SizeW), LoadMem(R3, R6, 8, SizeDW)), inc(2, -4, 0)),
+			[]uint8{icArray, icPerCPU}, 0},
+		{"observe now minus a ctx timestamp", prog(one(
+			Call(HelperKtimeGetNs), Mov64Reg(R2, R0), LoadMem(R1, R6, 8, SizeDW),
+			ALU64Reg(ALUSub, R2, R1), LoadMapFD(R1, 1)[0], LoadMapFD(R1, 1)[1], Call(HelperHistObserve))),
+			[]uint8{icObserve}, 0},
+		{"delta computed at run time stays generic", prog(
+			one(StoreImm(R10, -4, 1, SizeW), Call(HelperGetPrandomU32), Mov64Reg(R3, R0)), inc(1, -4, 0)),
+			nil, 2},
+		{"lone hash increment stays generic", prog(
+			one(StoreImm(R10, -4, 3, SizeW), Mov64Imm(R3, 1)), inc(0, -4, 0)),
+			nil, 1},
+		{"hash increments at two keys stay generic", prog(
+			one(StoreImm(R10, -8, 4, SizeDW), Mov64Imm(R3, 1)), inc(0, -4, 0),
+			one(Mov64Imm(R3, 1)), inc(0, -8, 0)),
+			nil, 2},
+		{"array key out of range stays generic", prog(
+			one(StoreImm(R10, -4, 9, SizeW), Mov64Imm(R3, 1)), inc(1, -4, 0)),
+			nil, 1},
+		{"sample that is not now minus ctx stays generic", prog(one(
+			Call(HelperKtimeGetNs), Mov64Reg(R2, R0), LoadMapFD(R1, 1)[0], LoadMapFD(R1, 1)[1],
+			Call(HelperHistObserve))),
+			nil, 2},
+	}
+	newMaps := func() []Map {
+		h, _ := NewHashMap(4, 16, 4)
+		a, _ := NewArrayMap(8, 4)
+		p, _ := NewPerCPUArray(8, 2, 2)
+		return []Map{h, a, p}
+	}
+	dump := func(maps []Map) []string {
+		var out []string
+		for i, m := range maps {
+			m.ForEach(func(k, v []byte) { out = append(out, fmt.Sprintf("map%d %x=%x", i, k, v)) })
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var incs []uint8
+			calls := 0
+			for _, blk := range lowerVerified(t, tc.insns, newMaps()).blocks {
+				for _, op := range blk.ops {
+					switch op.kind {
+					case irIncBatch:
+						for _, d := range op.incs {
+							incs = append(incs, d.code)
+						}
+					case irHelper:
+						calls++
+					case irMapIncStack, irHistObserve:
+						t.Fatalf("pre-fusion form left in the IR: %+v", blk.ops)
+					}
+				}
+			}
+			if !slices.Equal(incs, tc.incs) || calls != tc.calls {
+				t.Fatalf("descriptors %v and %d generic calls, want %v and %d", incs, calls, tc.incs, tc.calls)
+			}
+			ctx := make([]byte, 64)
+			ctx[0], ctx[8] = 100, 7
+			type result struct {
+				r0    uint64
+				stats ExecStats
+				maps  []string
+			}
+			var res [2]result
+			for i, interp := range []bool{true, false} {
+				maps := newMaps()
+				p := mustLoad(t, tc.insns, maps)
+				run := p.Run
+				if interp {
+					run = p.RunInterpreted
+				}
+				for range 2 {
+					r0, stats, err := run(ctx, &testEnv{time: 1 << 20, cpu: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					res[i].r0, res[i].stats = r0, stats
+				}
+				res[i].maps = dump(maps)
+			}
+			if !reflect.DeepEqual(res[0], res[1]) {
+				t.Fatalf("optimized diverges from interpreter:\noptimized: %+v\ninterp: %+v", res[1], res[0])
+			}
+		})
 	}
 }

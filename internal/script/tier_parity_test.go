@@ -28,22 +28,23 @@ func (e *parityEnv) PerfEventOutput(data []byte) bool {
 }
 func (e *parityEnv) TracePrintk(msg string) {}
 
-// TestCompiledScriptsTierParity runs every action combination the script
-// compiler supports on the interpreter and on the compiled code Run
-// executes, and requires identical results: R0, execution statistics,
-// perf output, and final map state. Each engine gets a freshly compiled
+// TestCompiledScriptsTierParity runs every script shape — each non-empty
+// subset of the five actions, in declaration order, under each filter
+// form the compiler emits (none, the full five-tuple, traced-only) — on
+// the interpreter and on the compiled code Run executes, and requires
+// identical results: R0, execution statistics, perf output, and final
+// map state. So every descriptor shape increment fusion builds is
+// checked against the interpreter. Each engine gets a freshly compiled
 // program (fresh maps) and a fresh env, so nothing leaks between them.
 func TestCompiledScriptsTierParity(t *testing.T) {
-	combos := [][]Action{
-		{ActionRecord},
-		{ActionCount},
-		{ActionCPUHist},
-		{ActionRecord, ActionCount},
-		{ActionRecord, ActionCount, ActionCPUHist},
-		{ActionHist},
-		{ActionFlowCount},
-		{ActionHist, ActionFlowCount},
-		{ActionRecord, ActionCount, ActionCPUHist, ActionHist, ActionFlowCount},
+	actions := []Action{ActionRecord, ActionCount, ActionCPUHist, ActionHist, ActionFlowCount}
+	filters := []struct {
+		name string
+		f    Filter
+	}{
+		{"none", Filter{}},
+		{"fivetuple", Filter{Proto: vnet.ProtoUDP, SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 9000}},
+		{"traced", Filter{Proto: vnet.ProtoUDP, TracedOnly: true}},
 	}
 	ctxs := map[string][]byte{
 		"match": core.BuildCtx(nil, &kernel.ProbeCtx{
@@ -64,59 +65,70 @@ func TestCompiledScriptsTierParity(t *testing.T) {
 		}),
 	}
 
-	type result struct {
-		r0    uint64
-		stats ebpf.ExecStats
-		perf  []string
-		maps  []string
-	}
-
-	for _, combo := range combos {
-		spec := Spec{
-			Name:    "parity",
-			TPID:    4,
-			Filter:  Filter{Proto: vnet.ProtoUDP, DstPort: 9000},
-			Actions: combo,
+	for mask := 1; mask < 1<<len(actions); mask++ {
+		var combo []Action
+		for i, a := range actions {
+			if mask&(1<<i) != 0 {
+				combo = append(combo, a)
+			}
 		}
 		for ctxName, ctx := range ctxs {
 			t.Run(fmt.Sprintf("%v/%s", combo, ctxName), func(t *testing.T) {
-				runTier := func(interpreted bool) result {
-					insns, maps, err := CompileToInsns(spec)
-					if err != nil {
-						t.Fatalf("compile: %v", err)
-					}
-					prog, err := ebpf.Load(ebpf.ProgramSpec{
-						Name: "parity", Type: ebpf.ProgTypeKprobe,
-						Insns: insns, Maps: maps, CtxSize: core.CtxSize,
-					})
-					if err != nil {
-						t.Fatalf("load: %v", err)
-					}
-					env := &parityEnv{}
-					var res result
-					var rerr error
-					if interpreted {
-						res.r0, res.stats, rerr = prog.RunInterpreted(ctx, env)
-					} else {
-						res.r0, res.stats, rerr = prog.Run(ctx, env)
-					}
-					if rerr != nil {
-						t.Fatalf("run (interpreted=%v): %v", interpreted, rerr)
-					}
-					res.perf = env.perf
-					for i, m := range maps {
-						m.ForEach(func(k, v []byte) {
-							res.maps = append(res.maps, fmt.Sprintf("map%d %x=%x", i, k, v))
-						})
-					}
-					sort.Strings(res.maps)
-					return res
-				}
-				ref, got := runTier(true), runTier(false)
-				if !reflect.DeepEqual(got, ref) {
-					t.Errorf("optimized diverges from interpreter:\noptimized: %+v\ninterp: %+v", got, ref)
+				for _, filter := range filters {
+					spec := Spec{Name: "parity", TPID: 4, Filter: filter.f, Actions: combo}
+					t.Run(filter.name, func(t *testing.T) { checkTierParity(t, spec, ctx) })
 				}
 			})
 		}
+	}
+}
+
+// checkTierParity runs spec over ctx twice on both engines (the second
+// firing finds the map entries the first created) and requires identical
+// R0s, execution statistics, perf stream and map state.
+func checkTierParity(t *testing.T, spec Spec, ctx []byte) {
+	type result struct {
+		r0    []uint64
+		stats []ebpf.ExecStats
+		perf  []string
+		maps  []string
+	}
+	runTier := func(interpreted bool) result {
+		insns, maps, err := CompileToInsns(spec)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		prog, err := ebpf.Load(ebpf.ProgramSpec{
+			Name: "parity", Type: ebpf.ProgTypeKprobe,
+			Insns: insns, Maps: maps, CtxSize: core.CtxSize,
+		})
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		env := &parityEnv{}
+		var res result
+		for range 2 {
+			run := prog.Run
+			if interpreted {
+				run = prog.RunInterpreted
+			}
+			r0, stats, err := run(ctx, env)
+			if err != nil {
+				t.Fatalf("run (interpreted=%v): %v", interpreted, err)
+			}
+			res.r0, res.stats = append(res.r0, r0), append(res.stats, stats)
+		}
+		res.perf = env.perf
+		for i, m := range maps {
+			m.ForEach(func(k, v []byte) {
+				res.maps = append(res.maps, fmt.Sprintf("map%d %x=%x", i, k, v))
+			})
+		}
+		sort.Strings(res.maps)
+		return res
+	}
+	ref, got := runTier(true), runTier(false)
+	if !reflect.DeepEqual(got, ref) {
+		t.Errorf("optimized diverges from interpreter:\noptimized: %+v\ninterp: %+v", got, ref)
 	}
 }
