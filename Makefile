@@ -112,11 +112,14 @@ bench-scan:
 # aggregates-bulk probe program) on one flow, the same script over whole
 # drain intervals (2 scripts x 256 flows x 4 CPUs, a drain per 4096
 # firings; allocs/firing counts the map churn), and a flow map at
-# capacity refusing a new flow and hitting a live one. One iteration
-# each, as bench-join; raise -benchtime to measure.
+# capacity refusing a new flow and hitting a live one; then what a firing
+# costs around the program: the ctx build (a UDP and a VXLAN firing) and
+# a whole probe firing (unattached, a no-op handler, the record script
+# through core.Machine). One iteration each, as bench-join; raise
+# -benchtime to measure.
 .PHONY: bench-ebpf
 bench-ebpf:
-	$(GO) test -run NONE -bench 'BenchmarkEBPFCompiled(RecordScript|AggScript|AggInterval|FilterMiss)$$|BenchmarkHashMapIncFull$$' -benchtime 1x -benchmem .
+	$(GO) test -run NONE -bench 'BenchmarkEBPFCompiled(RecordScript|AggScript|AggInterval|FilterMiss)$$|BenchmarkHashMapIncFull$$|BenchmarkBuildCtx$$|BenchmarkProbeFire$$' -benchtime 1x -benchmem .
 
 # Everything here leaves `git status` clean: what it writes (cover.out,
 # .bench_build/) is ignored.

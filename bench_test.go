@@ -394,6 +394,34 @@ func BenchmarkProbeFire(b *testing.B) {
 	})
 }
 
+// BenchmarkBuildCtx measures serializing one probe firing into the eBPF
+// context, the fixed cost every attached program pays before it runs: the
+// record script's UDP firing, and the same packet VXLAN-encapsulated
+// (the flow fields then come from the inner packet).
+func BenchmarkBuildCtx(b *testing.B) {
+	udp := benchProbeCtx()
+	vxlan := *udp
+	vxlan.Pkt = &vnet.Packet{
+		IP:    vnet.IPv4Header{Protocol: vnet.ProtoUDP, Src: 100, Dst: 200},
+		UDP:   &vnet.UDPHeader{SrcPort: 48879, DstPort: 4789},
+		VXLAN: &vnet.VXLANHeader{VNI: 1},
+		Inner: udp.Pkt,
+	}
+	for _, c := range []struct {
+		name string
+		pc   *kernel.ProbeCtx
+	}{{"udp", udp}, {"vxlan", &vxlan}} {
+		b.Run(c.name, func(b *testing.B) {
+			buf := make([]byte, core.CtxSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = core.BuildCtx(buf, c.pc)
+			}
+		})
+	}
+}
+
 // BenchmarkEBPFCompiledAggScript measures the compiled engine on the
 // in-probe aggregation script (count, per-CPU histogram, latency
 // histogram, per-flow sums — the aggregates-bulk probe program) for a

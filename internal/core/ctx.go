@@ -40,37 +40,45 @@ const (
 
 // BuildCtx serializes a probe firing into the eBPF context buffer. pkt may
 // be nil (packet-less probes such as pure function tracing); flow fields
-// are zero then.
+// are zero then. Every field is written, zeros included, so a reused
+// buffer needs no clearing and keeps no byte of an earlier firing.
 func BuildCtx(buf []byte, pc *kernel.ProbeCtx) []byte {
 	if cap(buf) < CtxSize {
 		buf = make([]byte, CtxSize)
 	}
 	buf = buf[:CtxSize]
-	for i := range buf {
-		buf[i] = 0
-	}
-	le := binary.LittleEndian
-	le.PutUint32(buf[CtxIfindex:], uint32(pc.DevIfindex))
-	le.PutUint32(buf[CtxDir:], uint32(pc.Dir))
-	le.PutUint32(buf[CtxCPU:], uint32(pc.CPU))
-	le.PutUint64(buf[CtxTimeNs:], uint64(pc.TimeNs))
+	var wireLen, etherType, traceID, encap uint32
+	var seq uint64
+	var flow vnet.FiveTuple
 	if p := pc.Pkt; p != nil {
-		le.PutUint32(buf[CtxLen:], uint32(p.WireLen()))
-		le.PutUint32(buf[CtxEtherType:], uint32(p.Eth.EtherType))
-		flow := p.InnerFlow()
-		le.PutUint32(buf[CtxSrcIP:], uint32(flow.Src))
-		le.PutUint32(buf[CtxDstIP:], uint32(flow.Dst))
-		le.PutUint32(buf[CtxSrcPort:], uint32(flow.SrcPort))
-		le.PutUint32(buf[CtxDstPort:], uint32(flow.DstPort))
-		le.PutUint32(buf[CtxIPProto:], uint32(flow.Proto))
-		le.PutUint32(buf[CtxTraceID:], p.InnerTraceID())
-		le.PutUint64(buf[CtxSeq:], p.Seq)
+		in := p
+		for in.Inner != nil {
+			in = in.Inner
+		}
+		wireLen = uint32(p.WireLen())
+		etherType = uint32(p.Eth.EtherType)
+		flow = in.Flow()
+		traceID = in.TraceID
+		seq = p.Seq
 		if p.VXLAN != nil {
-			le.PutUint32(buf[CtxEncap:], 1)
+			encap = 1
 		}
 	}
+	b := (*[CtxSize]byte)(buf)
+	le := binary.LittleEndian
+	le.PutUint32(b[CtxLen:], wireLen)
+	le.PutUint32(b[CtxEtherType:], etherType)
+	le.PutUint32(b[CtxIfindex:], uint32(pc.DevIfindex))
+	le.PutUint32(b[CtxSrcIP:], uint32(flow.Src))
+	le.PutUint32(b[CtxDstIP:], uint32(flow.Dst))
+	le.PutUint32(b[CtxSrcPort:], uint32(flow.SrcPort))
+	le.PutUint32(b[CtxDstPort:], uint32(flow.DstPort))
+	le.PutUint32(b[CtxIPProto:], uint32(flow.Proto))
+	le.PutUint32(b[CtxTraceID:], traceID)
+	le.PutUint32(b[CtxDir:], uint32(pc.Dir))
+	le.PutUint32(b[CtxCPU:], uint32(pc.CPU))
+	le.PutUint32(b[CtxEncap:], encap)
+	le.PutUint64(b[CtxSeq:], seq)
+	le.PutUint64(b[CtxTimeNs:], uint64(pc.TimeNs))
 	return buf
 }
-
-// note: direction values reuse vnet.Ingress / vnet.Egress.
-var _ = vnet.Ingress

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 )
 
 // The emitter turns the optimized IR into a single web of specialized Go
@@ -224,39 +225,7 @@ func emitOp(op *irInsn, next blockFn) (blockFn, error) {
 		}, nil
 
 	case irCopyBatch:
-		ops := op.batch
-		for i := range ops {
-			if ops[i].code == mcGeneric && (!validSize(ops[i].ls) || !validSize(ops[i].ss)) {
-				return nil, fmt.Errorf("%w: batch copy sizes %d/%d", errLower, ops[i].ls, ops[i].ss)
-			}
-		}
-		return func(m *vm) error {
-			ctx := m.ctx
-			for i := range ops {
-				o := &ops[i]
-				switch o.code {
-				case mcCopy44:
-					binary.LittleEndian.PutUint32(m.stack[o.so:], binary.LittleEndian.Uint32(ctx[o.co:]))
-				case mcCopy88:
-					binary.LittleEndian.PutUint64(m.stack[o.so:], binary.LittleEndian.Uint64(ctx[o.co:]))
-				case mcCopy42:
-					binary.LittleEndian.PutUint16(m.stack[o.so:], uint16(binary.LittleEndian.Uint32(ctx[o.co:])))
-				case mcCopy41:
-					m.stack[o.so] = byte(binary.LittleEndian.Uint32(ctx[o.co:]))
-				case mcImm8:
-					m.stack[o.so] = byte(o.imm)
-				case mcImm16:
-					binary.LittleEndian.PutUint16(m.stack[o.so:], uint16(o.imm))
-				case mcImm32:
-					binary.LittleEndian.PutUint32(m.stack[o.so:], uint32(o.imm))
-				case mcImm64:
-					binary.LittleEndian.PutUint64(m.stack[o.so:], o.imm)
-				default:
-					storeLE(m.stack[:], o.so, o.ss, loadLE(ctx, o.co, o.ls))
-				}
-			}
-			return next(m)
-		}, nil
+		return emitCopyBatch(op.batch, next)
 
 	case irHelper:
 		id, pc := op.helper, op.origPC
@@ -314,6 +283,117 @@ func emitOp(op *irInsn, next blockFn) (blockFn, error) {
 		}, nil
 	}
 	return nil, fmt.Errorf("%w: ir op %d", errLower, op.kind)
+}
+
+// copyBatch is an emitted irCopyBatch: its descriptors grouped by form,
+// each form run by its own loop. batchBlock keeps a batch's destinations
+// disjoint, so regrouping its descriptors cannot change the bytes it
+// writes.
+//
+// On a little-endian ctx every copy form moves bytes verbatim: a u16 or u8
+// truncation of a u32 field is its first two bytes or its first byte. The
+// copy loops address both buffers through fixed-size array pointers with
+// no per-descriptor bounds check: emitCopyBatch proves every stack range
+// inside the VM stack when it compiles the batch, and run checks once that
+// ctx reaches past every source range.
+type copyBatch struct {
+	c8, c4, c2, c1    []ctxCopy // moves of 8, 4, 2 and 1 bytes
+	i8, i16, i32, i64 []immStore
+	generic           []memCopy
+	ctxEnd            int // one past the highest ctx byte a move reads
+}
+
+// ctxCopy is one ctx-to-stack byte move, its width implied by its loop;
+// immStore is one constant store.
+type ctxCopy struct{ co, so uintptr }
+
+type immStore struct {
+	so  int64
+	imm uint64
+}
+
+// emitCopyBatch compiles an irCopyBatch into one closure that runs one
+// tight loop per descriptor form instead of switching per descriptor.
+func emitCopyBatch(batch []memCopy, next blockFn) (blockFn, error) {
+	b := &copyBatch{}
+	for _, o := range batch {
+		if o.code == mcGeneric {
+			if !validSize(o.ls) || !validSize(o.ss) {
+				return nil, fmt.Errorf("%w: batch copy sizes %d/%d", errLower, o.ls, o.ss)
+			}
+			b.generic = append(b.generic, o)
+			continue
+		}
+		w := mcWidth(o)
+		if o.so < 0 || o.so+w > StackSize || o.co < 0 {
+			return nil, fmt.Errorf("%w: batch store of %d bytes at stack %d, ctx %d", errLower, w, o.so, o.co)
+		}
+		k := immStore{o.so, o.imm}
+		var moves *[]ctxCopy
+		switch o.code {
+		case mcCopy88:
+			moves = &b.c8
+		case mcCopy44:
+			moves = &b.c4
+		case mcCopy42:
+			moves = &b.c2
+		case mcCopy41:
+			moves = &b.c1
+		case mcImm8:
+			b.i8 = append(b.i8, k)
+		case mcImm16:
+			b.i16 = append(b.i16, k)
+		case mcImm32:
+			b.i32 = append(b.i32, k)
+		case mcImm64:
+			b.i64 = append(b.i64, k)
+		}
+		if moves != nil {
+			*moves = append(*moves, ctxCopy{uintptr(o.co), uintptr(o.so)})
+			b.ctxEnd = max(b.ctxEnd, int(o.co+w))
+		}
+	}
+	return func(m *vm) error {
+		b.run(&m.stack, m.ctx)
+		return next(m)
+	}, nil
+}
+
+// run performs the batch's stores into st, reading ctx.
+func (b *copyBatch) run(st *[StackSize]byte, ctx []byte) {
+	if len(ctx) < b.ctxEnd {
+		panic("ebpf: copy batch reads past the ctx the verifier proved")
+	}
+	sp, cp := unsafe.Pointer(st), unsafe.Pointer(unsafe.SliceData(ctx))
+	for _, c := range b.c8 {
+		*(*[8]byte)(unsafe.Add(sp, c.so)) = *(*[8]byte)(unsafe.Add(cp, c.co))
+	}
+	for _, c := range b.c4 {
+		*(*[4]byte)(unsafe.Add(sp, c.so)) = *(*[4]byte)(unsafe.Add(cp, c.co))
+	}
+	for _, c := range b.c2 {
+		*(*[2]byte)(unsafe.Add(sp, c.so)) = *(*[2]byte)(unsafe.Add(cp, c.co))
+	}
+	for _, c := range b.c1 {
+		*(*byte)(unsafe.Add(sp, c.so)) = *(*byte)(unsafe.Add(cp, c.co))
+	}
+	le := binary.LittleEndian
+	for _, k := range b.i8 {
+		st[k.so] = byte(k.imm)
+	}
+	for _, k := range b.i16 {
+		le.PutUint16(st[k.so:], uint16(k.imm))
+	}
+	for _, k := range b.i32 {
+		le.PutUint32(st[k.so:], uint32(k.imm))
+	}
+	for _, k := range b.i64 {
+		le.PutUint64(st[k.so:], k.imm)
+	}
+	for i := range b.generic {
+		o := &b.generic[i]
+		storeLE(st[:], o.so, o.ss, loadLE(ctx, o.co, o.ls))
+	}
 }
 
 // emitALU specializes the hot 64-bit forms; everything else goes through

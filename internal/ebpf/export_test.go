@@ -76,18 +76,3 @@ func OptimizedIR(p *Program) ([]IROp, error) {
 	}
 	return out, nil
 }
-
-// mcWidth is the number of stack bytes a batch descriptor writes.
-func mcWidth(mc memCopy) int64 {
-	switch mc.code {
-	case mcCopy41, mcImm8:
-		return 1
-	case mcCopy42, mcImm16:
-		return 2
-	case mcCopy44, mcImm32:
-		return 4
-	case mcCopy88, mcImm64:
-		return 8
-	}
-	return mc.ss
-}

@@ -253,10 +253,39 @@ func mergeCopies(a, b memCopy) (memCopy, bool) {
 	return memCopy{}, false
 }
 
+// mcWidth is the number of stack bytes a batch descriptor writes.
+func mcWidth(mc memCopy) int64 {
+	switch mc.code {
+	case mcCopy41, mcImm8:
+		return 1
+	case mcCopy42, mcImm16:
+		return 2
+	case mcCopy44, mcImm32:
+		return 4
+	case mcCopy88, mcImm64:
+		return 8
+	}
+	return mc.ss
+}
+
+// overlapsRun reports whether mc writes a stack byte some descriptor of
+// run already writes.
+func overlapsRun(run []memCopy, mc memCopy) bool {
+	for _, r := range run {
+		if mc.so < r.so+mcWidth(r) && r.so < mc.so+mcWidth(mc) {
+			return true
+		}
+	}
+	return false
+}
+
 // batchBlock collapses maximal runs of fused copies and constant stores
 // into single irCopyBatch ops so the whole record build executes inside
 // one closure. Every fused copy lands in a batch, one descriptor long if
-// it stands alone; a lone constant store keeps its own closure.
+// it stands alone; a lone constant store keeps its own closure. A store
+// overlapping a destination already in the run closes it, so the
+// descriptors of one batch write disjoint bytes (they only read ctx) and
+// may run in any order.
 func batchBlock(blk *irBlock) {
 	out := make([]irInsn, 0, len(blk.ops))
 	for i := 0; i < len(blk.ops); i++ {
@@ -270,7 +299,7 @@ func batchBlock(blk *irBlock) {
 		j := i + 1
 		for j < len(blk.ops) {
 			next, ok := batchable(&blk.ops[j])
-			if !ok {
+			if !ok || overlapsRun(run, next) {
 				break
 			}
 			if merged, ok := mergeCopies(run[len(run)-1], next); ok {

@@ -1,6 +1,7 @@
 package ebpf
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -514,6 +515,64 @@ func TestOptCopyBatchMerging(t *testing.T) {
 	}
 	if len(batch.batch) != 1 || batch.batch[0].code != mcCopy88 {
 		t.Fatalf("adjacent copies did not merge to one 8-byte descriptor: %+v", batch.batch)
+	}
+}
+
+// TestOptCopyBatchSplitsOverlap checks that a store overlapping one
+// already in a copy batch starts a new batch: the emitted batch groups
+// its descriptors by form, which only preserves the bytes when no two
+// write the same stack byte. A u32 copy with a u16 copy into its middle,
+// in either order, must emit the interpreter's bytes from two batches.
+func TestOptCopyBatchSplitsOverlap(t *testing.T) {
+	u32 := []Insn{LoadMem(R2, R6, 0, SizeW), StoreMem(R10, -8, R2, SizeW)}
+	u16 := []Insn{LoadMem(R3, R6, 4, SizeW), StoreMem(R10, -7, R3, SizeH)}
+	emit := []Insn{
+		Mov64Reg(R1, R6), Mov64Imm(R2, 0), Mov64Reg(R3, R10), ALU64Imm(ALUAdd, R3, -8),
+		Mov64Imm(R4, 4), Call(HelperPerfEventOutput), Mov64Imm(R0, 0), Exit(),
+	}
+	ctx := make([]byte, 64)
+	for i := range ctx {
+		ctx[i] = byte(i + 1)
+	}
+	for _, tc := range []struct {
+		name   string
+		stores [][]Insn
+	}{{"u32 then u16", [][]Insn{u32, u16}}, {"u16 then u32", [][]Insn{u16, u32}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			insns := append([]Insn{Mov64Reg(R6, R1)}, tc.stores[0]...)
+			insns = append(append(insns, tc.stores[1]...), emit...)
+			p := mustLoad(t, insns, nil)
+			run := func(run func([]byte, Env) (uint64, ExecStats, error)) []byte {
+				env := &testEnv{}
+				if _, _, err := run(ctx, env); err != nil {
+					t.Fatal(err)
+				}
+				if len(env.perf) != 1 {
+					t.Fatalf("%d perf records, want 1", len(env.perf))
+				}
+				return env.perf[0]
+			}
+			want := run(p.RunInterpreted)
+			if got := run(p.Run); !bytes.Equal(got, want) {
+				t.Errorf("Program.Run emitted %x, interpreter %x", got, want)
+			}
+			if got := run(p.NewRunner().Run); !bytes.Equal(got, want) {
+				t.Errorf("Runner.Run emitted %x, interpreter %x", got, want)
+			}
+			ops, err := OptimizedIR(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batches := 0
+			for _, op := range ops {
+				if op.Kind == "copybatch" {
+					batches++
+				}
+			}
+			if batches != 2 {
+				t.Errorf("%d copy batches, want 2: %+v", batches, ops)
+			}
+		})
 	}
 }
 

@@ -83,14 +83,9 @@ type ProbeHandler func(ctx *ProbeCtx) (costNs int64)
 type ProbeRegistry struct {
 	mu     sync.Mutex // serializes the writers: Attach and detach
 	nextID int
-	table  atomic.Pointer[map[string]*probeSite]
-}
-
-// probeSite is one site's immutable dispatch entry. A site that was ever
-// attached keeps its entry (with no handlers) so its fire count survives.
-type probeSite struct {
-	handlers []attachedHandler // ascending id, i.e. attach order
-	fires    *atomic.Uint64    // shared by every rebuild of this site
+	// table maps each site to its handlers in ascending id, i.e. attach
+	// order; a site whose last handler detaches leaves it.
+	table atomic.Pointer[map[string][]attachedHandler]
 }
 
 type attachedHandler struct {
@@ -101,7 +96,7 @@ type attachedHandler struct {
 // NewProbeRegistry returns an empty registry.
 func NewProbeRegistry() *ProbeRegistry {
 	r := &ProbeRegistry{}
-	r.table.Store(&map[string]*probeSite{})
+	r.table.Store(&map[string][]attachedHandler{})
 	return r
 }
 
@@ -130,49 +125,31 @@ func (r *ProbeRegistry) Attach(site string, h ProbeHandler) (detach func()) {
 // flight still read it. Callers hold r.mu.
 func (r *ProbeRegistry) rebuild(site string, edit func([]attachedHandler) []attachedHandler) {
 	next := maps.Clone(*r.table.Load())
-	s := next[site]
-	if s == nil {
-		s = &probeSite{fires: new(atomic.Uint64)}
+	if hs := edit(next[site]); len(hs) > 0 {
+		next[site] = hs
+	} else {
+		delete(next, site)
 	}
-	next[site] = &probeSite{handlers: edit(s.handlers), fires: s.fires}
 	r.table.Store(&next)
 }
 
-// site looks a site up in the current table; nil if it never had a handler.
-func (r *ProbeRegistry) site(name string) *probeSite { return (*r.table.Load())[name] }
+// handlers returns a site's handlers in the current table.
+func (r *ProbeRegistry) handlers(site string) []attachedHandler { return (*r.table.Load())[site] }
 
 // Fire invokes every handler attached at ctx.Site, in attach order, and
 // returns the summed CPU cost. Sites with no handlers cost one table
 // lookup and nothing else, preserving the paper's "no tracing, no
 // overhead" property.
 func (r *ProbeRegistry) Fire(ctx *ProbeCtx) int64 {
-	s := r.site(ctx.Site)
-	if s == nil || len(s.handlers) == 0 {
-		return 0
-	}
-	s.fires.Add(1)
 	var cost int64
-	for _, a := range s.handlers {
+	for _, a := range r.handlers(ctx.Site) {
 		cost += a.h(ctx)
 	}
 	return cost
 }
 
-// Fires reports how many times a site fired with at least one handler.
-func (r *ProbeRegistry) Fires(site string) uint64 {
-	if s := r.site(site); s != nil {
-		return s.fires.Load()
-	}
-	return 0
-}
-
 // Attached reports the number of handlers at a site.
-func (r *ProbeRegistry) Attached(site string) int {
-	if s := r.site(site); s != nil {
-		return len(s.handlers)
-	}
-	return 0
-}
+func (r *ProbeRegistry) Attached(site string) int { return len(r.handlers(site)) }
 
 func (c *ProbeCtx) String() string {
 	return fmt.Sprintf("probe %s cpu=%d dev=%s t=%d", c.Site, c.CPU, c.DevName, c.TimeNs)

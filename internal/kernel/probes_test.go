@@ -72,9 +72,8 @@ func TestProbeDetachDuringFire(t *testing.T) {
 // it runs no handler whose Attach had not been called; it runs every
 // handler whose Attach had returned before the firing began and whose
 // detach had not been called when it ended; it starts no handler whose
-// detach had returned before the firing began; handlers run in attach
-// order; and the site's fire count is the number of firings that ran at
-// least one handler, across every table rebuild in between.
+// detach had returned before the firing began; and handlers run in attach
+// order.
 func TestProbeRegistryConcurrentAttachFire(t *testing.T) {
 	const (
 		sites  = 3
@@ -207,17 +206,12 @@ func TestProbeRegistryConcurrentAttachFire(t *testing.T) {
 
 	var total uint64
 	for s := 0; s < sites; s++ {
-		var want uint64
 		for f := 0; f < firers; f++ {
-			want += withHandlers[f][s]
-		}
-		if got := r.Fires(names[s]); got != want {
-			t.Errorf("site %d: Fires = %d, but %d firings ran at least one handler", s, got, want)
+			total += withHandlers[f][s]
 		}
 		if got := r.Attached(names[s]); got != 0 {
 			t.Errorf("site %d: Attached = %d after every detach", s, got)
 		}
-		total += want
 	}
 	if total == 0 {
 		t.Fatal("no firing overlapped an attachment: the test exercised nothing")

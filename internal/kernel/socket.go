@@ -55,19 +55,33 @@ func (s *Socket) Sent() uint64 { return s.sent }
 
 // Send transmits size zero bytes of payload to dst. See SendBytes.
 func (s *Socket) Send(dst SockAddr, size int) (*vnet.Packet, error) {
-	return s.SendBytes(dst, make([]byte, size))
+	return s.send(dst, newPayload(size))
 }
 
 // SendBytes transmits payload to dst, returning the in-flight packet
 // (callers must not mutate it; the payload slice is copied). The packet
 // leaves the node after the send-path cost elapses.
 func (s *Socket) SendBytes(dst SockAddr, payload []byte) (*vnet.Packet, error) {
+	buf := newPayload(len(payload))
+	copy(buf, payload)
+	return s.send(dst, buf)
+}
+
+// newPayload allocates an n-byte packet payload with room behind it for
+// the UDP trace-ID trailer, so appending the ID does not move the payload.
+func newPayload(n int) []byte {
+	return make([]byte, n, n+udpTraceIDLen)
+}
+
+// udpTraceIDLen is the trace-ID trailer udp_send_skb appends.
+const udpTraceIDLen = 4
+
+// send transmits buf, which the packet takes over, as the payload.
+func (s *Socket) send(dst SockAddr, buf []byte) (*vnet.Packet, error) {
 	if s.closed {
 		return nil, fmt.Errorf("kernel: send on closed socket")
 	}
 	n := s.node
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
 	p := &vnet.Packet{
 		Eth: vnet.EthernetHeader{EtherType: vnet.EtherTypeIPv4},
 		IP: vnet.IPv4Header{
