@@ -107,6 +107,16 @@ bench-join:
 bench-scan:
 	$(GO) test -run NONE -bench BenchmarkTableScan -benchtime 1x -benchmem ./internal/tracedb
 
+# The trace-ID lookup's own numbers: one default-size segment as a head,
+# a resident extent and a spilled one (a hit and a filter false
+# positive), then a table of ~300 spilled extents from 1024-record runs
+# plus a head, looked up by seeded present IDs, reporting µs per lookup
+# and the extents a lookup reads. One iteration, as bench-join; raise
+# -benchtime to measure.
+.PHONY: bench-lookup
+bench-lookup:
+	$(GO) test -run NONE -bench BenchmarkTableLookup -benchtime 1x -benchmem .
+
 # The compiled eBPF engine's own numbers: the record script on a packet
 # it matches and on one it filters out, the aggregation script (the
 # aggregates-bulk probe program) on one flow, the same script over whole
@@ -124,7 +134,7 @@ bench-ebpf:
 # Everything here leaves `git status` clean: what it writes (cover.out,
 # .bench_build/) is ignored.
 .PHONY: check
-check: tier1 fmt vet staticcheck race faults crash fuzz cover bench-build bench-join bench-scan bench-ebpf
+check: tier1 fmt vet staticcheck race faults crash fuzz cover bench-build bench-join bench-scan bench-lookup bench-ebpf
 
 # Opt-in regression gate (not part of check: a 10-pair set takes ~35 min
 # and needs an otherwise idle machine). Exports PARENT under

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"vnettracer/internal/core"
@@ -123,12 +124,14 @@ func BenchmarkTableAppend(b *testing.B) {
 // segment of records: "head" scans them as an unsealed, index-free head
 // (worst case: the head is one record short of sealing and the ID is
 // absent, so every record is compared); "extent" probes them as the one
-// sealed, resident extent whose Bloom filter admits the ID (verify the
-// tail, scan the ID section, decode one block); "extent-spilled-hit" is
-// the same probe against the spilled file (open, one tail read, one block
+// sealed, resident extent whose filter admits the ID (verify the tail,
+// scan the ID section, decode one block); "extent-spilled-hit" is the
+// same probe against the spilled file (open, one tail read, one block
 // read); "extent-spilled-false-positive" is an ID the filter admits but
 // the extent lacks (the tail read and no block). The head carries no
-// index because the first costs less than the others.
+// index because the first costs less than the others. "table" is the
+// lookup as a query meets it: a table of ~300 spilled default-size
+// extents plus a head (tableLookup).
 func BenchmarkTableLookup(b *testing.B) {
 	n := tracedb.DefaultSegmentBytes / core.RecordSize // the next record would seal
 	recs := segmentBenchRecords(n)
@@ -170,6 +173,66 @@ func BenchmarkTableLookup(b *testing.B) {
 	b.Run("extent-spilled-false-positive", func(b *testing.B) {
 		lookup(b, true, true, func(tbl *tracedb.Table, dir string) uint32 { return bloomFalsePositive(b, tbl, dir, absent) }, 0)
 	})
+	b.Run("table", tableLookup)
+}
+
+// tableLookupExtents is how many spilled extents tableLookup's table
+// holds: about what one records-bulk table does.
+const tableLookupExtents = 300
+
+// tableLookup looks up seeded present trace IDs in a table built the way
+// records-bulk builds one: 1024-record runs of random trace IDs, so each
+// default-size extent seals at 6,144 records, ~300 of them spilled, and a
+// head. It reports µs per lookup and the extents a lookup reads, counted
+// by the table itself (StorageStats.LookupReads): one that holds the ID
+// plus the filter's false positives over the rest.
+func tableLookup(b *testing.B) {
+	const run, lookups = 1024, 256
+	db := tracedb.NewWith(tracedb.Config{DataDir: b.TempDir()})
+	tbl, _ := db.CreateTable(1, "lookup")
+	rng := rand.New(rand.NewSource(3))
+	batch := make([]core.Record, run)
+	var targets []core.Record
+	tns, seq, head := uint64(1_000_000), uint64(0), 0
+	for head < 3 { // runs past the last extent, into the head
+		for i := range batch {
+			tns += uint64(800 + rng.Intn(400))
+			batch[i] = core.Record{
+				TraceID: rng.Uint32(), TPID: 1, TimeNs: tns,
+				Len: uint32(64 + rng.Intn(1400)), CPU: uint32(rng.Intn(2)), Seq: seq,
+				SrcIP: 0x0a000001, DstIP: 0x0a000101, SrcPort: uint16(40000 + rng.Intn(4)), DstPort: 9000, Proto: 17,
+			}
+			seq++
+		}
+		targets = append(targets, batch[rng.Intn(run)])
+		db.Insert(batch)
+		if tbl.Extents() == tableLookupExtents {
+			head++
+		}
+	}
+	if st := tbl.Storage(); st.SpilledExtents != tableLookupExtents || st.HeadRecords == 0 {
+		b.Fatalf("fixture: %d spilled extents, %d head records", st.SpilledExtents, st.HeadRecords)
+	}
+	rng.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
+	targets = targets[:lookups]
+	before := tbl.Storage()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, want := range targets {
+			if got := tbl.ByTraceID(want.TraceID); !slices.Contains(got, want) {
+				b.Fatalf("ByTraceID(%#x) = %v, want it to hold %v", want.TraceID, got, want)
+			}
+		}
+	}
+	b.StopTimer()
+	after := tbl.Storage()
+	if errs := after.ReadErrors - before.ReadErrors; errs != 0 {
+		b.Fatalf("%d read errors during the timed lookups", errs)
+	}
+	n := float64(b.N * lookups)
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/n, "us/lookup")
+	b.ReportMetric(float64(after.LookupReads-before.LookupReads)/n, "extents/lookup")
 }
 
 // bloomFalsePositive returns an ID, from first upwards, that tbl holds no

@@ -6,6 +6,7 @@ import (
 )
 
 func TestFig12bOverlayThroughputCollapse(t *testing.T) {
+	t.Parallel()
 	res, err := RunContainerThroughput(20000)
 	if err != nil {
 		t.Fatal(err)
@@ -27,6 +28,7 @@ func TestFig12bOverlayThroughputCollapse(t *testing.T) {
 }
 
 func TestFig13aSoftirqRateAndDistribution(t *testing.T) {
+	t.Parallel()
 	res, err := RunSoftirqDistribution()
 	if err != nil {
 		t.Fatal(err)
@@ -63,6 +65,7 @@ func TestFig13aSoftirqRateAndDistribution(t *testing.T) {
 }
 
 func TestFig13bDataPathDepth(t *testing.T) {
+	t.Parallel()
 	res, err := RunPathTrace()
 	if err != nil {
 		t.Fatal(err)

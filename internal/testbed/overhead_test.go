@@ -5,6 +5,7 @@ import (
 )
 
 func TestFig7aOverheadLatency(t *testing.T) {
+	t.Parallel()
 	res, err := RunOverheadLatency(2000)
 	if err != nil {
 		t.Fatal(err)
@@ -30,6 +31,7 @@ func TestFig7aOverheadLatency(t *testing.T) {
 }
 
 func TestFig7bOverheadThroughput1G(t *testing.T) {
+	t.Parallel()
 	res, err := RunOverheadThroughput(Gbps, 20000)
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +52,7 @@ func TestFig7bOverheadThroughput1G(t *testing.T) {
 }
 
 func TestFig7bOverheadThroughput10G(t *testing.T) {
+	t.Parallel()
 	res, err := RunOverheadThroughput(10*Gbps, 20000)
 	if err != nil {
 		t.Fatal(err)

@@ -15,6 +15,7 @@ func runCase(t *testing.T, cfg OVSCaseConfig) OVSCaseResult {
 }
 
 func TestFig8bCongestionRaisesTailLatency(t *testing.T) {
+	t.Parallel()
 	caseI := runCase(t, OVSCaseConfig{})
 	caseII := runCase(t, OVSCaseConfig{IperfVM0: 1})
 	caseIII := runCase(t, OVSCaseConfig{IperfVM0: 1, ExtraVMs: 1})
@@ -34,6 +35,7 @@ func TestFig8bCongestionRaisesTailLatency(t *testing.T) {
 }
 
 func TestFig9aOVSDominatesDecomposition(t *testing.T) {
+	t.Parallel()
 	res := runCase(t, OVSCaseConfig{IperfVM0: 1})
 	var ovsMean, otherMean float64
 	for _, s := range res.Segments {
@@ -54,6 +56,7 @@ func TestFig9aOVSDominatesDecomposition(t *testing.T) {
 }
 
 func TestFig9aIngressSaturationGapFlat(t *testing.T) {
+	t.Parallel()
 	caseII := runCase(t, OVSCaseConfig{IperfVM0: 1})
 	caseIIPlus := runCase(t, OVSCaseConfig{IperfVM0: 3})
 	ovsII := segMean(t, caseII, "ovs")
@@ -67,6 +70,7 @@ func TestFig9aIngressSaturationGapFlat(t *testing.T) {
 }
 
 func TestFig9aCrossPortGapGrows(t *testing.T) {
+	t.Parallel()
 	caseIII := runCase(t, OVSCaseConfig{IperfVM0: 1, ExtraVMs: 1})
 	caseIIIPlus := runCase(t, OVSCaseConfig{IperfVM0: 1, ExtraVMs: 3})
 	ovsIII := segMean(t, caseIII, "ovs")
@@ -79,6 +83,7 @@ func TestFig9aCrossPortGapGrows(t *testing.T) {
 }
 
 func TestFig9bRateLimitRestoresLatency(t *testing.T) {
+	t.Parallel()
 	congested := runCase(t, OVSCaseConfig{IperfVM0: 1, ExtraVMs: 1})
 	policed := runCase(t, OVSCaseConfig{IperfVM0: 1, ExtraVMs: 1, Police: true})
 	if policed.PolicerDrops == 0 {
@@ -97,6 +102,7 @@ func TestFig9bRateLimitRestoresLatency(t *testing.T) {
 }
 
 func TestFig9bHTBShaperSimilar(t *testing.T) {
+	t.Parallel()
 	// Paper: "we also tried setting QoS policy with Hierarchy Token Bucket
 	// (HTB) at the virtual port of OVS ... The effect was similar as the
 	// results using rate limit".

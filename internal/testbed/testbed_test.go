@@ -3,6 +3,7 @@ package testbed
 import "testing"
 
 func TestNewLatencyStats(t *testing.T) {
+	t.Parallel()
 	ns := make([]int64, 1000)
 	for i := range ns {
 		ns[i] = int64(i+1) * 1000 // 1..1000 us
@@ -27,6 +28,7 @@ func TestNewLatencyStats(t *testing.T) {
 }
 
 func TestCaseLabels(t *testing.T) {
+	t.Parallel()
 	tests := []struct {
 		cfg  OVSCaseConfig
 		want string
@@ -45,6 +47,7 @@ func TestCaseLabels(t *testing.T) {
 }
 
 func TestXenLabels(t *testing.T) {
+	t.Parallel()
 	if got := xenLabel(XenConfig{}); got != "baseline (I/O VM alone)" {
 		t.Errorf("label = %q", got)
 	}

@@ -20,6 +20,7 @@ func runXen(t *testing.T, cfg XenConfig) XenResult {
 }
 
 func TestFig10aXenSockperfTailLatency(t *testing.T) {
+	t.Parallel()
 	base := runXen(t, XenConfig{Workload: XenSockperf})
 	cons := runXen(t, XenConfig{Workload: XenSockperf, Consolidated: true, RatelimitUs: 1000})
 	fixed := runXen(t, XenConfig{Workload: XenSockperf, Consolidated: true, RatelimitUs: 0})
@@ -39,6 +40,7 @@ func TestFig10aXenSockperfTailLatency(t *testing.T) {
 }
 
 func TestFig10bXenMemcachedLatency(t *testing.T) {
+	t.Parallel()
 	base := runXen(t, XenConfig{Workload: XenMemcached, Requests: 3000})
 	cons := runXen(t, XenConfig{Workload: XenMemcached, Consolidated: true, RatelimitUs: 1000, Requests: 3000})
 	fixed := runXen(t, XenConfig{Workload: XenMemcached, Consolidated: true, RatelimitUs: 0, Requests: 3000})
@@ -63,6 +65,7 @@ func TestFig10bXenMemcachedLatency(t *testing.T) {
 }
 
 func TestFig11aIdleDecompositionWireDominates(t *testing.T) {
+	t.Parallel()
 	res := runXen(t, XenConfig{Workload: XenSockperf})
 	// Paper: "when the I/O-bound VM executed alone, the client-to-server
 	// transmission delay dominated the one way latency": the eth0->xenbr0
@@ -81,6 +84,7 @@ func TestFig11aIdleDecompositionWireDominates(t *testing.T) {
 }
 
 func TestFig11bSchedulingDelayDominatesAndSawtooths(t *testing.T) {
+	t.Parallel()
 	res := runXen(t, XenConfig{Workload: XenSockperf, Consolidated: true, RatelimitUs: 1000})
 
 	// Paper: "the time spent between the backend vif1.0 in Dom0 and
@@ -131,6 +135,7 @@ func TestFig11bSchedulingDelayDominatesAndSawtooths(t *testing.T) {
 }
 
 func TestXenCredit1AlsoAffected(t *testing.T) {
+	t.Parallel()
 	// Paper: "such a solution also works for the same issue in credit1".
 	cons := runXen(t, XenConfig{Workload: XenSockperf, Consolidated: true, RatelimitUs: 1000, Policy: hyper.Credit1})
 	fixed := runXen(t, XenConfig{Workload: XenSockperf, Consolidated: true, RatelimitUs: 0, Policy: hyper.Credit1})
@@ -141,6 +146,7 @@ func TestXenCredit1AlsoAffected(t *testing.T) {
 }
 
 func TestXenSkewEstimationAccurate(t *testing.T) {
+	t.Parallel()
 	res := runXen(t, XenConfig{Workload: XenSockperf})
 	err := res.SkewEstimateNs - res.SkewTruthNs
 	if err < 0 {
@@ -154,6 +160,7 @@ func TestXenSkewEstimationAccurate(t *testing.T) {
 }
 
 func TestXenTracedDiagnosisMatchesGroundTruth(t *testing.T) {
+	t.Parallel()
 	// The traced vif->eth1 segment must agree with the scheduler's own
 	// wake-delay accounting: the tracer's diagnosis is correct.
 	res := runXen(t, XenConfig{Workload: XenSockperf, Consolidated: true, RatelimitUs: 1000})

@@ -59,6 +59,9 @@ type Table struct {
 	// spilled file evicted between snapshot and read). Queries skip the
 	// extent and keep going; the counter keeps the skip visible.
 	readErrors atomic.Uint64
+	// lookupReads counts the extents trace-ID lookups read (see
+	// StorageStats.LookupReads).
+	lookupReads atomic.Uint64
 }
 
 func newTable(db *DB, tpid uint32, name string) *Table {
@@ -409,6 +412,7 @@ func (t *Table) lookupSealed(exts []*Extent, id uint32) []core.Record {
 			rd = readers.Get().(*extentReader)
 			defer readers.Put(rd)
 		}
+		t.lookupReads.Add(1)
 		var err error
 		if out, err = e.lookup(rd, id, out); err != nil {
 			t.readErrors.Add(1)
@@ -432,6 +436,7 @@ func (t *Table) Storage() StorageStats {
 		EvictedRecords: t.evictedRecords,
 		EvictedExtents: t.evictedExtents,
 		ReadErrors:     t.readErrors.Load(),
+		LookupReads:    t.lookupReads.Load(),
 		SpillErrors:    t.spillErrors,
 	}
 	if t.lastSpillErr != nil {

@@ -234,6 +234,10 @@ type StorageStats struct {
 	EvictedRecords uint64
 	EvictedExtents uint64
 	ReadErrors     uint64
+	// LookupReads counts the extents trace-ID lookups have read. Each
+	// was admitted by its filter; those that held no match were false
+	// positives.
+	LookupReads uint64
 
 	// SpillErrors counts sealed extents that failed to write to the data
 	// directory (the blob stayed resident, so nothing was lost in memory
@@ -276,6 +280,7 @@ func (s *StorageStats) Add(o StorageStats) {
 	s.EvictedRecords += o.EvictedRecords
 	s.EvictedExtents += o.EvictedExtents
 	s.ReadErrors += o.ReadErrors
+	s.LookupReads += o.LookupReads
 	s.SpillErrors += o.SpillErrors
 	if s.LastSpillError == "" {
 		s.LastSpillError = o.LastSpillError
