@@ -66,17 +66,19 @@ conformance:
 
 # Native fuzz targets, one short burst each (Go runs one -fuzz target
 # per invocation). The committed corpora under testdata/fuzz replay in
-# plain `go test` runs; this explores beyond them.
+# plain `go test` runs; this explores beyond them. Minimising each new
+# input is bounded at 100 execs: Go's default of 60 s per input let one
+# new input stall a worker for the whole burst, its execs uncounted.
 FUZZTIME ?= 5s
 .PHONY: fuzz
 fuzz:
-	$(GO) test -run NONE -fuzz FuzzDecodeBatchFrame -fuzztime $(FUZZTIME) ./internal/control
-	$(GO) test -run NONE -fuzz FuzzTraceIDStrip -fuzztime $(FUZZTIME) ./internal/vnet
-	$(GO) test -run NONE -fuzz FuzzVerifyProgram -fuzztime $(FUZZTIME) ./internal/ebpf
-	$(GO) test -run NONE -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME) ./internal/tracedb
-	$(GO) test -run NONE -fuzz FuzzDecodeAggFrame -fuzztime $(FUZZTIME) ./internal/control
-	$(GO) test -run NONE -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) ./internal/tracedb
-	$(GO) test -run NONE -fuzz FuzzLatenciesOf -fuzztime $(FUZZTIME) ./internal/metrics
+	$(GO) test -run NONE -fuzz FuzzDecodeBatchFrame -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/control
+	$(GO) test -run NONE -fuzz FuzzTraceIDStrip -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/vnet
+	$(GO) test -run NONE -fuzz FuzzVerifyProgram -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/ebpf
+	$(GO) test -run NONE -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/tracedb
+	$(GO) test -run NONE -fuzz FuzzDecodeAggFrame -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/control
+	$(GO) test -run NONE -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/tracedb
+	$(GO) test -run NONE -fuzz FuzzLatenciesOf -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/metrics
 
 # Coverage summary over the whole module.
 .PHONY: cover
@@ -110,9 +112,11 @@ bench-scan:
 # The trace-ID lookup's own numbers: one default-size segment as a head,
 # a resident extent and a spilled one (a hit and a filter false
 # positive), then a table of ~300 spilled extents from 1024-record runs
-# plus a head, looked up by seeded present IDs, reporting µs per lookup
-# and the extents a lookup reads. One iteration, as bench-join; raise
-# -benchtime to measure.
+# plus a head, looked up by seeded present IDs, reporting µs per lookup,
+# the extents a lookup reads, and the extent files the store keeps open
+# (all 300, within the DB's handle budget, so no lookup opens a file; a
+# hit verifies one block and decodes the one row it asks for). One
+# iteration, as bench-join; raise -benchtime to measure.
 .PHONY: bench-lookup
 bench-lookup:
 	$(GO) test -run NONE -bench BenchmarkTableLookup -benchtime 1x -benchmem .

@@ -7,7 +7,6 @@ package vnettracer
 
 import (
 	"math/rand"
-	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -125,13 +124,14 @@ func BenchmarkTableAppend(b *testing.B) {
 // (worst case: the head is one record short of sealing and the ID is
 // absent, so every record is compared); "extent" probes them as the one
 // sealed, resident extent whose filter admits the ID (verify the tail,
-// scan the ID section, decode one block); "extent-spilled-hit" is the
-// same probe against the spilled file (open, one tail read, one block
-// read); "extent-spilled-false-positive" is an ID the filter admits but
-// the extent lacks (the tail read and no block). The head carries no
-// index because the first costs less than the others. "table" is the
-// lookup as a query meets it: a table of ~300 spilled default-size
-// extents plus a head (tableLookup).
+// scan the ID section, verify one block and decode the matching row);
+// "extent-spilled-hit" is the same probe against the spilled file (one
+// tail read and one block read through the file the store keeps open);
+// "extent-spilled-false-positive" is an ID the filter admits but the
+// extent lacks (the tail read and no block). The head carries no index
+// because the first costs less than the others. "table" is the lookup as
+// a query meets it: a table of ~300 spilled default-size extents plus a
+// head (tableLookup).
 func BenchmarkTableLookup(b *testing.B) {
 	n := tracedb.DefaultSegmentBytes / core.RecordSize // the next record would seal
 	recs := segmentBenchRecords(n)
@@ -171,7 +171,7 @@ func BenchmarkTableLookup(b *testing.B) {
 	b.Run("extent", func(b *testing.B) { lookup(b, true, false, fixed(hit), 1) })
 	b.Run("extent-spilled-hit", func(b *testing.B) { lookup(b, true, true, fixed(hit), 1) })
 	b.Run("extent-spilled-false-positive", func(b *testing.B) {
-		lookup(b, true, true, func(tbl *tracedb.Table, dir string) uint32 { return bloomFalsePositive(b, tbl, dir, absent) }, 0)
+		lookup(b, true, true, func(tbl *tracedb.Table, dir string) uint32 { return bloomFalsePositive(b, tbl, absent) }, 0)
 	})
 	b.Run("table", tableLookup)
 }
@@ -185,10 +185,13 @@ const tableLookupExtents = 300
 // default-size extent seals at 6,144 records, ~300 of them spilled, and a
 // head. It reports µs per lookup and the extents a lookup reads, counted
 // by the table itself (StorageStats.LookupReads): one that holds the ID
-// plus the filter's false positives over the rest.
+// plus the filter's false positives over the rest. Every extent is within
+// the DB's handle budget, so the store keeps all their files open
+// (StorageStats.OpenHandles, reported too) and no lookup opens one.
 func tableLookup(b *testing.B) {
 	const run, lookups = 1024, 256
 	db := tracedb.NewWith(tracedb.Config{DataDir: b.TempDir()})
+	defer db.Close()
 	tbl, _ := db.CreateTable(1, "lookup")
 	rng := rand.New(rand.NewSource(3))
 	batch := make([]core.Record, run)
@@ -210,8 +213,8 @@ func tableLookup(b *testing.B) {
 			head++
 		}
 	}
-	if st := tbl.Storage(); st.SpilledExtents != tableLookupExtents || st.HeadRecords == 0 {
-		b.Fatalf("fixture: %d spilled extents, %d head records", st.SpilledExtents, st.HeadRecords)
+	if st := tbl.Storage(); st.SpilledExtents != tableLookupExtents || st.OpenHandles != tableLookupExtents || st.HeadRecords == 0 {
+		b.Fatalf("fixture: %d spilled extents, %d open handles, %d head records", st.SpilledExtents, st.OpenHandles, st.HeadRecords)
 	}
 	rng.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
 	targets = targets[:lookups]
@@ -233,32 +236,21 @@ func tableLookup(b *testing.B) {
 	n := float64(b.N * lookups)
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/n, "us/lookup")
 	b.ReportMetric(float64(after.LookupReads-before.LookupReads)/n, "extents/lookup")
+	b.ReportMetric(float64(after.OpenHandles), "open-handles")
 }
 
 // bloomFalsePositive returns an ID, from first upwards, that tbl holds no
 // record of but its one spilled extent's Bloom filter admits. The filter
-// is not exported, so the extent's file is moved aside while probing: a
-// lookup the filter rejects never touches the file, one it admits fails
-// to open it and is counted as a read error. The table is left as it was,
-// with its read-error count raised by one.
-func bloomFalsePositive(b *testing.B, tbl *tracedb.Table, dir string, first uint32) uint32 {
-	files, err := filepath.Glob(filepath.Join(dir, "*.vnx"))
-	if err != nil || len(files) != 1 {
-		b.Fatalf("extent files in %s: %v, %v", dir, files, err)
-	}
-	aside := files[0] + ".aside"
-	if err := os.Rename(files[0], aside); err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		if err := os.Rename(aside, files[0]); err != nil {
-			b.Fatal(err)
-		}
-	}()
-	before := tbl.Storage().ReadErrors
+// is not exported, but a lookup it admits reads the extent and is
+// counted in StorageStats.LookupReads, so an absent ID that moves the
+// count is a false positive.
+func bloomFalsePositive(b *testing.B, tbl *tracedb.Table, first uint32) uint32 {
 	for id := first; id < first+1<<20; id++ {
-		tbl.ByTraceID(id)
-		if tbl.Storage().ReadErrors != before {
+		before := tbl.Storage().LookupReads
+		if got := tbl.ByTraceID(id); len(got) != 0 {
+			b.Fatalf("ByTraceID(%d) of an absent ID = %v", id, got)
+		}
+		if tbl.Storage().LookupReads != before {
 			return id
 		}
 	}

@@ -146,6 +146,9 @@ func runCollector(args []string) error {
 					fmt.Fprintf(os.Stderr, "wal close: %v\n", err)
 				}
 			}
+			if err := db.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "store close: %v\n", err)
+			}
 			return nil
 		case <-tick.C:
 			_, records, _ := col.Stats()

@@ -331,6 +331,13 @@ func runStorage(path, walDir string, cfg tracedb.Config) error {
 			fmt.Printf("  evicted %d records in %d segments, %d read errors\n",
 				s.EvictedRecords, s.EvictedExtents, s.ReadErrors)
 		}
+		if s.SpilledExtents > 0 || s.HandleBudget > 0 {
+			fmt.Printf("  open extent files: %d", s.OpenHandles)
+			if s.HandleBudget > 0 {
+				fmt.Printf(" (budget %d)", s.HandleBudget)
+			}
+			fmt.Println()
+		}
 		if s.SpillErrors > 0 {
 			fmt.Printf("  spill errors: %d (last: %s)\n", s.SpillErrors, s.LastSpillError)
 		}

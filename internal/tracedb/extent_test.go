@@ -2,7 +2,6 @@ package tracedb
 
 import (
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -52,10 +51,12 @@ func newDamageFixture(t *testing.T) *damageFixture {
 	admit(damageExtents+1, damageExtents*damageExtentRecords, damageHeadRecords)
 	f := &damageFixture{db: db, dur: dur, dcfg: dcfg}
 	f.tbl, _ = db.Table(1)
-	if st := f.tbl.Storage(); st.SpilledExtents != damageExtents || st.HeadRecords != damageHeadRecords {
+	// Every extent keeps its file open, so the damage below is done to
+	// files already open: what a kept handle must not paper over.
+	if st := f.tbl.Storage(); st.SpilledExtents != damageExtents || st.OpenHandles != damageExtents || st.HeadRecords != damageHeadRecords {
 		t.Fatalf("fixture: %+v", st)
 	}
-	t.Cleanup(func() { f.dur.Close() })
+	t.Cleanup(func() { f.dur.Close(); f.db.Close() })
 	return f
 }
 
@@ -68,6 +69,9 @@ func (f *damageFixture) extentPath(seq int) string {
 func (f *damageFixture) recover(t *testing.T) RecoveryStats {
 	t.Helper()
 	if err := f.dur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.db.Close(); err != nil {
 		t.Fatal(err)
 	}
 	f.db = NewWith(f.db.Config())
@@ -133,8 +137,9 @@ func (f *damageFixture) checkExtentMissing(t *testing.T, readErrs bool) {
 	}
 }
 
-// TestFailedExtentDeliversNothing damages one spilled extent four ways
-// and checks, on the live table that sealed it and on a store recovered
+// TestFailedExtentDeliversNothing damages one spilled extent four ways,
+// each in place, under the open handle the table keeps for it, and
+// checks, on the live table that sealed it and on a store recovered
 // from the same directory, that the extent contributes no record to any
 // query — not the prefix that decodes before the damage — while every
 // other extent still answers, and that each failure is counted: as a read
@@ -207,7 +212,7 @@ func TestAdoptForgedCountIsCorruptNotFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	forgeries := forgedExtents(t, genuine)
-	for _, name := range []string{"corrupt block", "wrong block crc", "bad magic", "future version", "retired version"} {
+	for _, name := range append([]string{"corrupt block", "wrong block crc", "bad magic", "future version", "retired version"}, columnForgeries...) {
 		delete(forgeries, name) // the tail verifies: adoption reads neither header nor blocks
 	}
 	// A real version 1 file (one all-zero record) has no tail at all.
@@ -229,28 +234,6 @@ func TestAdoptForgedCountIsCorruptNotFatal(t *testing.T) {
 		}
 		f.checkExtentMissing(t, false)
 	}
-}
-
-// forgeBlock returns a copy of an extent blob whose block k edit has
-// changed in place, without changing its length, with the block's
-// directory CRC and the tail CRC made good again: a forgery only decoding
-// can catch.
-func forgeBlock(t *testing.T, blob []byte, k int, edit func(blk []byte, n int, x *extentTail)) []byte {
-	t.Helper()
-	b := slices.Clone(blob)
-	x, err := viewExtent(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, end, n := x.tail.blockSpan(k)
-	edit(b[off:end], n, &x.tail)
-	dir := len(b) - extentTrailerLen - len(x.tail.dir)
-	le.PutUint32(b[dir+dirEntryLen*k+8:], crc32.Checksum(b[off:end], castagnoli))
-	resealTail(b)
-	if _, err := viewExtent(b); err != nil {
-		t.Fatalf("forgery does not verify: %v", err)
-	}
-	return b
 }
 
 // TestForgedColumnsDeliverNothing forges the middle extent of three with

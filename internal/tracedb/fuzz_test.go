@@ -38,10 +38,13 @@ func fuzzRecords() []core.Record {
 // attacker-controlled). Nothing but a current-version blob may decode.
 // Whatever decodes must survive an encode→decode→re-encode round trip
 // with identical record values (byte-identity is not required: Go's
-// uvarint reader accepts non-minimal encodings that re-encode shorter),
-// and every distinct trace ID's point lookup must return exactly what a
-// filter over the full decode returns, in order. A table holding the blob
-// as a sealed extent must scan it all or nothing (checkScanAllOrNone).
+// uvarint reader accepts non-minimal encodings that re-encode shorter).
+// Wherever the tail and every checksum verify, point lookups are held
+// against block decode (checkLookupsMatchDecode): an ID whose blocks
+// decode comes back exactly as they decode, in order, and one with a row
+// in a block that fails returns an error and no records; and the whole
+// blob decodes exactly when every block does. A table holding the blob as
+// a sealed extent must scan it all or nothing (checkScanAllOrNone).
 func FuzzSegmentDecode(f *testing.F) {
 	recs := fuzzRecords()
 	valid := encodeExtent(2, recs)
@@ -69,13 +72,17 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		tpid, got, err := decodeExtentBytes(blob)
 		checkScanAllOrNone(t, blob, got, err == nil)
+		if _, verr := viewExtent(blob); verr == nil {
+			if failed := checkLookupsMatchDecode(t, blob); (failed == 0) != (err == nil) {
+				t.Fatalf("%d blocks fail to decode, and the extent's decode returned %v", failed, err)
+			}
+		}
 		if err != nil {
 			return
 		}
 		if blob[4] != extentVersion {
 			t.Fatalf("a version %d blob decoded", blob[4])
 		}
-		checkLookupsMatchDecode(t, blob, got)
 		// A successful decode must be exactly re-encodable: seal the
 		// decoded records again and decode once more — the record values
 		// must match field for field.

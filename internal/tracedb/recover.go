@@ -361,7 +361,7 @@ func reopenExtents(db *DB, sealFence map[uint32]int, replayable bool, stats *Rec
 			drop = append(drop, path)
 			continue
 		}
-		ext, err := reopenExtent(path, tpid, seq)
+		ext, err := reopenExtent(path, tpid, seq, &db.handles)
 		if err != nil {
 			stats.CorruptExtents++
 			continue

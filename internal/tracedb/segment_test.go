@@ -279,9 +279,10 @@ func TestSpilledExtentSurvivesReopen(t *testing.T) {
 	}
 }
 
-// TestEvictionDuringScanIsCounted: a spilled extent whose file disappears
-// mid-query is skipped and surfaces in ReadErrors rather than failing the
-// scan.
+// TestEvictionDuringScanIsCounted: a spilled extent evicted the way
+// retention evicts one (Extent.remove: its file closed, then unlinked)
+// while a scan's snapshot still holds it is skipped and surfaces in
+// ReadErrors rather than failing the scan.
 func TestEvictionDuringScanIsCounted(t *testing.T) {
 	dir := t.TempDir()
 	db := NewWith(Config{SegmentBytes: 4 * core.RecordSize, DataDir: dir})
@@ -291,8 +292,9 @@ func TestEvictionDuringScanIsCounted(t *testing.T) {
 	if len(files) != 3 {
 		t.Fatalf("spill files = %v", files)
 	}
-	if err := os.Remove(files[0]); err != nil {
-		t.Fatal(err)
+	tbl.sealed[0].remove(&db.handles)
+	if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
+		t.Fatalf("evicted extent's file: %v", err)
 	}
 	n := 0
 	tbl.Scan(func(core.Record) bool { n++; return true })
