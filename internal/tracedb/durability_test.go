@@ -405,6 +405,27 @@ func TestSpillErrorsSurfaced(t *testing.T) {
 	}
 }
 
+// TestSpillRemakesRemovedDataDir: a data directory removed after the
+// first seal (by a tmp cleaner, an operator) is made again by the next
+// spill, which lands with no spill error.
+func TestSpillRemakesRemovedDataDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	db := NewWith(Config{SegmentBytes: 2 * core.RecordSize, DataDir: dir})
+	db.Insert(batchRecs(1, 1, 2))
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	db.Insert(batchRecs(1, 3, 2))
+	tot := db.StorageTotals()
+	if tot.SpillErrors != 0 || tot.SpilledExtents != 2 {
+		t.Fatalf("%d spill errors (%s), %d spilled extents; want 0 and 2", tot.SpillErrors, tot.LastSpillError, tot.SpilledExtents)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*.vnx")); len(files) != 1 {
+		t.Fatalf("%d extent files in the remade directory, want 1", len(files))
+	}
+	db.Close()
+}
+
 func TestParseFsyncPolicy(t *testing.T) {
 	for in, want := range map[string]FsyncPolicy{
 		"always": FsyncAlways, "interval": FsyncInterval, "never": FsyncNever,

@@ -153,8 +153,8 @@ func (s *Session) FailCollector(name string) ([]control.Rehome, error) {
 // RecoverCollector rebuilds a crashed durable collector purely from its
 // directories — adopted extents, the latest checkpoint and the WAL tail —
 // and rejoins it to the tier (control.Dispatcher.RecoverCollector). The dead
-// incarnation is abandoned unread, and the merged query view reads the
-// new one.
+// incarnation is abandoned unread, its log and store closed before the new
+// one opens, and the merged query view reads the new one.
 func (s *Session) RecoverCollector(name string) ([]control.Rehome, tracedb.RecoveryStats, error) {
 	sc, err := s.collector(name)
 	if err != nil {
@@ -167,6 +167,7 @@ func (s *Session) RecoverCollector(name string) ([]control.Rehome, tracedb.Recov
 		sc.dur.Close() // the dead incarnation's log handle
 		sc.dur = nil
 	}
+	sc.col.DB().Close() // and the extent files its store keeps open
 	sink, rec, err := s.open(sc)
 	if err != nil {
 		return nil, rec, err
@@ -188,13 +189,16 @@ func (s *Session) Durability(name string) *tracedb.Durability {
 	return nil
 }
 
-// Close syncs and closes every durable collector's write-ahead log.
+// Close syncs and closes every durable collector's write-ahead log, then
+// closes every collector's store (tracedb.DB.Close). Nothing may be read
+// from the session after it.
 func (s *Session) Close() error {
 	var errs []error
 	for _, sc := range s.cols {
 		if sc.dur != nil {
 			errs = append(errs, sc.dur.Close())
 		}
+		errs = append(errs, sc.col.DB().Close())
 	}
 	return errors.Join(errs...)
 }
