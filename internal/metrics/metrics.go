@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 
 	"vnettracer/internal/core"
@@ -109,8 +110,7 @@ func Latencies(a, b *tracedb.Merged) []LatencySample {
 // samples in (Seq, TraceID) order. Each source is scanned once (see
 // join.go). Callers pass already-aligned sources.
 func LatenciesOf(a, b RecordSource) []LatencySample {
-	var tab joinTable
-	return tab.join(partition(a), partition(b))
+	return newJoiner(runtime.GOMAXPROCS(0)).join(partition(a), partition(b))
 }
 
 // Values extracts the nanosecond latencies from samples.
@@ -201,11 +201,11 @@ func Decompose(stages []*tracedb.Merged) ([]Segment, error) {
 // and then side a of the hop that starts there.
 func decompose(stages []RecordSource) [][]LatencySample {
 	out := make([][]LatencySample, 0, len(stages)-1)
-	var tab joinTable
+	j := newJoiner(runtime.GOMAXPROCS(0))
 	a := partition(stages[0])
 	for _, st := range stages[1:] {
 		b := partition(st)
-		out = append(out, tab.join(a, b))
+		out = append(out, j.join(a, b))
 		a = b
 	}
 	return out

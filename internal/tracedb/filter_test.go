@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -141,4 +142,65 @@ func TestNextIDStraddles(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzIDFilter is the oracle for the two structures a point lookup trusts
+// before it decodes: the trace-ID filter and the ID-section scan. The
+// first input is an ID set (little-endian words), the second an extent's
+// ID section (cut to whole IDs). A filter holding the set must admit
+// every ID in it; and for every ID of the set, and every ID the section
+// holds straddled across two of its own (so straddling hits are common,
+// not lucky), nextID must walk exactly the aligned positions a naive
+// scan finds, from every start it is asked to resume at.
+func FuzzIDFilter(f *testing.F) {
+	word := func(ids ...uint32) []byte {
+		b := make([]byte, 4*len(ids))
+		for i, id := range ids {
+			le.PutUint32(b[4*i:], id)
+		}
+		return b
+	}
+	f.Add([]byte{}, []byte{})
+	f.Add(word(1, 2, 3), word(3, 2, 1, 3))
+	f.Add(word(0x44332211), word(0x22110000, 0x77004433, 0x44332211, 0x22110005, 0x77004433))
+	f.Add(word(0, 0xffffffff, 1<<16), word(0xffffffff, 0xffff0000, 0x0000ffff, 0))
+	f.Fuzz(func(t *testing.T, set, section []byte) {
+		const maxIDs = 1 << 12
+		set, section = set[:min(len(set), 4*maxIDs)&^3], section[:min(len(section), 4*maxIDs)&^3]
+		var probes []uint32
+		for i := 0; i < len(set); i += 4 {
+			probes = append(probes, le.Uint32(set[i:]))
+		}
+		filter := newIDFilter(len(probes))
+		for _, id := range probes {
+			filter.add(id)
+		}
+		for _, id := range probes {
+			if !filter.mayContain(id) {
+				t.Fatalf("false negative for ID %#x in a filter of %d IDs", id, len(probes))
+			}
+		}
+		for off := 2; off+4 <= len(section) && off < 64; off += 4 {
+			probes = append(probes, le.Uint32(section[off:]))
+		}
+		n := len(section) / 4
+		for _, id := range probes[:min(len(probes), 64)] {
+			var want []int
+			for i := 0; i < n; i++ {
+				if le.Uint32(section[4*i:]) == id {
+					want = append(want, i)
+				}
+			}
+			var got []int
+			for i := nextID(section, id, 0); i >= 0; i = nextID(section, id, i+1) {
+				if len(got) > len(want) {
+					break
+				}
+				got = append(got, i)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("ID %#x in %d IDs: nextID walked %v, want %v", id, n, got, want)
+			}
+		}
+	})
 }
