@@ -178,6 +178,12 @@ nochange:
 loc:
 	@bash scripts/loc.sh
 
+# The record path's wire numbers at the records-bulk batch of 2048:
+# encode (AppendBatchFrame, one copy of the records' bytes, plus
+# wire-bytes/record), decode (DecodeBatchFrame viewing a section placed
+# as the TCP server places it) and the agent flush (ring drain into the
+# batch's record array, to a sink that keeps nothing), each in
+# ns/record; then the collector's ingest at 128-record batches.
 .PHONY: bench-wire
 bench-wire:
 	$(GO) test -run NONE -bench 'BenchmarkBatchWireEncoding|BenchmarkCollectorIngest' .

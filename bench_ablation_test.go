@@ -36,26 +36,88 @@ func benchBatch(n int, tables uint32) control.RecordBatch {
 	return control.RecordBatch{Agent: "agent0", AgentTimeNs: 123456789, Records: recs, RingDrops: 3}
 }
 
-// BenchmarkBatchWireEncoding measures the v4 binary batch frame: encode
-// plus decode cost and bytes per record on the wire. The frame is the
-// fixed 48-byte record layout behind a 41-byte header, so it must land at
-// or under 52 bytes/record amortized.
+// BenchmarkBatchWireEncoding measures the v4 binary batch frame and the
+// agent flush that feeds it, at the 2048-record batch of the pipeline
+// benchmark's records-bulk workload:
+//   - encode: AppendBatchFrame into a recycled buffer, and the bytes per
+//     record on the wire (the fixed 48-byte record behind a 41-byte
+//     header, so at or under 52 amortized);
+//   - decode: DecodeBatchFrame of a body placed as the TCP server's
+//     readBody places it, its record section aligned;
+//   - agent-flush: the ring drain into the batch's record array, through
+//     the spool to a sink that keeps nothing (the ring refill is outside
+//     the clock).
+//
+// Each reports ns/record beside ns/op.
 func BenchmarkBatchWireEncoding(b *testing.B) {
-	const recordsPerBatch = 256
+	const recordsPerBatch = 2048
 	batch := benchBatch(recordsPerBatch, 4)
-	var wire int
-	for i := 0; i < b.N; i++ {
-		body, err := control.EncodeBatchFrame(&batch)
+	perRecord := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/recordsPerBatch, "ns/record")
+	}
+	body, err := control.EncodeBatchFrame(&batch)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	b.Run("encode", func(b *testing.B) {
+		buf := make([]byte, 0, len(body))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if buf, err = control.AppendBatchFrame(buf[:0], &batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perRecord(b)
+		b.ReportMetric(float64(4+len(buf))/recordsPerBatch, "wire-bytes/record")
+	})
+
+	b.Run("decode", func(b *testing.B) {
+		section := len(body) - recordsPerBatch*core.RecordSize
+		spare := make([]byte, len(body)+core.RecordAlign-1)
+		pad := core.AlignPad(spare[section:])
+		placed := spare[pad : pad+len(body)]
+		copy(placed, body)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := control.DecodeBatchFrame(placed); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perRecord(b)
+	})
+
+	b.Run("agent-flush", func(b *testing.B) {
+		const cpus = 4
+		node := kernel.NewNode(sim.NewEngine(1), kernel.NodeConfig{Name: "bench", NumCPU: cpus})
+		machine, err := core.NewMachine(node, 64<<10)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := control.DecodeBatchFrame(body); err != nil {
-			b.Fatal(err)
+		agent := control.NewAgent("agent0", machine, discardSink{})
+		wire := core.RecordBytes(batch.Records)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for off := 0; off < len(wire); off += core.RecordSize {
+				machine.Ring.Emit(uint32(off/core.RecordSize)%cpus, wire[off:off+core.RecordSize])
+			}
+			b.StartTimer()
+			if err := agent.Flush(); err != nil {
+				b.Fatal(err)
+			}
 		}
-		wire = 4 + len(body) // transport length prefix + body
-	}
-	b.ReportMetric(float64(wire)/recordsPerBatch, "wire-bytes/record")
+		perRecord(b)
+	})
 }
+
+// discardSink acknowledges every batch and keeps nothing.
+type discardSink struct{}
+
+func (discardSink) HandleBatch(control.RecordBatch) error { return nil }
 
 // BenchmarkCollectorIngest measures the sharded store's ingest path over
 // batches spread across several tracepoint tables: one transport

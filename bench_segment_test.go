@@ -277,7 +277,7 @@ func BenchmarkExtentAdopt(b *testing.B) {
 	}
 	dur, _ := open()
 	for i := 0; i < extents; i++ {
-		dur.AdmitRecordBatch("bench", 0, uint64(i+1), recs, nil, 0, 0)
+		dur.AdmitRecordBatch("bench", 0, uint64(i+1), recs, 0, 0)
 	}
 	if err := dur.Checkpoint(); err != nil {
 		b.Fatal(err)

@@ -172,7 +172,7 @@ func loadJSONL[T any](path string, admit func(*T)) (int, error) {
 func loadRecordDump(path string, db *tracedb.DB) (int, error) {
 	door := tracedb.Unlogged(db, tracedb.NewAggStore())
 	return loadJSONL(path, func(b *control.RecordBatch) {
-		door.AdmitRecordBatch(b.Agent, b.Epoch, b.Seq, b.Records, nil, b.AgentTimeNs, b.Degraded)
+		door.AdmitRecordBatch(b.Agent, b.Epoch, b.Seq, b.Records, b.AgentTimeNs, b.Degraded)
 	})
 }
 

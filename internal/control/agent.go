@@ -376,28 +376,17 @@ func (a *Agent) flushTick() error {
 	return a.flush(false)
 }
 
-// drainBufPool recycles the byte buffers the flush loop drains rings
-// into. Records are unmarshaled out of the buffer before it is returned,
-// so steady-state flushing allocates only the record slices the spool
-// retains.
-var drainBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
 func (a *Agent) flush(force bool) error {
 	if a.sink == nil {
 		return errors.New("control: agent has no sink")
 	}
 	a.flushMu.Lock()
 	defer a.flushMu.Unlock()
-	bufp := drainBufPool.Get().(*[]byte)
-	raw := a.machine.Ring.DrainInto((*bufp)[:0])
-	recs, err := core.UnmarshalRecords(raw)
-	*bufp = raw[:0]
-	drainBufPool.Put(bufp)
+	// The ring drains into the one array the batch keeps: the drained
+	// bytes are the records, viewed in place, not decoded. Each batch gets
+	// its own array, since a sink may hold the batch after it returns.
+	ring := a.machine.Ring
+	recs, err := core.ViewRecords(ring.DrainInto(make([]byte, 0, ring.Used())))
 	if err != nil {
 		return fmt.Errorf("control: agent %s: corrupt ring: %w", a.name, err)
 	}
@@ -557,7 +546,7 @@ func (a *Agent) ship(now int64) error {
 		var err error
 		if sb.scripts == nil {
 			err = a.deliver(RecordBatch{Agent: a.name, AgentTimeNs: sb.timeNs, Records: sb.recs,
-				RingDrops: sb.drops, Seq: sb.seq, Epoch: epoch, Degraded: degraded})
+				RawRecords: core.RecordBytes(sb.recs), RingDrops: sb.drops, Seq: sb.seq, Epoch: epoch, Degraded: degraded})
 		} else if aggSink, ok := a.sink.(AggSink); ok {
 			err = aggSink.HandleAgg(AggBatch{Agent: a.name, AgentTimeNs: sb.timeNs, Scripts: sb.scripts,
 				Seq: sb.seq, Epoch: epoch, Degraded: degraded})

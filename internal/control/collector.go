@@ -161,7 +161,7 @@ func (c *Collector) HandleBatchAck(b RecordBatch) (BatchAck, error) {
 func (c *Collector) ingest(b RecordBatch) {
 	// Admit, WAL-append and insert are one barrier-shared unit inside the
 	// front door, so a checkpoint never cuts between them.
-	switch c.frontDoor().AdmitRecordBatch(b.Agent, b.Epoch, b.Seq, b.Records, b.RawRecords, b.AgentTimeNs, b.Degraded) {
+	switch c.frontDoor().AdmitRecordBatch(b.Agent, b.Epoch, b.Seq, b.Records, b.AgentTimeNs, b.Degraded) {
 	case tracedb.BatchFenced:
 		return
 	case tracedb.BatchDuplicate:

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"bytes"
 	"encoding/binary"
 	"reflect"
 	"testing"
@@ -40,8 +41,10 @@ func fuzzBatch() RecordBatch {
 // anything but a v4 body (a retired version is refused, not mis-parsed
 // under the v4 header layout), and never allocate a record slice larger
 // than the frame could possibly carry (the count field is
-// attacker-controlled). Whatever decodes must survive a
-// re-encode/re-decode round trip unchanged.
+// attacker-controlled). Records must equal a field-wise decode of the
+// record section, whether the decoder viewed it in place or copied it,
+// and RawRecords must be the section's bytes. Whatever decodes must
+// survive a re-encode/re-decode round trip unchanged.
 func FuzzDecodeBatchFrame(f *testing.F) {
 	b := fuzzBatch()
 	v4, err := EncodeBatchFrame(&b)
@@ -71,6 +74,17 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 	huge := append([]byte(nil), v4...)
 	binary.LittleEndian.PutUint32(huge[20:], 1<<30)
 	f.Add(huge)
+	// Agent names of 0-7 bytes put the record section at every offset
+	// modulo 8, so both the view and the copy decode run.
+	for n := 0; n < 8; n++ {
+		nb := b
+		nb.Agent = "agent-1"[:n]
+		body, err := EncodeBatchFrame(&nb)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		got, err := DecodeBatchFrame(body)
@@ -85,6 +99,16 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 		// field over the data.
 		if want := len(got.Records) * core.RecordSize; want > len(body) {
 			t.Fatalf("decoded %d records (%d bytes) from a %d-byte frame", len(got.Records), want, len(body))
+		}
+		section := body[batchHeaderSizeV4+len(got.Agent):]
+		if len(got.Records) > 0 && !bytes.Equal(got.RawRecords, section) {
+			t.Fatalf("RawRecords is %d bytes, not the %d-byte record section", len(got.RawRecords), len(section))
+		}
+		for i := range got.Records {
+			want, err := core.UnmarshalRecord(section[i*core.RecordSize:])
+			if err != nil || got.Records[i] != want {
+				t.Fatalf("record %d = %+v, field-wise decode %+v (%v)", i, got.Records[i], want, err)
+			}
 		}
 		reenc, err := AppendBatchFrame(nil, &got)
 		if err != nil {

@@ -69,13 +69,12 @@ type RecordBatch struct {
 	// shipped: 0 full capture, 1 stretched flush, 2 sampling. Recorded
 	// in the ledger for operator visibility.
 	Degraded uint8 `json:"degraded,omitempty"`
-	// RawRecords optionally carries Records' canonical wire encoding —
-	// len(Records)*core.RecordSize bytes in core.Record.MarshalTo layout.
-	// The binary frame decoder sets it (aliasing the frame body, which the
-	// transport never reuses) so durable sinks can log the record bytes
-	// verbatim instead of re-marshalling them. It is advisory: producers
-	// may leave it nil, and any consumer that mutates Records must drop
-	// it. Never serialized — encoders marshal from Records.
+	// RawRecords optionally carries Records' wire bytes —
+	// len(Records)*core.RecordSize bytes in core.Record.MarshalTo layout,
+	// the same memory as Records wherever a view of it is possible
+	// (core.RecordBytes, core.ViewRecords). The agent's ship and the
+	// binary frame decoder set it; other producers may leave it nil. Never
+	// serialized — encoders copy the bytes of Records.
 	RawRecords []byte `json:"-"`
 }
 

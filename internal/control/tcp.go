@@ -1,6 +1,7 @@
 package control
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,8 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+
+	"vnettracer/internal/core"
 )
 
 // maxFrameBytes bounds a single protocol frame (defense against corrupt
@@ -61,21 +64,46 @@ func writeFrame(w io.Writer, env envelope) error {
 	return writeBody(w, body)
 }
 
-// readBody reads one length-prefixed frame body, JSON or binary.
+// readBody reads one length-prefixed frame body, JSON or binary. It reads
+// a batch frame's header first and places the body so that its record
+// section starts at core.RecordAlign: DecodeBatchFrame then views the
+// records in place. The connections wrap their reader in a bufio.Reader,
+// so the split read costs no extra system call.
 func readBody(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var hdr [4 + batchHeaderSizeV4]byte
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return nil, err // io.EOF passes through for clean close
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:4]))
 	if n > maxFrameBytes {
 		return nil, fmt.Errorf("control: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	head := hdr[4 : 4+min(n, batchHeaderSizeV4)]
+	if _, err := io.ReadFull(r, head); err != nil {
+		return nil, fmt.Errorf("control: read frame body: %w", err)
+	}
+	body := newBody(head, n)
+	copy(body, head)
+	if _, err := io.ReadFull(r, body[len(head):]); err != nil {
 		return nil, fmt.Errorf("control: read frame body: %w", err)
 	}
 	return body, nil
+}
+
+// newBody allocates an n-byte frame body that starts with head. A batch
+// frame's body sits so that its record section, past the header and the
+// agent name, is aligned for a []core.Record view.
+func newBody(head []byte, n int) []byte {
+	if len(head) < batchHeaderSizeV4 || head[0] != batchMagic {
+		return make([]byte, n)
+	}
+	section := batchHeaderSizeV4 + int(binary.LittleEndian.Uint16(head[2:]))
+	if section >= n {
+		return make([]byte, n)
+	}
+	buf := make([]byte, n+core.RecordAlign-1)
+	pad := core.AlignPad(buf[section:])
+	return buf[pad : pad+n : pad+n]
 }
 
 func readFrame(r io.Reader) (envelope, error) {
@@ -187,8 +215,9 @@ func (s *Server) acceptLoop() {
 }
 
 func (s *Server) handle(conn net.Conn) {
+	r := bufio.NewReader(conn)
 	for {
-		body, err := readBody(conn)
+		body, err := readBody(r)
 		if err != nil {
 			return // EOF or protocol error: drop the connection
 		}
@@ -280,6 +309,7 @@ type client struct {
 	addr string
 	mu   sync.Mutex
 	conn net.Conn
+	r    *bufio.Reader // reads conn
 }
 
 func (c *client) roundTrip(body []byte) (envelope, error) {
@@ -308,11 +338,12 @@ func (c *client) tryLocked(body []byte) (envelope, error) {
 			return envelope{}, fmt.Errorf("control: dial %s: %w", c.addr, err)
 		}
 		c.conn = conn
+		c.r = bufio.NewReader(conn)
 	}
 	if err := writeBody(c.conn, body); err != nil {
 		return envelope{}, err
 	}
-	reply, err := readFrame(c.conn)
+	reply, err := readFrame(c.r)
 	if err != nil {
 		return envelope{}, err
 	}

@@ -25,7 +25,12 @@ import (
 //	[32:40] registration epoch, uint64 LE (0 = unleased, never fenced)
 //	[40]    degradation level (0 full capture, 1 stretched, 2 sampling)
 //	[41:..] agent name bytes
-//	[..:..] count * core.RecordSize record bytes (core.Record.Marshal)
+//	[..:..] count * core.RecordSize record bytes (core.Record.MarshalTo layout)
+//
+// The record section is the records' own memory (core.RecordBytes): the
+// encoder copies it in once, and the decoder views it in place when it
+// sits at core.RecordAlign in the body, as the TCP server's readBody
+// places it, and copies it once when it does not.
 //
 // The body is carried inside the usual 4-byte big-endian length prefix,
 // like every other frame. For a batch of n records the wire cost is
@@ -47,10 +52,10 @@ func EncodeBatchFrame(b *RecordBatch) ([]byte, error) {
 }
 
 // AppendBatchFrame appends the v4 binary frame body for b to dst and
-// returns the extended slice. Records serialize in place via
-// Record.MarshalTo — no per-record temporaries — and a caller recycling
-// dst (the TCP sink's encode pool) pays no allocation at all once the
-// buffer has grown to the working batch size.
+// returns the extended slice. The record section is one copy of the
+// records' wire bytes, and a caller recycling dst (the TCP sink's encode
+// pool) pays no allocation at all once the buffer has grown to the
+// working batch size.
 func AppendBatchFrame(dst []byte, b *RecordBatch) ([]byte, error) {
 	if len(b.Agent) > math.MaxUint16 {
 		return nil, fmt.Errorf("control: agent name of %d bytes exceeds frame limit", len(b.Agent))
@@ -78,18 +83,17 @@ func AppendBatchFrame(dst []byte, b *RecordBatch) ([]byte, error) {
 	le.PutUint64(hdr[32:], b.Epoch)
 	hdr[40] = b.Degraded
 	copy(hdr[batchHeaderSizeV4:], b.Agent)
-	off := batchHeaderSizeV4 + len(b.Agent)
-	for i := range b.Records {
-		b.Records[i].MarshalTo(hdr[off:])
-		off += core.RecordSize
-	}
+	copy(hdr[batchHeaderSizeV4+len(b.Agent):], core.RecordBytes(b.Records))
 	return out, nil
 }
 
 // DecodeBatchFrame decodes a v4 batch frame body. Anything else — a
 // retired wire version, a JSON envelope, a truncated or overlong body —
 // is an error: the frame came off the network, so nothing about it is
-// trusted until the header and the declared lengths agree.
+// trusted until the header and the declared lengths agree. Records views
+// the body's record section when it is aligned (else it is one copy of
+// it) and RawRecords is the section itself, so the body must not change
+// while the batch is in use; the decoder never writes into it.
 func DecodeBatchFrame(body []byte) (RecordBatch, error) {
 	if len(body) < 2 || body[0] != batchMagic {
 		return RecordBatch{}, fmt.Errorf("control: %d-byte body is not a binary batch frame", len(body))
@@ -117,15 +121,13 @@ func DecodeBatchFrame(body []byte) (RecordBatch, error) {
 	}
 	if count > 0 {
 		raw := body[batchHeaderSizeV4+nameLen:]
-		recs, err := core.UnmarshalRecords(raw)
+		recs, err := core.ViewRecords(raw)
 		if err != nil {
 			return RecordBatch{}, fmt.Errorf("control: binary batch records: %w", err)
 		}
+		// readBody allocates a fresh body per frame, so the view stays
+		// valid for the batch's lifetime.
 		b.Records = recs
-		// Keep the record section itself: readBody allocates a fresh
-		// buffer per frame, so the alias stays valid for the batch's
-		// lifetime and durable sinks can WAL the bytes without
-		// re-encoding.
 		b.RawRecords = raw
 	}
 	return b, nil

@@ -138,7 +138,7 @@ func (r *RingBuffer) DrainInto(dst []byte) []byte {
 }
 
 // Drain removes and returns all buffered bytes (nil when empty). The
-// agent's flush loop uses the reusable-buffer DrainInto instead.
+// agent's flush loop uses DrainInto, into the array its batch keeps.
 func (r *RingBuffer) Drain() []byte {
 	out := r.DrainInto(nil)
 	if len(out) == 0 {

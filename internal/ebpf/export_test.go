@@ -30,6 +30,12 @@ var incCodeNames = map[uint8]string{
 	icArray: "array", icPerCPU: "percpu", icHash2: "hash2", icObserve: "observe",
 }
 
+// copyCodeNames names every memCopy code.
+var copyCodeNames = map[uint8]string{
+	mcCopy88: "c8", mcCopy44: "c4", mcCopy42: "c2", mcCopy41: "c1",
+	mcImm8: "i8", mcImm16: "i16", mcImm32: "i32", mcImm64: "i64", mcGeneric: "generic",
+}
+
 // IROp is one operation of a program's optimized IR as the census reads
 // it. For a copybatch, Lo and Hi bound the stack bytes its descriptors
 // write and Bytes counts them; for an incbatch, Incs names its
@@ -41,10 +47,9 @@ type IROp struct {
 	Helpers       int
 }
 
-// OptimizedIR re-lowers a loaded program's instructions through the
-// compile tier (verify, lower, optimize) and returns the optimized ops of
-// every block in block order.
-func OptimizedIR(p *Program) ([]IROp, error) {
+// optimizedIR re-lowers a loaded program's instructions through the
+// compile tier: verify, lower, optimize.
+func optimizedIR(p *Program) (*irProg, error) {
 	facts, err := verifyProgram(p.insns, p.maps, p.ctxSize)
 	if err != nil {
 		return nil, err
@@ -54,6 +59,39 @@ func OptimizedIR(p *Program) ([]IROp, error) {
 		return nil, err
 	}
 	optimize(ir)
+	return ir, nil
+}
+
+// CopyBatches names the descriptors of each copy batch in p's optimized
+// IR, batch by batch in block order.
+func CopyBatches(p *Program) ([][]string, error) {
+	ir, err := optimizedIR(p)
+	if err != nil {
+		return nil, err
+	}
+	var out [][]string
+	for _, blk := range ir.blocks {
+		for _, op := range blk.ops {
+			if op.kind != irCopyBatch {
+				continue
+			}
+			var names []string
+			for _, mc := range op.batch {
+				names = append(names, copyCodeNames[mc.code])
+			}
+			out = append(out, names)
+		}
+	}
+	return out, nil
+}
+
+// OptimizedIR returns the optimized ops of every block of p in block
+// order.
+func OptimizedIR(p *Program) ([]IROp, error) {
+	ir, err := optimizedIR(p)
+	if err != nil {
+		return nil, err
+	}
 	var out []IROp
 	for _, blk := range ir.blocks {
 		for _, op := range blk.ops {

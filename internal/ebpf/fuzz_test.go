@@ -171,7 +171,12 @@ func runTier(t *testing.T, insns []ebpf.Insn, interpreted bool) tierResult {
 		t.Fatalf("Verify accepted but Load rejected: %v", err)
 	}
 	env := &fuzzEnv{}
+	// A patterned ctx: a copy that reads the wrong bytes or moves the
+	// wrong width shows in the stack the program emits.
 	ctx := make([]byte, core.CtxSize)
+	for i := range ctx {
+		ctx[i] = byte(i*37 + 11)
+	}
 	var res tierResult
 	if interpreted {
 		res.r0, res.stats, res.err = prog.RunInterpreted(ctx, env)
@@ -193,6 +198,88 @@ func seedScript(f *testing.F, spec script.Spec) []byte {
 		f.Fatalf("compile seed script %q: %v", spec.Name, err)
 	}
 	return insnsToBytes(insns)
+}
+
+// fusedFormSeeds are hand-built programs that between them lower to every
+// copy-batch descriptor form and every increment form the optimized tier
+// emits (TestFusedFormSeedsCoverEveryForm holds them to that), so the
+// differential oracle runs each form's unsafe stores from the seed
+// corpus on.
+func fusedFormSeeds() map[string][]ebpf.Insn {
+	copyCtx := func(ctxOff, stackOff int16, load, store uint8) []ebpf.Insn {
+		return []ebpf.Insn{
+			ebpf.LoadMem(ebpf.R2, ebpf.R6, ctxOff, load),
+			ebpf.StoreMem(ebpf.R10, stackOff, ebpf.R2, store),
+		}
+	}
+	// The record-build shape over all 48 stack bytes below r10, then a
+	// store overlapping the first destination, which closes the batch and
+	// opens a second one; the stack is emitted so every byte is compared.
+	copies := []ebpf.Insn{ebpf.Mov64Reg(ebpf.R6, ebpf.R1)}
+	for _, c := range [][]ebpf.Insn{
+		copyCtx(8, -48, ebpf.SizeDW, ebpf.SizeDW),               // c8
+		copyCtx(0, -40, ebpf.SizeW, ebpf.SizeW),                 // c4
+		copyCtx(16, -36, ebpf.SizeW, ebpf.SizeH),                // c2
+		copyCtx(20, -34, ebpf.SizeW, ebpf.SizeB),                // c1
+		{ebpf.StoreImm(ebpf.R10, -33, 0x5a, ebpf.SizeB)},        // i8
+		{ebpf.StoreImm(ebpf.R10, -32, 0x1234, ebpf.SizeH)},      // i16
+		copyCtx(24, -30, ebpf.SizeH, ebpf.SizeH),                // generic
+		{ebpf.StoreImm(ebpf.R10, -28, -7, ebpf.SizeW)},          // i32
+		{ebpf.StoreImm(ebpf.R10, -24, -0x1234567, ebpf.SizeDW)}, // i64
+		copyCtx(32, -16, ebpf.SizeDW, ebpf.SizeW),               // generic, truncating
+		copyCtx(40, -12, ebpf.SizeW, ebpf.SizeW),                // c4
+		copyCtx(48, -8, ebpf.SizeDW, ebpf.SizeDW),               // c8
+		{ebpf.StoreImm(ebpf.R10, -48, 9, ebpf.SizeW)},           // overlaps the first c8
+		copyCtx(4, -44, ebpf.SizeW, ebpf.SizeW),
+	} {
+		copies = append(copies, c...)
+	}
+	copies = append(copies,
+		ebpf.Mov64Reg(ebpf.R1, ebpf.R6),
+		ebpf.Mov64Imm(ebpf.R2, 0),
+		ebpf.Mov64Reg(ebpf.R3, ebpf.R10),
+		ebpf.ALU64Imm(ebpf.ALUAdd, ebpf.R3, -48),
+		ebpf.Mov64Imm(ebpf.R4, 48),
+		ebpf.Call(ebpf.HelperPerfEventOutput),
+		ebpf.Mov64Imm(ebpf.R0, 0),
+		ebpf.Exit(),
+	)
+
+	// One action of each increment form: an array slot by a ctx-loaded
+	// delta, a per-CPU slot by a constant, two lanes of one wide hash row
+	// (constant and ctx deltas), and "now - ctx[8]" into a histogram.
+	incs := []ebpf.Insn{ebpf.Mov64Reg(ebpf.R6, ebpf.R1)}
+	inc := func(fd int32, key int32, lane int32, delta ebpf.Insn, withKey bool) {
+		if withKey {
+			incs = append(incs, ebpf.StoreImm(ebpf.R10, -4, key, ebpf.SizeW))
+		}
+		mapFD := ebpf.LoadMapFD(ebpf.R1, fd)
+		incs = append(incs, mapFD[:]...)
+		incs = append(incs,
+			ebpf.Mov64Reg(ebpf.R2, ebpf.R10),
+			ebpf.ALU64Imm(ebpf.ALUAdd, ebpf.R2, -4),
+			delta,
+			ebpf.Mov64Imm(ebpf.R4, lane),
+			ebpf.Call(ebpf.HelperMapIncElem),
+		)
+	}
+	inc(1, 2, 0, ebpf.LoadMem(ebpf.R3, ebpf.R6, 0, ebpf.SizeW), true)   // array
+	inc(2, 3, 0, ebpf.Mov64Imm(ebpf.R3, 5), true)                       // per-CPU
+	inc(3, 6, 0, ebpf.Mov64Imm(ebpf.R3, 1), true)                       // hash row, lane 0
+	inc(3, 6, 8, ebpf.LoadMem(ebpf.R3, ebpf.R6, 16, ebpf.SizeW), false) // hash row, lane 8
+	histFD := ebpf.LoadMapFD(ebpf.R1, 1)
+	incs = append(incs,
+		ebpf.Call(ebpf.HelperKtimeGetNs),
+		ebpf.Mov64Reg(ebpf.R2, ebpf.R0),
+		ebpf.LoadMem(ebpf.R1, ebpf.R6, 8, ebpf.SizeDW),
+		ebpf.ALU64Reg(ebpf.ALUSub, ebpf.R2, ebpf.R1),
+	)
+	incs = append(incs, histFD[:]...)
+	incs = append(incs,
+		ebpf.Call(ebpf.HelperHistObserve),
+		ebpf.Exit(),
+	)
+	return map[string][]ebpf.Insn{"copy-forms": copies, "inc-forms": incs}
 }
 
 // FuzzVerifyProgram throws arbitrary instruction streams at the
@@ -382,6 +469,9 @@ func FuzzVerifyProgram(f *testing.F) {
 		ebpf.Exit(),
 	)
 	f.Add(insnsToBytes(rtSeed))
+	seeds := fusedFormSeeds()
+	f.Add(insnsToBytes(seeds["copy-forms"]))
+	f.Add(insnsToBytes(seeds["inc-forms"]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		insns := insnsFromBytes(data)
@@ -412,4 +502,53 @@ func FuzzVerifyProgram(f *testing.F) {
 			t.Fatalf("optimized disagrees on printk log:\noptimized: %q\ninterp: %q", opt.printk, interp.printk)
 		}
 	})
+}
+
+// TestFusedFormSeedsCoverEveryForm holds fusedFormSeeds to its promise:
+// the verifier accepts both, the optimized IR of the two holds every
+// copy-batch and increment descriptor form, and an overlapping store
+// split the copy seed into two batches.
+func TestFusedFormSeedsCoverEveryForm(t *testing.T) {
+	copies, incs := map[string]bool{}, map[string]bool{}
+	batches := 0
+	for name, insns := range fusedFormSeeds() {
+		prog, err := ebpf.Load(ebpf.ProgramSpec{Name: name, Type: ebpf.ProgTypeKprobe, Insns: insns, Maps: fuzzMaps(t), CtxSize: core.CtxSize})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ops, err := ebpf.OptimizedIR(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, op := range ops {
+			for _, c := range op.Incs {
+				incs[c] = true
+			}
+		}
+		copyBatches, err := ebpf.CopyBatches(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if name == "copy-forms" {
+			batches = len(copyBatches)
+		}
+		for _, batch := range copyBatches {
+			for _, c := range batch {
+				copies[c] = true
+			}
+		}
+	}
+	for _, form := range []string{"c8", "c4", "c2", "c1", "i8", "i16", "i32", "i64", "generic"} {
+		if !copies[form] {
+			t.Errorf("no seed lowers to copy form %s (got %v)", form, copies)
+		}
+	}
+	for _, form := range []string{"array", "percpu", "hash2", "observe"} {
+		if !incs[form] {
+			t.Errorf("no seed lowers to increment form %s (got %v)", form, incs)
+		}
+	}
+	if batches < 2 {
+		t.Errorf("copy seed lowered to %d copy batches, want the overlapping store to close the first", batches)
+	}
 }

@@ -92,17 +92,7 @@ func TestDurabilityRecoverRoundTrip(t *testing.T) {
 	// round's record batch and frame take consecutive numbers of a1's one
 	// sequence space: 2*seq-1 and 2*seq.
 	for seq := uint64(1); seq <= 6; seq++ {
-		// Even seqs arrive as the transport delivers them, with the
-		// records' wire bytes alongside, so the log's verbatim and
-		// re-marshalled encodings both replay below.
-		recs := batchRecs(1, seq, 3)
-		var raw []byte
-		if seq%2 == 0 {
-			for i := range recs {
-				raw = recs[i].Marshal(raw)
-			}
-		}
-		if st := d.AdmitRecordBatch("a1", 1, 2*seq-1, recs, raw, int64(seq), 0); st != BatchFresh {
+		if st := d.AdmitRecordBatch("a1", 1, 2*seq-1, batchRecs(1, seq, 3), int64(seq), 0); st != BatchFresh {
 			t.Fatalf("a1 seq %d: %v", seq, st)
 		}
 		if st := d.AdmitAggFrame("a1", 1, 2*seq, testScripts(seq), int64(seq), 0); st != BatchFresh {
@@ -114,7 +104,7 @@ func TestDurabilityRecoverRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if st := d.AdmitRecordBatch("a2", 5, 1, batchRecs(2, 1, 4), nil, 10, 1); st != BatchFresh {
+	if st := d.AdmitRecordBatch("a2", 5, 1, batchRecs(2, 1, 4), 10, 1); st != BatchFresh {
 		t.Fatalf("a2: %v", st)
 	}
 	want := dbFingerprint(db, aggs)
@@ -122,7 +112,7 @@ func TestDurabilityRecoverRoundTrip(t *testing.T) {
 	// so a duplicate's bookkeeping (dup count, heartbeat bump) is
 	// deliberately transient — the recovered state must match the
 	// fingerprint from before it.
-	if st := d.AdmitRecordBatch("a1", 1, 3, batchRecs(1, 2, 3), nil, 99, 0); st != BatchDuplicate {
+	if st := d.AdmitRecordBatch("a1", 1, 3, batchRecs(1, 2, 3), 99, 0); st != BatchDuplicate {
 		t.Fatalf("expected duplicate, got %v", st)
 	}
 	if err := d.Close(); err != nil {
@@ -152,14 +142,14 @@ func TestDurabilityRecoverRoundTrip(t *testing.T) {
 
 	// Re-shipped (already-ingested) batches must dedup after recovery —
 	// the exactly-once property the WAL + checkpoint exist to preserve.
-	if st := d2.AdmitRecordBatch("a1", 1, 9, batchRecs(1, 5, 3), nil, 100, 0); st != BatchDuplicate {
+	if st := d2.AdmitRecordBatch("a1", 1, 9, batchRecs(1, 5, 3), 100, 0); st != BatchDuplicate {
 		t.Fatalf("re-ship after recovery: got %v, want duplicate", st)
 	}
 	if st := d2.AdmitAggFrame("a1", 1, 8, testScripts(4), 100, 0); st != BatchDuplicate {
 		t.Fatalf("agg re-ship after recovery: got %v, want duplicate", st)
 	}
 	// And genuinely new traffic continues the sequence space.
-	if st := d2.AdmitRecordBatch("a1", 1, 13, batchRecs(1, 7, 2), nil, 101, 0); st != BatchFresh {
+	if st := d2.AdmitRecordBatch("a1", 1, 13, batchRecs(1, 7, 2), 101, 0); st != BatchFresh {
 		t.Fatalf("new batch after recovery: got %v, want fresh", st)
 	}
 }
@@ -170,7 +160,7 @@ func TestDurabilityRecoverRoundTrip(t *testing.T) {
 func TestRecoverReplayIdempotent(t *testing.T) {
 	db, _, d, dcfg := durTestEnv(t, Config{})
 	for seq := uint64(1); seq <= 5; seq++ {
-		d.AdmitRecordBatch("a1", 1, seq, batchRecs(1, seq, 3), nil, int64(seq), 0)
+		d.AdmitRecordBatch("a1", 1, seq, batchRecs(1, seq, 3), int64(seq), 0)
 		if seq == 2 {
 			if err := d.Checkpoint(); err != nil {
 				t.Fatal(err)
@@ -202,7 +192,7 @@ func TestWALTornTailEveryOffset(t *testing.T) {
 	db, _, d, dcfg := durTestEnv(t, Config{SegmentBytes: 1 << 20}) // no seals: all state in WAL
 	const batches = 4
 	for seq := uint64(1); seq <= batches; seq++ {
-		d.AdmitRecordBatch("a1", 1, seq, batchRecs(1, seq, 2), nil, int64(seq), 0)
+		d.AdmitRecordBatch("a1", 1, seq, batchRecs(1, seq, 2), int64(seq), 0)
 	}
 	d.Close()
 
@@ -294,7 +284,7 @@ func TestConcurrentCheckpointIngest(t *testing.T) {
 			defer wg.Done()
 			name := fmt.Sprintf("agent-%d", a)
 			for seq := uint64(1); seq <= perAgent; seq++ {
-				d.AdmitRecordBatch(name, 1, seq, batchRecs(uint32(a+1), seq, 2), nil, int64(seq), 0)
+				d.AdmitRecordBatch(name, 1, seq, batchRecs(uint32(a+1), seq, 2), int64(seq), 0)
 				d.AdmitAggFrame(name, 1, seq, testScripts(seq), int64(seq), 0)
 			}
 		}(a)
@@ -344,7 +334,7 @@ func TestConcurrentCheckpointIngest(t *testing.T) {
 func TestCheckpointRetiresWAL(t *testing.T) {
 	_, _, d, dcfg := durTestEnv(t, Config{})
 	for i := 0; i < 4; i++ {
-		d.AdmitRecordBatch("a1", 1, uint64(i+1), batchRecs(1, uint64(i+1), 2), nil, int64(i), 0)
+		d.AdmitRecordBatch("a1", 1, uint64(i+1), batchRecs(1, uint64(i+1), 2), int64(i), 0)
 		if err := d.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
@@ -494,42 +484,27 @@ func TestRecoverColdStartKeepsUncoveredExtents(t *testing.T) {
 	d.Close()
 }
 
-// TestWALRawRecordsEncoding pins the raw-bytes fast path: an entry
-// carrying its records' canonical wire encoding (the transport's record
-// section) must produce a byte-identical frame to one that re-marshals
-// the records, and a raw slice of the wrong length must be ignored, not
-// logged.
-func TestWALRawRecordsEncoding(t *testing.T) {
+// TestWALRecordSection pins the kind-1 record section to the records'
+// field-wise wire encoding (MarshalTo, padding bytes zero), which the
+// encoder now appends as the records' own bytes, and holds the one-copy
+// replay to the field-wise decode.
+func TestWALRecordSection(t *testing.T) {
 	recs := batchRecs(3, 7, 5)
-	var raw []byte
+	var wire []byte
 	for i := range recs {
-		raw = recs[i].Marshal(raw)
+		wire = recs[i].Marshal(wire)
 	}
-	mk := func(rawRecs []byte) walEntry {
-		return walEntry{
-			LSN: 12, Kind: walKindRecords, Agent: "a1", Epoch: 2, Seq: 7,
-			TimeNs: 99, Records: recs, RawRecords: rawRecs,
-		}
+	e := walEntry{LSN: 12, Kind: walKindRecords, Agent: "a1", Epoch: 2, Seq: 7, TimeNs: 99, Records: recs}
+	payload := mustWALPayload(t, &e)
+	if !bytes.HasSuffix(payload, wire) {
+		t.Fatalf("record section of the %d-byte payload is not the field-wise encoding", len(payload))
 	}
-	marshalled := mk(nil)
-	passthrough := mk(raw)
-	want := mustWALPayload(t, &marshalled)
-	got := mustWALPayload(t, &passthrough)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("raw passthrough encoded %d bytes differing from re-marshal (%d vs %d)", len(got), len(got), len(want))
-	}
-	// A wrong-length raw (stale after a Records mutation) falls back to
-	// marshalling instead of corrupting the frame.
-	bad := mk(raw[:len(raw)-1])
-	if got := mustWALPayload(t, &bad); !bytes.Equal(got, want) {
-		t.Fatalf("wrong-length raw was not ignored")
-	}
-	var e walEntry
-	if err := decodeWALPayload(want, &e); err != nil {
+	var got walEntry
+	if err := decodeWALPayload(payload, &got); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(e.Records, recs) {
-		t.Fatalf("decoded records differ: %+v vs %+v", e.Records, recs)
+	if !reflect.DeepEqual(got.Records, recs) {
+		t.Fatalf("decoded records differ: %+v vs %+v", got.Records, recs)
 	}
 }
 
@@ -622,11 +597,11 @@ func TestRecoverRefusesOwnSequenceAggregateKind(t *testing.T) {
 // the file as it was.
 func TestRecoverRefusesVersion1Checkpoint(t *testing.T) {
 	db, _, d, dcfg := durTestEnv(t, Config{})
-	d.AdmitRecordBatch("a1", 1, 1, batchRecs(1, 1, 3), nil, 1, 0)
+	d.AdmitRecordBatch("a1", 1, 1, batchRecs(1, 1, 3), 1, 0)
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	d.AdmitRecordBatch("a1", 1, 2, batchRecs(1, 2, 3), nil, 2, 0)
+	d.AdmitRecordBatch("a1", 1, 2, batchRecs(1, 2, 3), 2, 0)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}

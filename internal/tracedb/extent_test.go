@@ -38,7 +38,7 @@ func newDamageFixture(t *testing.T) *damageFixture {
 		for i := range recs {
 			recs[i].TPID, recs[i].TraceID, recs[i].Seq = 1, uint32(first+i+1), uint64(first+i)
 		}
-		if st := dur.AdmitRecordBatch("agent", 0, seq, recs, nil, 0, 0); st != BatchFresh {
+		if st := dur.AdmitRecordBatch("agent", 0, seq, recs, 0, 0); st != BatchFresh {
 			t.Fatalf("batch %d: %v", seq, st)
 		}
 	}

@@ -142,7 +142,7 @@ func lookupMatchesScan(t *testing.T, segBytes int, leg string) {
 			}
 			f.insert = func(recs []core.Record) {
 				walSeq++
-				if st := dur.AdmitRecordBatch("agent", 0, walSeq, recs, nil, 0, 0); st != BatchFresh {
+				if st := dur.AdmitRecordBatch("agent", 0, walSeq, recs, 0, 0); st != BatchFresh {
 					t.Errorf("batch %d admitted as %v", walSeq, st)
 				}
 			}

@@ -418,16 +418,12 @@ func (db *DB) ensureTableNamed(tpid uint32, name string) *Table {
 
 // AdmitRecordBatch is the front door for a record batch: it classifies
 // the batch against the ledger and — only when fresh — appends it
-// to the WAL (fsync per policy) and inserts the records. raw, when the
-// caller still holds the records' canonical wire encoding (the
-// transport's record section, len(recs)*core.RecordSize bytes matching
-// recs), is logged verbatim instead of re-marshalling recs, taking the
-// encode off the synchronous ingest path; it must not be mutated after
-// the call, and nil (or any other length) falls back to marshalling.
-func (d *Durability) AdmitRecordBatch(agent string, epoch, seq uint64, recs []core.Record, raw []byte, nowNs int64, degraded uint8) BatchStatus {
+// to the WAL (fsync per policy; the records' own bytes, one copy) and
+// inserts the records.
+func (d *Durability) AdmitRecordBatch(agent string, epoch, seq uint64, recs []core.Record, nowNs int64, degraded uint8) BatchStatus {
 	return d.admit(&walEntry{
 		Kind: walKindRecords, Agent: agent, Epoch: epoch, Seq: seq,
-		TimeNs: nowNs, Degraded: degraded, Records: recs, RawRecords: raw,
+		TimeNs: nowNs, Degraded: degraded, Records: recs,
 	})
 }
 

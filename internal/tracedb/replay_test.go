@@ -221,7 +221,7 @@ func TestRecoverAllocatedBytesPerRecord(t *testing.T) {
 	const batches, packets = 100, 1024
 	tpids := []uint32{1, 4}
 	for b := 0; b < batches; b++ {
-		d.AdmitRecordBatch("a1", 1, uint64(b+1), interleavedBatch(tpids, b*packets, packets), nil, int64(b), 0)
+		d.AdmitRecordBatch("a1", 1, uint64(b+1), interleavedBatch(tpids, b*packets, packets), int64(b), 0)
 	}
 	if err := d.Close(); err != nil { // no checkpoint: everything is WAL tail
 		t.Fatal(err)

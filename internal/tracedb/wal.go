@@ -18,11 +18,11 @@
 // epoch, seq, zigzag-varint agent time, degraded byte, uvarint record
 // count, then the records in their canonical 48-byte wire form
 // (core.Record.MarshalTo) concatenated — the same layout trace programs
-// emit and the batch transport carries. Records are fixed-width rather
-// than varint because this encode sits on the synchronous ingest path —
-// one bounds-checked store per field beats a byte-at-a-time varint
-// loop, and WAL bytes are short-lived (retired at the next checkpoint)
-// so the size trade is cheap.
+// emit and the batch transport carries, and the records' own memory
+// (core.RecordBytes), so encode and replay are each one copy. Records
+// are fixed-width rather than varint because this encode sits on the
+// synchronous ingest path, and WAL bytes are short-lived (retired at the
+// next checkpoint) so the size trade is cheap.
 //
 // kind 4 (aggregate frame): the same agent/epoch/seq/time/degraded
 // prefix, then the script section (aggcodec.go) — the bytes the v5 wire
@@ -123,10 +123,6 @@ type walEntry struct {
 	Degraded uint8
 	Records  []core.Record // walKindRecords payload
 	Scripts  []ScriptAgg   // walKindAggs payload
-	// RawRecords, when non-nil, is Records already in the canonical wire
-	// form (len(Records)*walRecordSize bytes): the encoder appends it
-	// verbatim instead of re-marshalling Records. Decode never sets it.
-	RawRecords []byte
 }
 
 // walFrameHeader is the fixed per-frame framing: payload length + CRC.
@@ -156,20 +152,7 @@ func appendWALPayload(dst []byte, e *walEntry) ([]byte, error) {
 	switch e.Kind {
 	case walKindRecords:
 		dst = binary.AppendUvarint(dst, uint64(len(e.Records)))
-		if len(e.RawRecords) == len(e.Records)*walRecordSize && len(e.Records) > 0 {
-			// The transport's record section is the same canonical form:
-			// batches decoded off the wire log their bytes verbatim, a
-			// memcpy instead of a re-marshal on the synchronous ingest
-			// path.
-			dst = append(dst, e.RawRecords...)
-			break
-		}
-		// Extend once for the whole batch and marshal in place.
-		base := len(dst)
-		dst = slices.Grow(dst, len(e.Records)*walRecordSize)[:base+len(e.Records)*walRecordSize]
-		for i := range e.Records {
-			e.Records[i].MarshalTo(dst[base+i*walRecordSize:])
-		}
+		dst = append(dst, core.RecordBytes(e.Records)...)
 	case walKindAggs:
 		return AppendScriptAggs(dst, e.Scripts)
 	}
@@ -230,12 +213,8 @@ func decodeWALPayload(b []byte, e *walEntry) error {
 	if n != uint64(len(r.buf))/walRecordSize || len(r.buf)%walRecordSize != 0 {
 		return fmt.Errorf("tracedb: wal record count %d does not match the %d bytes left", n, len(r.buf))
 	}
-	e.Records = slices.Grow(e.Records, int(n))
-	for off := 0; off < len(r.buf); off += walRecordSize {
-		rec, _ := core.UnmarshalRecord(r.buf[off:]) // walRecordSize bytes are there
-		e.Records = append(e.Records, rec)
-	}
-	return nil
+	e.Records, err = core.AppendRecords(e.Records, r.buf)
+	return err
 }
 
 // walFileName returns the generation file name for a first LSN.

@@ -4,13 +4,20 @@
 # median [q1..q3] of every end-to-end metric on both sides and how many
 # pairs the change won, and exits non-zero when a change median is worse
 # than the parent's by more than that metric's bound, when more operations
-# fail than at the parent, or when a run is incorrect.
+# fail than at the parent, or when a run is incorrect. Beside each
+# normalised median (stated at nominal machine speed) it prints the raw
+# one, what the clock read, with the pairs won on it, and flags a metric
+# whose raw and normalised medians move in opposite directions
+# (RAW-OPPOSITE: the yardstick, not the change, may have moved it). The
+# raw figures inform; pass and fail read only the normalised ones.
 #
 #   scripts/bench-gate.sh <parent-ref> [pairs]
 #
 # The parent is exported (git archive) under .bench_build/gate-parent;
 # every run's result line is kept in .bench_build/gate/ as
-# <workload>.<side>.<seed>.json, stderr in .bench_build/gate/log. Pair i
+# <workload>.<side>.<seed>.json, its full results (--out, raw values
+# included) as <workload>.<side>.<seed>.full.json, stderr in
+# .bench_build/gate/log. Pair i
 # runs both sides on seed i, the parent first when i is odd. Nothing else
 # should be running: the benchmark uses every CPU.
 #
@@ -46,8 +53,8 @@ run() {
 		return
 	fi
 	echo "== $3 seed $4: $1" >&2
-	(cd "$2" && bash bench/run.sh --workload "$3" --seed "$4" --seconds "$seconds" --trace 0) \
-		2>>"$gate/log" | tail -n 1 >"$out"
+	(cd "$2" && bash bench/run.sh --workload "$3" --seed "$4" --seconds "$seconds" --trace 0 \
+		--out "$gate/$3.$1.$4.full.json") 2>>"$gate/log" | tail -n 1 >"$out"
 }
 
 for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
@@ -63,19 +70,27 @@ for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
 done
 
 for f in "$gate"/*.*.*.json; do
-	jq -c --arg file "$(basename "$f")" '{file: $file, run: .}' "$f"
+	[[ $f == *.full.json ]] && continue
+	full=${f%.json}.full.json
+	[[ -f $full ]] || full=/dev/null # a run kept from a gate that wrote no full results
+	jq -c --arg file "$(basename "$f")" --slurpfile full "$full" \
+		'{file: $file, run: ., raw: ($full[0][0].end_to_end // {} | map_values(.raw))}' "$f"
 done | jq -s --slurpfile spec BENCHMARK.json '
 	def pct(p): sort as $s | (($s | length) - 1) * p
 		| $s[floor] + ($s[ceil] - $s[floor]) * (. - floor);
 	def stats: {med: pct(0.5), q1: pct(0.25), q3: pct(0.75)};
 	$spec[0] as $b
-	| [.[] | (.file | split(".")) as $p | {w: $p[0], side: $p[1], seed: $p[2], run: .run}] as $runs
+	| [.[] | (.file | split(".")) as $p | {w: $p[0], side: $p[1], seed: $p[2], run: .run, raw: .raw}] as $runs
 	| def failed(s): [$runs[] | select(.side == s) | .run.failed] | add;
 	def values_of(s; $w; $m): [$runs[] | select(.w == $w and .side == s) | .run.metrics[$m].value | values];
-	# One entry per seed both sides ran: how much better the change read.
-	def gains($w; $m): [$runs[] | select(.w == $w) | {seed, side, v: .run.metrics[$m.name].value} | select(.v != null)]
+	def raws_of(s; $w; $m): [$runs[] | select(.w == $w and .side == s) | .raw[$m] | values];
+	# One entry per seed both sides ran: how much better the change read,
+	# on the normalised value (v) or the raw one (.raw).
+	def gains_by($w; $m; f): [$runs[] | select(.w == $w) | {seed, side, v: f} | select(.v != null)]
 		| group_by(.seed) | map(select(length == 2) | (map({(.side): .v}) | add)
 			| if $m.better == "lower" then .parent - .change else .change - .parent end);
+	def gains($w; $m): gains_by($w; $m; .run.metrics[$m.name].value);
+	def sign: if . > 0 then 1 elif . < 0 then -1 else 0 end;
 	{
 		failed: {parent: failed("parent"), change: failed("change")},
 		incorrect: [$runs[] | select(.run.correct != true) | "\(.w) \(.side)"],
@@ -87,18 +102,26 @@ done | jq -s --slurpfile spec BENCHMARK.json '
 			| (if $m.better == "lower" then $cs.med - $ps.med else $ps.med - $cs.med end) as $worse
 			| (if $ps.med != 0 then $worse / ($ps.med | fabs) elif $worse > 0 then infinite else 0 end) as $rel
 			| gains($w; $m) as $g
+			| raws_of("parent"; $w; $m.name) as $prv | raws_of("change"; $w; $m.name) as $crv
+			| (if ($prv | length) > 0 and ($crv | length) > 0 then {p: ($prv | stats), c: ($crv | stats)} else null end) as $raw
+			| gains_by($w; $m; .raw[$m.name]) as $rg
 			| {w: $w, m: $m.name, unit: $m.unit, p: $ps, c: $cs, rel: $rel, bound: $m.bound, regressed: ($rel > $m.bound),
-				won: ($g | map(select(. > 0)) | length), lost: ($g | map(select(. < 0)) | length), pairs: ($g | length)}
+				won: ($g | map(select(. > 0)) | length), lost: ($g | map(select(. < 0)) | length), pairs: ($g | length),
+				raw: $raw, rawwon: ($rg | map(select(. > 0)) | length), rawlost: ($rg | map(select(. < 0)) | length),
+				opposite: ($raw != null and (($cs.med - $ps.med) | sign) * (($raw.c.med - $raw.p.med) | sign) < 0)}
 		]
 	}' >"$gate/report.json"
 
 jq -r '
 	def r: if . == 0 then "0" else pow(10; 4 - (fabs | log10 | floor)) as $k | (. * $k | round) / $k | tostring end;
-	.rows[] | [.w, .m, "\(.p.med | r) [\(.p.q1 | r)..\(.p.q3 | r)]", "\(.c.med | r) [\(.c.q1 | r)..\(.c.q3 | r)]",
-		.unit, "won \(.won) lost \(.lost) of \(.pairs)", "\((.rel * 1000 | round) / 10)% worse (bound \(.bound * 100)%)", (if .regressed then "REGRESSED" else "ok" end)]
+	def q: "\(.med | r) [\(.q1 | r)..\(.q3 | r)]";
+	.rows[] | [.w, .m, (.p | q), (.c | q), (if .raw then "\(.raw.p | q) -> \(.raw.c | q)" else "-" end),
+		.unit, "won \(.won) lost \(.lost) of \(.pairs)" + (if .raw then " (raw \(.rawwon)/\(.rawlost))" else "" end),
+		"\((.rel * 1000 | round) / 10)% worse (bound \(.bound * 100)%)",
+		(if .regressed then "REGRESSED" else "ok" end) + (if .opposite then " RAW-OPPOSITE" else "" end)]
 	| @tsv' "$gate/report.json" |
-	awk -F'\t' 'BEGIN { printf "%-16s %-21s %-40s %-40s %-6s %-20s %s\n", "workload", "metric", "parent median [q1..q3]", "change median [q1..q3]", "unit", "pairs (ties: neither)", "verdict" }
-		{ printf "%-16s %-21s %-40s %-40s %-6s %-20s %s  %s\n", $1, $2, $3, $4, $5, $6, $7, $8 }'
+	awk -F'\t' 'BEGIN { printf "%-16s %-21s %-40s %-40s %-60s %-6s %-34s %s\n", "workload", "metric", "parent median [q1..q3]", "change median [q1..q3]", "raw: parent -> change", "unit", "pairs (ties: neither; raw won/lost)", "verdict" }
+		{ printf "%-16s %-21s %-40s %-40s %-60s %-6s %-34s %s  %s\n", $1, $2, $3, $4, $5, $6, $7, $8, $9 }'
 jq -r '"failed operations: parent \(.failed.parent), change \(.failed.change); incorrect runs: \(.incorrect | length) \(.incorrect | join(", "))"' "$gate/report.json"
 
 jq -e '(.rows | map(select(.regressed)) | length) == 0 and .failed.change <= .failed.parent and (.incorrect | length) == 0' \
