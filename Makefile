@@ -82,6 +82,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzDecodeAggFrame -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/control
 	$(GO) test -run NONE -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/tracedb
 	$(GO) test -run NONE -fuzz FuzzIDFilter -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/tracedb
+	$(GO) test -run NONE -fuzz FuzzPackAdopt -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/tracedb
 	$(GO) test -run NONE -fuzz FuzzLatenciesOf -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/metrics
 
 # Coverage summary over the whole module.
@@ -122,10 +123,10 @@ bench-scan:
 # a resident extent and a spilled one (a hit and a filter false
 # positive), then a table of ~300 spilled extents from 1024-record runs
 # plus a head, looked up by seeded present IDs, reporting µs per lookup,
-# the extents a lookup reads, and the extent files the store keeps open
-# (all 300, within the DB's handle budget, so no lookup opens a file; a
-# hit verifies one block and decodes the one row it asks for). One
-# iteration, as bench-join; raise -benchtime to measure.
+# the extents a lookup reads, and the pack files the store keeps open
+# (the table's two, within the DB's handle budget, so no lookup opens a
+# file; a hit verifies one block and decodes the one row it asks for).
+# One iteration, as bench-join; raise -benchtime to measure.
 .PHONY: bench-lookup
 bench-lookup:
 	$(GO) test -run NONE -bench BenchmarkTableLookup -benchtime 1x -benchmem .

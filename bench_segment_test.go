@@ -7,6 +7,7 @@ package vnettracer
 
 import (
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -48,38 +49,74 @@ func segmentBenchRecords(n int) []core.Record {
 // bytes per record, and allocs/op (Go reports them per iteration, i.e. per
 // sealed extent, the head array included). "random-ids" draws trace IDs
 // the way the tracer does; "sequential-ids" is the stream the other
-// benchmarks here use.
+// benchmarks here use. "random-ids/spilled" seals into a data directory,
+// so each seal also appends its extent to the table's pack file; it
+// reports the files a seal creates in the directory (files/seal), counted
+// off the clock after every seal: one per pack, not one per extent.
 func BenchmarkSegmentSeal(b *testing.B) {
 	n := tracedb.DefaultSegmentBytes/core.RecordSize + 1 // one run that tips the segment
-	for _, random := range []bool{true, false} {
-		name := "sequential-ids"
+	for _, bc := range []struct {
+		name            string
+		random, spilled bool
+	}{{"random-ids", true, false}, {"sequential-ids", false, false}, {"random-ids/spilled", true, true}} {
 		recs := segmentBenchRecords(n)
-		if random {
-			name = "random-ids"
+		if bc.random {
 			rng := rand.New(rand.NewSource(11))
 			for i := range recs {
 				recs[i].TraceID = rng.Uint32()
 			}
 		}
-		b.Run(name, func(b *testing.B) {
+		b.Run(bc.name, func(b *testing.B) {
 			// Retention keeps a handful of extents, so the heap the
-			// collector walks does not grow with b.N.
-			db := tracedb.NewWith(tracedb.Config{RetainBytes: 1 << 20})
+			// collector walks and the data directory do not grow with b.N.
+			cfg := tracedb.Config{RetainBytes: 1 << 20}
+			if bc.spilled {
+				cfg.DataDir = b.TempDir()
+			}
+			db := tracedb.NewWith(cfg)
+			defer db.Close()
 			db.Insert(recs) // warm the table's seal scratch
+			seen := make(map[string]bool)
+			created := func() int {
+				ents, err := os.ReadDir(cfg.DataDir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n := 0
+				for _, e := range ents {
+					if !seen[e.Name()] {
+						seen[e.Name()] = true
+						n++
+					}
+				}
+				return n
+			}
+			if bc.spilled {
+				created()
+			}
+			files := 0
 			b.ReportAllocs()
 			b.SetBytes(int64(n * core.RecordSize))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				db.Insert(recs)
+				if bc.spilled {
+					b.StopTimer()
+					files += created()
+					b.StartTimer()
+				}
 			}
 			b.StopTimer()
 			st := db.StorageTotals()
-			if sealed := st.Extents + int(st.EvictedExtents); sealed != b.N+1 || st.HeadRecords != 0 {
-				b.Fatalf("%d extents and %d head records after %d sealing inserts", sealed, st.HeadRecords, b.N+1)
+			if sealed := st.Extents + int(st.EvictedExtents); sealed != b.N+1 || st.HeadRecords != 0 || st.SpillErrors != 0 {
+				b.Fatalf("%d extents, %d head records and %d spill errors after %d sealing inserts", sealed, st.HeadRecords, st.SpillErrors, b.N+1)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/record")
 			b.ReportMetric(float64(st.StoredBytes())/float64(st.SealedRecords), "B/record")
 			b.ReportMetric(st.CompressionRatio(), "compression-x")
+			if bc.spilled {
+				b.ReportMetric(float64(files)/float64(b.N), "files/seal")
+			}
 		})
 	}
 }
@@ -185,12 +222,13 @@ const tableLookupExtents = 300
 // default-size extent seals at 6,144 records, ~300 of them spilled, and a
 // head. It reports µs per lookup and the extents a lookup reads, counted
 // by the table itself (StorageStats.LookupReads): one that holds the ID
-// plus the filter's false positives over the rest. Every extent is within
-// the DB's handle budget, so the store keeps all their files open
-// (StorageStats.OpenHandles, reported too) and no lookup opens one.
+// plus the filter's false positives over the rest. The extents sit in a
+// couple of pack files, every one of which the store keeps open
+// (StorageStats.OpenHandles, reported too), so no lookup opens a file.
 func tableLookup(b *testing.B) {
 	const run, lookups = 1024, 256
-	db := tracedb.NewWith(tracedb.Config{DataDir: b.TempDir()})
+	dir := b.TempDir()
+	db := tracedb.NewWith(tracedb.Config{DataDir: dir})
 	defer db.Close()
 	tbl, _ := db.CreateTable(1, "lookup")
 	rng := rand.New(rand.NewSource(3))
@@ -213,8 +251,9 @@ func tableLookup(b *testing.B) {
 			head++
 		}
 	}
-	if st := tbl.Storage(); st.SpilledExtents != tableLookupExtents || st.OpenHandles != tableLookupExtents || st.HeadRecords == 0 {
-		b.Fatalf("fixture: %d spilled extents, %d open handles, %d head records", st.SpilledExtents, st.OpenHandles, st.HeadRecords)
+	packs, _ := filepath.Glob(filepath.Join(dir, "*.vnp"))
+	if st := tbl.Storage(); st.SpilledExtents != tableLookupExtents || st.OpenHandles != len(packs) || st.HeadRecords == 0 {
+		b.Fatalf("fixture: %d spilled extents, %d open handles for %d packs, %d head records", st.SpilledExtents, st.OpenHandles, len(packs), st.HeadRecords)
 	}
 	rng.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
 	targets = targets[:lookups]

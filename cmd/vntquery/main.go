@@ -332,7 +332,7 @@ func runStorage(path, walDir string, cfg tracedb.Config) error {
 				s.EvictedRecords, s.EvictedExtents, s.ReadErrors)
 		}
 		if s.SpilledExtents > 0 || s.HandleBudget > 0 {
-			fmt.Printf("  open extent files: %d", s.OpenHandles)
+			fmt.Printf("  open pack files: %d", s.OpenHandles)
 			if s.HandleBudget > 0 {
 				fmt.Printf(" (budget %d)", s.HandleBudget)
 			}

@@ -5,8 +5,9 @@
 // counters — so recovery can restore exactly-once semantics and then
 // replay only the WAL tail written after the checkpoint. Record payloads
 // are NOT in the checkpoint: the checkpoint path seals every head segment
-// first, so records up to the checkpoint LSN are durable in spilled
-// extents and everything after it is durable in the WAL.
+// into its table's pack and syncs the packs first, so records up to the
+// checkpoint LSN are durable in packed extents and everything after it is
+// durable in the WAL.
 //
 // A checkpoint file is named for the highest LSN it covers:
 //
@@ -15,9 +16,8 @@
 // and framed as: magic "vnck" | version byte | 8B big-endian LSN |
 // 4B big-endian CRC32(payload) | JSON payload. Version 1, with a second
 // per-agent ledger for aggregate frames, is refused. Files are written
-// temp-then-rename like extent spills, so a crash mid-checkpoint leaves
-// the previous checkpoint intact and at worst an orphaned *.tmp (swept on
-// startup).
+// temp-then-rename, so a crash mid-checkpoint leaves the previous
+// checkpoint intact and at worst an orphaned *.tmp (swept on startup).
 package tracedb
 
 import (
@@ -119,38 +119,16 @@ func sortedSeqs(m map[uint64]struct{}) []uint64 {
 }
 
 // tableState is the per-table durable accounting: the seal sequence
-// fence (extents with seq below it are covered by the checkpoint; newer
-// ones rebuild from the WAL) plus eviction/error counters that would
-// otherwise reset to zero on restart.
+// fence (packs whose first extent's seq is below it are covered by the
+// checkpoint; newer ones rebuild from the WAL) plus eviction/error
+// counters that would otherwise reset to zero on restart. Table.
+// checkpointCut makes it.
 type tableState struct {
 	Name           string `json:"name"`
 	SealSeq        int    `json:"seal_seq"`
 	EvictedRecords uint64 `json:"evicted_records,omitempty"`
 	EvictedExtents uint64 `json:"evicted_extents,omitempty"`
 	SpillErrors    uint64 `json:"spill_errors,omitempty"`
-}
-
-// exportTableStates snapshots per-table durable counters. The head must
-// already be sealed (the checkpoint path calls SealAll first), so SealSeq
-// fences the complete record history.
-func (db *DB) exportTableStates() map[uint32]tableState {
-	out := make(map[uint32]tableState)
-	for _, id := range db.Tables() {
-		t, ok := db.Table(id)
-		if !ok {
-			continue
-		}
-		t.mu.RLock()
-		out[id] = tableState{
-			Name:           t.Name,
-			SealSeq:        t.sealSeq,
-			EvictedRecords: t.evictedRecords,
-			EvictedExtents: t.evictedExtents,
-			SpillErrors:    t.spillErrors,
-		}
-		t.mu.RUnlock()
-	}
-	return out
 }
 
 // aggState is the AggStore's serialized form: the merged script
@@ -221,8 +199,9 @@ func parseCheckpointFileName(name string) (uint64, bool) {
 }
 
 // writeCheckpoint persists a checkpoint payload atomically (temp+rename,
-// fsync before rename) and returns the final path.
-func writeCheckpoint(dir string, p *checkpointPayload) (string, error) {
+// fsync before rename, the directory synced after it) and returns the
+// final path.
+func writeCheckpoint(fsys fileSystem, dir string, p *checkpointPayload) (string, error) {
 	body, err := json.Marshal(p)
 	if err != nil {
 		return "", err
@@ -240,12 +219,12 @@ func writeCheckpoint(dir string, p *checkpointPayload) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if _, err := f.Write(buf); err != nil {
+	if err := fsys.writeAt(f, buf, 0); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return "", err
 	}
-	if err := f.Sync(); err != nil {
+	if err := fsys.sync(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return "", err
@@ -254,11 +233,11 @@ func writeCheckpoint(dir string, p *checkpointPayload) (string, error) {
 		os.Remove(tmp)
 		return "", err
 	}
-	if err := os.Rename(tmp, final); err != nil {
+	if err := fsys.rename(tmp, final); err != nil {
 		os.Remove(tmp)
 		return "", err
 	}
-	return final, nil
+	return final, fsys.syncDir(dir)
 }
 
 // readCheckpoint parses and validates one checkpoint file.

@@ -5,9 +5,9 @@
 //
 //   - adoption (Recover) and a trace-ID lookup read the tail — ID
 //     section, dictionary, directory, trailer — in one pread, verify its
-//     CRC and its geometry against the file size, and then either rebuild
-//     the resident metadata from it or scan the ID section and fetch, by
-//     directory offset, only the block(s) that hold a match;
+//     CRC and its geometry against the extent's size, and then either
+//     rebuild the resident metadata from it or scan the ID section and
+//     fetch, by directory offset, only the block(s) that hold a match;
 //   - a scan reads the whole extent once, verifies header, tail and every
 //     block's CRC, and decodes every block before the first record is
 //     delivered, so an extent delivers all of its records or none.
@@ -45,12 +45,13 @@
 // on average where the raw value costs 4.00, and a fixed-width column is
 // what lets a lookup find a record's block without decoding anything.
 //
-// The blob is self-describing, so a spilled extent file needs no external
-// metadata — the property that makes the on-disk format crash-safe:
-// either the rename landed and the file verifies in full, or it didn't
-// and the file does not exist. Every count and offset a reader takes from
-// the file is checked against the file's size before it sizes an
-// allocation or a slice. Version 1 files (a varint record stream with no
+// The blob is self-describing, so a pack of them back to back needs no
+// external metadata — the property that makes the on-disk format
+// crash-safe: the trailer sizes its extent, so recovery walks a pack from
+// its end, and a torn or damaged append fails its checksums and is
+// skipped (pack.go). Every count and offset a reader takes from the disk
+// is checked against the extent's size before it sizes an allocation or
+// a slice. Version 1 files (a varint record stream with no
 // tail) are refused; the collector's -out dump is the carry-over path.
 package tracedb
 

@@ -16,7 +16,7 @@ import (
 // encodeExtent seals recs with a fresh encoder and returns the blob.
 func encodeExtent(tpid uint32, recs []core.Record) []byte {
 	var enc extentEncoder
-	_, blob := sealExtent(&enc, tpid, 0, recs)
+	_, blob := sealExtent(&enc, tpid, recs)
 	return blob
 }
 

@@ -2,32 +2,26 @@
 // colliding with the exported latency-decomposition Segment alias in the
 // root package.) An Extent is immutable from the moment it is sealed:
 // either its compressed blob stays resident in memory, or — when the DB
-// has a data directory — the blob is spilled to disk at seal time and
-// only the metadata (count, time range, trace-ID filter, where the tail
-// starts) stays resident. Eviction drops whole extents; nothing ever
-// rewrites one.
+// has a data directory — the blob is appended to its table's pack file at
+// seal time and only the metadata (count, time range, trace-ID filter,
+// where the tail starts) stays resident. Eviction drops whole extents;
+// nothing ever rewrites one.
 package tracedb
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
-	"io"
 	"math/bits"
 	"os"
-	"path/filepath"
-	"slices"
 	"sync"
-	"sync/atomic"
 
 	"vnettracer/internal/core"
 )
 
 // extentOverheadBytes approximates one Extent's fixed in-memory footprint
-// (struct fields, slice headers, path string) for residency accounting.
+// (struct fields, slice headers, pack reference) for residency accounting.
 const extentOverheadBytes = 120
 
-// adoptTailGuess is how much of a spilled extent's end adoption reads
+// adoptTailGuess is how much before a packed extent's end adoption reads
 // before it knows where the tail starts: enough for the tail of a
 // default-sized segment (~23 KB), so those take one read.
 const adoptTailGuess = 32 << 10
@@ -37,23 +31,19 @@ const adoptTailGuess = 32 << 10
 // exported accessors exist for storage introspection (vntquery storage,
 // tests, benchmarks).
 type Extent struct {
-	seq       int
 	count     int
 	minTimeNs uint64
 	maxTimeNs uint64
 	filter    idFilter
 
-	// blob holds the compressed bytes while resident; path points at the
-	// spilled file instead. Exactly one of the two is set after seal.
+	// blob holds the compressed bytes while resident; pack holds them at
+	// [base, base+storedBytes) instead. Exactly one of the two is set
+	// after seal.
 	blob []byte
-	path string
-	// f is the spilled file, kept open from the spill or the adoption
-	// that made the extent when its DB's handle budget had room, and nil
-	// otherwise: then every read opens path. It is set before the extent
-	// is published and closed only by remove or DB.Close.
-	f *os.File
-	// storedBytes is the compressed size (== len(blob) == file size);
-	// tailOff is where in it the tail (ID section onwards) starts.
+	pack *pack
+	base int64
+	// storedBytes is the compressed size (== len(blob)); tailOff is where
+	// in it the tail (ID section onwards) starts.
 	storedBytes int
 	tailOff     int
 }
@@ -63,17 +53,17 @@ type Extent struct {
 // without a DB.
 func SealRecords(tpid uint32, recs []core.Record) *Extent {
 	var enc extentEncoder
-	e, blob := sealExtent(&enc, tpid, 0, recs)
+	e, blob := sealExtent(&enc, tpid, recs)
 	e.blob = bytes.Clone(blob)
 	return e
 }
 
 // sealExtent compresses recs (one table's next run of records, batch
 // aligned by construction) into an immutable extent. The encoded bytes
-// alias enc's buffer: the caller spills them or keeps an exact-size copy
+// alias enc's buffer: the caller packs them or keeps an exact-size copy
 // as the extent's blob before enc is used again.
-func sealExtent(enc *extentEncoder, tpid uint32, seq int, recs []core.Record) (*Extent, []byte) {
-	e := &Extent{seq: seq, count: len(recs), filter: newIDFilter(len(recs))}
+func sealExtent(enc *extentEncoder, tpid uint32, recs []core.Record) (*Extent, []byte) {
+	e := &Extent{count: len(recs), filter: newIDFilter(len(recs))}
 	if len(recs) > 0 {
 		e.minTimeNs, e.maxTimeNs = recs[0].TimeNs, recs[0].TimeNs
 	}
@@ -92,158 +82,8 @@ func sealExtent(enc *extentEncoder, tpid uint32, seq int, recs []core.Record) (*
 	return e, blob
 }
 
-// spill writes the extent's encoded bytes to dir; the extent then lives
-// on disk. The write goes to a temp file first and is renamed into place,
-// so a crash mid-write never leaves a half-extent under the final name;
-// the blob's self-describing tail makes the landed file readable on its
-// own. The file is opened for reading too and, while hs has room, kept
-// open for the extent's reads.
-func (e *Extent) spill(dir string, tpid uint32, blob []byte, hs *handles) error {
-	final := filepath.Join(dir, fmt.Sprintf("tp%08x-%06d.vnx", tpid, e.seq))
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if errors.Is(err, os.ErrNotExist) {
-		// The first spill makes the data directory, and so does the next
-		// one after it is removed; the seals between ask nothing of it.
-		if err = os.MkdirAll(dir, 0o755); err == nil {
-			f, err = os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	if _, err = f.Write(blob); err == nil {
-		err = os.Rename(tmp, final)
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	e.path = final
-	e.keep(f, hs)
-	return nil
-}
-
-// keep makes f the extent's open file when hs has room for it, and closes
-// it otherwise. The first file kept grows the descriptor table to the
-// budget's size.
-func (e *Extent) keep(f *os.File, hs *handles) {
-	if hs.reserve() {
-		growFDTable(f, hs.budget)
-		e.f = f
-	} else {
-		f.Close()
-	}
-}
-
-// reopenExtent rebuilds one spilled extent's resident metadata from its
-// tail alone: count and time range from the trailer, the trace-ID filter
-// from the ID section. The blocks are not read; a damaged one surfaces as
-// a read error when a query reaches it. The file stays open for the
-// extent's reads while hs has room.
-func reopenExtent(path string, tpid uint32, seq int, hs *handles) (*Extent, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	e, err := adoptExtent(f, path, tpid, seq)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	e.keep(f, hs)
-	return e, nil
-}
-
-// adoptExtent builds the extent that f, the file at path, holds.
-func adoptExtent(f *os.File, path string, tpid uint32, seq int) (*Extent, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	rd := readers.Get().(*extentReader)
-	defer readers.Put(rd)
-	e := &Extent{seq: seq, path: path, storedBytes: int(fi.Size())}
-	t, err := e.readTail(f, rd, max(0, e.storedBytes-adoptTailGuess))
-	if err != nil {
-		return nil, err
-	}
-	if t.tpid != tpid {
-		return nil, fmt.Errorf("tracedb: extent %s: tpid %d in blob, %d in name", filepath.Base(path), t.tpid, tpid)
-	}
-	e.tailOff = int(t.idOff)
-	e.count, e.minTimeNs, e.maxTimeNs = t.count, t.minTimeNs, t.maxTimeNs
-	e.filter = newIDFilter(t.count)
-	for ids := t.ids; len(ids) >= 4; ids = ids[4:] {
-		e.filter.add(le.Uint32(ids))
-	}
-	return e, nil
-}
-
-// remove deletes a spilled extent's file (eviction), closing the file it
-// keeps first; resident extents just drop their reference when the table
-// forgets them. A read still under way through a snapshot that holds the
-// extent fails and is counted, as it would on an unlinked path.
-func (e *Extent) remove(hs *handles) {
-	hs.release(e)
-	if e.path != "" {
-		os.Remove(e.path)
-	}
-}
-
-// handles is one DB's budget of spilled-extent files kept open across
-// reads. A lookup or scan of an extent within it opens nothing; past it,
-// each read opens the file and closes it again.
-type handles struct {
-	budget int64
-	open   atomic.Int64
-	closed atomic.Bool // the DB is closed: keep nothing more
-}
-
-// maxExtentHandles bounds a DB's kept files. A quarter of the process's
-// open-file soft limit caps it lower, so the store never takes the
-// descriptors its sockets and logs need.
-const maxExtentHandles = 1024
-
-// extentHandleBudget is the budget each DB starts with.
-var extentHandleBudget = func() int64 {
-	n := uint64(maxExtentHandles)
-	if lim := openFileLimit(); lim > 0 {
-		n = min(n, lim/4)
-	}
-	return int64(n)
-}()
-
-// reserve claims one handle; false when the budget is spent or the DB is
-// closed.
-func (hs *handles) reserve() bool {
-	if hs.closed.Load() {
-		return false
-	}
-	if hs.open.Add(1) <= hs.budget {
-		return true
-	}
-	hs.open.Add(-1)
-	return false
-}
-
-// release closes the file e keeps, if any, and returns its handle. A file
-// already closed is not counted twice.
-func (hs *handles) release(e *Extent) error {
-	if e.f == nil {
-		return nil
-	}
-	err := e.f.Close()
-	if errors.Is(err, os.ErrClosed) {
-		return nil
-	}
-	hs.open.Add(-1)
-	return err
-}
-
 // extentReader is the scratch one read of an extent needs: a buffer for
-// the tail or the whole file, one for a single block, and the record
+// the tail or the whole extent, one for a single block, and the record
 // array blocks decode into. Readers are pooled, so a query allocates none
 // of it.
 type extentReader struct {
@@ -253,61 +93,33 @@ type extentReader struct {
 
 var readers = sync.Pool{New: func() any { return new(extentReader) }}
 
-// readAt reads the n bytes at off of a spilled extent's file into buf,
-// grown as needed. A read that reaches the extent's end asks for one byte
-// more and must be cut short exactly there, so a file that shrank or grew
-// since it was sealed fails instead of being misread.
+// readAt reads the n bytes at off of a packed extent, through f, into
+// buf, grown as needed. A pack that ends before them fails the read.
 func (e *Extent) readAt(f *os.File, buf []byte, off, n int) ([]byte, error) {
-	atEnd := off+n == e.storedBytes
-	if atEnd {
-		n++
-	}
-	buf = slices.Grow(buf[:0], n)[:n]
-	got, err := f.ReadAt(buf, int64(off))
-	if atEnd {
-		n--
-		if got == n && err == io.EOF {
-			err = nil
-		} else if err == nil {
-			err = fmt.Errorf("tracedb: extent %s is longer than its %d sealed bytes", filepath.Base(e.path), e.storedBytes)
-		}
-	}
-	if err != nil {
-		return buf[:0], err
-	}
-	return buf[:n], nil
+	return readFull(f, buf, e.base+int64(off), n)
 }
 
-// readTail reads and verifies the tail of a spilled extent, reading from
-// offset from: the extent's tailOff, or adoption's guess when that is not
-// known yet — there, a tail that starts earlier costs a second read.
-func (e *Extent) readTail(f *os.File, rd *extentReader, from int) (extentTail, error) {
+// readTail reads and verifies the tail of a packed extent.
+func (e *Extent) readTail(f *os.File, rd *extentReader) (extentTail, error) {
 	var err error
-	if rd.buf, err = e.readAt(f, rd.buf, from, e.storedBytes-from); err != nil {
+	if rd.buf, err = e.readAt(f, rd.buf, e.tailOff, e.storedBytes-e.tailOff); err != nil {
 		return extentTail{}, err
 	}
-	t, err := parseExtentTail(rd.buf, int64(e.storedBytes))
-	if err == errShortTail {
-		if rd.buf, err = e.readAt(f, rd.buf, int(t.idOff), e.storedBytes-int(t.idOff)); err != nil {
-			return extentTail{}, err
-		}
-		t, err = parseExtentTail(rd.buf, int64(e.storedBytes))
-	}
-	return t, err
+	return parseExtentTail(rd.buf, int64(e.storedBytes))
 }
 
-// file returns the spilled extent's file for one read: the one it keeps,
-// or one opened now, which done closes again.
+// file returns the packed extent's file for one read: the one its pack
+// keeps, or one opened now, which done closes again.
 func (e *Extent) file() (*os.File, error) {
-	if e.f != nil {
-		return e.f, nil
+	if e.pack.kept {
+		return e.pack.f, nil
 	}
-	return os.Open(e.path)
+	return os.Open(e.pack.path)
 }
 
-// done ends a read through f, closing it unless the extent keeps it.
+// done ends a read through f, closing it unless the pack keeps it.
 func (e *Extent) done(f *os.File) {
-	if f != e.f {
+	if !e.pack.kept {
 		f.Close()
 	}
 }
@@ -351,7 +163,7 @@ func (e *Extent) lookup(rd *extentReader, id uint32, out []core.Record) ([]core.
 			return out, err
 		}
 		defer e.done(f)
-		t, err = e.readTail(f, rd, e.tailOff)
+		t, err = e.readTail(f, rd)
 	}
 	if err != nil {
 		return out, err
@@ -427,13 +239,13 @@ func (e *Extent) readBlock(f *os.File, rd *extentReader, t *extentTail, b int) (
 func (e *Extent) mayContain(id uint32) bool { return e.filter.mayContain(id) }
 
 // Spilled reports whether the blob lives on disk rather than in memory.
-func (e *Extent) Spilled() bool { return e.path != "" }
+func (e *Extent) Spilled() bool { return e.pack != nil }
 
 // residentBytes is the extent's in-memory footprint: blob (when not
 // spilled) plus trace-ID filter plus fixed overhead.
 func (e *Extent) residentBytes() uint64 {
 	n := uint64(len(e.filter)*8) + extentOverheadBytes
-	if e.path == "" {
+	if e.pack == nil {
 		n += uint64(len(e.blob))
 	}
 	return n

@@ -15,7 +15,7 @@ import (
 
 // damageFixture is a durable store whose table 1 holds extents of three
 // blocks each (2×256+50 records, trace IDs unique and equal to Seq+1) and
-// a few head records, every extent spilled and under a checkpoint.
+// a few head records, every extent in one pack and under a checkpoint.
 type damageFixture struct {
 	db   *DB
 	dur  *Durability
@@ -51,18 +51,46 @@ func newDamageFixture(t *testing.T) *damageFixture {
 	admit(damageExtents+1, damageExtents*damageExtentRecords, damageHeadRecords)
 	f := &damageFixture{db: db, dur: dur, dcfg: dcfg}
 	f.tbl, _ = db.Table(1)
-	// Every extent keeps its file open, so the damage below is done to
-	// files already open: what a kept handle must not paper over.
-	if st := f.tbl.Storage(); st.SpilledExtents != damageExtents || st.OpenHandles != damageExtents || st.HeadRecords != damageHeadRecords {
+	// The pack stays open, so the damage below is done to a file already
+	// open: what a kept handle must not paper over.
+	if st := f.tbl.Storage(); st.SpilledExtents != damageExtents || st.OpenHandles != 1 || st.HeadRecords != damageHeadRecords {
 		t.Fatalf("fixture: %+v", st)
 	}
 	t.Cleanup(func() { f.dur.Close(); f.db.Close() })
 	return f
 }
 
-// extentPath is the spilled file of table 1's extent seq.
-func (f *damageFixture) extentPath(seq int) string {
-	return filepath.Join(f.db.Config().DataDir, fmt.Sprintf("tp%08x-%06d.vnx", 1, seq))
+// packPath is the pack file that holds table 1's extents.
+func (f *damageFixture) packPath() string {
+	return filepath.Join(f.db.Config().DataDir, packName(1, 0))
+}
+
+// extent returns extent i's bytes, as sealed, from the pack.
+func (f *damageFixture) extent(t *testing.T, i int) []byte {
+	t.Helper()
+	b, err := os.ReadFile(f.packPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := f.tbl.sealed[i]
+	return slices.Clone(b[e.base : e.base+int64(e.storedBytes)])
+}
+
+// damage rewrites the pack in place, with extent i's bytes replaced by
+// what edit makes of them; edit may change their length, which moves the
+// extents after it in the file, not in the live table.
+func (f *damageFixture) damage(t *testing.T, i int, edit func(ext []byte) []byte) {
+	t.Helper()
+	b, err := os.ReadFile(f.packPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := f.tbl.sealed[i]
+	end := e.base + int64(e.storedBytes)
+	b = slices.Concat(b[:e.base], edit(slices.Clone(b[e.base:end])), b[end:])
+	if err := os.WriteFile(f.packPath(), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // recover closes the store and reopens its directories in a fresh one.
@@ -91,18 +119,20 @@ func scanSeqs(scan func(func(core.Record) bool)) []uint64 {
 	return out
 }
 
-// checkExtentMissing holds every query against a table whose extent 1 is
-// failing (readErrs: each query that reaches it counts one read error) or
-// was never adopted (!readErrs): the extent's records are gone from every
-// answer, whole, and every other record is still there.
-func (f *damageFixture) checkExtentMissing(t *testing.T, readErrs bool) {
+// checkExtentMissing holds every query against a table whose extent lost
+// is failing (readErrs: each query that reaches it counts one read error)
+// or was never adopted (!readErrs): the extent's records are gone from
+// every answer, whole, and every other record is still there. lost -1
+// holds them against a table that answers everything.
+func (f *damageFixture) checkExtentMissing(t *testing.T, lost int, readErrs bool) {
 	t.Helper()
 	var want []uint64
 	for s := uint64(0); s < damageRecords; s++ {
-		if s/damageExtentRecords != 1 {
+		if int(s/damageExtentRecords) != lost {
 			want = append(want, s)
 		}
 	}
+	readErrs = readErrs && lost >= 0
 	errs := f.tbl.Storage().ReadErrors
 	expectErr := func(what string) {
 		t.Helper()
@@ -114,22 +144,27 @@ func (f *damageFixture) checkExtentMissing(t *testing.T, readErrs bool) {
 		}
 	}
 	if got := scanSeqs(f.tbl.Scan); !slices.Equal(got, want) {
-		t.Fatalf("Scan delivered %d records, want the %d outside extent 1", len(got), len(want))
+		t.Fatalf("Scan delivered %d records, want the %d outside extent %d", len(got), len(want), lost)
 	}
 	expectErr("Scan")
 	if got := scanSeqs(f.tbl.ScanAligned); !slices.Equal(got, want) {
-		t.Fatalf("ScanAligned delivered %d records, want the %d outside extent 1", len(got), len(want))
+		t.Fatalf("ScanAligned delivered %d records, want the %d outside extent %d", len(got), len(want), lost)
 	}
 	expectErr("ScanAligned")
-	// An ID in the failing extent's second block — the damaged one, when
-	// the damage is to a block.
-	lost := uint32(damageExtentRecords + blockRecords + 7 + 1)
-	if got := f.tbl.ByTraceID(lost); len(got) != 0 {
-		t.Fatalf("ByTraceID answered from the failed extent: %v", got)
+	if lost >= 0 {
+		// An ID in the failing extent's second block — the damaged one,
+		// when the damage is to a block.
+		id := uint32(lost*damageExtentRecords + blockRecords + 7 + 1)
+		if got := f.tbl.ByTraceID(id); len(got) != 0 {
+			t.Fatalf("ByTraceID answered from the failed extent: %v", got)
+		}
+		expectErr("ByTraceID")
 	}
-	expectErr("ByTraceID")
 	// Every other extent, and the head, still answer.
-	for _, seq := range []uint64{3, damageExtentRecords - 1, 2 * damageExtentRecords, 3*damageExtentRecords - 1, damageRecords - 1} {
+	for _, seq := range []uint64{3, damageExtentRecords - 1, damageExtentRecords + 5, 2*damageExtentRecords - 1, 2 * damageExtentRecords, 3*damageExtentRecords - 1, damageRecords - 1} {
+		if int(seq/damageExtentRecords) == lost {
+			continue
+		}
 		got := f.tbl.ByTraceID(uint32(seq + 1))
 		if len(got) != 1 || got[0].Seq != seq {
 			t.Fatalf("ByTraceID(%d) = %v, want the record with seq %d", seq+1, got, seq)
@@ -137,46 +172,50 @@ func (f *damageFixture) checkExtentMissing(t *testing.T, readErrs bool) {
 	}
 }
 
-// TestFailedExtentDeliversNothing damages one spilled extent four ways,
+// TestFailedExtentDeliversNothing damages the fixture's pack five ways,
 // each in place, under the open handle the table keeps for it, and
 // checks, on the live table that sealed it and on a store recovered
-// from the same directory, that the extent contributes no record to any
-// query — not the prefix that decodes before the damage — while every
+// from the same directory, that a damaged extent contributes no record to
+// any query — not the prefix that decodes before the damage — while every
 // other extent still answers, and that each failure is counted: as a read
-// error per query on a table that holds the extent, as a corrupt extent
-// at recovery when its tail does not verify.
+// error per query on a table that holds the extent, as a corrupt stretch
+// at recovery when a tail does not verify. Recovery's walk steps past the
+// damage to the extents before it.
 func TestFailedExtentDeliversNothing(t *testing.T) {
 	cases := []struct {
-		name   string
-		damage func(file []byte, tail *extentTail) []byte
-		adopts bool // the tail still verifies, so recovery adopts the extent
+		name string
+		// damage edits extent ext's bytes.
+		ext    int
+		damage func(ext []byte, tail *extentTail) []byte
+		// liveLost and recoveredLost are the extent each table misses
+		// (-1: none); adopts reports that recovery adopts every extent,
+		// so the recovered table still reads the damaged one and fails.
+		liveLost, recoveredLost int
+		adopts                  bool
 	}{
-		{"truncated", func(b []byte, _ *extentTail) []byte { return b[:len(b)/2] }, false},
-		{"trailing garbage", func(b []byte, _ *extentTail) []byte { return append(b, 0xAA, 0xBB) }, false},
-		{"flipped byte in the ID section", func(b []byte, x *extentTail) []byte { b[x.idOff+4*300] ^= 1; return b }, false},
-		{"flipped byte in a block", func(b []byte, x *extentTail) []byte {
+		{"truncated", 2, func(b []byte, _ *extentTail) []byte { return b[:len(b)/2] }, 2, 2, false},
+		{"trailing garbage", 2, func(b []byte, _ *extentTail) []byte { return append(b, 0xAA, 0xBB) }, -1, -1, false},
+		{"flipped byte in the ID section", 1, func(b []byte, x *extentTail) []byte { b[x.idOff+4*300] ^= 1; return b }, 1, 1, false},
+		{"zeroed trailer", 1, func(b []byte, _ *extentTail) []byte {
+			clear(b[len(b)-extentTrailerLen:])
+			return b
+		}, 1, 1, false},
+		{"flipped byte in a block", 1, func(b []byte, x *extentTail) []byte {
 			off, _, _ := x.blockSpan(1)
 			b[off+10] ^= 1
 			return b
-		}, true},
+		}, 1, 1, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newDamageFixture(t)
-			path := f.extentPath(1)
-			file, err := os.ReadFile(path)
+			x, err := viewExtent(f.extent(t, tc.ext))
 			if err != nil {
 				t.Fatal(err)
 			}
-			x, err := viewExtent(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, tc.damage(slices.Clone(file), &x.tail), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			f.damage(t, tc.ext, func(b []byte) []byte { return tc.damage(b, &x.tail) })
 
-			f.checkExtentMissing(t, true)
+			f.checkExtentMissing(t, tc.liveLost, true)
 			if tc.adopts {
 				// The lookup path verifies what it reads and nothing
 				// else: an ID in an undamaged block still answers.
@@ -188,37 +227,41 @@ func TestFailedExtentDeliversNothing(t *testing.T) {
 			stats := f.recover(t)
 			wantAdopted, wantCorrupt := damageExtents, 0
 			if !tc.adopts {
-				wantAdopted, wantCorrupt = damageExtents-1, 1
+				wantAdopted, wantCorrupt = damageExtents, 1
+				if tc.recoveredLost >= 0 {
+					wantAdopted--
+				}
 			}
 			if stats.AdoptedExtents != wantAdopted || stats.CorruptExtents != wantCorrupt || stats.ReplayedRecords != damageHeadRecords {
 				t.Fatalf("recovery adopted %d extents, found %d corrupt, replayed %d records; want %d, %d, %d",
 					stats.AdoptedExtents, stats.CorruptExtents, stats.ReplayedRecords, wantAdopted, wantCorrupt, damageHeadRecords)
 			}
-			f.checkExtentMissing(t, tc.adopts)
+			f.checkExtentMissing(t, tc.recoveredLost, tc.adopts)
 		})
 	}
 }
 
-// TestAdoptForgedCountIsCorruptNotFatal replaces one checkpointed extent
-// with forgeries whose tail checksum is good but whose counts and offsets
-// lie — a count of 2^45 used to size recovery's Bloom filter straight
-// from the file and kill the process — and checks that recovery rejects
-// each before allocating for it, counts it once, and adopts the rest.
+// TestAdoptForgedCountIsCorruptNotFatal replaces the middle extent of a
+// checkpointed pack with forgeries — tails whose checksum is good but
+// whose counts and offsets lie (a count of 2^45 used to size recovery's
+// Bloom filter straight from the file and kill the process), headers of
+// another magic or version — and checks that recovery rejects each before
+// allocating for it, counts it once, and adopts the extents on both sides
+// of it.
 func TestAdoptForgedCountIsCorruptNotFatal(t *testing.T) {
 	f := newDamageFixture(t)
-	path := f.extentPath(1)
-	genuine, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	exts := [damageExtents][]byte{f.extent(t, 0), f.extent(t, 1), f.extent(t, 2)}
+	forgeries := forgedExtents(t, exts[1])
+	for _, name := range append([]string{"corrupt block", "wrong block crc"}, columnForgeries...) {
+		delete(forgeries, name) // the tail verifies: adoption reads no block
 	}
-	forgeries := forgedExtents(t, genuine)
-	for _, name := range append([]string{"corrupt block", "wrong block crc", "bad magic", "future version", "retired version"}, columnForgeries...) {
-		delete(forgeries, name) // the tail verifies: adoption reads neither header nor blocks
-	}
+	// In a pack, the genuine extent with bytes after it is an extent the
+	// walk adopts and a stretch it skips ("trailing garbage" above).
+	delete(forgeries, "trailing bytes")
 	// A real version 1 file (one all-zero record) has no tail at all.
 	forgeries["version 1 file"] = forgery{blob: append([]byte("vntx\x01\x01\x01"), make([]byte, 12)...)}
 	for name, forged := range forgeries {
-		if err := os.WriteFile(path, forged.blob, 0o644); err != nil {
+		if err := os.WriteFile(f.packPath(), slices.Concat(exts[0], forged.blob, exts[2]), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		var before, after runtime.MemStats
@@ -232,7 +275,7 @@ func TestAdoptForgedCountIsCorruptNotFatal(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
 			t.Errorf("%s: recovery allocated %d bytes over a %d-byte forgery", name, grew, len(forged.blob))
 		}
-		f.checkExtentMissing(t, false)
+		f.checkExtentMissing(t, 1, false)
 	}
 }
 

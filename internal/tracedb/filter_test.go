@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"vnettracer/internal/core"
 )
 
 // filterIDSets returns n trace IDs of each shape the filter must hash
@@ -81,24 +83,30 @@ func TestTraceIDFilter(t *testing.T) {
 	}
 }
 
-// TestAdoptTinyExtents adopts spilled extents of zero and one records:
-// their filters are one block, admit the one ID and no other, and a
-// lookup through them finds exactly what was sealed.
+// TestAdoptTinyExtents adopts packed extents of zero and one records,
+// one after the other in one pack: their filters are one block, admit the
+// one ID and no other, and a lookup through them finds exactly what was
+// sealed.
 func TestAdoptTinyExtents(t *testing.T) {
-	dir := t.TempDir()
+	path := filepath.Join(t.TempDir(), packName(1, 0))
+	var packed []byte
+	var sealed [][]core.Record
 	for n := 0; n <= 1; n++ {
 		recs := typicalRecords(n)
 		for i := range recs {
 			recs[i].TPID, recs[i].TraceID = 1, 0xfeed
 		}
-		path := filepath.Join(dir, fmt.Sprintf("tiny-%d.vnx", n))
-		if err := os.WriteFile(path, SealRecords(1, recs).blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		e, err := reopenExtent(path, 1, n, new(handles))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
+		packed = append(packed, SealRecords(1, recs).blob...)
+		sealed = append(sealed, recs)
+	}
+	if err := os.WriteFile(path, packed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, exts, corrupt, err := adoptPack(path, 1, new(handles))
+	if err != nil || p == nil || corrupt != 0 || len(exts) != 2 {
+		t.Fatalf("adopted %d extents, %d corrupt, err %v", len(exts), corrupt, err)
+	}
+	for n, e := range exts {
 		if len(e.filter) != filterBlockWords || e.count != n {
 			t.Fatalf("n=%d: adopted %d records with %d filter words", n, e.count, len(e.filter))
 		}
@@ -108,8 +116,8 @@ func TestAdoptTinyExtents(t *testing.T) {
 		rd := readers.Get().(*extentReader)
 		got, err := e.lookup(rd, 0xfeed, nil)
 		readers.Put(rd)
-		if err != nil || len(got) != n || (n == 1 && got[0] != recs[0]) {
-			t.Errorf("n=%d: lookup = %v, %v; want %v", n, got, err, recs)
+		if err != nil || len(got) != n || (n == 1 && got[0] != sealed[n][0]) {
+			t.Errorf("n=%d: lookup = %v, %v; want %v", n, got, err, sealed[n])
 		}
 	}
 }

@@ -3,9 +3,7 @@ package tracedb
 import (
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -28,12 +26,12 @@ func openFiles(t *testing.T, dir string) (all, under int) {
 	return len(ents), under
 }
 
-// TestUnlinkedExtentReadableUntilClose: every spilled extent keeps its
-// file open, so lookups and scans open nothing, and a file unlinked
-// behind the store's back still answers through its handle — until
-// DB.Close closes the handles, which returns the process's descriptors
-// to what they were before the store opened.
-func TestUnlinkedExtentReadableUntilClose(t *testing.T) {
+// TestUnlinkedPackReadableUntilClose: a table's extents share one pack,
+// whose file the store keeps open, so lookups and scans open nothing, and
+// a pack unlinked behind the store's back still answers through its
+// handle — until DB.Close closes the handles, which returns the process's
+// descriptors to what they were before the store opened.
+func TestUnlinkedPackReadableUntilClose(t *testing.T) {
 	dir := t.TempDir()
 	openFiles(t, dir) // the first read of /proc starts the poller: count after it
 	baseline, _ := openFiles(t, dir)
@@ -42,26 +40,26 @@ func TestUnlinkedExtentReadableUntilClose(t *testing.T) {
 	fill(db, 1, 14, 4, 0, 1000)
 	tbl, _ := db.Table(1)
 	tot := db.StorageTotals()
-	if tot.SpilledExtents != 3 || tot.OpenHandles != 3 || tot.HandleBudget != int(extentHandleBudget) {
-		t.Fatalf("totals: %d spilled extents, %d open handles of %d; want 3, 3, %d",
-			tot.SpilledExtents, tot.OpenHandles, tot.HandleBudget, extentHandleBudget)
+	if tot.SpilledExtents != 3 || tot.OpenHandles != 1 || tot.HandleBudget != int(packHandleBudget) {
+		t.Fatalf("totals: %d spilled extents, %d open handles of %d; want 3, 1, %d",
+			tot.SpilledExtents, tot.OpenHandles, tot.HandleBudget, packHandleBudget)
 	}
-	if _, under := openFiles(t, dir); under != 3 {
-		t.Fatalf("%d extent files open, want 3", under)
+	if _, under := openFiles(t, dir); under != 1 {
+		t.Fatalf("%d pack files open, want 1", under)
 	}
 
-	files, _ := filepath.Glob(filepath.Join(dir, "*.vnx"))
+	files, _ := filepath.Glob(filepath.Join(dir, "*.vnp"))
 	for _, f := range files {
 		if err := os.Remove(f); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := collectRecs(tbl.Scan); len(got) != 14 {
-		t.Fatalf("scan of unlinked extents delivered %d records, want 14", len(got))
+		t.Fatalf("scan of an unlinked pack delivered %d records, want 14", len(got))
 	}
 	for id := uint32(1); id <= 14; id++ {
 		if got := tbl.ByTraceID(id); len(got) != 1 || got[0].TraceID != id {
-			t.Fatalf("ByTraceID(%d) of an unlinked extent = %v", id, got)
+			t.Fatalf("ByTraceID(%d) of an unlinked pack = %v", id, got)
 		}
 	}
 	if st := tbl.Storage(); st.ReadErrors != 0 {
@@ -74,7 +72,7 @@ func TestUnlinkedExtentReadableUntilClose(t *testing.T) {
 	// Earlier tests' stores may be finalized meanwhile, closing their
 	// files, so the total is held to at most the baseline.
 	if all, under := openFiles(t, dir); under != 0 || all > baseline {
-		t.Fatalf("after Close %d descriptors open, %d of them extents; want at most %d and none", all, under, baseline)
+		t.Fatalf("after Close %d descriptors open, %d of them packs; want at most %d and none", all, under, baseline)
 	}
 	if st := db.StorageTotals(); st.OpenHandles != 0 {
 		t.Fatalf("%d open handles after Close", st.OpenHandles)
@@ -88,24 +86,26 @@ func TestUnlinkedExtentReadableUntilClose(t *testing.T) {
 	}
 }
 
-// TestHandleBudget: past its budget a DB keeps no more files open, and the
-// extents over it are read by opening their files per read — so one
-// unlinked behind the store's back fails and is counted, while the
-// extents within the budget keep answering. Retention hands an evicted
-// extent's handle back to the budget for a later seal.
+// TestHandleBudget: past its budget a DB keeps no more packs open, and the
+// extents in the packs over it are read by opening the pack per read — so
+// one unlinked behind the store's back fails and is counted, while the
+// packs within the budget keep answering. Retention hands an unlinked
+// pack's handle back to the budget for a later one. Every seal rolls its
+// pack here, so each extent has a pack of its own.
 func TestHandleBudget(t *testing.T) {
 	dir := t.TempDir()
 	db := NewWith(Config{SegmentBytes: 4 * core.RecordSize, DataDir: dir})
 	db.handles.budget = 2
+	db.packRoll = 1
 	fill(db, 1, 16, 4, 0, 1000)
 	tbl, _ := db.Table(1)
 	if st := tbl.Storage(); st.SpilledExtents != 4 || st.OpenHandles != 2 {
 		t.Fatalf("%d spilled extents, %d open handles; want 4 and 2", st.SpilledExtents, st.OpenHandles)
 	}
-	if err := os.Remove(tbl.sealed[2].path); err != nil { // past the budget
+	if err := os.Remove(tbl.sealed[2].pack.path); err != nil { // past the budget
 		t.Fatal(err)
 	}
-	if err := os.Remove(tbl.sealed[0].path); err != nil { // within it
+	if err := os.Remove(tbl.sealed[0].pack.path); err != nil { // within it
 		t.Fatal(err)
 	}
 	want := append(seqRange(0, 8), seqRange(12, 16)...)
@@ -113,10 +113,10 @@ func TestHandleBudget(t *testing.T) {
 		t.Fatalf("scan delivered seqs %v, want %v", got, want)
 	}
 	if got := tbl.ByTraceID(9); len(got) != 0 {
-		t.Fatalf("ByTraceID of the unlinked extent past the budget = %v", got)
+		t.Fatalf("ByTraceID of the unlinked pack past the budget = %v", got)
 	}
 	if got := tbl.ByTraceID(1); len(got) != 1 {
-		t.Fatalf("ByTraceID of the unlinked extent within the budget = %v", got)
+		t.Fatalf("ByTraceID of the unlinked pack within the budget = %v", got)
 	}
 	if st := tbl.Storage(); st.ReadErrors != 2 {
 		t.Fatalf("ReadErrors = %d, want 2", st.ReadErrors)
@@ -125,6 +125,7 @@ func TestHandleBudget(t *testing.T) {
 
 	db = NewWith(Config{SegmentBytes: 4 * core.RecordSize, DataDir: t.TempDir(), RetainBytes: 256})
 	db.handles.budget = 2
+	db.packRoll = 1
 	fill(db, 1, 100, 4, 0, 1000)
 	tbl, _ = db.Table(1)
 	st := tbl.Storage()
@@ -144,32 +145,4 @@ func seqRange(from, to uint64) []uint64 {
 		out = append(out, s)
 	}
 	return out
-}
-
-// TestFirstKeptFileGrowsDescriptorTable: once a store keeps an extent
-// file open, the process's descriptor table (FDSize in /proc/self/status)
-// already has room for the whole budget, so later seals grow it no more.
-func TestFirstKeptFileGrowsDescriptorTable(t *testing.T) {
-	if runtime.GOOS != "linux" {
-		t.Skip("descriptor-table growth is sized on Linux only")
-	}
-	db := NewWith(Config{SegmentBytes: 4 * core.RecordSize, DataDir: t.TempDir()})
-	defer db.Close()
-	fill(db, 1, 4, 4, 0, 1000)
-	if st := db.StorageTotals(); st.OpenHandles != 1 {
-		t.Fatalf("%d open handles, want 1", st.OpenHandles)
-	}
-	status, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		t.Skipf("no /proc/self/status: %v", err)
-	}
-	var size int64
-	for _, line := range strings.Split(string(status), "\n") {
-		if v, ok := strings.CutPrefix(line, "FDSize:"); ok {
-			size, _ = strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-		}
-	}
-	if size < extentHandleBudget {
-		t.Fatalf("descriptor table holds %d, want at least the budget of %d", size, extentHandleBudget)
-	}
 }

@@ -3,7 +3,6 @@ package tracedb
 import (
 	"cmp"
 	"math/rand"
-	"os"
 	"runtime"
 	"slices"
 	"testing"
@@ -201,14 +200,7 @@ func TestMergedEarlyStop(t *testing.T) {
 	}
 	f := newDamageFixture(t)
 	parts[2] = f.tbl
-	file, err := os.ReadFile(f.extentPath(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	file[len(file)/2] ^= 1
-	if err := os.WriteFile(f.extentPath(0), file, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	f.damage(t, 0, func(b []byte) []byte { b[len(b)/2] ^= 1; return b })
 
 	// The 100 mergeRecs come first (earlier timestamps), then the
 	// fixture's extents 1 and 2 and its head, in Seq order.

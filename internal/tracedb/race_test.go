@@ -1,6 +1,7 @@
 package tracedb
 
 import (
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -153,7 +154,7 @@ func TestScanEarlyStop(t *testing.T) {
 }
 
 // TestScanUnderSealAndEviction runs scans while Insert seals extents and
-// retention evicts them — deleting their spilled files under the scans'
+// retention evicts them — unlinking their packs under the scans'
 // snapshots and closing the files they keep open. Each scan's producer
 // decodes ahead of its consumer, so this is the -race check of the
 // handoff between them as well as of the snapshot. Every extent holds one
@@ -161,24 +162,60 @@ func TestScanEarlyStop(t *testing.T) {
 // must be increasing and whole: a gap opens only at an extent boundary,
 // where an evicted extent was skipped. ByTraceID readers run beside the
 // scans, on their own goroutine and between them; a lookup finds its one
-// record or, evicted or not yet inserted, nothing.
+// record or, evicted or not yet inserted, nothing. Packs roll every few
+// extents, so evictions unlink packs whole while others still hold live
+// extents; the adopted leg starts from a recovered store whose first
+// extents are adopted packs, evicted in their turn.
 func TestScanUnderSealAndEviction(t *testing.T) {
+	for _, leg := range []string{"packed", "adopted"} {
+		t.Run(leg, func(t *testing.T) { scanUnderSealAndEviction(t, leg == "adopted") })
+	}
+}
+
+func scanUnderSealAndEviction(t *testing.T, adopted bool) {
 	const perExtent = 64
-	db := NewWith(Config{SegmentBytes: perExtent * core.RecordSize, RetainBytes: 8 << 10, DataDir: t.TempDir()})
-	db.CreateTable(1, "t")
+	batch := func(i int) []core.Record {
+		recs := make([]core.Record, perExtent)
+		for k := range recs {
+			id := i*perExtent + k + 1
+			recs[k] = core.Record{TPID: 1, TraceID: uint32(id), TimeNs: uint64(id), Len: 7}
+		}
+		return recs
+	}
+	cfg := Config{SegmentBytes: perExtent * core.RecordSize, RetainBytes: 8 << 10, DataDir: filepath.Join(t.TempDir(), "data")}
+	db := NewWith(cfg)
+	db.packRoll = 1 << 10
+	first := 0 // the first batch the inserter below inserts
+	if adopted {
+		old, _, d, dcfg := durTestEnv(t, cfg)
+		for ; first < 20; first++ {
+			d.AdmitRecordBatch("a", 1, uint64(first+1), batch(first), 0, 0)
+		}
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		d.Close()
+		old.Close()
+		db = NewWith(old.Config())
+		db.packRoll = 1 << 10
+		d, stats, err := Recover(db, NewAggStore(), dcfg)
+		if err != nil || stats.AdoptedExtents == 0 {
+			t.Fatalf("recovery adopted %d extents: %v", stats.AdoptedExtents, err)
+		}
+		defer d.Close()
+	} else {
+		db.CreateTable(1, "t")
+	}
+	defer db.Close()
 	tbl, _ := db.Table(1)
 
 	done := make(chan struct{})
 	var inserted atomic.Uint32 // the highest trace ID inserted
+	inserted.Store(uint32(first * perExtent))
 	go func() {
 		defer close(done)
-		batch := make([]core.Record, perExtent)
-		for i := 0; i < 300; i++ {
-			for k := range batch {
-				id := i*perExtent + k + 1
-				batch[k] = core.Record{TPID: 1, TraceID: uint32(id), TimeNs: uint64(id), Len: 7}
-			}
-			db.Insert(batch)
+		for i := first; i < first+300; i++ {
+			db.Insert(batch(i))
 			inserted.Store(uint32((i + 1) * perExtent))
 		}
 	}()

@@ -1,8 +1,10 @@
 package tracedb
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"vnettracer/internal/core"
@@ -158,12 +160,13 @@ func TestSkewAlignmentAcrossSegments(t *testing.T) {
 
 // TestRetentionEvictsWholeSegments checks the retention policy: whole
 // extents evicted oldest-first, eviction counters conserving the total
-// record count, spilled files actually deleted.
+// record count, a pack deleted once its last extent is evicted.
 func TestRetentionEvictsWholeSegments(t *testing.T) {
 	dir := t.TempDir()
 	// Each extent holds 10 records; retention keeps ~3 extents' worth of
-	// compressed bytes.
+	// compressed bytes, and a pack rolls after about two extents.
 	db := NewWith(Config{SegmentBytes: 10 * core.RecordSize, DataDir: dir, RetainBytes: 256})
+	db.packRoll = 100
 	const n = 100
 	fill(db, 1, n, 10, 1_000_000, 1000)
 	tbl, _ := db.Table(1)
@@ -191,13 +194,23 @@ func TestRetentionEvictsWholeSegments(t *testing.T) {
 	if !got || uint64(first.TraceID) != st.EvictedRecords+1 {
 		t.Fatalf("oldest survivor = %d, want %d", first.TraceID, st.EvictedRecords+1)
 	}
-	// Evicted files are gone from disk; surviving extents' files remain.
-	files, err := filepath.Glob(filepath.Join(dir, "*.vnx"))
+	// The packs of evicted extents are gone from disk; the packs that
+	// hold a surviving extent remain, and nothing else.
+	files, err := filepath.Glob(filepath.Join(dir, "*.vnp"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := tbl.Extents(); len(files) != want {
-		t.Fatalf("%d spill files on disk, want %d", len(files), want)
+	var want []string
+	for _, e := range tbl.sealed {
+		if !slices.Contains(want, e.pack.path) {
+			want = append(want, e.pack.path)
+		}
+	}
+	if !slices.Equal(files, want) {
+		t.Fatalf("pack files on disk %v, want those of the surviving extents %v", files, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, packName(1, 0))); !os.IsNotExist(err) {
+		t.Fatalf("the first pack, all of its extents evicted: %v", err)
 	}
 }
 
@@ -250,16 +263,17 @@ func TestSealAllAndCompressionRatio(t *testing.T) {
 	}
 }
 
-// TestSpilledExtentSurvivesReopen: a spilled file is self-describing and
-// decodes on its own (crash-safety property: the rename only lands
-// complete extents).
+// TestSpilledExtentSurvivesReopen: a pack is its extents' blobs back to
+// back, each byte-identical to SealRecords of the same records, so every
+// extent in it decodes on its own, and a pack holding one extent is one
+// decodable blob.
 func TestSpilledExtentSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	db := NewWith(Config{SegmentBytes: 4 * core.RecordSize, DataDir: dir})
 	fill(db, 1, 4, 4, 77, 10)
-	files, _ := filepath.Glob(filepath.Join(dir, "*.vnx"))
+	files, _ := filepath.Glob(filepath.Join(dir, "*.vnp"))
 	if len(files) != 1 {
-		t.Fatalf("spill files = %v", files)
+		t.Fatalf("pack files = %v", files)
 	}
 	blob, err := os.ReadFile(files[0])
 	if err != nil {
@@ -272,29 +286,43 @@ func TestSpilledExtentSurvivesReopen(t *testing.T) {
 	if tpid != 1 || len(recs) != 4 || recs[0].TimeNs != 77 {
 		t.Fatalf("reopened extent: tpid=%d recs=%+v", tpid, recs)
 	}
-	// No temp files left behind.
-	tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
-	if len(tmps) != 0 {
-		t.Fatalf("leftover temp files: %v", tmps)
+
+	// Three more seals append to the same pack.
+	fill(db, 1, 12, 4, 1000, 10)
+	tbl, _ := db.Table(1)
+	var want []byte
+	all := collectRecs(tbl.Scan)
+	for i := 0; i < len(all); i += 4 {
+		want = append(want, SealRecords(1, all[i:i+4]).blob...)
+	}
+	if got, err := os.ReadFile(files[0]); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("pack of %d bytes (%v), want the %d of four SealRecords blobs", len(got), err, len(want))
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 1 {
+		t.Fatalf("data directory holds %v, want the one pack", files)
 	}
 }
 
-// TestEvictionDuringScanIsCounted: a spilled extent evicted the way
-// retention evicts one (Extent.remove: its file closed, then unlinked)
-// while a scan's snapshot still holds it is skipped and surfaces in
-// ReadErrors rather than failing the scan.
+// TestEvictionDuringScanIsCounted: a packed extent evicted the way
+// retention evicts one (the last live extent of its pack: the pack's file
+// closed, then unlinked) while a scan's snapshot still holds it is
+// skipped and surfaces in ReadErrors rather than failing the scan. Every
+// seal rolls its pack here, so each extent has a pack of its own.
 func TestEvictionDuringScanIsCounted(t *testing.T) {
 	dir := t.TempDir()
 	db := NewWith(Config{SegmentBytes: 4 * core.RecordSize, DataDir: dir})
+	db.packRoll = 1
 	fill(db, 1, 12, 4, 0, 1000)
 	tbl, _ := db.Table(1)
-	files, _ := filepath.Glob(filepath.Join(dir, "*.vnx"))
+	files, _ := filepath.Glob(filepath.Join(dir, "*.vnp"))
 	if len(files) != 3 {
-		t.Fatalf("spill files = %v", files)
+		t.Fatalf("pack files = %v", files)
 	}
-	tbl.sealed[0].remove(&db.handles)
+	tbl.mu.Lock()
+	tbl.evictLocked(tbl.sealed[0])
+	tbl.mu.Unlock()
 	if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
-		t.Fatalf("evicted extent's file: %v", err)
+		t.Fatalf("evicted extent's pack: %v", err)
 	}
 	n := 0
 	tbl.Scan(func(core.Record) bool { n++; return true })

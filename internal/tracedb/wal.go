@@ -265,6 +265,7 @@ func listWALFiles(dir string) ([]string, error) {
 // walWriter appends frames to the active generation file. Callers
 // serialize access (the Durability layer holds its own mutex).
 type walWriter struct {
+	fs      fileSystem
 	dir     string
 	policy  FsyncPolicy
 	f       *os.File
@@ -283,8 +284,9 @@ type walWriter struct {
 	syncs   uint64
 }
 
-// openWALGeneration starts (or truncates) the generation file whose first
-// LSN is the writer's next LSN.
+// openGeneration starts (or truncates) the generation file whose first
+// LSN is the writer's next LSN, and syncs the directory, so the new
+// generation's entry is durable before any older one is retired.
 func (w *walWriter) openGeneration() error {
 	if w.f != nil {
 		w.sync()
@@ -297,7 +299,7 @@ func (w *walWriter) openGeneration() error {
 		return err
 	}
 	w.f = f
-	return nil
+	return w.fs.syncDir(w.dir)
 }
 
 // append assigns the next LSN to e, frames it, writes it, and applies the

@@ -167,7 +167,7 @@ func (s *Session) RecoverCollector(name string) ([]control.Rehome, tracedb.Recov
 		sc.dur.Close() // the dead incarnation's log handle
 		sc.dur = nil
 	}
-	sc.col.DB().Close() // and the extent files its store keeps open
+	sc.col.DB().Close() // and the pack files its store keeps open
 	sink, rec, err := s.open(sc)
 	if err != nil {
 		return nil, rec, err
