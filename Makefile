@@ -131,6 +131,15 @@ bench-scan:
 bench-lookup:
 	$(GO) test -run NONE -bench BenchmarkTableLookup -benchtime 1x -benchmem .
 
+# Recovery's own number: tracedb.Recover over a records-bulk-shaped
+# crashed directory (two tables, about half the records adopted from
+# packs and half replayed from the WAL), in ns per record and allocs per
+# recovery. One iteration, as bench-join; raise -benchtime (and compare
+# -cpu 1 with the default) to measure.
+.PHONY: bench-recover
+bench-recover:
+	$(GO) test -run NONE -bench BenchmarkRecover -benchtime 1x -benchmem .
+
 # The compiled eBPF engine's own numbers: the record script on a packet
 # it matches and on one it filters out, the aggregation script (the
 # aggregates-bulk probe program) on one flow, the same script over whole
@@ -148,7 +157,7 @@ bench-ebpf:
 # Everything here leaves `git status` clean: what it writes (cover.out,
 # .bench_build/) is ignored.
 .PHONY: check
-check: tier1 fmt vet staticcheck race faults crash fuzz cover bench-build bench-join bench-scan bench-lookup bench-ebpf
+check: tier1 fmt vet staticcheck race faults crash fuzz cover bench-build bench-join bench-scan bench-lookup bench-recover bench-ebpf
 
 # Opt-in regression gate (not part of check: a 10-pair set takes ~35 min
 # and needs an otherwise idle machine). Exports PARENT under

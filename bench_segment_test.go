@@ -362,3 +362,71 @@ func BenchmarkSegmentResidency(b *testing.B) {
 	b.ReportMetric(ratio, "residency-reduction-x")
 	b.ReportMetric(48, "flat-baseline-bytes/record")
 }
+
+// BenchmarkRecover times tracedb.Recover over a crashed directory shaped
+// like the records-bulk pipeline's: two tracepoint tables filled by
+// 2048-record deliveries that alternate them record by record, default
+// segments, group-committed WAL, checkpoints at a quarter and half of the
+// stream, so about half the records are adopted from packs and half
+// replayed from the log. The directory is built once; each iteration
+// recovers it into a fresh store (dropping and re-making the packs the
+// previous replay sealed past the fence, as every restart does) and closes
+// it off the clock. It reports ns per record recovered and allocs per
+// Recover.
+func BenchmarkRecover(b *testing.B) {
+	const batches, perBatch = 256, 2048
+	dir := b.TempDir()
+	cfg := tracedb.Config{DataDir: filepath.Join(dir, "data")}
+	dcfg := tracedb.DurabilityConfig{Dir: filepath.Join(dir, "wal"), Fsync: tracedb.FsyncInterval}
+	reopen := func() (*tracedb.DB, *tracedb.Durability, tracedb.RecoveryStats) {
+		db := tracedb.NewWith(cfg)
+		dur, st, err := tracedb.Recover(db, tracedb.NewAggStore(), dcfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return db, dur, st
+	}
+	db, dur, _ := reopen()
+	rng := rand.New(rand.NewSource(1))
+	batch := make([]core.Record, perBatch)
+	tns := uint64(1_000_000)
+	for n := 0; n < batches; n++ {
+		for i := 0; i < perBatch; i += 2 {
+			tns += uint64(800 + rng.Intn(400))
+			id, flow := rng.Uint32(), uint16(rng.Intn(64))
+			for s := 0; s < 2; s++ {
+				batch[i+s] = core.Record{
+					TraceID: id, TPID: uint32(s + 1), TimeNs: tns + uint64(s)*20_000,
+					Len: uint32(64 + rng.Intn(1400)), CPU: uint32(rng.Intn(2)), Seq: uint64(n*perBatch + i),
+					SrcIP: 0x0a000001, DstIP: 0x0a000101, SrcPort: 40000 + flow, DstPort: 9000, Proto: 17,
+				}
+			}
+		}
+		dur.AdmitRecordBatch("bench", 1, uint64(n+1), batch, 0, 0)
+		if n+1 == batches/4 || n+1 == batches/2 {
+			if err := dur.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := dur.Close(); err != nil { // the crash: no checkpoint, the rest is WAL tail
+		b.Fatal(err)
+	}
+	db.Close()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db, dur, st := reopen()
+		b.StopTimer()
+		if got := st.AdoptedRecords + st.ReplayedRecords; got != batches*perBatch || st.AdoptedRecords == 0 || st.ReplayedRecords == 0 {
+			b.Fatalf("recovered %d adopted + %d replayed records, want %d", st.AdoptedRecords, st.ReplayedRecords, batches*perBatch)
+		}
+		if err := dur.Close(); err != nil {
+			b.Fatal(err)
+		}
+		db.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(batches*perBatch), "ns/record")
+}

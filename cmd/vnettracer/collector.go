@@ -52,9 +52,9 @@ func runCollector(args []string) error {
 		fmt.Printf("recovered: checkpoint=%v lsn=%d, adopted %d extents (%d records), replayed %d WAL entries (%d records, %d agg frames, %d dup), next lsn %d\n",
 			rec.CheckpointLoaded, rec.CheckpointLSN, rec.AdoptedExtents, rec.AdoptedRecords,
 			rec.ReplayedEntries, rec.ReplayedRecords, rec.ReplayedFrames, rec.ReplayedDup, rec.NextLSN)
-		if rec.DroppedExtents+rec.CorruptExtents+rec.TornTails+rec.SweptTmp > 0 {
-			fmt.Printf("  repair: %d post-checkpoint extents dropped, %d corrupt extents skipped, %d torn WAL tails truncated, %d tmp files swept\n",
-				rec.DroppedExtents, rec.CorruptExtents, rec.TornTails, rec.SweptTmp)
+		if rec.DroppedPacks+rec.CorruptExtents+rec.TornTails+rec.SweptTmp > 0 {
+			fmt.Printf("  repair: %d post-checkpoint pack files dropped, %d corrupt extents skipped, %d torn WAL tails truncated, %d tmp files swept\n",
+				rec.DroppedPacks, rec.CorruptExtents, rec.TornTails, rec.SweptTmp)
 		}
 	}
 	// Move DB inserts off the transport goroutines onto the bounded

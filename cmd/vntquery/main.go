@@ -308,8 +308,8 @@ func runStorage(path, walDir string, cfg tracedb.Config) error {
 		defer dur.Close()
 		fmt.Printf("recovered from %q (data-dir %q)\n", walDir, cfg.DataDir)
 		fmt.Printf("  checkpoint loaded=%v lsn=%d, next lsn %d\n", rec.CheckpointLoaded, rec.CheckpointLSN, rec.NextLSN)
-		fmt.Printf("  extents: %d adopted (%d records), %d dropped past checkpoint, %d corrupt\n",
-			rec.AdoptedExtents, rec.AdoptedRecords, rec.DroppedExtents, rec.CorruptExtents)
+		fmt.Printf("  extents: %d adopted (%d records), %d corrupt; pack files: %d dropped past checkpoint\n",
+			rec.AdoptedExtents, rec.AdoptedRecords, rec.CorruptExtents, rec.DroppedPacks)
 		fmt.Printf("  WAL: %d entries replayed (%d records, %d agg frames, %d dup), %d torn tails truncated, %d tmp files swept\n",
 			rec.ReplayedEntries, rec.ReplayedRecords, rec.ReplayedFrames, rec.ReplayedDup, rec.TornTails, rec.SweptTmp)
 	} else {

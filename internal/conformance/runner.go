@@ -738,7 +738,7 @@ func scheduleFaults(sc Scenario, eng *sim.Engine, s *vnettracer.Session, cluster
 			res.Recovery = rec
 			dig.logf("collector-recover t=%d col=%s ckpt=%v ckptlsn=%d adopted=%d/%d dropped=%d replayed=%d recs=%d frames=%d dup=%d torn=%d next=%d selfmoves=%d",
 				eng.Now(), victim.name, rec.CheckpointLoaded, rec.CheckpointLSN, rec.AdoptedExtents,
-				rec.AdoptedRecords, rec.DroppedExtents, rec.ReplayedEntries, rec.ReplayedRecords,
+				rec.AdoptedRecords, rec.DroppedPacks, rec.ReplayedEntries, rec.ReplayedRecords,
 				rec.ReplayedFrames, rec.ReplayedDup, rec.TornTails, rec.NextLSN, len(moves))
 			for _, mv := range moves {
 				dig.logf("recover-rehome t=%d agent=%s col=%s epoch=%d", eng.Now(), mv.Agent, mv.To, mv.Epoch)

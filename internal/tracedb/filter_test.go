@@ -102,10 +102,11 @@ func TestAdoptTinyExtents(t *testing.T) {
 	if err := os.WriteFile(path, packed, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	p, exts, corrupt, err := adoptPack(path, 1, new(handles))
+	p, exts, corrupt, err := openPack(path, 1)
 	if err != nil || p == nil || corrupt != 0 || len(exts) != 2 {
 		t.Fatalf("adopted %d extents, %d corrupt, err %v", len(exts), corrupt, err)
 	}
+	p.hold(new(handles))
 	for n, e := range exts {
 		if len(e.filter) != filterBlockWords || e.count != n {
 			t.Fatalf("n=%d: adopted %d records with %d filter words", n, e.count, len(e.filter))

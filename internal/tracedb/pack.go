@@ -83,7 +83,11 @@ func (db *DB) createPack(name string) (*pack, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &pack{path: path, f: f, kept: db.handles.reserve()}, nil
+	p := &pack{path: path, f: f}
+	if !db.replaying {
+		p.kept = db.handles.reserve()
+	}
+	return p, nil
 }
 
 // close closes the pack's file and returns its handle when it is kept. A
@@ -135,11 +139,13 @@ func (hs *handles) reserve() bool {
 	return false
 }
 
-// adoptPack opens the pack at path, one of tpid's below the checkpoint's
+// openPack opens the pack at path, one of tpid's below the checkpoint's
 // seal fence, and rebuilds the resident metadata of every extent in it
 // that verifies. corrupt counts the damaged stretches the walk skipped.
-// A pack with no extent left to adopt is closed again and returned nil.
-func adoptPack(path string, tpid uint32, hs *handles) (p *pack, exts []*Extent, corrupt int, err error) {
+// The pack comes back with its file open and no handle taken (hold takes
+// one); a pack with no extent left to adopt is closed again and returned
+// nil.
+func openPack(path string, tpid uint32) (p *pack, exts []*Extent, corrupt int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, 0, err
@@ -159,10 +165,15 @@ func adoptPack(path string, tpid uint32, hs *handles) (p *pack, exts []*Extent, 
 		e.pack = p
 	}
 	p.live = len(exts)
-	if p.kept = hs.reserve(); !p.kept {
-		f.Close()
-	}
 	return p, exts, corrupt, nil
+}
+
+// hold keeps p's file open when the budget has a handle for it, and
+// closes it otherwise.
+func (p *pack) hold(hs *handles) {
+	if p.kept = hs.reserve(); !p.kept {
+		p.f.Close()
+	}
 }
 
 // walkPack adopts the extents of a pack of size bytes read through r,
@@ -326,6 +337,8 @@ type fileSystem interface {
 	syncDir(dir string) error
 	// remove unlinks a file.
 	remove(path string) error
+	// truncate cuts the file at path to size bytes.
+	truncate(path string, size int64) error
 }
 
 // osFS is the fileSystem of the operating system.
@@ -339,6 +352,8 @@ func (osFS) writeAt(f *os.File, b []byte, off int64) error {
 func (osFS) sync(f *os.File) error        { return f.Sync() }
 func (osFS) rename(from, to string) error { return os.Rename(from, to) }
 func (osFS) remove(path string) error     { return os.Remove(path) }
+
+func (osFS) truncate(path string, size int64) error { return os.Truncate(path, size) }
 
 func (osFS) syncDir(dir string) error {
 	d, err := os.Open(dir)

@@ -54,6 +54,11 @@ func (r *recordingFS) remove(path string) error {
 	return r.osFS.remove(path)
 }
 
+func (r *recordingFS) truncate(path string, size int64) error {
+	r.record("truncate", path)
+	return r.osFS.truncate(path, size)
+}
+
 // take returns the calls recorded since the last take.
 func (r *recordingFS) take() []fsOp {
 	r.mu.Lock()
@@ -178,7 +183,7 @@ func TestTornAppendPastFenceReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if stats.DroppedExtents != 1 || stats.CorruptExtents != 0 || stats.AdoptedRecords+stats.ReplayedRecords != batches*perBatch {
+	if stats.DroppedPacks != 1 || stats.CorruptExtents != 0 || stats.AdoptedRecords+stats.ReplayedRecords != batches*perBatch {
 		t.Fatalf("recovery: %+v", stats)
 	}
 	tbl, _ := db.Table(1)
@@ -292,7 +297,7 @@ func FuzzPackAdopt(f *testing.F) {
 		hs := &handles{budget: 1}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		p, adopted, _, err := adoptPack(path, 2, hs)
+		p, adopted, _, err := openPack(path, 2)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -301,6 +306,7 @@ func FuzzPackAdopt(f *testing.F) {
 			t.Fatalf("adopting %d bytes allocated %d", len(data), grew)
 		}
 		if p != nil {
+			p.hold(hs)
 			defer p.close(hs)
 		}
 		end := int64(0)

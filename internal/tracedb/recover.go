@@ -10,15 +10,20 @@
 // packed extents the latest checkpoint covers, restore the checkpointed
 // ledgers and aggregate store, replay the WAL tail through the door (so a
 // torn, duplicated, or reordered tail can never double-ingest), and only
-// then open the log behind it at the next LSN.
+// then open the log behind it at the next LSN. It uses every core: packs
+// are walked on a worker pool and a replayed batch's tables fill side by
+// side.
 package tracedb
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vnettracer/internal/core"
@@ -49,14 +54,14 @@ type RecoveryStats struct {
 	CheckpointLoaded bool
 	CheckpointLSN    uint64
 	// AdoptedExtents/AdoptedRecords count packed extents adopted under
-	// the checkpoint's seal fence. DroppedExtents counts post-checkpoint
+	// the checkpoint's seal fence. DroppedPacks counts post-checkpoint
 	// pack files removed (their records replay from the WAL instead);
 	// CorruptExtents counts the stretches of pre-checkpoint packs that
 	// failed to verify — a damaged extent, a torn append, an extent of a
 	// retired format — and were skipped.
 	AdoptedExtents int
 	AdoptedRecords uint64
-	DroppedExtents int
+	DroppedPacks   int
 	CorruptExtents int
 	// ReplayedEntries counts WAL entries applied (LSN past the
 	// checkpoint); ReplayedRecords/ReplayedFrames their fresh payloads;
@@ -124,6 +129,10 @@ type Durability struct {
 	lastCheckpointLSN uint64
 	lastCkptErr       error
 
+	// replay, set only while Recover replays the WAL, fills a fresh
+	// batch's tables on a worker each.
+	replay *replayer
+
 	// flushStop/flushWG manage the FsyncInterval group-commit flusher
 	// goroutine; stopOnce makes Close idempotent about stopping it.
 	// flushKick wakes the flusher early when the staged group passes the
@@ -147,6 +156,7 @@ func Unlogged(db *DB, aggs *AggStore) *Durability {
 // DataDir (checkpoints seal heads into spilled extents; without a data
 // directory the WAL could never truncate safely). A cold start — empty
 // directory — recovers to an empty state and is the normal first boot.
+// Nothing else may use db until Recover returns.
 func Recover(db *DB, aggs *AggStore, cfg DurabilityConfig) (*Durability, RecoveryStats, error) {
 	if cfg.Dir == "" {
 		return nil, RecoveryStats{}, fmt.Errorf("tracedb: durability requires a directory")
@@ -163,7 +173,7 @@ func Recover(db *DB, aggs *AggStore, cfg DurabilityConfig) (*Durability, Recover
 	db.checkpointed = true
 
 	var stats RecoveryStats
-	stats.SweptTmp = sweepTmpFiles(cfg.Dir)
+	stats.SweptTmp = sweepTmpFiles(db.fs, cfg.Dir)
 
 	ckpt, loaded, err := loadLatestCheckpoint(cfg.Dir)
 	if err != nil {
@@ -207,39 +217,9 @@ func Recover(db *DB, aggs *AggStore, cfg DurabilityConfig) (*Durability, Recover
 	// Replay goes through the same front door live ingest uses; its log is
 	// not open yet, so nothing replayed is logged a second time.
 	d := Unlogged(db, aggs)
-	maxLSN := stats.CheckpointLSN
-	for _, name := range files {
-		path := filepath.Join(cfg.Dir, name)
-		goodOff, tornErr, err := walReplayFile(path, func(e *walEntry) {
-			if e.LSN <= stats.CheckpointLSN {
-				return
-			}
-			if e.LSN > maxLSN {
-				maxLSN = e.LSN
-			}
-			stats.ReplayedEntries++
-			switch st := d.admit(e); {
-			case st != BatchFresh:
-				stats.ReplayedDup++
-			case e.Kind == walKindRecords:
-				stats.ReplayedRecords += uint64(len(e.Records))
-			default:
-				stats.ReplayedFrames++
-			}
-		})
-		if err != nil {
-			return nil, stats, err
-		}
-		if tornErr != nil {
-			// A torn or corrupt frame ends the usable log in this
-			// generation: truncate it away so the file replays cleanly
-			// next time, and keep going — later generations (created by
-			// a recovery after this tear) are still valid.
-			if terr := os.Truncate(path, goodOff); terr != nil {
-				return nil, stats, terr
-			}
-			stats.TornTails++
-		}
+	maxLSN, err := d.replayWAL(cfg.Dir, files, &stats)
+	if err != nil {
+		return nil, stats, err
 	}
 
 	d.dir = cfg.Dir
@@ -262,23 +242,131 @@ func Recover(db *DB, aggs *AggStore, cfg DurabilityConfig) (*Durability, Recover
 		// Group commit off the hot path: appends only stage frames in
 		// memory, and this flusher writes+syncs each accumulated group
 		// once per period. Ingest never waits on storage; loss stays
-		// bounded to one period of acknowledged batches.
-		// Preallocate the staging buffer at the high-water mark (the
-		// flusher's spare likewise) so steady-state staging is a single
-		// memcpy — growing a multi-megabyte buffer incrementally would
-		// put realloc copies back on the ingest path. Both are
-		// pre-faulted here: a fresh large allocation is backed by
-		// untouched zero pages, and taking those page faults lazily
-		// would smear milliseconds of fault latency across the first
-		// high-water mark of ingest.
+		// bounded to one period of acknowledged batches. The staging
+		// buffer is made after replay, not beside it: live while replay
+		// ran, its 8 MiB raised the GC's heap goal for replay's garbage,
+		// and the pipeline benchmark's peak RSS with it. The flusher makes
+		// its spare itself.
 		d.wal.buf = prefault(make([]byte, 0, walGroupHighWater))
-		spare := prefault(make([]byte, 0, walGroupHighWater))
 		d.flushStop = make(chan struct{})
 		d.flushKick = make(chan struct{}, 1)
 		d.flushWG.Add(1)
-		go d.flushLoop(cfg.FsyncEvery, spare)
+		go d.flushLoop(cfg.FsyncEvery)
 	}
 	return d, stats, nil
+}
+
+// replayWAL replays the generations in files, in order, through the
+// admission front door and returns the highest LSN it met (the
+// checkpoint's when none is past it). A torn or corrupt frame ends its
+// generation's usable log: the file is truncated there, so it replays
+// cleanly next time, and replay goes on, since later generations (created
+// by a recovery after the tear) are still valid.
+//
+// Frames are read, classified and merged on the caller, in LSN order; a
+// fresh record batch's tables fill at the same time (replayer), and all
+// of them are done before the next frame is decoded into the batch's
+// record array. The packs replay makes take their handles once it is over
+// (holdReplayed).
+func (d *Durability) replayWAL(dir string, files []string, stats *RecoveryStats) (maxLSN uint64, err error) {
+	db := d.db
+	db.replaying = true
+	d.replay = &replayer{db: db}
+	defer func() {
+		d.replay = nil
+		db.replaying = false
+		db.holdReplayed()
+	}()
+	maxLSN = stats.CheckpointLSN
+	for _, name := range files {
+		path := filepath.Join(dir, name)
+		goodOff, tornErr, err := walReplayFile(path, func(e *walEntry) {
+			if e.LSN <= stats.CheckpointLSN {
+				return
+			}
+			if e.LSN > maxLSN {
+				maxLSN = e.LSN
+			}
+			stats.ReplayedEntries++
+			switch st := d.admit(e); {
+			case st != BatchFresh:
+				stats.ReplayedDup++
+			case e.Kind == walKindRecords:
+				stats.ReplayedRecords += uint64(len(e.Records))
+			default:
+				stats.ReplayedFrames++
+			}
+		})
+		if err != nil {
+			return 0, err
+		}
+		if tornErr != nil {
+			if err := db.fs.truncate(path, goodOff); err != nil {
+				return 0, err
+			}
+			stats.TornTails++
+		}
+	}
+	return maxLSN, nil
+}
+
+// replayer inserts a replayed batch with its tables filling at the same
+// time, one goroutine per table up to GOMAXPROCS (fanOut). Each table
+// takes its runs through the appendRuns, seal and pack append live
+// ingest uses, in the calls and the order DB.Insert makes; only the
+// tables' order against each other is given up. A table's seal shares
+// nothing with another's but the pack handle budget, which replay's packs
+// do not draw on (DB.replaying), so the recovered store is the one a
+// serial replay makes.
+type replayer struct {
+	db     *DB
+	runs   []tableRuns // the batch's appendRuns calls, reused
+	tables []*Table    // the tables they fill, reused
+}
+
+// tableRuns is one of DB.Insert's appendRuns calls.
+type tableRuns struct {
+	t    *Table
+	recs []core.Record
+}
+
+func (r *replayer) add(t *Table, recs []core.Record) {
+	r.runs = append(r.runs, tableRuns{t, recs})
+	if !slices.Contains(r.tables, t) {
+		r.tables = append(r.tables, t)
+	}
+}
+
+// insert inserts recs as DB.Insert does and returns when every table has
+// taken its runs.
+func (r *replayer) insert(recs []core.Record) {
+	r.runs, r.tables = r.runs[:0], r.tables[:0]
+	r.db.eachRuns(recs, r.add)
+	fanOut(len(r.tables), func(i int) {
+		t := r.tables[i]
+		for _, run := range r.runs {
+			if run.t == t {
+				t.appendRuns(run.recs)
+			}
+		}
+	})
+}
+
+// holdReplayed gives the packs replay made — still open, each with
+// appends no checkpoint has synced — the handles the budget has left,
+// table by table in tracepoint order and each table's oldest first, so
+// which of them are kept is the same however replay's workers interleaved.
+func (db *DB) holdReplayed() {
+	for _, tpid := range db.Tables() {
+		t, _ := db.Table(tpid)
+		t.mu.Lock()
+		for _, p := range t.packs {
+			if p.dirty && !p.kept {
+				p.kept = db.handles.reserve()
+			}
+		}
+		t.mu.Unlock()
+	}
 }
 
 // flushLoop is the FsyncInterval group-commit flusher: once per period
@@ -291,8 +379,12 @@ func Recover(db *DB, aggs *AggStore, cfg DurabilityConfig) (*Durability, Recover
 // checkpoint's cut, so the just-written checkpoint already covers it.
 // Flush failures surface through the same WAL error counters as append
 // failures.
-func (d *Durability) flushLoop(every time.Duration, spare []byte) {
+func (d *Durability) flushLoop(every time.Duration) {
 	defer d.flushWG.Done()
+	// The spare is first swapped in at the first flush, a period or a
+	// high-water mark after Recover returns, so it is made here, beside
+	// what the collector does first, not on recovery's critical path.
+	spare := prefault(make([]byte, 0, walGroupHighWater))
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
@@ -340,6 +432,11 @@ func (d *Durability) flushLoop(every time.Duration, spare []byte) {
 // checkpoint, no WAL entry) and such packs exist, it fails and removes
 // none. A directory holding per-extent files of the layout before packs
 // is refused whole.
+//
+// The packs are walked on a worker pool (fanOut), adoptWindow at a time so
+// the files open at once stay bounded; each window's packs then join their
+// tables, and take their handles, in (tracepoint, seal seq) order, the
+// order a serial walk would, so the same packs are kept.
 func adoptPacks(db *DB, sealFence map[uint32]int, replayable bool, stats *RecoveryStats) error {
 	dir := db.Config().DataDir
 	ents, err := os.ReadDir(dir)
@@ -350,9 +447,13 @@ func adoptPacks(db *DB, sealFence map[uint32]int, replayable bool, stats *Recove
 		return err
 	}
 	type found struct {
-		tpid uint32
-		seq  int
-		path string
+		tpid    uint32
+		seq     int
+		path    string
+		p       *pack
+		exts    []*Extent
+		corrupt int
+		err     error
 	}
 	var adopt []found
 	var drop []string
@@ -372,7 +473,7 @@ func adoptPacks(db *DB, sealFence map[uint32]int, replayable bool, stats *Recove
 			drop = append(drop, path)
 			continue
 		}
-		adopt = append(adopt, found{tpid, seq, path})
+		adopt = append(adopt, found{tpid: tpid, seq: seq, path: path})
 	}
 	if len(drop) > 0 && !replayable {
 		return fmt.Errorf("tracedb: recover: data directory %s holds %d pack files that no checkpoint covers and no WAL entry replays; refusing to delete them", dir, len(drop))
@@ -380,34 +481,41 @@ func adoptPacks(db *DB, sealFence map[uint32]int, replayable bool, stats *Recove
 	for _, path := range drop {
 		db.fs.remove(path)
 	}
-	stats.DroppedExtents = len(drop)
+	stats.DroppedPacks = len(drop)
 	sort.Slice(adopt, func(i, j int) bool {
 		if adopt[i].tpid != adopt[j].tpid {
 			return adopt[i].tpid < adopt[j].tpid
 		}
 		return adopt[i].seq < adopt[j].seq
 	})
-	for _, a := range adopt {
-		p, exts, corrupt, err := adoptPack(a.path, a.tpid, &db.handles)
-		stats.CorruptExtents += corrupt
-		if err != nil {
-			stats.CorruptExtents++
-			continue
+	for lo := 0; lo < len(adopt); lo += adoptWindow {
+		window := adopt[lo:min(lo+adoptWindow, len(adopt))]
+		fanOut(len(window), func(i int) {
+			a := &window[i]
+			a.p, a.exts, a.corrupt, a.err = openPack(a.path, a.tpid)
+		})
+		for _, a := range window {
+			stats.CorruptExtents += a.corrupt
+			if a.err != nil {
+				stats.CorruptExtents++
+				continue
+			}
+			if a.p == nil {
+				continue
+			}
+			a.p.hold(&db.handles)
+			t := db.ensureTableNamed(a.tpid, "")
+			t.mu.Lock()
+			t.packs = append(t.packs, a.p)
+			t.sealed = append(t.sealed, a.exts...)
+			for _, e := range a.exts {
+				t.sealedRecords += e.count
+				t.sealedBytes += int64(e.storedBytes)
+				stats.AdoptedExtents++
+				stats.AdoptedRecords += uint64(e.count)
+			}
+			t.mu.Unlock()
 		}
-		if p == nil {
-			continue
-		}
-		t := db.ensureTableNamed(a.tpid, "")
-		t.mu.Lock()
-		t.packs = append(t.packs, p)
-		t.sealed = append(t.sealed, exts...)
-		for _, e := range exts {
-			t.sealedRecords += e.count
-			t.sealedBytes += int64(e.storedBytes)
-			stats.AdoptedExtents++
-			stats.AdoptedRecords += uint64(e.count)
-		}
-		t.mu.Unlock()
 	}
 	for tpid, fence := range sealFence {
 		t := db.ensureTableNamed(tpid, "")
@@ -416,6 +524,31 @@ func adoptPacks(db *DB, sealFence map[uint32]int, replayable bool, stats *Recove
 		t.mu.Unlock()
 	}
 	return nil
+}
+
+// adoptWindow is how many packs adoptPacks walks before it attaches them:
+// the bound on the pack files it holds open at once.
+const adoptWindow = 256
+
+// fanOut calls fn(i) for every i in [0, n) on min(GOMAXPROCS, n)
+// goroutines, the caller's one of them, and returns when all calls have.
+func fanOut(n int, fn func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // ensureTableNamed returns the table for tpid, creating it (with the
@@ -478,7 +611,10 @@ func (d *Durability) admit(e *walEntry) BatchStatus {
 	switch {
 	case e.Kind == walKindAggs:
 		d.aggs.add(st, e.Scripts)
-	case st == BatchFresh:
+	case st != BatchFresh:
+	case d.replay != nil:
+		d.replay.insert(e.Records)
+	default:
 		d.db.Insert(e.Records)
 	}
 	return st
@@ -489,6 +625,18 @@ func (d *Durability) admit(e *walEntry) BatchStatus {
 // pooling in memory without bound. It is sized as an emergency valve —
 // in steady state the periodic tick drains long before this —
 // so ordinary ingest never pays flusher interference.
+//
+// Both FsyncInterval staging buffers are allocated at this size and
+// pre-faulted (prefault): the writer's when Recover opens the log, the
+// flusher's spare when the flusher starts. Staging a frame is then one
+// memcpy, with no realloc copy and no first-touch page fault on the
+// ingest path. They stay preallocated although that keeps 16 MiB
+// resident from the start: buffers that grew on demand instead were
+// measured on a 2-vCPU machine, and the pipeline benchmark's setup_s fell
+// 92 % and peak_rss_mb fell 14 MiB (records-bulk) and 28 MiB
+// (aggregates-bulk), but records-paced cpu_us_per_rec rose 9.5 % (6 of 6
+// pairs), with the GC's CPU fraction up from 0.001 to 0.006 (cause not
+// confirmed).
 const walGroupHighWater = 8 << 20
 
 // append logs one entry, counting rather than propagating failures.
@@ -654,7 +802,9 @@ func (d *Durability) Stats() DurabilityStats {
 }
 
 // prefault touches one byte per page of b's full capacity so the pages
-// are resident before the hot path stores into them.
+// are resident before the hot path stores into them: taking those faults
+// lazily would smear milliseconds of fault latency across the first
+// high-water mark of ingest (see walGroupHighWater).
 func prefault(b []byte) []byte {
 	full := b[:cap(b)]
 	for i := 0; i < len(full); i += 4096 {
@@ -664,8 +814,8 @@ func prefault(b []byte) []byte {
 }
 
 // sweepTmpFiles removes orphaned *.tmp files (a crash between temp write
-// and rename leaks them) and returns how many it removed.
-func sweepTmpFiles(dir string) int {
+// and rename leaks them) through fsys and returns how many it removed.
+func sweepTmpFiles(fsys fileSystem, dir string) int {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return 0
@@ -675,7 +825,7 @@ func sweepTmpFiles(dir string) int {
 		if ent.IsDir() || filepath.Ext(ent.Name()) != ".tmp" {
 			continue
 		}
-		if os.Remove(filepath.Join(dir, ent.Name())) == nil {
+		if fsys.remove(filepath.Join(dir, ent.Name())) == nil {
 			n++
 		}
 	}

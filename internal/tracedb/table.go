@@ -146,8 +146,13 @@ func (t *Table) sealLocked() {
 	t.sealedRecords += ext.count
 	t.sealedBytes += int64(ext.storedBytes)
 	// The old head backing array may still be referenced by concurrent
-	// scan snapshots, so start a fresh one rather than reusing it.
-	t.head = nil
+	// scan snapshots, so start a fresh one rather than reusing it. Replay
+	// reuses it: nothing reads the store before Recover returns.
+	if t.db.replaying {
+		t.head = t.head[:0]
+	} else {
+		t.head = nil
+	}
 	t.enforceRetentionLocked()
 }
 

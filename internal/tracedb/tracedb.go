@@ -87,6 +87,12 @@ type DB struct {
 	// one does, and a rolled pack outside the handle budget keeps its file
 	// open until then.
 	checkpointed bool
+	// replaying is set while Recover replays the WAL: the packs replay
+	// makes take no handle when they are created, since the order in which
+	// tables seal then depends on how replay's goroutines interleave.
+	// Recover hands them out afterwards, table by table (holdReplayed).
+	// A seal then also reuses the head's array, which no scan can hold.
+	replaying bool
 }
 
 // New returns an empty in-memory database with default segment sizing and
@@ -145,7 +151,13 @@ func (db *DB) CreateTable(tpid uint32, name string) (*Table, error) {
 // lock, resolved once, instead of a directory lookup and a lock per
 // record. A table's records keep their order; tables fill one after the
 // other.
-func (db *DB) Insert(recs []core.Record) {
+func (db *DB) Insert(recs []core.Record) { db.eachRuns(recs, (*Table).appendRuns) }
+
+// eachRuns makes Insert's appendRuns calls for recs through fn, in order:
+// one per table, at its first run, for the first eight tracepoints met;
+// past those, a tracepoint's runs go in one call each, as each is met.
+// Only the calls for one table depend on each other.
+func (db *DB) eachRuns(recs []core.Record, fn func(t *Table, recs []core.Record)) {
 	var done [8]uint32 // tracepoints whose runs are all in
 	n := 0
 	for i := range recs {
@@ -154,16 +166,14 @@ func (db *DB) Insert(recs []core.Record) {
 			continue
 		}
 		if n == len(done) {
-			// More tracepoints than are remembered: this one's runs go in
-			// one at a time, as each is met.
 			j := i + 1
 			for j < len(recs) && recs[j].TPID == tpid {
 				j++
 			}
-			db.table(tpid).appendRuns(recs[i:j])
+			fn(db.table(tpid), recs[i:j])
 			continue
 		}
-		db.table(tpid).appendRuns(recs[i:])
+		fn(db.table(tpid), recs[i:])
 		done[n] = tpid
 		n++
 	}
